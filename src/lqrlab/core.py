@@ -25,6 +25,19 @@ _PD_RTOL = 1e-12
 _SQRT3 = np.sqrt(3.0)
 
 
+_WORD = 0xFFFFFFFFFFFFFFFF
+
+
+def _stream_words(seed) -> list[int]:
+    """The five 64-bit words of a stream key, zero-padded."""
+    if np.isscalar(seed):
+        seed = [seed]
+    words = [int(s) & _WORD for s in seed]
+    if len(words) > 5:
+        raise ValueError("seed tuples may have at most five elements")
+    return words + [0] * (5 - len(words))
+
+
 def make_rng(seed) -> np.random.Generator:
     """Deterministic counter-based generator keyed by an int or a tuple of
     up to five ints (seed, iteration, slot, sample, flag).
@@ -33,15 +46,68 @@ def make_rng(seed) -> np.random.Generator:
     high words, so distinct tuples give independent streams and equal tuples
     reproduce draws bit for bit, independent of execution order.
     """
-    if np.isscalar(seed):
-        seed = [seed]
-    words = [int(s) & 0xFFFFFFFFFFFFFFFF for s in seed]
-    if len(words) > 5:
-        raise ValueError("seed tuples may have at most five elements")
-    words += [0] * (5 - len(words))
+    words = _stream_words(seed)
     key = np.array(words[:2], dtype=np.uint64)
     counter = np.array([0, *words[2:]], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+class CounterStream:
+    """One Philox generator that is re-keyed in place instead of rebuilt.
+
+    After rekey(key) its draws equal make_rng(key)'s bit for bit, and a
+    re-key costs a fraction of building a generator (about half of which is
+    entropy seeding that the key then overrides).  A re-key goes through the
+    public state setter: key = the first two words, counter = [0, *the other
+    three], an empty output buffer (buffer_pos 4) and no pending 32-bit half
+    word, which is the state a freshly built Philox starts in.
+    """
+
+    def __init__(self):
+        self._bitgen = np.random.Philox(key=0)
+        self.generator = np.random.Generator(self._bitgen)
+        self._key = [0, 0]
+        self._counter = [0, 0, 0, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def rekey(self, key) -> np.random.Generator:
+        """The generator, reset to the state make_rng(key) starts in."""
+        words = _stream_words(key)
+        self._key[:] = words[:2]
+        return self.rekey_tail(*words[2:])
+
+    def rekey_tail(self, w2: int = 0, w3: int = 0, w4: int = 0) -> np.random.Generator:
+        """rekey(key) for a key whose first two words are those of the last
+        rekey and whose other words are w2, w3, w4, each in [0, 2**64).
+
+        Skips the word arithmetic of rekey; the estimator re-keys once per
+        sample and flag under a fixed (seed, iteration).
+        """
+        c = self._counter
+        c[1], c[2], c[3] = w2, w3, w4
+        self._bitgen.state = self._state
+        return self.generator
+
+
+def standard_draw(kind: str, rng: np.random.Generator, size) -> np.ndarray:
+    """Standardized draw (zero mean, unit variance per coordinate) of a noise
+    or initial-state kind: "gaussian", "uniform" on [-sqrt(3), sqrt(3)], or
+    zeros for the degenerate kinds "zero" and "point", which consume nothing
+    from the stream."""
+    if kind == "gaussian":
+        return rng.standard_normal(size)
+    if kind == "uniform":
+        return rng.uniform(-_SQRT3, _SQRT3, size=size)
+    if kind in ("zero", "point"):
+        return np.zeros(size)
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -89,17 +155,19 @@ class NoiseModel:
         F = self._factor(d)
         return self.sigma**2 * (F @ F.T)
 
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "uniform", "zero"):
+            raise ValueError(f"unknown noise kind {self.kind!r}")
+
+    def scale(self, v: np.ndarray) -> np.ndarray:
+        """Noise vectors sigma * factor @ v_t from standardized draws v of shape (..., T, d)."""
+        return self.sigma * (v @ self._factor(v.shape[-1]).T)
+
     def draw(self, rng: np.random.Generator, T: int, d: int) -> np.ndarray:
         """(T, d) array of noise vectors, consuming a deterministic number of draws."""
         if self.kind == "zero":
             return np.zeros((T, d))
-        if self.kind == "gaussian":
-            v = rng.standard_normal((T, d))
-        elif self.kind == "uniform":
-            v = rng.uniform(-_SQRT3, _SQRT3, size=(T, d))
-        else:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        return self.sigma * (v @ self._factor(d).T)
+        return self.scale(standard_draw(self.kind, rng, (T, d)))
 
 
 @dataclass(frozen=True)
@@ -115,6 +183,10 @@ class InitialStateModel:
     sigma: float = 1.0
     factor: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "uniform", "point"):
+            raise ValueError(f"unknown initial-state kind {self.kind!r}")
+
     def _factor(self, d: int) -> np.ndarray:
         return np.eye(d) if self.factor is None else np.asarray(self.factor, dtype=float)
 
@@ -127,18 +199,15 @@ class InitialStateModel:
             S0 = S0 + self.sigma**2 * (F @ F.T)
         return S0
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
+    def place(self, z: np.ndarray) -> np.ndarray:
+        """Initial states mean + sigma * factor @ z from standardized draws z of shape (..., d)."""
         mu = np.asarray(self.mean, dtype=float)
-        d = mu.shape[0]
+        return mu + self.sigma * (self._factor(mu.shape[0]) @ z[..., None])[..., 0]
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "point":
-            return mu.copy()
-        if self.kind == "gaussian":
-            z = rng.standard_normal(d)
-        elif self.kind == "uniform":
-            z = rng.uniform(-_SQRT3, _SQRT3, size=d)
-        else:
-            raise ValueError(f"unknown initial-state kind {self.kind!r}")
-        return mu + self.sigma * (self._factor(d) @ z)
+            return np.array(self.mean, dtype=float)
+        return self.place(standard_draw(self.kind, rng, len(self.mean)))
 
 
 @dataclass
@@ -370,6 +439,40 @@ def simulate_trajectory(instance: LqrInstance, policy, seed) -> Trajectory:
         states[t + 1] = x
     cost += float(x @ instance.Q[T] @ x)
     return Trajectory(states=states, controls=controls, noises=w, realized_cost=cost)
+
+
+def sample_paths(instance: LqrInstance, rngs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start states (n, d) and noise sequences (n, T, d) from n freshly keyed
+    generators, each drawn as simulate_trajectory draws from its stream.
+
+    When the initial state and the noise are of one kind, a single call per
+    stream takes both, which yields the same numbers as two calls.
+    """
+    T, d = instance.T, instance.d
+    init, noise = instance.init, instance.noise
+    parts = []  # [kind, width] of each draw call per stream, in stream order
+    if init.kind != "point":
+        parts.append([init.kind, d])
+    if noise.kind != "zero":
+        if parts and parts[0][0] == noise.kind:
+            parts[0][1] += T * d
+        else:
+            parts.append([noise.kind, T * d])
+    z = np.empty((n, sum(width for _, width in parts)))
+    if parts:
+        for rng, row in zip(rngs, z):
+            lo = 0
+            for kind, width in parts:
+                row[lo:lo + width] = standard_draw(kind, rng, width)
+                lo += width
+    if init.kind == "point":
+        x0 = np.tile(np.asarray(init.mean, dtype=float), (n, 1))
+        z_noise = z
+    else:
+        x0 = init.place(z[:, :d])
+        z_noise = z[:, d:]
+    w = np.zeros((n, T, d)) if noise.kind == "zero" else noise.scale(z_noise.reshape(n, T, d))
+    return x0, w
 
 
 def pathwise_cost_terms(instance: LqrInstance, policy, traj: Trajectory, backup: ValueBackup | None = None):

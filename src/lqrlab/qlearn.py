@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LqrInstance, make_rng
+from .core import LqrInstance, make_rng, standard_draw
 
 
 def _scalars(instance: LqrInstance):
@@ -84,12 +84,7 @@ def q_learning_step(table: QTable, instance: LqrInstance, lr: float, seed) -> QT
     q = table.q.copy()
     clamps = table.clamp_count
     for t in range(T - 1, -1, -1):
-        if instance.noise.kind == "zero":
-            w = 0.0
-        elif instance.noise.kind == "gaussian":
-            w = sigma_w * rng.standard_normal(q[t].shape)
-        else:
-            w = sigma_w * rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=q[t].shape)
+        w = sigma_w * standard_draw(instance.noise.kind, rng, q[t].shape)
         x_next = a * X + b * U + w
         clamps += int(np.count_nonzero((x_next < -1.0) | (x_next > 1.0)))
         idx = table.snap(x_next)
@@ -105,18 +100,13 @@ def greedy_policy_cost(table: QTable, instance: LqrInstance, n_rollouts: int, se
     T = instance.T
     greedy = table.greedy_indices()
     rng = make_rng(seed)
-    mu0 = float(instance.init.mean[0])
-    if instance.init.kind == "point":
-        x = np.full(n_rollouts, mu0)
-    else:
-        s0 = instance.init.sigma * float(instance.init._factor(1)[0, 0])
-        x = mu0 + s0 * rng.standard_normal(n_rollouts)
+    s0 = instance.init.sigma * float(instance.init._factor(1)[0, 0])
+    x = float(instance.init.mean[0]) + s0 * standard_draw(instance.init.kind, rng, n_rollouts)
     sigma_w = 0.0 if instance.noise.kind == "zero" else instance.noise.sigma * float(instance.noise._factor(1)[0, 0])
     cost = np.zeros(n_rollouts)
     for t in range(T):
         u = table.u_grid[greedy[t][table.snap(x)]]
         cost += x**2 * qcoef[t] + u**2 * rcoef[t]
-        w = sigma_w * rng.standard_normal(n_rollouts) if sigma_w else 0.0
-        x = a * x + b * u + w
+        x = a * x + b * u + sigma_w * standard_draw(instance.noise.kind, rng, n_rollouts)
     cost += x**2 * qcoef[T]
     return float(cost.mean())

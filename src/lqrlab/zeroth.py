@@ -13,15 +13,18 @@ are reproducible and independent of execution order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    CounterStream,
     LqrInstance,
     exact_cost,
     exact_gradient,
     make_rng,
+    sample_paths,
     simulate_trajectory,
     solve_riccati,
 )
@@ -66,21 +69,59 @@ def sample_sphere(shape: tuple[int, int], radius: float, seed) -> np.ndarray:
 
 
 def sample_sphere_batch(n: int, shape: tuple[int, int], radius: float, seed) -> np.ndarray:
-    """(n, *shape) independent sphere draws from a single stream (test utility)."""
+    """(n, *shape) independent sphere draws from a single stream."""
     rng = make_rng(seed)
     g = rng.standard_normal((n, *shape))
     nrm = np.sqrt((g**2).sum(axis=(1, 2), keepdims=True))
-    nrm[nrm <= 1e-30] = 1.0
+    if (nrm <= 1e-30).any():
+        raise DegenerateDraw("could not normalize a sphere draw")
     return radius * g / nrm
+
+
+def sphere_directions(T: int, m: int, shape: tuple[int, int], radius: float, seed, iteration: int) -> np.ndarray:
+    """(T, m, *shape) perturbations of one estimate: entry (t, i) equals
+    sample_sphere(shape, radius, (seed, iteration, t, i, 0)) bit for bit.
+
+    One re-keyed stream replaces a generator per draw, and the draws are
+    normalized together; a draw too short to normalize is redrawn by
+    sample_sphere.
+    """
+    stream = CounterStream()
+    stream.rekey((seed, iteration))
+    g = np.empty((T * m, shape[0] * shape[1]))
+    for (t, i), row in zip(itertools.product(range(T), range(m)), g):
+        stream.rekey_tail(t, i, 0).standard_normal(out=row)
+    nrm = np.sqrt((g**2).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        U = ((radius / nrm)[:, None] * g).reshape(T, m, *shape)
+    for j in np.flatnonzero(nrm <= 1e-30):
+        t, i = divmod(int(j), m)
+        U[t, i] = sample_sphere(shape, radius, (seed, iteration, t, i, 0))
+    return U
+
+
+def slot_paths(instance: LqrInstance, m: int, seed, iteration: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start states (T * m, d) and noise (T * m, T, d) of one estimate's
+    rollouts: row t * m + i is what simulate_trajectory draws from the stream
+    (seed, iteration, t, i, 1)."""
+    stream = CounterStream()
+    stream.rekey((seed, iteration))
+    rngs = (stream.rekey_tail(t, i, 1) for t, i in itertools.product(range(instance.T), range(m)))
+    return sample_paths(instance, rngs, instance.T * m)
 
 
 class LqrSimulator:
     """Opaque rollout interface over an LqrInstance.
 
     Optimization loops use only T, k, d and the rollout methods, never the
-    instance matrices.  rollout_perturbed_batch vectorizes the dynamics but
-    replays exactly the per-trajectory noise streams simulate_trajectory
-    would consume for seeds (*key, i, 1).
+    instance matrices.  The batch methods vectorize the dynamics over all
+    rollouts but replay exactly the per-trajectory streams simulate_trajectory
+    would consume: rollout_perturbed_batch those of seeds (*key, i, 1), and
+    rollout_perturbed_slots those of (seed, iteration, t, i, 1) for every slot
+    t at once, as one (T * m, d) state array.  Each stream key is set by
+    re-keying a single Philox generator in place rather than building a new
+    one, and every row keeps the arithmetic of a one-slot batch, so the costs
+    match rollout_perturbed_batch bit for bit.
     """
 
     def __init__(self, instance: LqrInstance):
@@ -93,29 +134,44 @@ class LqrSimulator:
         return simulate_trajectory(self._inst, policy, seed).realized_cost
 
     def rollout_perturbed_batch(self, policy, t: int, U: np.ndarray, key) -> np.ndarray:
-        inst = self._inst
-        T, d = self.T, self.d
         m = U.shape[0]
-        x0 = np.empty((m, d))
-        w = np.empty((m, T, d))
-        for i in range(m):
-            rng = make_rng([*key, i, 1])
-            x0[i] = inst.init.draw(rng)
-            w[i] = inst.noise.draw(rng, T, d)
+        stream = CounterStream()
+        x0, w = sample_paths(self._inst, (stream.rekey([*key, i, 1]) for i in range(m)), m)
+        return self._roll(policy, {t: 0}, U[None], x0, w)[0]
+
+    def rollout_perturbed_slots(self, policy, U: np.ndarray, seed, iteration: int) -> np.ndarray:
+        """(T, m) costs; entry (t, i) rolls the policy with gain t perturbed
+        by U[t, i] on the stream (seed, iteration, t, i, 1)."""
+        T, m = U.shape[:2]
+        x0, w = slot_paths(self._inst, m, seed, iteration)
+        if m <= 2:
+            # numpy's matmul and einsum take other inner loops on blocks of one
+            # or two rows than on T * m rows, so each slot is rolled alone
+            rows = [slice(t * m, (t + 1) * m) for t in range(T)]
+            return np.concatenate([self._roll(policy, {t: 0}, U[t:t + 1], x0[r], w[r]) for t, r in enumerate(rows)])
+        return self._roll(policy, {t: t for t in range(T)}, U, x0, w)
+
+    def _roll(self, policy, blocks: dict, U: np.ndarray, x0: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Costs (n_blocks, m) of rollouts from x0 (n_blocks * m, d) under
+        noise w; the rows of block blocks[s] run with gain s perturbed by
+        U[blocks[s]], the other rows with the policy's gain."""
+        inst = self._inst
+        T = self.T
+        n_blocks, m = U.shape[:2]
         K = np.asarray(policy, dtype=float)
-        Kt = K[t][None] + U  # (m, k, d)
         x = x0
-        cost = np.zeros(m)
+        cost = np.zeros(n_blocks * m)
         for s in range(T):
-            if s == t:
-                u = -np.einsum("ikd,id->ik", Kt, x)
-            else:
-                u = -(x @ K[s].T)
+            u = -(x @ K[s].T)
+            j = blocks.get(s)
+            if j is not None:
+                rows = slice(j * m, (j + 1) * m)
+                u[rows] = -np.einsum("ikd,id->ik", K[s][None] + U[j], x[rows])
             cost += np.einsum("id,de,ie->i", x, inst.Q[s], x)
             cost += np.einsum("ik,kl,il->i", u, inst.R[s], u)
             x = x @ inst.A.T + u @ inst.B.T + w[:, s]
         cost += np.einsum("id,de,ie->i", x, inst.Q[T], x)
-        return cost
+        return cost.reshape(n_blocks, m)
 
 
 def _default_batch(sim, policy, t, U, key):
@@ -136,17 +192,21 @@ def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 
     T, k, d = sim.T, sim.k, sim.d
     D = k * d
     r, m = cfg.radius, cfg.samples
+    U = sphere_directions(T, m, (k, d), r, seed, iteration)
+    if hasattr(sim, "rollout_perturbed_slots"):
+        costs = sim.rollout_perturbed_slots(policy, U, seed, iteration)
+    else:
+        batch = getattr(sim, "rollout_perturbed_batch", None)
+        costs = [
+            batch(policy, t, U[t], [seed, iteration, t]) if batch is not None
+            else _default_batch(sim, policy, t, U[t], [seed, iteration, t])
+            for t in range(T)
+        ]
     grads = np.empty((T, k, d))
     mean_costs = np.empty(T)
-    batch = getattr(sim, "rollout_perturbed_batch", None)
     for t in range(T):
-        key = [seed, iteration, t]
-        U = np.empty((m, k, d))
-        for i in range(m):
-            U[i] = sample_sphere((k, d), r, [*key, i, 0])
-        costs = batch(policy, t, U, key) if batch is not None else _default_batch(sim, policy, t, U, key)
-        grads[t] = (D / r**2) * np.einsum("i,ikd->kd", costs, U) / m
-        mean_costs[t] = costs.mean()
+        grads[t] = (D / r**2) * np.einsum("i,ikd->kd", costs[t], U[t]) / m
+        mean_costs[t] = costs[t].mean()
     return GradientEstimate(grads=grads, mean_costs=mean_costs, samples=m, radius=r)
 
 

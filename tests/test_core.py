@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqrlab import (
     InitialStateModel,
@@ -15,7 +17,7 @@ from lqrlab import (
     solve_riccati,
 )
 from lqrlab.benchmarks import scalar_benchmark
-from lqrlab.core import pathwise_cost_terms
+from lqrlab.core import CounterStream, make_rng, pathwise_cost_terms, sample_paths
 from lqrlab.errors import HorizonTooShort, NonPositiveDefinite
 from lqrlab.zeroth import LqrSimulator
 
@@ -192,8 +194,6 @@ class TestSimulation:
 
 
 def inst_rng(i):
-    from lqrlab.core import make_rng
-
     return make_rng([123, i])
 
 
@@ -232,3 +232,80 @@ class TestBatchRollouts:
             pert[1] = pert[1] + U[i]
             single = sim.rollout(pert, [5, 0, 1, i, 1])
             assert batch[i] == pytest.approx(single, rel=1e-12)
+
+
+# stream words: negative ints wrap to two's complement, so both ends of the
+# 64-bit range and beyond 2**63 are covered
+WORDS = st.integers(min_value=-(2**63), max_value=2**64 - 1)
+KEYS = st.lists(WORDS, min_size=1, max_size=5)
+
+
+def _consume(rng, kind: int, n: int) -> None:
+    """Leave a generator mid-stream: an odd count of 32-bit halves leaves a
+    pending half word, the others stop inside Philox's 4-word output block."""
+    if kind == 0:
+        rng.integers(0, 2**32, size=2 * n + 1, dtype=np.uint32)
+    elif kind == 1:
+        rng.standard_normal(n)
+    else:
+        rng.random(n)
+
+
+def _draws(rng) -> list:
+    return [rng.integers(0, 2**32, size=3, dtype=np.uint32), rng.standard_normal(5), rng.uniform(-2.0, 2.0, 4),
+            rng.integers(0, 2**64, size=2, dtype=np.uint64)]
+
+
+def _assert_same_draws(a, b) -> None:
+    for x, y in zip(_draws(a), _draws(b)):
+        np.testing.assert_array_equal(x, y)
+
+
+class TestCounterStream:
+    @settings(deadline=None, max_examples=200)
+    @given(previous=KEYS, key=KEYS, kind=st.integers(0, 2), n=st.integers(0, 9))
+    def test_rekey_matches_make_rng(self, previous, key, kind, n):
+        stream = CounterStream()
+        _consume(stream.rekey(previous), kind, n)
+        _assert_same_draws(stream.rekey(key), make_rng(key))
+
+    @settings(deadline=None, max_examples=100)
+    @given(prefix=st.lists(WORDS, min_size=2, max_size=2),
+           tails=st.lists(st.lists(st.integers(0, 2**64 - 1), max_size=3), min_size=1, max_size=3),
+           kind=st.integers(0, 2), n=st.integers(0, 9))
+    def test_rekey_tail_keeps_the_first_two_words(self, prefix, tails, kind, n):
+        stream = CounterStream()
+        stream.rekey(prefix)
+        for tail in tails:
+            rng = stream.rekey_tail(*tail)
+            _assert_same_draws(rng, make_rng([*prefix, *tail]))
+            _consume(rng, kind, n)
+
+    def test_rejects_long_keys(self):
+        with pytest.raises(ValueError):
+            CounterStream().rekey([1, 2, 3, 4, 5, 6])
+
+
+class TestSamplePaths:
+    @pytest.mark.parametrize("init_kind,noise_kind", [
+        ("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gaussian"), ("gaussian", "zero"),
+        ("uniform", "gaussian"), ("gaussian", "uniform"), ("point", "zero"),
+    ])
+    def test_matches_model_draws(self, init_kind, noise_kind):
+        rng = np.random.default_rng(7)
+        d, T = 3, 4
+        noise = NoiseModel(noise_kind, 0.4, rng.normal(size=(d, d)))
+        init = InitialStateModel(init_kind, rng.normal(size=d), 0.6, rng.normal(size=(d, d)))
+        inst = constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise, init)
+        keys = [[4, j, -1] for j in range(6)]
+        x0, w = sample_paths(inst, (make_rng(key) for key in keys), len(keys))
+        for j, key in enumerate(keys):
+            ref = make_rng(key)
+            np.testing.assert_array_equal(x0[j], init.draw(ref))
+            np.testing.assert_array_equal(w[j], noise.draw(ref, T, d))
+
+    def test_models_reject_unknown_kinds(self):
+        with pytest.raises(ValueError):
+            NoiseModel("point")
+        with pytest.raises(ValueError):
+            InitialStateModel("zero", np.zeros(1))

@@ -5,6 +5,7 @@ from lqrlab import (
     InitialStateModel,
     NoiseModel,
     constant_instance,
+    make_rng,
     solve_riccati,
 )
 from lqrlab.benchmarks import scalar_benchmark
@@ -91,3 +92,15 @@ class TestLearning:
         got = greedy_policy_cost(tab, inst, n_rollouts=200_000, seed=123)
         assert got <= 1.6 * cstar
         assert tab.clamp_count > 0
+
+    def test_greedy_cost_draws_the_instance_noise_kind(self):
+        # x0 = 0 and the untrained table plays u = 0, so the cost is w^2 with
+        # w drawn from the instance's uniform noise, never above (sqrt(3) * 0.5)^2
+        inst = constant_instance(
+            np.eye(1), np.eye(1), np.eye(1), np.eye(1), np.eye(1), 1,
+            NoiseModel("uniform", 0.5), InitialStateModel("point", np.zeros(1)),
+        )
+        got = greedy_policy_cost(make_qtable(inst, 11, 11), inst, n_rollouts=1, seed=7)
+        expected = (0.5 * make_rng(7).uniform(-np.sqrt(3.0), np.sqrt(3.0), 1)[0]) ** 2
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert got <= (np.sqrt(3.0) * 0.5) ** 2

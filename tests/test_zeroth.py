@@ -3,10 +3,14 @@ import pytest
 
 from lqrlab import (
     DescentConfig,
+    InitialStateModel,
     LqrSimulator,
+    NoiseModel,
     SmoothingConfig,
+    constant_instance,
     estimate_gradient,
     exact_gradient,
+    make_rng,
     run_exact_pg,
     run_modelfree_pg,
     run_modelfree_ppg,
@@ -15,8 +19,10 @@ from lqrlab import (
     smoothed_gradient_reference,
 )
 from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
-from lqrlab.errors import NotInSet
+from lqrlab import zeroth
+from lqrlab.errors import DegenerateDraw, NotInSet
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
+from lqrlab.zeroth import slot_paths, sphere_directions
 
 from conftest import random_instance, random_policy
 
@@ -44,6 +50,74 @@ class TestSphere:
         a = sample_sphere((1, 2), 0.1, [3, 0, 1, 7, 0])
         b = sample_sphere((1, 2), 0.1, [3, 0, 1, 8, 0])
         assert not np.array_equal(a, b)
+
+    def test_batch_rejects_degenerate_draws(self, monkeypatch):
+        class ZeroGenerator:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(zeroth, "make_rng", lambda seed: ZeroGenerator())
+        with pytest.raises(DegenerateDraw):
+            sample_sphere_batch(3, (1, 2), 0.5, seed=0)
+
+
+def _instance_of_kinds(init_kind, noise_kind, d=2, k=1, T=3):
+    rng = np.random.default_rng(31)
+    noise = NoiseModel(noise_kind, 0.4, rng.normal(size=(d, d)))
+    init = InitialStateModel(init_kind, rng.normal(size=d), 0.6)
+    return constant_instance(rng.normal(size=(d, d)) * 0.5, rng.normal(size=(d, k)), np.eye(d), np.eye(k), np.eye(d),
+                             T, noise, init)
+
+
+KIND_PAIRS = [("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gaussian"), ("gaussian", "zero"),
+              ("uniform", "gaussian"), ("gaussian", "uniform"), ("point", "zero")]
+
+
+class TestEstimatorDraws:
+    @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS)
+    def test_draws_match_per_key_generators(self, init_kind, noise_kind):
+        # reference: one make_rng per key, the way each draw is specified
+        inst = _instance_of_kinds(init_kind, noise_kind)
+        T, k, d, m, r = inst.T, inst.k, inst.d, 7, 0.3
+        seed, it = -5, 2**63 + 4
+        U = sphere_directions(T, m, (k, d), r, seed, it)
+        x0, w = slot_paths(inst, m, seed, it)
+        for t in range(T):
+            for i in range(m):
+                np.testing.assert_array_equal(U[t, i], sample_sphere((k, d), r, [seed, it, t, i, 0]))
+                rng = make_rng([seed, it, t, i, 1])
+                np.testing.assert_array_equal(x0[t * m + i], inst.init.draw(rng))
+                np.testing.assert_array_equal(w[t * m + i], inst.noise.draw(rng, T, d))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 9])
+    @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS[:4])
+    def test_all_slots_rollout_matches_per_slot_batches(self, init_kind, noise_kind, m):
+        inst = _instance_of_kinds(init_kind, noise_kind, d=2, k=2, T=4)
+        K = np.random.default_rng(4).normal(size=(4, 2, 2)) * 0.2
+        sim = LqrSimulator(inst)
+        U = sphere_directions(inst.T, m, (2, 2), 0.2, 8, 1)
+        slots = sim.rollout_perturbed_slots(K, U, 8, 1)
+        for t in range(inst.T):
+            np.testing.assert_array_equal(slots[t], sim.rollout_perturbed_batch(K, t, U[t], [8, 1, t]))
+
+    @pytest.mark.parametrize("case", ["zo-liquidation", "c11"])
+    def test_estimate_matches_per_slot_estimator(self, case):
+        # the all-slots path against the one-slot-at-a-time path it replaced
+        if case == "zo-liquidation":
+            inst, K, cfg, seed = ac_to_lqr(stock_liquidation()), np.full((10, 1, 2), -0.2), SmoothingConfig(0.6, 200), 3 << 20
+        else:
+            inst, K, cfg, seed = scalar_benchmark(), np.zeros((5, 1, 1)), SmoothingConfig(0.1, 50), 4
+        sim = LqrSimulator(inst)
+
+        class PerSlot:
+            T, k, d = sim.T, sim.k, sim.d
+            rollout_perturbed_batch = staticmethod(sim.rollout_perturbed_batch)
+
+        for it in (0, 7):
+            fast = estimate_gradient(inst, K, cfg, seed, iteration=it)
+            ref = estimate_gradient(PerSlot(), K, cfg, seed, iteration=it)
+            np.testing.assert_array_equal(fast.grads, ref.grads)
+            np.testing.assert_array_equal(fast.mean_costs, ref.mean_costs)
 
 
 class TestEstimator:
