@@ -110,8 +110,12 @@ def standard_draw(kind: str, rng: np.random.Generator, size) -> np.ndarray:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def _swap(M: np.ndarray) -> np.ndarray:
+    return np.swapaxes(M, -1, -2)
+
+
 def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + _swap(M))
 
 
 def _check_pd(M: np.ndarray, name: str, *, allow_psd: bool = False) -> None:
@@ -278,6 +282,8 @@ class RiccatiSolution:
 
 @dataclass
 class ValueBackup:
+    """Closed-loop values of one policy; a batch of policies adds a leading axis to every field."""
+
     P: np.ndarray  # (T+1, d, d)
     L: np.ndarray  # (T+1,), noise-accumulated offsets, L[T] = 0
     cost: float  # trace(Sigma0 P0) + L0
@@ -285,6 +291,8 @@ class ValueBackup:
 
 @dataclass
 class CovarianceProfile:
+    """State second moments of one policy; a batch of policies adds a leading axis to every field."""
+
     sigmas: np.ndarray  # (T+1, d, d) state second moments under the policy
     aggregate: np.ndarray  # sum over t of sigmas[t]
     sigma_x: float  # min over t of the smallest eigenvalue of sigmas[t]
@@ -324,65 +332,98 @@ def solve_riccati(instance: LqrInstance) -> RiccatiSolution:
     return RiccatiSolution(gains=gains, P=P, optimal_cost=cost)
 
 
+def _gain_batch(instance: LqrInstance, policy) -> np.ndarray:
+    """Gains as an array of one policy (T, k, d) or a batch of n policies (n, T, k, d)."""
+    K = np.asarray(policy, dtype=float)
+    shape = (instance.T, instance.k, instance.d)
+    if K.ndim not in (3, 4) or K.shape[-3:] != shape:
+        raise ValueError(f"policy must have shape {shape} or (n, {', '.join(map(str, shape))}), got {K.shape}")
+    return K
+
+
 def backup_value(instance: LqrInstance, policy) -> ValueBackup:
-    """Evaluate a linear policy: closed-loop value matrices P_t and offsets L_t."""
-    A, B = instance.A, instance.B
-    T, d = instance.T, instance.d
-    K = _as_gain_array(policy, T, instance.k, d)
+    """Evaluate a linear policy: closed-loop value matrices P_t and offsets L_t.
+
+    policy is one gain sequence (T, k, d) or a batch (n, T, k, d).  A batch
+    runs as one stacked recursion whose every slice takes the operations of a
+    single policy in the same order, so it equals per-policy calls bit for bit.
+    """
+    T = instance.T
+    K = _gain_batch(instance, policy)
+    batch = K.shape[:-3]
     W = instance.noise_covariance()
-    P = np.empty((T + 1, d, d))
-    L = np.zeros(T + 1)
-    P[T] = instance.Q[T]
+    M = instance.A - instance.B @ K
+    stage = instance.Q[:T] + _swap(K) @ instance.R @ K
+    P = np.empty((*batch, T + 1, instance.d, instance.d))
+    P[..., T, :, :] = instance.Q[T]
     for t in range(T - 1, -1, -1):
-        M = A - B @ K[t]
-        P[t] = _sym(instance.Q[t] + K[t].T @ instance.R[t] @ K[t] + M.T @ P[t + 1] @ M)
-        L[t] = L[t + 1] + float(np.trace(W @ P[t + 1]))
-    cost = float(np.trace(instance.init.second_moment() @ P[0])) + L[0]
+        Mt = M[..., t, :, :]
+        P[..., t, :, :] = _sym(stage[..., t, :, :] + _swap(Mt) @ P[..., t + 1, :, :] @ Mt)
+    # L_t = L_{t+1} + tr(W P_{t+1}) from L_T = 0, accumulated backward in that order
+    noise = np.trace(W @ P[..., :0:-1, :, :], axis1=-2, axis2=-1)
+    L = np.cumsum(np.concatenate([np.zeros((*batch, 1)), noise], axis=-1), axis=-1)[..., ::-1].copy()
+    cost = np.trace(instance.init.second_moment() @ P[..., 0, :, :], axis1=-2, axis2=-1) + L[..., 0]
     return ValueBackup(P=P, L=L, cost=cost)
 
 
-def exact_cost(instance: LqrInstance, policy) -> float:
+def exact_cost(instance: LqrInstance, policy):
+    """C(K) of one policy, or an (n,) array of costs of a batch of policies."""
     return backup_value(instance, policy).cost
 
 
-def covariance_profile(instance: LqrInstance, policy, *, warn_degenerate: bool = True) -> CovarianceProfile:
-    """Forward second-moment recursion Sigma_{t+1} = M Sigma_t M' + W under the policy."""
-    A, B = instance.A, instance.B
+def _second_moments(instance: LqrInstance, K: np.ndarray) -> np.ndarray:
+    """Forward recursion Sigma_{t+1} = M_t Sigma_t M_t' + W from Sigma_0, shape (..., T+1, d, d)."""
     T, d = instance.T, instance.d
-    K = _as_gain_array(policy, T, instance.k, d)
     W = instance.noise_covariance()
-    sig = np.empty((T + 1, d, d))
-    sig[0] = instance.init.second_moment()
+    M = instance.A - instance.B @ K
+    sig = np.empty((*K.shape[:-3], T + 1, d, d))
+    sig[..., 0, :, :] = instance.init.second_moment()
     for t in range(T):
-        M = A - B @ K[t]
-        sig[t + 1] = _sym(M @ sig[t] @ M.T + W)
-    eigmins = [float(np.linalg.eigvalsh(sig[t])[0]) for t in range(T + 1)]
-    sigma_x = min(eigmins)
-    if warn_degenerate and sigma_x <= _PD_RTOL * (1.0 + float(np.abs(sig).max())):
+        Mt = M[..., t, :, :]
+        sig[..., t + 1, :, :] = _sym(Mt @ sig[..., t, :, :] @ _swap(Mt) + W)
+    return sig
+
+
+def covariance_profile(instance: LqrInstance, policy, *, warn_degenerate: bool = True) -> CovarianceProfile:
+    """Forward second-moment recursion Sigma_{t+1} = M Sigma_t M' + W under the
+    policy, for one policy (T, k, d) or a batch (n, T, k, d) as in backup_value."""
+    sig = _second_moments(instance, _gain_batch(instance, policy))
+    sigma_x = np.linalg.eigvalsh(sig)[..., 0].min(axis=-1)
+    degenerate = sigma_x <= _PD_RTOL * (1.0 + np.abs(sig).max(axis=(-3, -2, -1)))
+    if warn_degenerate and np.any(degenerate):
         warnings.warn("state covariance is degenerate (sigma_x ~ 0)", RuntimeWarning, stacklevel=2)
-    return CovarianceProfile(sigmas=sig, aggregate=sig.sum(axis=0), sigma_x=sigma_x)
+    return CovarianceProfile(sigmas=sig, aggregate=sig.sum(axis=-3), sigma_x=sigma_x)
+
+
+def _gradient_terms(instance: LqrInstance, K: np.ndarray, P: np.ndarray, sigmas: np.ndarray):
+    """(grads, E) with E_t = (R_t + B' P_{t+1} B) K_t - B' P_{t+1} A and grad_t = 2 E_t Sigma_t."""
+    B = instance.B
+    BtP = B.T @ P[..., 1:, :, :]
+    E = (instance.R + BtP @ B) @ K - BtP @ instance.A
+    return 2.0 * E @ sigmas[..., :-1, :, :], E
+
+
+def _gradient_from_values(instance: LqrInstance, policy, P: np.ndarray) -> np.ndarray:
+    """exact_gradient of one policy or a batch, given its value matrices
+    P = backup_value(instance, policy).P, which a descent loop already holds."""
+    K = _gain_batch(instance, policy)
+    return _gradient_terms(instance, K, P, _second_moments(instance, K))[0]
 
 
 def exact_gradient(instance: LqrInstance, policy, *, return_terms: bool = False):
     """Cost gradient w.r.t. each gain: grad_t = 2 E_t Sigma_t with
-    E_t = (R_t + B' P_{t+1} B) K_t - B' P_{t+1} A.
+    E_t = (R_t + B' P_{t+1} B) K_t - B' P_{t+1} A, for one policy (T, k, d)
+    or a batch (n, T, k, d).
 
     With return_terms=True, also returns (E, backup, profile).
     """
-    A, B = instance.A, instance.B
-    T = instance.T
-    K = _as_gain_array(policy, T, instance.k, instance.d)
+    K = _gain_batch(instance, policy)
     bk = backup_value(instance, K)
+    if not return_terms:
+        return _gradient_from_values(instance, K, bk.P)
     prof = covariance_profile(instance, K, warn_degenerate=False)
-    E = np.empty_like(K)
-    grads = np.empty_like(K)
-    for t in range(T):
-        BtP = B.T @ bk.P[t + 1]
-        E[t] = (instance.R[t] + BtP @ B) @ K[t] - BtP @ A
-        grads[t] = 2.0 * E[t] @ prof.sigmas[t]
-    if return_terms:
-        return grads, E, bk, prof
-    return grads
+    grads, E = _gradient_terms(instance, K, bk.P, prof.sigmas)
+    return grads, E, bk, prof
 
 
 def operator_decomposition(instance: LqrInstance, policy) -> tuple[np.ndarray, np.ndarray]:

@@ -119,6 +119,20 @@ class TestCli:
         cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 1e9\niters = 50\npolicy0 = 0.1\n")
         assert main(["pg", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("kind,extra", [
+        ("pg", ""), ("pg", "line_search = true\n"), ("zo-pg", "radius = 0.1\nsamples = 5\n"),
+    ])
+    def test_nan_policy_exit_three(self, tmp_path, kind, extra):
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 0.1\niters = 5\npolicy0 = NaN\n" + extra)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("kind", ["pg", "zo-pg"])
+    def test_zero_optimal_cost_exit_three(self, tmp_path, kind):
+        zero = SCALAR_CFG.replace('instance.noise.kind = "gaussian"', 'instance.noise.kind = "zero"').replace(
+            'instance.init.kind = "gaussian"', 'instance.init.kind = "point"').replace("instance.init.mean = [1.0]", "instance.init.mean = [0.0]")
+        cfg = write(tmp_path, "c.cfg", zero + "eta = 0.1\niters = 5\npolicy0 = 0.0\nradius = 0.1\nsamples = 5\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
     def test_manifest_deterministic(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LQRLAB_THREADS", "2")
         cfg = parse_kv(SCALAR_CFG + "eta = 0.5\niters = 5\n")

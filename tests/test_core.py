@@ -117,6 +117,61 @@ class TestGradient:
         assert np.abs(E).max() < 1e-9
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchedEvaluation:
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 9), d=st.integers(1, 4), k=st.integers(1, 2), T=st.integers(1, 10),
+           seed=st.integers(0, 2**32 - 1), zero_noise=st.booleans())
+    def test_batch_equals_per_policy_calls(self, n, d, k, T, seed, zero_noise):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, d=d, k=k, T=T, noise_sigma=0.0 if zero_noise else 0.4)
+        K = rng.normal(size=(n, T, k, d)) * 0.4
+        bk = backup_value(inst, K)
+        costs = exact_cost(inst, K)
+        grads = exact_gradient(inst, K)
+        g, E, bk2, prof = exact_gradient(inst, K, return_terms=True)
+        prof2 = covariance_profile(inst, K, warn_degenerate=False)
+        assert bk.P.shape == (n, T + 1, d, d) and costs.shape == (n,) and prof.sigma_x.shape == (n,)
+        for i in range(n):
+            one = backup_value(inst, K[i])
+            gi, Ei, bki, pi = exact_gradient(inst, K[i], return_terms=True)
+            pi2 = covariance_profile(inst, K[i], warn_degenerate=False)
+            pairs = [
+                (bk.P[i], one.P), (bk.L[i], one.L), (bk.cost[i], one.cost), (costs[i], exact_cost(inst, K[i])),
+                (grads[i], exact_gradient(inst, K[i])), (g[i], gi), (E[i], Ei), (bk2.cost[i], bki.cost),
+                (prof.sigmas[i], pi.sigmas), (prof.sigma_x[i], pi.sigma_x),
+                (prof2.sigmas[i], pi2.sigmas), (prof2.aggregate[i], pi2.aggregate), (prof2.sigma_x[i], pi2.sigma_x),
+            ]
+            assert all(_same_bits(a, b) for a, b in pairs)
+
+    def test_single_policy_shapes(self, rng):
+        inst = random_instance(rng, d=2, k=1, T=3)
+        K = random_policy(rng, inst)
+        bk = backup_value(inst, K)
+        prof = covariance_profile(inst, K, warn_degenerate=False)
+        assert bk.P.shape == (4, 2, 2) and bk.L.shape == (4,) and np.ndim(bk.cost) == 0
+        assert prof.aggregate.shape == (2, 2) and np.ndim(prof.sigma_x) == 0
+        assert exact_gradient(inst, K).shape == K.shape
+
+    def test_rejects_wrong_shapes(self, rng):
+        inst = random_instance(rng, d=2, k=1, T=3)
+        for shape in [(2, 1, 2), (3, 2, 1), (2, 2, 3, 1, 2), (3, 1, 2, 1)]:
+            with pytest.raises(ValueError):
+                backup_value(inst, np.zeros(shape))
+
+    def test_degenerate_warning_on_a_batch(self):
+        inst = constant_instance(
+            np.eye(2), np.eye(2), np.eye(2), np.eye(2), np.eye(2), 2,
+            NoiseModel("zero"), InitialStateModel("point", np.zeros(2)),
+        )
+        with pytest.warns(RuntimeWarning):
+            covariance_profile(inst, np.zeros((3, 2, 2, 2)))
+
+
 class TestCovariance:
     def test_aggregate_decomposition(self, rng):
         for _ in range(10):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import lqrlab
 from lqrlab import (
     DescentConfig,
     ProjectionSet,
+    backup_value,
     exact_cost,
     exact_gradient,
     normalized_error,
@@ -14,6 +16,7 @@ from lqrlab import (
 from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
 from lqrlab.errors import Diverged, EmptySet, NotInSet, StepSizeUnderflow, ZeroOptimalCost
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
+from lqrlab.optimize import _armijo
 
 from conftest import random_instance, random_policy
 
@@ -59,14 +62,26 @@ class TestExactPg:
         assert data.shape[0] == len(trace.rows)
 
     def test_normalized_error_zero_cost_guard(self):
-        import lqrlab
-
-        inst = lqrlab.constant_instance(
-            np.eye(1), np.eye(1), np.eye(1), np.eye(1), np.eye(1), 1,
-            lqrlab.NoiseModel("zero"), lqrlab.InitialStateModel("point", np.zeros(1)),
-        )
         with pytest.raises(ZeroOptimalCost):
-            normalized_error(inst, np.zeros((1, 1, 1)))
+            normalized_error(zero_cost_instance(), np.zeros((1, 1, 1)))
+
+    @pytest.mark.parametrize("line_search", [False, True])
+    def test_zero_optimal_cost_raises_at_start(self, line_search):
+        cfg = DescentConfig(eta=0.1, iters=5, line_search=line_search)
+        with pytest.raises(ZeroOptimalCost):
+            run_exact_pg(zero_cost_instance(), np.zeros((1, 1, 1)), cfg)
+        with pytest.raises(ZeroOptimalCost):
+            run_exact_ppg(zero_cost_instance(), np.zeros((1, 1, 1)), cfg, ProjectionSet(kind="box", lo=-1.0, hi=1.0))
+
+    @pytest.mark.parametrize("line_search", [False, True])
+    def test_nan_policy_diverges(self, rng, line_search):
+        # a NaN cost fails every comparison, so an abs(cost) > guard test never fired
+        # and the Armijo test never passed (StepSizeUnderflow)
+        inst = random_instance(rng)
+        K0 = random_policy(rng, inst)
+        K0[0, 0, 0] = np.nan
+        with pytest.raises(Diverged):
+            run_exact_pg(inst, K0, DescentConfig(eta=0.1, iters=5, line_search=line_search))
 
 
 class TestProjection:
@@ -157,3 +172,90 @@ class TestExactPpg:
         avg100 = gm[:100].mean()
         avg400 = gm.mean()
         assert avg400 <= 0.5 * avg100
+
+
+def zero_cost_instance():
+    """No noise and x_0 = 0: every policy, the optimal one too, costs 0."""
+    return lqrlab.constant_instance(
+        np.eye(1), np.eye(1), np.eye(1), np.eye(1), np.eye(1), 1,
+        lqrlab.NoiseModel("zero"), lqrlab.InitialStateModel("point", np.zeros(1)),
+    )
+
+
+def sequential_armijo(instance, K, grads, cost, cfg, projection):
+    """Backtracking one step size at a time: (eta, step) of the first step
+    size with sufficient decrease."""
+    gsq = float((grads**2).sum())
+    eta = cfg.eta
+    while eta >= cfg.eta_floor:
+        step = K - eta * grads
+        cand = projection.project(step) if projection is not None else step
+        if projection is None:
+            sufficient = cost - cfg.armijo_c * eta * gsq
+        else:
+            gm_sq = float(((cand - K) ** 2).sum()) / (4.0 * eta**2)
+            sufficient = cost - cfg.armijo_c * eta * gm_sq
+        if exact_cost(instance, cand) <= sufficient:
+            return eta, cand
+        eta *= cfg.backtrack
+    raise StepSizeUnderflow("reference search fell below the floor")
+
+
+class TestLadderArmijo:
+    def _check_path(self, inst, K, cfg, projection, steps):
+        """Follow the reference search for `steps` iterates; at each, the
+        ladder must pick the same step size and iterate, with that iterate's
+        exact cost and value matrices.  Returns the largest rung index used."""
+        deepest = 0
+        for _ in range(steps):
+            bk = backup_value(inst, K)
+            grads = exact_gradient(inst, K)
+            eta_ref, K_ref = sequential_armijo(inst, K, grads, bk.cost, cfg, projection)
+            eta, K_next, P, cost = _armijo(inst, K, grads, bk.cost, cfg, projection)
+            assert eta == eta_ref
+            np.testing.assert_array_equal(K_next, K_ref)
+            ref = backup_value(inst, K_ref)
+            assert cost == ref.cost
+            np.testing.assert_array_equal(P, ref.P)
+            deepest = max(deepest, int(round(np.log(cfg.eta / eta) / np.log(1.0 / cfg.backtrack))))
+            K = K_next
+        return deepest
+
+    @pytest.mark.parametrize("backtrack", [0.5, 0.3])
+    def test_matches_sequential_search(self, rng, backtrack):
+        deepest = 0
+        for eta0 in (1.0, 1e6):  # 1e6 needs rungs beyond the first batch
+            for _ in range(3):
+                inst = random_instance(rng)
+                cfg = DescentConfig(eta=eta0, iters=1, line_search=True, backtrack=backtrack)
+                deepest = max(deepest, self._check_path(inst, random_policy(rng, inst), cfg, None, 8))
+        assert deepest >= 16
+
+    @pytest.mark.parametrize("backtrack", [0.5, 0.3])
+    def test_matches_sequential_search_projected_liquidation(self, backtrack):
+        inst = ac_to_lqr(stock_liquidation())
+        S = liquidation_constraint(5e-5, 1e-12)
+        cfg = DescentConfig(eta=1.0, iters=1, line_search=True, backtrack=backtrack)
+        self._check_path(inst, np.full((10, 1, 2), -0.2), cfg, S, 20)
+
+    def test_underflow_as_sequential_search(self, rng):
+        inst = random_instance(rng)
+        K = solve_riccati(inst).gains + 1e-3 * random_policy(rng, inst)
+        cfg = DescentConfig(eta=1.0, iters=1, line_search=True, armijo_c=1e4)
+        bk, grads = backup_value(inst, K), exact_gradient(inst, K)
+        with pytest.raises(StepSizeUnderflow):
+            sequential_armijo(inst, K, grads, bk.cost, cfg, None)
+        with pytest.raises(StepSizeUnderflow):
+            _armijo(inst, K, grads, bk.cost, cfg, None)
+
+    def test_run_follows_sequential_search(self, rng):
+        inst = random_instance(rng)
+        K = random_policy(rng, inst)
+        cfg = DescentConfig(eta=1.0, iters=25, line_search=True)
+        K_run, trace = run_exact_pg(inst, K, cfg)
+        for n in range(cfg.iters):
+            cost = exact_cost(inst, K)
+            assert trace.rows[n][1] == cost
+            eta, K = sequential_armijo(inst, K, exact_gradient(inst, K), cost, cfg, None)
+            assert trace.rows[n][4] == eta
+        np.testing.assert_array_equal(K_run, K)

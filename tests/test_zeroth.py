@@ -9,6 +9,7 @@ from lqrlab import (
     SmoothingConfig,
     constant_instance,
     estimate_gradient,
+    exact_cost,
     exact_gradient,
     make_rng,
     run_exact_pg,
@@ -20,7 +21,7 @@ from lqrlab import (
 )
 from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
 from lqrlab import zeroth
-from lqrlab.errors import DegenerateDraw, NotInSet
+from lqrlab.errors import DegenerateDraw, Diverged, NotInSet, ZeroOptimalCost
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
 from lqrlab.zeroth import slot_paths, sphere_directions
 
@@ -160,6 +161,21 @@ class TestEstimator:
         alt = estimate_gradient(Opaque(), K, cfg, seed=3)
         np.testing.assert_allclose(alt.grads, ref.grads, rtol=1e-12)
 
+    def test_reference_equals_per_sample_loop(self, rng):
+        # 2500 samples span three cost batches; the sum must keep sample order
+        inst = random_instance(rng, d=3, k=2, T=4)
+        K = random_policy(rng, inst)
+        t, radius, n = 1, 0.1, 2500
+        U = sample_sphere_batch(n, (2, 3), radius, [8, 1])
+        base = exact_cost(inst, K)
+        acc = np.zeros((2, 3))
+        pert = K.copy()
+        for i in range(n):
+            pert[t] = K[t] + U[i]
+            acc += (exact_cost(inst, pert) - base) * U[i]
+        ref = (6 / radius**2) * acc / n
+        np.testing.assert_array_equal(smoothed_gradient_reference(inst, K, t, radius, n, [8, 1]), ref)
+
     def test_consistency_chain(self):
         # sampled estimator -> smoothed gradient -> exact gradient as m grows
         # and r shrinks; checked on the scalar liquidation-style benchmark
@@ -195,6 +211,32 @@ class TestModelFreeLoops:
         K, trace = run_modelfree_pg(inst, K0, cfg, SmoothingConfig(radius=0.1, samples=50), seed=1)
         err = trace.column("normalized_error")
         assert err[-1] < 0.6 * err[0]
+
+    def test_nan_policy_diverges(self):
+        K0 = np.full((5, 1, 1), np.nan)
+        cfg = DescentConfig(eta=0.2, iters=5)
+        with pytest.raises(Diverged):
+            run_modelfree_pg(scalar_benchmark(), K0, cfg, SmoothingConfig(radius=0.1, samples=5), seed=1)
+
+    def test_opaque_handle_without_oracle_is_not_guarded(self):
+        # a rollout-only handle has no cost to trace: nan by design, not a divergence
+        sim = LqrSimulator(scalar_benchmark())
+
+        class Opaque:
+            T, k, d = sim.T, sim.k, sim.d
+            rollout_perturbed_batch = staticmethod(sim.rollout_perturbed_batch)
+
+        cfg = DescentConfig(eta=0.2, iters=3)
+        _, trace = run_modelfree_pg(Opaque(), np.zeros((5, 1, 1)), cfg, SmoothingConfig(radius=0.1, samples=5), seed=1)
+        assert len(trace.rows) == 4 and np.isnan(trace.column("cost")).all()
+
+    def test_zero_optimal_cost_raises_at_start(self):
+        inst = constant_instance(
+            np.eye(1), np.eye(1), np.eye(1), np.eye(1), np.eye(1), 1,
+            NoiseModel("zero"), InitialStateModel("point", np.zeros(1)),
+        )
+        with pytest.raises(ZeroOptimalCost):
+            run_modelfree_pg(inst, np.zeros((1, 1, 1)), DescentConfig(eta=0.1, iters=3), SmoothingConfig(0.1, 5), seed=0)
 
     def test_projected_variant_stays_feasible(self):
         inst = ac_to_lqr(stock_liquidation())
