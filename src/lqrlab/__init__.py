@@ -51,7 +51,6 @@ from .liquidation import (
     almgren_chriss_reference,
     estimate_impact_params,
     estimate_temporary_impact,
-    implementation_shortfall,
     liquidation_constraint,
     liquidation_cost,
     simulate_lob,

@@ -41,7 +41,7 @@ from .liquidation import (
 )
 from .optimize import DescentConfig, run_exact_pg, run_exact_ppg
 from .qlearn import greedy_policy_cost, make_qtable, q_learning_step
-from .zeroth import SmoothingConfig, run_modelfree_pg, run_modelfree_ppg
+from .zeroth import SmoothingConfig, run_modelfree_pg
 
 KINDS = ["riccati", "pg", "ppg", "zo-pg", "zo-ppg", "lob", "impact", "qlearn", "deadline"]
 
@@ -89,24 +89,18 @@ def _run_seed(cfg: dict, kind: str, seed: int):
         cols = ["t"] + [f"K_{i}{j}" for i in range(inst.k) for j in range(inst.d)]
         rows.append([inst.T] + [np.nan] * (len(cols) - 1))
         return cols, rows, {"optimal_cost": sol.optimal_cost}
-    if kind in ("pg", "ppg"):
+    if kind in ("pg", "ppg", "zo-pg", "zo-ppg"):
         inst = _instance(cfg)
         K0 = _initial_policy(cfg, inst)
         dc = _descent_cfg(cfg)
-        if kind == "pg":
+        constraint = _constraint(cfg) if kind.endswith("ppg") else None
+        if kind.startswith("zo"):
+            sm = SmoothingConfig(radius=float(cfg["radius"]), samples=int(cfg["samples"]))
+            _, trace = run_modelfree_pg(inst, K0, dc, sm, seed, constraint=constraint)
+        elif constraint is not None:
+            _, trace = run_exact_ppg(inst, K0, dc, constraint)
+        else:
             _, trace = run_exact_pg(inst, K0, dc)
-        else:
-            _, trace = run_exact_ppg(inst, K0, dc, _constraint(cfg))
-        return trace.columns, trace.rows, {}
-    if kind in ("zo-pg", "zo-ppg"):
-        inst = _instance(cfg)
-        K0 = _initial_policy(cfg, inst)
-        dc = _descent_cfg(cfg)
-        sm = SmoothingConfig(radius=float(cfg["radius"]), samples=int(cfg["samples"]))
-        if kind == "zo-pg":
-            _, trace = run_modelfree_pg(inst, K0, dc, sm, seed)
-        else:
-            _, trace = run_modelfree_ppg(inst, K0, dc, sm, seed, _constraint(cfg))
         return trace.columns, trace.rows, {}
     if kind == "lob":
         if "lob_csv" in cfg:

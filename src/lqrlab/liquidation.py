@@ -238,10 +238,6 @@ class ExecutionRecord:
     clamped: int  # number of steps where a negative policy order was clamped to 0
 
 
-def implementation_shortfall(record: ExecutionRecord) -> float:
-    return record.shortfall
-
-
 def simulate_lob(series: LobSeries, strategy, phi_prime: float, q0: float) -> ExecutionRecord:
     """Execute a liquidation strategy against book snapshots.
 

@@ -1,4 +1,5 @@
-"""Exact policy gradient descent, projected variants, and constraint sets."""
+"""The policy gradient descent loop (exact or sampled gradients, projected
+or not), Armijo line search, and constraint sets."""
 
 from __future__ import annotations
 
@@ -30,8 +31,9 @@ class DescentConfig:
 
 @dataclass
 class DescentTrace:
-    """Per-iteration records.  Extra per-column arrays may be attached by
-    estimator-driven loops (samples m, radius r, estimated gradient norm)."""
+    """Per-iteration records, one row per iterate plus a final row for the
+    last iterate.  Every trace has TRACE_COLUMNS; a projected exact descent
+    adds gradmap_sq, a sampled one m, r and est_grad_fro_norm."""
 
     columns: list[str]
     rows: list[list[float]] = field(default_factory=list)
@@ -175,53 +177,85 @@ def _grad_norm(grads: np.ndarray) -> float:
 
 def run_exact_pg(instance: LqrInstance, policy0, cfg: DescentConfig):
     """Plain gradient descent on the gains with exact gradients."""
-    return _descent(instance, policy0, cfg, projection=None)
+    return _descent(instance, policy0, cfg)
 
 
 def run_exact_ppg(instance: LqrInstance, policy0, cfg: DescentConfig, constraint: ProjectionSet):
     """Projected gradient descent; trace gains a gradient-mapping norm column."""
-    if not constraint.contains(policy0):
-        raise NotInSet("initial policy violates the constraint set")
-    return _descent(instance, policy0, cfg, projection=constraint)
+    return _descent(instance, policy0, cfg, constraint)
 
 
-def _descent(instance: LqrInstance, policy0, cfg: DescentConfig, projection: ProjectionSet | None):
-    K = np.array(policy0, dtype=float)
-    cstar = _nonzero_optimal_cost(instance)
-    cols = list(TRACE_COLUMNS) + (["gradmap_sq"] if projection is not None else [])
-    trace = DescentTrace(columns=cols)
+def _evaluate(instance: LqrInstance | None, K: np.ndarray, cost_oracle):
+    """(value matrices, trace cost) of K: the oracle's cost if there is one,
+    else the exact cost; no value matrices and a nan cost without an instance."""
+    if instance is None:
+        return None, cost_oracle(K) if cost_oracle is not None else np.nan
     bk = backup_value(instance, K)
-    P, cost = bk.P, bk.cost  # value matrices and cost of K, reused for its gradient
-    if not np.isfinite(cost):
+    return bk.P, cost_oracle(K) if cost_oracle is not None else bk.cost
+
+
+def _descent(instance: LqrInstance | None, policy0, cfg: DescentConfig, projection: ProjectionSet | None = None, *,
+             smoothing=None, estimate=None, cost_oracle=None):
+    """The descent loop K <- Proj(K - eta g(K)) of every exact, projected and
+    zeroth-order entry point.
+
+    g is the exact gradient, built from the value matrices the loop already
+    holds for K, unless estimate(K, n) gives a sampled one at iteration n;
+    a sampled trace then carries smoothing's samples m and radius r and the
+    estimate's norm, and a projected exact trace the squared norm of the
+    gradient mapping.  Armijo line search needs exact gradients.  instance
+    is None for an opaque simulator, whose trace has no exact gradient norm
+    or normalized error.  cost_oracle(K), if given, is the cost that the
+    trace reports and that the divergence guard and the target stop check;
+    it never steers a step.  With neither an instance nor an oracle the
+    costs are nan and unguarded.
+    """
+    if estimate is not None and cfg.line_search:
+        raise ValueError("line search needs exact gradients; sampled descent takes fixed steps")
+    if projection is not None and not projection.contains(policy0):
+        raise NotInSet("initial policy violates the constraint set")
+    cstar = _nonzero_optimal_cost(instance) if instance is not None else np.nan
+    if estimate is not None:
+        columns = ["m", "r", "est_grad_fro_norm"]
+    else:
+        columns = ["gradmap_sq"] if projection is not None else []
+    trace = DescentTrace(columns=TRACE_COLUMNS + columns)
+    extra = []
+    K = np.array(policy0, dtype=float)
+    P, cost = _evaluate(instance, K, cost_oracle)
+    guarded = instance is not None or cost_oracle is not None
+    if guarded and not np.isfinite(cost):
         raise Diverged(f"initial cost {cost:g} is not finite")
-    guard = cfg.divergence_factor * max(abs(cost), 1.0)
+    guard = cfg.divergence_factor * max(abs(cost), 1.0) if guarded else np.inf
     for n in range(cfg.iters):
-        grads = _gradient_from_values(instance, K, P)
-        gnorm = _grad_norm(grads)
+        grads = _gradient_from_values(instance, K, P) if instance is not None else None
+        gnorm = _grad_norm(grads) if grads is not None else np.nan
         err = (cost - cstar) / cstar
+        if estimate is not None:
+            grads = estimate(K, n)
+            extra = [smoothing.samples, smoothing.radius, _grad_norm(grads)]
         if cfg.line_search:
             eta, K_next, P, cost_next = _armijo(instance, K, grads, cost, cfg, projection)
         else:
             eta = cfg.eta
             step = K - eta * grads
             K_next = projection.project(step) if projection is not None else step
-            bk = backup_value(instance, K_next)
-            P, cost_next = bk.P, bk.cost
-        row = [n, cost, err, gnorm, eta]
-        if projection is not None:
+            P, cost_next = _evaluate(instance, K_next, cost_oracle)
+        if estimate is None and projection is not None:
             gm = (K_next - K) / (2.0 * eta)
-            row.append(float((gm**2).sum()))
-        trace.append(*row)
+            extra = [float((gm**2).sum())]
+        trace.append(n, cost, err, gnorm, eta, *extra)
         K, cost = K_next, cost_next
-        if not np.isfinite(cost) or abs(cost) > guard:
+        if guarded and (not np.isfinite(cost) or abs(cost) > guard):
             raise Diverged(f"cost {cost:g} is not finite or exceeded the divergence guard at iteration {n}")
         if cfg.target_error is not None and (cost - cstar) / cstar <= cfg.target_error:
             break
-    err = (cost - cstar) / cstar
-    final = [len(trace.rows), cost, err, _grad_norm(_gradient_from_values(instance, K, P)), cfg.eta]
-    if projection is not None:
-        final.append(np.nan)
-    trace.append(*final)
+    gnorm = _grad_norm(_gradient_from_values(instance, K, P)) if instance is not None else np.nan
+    if estimate is not None:
+        extra = [smoothing.samples, smoothing.radius, np.nan]
+    else:
+        extra = [np.nan] * len(columns)
+    trace.append(len(trace.rows), cost, (cost - cstar) / cstar, gnorm, cfg.eta, *extra)
     return K, trace
 
 

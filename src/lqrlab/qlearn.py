@@ -30,6 +30,11 @@ def _scalars(instance: LqrInstance):
     return a, b, q, r
 
 
+def _noise(instance: LqrInstance, rng, shape) -> np.ndarray:
+    """Scalar noise draws of the given shape, mapped through the noise model."""
+    return instance.noise.scale(standard_draw(instance.noise.kind, rng, (*shape, 1)))[..., 0]
+
+
 @dataclass
 class QTable:
     x_grid: np.ndarray  # (n_s,) bin centers
@@ -77,14 +82,13 @@ def q_learning_step(table: QTable, instance: LqrInstance, lr: float, seed) -> QT
     """One full sweep over all cells; returns a new table."""
     a, b, qcoef, rcoef = _scalars(instance)
     T = instance.T
-    sigma_w = 0.0 if instance.noise.kind == "zero" else instance.noise.sigma * float(instance.noise._factor(1)[0, 0])
     rng = make_rng(seed)
     X = table.x_grid[:, None]
     U = table.u_grid[None, :]
     q = table.q.copy()
     clamps = table.clamp_count
     for t in range(T - 1, -1, -1):
-        w = sigma_w * standard_draw(instance.noise.kind, rng, q[t].shape)
+        w = _noise(instance, rng, q[t].shape)
         x_next = a * X + b * U + w
         clamps += int(np.count_nonzero((x_next < -1.0) | (x_next > 1.0)))
         idx = table.snap(x_next)
@@ -100,13 +104,12 @@ def greedy_policy_cost(table: QTable, instance: LqrInstance, n_rollouts: int, se
     T = instance.T
     greedy = table.greedy_indices()
     rng = make_rng(seed)
-    s0 = instance.init.sigma * float(instance.init._factor(1)[0, 0])
-    x = float(instance.init.mean[0]) + s0 * standard_draw(instance.init.kind, rng, n_rollouts)
-    sigma_w = 0.0 if instance.noise.kind == "zero" else instance.noise.sigma * float(instance.noise._factor(1)[0, 0])
+    x = instance.init.place(standard_draw(instance.init.kind, rng, (n_rollouts, 1)))[:, 0]
     cost = np.zeros(n_rollouts)
     for t in range(T):
         u = table.u_grid[greedy[t][table.snap(x)]]
         cost += x**2 * qcoef[t] + u**2 * rcoef[t]
-        x = a * x + b * u + sigma_w * standard_draw(instance.noise.kind, rng, n_rollouts)
+        x = a * x + b * u
+        x += _noise(instance, rng, (n_rollouts,))  # in place: no third (n,) array alive while drawing
     cost += x**2 * qcoef[T]
     return float(cost.mean())

@@ -18,32 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CounterStream,
-    LqrInstance,
-    exact_cost,
-    exact_gradient,
-    make_rng,
-    sample_paths,
-    simulate_trajectory,
-)
-from .errors import DegenerateDraw, Diverged, NotInSet
-from .optimize import DescentConfig, DescentTrace, ProjectionSet, _grad_norm, _nonzero_optimal_cost
+from .core import CounterStream, LqrInstance, exact_cost, make_rng, sample_paths, simulate_trajectory
+from .errors import DegenerateDraw
+from .optimize import DescentConfig, ProjectionSet, _descent
 
 # perturbed policies per batched exact_cost call of smoothed_gradient_reference;
 # 1024 ran faster than 4096 or 16384 on the scalar and 4-state benchmarks
 _REFERENCE_CHUNK = 1024
-
-ZO_TRACE_COLUMNS = [
-    "iter",
-    "cost",
-    "normalized_error",
-    "grad_fro_norm",
-    "eta",
-    "m",
-    "r",
-    "est_grad_fro_norm",
-]
 
 
 @dataclass(frozen=True)
@@ -237,54 +218,26 @@ def smoothed_gradient_reference(instance: LqrInstance, policy, t: int, radius: f
     return (D / radius**2) * acc[0] / n_samples
 
 
-def run_modelfree_pg(sim, policy0, cfg: DescentConfig, smoothing: SmoothingConfig, seed, *, cost_oracle=None, constraint: ProjectionSet | None = None, use_exact_gradient: bool = False):
+def run_modelfree_pg(sim, policy0, cfg: DescentConfig, smoothing: SmoothingConfig, seed, *, cost_oracle=None, constraint: ProjectionSet | None = None):
     """Gradient descent driven by zeroth-order estimates (projected when a
-    constraint set is given).
+    constraint set is given), with fixed steps: line search raises ValueError.
 
     cost_oracle(policy) -> exact cost is used only for trace reporting; when
-    sim is an LqrInstance it defaults to the closed-form evaluation and the
-    normalized-error column is filled from the Riccati solution.
+    sim is an LqrInstance the trace defaults to the closed-form cost and also
+    reports the exact gradient norm and the normalized error against the
+    Riccati solution.  For an opaque handle without an oracle those columns
+    are nan.
     """
     instance = sim if isinstance(sim, LqrInstance) else None
-    if isinstance(sim, LqrInstance):
-        sim = LqrSimulator(sim)
-        instance = sim._inst
-    if use_exact_gradient and instance is None:
-        raise ValueError("exact-gradient mode needs an LqrInstance")
-    if constraint is not None and not constraint.contains(policy0):
-        raise NotInSet("initial policy violates the constraint set")
-    cstar = _nonzero_optimal_cost(instance) if instance is not None else np.nan
-    if cost_oracle is None and instance is not None:
-        cost_oracle = lambda K: exact_cost(instance, K)
-    K = np.array(policy0, dtype=float)
-    trace = DescentTrace(columns=list(ZO_TRACE_COLUMNS))
-    # an opaque handle without a cost oracle has no costs to guard (nan by design)
-    cost = cost_oracle(K) if cost_oracle is not None else np.nan
-    if cost_oracle is not None and not np.isfinite(cost):
-        raise Diverged(f"initial cost {cost:g} is not finite")
-    guard = cfg.divergence_factor * max(abs(cost), 1.0) if cost_oracle is not None else np.inf
-    for n in range(cfg.iters):
-        exact = exact_gradient(instance, K) if instance is not None else None
-        if use_exact_gradient:
-            est = GradientEstimate(exact, np.full(sim.T, np.nan), 0, smoothing.radius)
-        else:
-            est = estimate_gradient(sim, K, smoothing, seed, iteration=n)
-        err = (cost - cstar) / cstar if np.isfinite(cost) else np.nan
-        gnorm = _grad_norm(exact) if instance is not None else np.nan
-        trace.append(n, cost, err, gnorm, cfg.eta, est.samples, est.radius, _grad_norm(est.grads))
-        step = K - cfg.eta * est.grads
-        K = constraint.project(step) if constraint is not None else step
-        cost = cost_oracle(K) if cost_oracle is not None else np.nan
-        if cost_oracle is not None and (not np.isfinite(cost) or abs(cost) > guard):
-            raise Diverged(f"cost {cost:g} is not finite or exceeded the divergence guard at iteration {n}")
-        if cfg.target_error is not None and np.isfinite(cost) and (cost - cstar) / cstar <= cfg.target_error:
-            break
-    err = (cost - cstar) / cstar if np.isfinite(cost) else np.nan
-    gnorm = _grad_norm(exact_gradient(instance, K)) if instance is not None else np.nan
-    trace.append(len(trace.rows), cost, err, gnorm, cfg.eta, smoothing.samples, smoothing.radius, np.nan)
-    return K, trace
+    if instance is not None:
+        sim = LqrSimulator(instance)
+
+    def estimate(K, n):
+        return estimate_gradient(sim, K, smoothing, seed, iteration=n).grads
+
+    return _descent(instance, policy0, cfg, constraint, smoothing=smoothing, estimate=estimate, cost_oracle=cost_oracle)
 
 
-def run_modelfree_ppg(sim, policy0, cfg: DescentConfig, smoothing: SmoothingConfig, seed, constraint: ProjectionSet, **kw):
+def run_modelfree_ppg(sim, policy0, cfg: DescentConfig, smoothing: SmoothingConfig, seed, constraint: ProjectionSet, *, cost_oracle=None):
     """Projected variant: every iterate is projected back onto the set."""
-    return run_modelfree_pg(sim, policy0, cfg, smoothing, seed, constraint=constraint, **kw)
+    return run_modelfree_pg(sim, policy0, cfg, smoothing, seed, cost_oracle=cost_oracle, constraint=constraint)

@@ -114,6 +114,12 @@ class TestCli:
         incomplete = write(tmp_path, "inc.cfg", SCALAR_CFG)  # no eta/iters
         assert main(["pg", "--config", incomplete, "--out", str(tmp_path / "o")]) == 2
 
+    def test_zo_line_search_exit_two(self, tmp_path, capsys):
+        # sampled gradients take fixed steps; asking for Armijo is a config error
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 0.2\niters = 5\nradius = 0.1\nsamples = 5\nline_search = true\n")
+        assert main(["zo-pg", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "line search" in capsys.readouterr().err
+
     def test_runtime_failure_exit_three(self, tmp_path):
         # diverging step size trips the divergence guard -> exit 3
         cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 1e9\niters = 50\npolicy0 = 0.1\n")

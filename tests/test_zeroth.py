@@ -12,7 +12,6 @@ from lqrlab import (
     exact_cost,
     exact_gradient,
     make_rng,
-    run_exact_pg,
     run_modelfree_pg,
     run_modelfree_ppg,
     sample_sphere,
@@ -193,24 +192,46 @@ class TestEstimator:
 
 
 class TestModelFreeLoops:
-    def test_exact_gradient_mode_matches_exact_pg(self, rng):
-        inst = random_instance(rng, d=2, k=1, T=4)
-        K0 = random_policy(rng, inst)
-        cfg = DescentConfig(eta=1e-3, iters=15)
-        K_ref, tr_ref = run_exact_pg(inst, K0, cfg)
-        K_zo, tr_zo = run_modelfree_pg(
-            inst, K0, cfg, SmoothingConfig(0.1, 1), seed=0, use_exact_gradient=True
-        )
-        np.testing.assert_array_equal(K_zo, K_ref)
-        np.testing.assert_allclose(tr_zo.column("cost"), tr_ref.column("cost"), rtol=0)
-
     def test_reduces_cost_on_scalar_benchmark(self):
+        # a statement about the descent, not about one stream: the mean error
+        # ratio over 30 seeds (about 0.67; single seeds range 0.33-1.07)
         inst = scalar_benchmark()
         K0 = np.zeros((5, 1, 1))
         cfg = DescentConfig(eta=0.2, iters=100)
-        K, trace = run_modelfree_pg(inst, K0, cfg, SmoothingConfig(radius=0.1, samples=50), seed=1)
-        err = trace.column("normalized_error")
-        assert err[-1] < 0.6 * err[0]
+        ratios = []
+        for seed in range(30):
+            _, trace = run_modelfree_pg(inst, K0, cfg, SmoothingConfig(radius=0.1, samples=50), seed=seed)
+            err = trace.column("normalized_error")
+            ratios.append(err[-1] / err[0])
+        assert np.mean(ratios) < 0.85
+
+    def test_line_search_is_rejected(self):
+        cfg = DescentConfig(eta=0.2, iters=5, line_search=True)
+        with pytest.raises(ValueError, match="line search"):
+            run_modelfree_pg(scalar_benchmark(), np.zeros((5, 1, 1)), cfg, SmoothingConfig(radius=0.1, samples=5), seed=1)
+
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_rows_pair_costs_and_gradients_with_their_iterate(self, projected):
+        # each row's cost and exact gradient norm must belong to the iterate
+        # the oracle saw for that row, not to a neighbour's value matrices
+        inst = ac_to_lqr(stock_liquidation())
+        K0 = np.full((10, 1, 2), -0.2)
+        cfg = DescentConfig(eta=0.05, iters=6)
+        sm = SmoothingConfig(radius=0.6, samples=20)
+        seen = []
+
+        def oracle(K):
+            seen.append(np.array(K))
+            return exact_cost(inst, K)
+
+        if projected:
+            _, trace = run_modelfree_ppg(inst, K0, cfg, sm, 4, liquidation_constraint(5e-5, 1e-12), cost_oracle=oracle)
+        else:
+            _, trace = run_modelfree_pg(inst, K0, cfg, sm, 4, cost_oracle=oracle)
+        assert len(seen) == len(trace.rows) == cfg.iters + 1
+        for K, cost, gnorm in zip(seen, trace.column("cost"), trace.column("grad_fro_norm")):
+            assert cost == exact_cost(inst, K)
+            assert gnorm == float(np.sqrt((exact_gradient(inst, K) ** 2).sum()))
 
     def test_nan_policy_diverges(self):
         K0 = np.full((5, 1, 1), np.nan)
