@@ -17,12 +17,14 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config_io import ac_from_config, instance_from_config, load_config
@@ -170,8 +172,10 @@ def _write_csv(path, cols, rows):
 
 
 def run_experiment(cfg: dict, seeds, outdir) -> dict:
-    """Run all seeds, write per-seed CSVs, an aggregate CSV (per-iteration
-    median and min/max over seeds), and a manifest.  Returns the manifest."""
+    """Run all seeds, write per-seed CSVs, an aggregate CSV (median and
+    min/max over seeds, per iteration number with the count of seeds that
+    reached it for traces, else per row index over the shortest seed), and a
+    manifest.  Returns the manifest."""
     kind = cfg.get("kind")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -186,12 +190,24 @@ def run_experiment(cfg: dict, seeds, outdir) -> dict:
         if extra:
             scalars[str(seed)] = extra
     cols = results[0][0]
-    n_rows = min(len(r[1]) for r in results)
-    agg_cols = ["row"] + [f"{c}_{stat}" for c in cols for stat in ("median", "min", "max")]
+    stats = [f"{c}_{stat}" for c in cols for stat in ("median", "min", "max")]
+    if "iter" in cols:
+        # traces stop at different iterations (target_error): pair rows by
+        # iteration number over the seeds that reached it
+        j = cols.index("iter")
+        groups = {}
+        for _, rows, _ in results:
+            for r in rows:
+                groups.setdefault(int(r[j]), []).append(r)
+        agg_cols = ["iter", "n_seeds"] + stats
+        keyed = [([i, len(groups[i])], groups[i]) for i in sorted(groups)]
+    else:
+        agg_cols = ["row"] + stats
+        keyed = [([i], [res[1][i] for res in results]) for i in range(min(len(r[1]) for r in results))]
     agg_rows = []
-    for i in range(n_rows):
-        vals = np.array([[float(v) for v in res[1][i]] for res in results])
-        row = [i]
+    for head, rows in keyed:
+        vals = np.array([[float(v) for v in r] for r in rows])
+        row = list(head)
         for j in range(len(cols)):
             col = vals[:, j]
             row.extend([np.median(col), col.min(), col.max()])
@@ -203,7 +219,8 @@ def run_experiment(cfg: dict, seeds, outdir) -> dict:
         "kind": kind,
         "config_sha256": hashlib.sha256(dump_kv(cfg).encode()).hexdigest(),
         "seeds": seeds,
-        "versions": {"lqrlab": __version__, "numpy": np.__version__},
+        "versions": {"lqrlab": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+                     "python": platform.python_version()},
     }
     if scalars:
         manifest["scalars"] = scalars

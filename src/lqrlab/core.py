@@ -11,6 +11,7 @@ cost gradients, and seeded trajectory simulation.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -108,6 +109,221 @@ def standard_draw(kind: str, rng: np.random.Generator, size) -> np.ndarray:
     if kind in ("zero", "point"):
         return np.zeros(size)
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def _draw_row(rng: np.random.Generator, layout, row: np.ndarray) -> None:
+    """Fill row with standard_draw(kind, rng, width) for each (kind, width)
+    of layout, one part after another from the same stream."""
+    lo = 0
+    for kind, width in layout:
+        if kind == "gaussian":
+            rng.standard_normal(out=row[lo:lo + width])  # the numbers of standard_draw, without a copy
+        else:
+            row[lo:lo + width] = standard_draw(kind, rng, width)
+        lo += width
+
+
+# Keyed sampling.  make_rng(key) is Philox4x64-10 (Salmon et al., SC'11) with
+# key = the first two words and counter [0, *the other three]; numpy bumps the
+# counter before each 4-word block, so block b of a stream is the Philox
+# function of [b + 1, *tail].  A standard normal is one word on numpy's
+# ziggurat fast path (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000): idx =
+# the low 8 bits, sign = bit 8, rabs = the next 52 bits, x = +-rabs * wi[idx],
+# accepted when rabs < ki[idx]; a uniform is one word, (w >> 11) * 2**-53.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+_RABS = np.uint64((1 << 52) - 1)
+_U_LOW = -_SQRT3
+_U_RANGE = _SQRT3 - _U_LOW  # Generator.uniform maps a double u to low + (high - low) * u
+_KEYED_CHUNK = 4096  # rows per vectorised pass, which bounds the working memory
+_PROBE_PREFIX = (0x7AB1E5, 0)  # keys of the table probe and of its check
+_PROBE_KEYS = 2048
+_KI_GUARD = 20  # fast path only below ki - ki >> _KI_GUARD, in case the table rounds otherwise
+
+_ziggurat = None  # (wi, ki) by layer and sign once derived, () when they failed their check
+_ziggurat_lock = threading.Lock()
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit halves
+    (in place on fresh temporaries, to keep few arrays alive)."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, hi = x & _LO32, x >> _U32
+    mid = hi * m_lo
+    t = x_lo * m_lo
+    t >>= _U32
+    mid += t  # x_hi m_lo + (x_lo m_lo >> 32), below 2**64
+    carry = x_lo
+    carry *= m_hi
+    carry += mid & _LO32  # x_lo m_hi + the low half of mid, below 2**64
+    hi *= m_hi
+    mid >>= _U32
+    hi += mid
+    carry >>= _U32
+    hi += carry  # x_hi m_hi + both high halves
+    return hi, x * np.uint64(m)
+
+
+def _philox_words(prefix, tails: np.ndarray, width: int) -> np.ndarray:
+    """(n, width) uint64: the first width words make_rng((*prefix, *tails[j]))
+    yields (random_raw), for n counter tails of three words each.  The block
+    index and the tail words enter as broadcast columns, so the first rounds
+    run on small arrays."""
+    k0, k1 = _stream_words(prefix)[:2]
+    n, blocks = len(tails), -(-width // 4)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)
+    c1, c2, c3 = (tails[:, j:j + 1] for j in range(3))
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _WORD, (k1 + _PHILOX_W[1]) & _WORD
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    words = np.empty((n, blocks, 4), dtype=np.uint64)
+    for j, c in enumerate((c0, c1, c2, c3)):
+        words[..., j] = c
+    return words.reshape(n, 4 * blocks)[:, :width]
+
+
+def _fast_draws(words: np.ndarray, layout, tables, z: np.ndarray) -> np.ndarray:
+    """Fill z with the standardized draws of raw words laid out as layout;
+    returns a mask of the rows whose every normal took the one-word ziggurat
+    path of tables (no row does when the tables are empty)."""
+    fast = np.full(len(words), bool(tables))
+    lo = 0
+    for kind, width in layout:
+        w, out = words[:, lo:lo + width], z[:, lo:lo + width]
+        lo += width
+        if kind == "uniform":
+            np.multiply(w >> np.uint64(11), 2.0**-53, out=out)
+            out *= _U_RANGE
+            out += _U_LOW
+        elif tables:
+            wi, ki = tables
+            rabs = w >> np.uint64(9)
+            rabs &= _RABS
+            idx = (w & np.uint64(0x1FF)).astype(np.intp)  # layer and sign: the tables hold -wi from 256 on
+            fast &= (rabs < ki[idx]).all(axis=1)
+            np.multiply(rabs, wi[idx], out=out)
+    return fast
+
+
+def _derive_ziggurat():
+    """numpy's ziggurat tables, read off the installed numpy, as (wi, ki)
+    indexed by the word's low 9 bits (layer, then sign).
+
+    Each probe key pairs its first raw word with its first standard normal;
+    the draw took the one-word path exactly when the next raw word is the
+    key's second.  wi[idx] is the double among the ulp neighbours of |x|/rabs
+    that reproduces the most accepted draws of the layer, unresolved on a tie.
+    ki follows the table's construction, ki[i] = 2**52 wi[i-1] / wi[i] and
+    ki[0] = 2**52 wi[255] / wi[0], minus a guard band.  A layer whose
+    neighbour is unresolved keeps the largest rabs it was seen to accept, and
+    an unresolved layer gets 0, which sends its words to the slow path; so
+    does layer 1, whose fast path numpy does not take (its ki is 0 in the
+    table).  Returns () unless the tables reproduce numpy on check keys.
+    """
+    n = _PROBE_KEYS
+    tails = np.zeros((n, 3), dtype=np.uint64)
+    tails[:, 0] = np.arange(n)
+    first, second = _philox_words(_PROBE_PREFIX, tails, 2).T
+    stream = CounterStream()
+    stream.rekey(_PROBE_PREFIX)
+    x, follow = np.empty(n), np.empty(n, dtype=np.uint64)
+    for j in range(n):
+        x[j] = stream.rekey_tail(j).standard_normal()
+        follow[j] = stream._bitgen.random_raw()
+    idx = (first & np.uint64(0xFF)).astype(np.intp)
+    rabs = (first >> np.uint64(9)) & _RABS
+    keep = np.flatnonzero((follow == second) & (rabs > 0))
+    keep = keep[np.argsort(idx[keep], kind="stable")]
+    layer = idx[keep]
+    top = np.zeros(256, dtype=np.uint64)
+    np.maximum.at(top, layer, rabs[keep] + np.uint64(1))
+    # accepted draws by layer, padded with nan, and their candidates for wi
+    col = np.arange(len(keep)) - np.searchsorted(layer, layer)
+    r, ax = np.full((2, 256, col.max(initial=0) + 1), np.nan)
+    r[layer, col], ax[layer, col] = rabs[keep], np.abs(x[keep])
+    cands = [ax / r]
+    for _ in range(2):
+        cands = [np.nextafter(cands[0], 0), *cands, np.nextafter(cands[-1], np.inf)]
+    cands = np.concatenate(cands, axis=1)
+    votes = np.zeros(cands.shape, dtype=int)
+    for j in range(r.shape[1]):
+        votes += r[:, j:j + 1] * cands == ax[:, j:j + 1]
+    best = (votes == votes.max(axis=1, keepdims=True)) & (votes > 0)
+    lo, hi = np.where(best, cands, np.inf).min(axis=1), np.where(best, cands, -np.inf).max(axis=1)
+    wi = np.where(lo == hi, lo, np.nan)
+    with np.errstate(invalid="ignore"):
+        ratio = 2.0**52 * np.roll(wi, 1) / wi  # 2**52 wi[i-1] / wi[i], and 2**52 wi[255] / wi[0]
+    by_ratio = np.isfinite(ratio)
+    ki = np.where(by_ratio, ratio, 0).astype(np.uint64)
+    ki = np.where(by_ratio, ki - (ki >> np.uint64(_KI_GUARD)), top)
+    ki[np.isnan(wi)] = 0
+    ki[1] = 0
+    # rabs * -wi is -(rabs * wi) bit for bit, the sign numpy applies, so the
+    # sign bit can index a negated copy of wi
+    tables = (np.concatenate([wi, -wi]), np.concatenate([ki, ki]))
+    return tables if _tables_agree(tables) else ()
+
+
+def _tables_agree(tables) -> bool:
+    """True if every fast-path row of tables equals numpy's per-key draws,
+    bit for bit, on 512 check keys of 36 words in mixed parts."""
+    layout = [("gaussian", 29), ("uniform", 3), ("gaussian", 4)]
+    tails = np.ones((512, 3), dtype=np.uint64)
+    tails[:, 1] = np.arange(512)
+    z, ref = np.empty((2, 512, 36))
+    fast = _fast_draws(_philox_words(_PROBE_PREFIX, tails, 36), layout, tables, z)
+    stream = CounterStream()
+    stream.rekey(_PROBE_PREFIX)
+    for j in np.flatnonzero(fast):
+        _draw_row(stream.rekey_tail(1, int(j), 1), layout, ref[j])
+    return bool(fast.any()) and np.array_equal(z[fast].view(np.uint64), ref[fast].view(np.uint64))
+
+
+def _ziggurat_tables():
+    """The ziggurat tables, derived once per process at the first call."""
+    global _ziggurat
+    if _ziggurat is None:
+        with _ziggurat_lock:
+            if _ziggurat is None:
+                _ziggurat = _derive_ziggurat()
+    return _ziggurat
+
+
+def keyed_draws(layout, prefix, tails) -> np.ndarray:
+    """(n, W) standardized draws of n counter keys (*prefix, *tails[j]).
+
+    Row j holds what standard_draw(kind, rng, width) gives for each
+    (kind, width) of layout, part after part, on rng = make_rng((*prefix,
+    *tails[j])); kinds are "gaussian" and "uniform", prefix is two words and
+    tails an (n, 3) array of words in [0, 2**64).  All rows run as one
+    vectorised Philox whose words go through numpy's ziggurat fast path; a row
+    with any word off that path or inside the guard band is redrawn whole by
+    numpy on a re-keyed CounterStream, so every row equals the per-key draw
+    bit for bit.
+    """
+    tails = np.asarray(tails, dtype=np.uint64).reshape(-1, 3)
+    width = sum(w for _, w in layout)
+    z = np.empty((len(tails), width))
+    if not width:
+        return z
+    tables = _ziggurat_tables()
+    fast = np.empty(len(tails), dtype=bool)
+    for lo in range(0, len(tails), _KEYED_CHUNK):
+        rows = slice(lo, lo + _KEYED_CHUNK)
+        fast[rows] = _fast_draws(_philox_words(prefix, tails[rows], width), layout, tables, z[rows])
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        stream = CounterStream()
+        stream.rekey(prefix)
+        rekey = stream.rekey_tail
+        for j, tail in zip(slow.tolist(), tails[slow].tolist()):
+            _draw_row(rekey(*tail), layout, z[j])
+    return z
 
 
 def _swap(M: np.ndarray) -> np.ndarray:
@@ -482,30 +698,27 @@ def simulate_trajectory(instance: LqrInstance, policy, seed) -> Trajectory:
     return Trajectory(states=states, controls=controls, noises=w, realized_cost=cost)
 
 
-def sample_paths(instance: LqrInstance, rngs, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start states (n, d) and noise sequences (n, T, d) from n freshly keyed
-    generators, each drawn as simulate_trajectory draws from its stream.
+def _path_layout(instance: LqrInstance) -> list:
+    """[(kind, width)] of the draw calls simulate_trajectory makes on one
+    stream, start state first, with the degenerate kinds left out.  When the
+    start state and the noise are of one kind, one call takes both, which
+    yields the same numbers as two calls."""
+    T, d = instance.T, instance.d
+    init, noise = instance.init.kind, instance.noise.kind
+    parts = [] if init == "point" else [(init, d)]
+    if noise != "zero":
+        if parts and parts[0][0] == noise:
+            parts = [(noise, d + T * d)]
+        else:
+            parts.append((noise, T * d))
+    return parts
 
-    When the initial state and the noise are of one kind, a single call per
-    stream takes both, which yields the same numbers as two calls.
-    """
+
+def _paths_from_draws(instance: LqrInstance, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start states (n, d) and noise (n, T, d) from standardized draws laid out as _path_layout."""
     T, d = instance.T, instance.d
     init, noise = instance.init, instance.noise
-    parts = []  # [kind, width] of each draw call per stream, in stream order
-    if init.kind != "point":
-        parts.append([init.kind, d])
-    if noise.kind != "zero":
-        if parts and parts[0][0] == noise.kind:
-            parts[0][1] += T * d
-        else:
-            parts.append([noise.kind, T * d])
-    z = np.empty((n, sum(width for _, width in parts)))
-    if parts:
-        for rng, row in zip(rngs, z):
-            lo = 0
-            for kind, width in parts:
-                row[lo:lo + width] = standard_draw(kind, rng, width)
-                lo += width
+    n = len(z)
     if init.kind == "point":
         x0 = np.tile(np.asarray(init.mean, dtype=float), (n, 1))
         z_noise = z
@@ -514,6 +727,22 @@ def sample_paths(instance: LqrInstance, rngs, n: int) -> tuple[np.ndarray, np.nd
         z_noise = z[:, d:]
     w = np.zeros((n, T, d)) if noise.kind == "zero" else noise.scale(z_noise.reshape(n, T, d))
     return x0, w
+
+
+def sample_paths(instance: LqrInstance, rngs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start states (n, d) and noise sequences (n, T, d) from n freshly keyed
+    generators, each drawn as simulate_trajectory draws from its stream."""
+    layout = _path_layout(instance)
+    z = np.empty((n, sum(width for _, width in layout)))
+    if layout:
+        for rng, row in zip(rngs, z):
+            _draw_row(rng, layout, row)
+    return _paths_from_draws(instance, z)
+
+
+def keyed_paths(instance: LqrInstance, prefix, tails) -> tuple[np.ndarray, np.ndarray]:
+    """sample_paths on the streams make_rng((*prefix, *tails[j])), drawn by keyed_draws."""
+    return _paths_from_draws(instance, keyed_draws(_path_layout(instance), prefix, tails))
 
 
 def pathwise_cost_terms(instance: LqrInstance, policy, traj: Trajectory, backup: ValueBackup | None = None):

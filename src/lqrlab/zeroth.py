@@ -13,12 +13,11 @@ are reproducible and independent of execution order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CounterStream, LqrInstance, exact_cost, make_rng, sample_paths, simulate_trajectory
+from .core import LqrInstance, exact_cost, keyed_draws, keyed_paths, make_rng, simulate_trajectory
 from .errors import DegenerateDraw
 from .optimize import DescentConfig, ProjectionSet, _descent
 
@@ -62,19 +61,26 @@ def sample_sphere_batch(n: int, shape: tuple[int, int], radius: float, seed) -> 
     return radius * g / nrm
 
 
+def _slot_tails(slots, m: int, flag: int) -> np.ndarray:
+    """Counter tails (t, i, flag) for each slot t in slots and i < m, one row
+    per key in that order; slots are words in [0, 2**64)."""
+    slots = np.asarray(slots, dtype=np.uint64)
+    tails = np.empty((len(slots), m, 3), dtype=np.uint64)
+    tails[..., 0] = slots[:, None]
+    tails[..., 1] = np.arange(m)
+    tails[..., 2] = flag
+    return tails.reshape(-1, 3)
+
+
 def sphere_directions(T: int, m: int, shape: tuple[int, int], radius: float, seed, iteration: int) -> np.ndarray:
     """(T, m, *shape) perturbations of one estimate: entry (t, i) equals
     sample_sphere(shape, radius, (seed, iteration, t, i, 0)) bit for bit.
 
-    One re-keyed stream replaces a generator per draw, and the draws are
+    All T * m Gaussian draws come from one keyed_draws call and are
     normalized together; a draw too short to normalize is redrawn by
     sample_sphere.
     """
-    stream = CounterStream()
-    stream.rekey((seed, iteration))
-    g = np.empty((T * m, shape[0] * shape[1]))
-    for (t, i), row in zip(itertools.product(range(T), range(m)), g):
-        stream.rekey_tail(t, i, 0).standard_normal(out=row)
+    g = keyed_draws([("gaussian", shape[0] * shape[1])], (seed, iteration), _slot_tails(range(T), m, 0))
     nrm = np.sqrt((g**2).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         U = ((radius / nrm)[:, None] * g).reshape(T, m, *shape)
@@ -87,11 +93,8 @@ def sphere_directions(T: int, m: int, shape: tuple[int, int], radius: float, see
 def slot_paths(instance: LqrInstance, m: int, seed, iteration: int) -> tuple[np.ndarray, np.ndarray]:
     """Start states (T * m, d) and noise (T * m, T, d) of one estimate's
     rollouts: row t * m + i is what simulate_trajectory draws from the stream
-    (seed, iteration, t, i, 1)."""
-    stream = CounterStream()
-    stream.rekey((seed, iteration))
-    rngs = (stream.rekey_tail(t, i, 1) for t, i in itertools.product(range(instance.T), range(m)))
-    return sample_paths(instance, rngs, instance.T * m)
+    (seed, iteration, t, i, 1), all drawn by one keyed_paths call."""
+    return keyed_paths(instance, (seed, iteration), _slot_tails(range(instance.T), m, 1))
 
 
 class LqrSimulator:
@@ -102,10 +105,11 @@ class LqrSimulator:
     rollouts but replay exactly the per-trajectory streams simulate_trajectory
     would consume: rollout_perturbed_batch those of seeds (*key, i, 1), and
     rollout_perturbed_slots those of (seed, iteration, t, i, 1) for every slot
-    t at once, as one (T * m, d) state array.  Each stream key is set by
-    re-keying a single Philox generator in place rather than building a new
-    one, and every row keeps the arithmetic of a one-slot batch, so the costs
-    match rollout_perturbed_batch bit for bit.
+    t at once, as one (T * m, d) state array.  All start states and noise of
+    a call come from one core.keyed_paths call, which runs every stream's
+    Philox words as one array and takes numpy's per-key path only for rows
+    off the ziggurat fast path, and every row keeps the arithmetic of a
+    one-slot batch, so the costs match rollout_perturbed_batch bit for bit.
     """
 
     def __init__(self, instance: LqrInstance):
@@ -118,9 +122,10 @@ class LqrSimulator:
         return simulate_trajectory(self._inst, policy, seed).realized_cost
 
     def rollout_perturbed_batch(self, policy, t: int, U: np.ndarray, key) -> np.ndarray:
-        m = U.shape[0]
-        stream = CounterStream()
-        x0, w = sample_paths(self._inst, (stream.rekey([*key, i, 1]) for i in range(m)), m)
+        """(m,) costs; entry i rolls the policy with gain t perturbed by U[i]
+        on the stream (*key, i, 1), for a key (seed, iteration, slot)."""
+        seed, iteration, slot = key
+        x0, w = keyed_paths(self._inst, (seed, iteration), _slot_tails([int(slot) % 2**64], U.shape[0], 1))
         return self._roll(policy, {t: 0}, U[None], x0, w)[0]
 
     def rollout_perturbed_slots(self, policy, U: np.ndarray, seed, iteration: int) -> np.ndarray:

@@ -65,6 +65,7 @@ class TestCli:
         assert rc == 0
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["kind"] == "riccati"
+        assert set(manifest["versions"]) == {"lqrlab", "numpy", "scipy", "python"}
         assert (tmp_path / "o" / "seed_0.csv").exists()
         assert (tmp_path / "o" / "aggregate.csv").exists()
 
@@ -148,3 +149,21 @@ class TestCli:
         assert m1 == m2
         assert (tmp_path / "a" / "seed_0.csv").read_bytes() == (tmp_path / "b" / "seed_0.csv").read_bytes()
         assert (tmp_path / "a" / "aggregate.csv").read_bytes() == (tmp_path / "b" / "aggregate.csv").read_bytes()
+
+    def test_aggregate_pairs_rows_by_iteration(self, tmp_path):
+        # with target_error the seeds stop at different iterations; the
+        # aggregate must pair each iteration's rows, not truncate by row index
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 0.2\niters = 100\nradius = 0.1\nsamples = 50\ntarget_error = 0.05\n")
+        assert main(["zo-pg", "--config", cfg, "--seeds", "0", "1", "2", "--out", str(tmp_path / "o")]) == 0
+        seeds = [np.genfromtxt(tmp_path / "o" / f"seed_{s}.csv", delimiter=",", names=True) for s in range(3)]
+        assert [len(s) for s in seeds] == [101, 101, 67]
+        agg = np.genfromtxt(tmp_path / "o" / "aggregate.csv", delimiter=",", names=True)
+        assert len(agg) == 101
+        np.testing.assert_array_equal(agg["iter"], np.arange(101))
+        np.testing.assert_array_equal(agg["n_seeds"], np.where(np.arange(101) < 67, 3, 2))
+        np.testing.assert_array_equal(agg["iter_min"], agg["iter"])
+        np.testing.assert_array_equal(agg["iter_max"], agg["iter"])
+        for i, row in enumerate(agg):
+            costs = [s["cost"][i] for s in seeds if len(s) > i]
+            assert row["cost_median"] == np.median(costs)
+            assert (row["cost_min"], row["cost_max"]) == (min(costs), max(costs))

@@ -1,6 +1,9 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lqrlab import (
@@ -16,8 +19,11 @@ from lqrlab import (
     simulate_trajectory,
     solve_riccati,
 )
-from lqrlab.benchmarks import scalar_benchmark
-from lqrlab.core import CounterStream, make_rng, pathwise_cost_terms, sample_paths
+from lqrlab import core
+from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
+from lqrlab.core import (CounterStream, keyed_draws, keyed_paths, make_rng, pathwise_cost_terms, sample_paths,
+                         standard_draw)
+from lqrlab.liquidation import ac_to_lqr
 from lqrlab.errors import HorizonTooShort, NonPositiveDefinite
 from lqrlab.zeroth import LqrSimulator
 
@@ -71,6 +77,15 @@ class TestRiccati:
         for _ in range(10):
             K = sol.gains + random_policy(rng, inst, scale=0.05)
             assert exact_cost(inst, K) >= sol.optimal_cost - 1e-12
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1.0))
+    def test_no_perturbed_gain_beats_riccati(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng)
+        sol = solve_riccati(inst)
+        costs = exact_cost(inst, sol.gains + scale * rng.normal(size=(16, *sol.gains.shape)))
+        assert costs.min() >= sol.optimal_cost - 1e-12 * abs(sol.optimal_cost)
 
 
 class TestBackup:
@@ -364,3 +379,101 @@ class TestSamplePaths:
             NoiseModel("point")
         with pytest.raises(ValueError):
             InitialStateModel("zero", np.zeros(1))
+
+
+U64 = st.integers(min_value=0, max_value=2**64 - 1)
+PREFIXES = st.lists(WORDS, min_size=2, max_size=2)
+TAILS = st.lists(st.tuples(U64, U64, U64), min_size=1, max_size=8)
+KIND_PAIRS = [("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gaussian"), ("gaussian", "zero"),
+              ("uniform", "gaussian"), ("gaussian", "uniform"), ("point", "zero")]
+
+
+def _per_key_draws(layout, prefix, tails) -> np.ndarray:
+    """The reference: one make_rng per key, standard_draw per part."""
+    rows = []
+    for tail in tails:
+        rng = make_rng([*prefix, *tail])
+        rows.append(np.concatenate([standard_draw(kind, rng, width) for kind, width in layout]))
+    return np.array(rows)
+
+
+def _assert_same_bits(a, b) -> None:
+    # compares the float64 bit patterns, so a -0.0 for a 0.0 fails
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def _liquidation_slot_keys():
+    """The path layout and keys of one zo-liquidation estimate (T = 10, m = 200)."""
+    inst = ac_to_lqr(stock_liquidation())
+    tails = np.array([(t, i, 1) for t in range(inst.T) for i in range(200)], dtype=np.uint64)
+    return inst, (3 << 20, 5), tails
+
+
+class TestKeyedDraws:
+    @settings(deadline=None, max_examples=200)
+    @given(prefix=PREFIXES, tails=TAILS,
+           layout=st.lists(st.tuples(st.sampled_from(["gaussian", "uniform"]), st.integers(1, 30)), min_size=1, max_size=3))
+    # a one-word part in rows of 8 words: numpy 2.4's masked in-place negative
+    # reads such a column with the wrong stride
+    @example(prefix=[0, 1], tails=[(0, 0, 0), (0, 0, 0)], layout=[("gaussian", 1), ("gaussian", 7)])
+    def test_matches_per_key_draws(self, prefix, tails, layout):
+        _assert_same_bits(keyed_draws(layout, prefix, tails), _per_key_draws(layout, prefix, tails))
+
+    @settings(deadline=None, max_examples=100)
+    @given(prefix=PREFIXES, tails=TAILS, pair=st.sampled_from(KIND_PAIRS), d=st.integers(1, 3), T=st.integers(1, 9))
+    @example(prefix=[3, 4], tails=[(0, i, 1) for i in range(8)], pair=("gaussian", "uniform"), d=1, T=7)
+    def test_paths_match_per_key_paths(self, prefix, tails, pair, d, T):
+        # path layouts of every kind pair: merged same-kind parts, skipped degenerate ones
+        noise = NoiseModel(pair[1], 0.4)
+        init = InitialStateModel(pair[0], np.linspace(-1.0, 1.0, d), 0.6)
+        inst = constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise, init)
+        x0, w = keyed_paths(inst, prefix, tails)
+        ref_x0, ref_w = sample_paths(inst, (make_rng([*prefix, *tail]) for tail in tails), len(tails))
+        _assert_same_bits(x0, ref_x0)
+        _assert_same_bits(w, ref_w)
+
+    def test_empty_tables_send_every_row_to_the_per_key_path(self, monkeypatch):
+        layout = [("uniform", 3), ("gaussian", 17)]
+        tails = np.array([(t, i, 7) for t in range(3) for i in range(40)], dtype=np.uint64)
+        inst, prefix, slot_tails = _liquidation_slot_keys()
+        fast = keyed_draws(layout, (-9, 2**63 + 1), tails), keyed_paths(inst, prefix, slot_tails)
+        monkeypatch.setattr(core, "_ziggurat", ())
+        assert not core._fast_draws(core._philox_words((-9, 2**63 + 1), tails, 20), layout, (), np.empty((120, 20))).any()
+        _assert_same_bits(keyed_draws(layout, (-9, 2**63 + 1), tails), fast[0])
+        for a, b in zip(keyed_paths(inst, prefix, slot_tails), fast[1]):
+            _assert_same_bits(a, b)
+
+    def test_racing_first_calls_share_one_table(self, monkeypatch):
+        # more threads than cores, switching often, all released at once
+        monkeypatch.setattr(core, "_ziggurat", None)
+        barrier = threading.Barrier(4)
+        got = [None] * 4
+
+        def first_call(j):
+            barrier.wait()
+            got[j] = core._ziggurat_tables()
+
+        threads = [threading.Thread(target=first_call, args=(j,)) for j in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got[0] and all(g is got[0] for g in got)
+        for a, b in zip(got[0], core._derive_ziggurat()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_tables_hold_for_the_installed_numpy(self):
+        # fails when numpy's ziggurat changes, rather than quietly losing the fast path
+        tables = core._derive_ziggurat()
+        assert tables and core._tables_agree(tables)
+        inst, prefix, tails = _liquidation_slot_keys()
+        layout = core._path_layout(inst)
+        width = sum(w for _, w in layout)
+        fast = core._fast_draws(core._philox_words(prefix, tails, width), layout, tables, np.empty((len(tails), width)))
+        assert fast.mean() >= 0.6, f"{fast.mean():.3f} of zo-liquidation rows on the fast path"

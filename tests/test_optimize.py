@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqrlab
 from lqrlab import (
@@ -135,6 +137,48 @@ class TestProjection:
         S = ProjectionSet(kind="box", lo=-1.0, hi=1.0)
         K = np.array([[[2.0, -3.0]]])
         np.testing.assert_array_equal(S.project(K), [[[1.0, -1.0]]])
+
+
+COORD = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+@st.composite
+def sets_and_gains(draw):
+    """A box or liquidation set and three gain sequences of its shape."""
+    T = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        lo = draw(st.floats(-10.0, 10.0))
+        S = ProjectionSet(kind="box", lo=lo, hi=lo + draw(st.floats(0.0, 10.0)))
+        shape = (T, draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+    else:
+        S = liquidation_constraint(draw(st.floats(1e-6, 10.0)), draw(st.floats(0.0, 1.0)))
+        shape = (T, 1, 2)
+    n = int(np.prod(shape))
+    return S, *(np.reshape(draw(st.lists(COORD, min_size=n, max_size=n)), shape) for _ in range(3))
+
+
+class TestProjectionProperties:
+    @settings(deadline=None, max_examples=300)
+    @given(case=sets_and_gains())
+    def test_member(self, case):
+        S, K, _, _ = case
+        assert S.contains(S.project(K))
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=sets_and_gains())
+    def test_optimal(self, case):
+        # <K - P(K), Y - P(K)> <= 0 for every member Y characterizes the projection
+        S, K, Z, _ = case
+        P, Y = S.project(K), S.project(Z)
+        inner = float(((K - P) * (Y - P)).sum())
+        assert inner <= 1e-9 * (1.0 + np.abs(K).max() * np.abs(Y - P).max())
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=sets_and_gains())
+    def test_nonexpansive(self, case):
+        S, _, a, b = case
+        gap = np.linalg.norm((S.project(a) - S.project(b)).ravel())
+        assert gap <= np.linalg.norm((a - b).ravel()) * (1.0 + 1e-12) + 1e-12
 
 
 class TestExactPpg:
