@@ -4,10 +4,11 @@
 
 Kinds: riccati, pg, ppg, zo-pg, zo-ppg, lob, impact, qlearn, deadline.
 Seeds fan out over a thread pool capped by the LQRLAB_THREADS environment
-variable.  Every run writes a manifest plus one CSV per seed and, for
-iterative kinds, an aggregate CSV with per-iteration median and min/max
-envelope.  Exit codes: 0 success, 2 invalid config or usage, 3 runtime
-failure.
+variable; the kinds whose runs never read the seed run once, and that run
+stands for every seed.  Every run writes a manifest plus one CSV per seed
+and, for iterative kinds, an aggregate CSV with per-iteration median and
+min/max envelope.  Exit codes: 0 success, 2 invalid config or usage, 3
+runtime failure.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ from .qlearn import greedy_policy_cost, make_qtable, q_learning_step
 from .zeroth import SmoothingConfig, run_modelfree_pg
 
 KINDS = ["riccati", "pg", "ppg", "zo-pg", "zo-ppg", "lob", "impact", "qlearn", "deadline"]
+_SEEDLESS_KINDS = ("riccati", "pg", "ppg", "deadline")  # deterministic: _run_seed never reads the seed
+
+# CSV columns that count or index, written as integers ("3", not "3.0")
+_INT_COLUMNS = frozenset({"iter", "n_seeds", "row", "m", "t", "sweeps", "horizon"})
 
 
 def _max_workers() -> int:
@@ -163,12 +168,20 @@ def _run_seed(cfg: dict, kind: str, seed: int):
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def _cell(v, integer: bool):
+    if not isinstance(v, (int, float, np.floating)):
+        return v
+    v = float(v)
+    return repr(int(v)) if integer and v.is_integer() else repr(v)
+
+
 def _write_csv(path, cols, rows):
+    ints = [c in _INT_COLUMNS for c in cols]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(cols)
         for r in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (int, float, np.floating)) else v for v in r])
+            w.writerow([_cell(v, integer) for v, integer in zip(r, ints)])
 
 
 def run_experiment(cfg: dict, seeds, outdir) -> dict:
@@ -182,8 +195,11 @@ def run_experiment(cfg: dict, seeds, outdir) -> dict:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = [int(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(lambda s: _run_seed(cfg, kind, s), seeds))
+    if kind in _SEEDLESS_KINDS:
+        results = [_run_seed(cfg, kind, seeds[0])] * len(seeds)
+    else:
+        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+            results = list(pool.map(lambda s: _run_seed(cfg, kind, s), seeds))
     scalars = {}
     for seed, (cols, rows, extra) in zip(seeds, results):
         _write_csv(out / f"seed_{seed}.csv", cols, rows)

@@ -137,6 +137,8 @@ _U32 = np.uint64(32)
 _RABS = np.uint64((1 << 52) - 1)
 _U_LOW = -_SQRT3
 _U_RANGE = _SQRT3 - _U_LOW  # Generator.uniform maps a double u to low + (high - low) * u
+# round r of Philox4x64-10 runs under the key plus r times the Weyl constants
+_ROUND_BUMPS = np.array([[(r * w) & _WORD for w in _PHILOX_W] for r in range(10)], dtype=np.uint64)
 _KEYED_CHUNK = 4096  # rows per vectorised pass, which bounds the working memory
 _PROBE_PREFIX = (0x7AB1E5, 0)  # keys of the table probe and of its check
 _PROBE_KEYS = 2048
@@ -166,35 +168,44 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x * np.uint64(m)
 
 
+def _round_keys(prefix) -> list:
+    """Philox4x64-10's ten round keys (k0, k1): uint64 scalars for one key
+    prefix, or (B, 1, 1) columns for a (B, 2) uint64 array of key words."""
+    if isinstance(prefix, np.ndarray):
+        keys = prefix + _ROUND_BUMPS[:, None]  # (10, B, 2), wrapping mod 2**64
+        return [(k[:, 0, None, None], k[:, 1, None, None]) for k in keys]
+    k0, k1 = _stream_words(prefix)[:2]
+    return [(np.uint64((k0 + b0) & _WORD), np.uint64((k1 + b1) & _WORD)) for b0, b1 in _ROUND_BUMPS.tolist()]
+
+
 def _philox_words(prefix, tails: np.ndarray, width: int) -> np.ndarray:
     """(n, width) uint64: the first width words make_rng((*prefix, *tails[j]))
-    yields (random_raw), for n counter tails of three words each.  The block
-    index and the tail words enter as broadcast columns, so the first rounds
-    run on small arrays."""
-    k0, k1 = _stream_words(prefix)[:2]
+    yields (random_raw), for n counter tails of three words each; for a
+    (B, 2) uint64 array of key words, (B, n, width), one slice per key.  The
+    block index, the tail words and the keys enter as broadcast columns, so
+    the first rounds run on small arrays."""
     n, blocks = len(tails), -(-width // 4)
+    lead = prefix.shape[:1] if isinstance(prefix, np.ndarray) else ()
     c0 = np.arange(1, blocks + 1, dtype=np.uint64)
     c1, c2, c3 = (tails[:, j:j + 1] for j in range(3))
-    for r in range(10):
-        if r:
-            k0, k1 = (k0 + _PHILOX_W[0]) & _WORD, (k1 + _PHILOX_W[1]) & _WORD
+    for k0, k1 in _round_keys(prefix):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    words = np.empty((n, blocks, 4), dtype=np.uint64)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.empty((*lead, n, blocks, 4), dtype=np.uint64)
     for j, c in enumerate((c0, c1, c2, c3)):
         words[..., j] = c
-    return words.reshape(n, 4 * blocks)[:, :width]
+    return words.reshape(*lead, n, 4 * blocks)[..., :width]
 
 
 def _fast_draws(words: np.ndarray, layout, tables, z: np.ndarray) -> np.ndarray:
     """Fill z with the standardized draws of raw words laid out as layout;
     returns a mask of the rows whose every normal took the one-word ziggurat
     path of tables (no row does when the tables are empty)."""
-    fast = np.full(len(words), bool(tables))
+    fast = np.full(words.shape[:-1], bool(tables))
     lo = 0
     for kind, width in layout:
-        w, out = words[:, lo:lo + width], z[:, lo:lo + width]
+        w, out = words[..., lo:lo + width], z[..., lo:lo + width]
         lo += width
         if kind == "uniform":
             np.multiply(w >> np.uint64(11), 2.0**-53, out=out)
@@ -205,7 +216,7 @@ def _fast_draws(words: np.ndarray, layout, tables, z: np.ndarray) -> np.ndarray:
             rabs = w >> np.uint64(9)
             rabs &= _RABS
             idx = (w & np.uint64(0x1FF)).astype(np.intp)  # layer and sign: the tables hold -wi from 256 on
-            fast &= (rabs < ki[idx]).all(axis=1)
+            fast &= (rabs < ki[idx]).all(axis=-1)
             np.multiply(rabs, wi[idx], out=out)
     return fast
 
@@ -305,24 +316,37 @@ def keyed_draws(layout, prefix, tails) -> np.ndarray:
     with any word off that path or inside the guard band is redrawn whole by
     numpy on a re-keyed CounterStream, so every row equals the per-key draw
     bit for bit.
+
+    prefix may also be a sequence of B prefixes, such as a (B, 2) array: the
+    result is then (B, n, W), slice b holding the draws under prefix[b], and
+    every pass runs the keys of all prefixes together.
     """
     tails = np.asarray(tails, dtype=np.uint64).reshape(-1, 3)
-    width = sum(w for _, w in layout)
-    z = np.empty((len(tails), width))
+    batched = not np.isscalar(prefix) and len(prefix) > 0 and not np.isscalar(prefix[0])
+    prefixes = list(prefix) if batched else [prefix]
+    keys = np.array([_stream_words(p)[:2] for p in prefixes], dtype=np.uint64) if batched else prefix
+    lead = (len(prefixes),) if batched else ()
+    n, width = len(tails), sum(w for _, w in layout)
+    z = np.empty((*lead, n, width))
     if not width:
         return z
     tables = _ziggurat_tables()
-    fast = np.empty(len(tails), dtype=bool)
-    for lo in range(0, len(tails), _KEYED_CHUNK):
-        rows = slice(lo, lo + _KEYED_CHUNK)
-        fast[rows] = _fast_draws(_philox_words(prefix, tails[rows], width), layout, tables, z[rows])
-    slow = np.flatnonzero(~fast)
-    if len(slow):
+    fast = np.empty((*lead, n), dtype=bool)
+    step = max(1, _KEYED_CHUNK // len(prefixes))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        fast[..., rows] = _fast_draws(_philox_words(keys, tails[rows], width), layout, tables, z[..., rows, :])
+    if not fast.all():
+        # one re-key per prefix, then only the tail words per row: a full
+        # re-key of every row ran slower on zo-liquidation's ~570 such rows
         stream = CounterStream()
-        stream.rekey(prefix)
-        rekey = stream.rekey_tail
-        for j, tail in zip(slow.tolist(), tails[slow].tolist()):
-            _draw_row(rekey(*tail), layout, z[j])
+        for p, z_p, fast_p in zip(prefixes, z.reshape(-1, n, width), fast.reshape(-1, n)):
+            slow = np.flatnonzero(~fast_p)
+            if len(slow):
+                stream.rekey(p)
+                rekey = stream.rekey_tail
+                for j, tail in zip(slow.tolist(), tails[slow].tolist()):
+                    _draw_row(rekey(*tail), layout, z_p[j])
     return z
 
 

@@ -13,17 +13,44 @@ are reproducible and independent of execution order.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LqrInstance, exact_cost, keyed_draws, keyed_paths, make_rng, simulate_trajectory
+from .core import (
+    LqrInstance,
+    _path_layout,
+    _paths_from_draws,
+    _stream_words,
+    exact_cost,
+    keyed_draws,
+    keyed_paths,
+    make_rng,
+    simulate_trajectory,
+)
 from .errors import DegenerateDraw
 from .optimize import DescentConfig, ProjectionSet, _descent
 
 # perturbed policies per batched exact_cost call of smoothed_gradient_reference;
 # 1024 ran faster than 4096 or 16384 on the scalar and 4-state benchmarks
 _REFERENCE_CHUNK = 1024
+
+# keys per kind of draw that an estimate of T * m rollouts draws ahead: the
+# standardized rows of max(1, _DRAW_AHEAD // (T * m)) iterations come from one
+# keyed_draws pass, whose numpy call overhead dominates small estimates
+_DRAW_AHEAD = 2048
+
+
+class _Blocks(threading.local):
+    """Per thread, flag -> (identity, first iteration, read-only rows) of the
+    last block drawn ahead for that kind of draw."""
+
+    def __init__(self):
+        self.held = {}
+
+
+_blocks = _Blocks()
 
 
 @dataclass(frozen=True)
@@ -72,15 +99,41 @@ def _slot_tails(slots, m: int, flag: int) -> np.ndarray:
     return tails.reshape(-1, 3)
 
 
+def _standard_rows(layout, T: int, m: int, flag: int, seed, iteration: int) -> np.ndarray:
+    """(T * m, W) standardized draws of the keys (seed, iteration, t, i, flag),
+    row t * m + i, as one keyed_draws call gives them.
+
+    When B = _DRAW_AHEAD // (T * m) is above one, a call outside the thread's
+    block for this flag draws the rows of iterations [iteration, iteration + B)
+    in one keyed_draws pass, keeps them as a read-only block keyed on the
+    layout, T, m, the masked seed word and the first iteration, and serves
+    later calls within the block from it.  With B = 1 nothing is kept.
+    """
+    span = _DRAW_AHEAD // (T * m) if T * m else 1
+    if span <= 1:
+        return keyed_draws(layout, (seed, iteration), _slot_tails(range(T), m, flag))
+    seed_word, it = _stream_words((seed, iteration))[:2]
+    ident = (tuple(layout), T, m, seed_word)
+    kept, first, rows = _blocks.held.get(flag, (None, 0, None))
+    b = (it - first) % 2**64
+    if kept != ident or b >= span:
+        b = 0
+        rows = keyed_draws(layout, [(seed_word, it + j) for j in range(span)], _slot_tails(range(T), m, flag))
+        rows.flags.writeable = False
+        _blocks.held[flag] = (ident, it, rows)
+    return rows[b]
+
+
 def sphere_directions(T: int, m: int, shape: tuple[int, int], radius: float, seed, iteration: int) -> np.ndarray:
     """(T, m, *shape) perturbations of one estimate: entry (t, i) equals
     sample_sphere(shape, radius, (seed, iteration, t, i, 0)) bit for bit.
 
-    All T * m Gaussian draws come from one keyed_draws call and are
-    normalized together; a draw too short to normalize is redrawn by
-    sample_sphere.
+    The T * m Gaussian draws come from keyed_draws, drawn ahead for the next
+    iterations when T * m is small (_standard_rows), and are scaled and
+    normalized on every call; a draw too short to normalize is redrawn by
+    sample_sphere on its own iteration's key.
     """
-    g = keyed_draws([("gaussian", shape[0] * shape[1])], (seed, iteration), _slot_tails(range(T), m, 0))
+    g = _standard_rows([("gaussian", shape[0] * shape[1])], T, m, 0, seed, iteration)
     nrm = np.sqrt((g**2).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         U = ((radius / nrm)[:, None] * g).reshape(T, m, *shape)
@@ -93,8 +146,10 @@ def sphere_directions(T: int, m: int, shape: tuple[int, int], radius: float, see
 def slot_paths(instance: LqrInstance, m: int, seed, iteration: int) -> tuple[np.ndarray, np.ndarray]:
     """Start states (T * m, d) and noise (T * m, T, d) of one estimate's
     rollouts: row t * m + i is what simulate_trajectory draws from the stream
-    (seed, iteration, t, i, 1), all drawn by one keyed_paths call."""
-    return keyed_paths(instance, (seed, iteration), _slot_tails(range(instance.T), m, 1))
+    (seed, iteration, t, i, 1).  The standardized draws come from keyed_draws,
+    drawn ahead for the next iterations when T * m is small (_standard_rows),
+    and are placed and scaled for the instance on every call."""
+    return _paths_from_draws(instance, _standard_rows(_path_layout(instance), instance.T, m, 1, seed, iteration))
 
 
 class LqrSimulator:
@@ -105,11 +160,13 @@ class LqrSimulator:
     rollouts but replay exactly the per-trajectory streams simulate_trajectory
     would consume: rollout_perturbed_batch those of seeds (*key, i, 1), and
     rollout_perturbed_slots those of (seed, iteration, t, i, 1) for every slot
-    t at once, as one (T * m, d) state array.  All start states and noise of
-    a call come from one core.keyed_paths call, which runs every stream's
-    Philox words as one array and takes numpy's per-key path only for rows
-    off the ziggurat fast path, and every row keeps the arithmetic of a
-    one-slot batch, so the costs match rollout_perturbed_batch bit for bit.
+    t at once, as one (T * m, d) state array.  Start states and noise come
+    from core.keyed_draws, which runs every stream's Philox words as one array
+    and takes numpy's per-key path only for rows off the ziggurat fast path;
+    rollout_perturbed_slots takes them from slot_paths, which draws the
+    standardized rows of the next iterations ahead when T * m is small.  Every
+    row keeps the arithmetic of a one-slot batch, so the costs match
+    rollout_perturbed_batch bit for bit.
     """
 
     def __init__(self, instance: LqrInstance):

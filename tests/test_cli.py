@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from lqrlab import cli
 from lqrlab.cli import main, run_experiment
 from lqrlab.config_io import dump_kv, instance_from_config, parse_kv
 
@@ -29,6 +31,17 @@ ac.phi = 5e-6
 ac.epsilon = 1e-8
 ac.T = 10
 """
+
+
+# the keys each kind needs beyond an instance
+KIND_EXTRAS = {
+    "riccati": "",
+    "pg": "eta = 0.5\niters = 3\n",
+    "zo-pg": "eta = 0.2\niters = 3\nradius = 0.1\nsamples = 5\n",
+    "qlearn": "sweeps = 3\nn_states = 11\nn_actions = 11\neval_rollouts = 100\n",
+    "lob": "book.T = 10\nbook.depth_mean = 2000\nphi_prime = 1e-6\n",
+    "deadline": "horizons = [5, 10]\n",
+}
 
 
 def write(tmp_path, name, text):
@@ -77,6 +90,33 @@ class TestCli:
         assert data["normalized_error"][-1] < data["normalized_error"][0]
         agg = np.genfromtxt(tmp_path / "o" / "aggregate.csv", delimiter=",", names=True)
         assert "cost_median" in agg.dtype.names
+
+    def test_pg_runs_one_descent_for_all_seeds(self, tmp_path, monkeypatch):
+        # exact PG never reads the seed: one descent is written to every seed's CSV
+        calls = []
+        run = cli.run_exact_pg
+        monkeypatch.setattr(cli, "run_exact_pg", lambda *a: calls.append(1) or run(*a))
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + 'eta = 0.5\niters = 20\npolicy0 = 0.1\n')
+        assert main(["pg", "--config", cfg, "--seeds", "0", "1", "2", "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+        assert main(["pg", "--config", cfg, "--seeds", "0", "--out", str(tmp_path / "one")]) == 0
+        single = (tmp_path / "one" / "seed_0.csv").read_bytes()
+        assert all((tmp_path / "o" / f"seed_{s}.csv").read_bytes() == single for s in range(3))
+
+    @pytest.mark.parametrize("kind", list(KIND_EXTRAS))
+    def test_integer_columns_are_written_as_integers(self, tmp_path, kind):
+        base = AC_CFG if kind in ("lob", "deadline") else SCALAR_CFG
+        cfg = write(tmp_path, "c.cfg", base + KIND_EXTRAS[kind])
+        assert main([kind, "--config", cfg, "--seeds", "0", "1", "--out", str(tmp_path / "o")]) == 0
+        for path in sorted((tmp_path / "o").glob("*.csv")):
+            header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+            assert rows
+            for j, col in enumerate(header):
+                cells = [r[j] for r in rows]
+                if col in ("iter", "n_seeds", "row", "m", "t", "sweeps", "horizon"):
+                    assert all(re.fullmatch(r"-?[0-9]+", c) for c in cells), (path.name, col, cells)
+                else:
+                    assert all(c == "nan" or re.search(r"[.e]", c) for c in cells), (path.name, col, cells)
 
     def test_zo_ppg_on_liquidation(self, tmp_path):
         extra = 'eta = 0.05\niters = 3\nradius = 0.6\nsamples = 20\npolicy0 = -0.2\nconstraint.gamma_bar = 5e-5\n'
@@ -163,6 +203,11 @@ class TestCli:
         np.testing.assert_array_equal(agg["n_seeds"], np.where(np.arange(101) < 67, 3, 2))
         np.testing.assert_array_equal(agg["iter_min"], agg["iter"])
         np.testing.assert_array_equal(agg["iter_max"], agg["iter"])
+        # counts and indices are written as integers, the statistics of them as floats
+        lines = (tmp_path / "o" / "aggregate.csv").read_text().splitlines()
+        assert lines[1].startswith("0,3,0.0,0.0,0.0,") and lines[-1].startswith("100,2,100.0,100.0,100.0,")
+        lines = (tmp_path / "o" / "seed_2.csv").read_text().splitlines()
+        assert lines[0].split(",")[-3] == "m" and lines[1].startswith("0,") and lines[-1].split(",")[-3] == "50"
         for i, row in enumerate(agg):
             costs = [s["cost"][i] for s in seeds if len(s) > i]
             assert row["cost_median"] == np.median(costs)

@@ -432,6 +432,29 @@ class TestKeyedDraws:
         _assert_same_bits(x0, ref_x0)
         _assert_same_bits(w, ref_w)
 
+    @settings(deadline=None, max_examples=100)
+    @given(prefixes=st.lists(PREFIXES, min_size=1, max_size=4), tails=TAILS, pair=st.sampled_from(KIND_PAIRS),
+           d=st.integers(1, 3), T=st.integers(1, 6), emptied=st.booleans(), chunk=st.sampled_from([3, 4096]))
+    def test_prefix_batch_equals_one_call_per_prefix(self, prefixes, tails, pair, d, T, emptied, chunk):
+        # a (B, 2) batch of prefixes, as nested ints and as uint64 words, in
+        # passes of a few rows or of all, on the fast path or all on the per-key one
+        noise = NoiseModel(pair[1], 0.4)
+        init = InitialStateModel(pair[0], np.linspace(-1.0, 1.0, d), 0.6)
+        layout = core._path_layout(constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T,
+                                                     noise, init))
+        singles = [keyed_draws(layout, prefix, tails) for prefix in prefixes]
+        words = np.array([[w % 2**64 for w in prefix] for prefix in prefixes], dtype=np.uint64)
+        tables, kept_chunk = core._ziggurat_tables(), core._KEYED_CHUNK
+        core._ziggurat, core._KEYED_CHUNK = (() if emptied else tables), chunk
+        try:
+            batches = keyed_draws(layout, prefixes, tails), keyed_draws(layout, words, tails)
+        finally:
+            core._ziggurat, core._KEYED_CHUNK = tables, kept_chunk
+        for batch in batches:
+            assert batch.shape == (len(prefixes), *singles[0].shape)
+            for got, single in zip(batch, singles):
+                _assert_same_bits(got, single)
+
     def test_empty_tables_send_every_row_to_the_per_key_path(self, monkeypatch):
         layout = [("uniform", 3), ("gaussian", 17)]
         tails = np.array([(t, i, 7) for t in range(3) for i in range(40)], dtype=np.uint64)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
 from lqrlab import zeroth
 from lqrlab.errors import DegenerateDraw, Diverged, NotInSet, ZeroOptimalCost
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
+from lqrlab.core import keyed_draws, keyed_paths
 from lqrlab.zeroth import slot_paths, sphere_directions
 
 from conftest import random_instance, random_policy
@@ -118,6 +122,128 @@ class TestEstimatorDraws:
             ref = estimate_gradient(PerSlot(), K, cfg, seed, iteration=it)
             np.testing.assert_array_equal(fast.grads, ref.grads)
             np.testing.assert_array_equal(fast.mean_costs, ref.mean_costs)
+
+
+def _fresh_directions(T, m, shape, radius, seed, iteration):
+    """sphere_directions from one single-prefix keyed_draws call, as drawn without draw-ahead."""
+    g = keyed_draws([("gaussian", shape[0] * shape[1])], (seed, iteration), zeroth._slot_tails(range(T), m, 0))
+    return ((radius / np.sqrt((g**2).sum(axis=1)))[:, None] * g).reshape(T, m, *shape)
+
+
+def _fresh_paths(inst, m, seed, iteration):
+    return keyed_paths(inst, (seed, iteration), zeroth._slot_tails(range(inst.T), m, 1))
+
+
+def _assert_matches_fresh(inst, m, seed, it):
+    shape = (inst.k, inst.d)
+    np.testing.assert_array_equal(sphere_directions(inst.T, m, shape, 0.3, seed, it),
+                                  _fresh_directions(inst.T, m, shape, 0.3, seed, it))
+    for got, ref in zip(slot_paths(inst, m, seed, it), _fresh_paths(inst, m, seed, it)):
+        np.testing.assert_array_equal(got, ref)
+
+
+@pytest.fixture
+def fresh_blocks(monkeypatch):
+    """An empty set of drawn-ahead blocks for every thread, restored afterwards."""
+    monkeypatch.setattr(zeroth, "_blocks", zeroth._Blocks())
+
+
+class TestDrawAhead:
+    # in order, back into and out of a block, repeated, far ahead, wrapping at 2**64
+    ITERATIONS = [0, 1, 2, 3, 9, 4, 4, 300, 299, 2**64 - 1, 0, 5]
+
+    def test_call_sequences_match_fresh_draws(self, fresh_blocks):
+        # two path layouts of six words at T = 5, k = d = 1: Gaussian start and
+        # noise, and uniform start with Gaussian noise; blocks of 8 to 409 iterations
+        insts = [scalar_benchmark(), _instance_of_kinds("uniform", "gaussian", d=1, T=5)]
+        for seed in (3, -5):
+            for inst in insts:
+                for m in (1, 7, 50):
+                    for it in self.ITERATIONS:
+                        _assert_matches_fresh(inst, m, seed, it)
+        for it in self.ITERATIONS:  # every call switches the layout, the seed or m, one at a time
+            for m in (1, 50):
+                for seed in (3, -5):
+                    for inst in insts:
+                        _assert_matches_fresh(inst, m, seed, it)
+
+    def test_one_pass_per_block_and_nothing_kept_for_large_estimates(self, fresh_blocks, monkeypatch):
+        calls = []
+
+        def counted(layout, prefix, tails):
+            calls.append(len(prefix) if not np.isscalar(prefix[0]) else 1)
+            return keyed_draws(layout, prefix, tails)
+
+        monkeypatch.setattr(zeroth, "keyed_draws", counted)
+        inst, K = scalar_benchmark(), np.zeros((5, 1, 1))
+        for it in range(16):  # T * m = 250: blocks of 8 iterations
+            estimate_gradient(inst, K, SmoothingConfig(0.1, 50), 4, iteration=it)
+        assert calls == [8, 8, 8, 8]
+        calls.clear()
+        zeroth._blocks.held.clear()
+        liq = ac_to_lqr(stock_liquidation())
+        for it in range(2):  # T * m = 2000: one iteration per pass, nothing kept
+            estimate_gradient(liq, np.full((10, 1, 2), -0.2), SmoothingConfig(0.6, 200), 4, iteration=it)
+        assert calls == [1, 1, 1, 1] and zeroth._blocks.held == {}
+
+    def test_threads_draw_their_own_keys(self, fresh_blocks):
+        # more threads than cores, switching often, each on its own seed
+        inst, seeds = scalar_benchmark(), [0, 1, 2**63 + 4, -5]
+        got = {}
+        barrier = threading.Barrier(len(seeds))
+
+        def run(seed):
+            barrier.wait()
+            got[seed] = [(sphere_directions(5, 50, (1, 1), 0.3, seed, it), *slot_paths(inst, 50, seed, it))
+                         for it in range(20)]
+
+        threads = [threading.Thread(target=run, args=(s,)) for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for seed in seeds:
+            for it, (U, x0, w) in enumerate(got[seed]):
+                np.testing.assert_array_equal(U, _fresh_directions(5, 50, (1, 1), 0.3, seed, it))
+                for a, b in zip((x0, w), _fresh_paths(inst, 50, seed, it)):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_degenerate_row_is_redrawn_on_its_own_iteration(self, fresh_blocks, monkeypatch):
+        # the block of iterations 10-17 comes back with row (t, i) = (1, 4) of iteration 12 zeroed
+        redrawn = []
+
+        def zeroed(layout, prefix, tails):
+            z = keyed_draws(layout, prefix, tails).copy()
+            z[2, 1 * 50 + 4] = 0.0
+            return z
+
+        def recorded(shape, radius, key):
+            redrawn.append(tuple(key))
+            return sample_sphere(shape, radius, key)
+
+        monkeypatch.setattr(zeroth, "keyed_draws", zeroed)
+        monkeypatch.setattr(zeroth, "sample_sphere", recorded)
+        for it in range(10, 14):
+            U = sphere_directions(5, 50, (1, 1), 0.3, 7, it)
+            np.testing.assert_array_equal(U, _fresh_directions(5, 50, (1, 1), 0.3, 7, it))
+        assert redrawn == [(7, 12, 1, 4, 0)]
+
+    def test_early_stop_mid_block_matches_one_iteration_per_pass(self, fresh_blocks, monkeypatch):
+        # m = 3 draws 136 iterations per block; this run reaches its target after 59
+        inst, K0 = scalar_benchmark(), np.zeros((5, 1, 1))
+        cfg, sm = DescentConfig(eta=0.05, iters=300, target_error=0.15), SmoothingConfig(0.1, 3)
+        K, trace = run_modelfree_pg(inst, K0, cfg, sm, 3)
+        assert len(trace.rows) == 60
+        monkeypatch.setattr(zeroth, "_DRAW_AHEAD", 1)
+        K_ref, ref = run_modelfree_pg(inst, K0, cfg, sm, 3)
+        np.testing.assert_array_equal(K, K_ref)
+        np.testing.assert_array_equal(np.array(trace.rows), np.array(ref.rows))
 
 
 class TestEstimator:

@@ -1,0 +1,210 @@
+"""Bit-identity dump: one sha256 per named output of the sampled estimator,
+the zeroth-order loops and the CLI, to compare two versions of lqrlab.
+
+    PYTHONPATH=src python tools/bitdump.py change.json
+    PYTHONPATH=<other checkout>/src python tools/bitdump.py parent.json
+    PYTHONPATH=src python tools/bitdump.py --compare parent.json change.json
+
+--compare lists every name whose hash differs or that one dump lacks, and
+exits 1 if there is any.  Each CSV the CLI writes gets two names: its bytes,
+and its cells parsed as float64 ("#values"), so a change in how numbers are
+written shows apart from a change in the numbers.  The dump uses only names
+that older checkouts also have, so it runs on them too.  It takes about
+15 s on a 2-CPU VM.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from lqrlab import (
+    DescentConfig,
+    InitialStateModel,
+    NoiseModel,
+    SmoothingConfig,
+    constant_instance,
+    estimate_gradient,
+    exact_cost,
+    run_modelfree_pg,
+    run_modelfree_ppg,
+)
+from lqrlab import cli, zeroth
+from lqrlab.benchmarks import four_state_benchmark, scalar_benchmark, stock_liquidation
+from lqrlab.config_io import dump_kv
+from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
+
+KIND_PAIRS = [("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gaussian"), ("gaussian", "zero"),
+              ("uniform", "gaussian"), ("gaussian", "uniform"), ("point", "zero")]
+SAMPLES = [1, 2, 3, 7, 200]
+SEEDS = [0, 7, -5, 2**63 + 4]
+OUT_OF_ORDER = [7, 2, 7, 0, 11, 3, 2**64 - 1, 2]
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=float)
+        h.update(str(a.shape).encode() + a.tobytes())
+    return h.hexdigest()
+
+
+def _kinds_instance(init_kind: str, noise_kind: str, d: int = 2, k: int = 1, T: int = 3):
+    rng = np.random.default_rng(31)
+    noise = NoiseModel(noise_kind, 0.4, rng.normal(size=(d, d)))
+    init = InitialStateModel(init_kind, rng.normal(size=d), 0.6)
+    return constant_instance(rng.normal(size=(d, d)) * 0.5, rng.normal(size=(d, k)), np.eye(d), np.eye(k), np.eye(d),
+                             T, noise, init)
+
+
+def _instances() -> dict:
+    """name -> (instance, policy, radius)."""
+    liq = ac_to_lqr(stock_liquidation())
+    four = four_state_benchmark()
+    out = {
+        "zo-liquidation": (liq, np.full((liq.T, 1, 2), -0.2), 0.6),
+        "c11": (scalar_benchmark(), np.zeros((5, 1, 1)), 0.1),
+        "four-state": (four, np.full((four.T, four.k, four.d), 0.05), 0.2),
+    }
+    for init_kind, noise_kind in KIND_PAIRS:
+        inst = _kinds_instance(init_kind, noise_kind)
+        K = np.random.default_rng(4).normal(size=(inst.T, inst.k, inst.d)) * 0.2
+        out[f"{init_kind}-{noise_kind}"] = (inst, K, 0.3)
+    return out
+
+
+def estimator_outputs(out: dict) -> None:
+    """U, x0, w, grads and mean costs, per instance, m, seed and iteration:
+    iterations 0-9 in order, then OUT_OF_ORDER."""
+    for name, (inst, K, r) in _instances().items():
+        shape = (inst.k, inst.d)
+        for m in SAMPLES:
+            cfg = SmoothingConfig(radius=r, samples=m)
+            for seed in SEEDS:
+                for run, iterations in (("seq", range(10)), ("ooo", OUT_OF_ORDER)):
+                    for pos, it in enumerate(iterations):
+                        key = f"est/{name}/m={m}/seed={seed}/{run}{pos}:it={it}"
+                        est = estimate_gradient(inst, K, cfg, seed, iteration=it)
+                        U = zeroth.sphere_directions(inst.T, m, shape, r, seed, it)
+                        x0, w = zeroth.slot_paths(inst, m, seed, it)
+                        out[f"{key}/U"] = _sha(U)
+                        out[f"{key}/x0"] = _sha(x0)
+                        out[f"{key}/w"] = _sha(w)
+                        out[f"{key}/grads"] = _sha(est.grads)
+                        out[f"{key}/mean_costs"] = _sha(est.mean_costs)
+
+
+def loop_outputs(out: dict) -> None:
+    """Traces and final iterates of zo-liquidation PPG, c11 zo-pg, a small-m
+    run that stops at a target, and a 4-state run."""
+    liq = ac_to_lqr(stock_liquidation())
+    constraint = liquidation_constraint(5e-5, 1e-12)
+    for seed in (0, 1):
+        run_seed = (seed << 20) | 3
+        K, trace = run_modelfree_ppg(liq, np.full((10, 1, 2), -0.2), DescentConfig(eta=0.05, iters=50, target_error=1e-2),
+                                     SmoothingConfig(0.6, 200), run_seed, constraint,
+                                     cost_oracle=lambda P: exact_cost(liq, P))
+        out[f"loop/zo-liquidation-ppg/seed={run_seed}"] = _sha(K, trace.rows)
+    scalar = scalar_benchmark()
+    for seed in (0, 1, 2):
+        K, trace = run_modelfree_pg(scalar, np.zeros((5, 1, 1)), DescentConfig(eta=0.2, iters=300), SmoothingConfig(0.1, 50), seed)
+        out[f"loop/c11-zo-pg/seed={seed}"] = _sha(K, trace.rows)
+    for seed in (1, 3):  # they stop at iterations 196 and 59
+        K, trace = run_modelfree_pg(scalar, np.zeros((5, 1, 1)), DescentConfig(eta=0.05, iters=300, target_error=0.15),
+                                    SmoothingConfig(0.1, 3), seed)
+        out[f"loop/c11-m3-target/seed={seed}"] = _sha(K, trace.rows)
+    four = four_state_benchmark()
+    K, trace = run_modelfree_pg(four, np.full((10, 2, 4), 0.05), DescentConfig(eta=1e-4, iters=20), SmoothingConfig(0.2, 20), 9)
+    out["loop/four-state/seed=9"] = _sha(K, trace.rows)
+
+
+SCALAR = scalar_benchmark()
+SCALAR_CFG = {
+    "instance.A": SCALAR.A.tolist(), "instance.B": SCALAR.B.tolist(), "instance.Q": SCALAR.Q.tolist(),
+    "instance.R": SCALAR.R.tolist(), "instance.noise.kind": "gaussian", "instance.noise.sigma": 0.1,
+    "instance.init.kind": "gaussian", "instance.init.mean": [0.0], "instance.init.sigma": 0.1,
+}
+AC_CFG = {"ac.beta": 1.03e-5, "ac.gamma": 7.27e-6, "ac.sigma": 0.107, "ac.phi": 5e-6, "ac.epsilon": 1e-8, "ac.T": 10}
+CLI_RUNS = {
+    "zo-pg": {**SCALAR_CFG, "eta": 0.2, "iters": 100, "radius": 0.1, "samples": 50, "target_error": 0.05},
+    "zo-ppg": {**AC_CFG, "eta": 0.05, "iters": 20, "radius": 0.6, "samples": 20, "policy0": -0.2,
+               "constraint.gamma_bar": 5e-5},
+    "pg": {**SCALAR_CFG, "eta": 0.5, "iters": 30, "policy0": 0.1},
+    "ppg": {**AC_CFG, "eta": 1e3, "iters": 30, "policy0": -0.2, "constraint.gamma_bar": 5e-5, "line_search": True},
+    "qlearn": {**SCALAR_CFG, "sweeps": 5, "n_states": 21, "n_actions": 21, "eval_rollouts": 2000},
+    "riccati": SCALAR_CFG,
+    "deadline": {**AC_CFG, "horizons": [5, 10]},
+    "lob": {**AC_CFG, "book.T": 10, "book.depth_mean": 2000, "phi_prime": 1e-6},
+}
+
+
+def _csv_values(path: Path) -> str:
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    return hashlib.sha256(json.dumps(rows[0]).encode() + np.array(rows[1:], dtype=float).tobytes()).hexdigest()
+
+
+def cli_outputs(out: dict, workdir: Path) -> None:
+    """Every file of each CLI kind, on seeds 0-2, in the default thread pool
+    and on one thread."""
+    for threads in ("default", "1"):
+        if threads == "1":
+            os.environ["LQRLAB_THREADS"] = "1"
+        else:
+            os.environ.pop("LQRLAB_THREADS", None)
+        for kind, cfg in CLI_RUNS.items():
+            path = workdir / f"{kind}.cfg"
+            path.write_text(dump_kv(cfg))
+            run = workdir / f"{kind}-{threads}"
+            with open(os.devnull, "w") as devnull:
+                stdout, sys.stdout = sys.stdout, devnull
+                try:
+                    code = cli.main([kind, "--config", str(path), "--seeds", "0", "1", "2", "--out", str(run)])
+                finally:
+                    sys.stdout = stdout
+            out[f"cli/{kind}/threads={threads}/exit"] = str(code)
+            for f in sorted(run.iterdir()):
+                key = f"cli/{kind}/threads={threads}/{f.name}"
+                out[key] = hashlib.sha256(f.read_bytes()).hexdigest()
+                if f.suffix == ".csv":
+                    out[f"{key}#values"] = _csv_values(f)
+
+
+def compare(a_path: str, b_path: str) -> int:
+    a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
+    differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    for k in differ:
+        print(k if k in a and k in b else f"{k} (only in {a_path if k in a else b_path})")
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} outputs differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", nargs="?", help="JSON file to write the dump to")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two dumps instead")
+    args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.out:
+        ap.error("give an output file or --compare A B")
+    out: dict = {}
+    estimator_outputs(out)
+    loop_outputs(out)
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_outputs(out, Path(tmp))
+    Path(args.out).write_text(json.dumps(out, indent=0, sort_keys=True) + "\n")
+    print(f"{len(out)} outputs written to {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
