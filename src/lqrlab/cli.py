@@ -184,6 +184,13 @@ def _write_csv(path, cols, rows):
             w.writerow([_cell(v, integer) for v, integer in zip(r, ints)])
 
 
+def _seed_stats(vals: np.ndarray) -> np.ndarray:
+    """(rows, 3 * cols): median, min and max over the seed axis of (rows,
+    seeds, cols) values, as (median, min, max) per column."""
+    stats = np.stack([np.median(vals, axis=1), vals.min(axis=1), vals.max(axis=1)], axis=-1)
+    return stats.reshape(len(vals), -1)
+
+
 def run_experiment(cfg: dict, seeds, outdir) -> dict:
     """Run all seeds, write per-seed CSVs, an aggregate CSV (median and
     min/max over seeds, per iteration number with the count of seeds that
@@ -210,24 +217,22 @@ def run_experiment(cfg: dict, seeds, outdir) -> dict:
     if "iter" in cols:
         # traces stop at different iterations (target_error): pair rows by
         # iteration number over the seeds that reached it
-        j = cols.index("iter")
-        groups = {}
-        for _, rows, _ in results:
-            for r in rows:
-                groups.setdefault(int(r[j]), []).append(r)
+        vals = np.concatenate([np.array(rows, dtype=float).reshape(-1, len(cols)) for _, rows, _ in results])
+        it = vals[:, cols.index("iter")].astype(int)
+        order = np.argsort(it, kind="stable")  # by iteration, then seed
+        iters, first, n_seeds = np.unique(it[order], return_index=True, return_counts=True)
         agg_cols = ["iter", "n_seeds"] + stats
-        keyed = [([i, len(groups[i])], groups[i]) for i in sorted(groups)]
+        agg_rows = []
+        # one block per run of iterations with equal seed counts
+        ends = np.flatnonzero(np.diff(n_seeds, append=0)) + 1
+        for lo, hi in zip(np.concatenate([[0], ends[:-1]]), ends):
+            block = vals[order[first[lo]:first[hi - 1] + n_seeds[lo]]].reshape(hi - lo, n_seeds[lo], len(cols))
+            agg_rows += [[int(i), int(n), *r] for i, n, r in zip(iters[lo:hi], n_seeds[lo:hi], _seed_stats(block))]
     else:
         agg_cols = ["row"] + stats
-        keyed = [([i], [res[1][i] for res in results]) for i in range(min(len(r[1]) for r in results))]
-    agg_rows = []
-    for head, rows in keyed:
-        vals = np.array([[float(v) for v in r] for r in rows])
-        row = list(head)
-        for j in range(len(cols)):
-            col = vals[:, j]
-            row.extend([np.median(col), col.min(), col.max()])
-        agg_rows.append(row)
+        n = min(len(r[1]) for r in results)
+        block = np.array([rows[:n] for _, rows, _ in results], dtype=float).reshape(len(results), n, len(cols))
+        agg_rows = [[i, *r] for i, r in enumerate(_seed_stats(block.swapaxes(0, 1)))]
     _write_csv(out / "aggregate.csv", agg_cols, agg_rows)
     from .config_io import dump_kv
 

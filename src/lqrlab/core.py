@@ -130,6 +130,11 @@ def _draw_row(rng: np.random.Generator, layout, row: np.ndarray) -> None:
 # ziggurat fast path (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000): idx =
 # the low 8 bits, sign = bit 8, rabs = the next 52 bits, x = +-rabs * wi[idx],
 # accepted when rabs < ki[idx]; a uniform is one word, (w >> 11) * 2**-53.
+# Off that path, a word of layer idx >= 1 takes the next word as a uniform u
+# (the wedge): it returns x when (fi[idx-1] - fi[idx]) * u + fi[idx] <
+# exp(-x*x/2), and otherwise the same output draws again from the word after
+# u.  A base-layer word off the path goes to the tail, which draws log1p's of
+# further words.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
@@ -142,29 +147,38 @@ _ROUND_BUMPS = np.array([[(r * w) & _WORD for w in _PHILOX_W] for r in range(10)
 _KEYED_CHUNK = 4096  # rows per vectorised pass, which bounds the working memory
 _PROBE_PREFIX = (0x7AB1E5, 0)  # keys of the table probe and of its check
 _PROBE_KEYS = 2048
-_KI_GUARD = 20  # fast path only below ki - ki >> _KI_GUARD, in case the table rounds otherwise
+_KI_GUARD = 20  # ki +- ki >> _KI_GUARD is left to numpy, in case the table rounds otherwise
+_NEVER = np.uint64(1 << 52)  # a ki no rabs reaches
+_WEDGE_BAND = 2.0**-40  # wedge verdicts this close to their boundary are left to numpy (fi and exp may round otherwise)
+# words computed past a row of W words: _SPARE_WORDS + W // _SPARE_PER, rounded
+# up to whole Philox blocks, so that few rows run out through wedge events
+_SPARE_WORDS, _SPARE_PER = 2, 8
 
-_ziggurat = None  # (wi, ki) by layer and sign once derived, () when they failed their check
+_ziggurat = None  # (wi, ki, kw, fd, fi) by layer and sign once derived, () when they failed their check
 _ziggurat_lock = threading.Lock()
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products m * x, from 32-bit halves
-    (in place on fresh temporaries, to keep few arrays alive)."""
+    (in place on fresh temporaries, at most four alive besides x)."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, hi = x & _LO32, x >> _U32
-    mid = hi * m_lo
-    t = x_lo * m_lo
+    carry = x & _LO32
+    t = carry * m_lo
     t >>= _U32
+    mid = x >> _U32
+    hi = mid * m_hi
+    mid *= m_lo
     mid += t  # x_hi m_lo + (x_lo m_lo >> 32), below 2**64
-    carry = x_lo
+    np.bitwise_and(mid, _LO32, out=t)
     carry *= m_hi
-    carry += mid & _LO32  # x_lo m_hi + the low half of mid, below 2**64
-    hi *= m_hi
+    carry += t  # x_lo m_hi + the low half of mid, below 2**64
+    del t
     mid >>= _U32
     hi += mid
+    del mid
     carry >>= _U32
     hi += carry  # x_hi m_hi + both high halves
+    del carry
     return hi, x * np.uint64(m)
 
 
@@ -190,56 +204,169 @@ def _philox_words(prefix, tails: np.ndarray, width: int) -> np.ndarray:
     c1, c2, c3 = (tails[:, j:j + 1] for j in range(3))
     for k0, k1 in _round_keys(prefix):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        del c0
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        del c2
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        del hi0, lo0, hi1, lo1
     words = np.empty((*lead, n, blocks, 4), dtype=np.uint64)
     for j, c in enumerate((c0, c1, c2, c3)):
         words[..., j] = c
     return words.reshape(*lead, n, 4 * blocks)[..., :width]
 
 
+def _uniform(words: np.ndarray, out: np.ndarray) -> None:
+    """out = Generator.uniform(-sqrt(3), sqrt(3)) of raw words."""
+    np.multiply(words >> np.uint64(11), 2.0**-53, out=out)
+    out *= _U_RANGE
+    out += _U_LOW
+
+
 def _fast_draws(words: np.ndarray, layout, tables, z: np.ndarray) -> np.ndarray:
-    """Fill z with the standardized draws of raw words laid out as layout;
-    returns a mask of the rows whose every normal took the one-word ziggurat
-    path of tables (no row does when the tables are empty)."""
+    """Fill z with the standardized draws of raw words laid out as layout,
+    each normal as the one-word ziggurat path of tables maps its word;
+    returns a mask of the rows whose every normal took that path (no row
+    does when the tables are empty)."""
     fast = np.full(words.shape[:-1], bool(tables))
     lo = 0
     for kind, width in layout:
         w, out = words[..., lo:lo + width], z[..., lo:lo + width]
         lo += width
         if kind == "uniform":
-            np.multiply(w >> np.uint64(11), 2.0**-53, out=out)
-            out *= _U_RANGE
-            out += _U_LOW
+            _uniform(w, out)
         elif tables:
-            wi, ki = tables
-            rabs = w >> np.uint64(9)
+            wi, ki = tables[:2]
+            # layer and sign: the tables hold -wi from 256 on; the buffer
+            # then takes rabs, so two word-sized temporaries live at once
+            buf = w & np.uint64(0x1FF)
+            idx = buf.view(np.int64)
+            np.take(wi, idx, out=out, mode="clip")
+            k = ki.take(idx, mode="clip")
+            rabs = np.right_shift(w, np.uint64(9), out=buf)
             rabs &= _RABS
-            idx = (w & np.uint64(0x1FF)).astype(np.intp)  # layer and sign: the tables hold -wi from 256 on
-            fast &= (rabs < ki[idx]).all(axis=-1)
-            np.multiply(rabs, wi[idx], out=out)
+            fast &= (rabs < k).all(axis=-1)
+            del k
+            out *= rabs
     return fast
 
 
-def _derive_ziggurat():
-    """numpy's ziggurat tables, read off the installed numpy, as (wi, ki)
-    indexed by the word's low 9 bits (layer, then sign).
+def _wedge_draws(words: np.ndarray, layout, tables) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve rows off the one-word path through numpy's wedge branch.
 
-    Each probe key pairs its first raw word with its first standard normal;
-    the draw took the one-word path exactly when the next raw word is the
-    key's second.  wi[idx] is the double among the ulp neighbours of |x|/rabs
-    that reproduces the most accepted draws of the layer, unresolved on a tie.
-    ki follows the table's construction, ki[i] = 2**52 wi[i-1] / wi[i] and
-    ki[0] = 2**52 wi[255] / wi[0], minus a guard band.  A layer whose
-    neighbour is unresolved keeps the largest rabs it was seen to accept, and
-    an unresolved layer gets 0, which sends its words to the slow path; so
-    does layer 1, whose fast path numpy does not take (its ki is 0 in the
-    table).  Returns () unless the tables reproduce numpy on check keys.
+    words are the (n, wc) raw words of n rows whose layout is W < wc words
+    wide.  Every off-path word gets its verdict as a wedge event once (x from
+    it, u from the next word).  A wedge event consumes its word and the next,
+    and shifts every later word of the row, uniform parts included, by one on
+    accept and by two on reject, when the output draws again.  Within a
+    Gaussian part, which off-path words are events does not depend on the
+    verdicts: in each run of consecutive off-path words from the part's first
+    word on, every other word is an event and the words between are their u.
+    The shifts then place each event at its output, and events past the
+    part's end drop out.  A row stays unresolved when an event is a tail or
+    guard-band word or a verdict within _WEDGE_BAND of its boundary, or when
+    the row runs past the computed words.  Returns the mask of resolved rows
+    and their (r, W) draws.
+    """
+    wi, ki, kw, fd, fi = tables
+    n, wc = words.shape
+    width = sum(w for _, w in layout)
+    flat = words.ravel()
+    idx = (flat & np.uint64(0x1FF)).view(np.int64)
+    rabs = flat >> np.uint64(9)
+    rabs &= _RABS
+    off = np.flatnonzero(rabs >= ki[idx])  # row-major, so sorted by row, then word
+    row, col = np.divmod(off, wc)
+    j, ra = idx[off], rabs[off]
+    normal = wi[idx]  # every word as a normal, +-rabs * wi[idx]
+    normal *= rabs
+    del idx, rabs
+    x = normal[off]
+    u = (flat[np.minimum(off + 1, flat.size - 1)] >> np.uint64(11)) * 2.0**-53
+    gap = fd[j] * u + fi[j] - np.exp(-0.5 * x * x)
+    shift = np.where(gap < 0, 1, 2)  # accept, reject
+    unresolved = (ra < kw[j]) | (col + 1 >= wc) | (np.abs(gap) <= _WEDGE_BAND)
+    s = np.zeros(n, dtype=np.intp)  # shift of each row so far: word = output + s
+    ok = np.ones(n, dtype=bool)
+    gone = []  # (rows, words) no output takes: u's, and x's of rejects
+    lo = 0
+    for kind, width_k in layout:
+        if kind == "gaussian":
+            at = np.flatnonzero(col >= lo + s[row])
+            r, c = row[at], col[at]
+            i = np.arange(len(at))
+            run = np.ones(len(at), dtype=bool)
+            run[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1] + 1)
+            event = (i - np.maximum.accumulate(np.where(run, i, 0))) % 2 == 0
+            add = np.where(event, shift[at], 0)
+            before = np.cumsum(add) - add  # shift by the events before, within the row from here on
+            first = np.ones(len(at), dtype=bool)
+            first[1:] = r[1:] != r[:-1]
+            before -= np.maximum.accumulate(np.where(first, before, 0))
+            event &= c - s[r] - before < lo + width_k  # the output the word feeds is in the part
+            ok[r[event & unresolved[at]]] = False
+            s += np.bincount(r[event], add[event], n).astype(np.intp)
+            r, c, reject = r[event], c[event], add[event] == 2
+            gone += [(r, c + 1), (r[reject], c[reject])]
+        lo += width_k
+    ok &= s <= wc - width
+    # the words each resolved row takes, in output order
+    keep = np.arange(wc + 1) < np.where(ok, width + s, 0)[:, None]
+    for r, c in gone:
+        keep[r, c] = False
+    at = np.flatnonzero(keep[:, :wc]).reshape(-1, width)
+    z = np.empty(at.shape)
+    lo = 0
+    for kind, width_k in layout:
+        a, out = at[:, lo:lo + width_k], z[:, lo:lo + width_k]
+        lo += width_k
+        if kind == "uniform":
+            _uniform(flat[a], out)
+        else:
+            out[...] = normal[a]
+    return ok, z
+
+
+def _array_draws(words: np.ndarray, layout, tables, z: np.ndarray) -> np.ndarray:
+    """_fast_draws, then the wedge for rows off its path; returns the mask of
+    rows resolved in arrays.  words has more columns than the layout is wide."""
+    resolved = _fast_draws(words, layout, tables, z)
+    if tables and not resolved.all():
+        off = np.nonzero(~resolved)
+        ok, z_ok = _wedge_draws(words[off], layout, tables)
+        off = tuple(a[ok] for a in off)
+        z[off] = z_ok
+        resolved[off] = True
+    return resolved
+
+
+def _computed_words(width: int) -> int:
+    """Words computed per row of a layout width wide: whole Philox blocks with
+    at least _SPARE_WORDS + width // _SPARE_PER past the width."""
+    return 4 * -(-(width + _SPARE_WORDS + width // _SPARE_PER) // 4)
+
+
+def _derive_ziggurat():
+    """numpy's ziggurat tables, read off the installed numpy, as (wi, ki, kw,
+    fd, fi) indexed by the word's low 9 bits (layer, then sign).
+
+    Each probe key pairs its first raw words with its first standard normal.
+    The draw took one word (the fast path) exactly when the next raw word is
+    the key's second, and two (a wedge accept) exactly when it is the third;
+    either way x = +-rabs * wi[idx].  wi[idx] is the double among the ulp
+    neighbours of |x|/rabs that reproduces the most such draws of the layer,
+    unresolved on a tie; layer 1, which has no fast path, is read off its
+    two-word draws.  From the table's construction, ki[i] = 2**52 wi[i-1] /
+    wi[i], ki[0] = 2**52 wi[255] / wi[0] and ki[1] = 0; words below ki minus a
+    guard band take the fast path (ki), words above ki plus the band of a
+    layer >= 1 take the wedge (kw), and the rest go to numpy.  fi[i] =
+    exp(-(2**52 wi[i])**2 / 2), fi[0] = 1 and fd[i] = fi[i-1] - fi[i].  A
+    layer whose wi or whose neighbour's is unresolved sends every word to
+    numpy.  Returns () unless the tables reproduce numpy on check keys.
     """
     n = _PROBE_KEYS
     tails = np.zeros((n, 3), dtype=np.uint64)
     tails[:, 0] = np.arange(n)
-    first, second = _philox_words(_PROBE_PREFIX, tails, 2).T
+    first, second, third = _philox_words(_PROBE_PREFIX, tails, 3).T
     stream = CounterStream()
     stream.rekey(_PROBE_PREFIX)
     x, follow = np.empty(n), np.empty(n, dtype=np.uint64)
@@ -248,11 +375,9 @@ def _derive_ziggurat():
         follow[j] = stream._bitgen.random_raw()
     idx = (first & np.uint64(0xFF)).astype(np.intp)
     rabs = (first >> np.uint64(9)) & _RABS
-    keep = np.flatnonzero((follow == second) & (rabs > 0))
+    keep = np.flatnonzero(((follow == second) | (follow == third)) & (rabs > 0))
     keep = keep[np.argsort(idx[keep], kind="stable")]
     layer = idx[keep]
-    top = np.zeros(256, dtype=np.uint64)
-    np.maximum.at(top, layer, rabs[keep] + np.uint64(1))
     # accepted draws by layer, padded with nan, and their candidates for wi
     col = np.arange(len(keep)) - np.searchsorted(layer, layer)
     r, ax = np.full((2, 256, col.max(initial=0) + 1), np.nan)
@@ -269,30 +394,36 @@ def _derive_ziggurat():
     wi = np.where(lo == hi, lo, np.nan)
     with np.errstate(invalid="ignore"):
         ratio = 2.0**52 * np.roll(wi, 1) / wi  # 2**52 wi[i-1] / wi[i], and 2**52 wi[255] / wi[0]
-    by_ratio = np.isfinite(ratio)
-    ki = np.where(by_ratio, ratio, 0).astype(np.uint64)
-    ki = np.where(by_ratio, ki - (ki >> np.uint64(_KI_GUARD)), top)
-    ki[np.isnan(wi)] = 0
-    ki[1] = 0
+    ratio[1] = 0 if np.isfinite(wi[1]) else np.nan
+    known = np.isfinite(ratio)
+    ki = np.where(known, ratio, 0).astype(np.uint64)
+    guard = ki >> np.uint64(_KI_GUARD)
+    kw = np.where(known, ki + guard, _NEVER)
+    kw[0] = _NEVER  # the base layer's words off the fast path go to the tail
+    ki = np.where(known, ki - guard, 0)
+    fi = np.exp(-0.5 * (2.0**52 * wi) ** 2)
+    fi[0] = 1.0
+    fd = np.roll(fi, 1) - fi  # fd[0] is never read
     # rabs * -wi is -(rabs * wi) bit for bit, the sign numpy applies, so the
     # sign bit can index a negated copy of wi
-    tables = (np.concatenate([wi, -wi]), np.concatenate([ki, ki]))
+    tables = (np.concatenate([wi, -wi]), *(np.concatenate([a, a]) for a in (ki, kw, fd, fi)))
     return tables if _tables_agree(tables) else ()
 
 
 def _tables_agree(tables) -> bool:
-    """True if every fast-path row of tables equals numpy's per-key draws,
-    bit for bit, on 512 check keys of 36 words in mixed parts."""
+    """True if every row that tables resolve in arrays, on the fast path or
+    through the wedge, equals numpy's per-key draws bit for bit, on 512 check
+    keys of 36 words in mixed parts."""
     layout = [("gaussian", 29), ("uniform", 3), ("gaussian", 4)]
     tails = np.ones((512, 3), dtype=np.uint64)
     tails[:, 1] = np.arange(512)
     z, ref = np.empty((2, 512, 36))
-    fast = _fast_draws(_philox_words(_PROBE_PREFIX, tails, 36), layout, tables, z)
+    done = _array_draws(_philox_words(_PROBE_PREFIX, tails, _computed_words(36)), layout, tables, z)
     stream = CounterStream()
     stream.rekey(_PROBE_PREFIX)
-    for j in np.flatnonzero(fast):
+    for j in np.flatnonzero(done):
         _draw_row(stream.rekey_tail(1, int(j), 1), layout, ref[j])
-    return bool(fast.any()) and np.array_equal(z[fast].view(np.uint64), ref[fast].view(np.uint64))
+    return bool(done.any()) and np.array_equal(z[done].view(np.uint64), ref[done].view(np.uint64))
 
 
 def _ziggurat_tables():
@@ -312,10 +443,11 @@ def keyed_draws(layout, prefix, tails) -> np.ndarray:
     (kind, width) of layout, part after part, on rng = make_rng((*prefix,
     *tails[j])); kinds are "gaussian" and "uniform", prefix is two words and
     tails an (n, 3) array of words in [0, 2**64).  All rows run as one
-    vectorised Philox whose words go through numpy's ziggurat fast path; a row
-    with any word off that path or inside the guard band is redrawn whole by
-    numpy on a re-keyed CounterStream, so every row equals the per-key draw
-    bit for bit.
+    vectorised Philox whose words go through numpy's ziggurat fast path, and
+    rows with words off that path through its wedge branch (_wedge_draws); a
+    row that reaches the tail, a guard band or the end of the computed words
+    is redrawn whole by numpy on a re-keyed CounterStream, so every row equals
+    the per-key draw bit for bit.
 
     prefix may also be a sequence of B prefixes, such as a (B, 2) array: the
     result is then (B, n, W), slice b holding the draws under prefix[b], and
@@ -331,17 +463,18 @@ def keyed_draws(layout, prefix, tails) -> np.ndarray:
     if not width:
         return z
     tables = _ziggurat_tables()
-    fast = np.empty((*lead, n), dtype=bool)
+    done = np.empty((*lead, n), dtype=bool)
     step = max(1, _KEYED_CHUNK // len(prefixes))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        fast[..., rows] = _fast_draws(_philox_words(keys, tails[rows], width), layout, tables, z[..., rows, :])
-    if not fast.all():
-        # one re-key per prefix, then only the tail words per row: a full
-        # re-key of every row ran slower on zo-liquidation's ~570 such rows
+        words = _philox_words(keys, tails[rows], _computed_words(width))
+        done[..., rows] = _array_draws(words, layout, tables, z[..., rows, :])
+        del words
+    if not done.all():
+        # one re-key per prefix, then only the tail words per row
         stream = CounterStream()
-        for p, z_p, fast_p in zip(prefixes, z.reshape(-1, n, width), fast.reshape(-1, n)):
-            slow = np.flatnonzero(~fast_p)
+        for p, z_p, done_p in zip(prefixes, z.reshape(-1, n, width), done.reshape(-1, n)):
+            slow = np.flatnonzero(~done_p)
             if len(slow):
                 stream.rekey(p)
                 rekey = stream.rekey_tail

@@ -162,7 +162,8 @@ class LqrSimulator:
     rollout_perturbed_slots those of (seed, iteration, t, i, 1) for every slot
     t at once, as one (T * m, d) state array.  Start states and noise come
     from core.keyed_draws, which runs every stream's Philox words as one array
-    and takes numpy's per-key path only for rows off the ziggurat fast path;
+    and takes numpy's per-key path only for rows that reach the ziggurat's
+    tail or a guard band;
     rollout_perturbed_slots takes them from slot_paths, which draws the
     standardized rows of the next iterations ahead when T * m is small.  Every
     row keeps the arithmetic of a one-slot batch, so the costs match

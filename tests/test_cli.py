@@ -212,3 +212,34 @@ class TestCli:
             costs = [s["cost"][i] for s in seeds if len(s) > i]
             assert row["cost_median"] == np.median(costs)
             assert (row["cost_min"], row["cost_max"]) == (min(costs), max(costs))
+
+    @pytest.mark.parametrize("kind", ["zo-pg", "qlearn"])
+    def test_aggregate_equals_per_cell_statistics(self, tmp_path, monkeypatch, kind):
+        # seeds of unequal length, so every seed count from 1 to 4 occurs
+        # (traces) or the shortest seed truncates (other kinds); the
+        # aggregate must write what one median, min and max per cell writes
+        rng = np.random.default_rng(5)
+        cols = ["iter", "cost", "grad_norm"] if kind == "zo-pg" else ["sweeps", "cost", "grad_norm"]
+        lengths = {3: 9, 4: 4, 5: 12, 6: 7}
+        traces = {s: [[i, *rng.normal(size=2)] for i in range(n)] for s, n in lengths.items()}
+        traces[5][2][1] = traces[4][2][1]  # a tie
+        monkeypatch.setattr(cli, "_run_seed", lambda cfg, kind, seed: (cols, traces[seed], {}))
+        run_experiment({"kind": kind}, list(lengths), tmp_path / "o")
+        if kind == "zo-pg":
+            rows = {}
+            for s in lengths:
+                for r in traces[s]:
+                    rows.setdefault(r[0], []).append(r)
+            keyed = [([i, len(rows[i])], rows[i]) for i in sorted(rows)]
+            assert {len(r) for _, r in keyed} == {1, 2, 3, 4}
+        else:
+            keyed = [([i], [traces[s][i] for s in lengths]) for i in range(min(lengths.values()))]
+        ref = tmp_path / "ref.csv"
+        head = ["iter", "n_seeds"] if kind == "zo-pg" else ["row"]
+        ref_rows = []
+        for lead, rows in keyed:
+            vals = np.array(rows, dtype=float)
+            ref_rows.append(lead + [v for j in range(len(cols)) for v in (np.median(vals[:, j]), vals[:, j].min(),
+                                                                          vals[:, j].max())])
+        cli._write_csv(ref, head + [f"{c}_{stat}" for c in cols for stat in ("median", "min", "max")], ref_rows)
+        assert (tmp_path / "o" / "aggregate.csv").read_bytes() == ref.read_bytes()

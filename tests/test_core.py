@@ -402,6 +402,78 @@ def _assert_same_bits(a, b) -> None:
     np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
 
+_RABS = (1 << 52) - 1
+
+
+def _ziggurat_walk(words, layout, tables):
+    """numpy's standard_normal and uniform read off one row of raw words with
+    the derived tables, output by output: the (case, layer, output) of every
+    Gaussian word off the fast path, where "tail", "guard" (words numpy is
+    left to decide) and "end" (of the words given) stop the walk."""
+    wi, ki, kw, fd, fi = tables
+    events, p = [], 0
+    for kind, width in layout:
+        for o in range(width):
+            while True:
+                if p >= len(words):
+                    return events + [("end", None, o)]
+                w = int(words[p])
+                i, rabs = w & 0x1FF, (w >> 9) & _RABS
+                if kind == "uniform" or rabs < ki[i]:
+                    p += 1
+                    break
+                if rabs < kw[i]:
+                    return events + [("tail" if i % 256 == 0 else "guard", i % 256, o)]
+                if p + 1 >= len(words):
+                    return events + [("end", i % 256, o)]
+                x = rabs * wi[i]
+                accept = fd[i] * ((int(words[p + 1]) >> 11) * 2.0**-53) + fi[i] < np.exp(-0.5 * x * x)
+                events.append(("accept" if accept else "reject", i % 256, o))
+                p += 2
+                if accept:
+                    break
+    return events
+
+
+def _wedge_events(events):
+    return [e for e in events if e[0] in ("accept", "reject")]
+
+
+# rows that exercise numpy's wedge branch, each with the case it must hit
+# among the words keyed_draws computes: (case, prefix, tails, layout)
+WEDGE_CASES = [
+    ("layer 1", [5, 8], [(8, 0, 1)], [("gaussian", 6)]),
+    ("accept", [5, 8], [(26, 0, 1)], [("gaussian", 6)]),
+    ("reject", [5, 8], [(2, 0, 1)], [("gaussian", 6)]),
+    ("two events", [5, 8], [(590, 0, 1)], [("gaussian", 6)]),
+    ("reject before a uniform part", [5, 8], [(187, 0, 1)], [("gaussian", 3), ("uniform", 3)]),
+    ("accept after a uniform part", [5, 8], [(26, 0, 1)], [("uniform", 2), ("gaussian", 4)]),
+    ("tail", [5, 8], [(1383, 0, 1)], [("gaussian", 6)]),
+    ("end", [5, 8], [(142, 0, 1)], [("gaussian", 6)]),
+]
+WEDGE_HITS = {
+    "layer 1": lambda ev, layout: any(e[1] == 1 for e in _wedge_events(ev)),
+    "accept": lambda ev, layout: any(e[0] == "accept" and e[1] != 1 for e in ev),
+    "reject": lambda ev, layout: any(e[0] == "reject" for e in ev),
+    "two events": lambda ev, layout: len(_wedge_events(ev)) == 2 and ev[-1][0] in ("accept", "reject"),
+    "reject before a uniform part": lambda ev, layout: any(e[0] == "reject" and e[2] == layout[0][1] - 1 for e in ev),
+    "accept after a uniform part": lambda ev, layout: any(e[0] == "accept" and e[2] >= layout[0][1] for e in ev),
+    "tail": lambda ev, layout: ev[-1:] and ev[-1][0] == "tail",
+    "end": lambda ev, layout: ev[-1:] and ev[-1][0] == "end",
+}
+LAYOUTS = st.one_of(
+    st.builds(lambda g: [("gaussian", g)], st.integers(1, 30)),
+    st.builds(lambda g, u: [("gaussian", g), ("uniform", u)], st.integers(1, 30), st.integers(1, 8)),
+    st.builds(lambda u, g: [("uniform", u), ("gaussian", g)], st.integers(1, 8), st.integers(1, 30)),
+)
+
+
+def _with_wedge_examples(test):
+    for _, prefix, tails, layout in reversed(WEDGE_CASES):
+        test = example(prefix=prefix, tails=tails, layout=layout)(test)
+    return test
+
+
 def _liquidation_slot_keys():
     """The path layout and keys of one zo-liquidation estimate (T = 10, m = 200)."""
     inst = ac_to_lqr(stock_liquidation())
@@ -455,6 +527,71 @@ class TestKeyedDraws:
             for got, single in zip(batch, singles):
                 _assert_same_bits(got, single)
 
+    @settings(deadline=None, max_examples=150)
+    @given(prefix=PREFIXES, tails=st.lists(st.tuples(U64, U64, U64), min_size=1, max_size=40), layout=LAYOUTS)
+    @_with_wedge_examples
+    def test_wedge_rows_match_per_key_draws(self, prefix, tails, layout):
+        # Gaussian-only, Gaussian-then-uniform and uniform-then-Gaussian rows,
+        # a quarter of them with wedge events at 20 normals
+        _assert_same_bits(keyed_draws(layout, prefix, tails), _per_key_draws(layout, prefix, tails))
+
+    @pytest.mark.parametrize("case, prefix, tails, layout", WEDGE_CASES, ids=[c[0] for c in WEDGE_CASES])
+    def test_wedge_examples_hit_their_cases(self, case, prefix, tails, layout):
+        width = sum(w for _, w in layout)
+        words = core._philox_words(prefix, np.array(tails, dtype=np.uint64), core._computed_words(width))
+        walks = [_ziggurat_walk(row, layout, core._ziggurat_tables()) for row in words]
+        assert any(WEDGE_HITS[case](ev, layout) for ev in walks), walks
+
+    def test_wedge_tables_reproduce_two_word_draws(self):
+        # first normals of fresh keys: those that took two words are wedge
+        # accepts, x = +-rabs wi[idx] with the derived wi[1] among them, and
+        # the derived fi gives their verdicts; those of wedge words that took
+        # more were rejected
+        wi, ki, kw, fd, fi = core._ziggurat_tables()
+        n = 4096
+        x, follow = np.empty(n), np.empty(n, dtype=np.uint64)
+        for j in range(n):
+            rng = make_rng((11, 12, j, 0, 3))
+            x[j] = rng.standard_normal()
+            follow[j] = rng.bit_generator.random_raw()
+        tails = np.array([(j, 0, 3) for j in range(n)], dtype=np.uint64)
+        first, second, third = core._philox_words((11, 12), tails, 3).T
+        idx = (first & np.uint64(0x1FF)).astype(np.intp)
+        rabs = (first >> np.uint64(9)) & np.uint64(_RABS)
+        wedge = rabs >= kw[idx]
+        two = follow == third
+        assert np.count_nonzero(two & (idx % 256 == 1)) >= 3
+        assert wedge[two].all()
+        _assert_same_bits(rabs[two] * wi[idx[two]], x[two])
+        gap = fd[idx] * ((second >> np.uint64(11)) * 2.0**-53) + fi[idx] - np.exp(-0.5 * (rabs * wi[idx]) ** 2)
+        assert (gap[two] < -core._WEDGE_BAND).all()
+        rejected = wedge & ~two
+        assert np.count_nonzero(rejected) >= 10 and (gap[rejected] > core._WEDGE_BAND).all()
+
+    def test_verdicts_near_their_boundary_go_to_numpy(self):
+        # a wedge word of layer 7 with the u that puts its verdict on the
+        # boundary, and the same word with u = 0, a clear accept
+        tables = core._ziggurat_tables()
+        wi, ki, kw, fd, fi = tables
+        rabs = int(kw[7]) + 4096
+        x = rabs * wi[7]
+        u = round((np.exp(-0.5 * x * x) - fi[7]) / fd[7] * 2.0**53)
+        assert 0 < u < 2**53
+        words = np.array([[rabs << 9 | 7, u << 11, 0, 0], [rabs << 9 | 7, 0, 0, 0]], dtype=np.uint64)
+        ok, z = core._wedge_draws(words, [("gaussian", 1)], tables)
+        assert ok.tolist() == [False, True]
+        _assert_same_bits(z, [[x]])
+
+    def test_wedge_resolves_zo_liquidation_rows_in_arrays(self):
+        # all but the tail, guard-band and run-out rows: at least 97% of the
+        # path rows of five zo-liquidation estimates
+        inst, (seed, _), tails = _liquidation_slot_keys()
+        layout = core._path_layout(inst)
+        width = sum(w for _, w in layout)
+        done = [core._array_draws(core._philox_words((seed, it), tails, core._computed_words(width)), layout,
+                                  core._ziggurat_tables(), np.empty((len(tails), width))) for it in range(5)]
+        assert np.mean(done) >= 0.97, f"{np.mean(done):.4f} of zo-liquidation rows resolved in arrays"
+
     def test_empty_tables_send_every_row_to_the_per_key_path(self, monkeypatch):
         layout = [("uniform", 3), ("gaussian", 17)]
         tails = np.array([(t, i, 7) for t in range(3) for i in range(40)], dtype=np.uint64)
@@ -462,6 +599,7 @@ class TestKeyedDraws:
         fast = keyed_draws(layout, (-9, 2**63 + 1), tails), keyed_paths(inst, prefix, slot_tails)
         monkeypatch.setattr(core, "_ziggurat", ())
         assert not core._fast_draws(core._philox_words((-9, 2**63 + 1), tails, 20), layout, (), np.empty((120, 20))).any()
+        assert not core._array_draws(core._philox_words((-9, 2**63 + 1), tails, 24), layout, (), np.empty((120, 20))).any()
         _assert_same_bits(keyed_draws(layout, (-9, 2**63 + 1), tails), fast[0])
         for a, b in zip(keyed_paths(inst, prefix, slot_tails), fast[1]):
             _assert_same_bits(a, b)

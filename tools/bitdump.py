@@ -1,5 +1,6 @@
-"""Bit-identity dump: one sha256 per named output of the sampled estimator,
-the zeroth-order loops and the CLI, to compare two versions of lqrlab.
+"""Bit-identity dump: one sha256 per named output of the keyed sampler, the
+sampled estimator, the zeroth-order loops and the CLI, to compare two
+versions of lqrlab.
 
     PYTHONPATH=src python tools/bitdump.py change.json
     PYTHONPATH=<other checkout>/src python tools/bitdump.py parent.json
@@ -10,7 +11,7 @@ exits 1 if there is any.  Each CSV the CLI writes gets two names: its bytes,
 and its cells parsed as float64 ("#values"), so a change in how numbers are
 written shows apart from a change in the numbers.  The dump uses only names
 that older checkouts also have, so it runs on them too.  It takes about
-15 s on a 2-CPU VM.
+20 s on a 2-CPU VM.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from lqrlab import (
     run_modelfree_pg,
     run_modelfree_ppg,
 )
-from lqrlab import cli, zeroth
+from lqrlab import cli, core, zeroth
 from lqrlab.benchmarks import four_state_benchmark, scalar_benchmark, stock_liquidation
 from lqrlab.config_io import dump_kv
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
@@ -100,6 +101,29 @@ def estimator_outputs(out: dict) -> None:
                         out[f"{key}/w"] = _sha(w)
                         out[f"{key}/grads"] = _sha(est.grads)
                         out[f"{key}/mean_costs"] = _sha(est.mean_costs)
+
+
+KEYED_KEYS = 51200  # keys per layout; a quarter of 22-normal rows take numpy's wedge branch, about 0.5% its tail
+
+
+def keyed_outputs(out: dict) -> None:
+    """core.keyed_draws on KEYED_KEYS slot keys (t, i, 1) per layout: the
+    zo-liquidation and c11 path layouts, the path layout of every kind pair
+    and sphere rows of widths 1 and 2, in passes of 10240 keys."""
+    layouts = {
+        "zo-liquidation": core._path_layout(ac_to_lqr(stock_liquidation())),
+        "c11": core._path_layout(scalar_benchmark()),
+        "sphere-1": [("gaussian", 1)],
+        "sphere-2": [("gaussian", 2)],
+    }
+    for init_kind, noise_kind in KIND_PAIRS:
+        layouts[f"{init_kind}-{noise_kind}"] = core._path_layout(_kinds_instance(init_kind, noise_kind))
+    j = np.arange(KEYED_KEYS)
+    tails = np.stack([j // 200, j % 200, np.ones_like(j)], axis=1).astype(np.uint64)
+    for name, layout in layouts.items():
+        for prefix in ((3 << 20, 5), (2**63 + 4, 11)):
+            draws = [core.keyed_draws(layout, prefix, tails[lo:lo + 10240]) for lo in range(0, KEYED_KEYS, 10240)]
+            out[f"keyed/{name}/prefix={prefix[0]},{prefix[1]}/n={KEYED_KEYS}"] = _sha(*draws)
 
 
 def loop_outputs(out: dict) -> None:
@@ -197,6 +221,7 @@ def main(argv=None) -> int:
     if not args.out:
         ap.error("give an output file or --compare A B")
     out: dict = {}
+    keyed_outputs(out)
     estimator_outputs(out)
     loop_outputs(out)
     with tempfile.TemporaryDirectory() as tmp:
