@@ -34,7 +34,6 @@ from .errors import LqrlabError
 from .liquidation import (
     SyntheticBookConfig,
     ac_to_lqr,
-    almgren_chriss_reference,
     estimate_impact_params,
     expected_inventory_path,
     liquidation_constraint,
@@ -75,11 +74,15 @@ def _initial_policy(cfg, instance):
 
 
 def _descent_cfg(cfg) -> DescentConfig:
+    line_search = cfg.get("line_search", False)
+    if not isinstance(line_search, bool):
+        raise ValueError(f"line_search must be true or false, got {line_search!r}")
+    target = cfg.get("target_error")
     return DescentConfig(
         eta=float(cfg["eta"]),
         iters=int(cfg["iters"]),
-        line_search=bool(cfg.get("line_search", False)),
-        target_error=cfg.get("target_error"),
+        line_search=line_search,
+        target_error=None if target is None else float(target),
     )
 
 
@@ -125,8 +128,7 @@ def _run_seed(cfg: dict, kind: str, seed: int):
                 seed,
             )
         p = ac_from_config(cfg)
-        gains, _ = almgren_chriss_reference(p) if p.epsilon == 0.0 else (solve_riccati(ac_to_lqr(p)).gains, None)
-        rec = simulate_lob(series, gains, float(cfg["phi_prime"]), float(cfg.get("q0", p.q0_mean)))
+        rec = simulate_lob(series, solve_riccati(ac_to_lqr(p)).gains, float(cfg["phi_prime"]), float(cfg.get("q0", p.q0_mean)))
         cols = ["t", "trade", "proceeds", "holding"]
         rows = [[t, rec.trades[t], rec.proceeds[t], rec.holdings[t]] for t in range(len(rec.trades))]
         return cols, rows, {"shortfall": rec.shortfall, "clamped": rec.clamped}
@@ -135,6 +137,8 @@ def _run_seed(cfg: dict, kind: str, seed: int):
         table = make_qtable(inst, int(cfg.get("n_states", 100)), int(cfg.get("n_actions", 100)))
         lr = float(cfg.get("lr", 0.1))
         sweeps = int(cfg["sweeps"])
+        if sweeps < 0:
+            raise ValueError(f"sweeps must be >= 0, got {sweeps}")
         for i in range(sweeps):
             table = q_learning_step(table, inst, lr, [seed, i])
         cost = greedy_policy_cost(table, inst, int(cfg.get("eval_rollouts", 100000)), [seed, sweeps])

@@ -88,8 +88,8 @@ class CounterStream:
         """rekey(key) for a key whose first two words are those of the last
         rekey and whose other words are w2, w3, w4, each in [0, 2**64).
 
-        Skips the word arithmetic of rekey; the estimator re-keys once per
-        sample and flag under a fixed (seed, iteration).
+        Skips the word arithmetic of rekey; keyed_draws' per-key rows and the
+        ziggurat table probe and check re-key this way under a fixed prefix.
         """
         c = self._counter
         c[1], c[2], c[3] = w2, w3, w4

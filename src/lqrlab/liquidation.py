@@ -13,7 +13,7 @@ variance-penalized objective is a (possibly degenerate) LQR with
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def liquidation_constraint(gamma_bar: float, zeta: float) -> ProjectionSet:
     return ProjectionSet(kind="liquidation", gamma_bar=gamma_bar, zeta=zeta)
 
 
-def liquidation_cost(p: AcParams, policy=None, *, gains=None) -> float:
+def liquidation_cost(p: AcParams, policy=None) -> float:
     """Objective in problem units: expected cost plus variance penalty,
 
         E[sum delta u_t^2 + delta q_T^2] + (gamma/2) E[q_0^2]
@@ -95,9 +95,7 @@ def liquidation_cost(p: AcParams, policy=None, *, gains=None) -> float:
     removed.
     """
     inst = ac_to_lqr(p)
-    if gains is None:
-        gains = solve_riccati(inst).gains if policy is None else policy
-    base = exact_cost(inst, gains)
+    base = exact_cost(inst, solve_riccati(inst).gains if policy is None else policy)
     eq0sq = p.q0_mean**2 + p.q0_std**2
     return base - p.phi * p.sigma**2 * eq0sq + 0.5 * p.gamma * eq0sq
 
@@ -105,12 +103,9 @@ def liquidation_cost(p: AcParams, policy=None, *, gains=None) -> float:
 def almgren_chriss_reference(p: AcParams):
     """Optimal gains and objective of the eps = 0 limit (the classical
     mean-variance liquidation problem).  Returns (gains, cost)."""
-    p0 = AcParams(
-        beta=p.beta, gamma=p.gamma, sigma=p.sigma, phi=p.phi, epsilon=0.0,
-        T=p.T, S0=p.S0, q0_mean=p.q0_mean, q0_std=p.q0_std,
-    )
+    p0 = replace(p, epsilon=0.0)
     gains = solve_riccati(ac_to_lqr(p0)).gains
-    return gains, liquidation_cost(p0, gains=gains)
+    return gains, liquidation_cost(p0, gains)
 
 
 def expected_inventory_path(p: AcParams, gains) -> np.ndarray:

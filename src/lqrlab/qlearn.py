@@ -69,6 +69,8 @@ class QTable:
 
 
 def make_qtable(instance: LqrInstance, n_states: int, n_actions: int) -> QTable:
+    if n_states < 2 or n_actions < 1:
+        raise ValueError(f"a Q-table needs n_states >= 2 and n_actions >= 1, got {n_states} and {n_actions}")
     _, _, qcoef, _ = _scalars(instance)
     T = instance.T
     x_grid = np.linspace(-1.0, 1.0, n_states)
@@ -100,6 +102,8 @@ def q_learning_step(table: QTable, instance: LqrInstance, lr: float, seed) -> QT
 def greedy_policy_cost(table: QTable, instance: LqrInstance, n_rollouts: int, seed) -> float:
     """Monte Carlo cost of the greedy policy (true continuous dynamics,
     actions looked up at the snapped state bin)."""
+    if n_rollouts < 1:
+        raise ValueError(f"n_rollouts must be >= 1, got {n_rollouts}")
     a, b, qcoef, rcoef = _scalars(instance)
     T = instance.T
     greedy = table.greedy_indices()

@@ -1,9 +1,11 @@
 """Model-free policy gradient via sphere-smoothed zeroth-order estimates.
 
-The learner touches the system only through a simulator handle exposing
-rollout(policy, seed) -> realized cost.  For each time slot t it perturbs
-K_t by a matrix U drawn uniformly from the Frobenius sphere of radius r,
-rolls one full trajectory under the perturbed policy, and averages
+The learner touches the system only through a simulator handle: T, k, d
+and rollout_perturbed_slots(policy, U, seed, iteration) -> (T, m) costs,
+entry (t, i) one trajectory with gain t perturbed by U[t, i] on the stream
+(seed, iteration, t, i, 1); a handle with only rollout(policy, seed) -> cost
+gets them one rollout at a time.  Each K_t is perturbed by m draws U_i from
+the Frobenius sphere of radius r, and
 
     ghat_t = (D / r^2) * mean_i  cost_i * U_i,        D = k * d.
 
@@ -13,8 +15,10 @@ are reproducible and independent of execution order.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,6 +61,12 @@ _blocks = _Blocks()
 class SmoothingConfig:
     radius: float  # Frobenius radius r of the perturbation sphere
     samples: int  # m rollouts per time slot
+
+    def __post_init__(self):
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"smoothing radius must be finite and positive, got {self.radius!r}")
+        if isinstance(self.samples, bool) or not isinstance(self.samples, Integral) or self.samples < 1:
+            raise ValueError(f"smoothing samples must be an integer >= 1, got {self.samples!r}")
 
 
 @dataclass
@@ -153,21 +163,14 @@ def slot_paths(instance: LqrInstance, m: int, seed, iteration: int) -> tuple[np.
 
 
 class LqrSimulator:
-    """Opaque rollout interface over an LqrInstance.
+    """Opaque rollout handle over an LqrInstance.
 
     Optimization loops use only T, k, d and the rollout methods, never the
-    instance matrices.  The batch methods vectorize the dynamics over all
-    rollouts but replay exactly the per-trajectory streams simulate_trajectory
-    would consume: rollout_perturbed_batch those of seeds (*key, i, 1), and
-    rollout_perturbed_slots those of (seed, iteration, t, i, 1) for every slot
-    t at once, as one (T * m, d) state array.  Start states and noise come
-    from core.keyed_draws, which runs every stream's Philox words as one array
-    and takes numpy's per-key path only for rows that reach the ziggurat's
-    tail or a guard band;
-    rollout_perturbed_slots takes them from slot_paths, which draws the
-    standardized rows of the next iterations ahead when T * m is small.  Every
-    row keeps the arithmetic of a one-slot batch, so the costs match
-    rollout_perturbed_batch bit for bit.
+    instance matrices.  rollout_perturbed_slots vectorizes the dynamics over
+    all T * m rollouts of an estimate, with start states and noise from
+    slot_paths, and replays exactly the streams simulate_trajectory would
+    consume.  rollout_perturbed_batch rolls one slot the same way and gives
+    the same costs bit for bit; no estimator calls it.
     """
 
     def __init__(self, instance: LqrInstance):
@@ -221,14 +224,21 @@ class LqrSimulator:
         return cost.reshape(n_blocks, m)
 
 
-def _default_batch(sim, policy, t, U, key):
-    """Fallback batch rollout for handles exposing only rollout()."""
+def _perturbed_costs(sim, policy, U: np.ndarray, seed, iteration: int) -> np.ndarray:
+    """(T, m) costs of the handle's rollout_perturbed_slots, or, for a handle
+    exposing only rollout(), of one rollout per perturbed policy, entry (t, i)
+    on the stream (seed, iteration, t, i, 1)."""
+    if hasattr(sim, "rollout_perturbed_slots"):
+        return sim.rollout_perturbed_slots(policy, U, seed, iteration)
+    if not hasattr(sim, "rollout"):
+        raise TypeError("a simulator handle needs rollout_perturbed_slots(policy, U, seed, iteration) or rollout(policy, seed)")
     K = np.asarray(policy, dtype=float)
-    costs = np.empty(U.shape[0])
-    for i in range(U.shape[0]):
+    T, m = U.shape[:2]
+    costs = np.empty((T, m))
+    for t, i in np.ndindex(T, m):
         pert = K.copy()
-        pert[t] = pert[t] + U[i]
-        costs[i] = sim.rollout(pert, [*key, i, 1])
+        pert[t] = pert[t] + U[t, i]
+        costs[t, i] = sim.rollout(pert, [seed, iteration, t, i, 1])
     return costs
 
 
@@ -240,21 +250,10 @@ def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 
     D = k * d
     r, m = cfg.radius, cfg.samples
     U = sphere_directions(T, m, (k, d), r, seed, iteration)
-    if hasattr(sim, "rollout_perturbed_slots"):
-        costs = sim.rollout_perturbed_slots(policy, U, seed, iteration)
-    else:
-        batch = getattr(sim, "rollout_perturbed_batch", None)
-        costs = [
-            batch(policy, t, U[t], [seed, iteration, t]) if batch is not None
-            else _default_batch(sim, policy, t, U[t], [seed, iteration, t])
-            for t in range(T)
-        ]
-    grads = np.empty((T, k, d))
-    mean_costs = np.empty(T)
-    for t in range(T):
-        grads[t] = (D / r**2) * np.einsum("i,ikd->kd", costs[t], U[t]) / m
-        mean_costs[t] = costs[t].mean()
-    return GradientEstimate(grads=grads, mean_costs=mean_costs, samples=m, radius=r)
+    costs = _perturbed_costs(sim, policy, U, seed, iteration)
+    # one einsum per slot: a single einsum over all slots rounds differently
+    grads = np.stack([(D / r**2) * np.einsum("i,ikd->kd", costs[t], U[t]) / m for t in range(T)])
+    return GradientEstimate(grads=grads, mean_costs=costs.mean(axis=1), samples=m, radius=r)
 
 
 def smoothed_gradient_reference(instance: LqrInstance, policy, t: int, radius: float, n_samples: int, seed) -> np.ndarray:

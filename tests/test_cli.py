@@ -161,6 +161,35 @@ class TestCli:
         assert main(["zo-pg", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "line search" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["radius = 0\nsamples = 5\n", "radius = 0.1\nsamples = 0\n"])
+    def test_bad_smoothing_exit_two(self, tmp_path, capsys, setting):
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 0.2\niters = 3\n" + setting)
+        assert main(["zo-pg", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "smoothing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting,name", [
+        ("n_states = 1\n", "n_states"), ("n_actions = 0\n", "n_actions"),
+        ("eval_rollouts = 0\n", "n_rollouts"), ("sweeps = -1\n", "sweeps"),
+    ])
+    def test_bad_qlearn_sizes_exit_two(self, tmp_path, capsys, setting, name):
+        # the setting overrides the same key of the valid extras before it
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + KIND_EXTRAS["qlearn"] + setting)
+        assert main(["qlearn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_target_error_is_read_as_a_number(self, tmp_path):
+        extra = "eta = 0.5\niters = 30\npolicy0 = 0.1\n"
+        for name, target in (("num", "0.1"), ("str", '"0.1"')):
+            cfg = write(tmp_path, f"{name}.cfg", SCALAR_CFG + extra + f"target_error = {target}\n")
+            assert main(["pg", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "num" / "seed_0.csv").read_bytes() == (tmp_path / "str" / "seed_0.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1"])
+    def test_line_search_must_be_a_boolean(self, tmp_path, capsys, value):
+        cfg = write(tmp_path, "c.cfg", AC_CFG + f"eta = 1e3\niters = 5\npolicy0 = -0.2\nline_search = {value}\n")
+        assert main(["pg", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "line_search" in capsys.readouterr().err
+
     def test_runtime_failure_exit_three(self, tmp_path):
         # diverging step size trips the divergence guard -> exit 3
         cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 1e9\niters = 50\npolicy0 = 0.1\n")

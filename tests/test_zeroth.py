@@ -115,7 +115,10 @@ class TestEstimatorDraws:
 
         class PerSlot:
             T, k, d = sim.T, sim.k, sim.d
-            rollout_perturbed_batch = staticmethod(sim.rollout_perturbed_batch)
+
+            @staticmethod
+            def rollout_perturbed_slots(policy, U, seed, iteration):
+                return np.stack([sim.rollout_perturbed_batch(policy, t, U[t], [seed, iteration, t]) for t in range(sim.T)])
 
         for it in (0, 7):
             fast = estimate_gradient(inst, K, cfg, seed, iteration=it)
@@ -286,6 +289,24 @@ class TestEstimator:
         alt = estimate_gradient(Opaque(), K, cfg, seed=3)
         np.testing.assert_allclose(alt.grads, ref.grads, rtol=1e-12)
 
+    def test_handle_without_rollouts_is_rejected(self):
+        class Bare:
+            T, k, d = 5, 1, 1
+
+        with pytest.raises(TypeError, match=r"rollout_perturbed_slots\(.*rollout\("):
+            estimate_gradient(Bare(), np.zeros((5, 1, 1)), SmoothingConfig(radius=0.1, samples=3), seed=0)
+
+    @pytest.mark.parametrize("radius,samples", [
+        (0.0, 5), (-0.1, 5), (np.nan, 5), (np.inf, 5), (0.1, 0), (0.1, -1), (0.1, 2.5), (0.1, True), (0.1, "5"),
+    ])
+    def test_smoothing_config_rejects_bad_settings(self, radius, samples):
+        with pytest.raises(ValueError, match="smoothing"):
+            SmoothingConfig(radius=radius, samples=samples)
+
+    def test_smoothing_config_accepts_numpy_scalars(self):
+        cfg = SmoothingConfig(radius=np.float64(0.1), samples=np.int64(1))
+        assert cfg.samples == 1
+
     def test_reference_equals_per_sample_loop(self, rng):
         # 2500 samples span three cost batches; the sum must keep sample order
         inst = random_instance(rng, d=3, k=2, T=4)
@@ -371,7 +392,7 @@ class TestModelFreeLoops:
 
         class Opaque:
             T, k, d = sim.T, sim.k, sim.d
-            rollout_perturbed_batch = staticmethod(sim.rollout_perturbed_batch)
+            rollout_perturbed_slots = staticmethod(sim.rollout_perturbed_slots)
 
         cfg = DescentConfig(eta=0.2, iters=3)
         _, trace = run_modelfree_pg(Opaque(), np.zeros((5, 1, 1)), cfg, SmoothingConfig(radius=0.1, samples=5), seed=1)

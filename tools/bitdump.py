@@ -1,6 +1,6 @@
 """Bit-identity dump: one sha256 per named output of the keyed sampler, the
-sampled estimator, the zeroth-order loops and the CLI, to compare two
-versions of lqrlab.
+sampled estimator, the zeroth-order loops (also through opaque simulator
+handles) and the CLI, to compare two versions of lqrlab.
 
     PYTHONPATH=src python tools/bitdump.py change.json
     PYTHONPATH=<other checkout>/src python tools/bitdump.py parent.json
@@ -30,6 +30,7 @@ import numpy as np
 from lqrlab import (
     DescentConfig,
     InitialStateModel,
+    LqrSimulator,
     NoiseModel,
     SmoothingConfig,
     constant_instance,
@@ -150,6 +151,47 @@ def loop_outputs(out: dict) -> None:
     out["loop/four-state/seed=9"] = _sha(K, trace.rows)
 
 
+HANDLE_SAMPLES = [1, 2, 7]
+HANDLE_SEEDS = [0, -5, 2**63 + 4]
+
+
+class RolloutOnly:
+    """A handle exposing T, k, d and rollout() alone."""
+
+    def __init__(self, sim):
+        self.T, self.k, self.d = sim.T, sim.k, sim.d
+        self.rollout = sim.rollout
+
+
+class SlotsOnly:
+    """A handle exposing T, k, d and rollout_perturbed_slots() alone."""
+
+    def __init__(self, sim):
+        self.T, self.k, self.d = sim.T, sim.k, sim.d
+        self.rollout_perturbed_slots = sim.rollout_perturbed_slots
+
+
+def handle_outputs(out: dict) -> None:
+    """Estimates at iterations 0 and 3 and a three-iteration run_modelfree_pg
+    (no cost oracle) through a rollout-only and a slots-only handle, on the
+    zo-liquidation, c11 and four-state instances."""
+    instances = _instances()
+    etas = {"zo-liquidation": 0.05, "c11": 0.2, "four-state": 1e-4}
+    for name, eta in etas.items():
+        inst, K, r = instances[name]
+        sim = LqrSimulator(inst)
+        for handle in (RolloutOnly, SlotsOnly):
+            for m in HANDLE_SAMPLES:
+                cfg = SmoothingConfig(radius=r, samples=m)
+                for seed in HANDLE_SEEDS:
+                    key = f"handle/{handle.__name__}/{name}/m={m}/seed={seed}"
+                    for it in (0, 3):
+                        est = estimate_gradient(handle(sim), K, cfg, seed, iteration=it)
+                        out[f"{key}/est:it={it}"] = _sha(est.grads, est.mean_costs)
+                    Kf, trace = run_modelfree_pg(handle(sim), K, DescentConfig(eta=eta, iters=3), cfg, seed)
+                    out[f"{key}/loop"] = _sha(Kf, trace.rows)
+
+
 SCALAR = scalar_benchmark()
 SCALAR_CFG = {
     "instance.A": SCALAR.A.tolist(), "instance.B": SCALAR.B.tolist(), "instance.Q": SCALAR.Q.tolist(),
@@ -167,7 +209,8 @@ CLI_RUNS = {
     "riccati": SCALAR_CFG,
     "deadline": {**AC_CFG, "horizons": [5, 10]},
     "lob": {**AC_CFG, "book.T": 10, "book.depth_mean": 2000, "phi_prime": 1e-6},
-}
+    "lob/epsilon=0": {**AC_CFG, "ac.epsilon": 0.0, "book.T": 10, "book.depth_mean": 2000, "phi_prime": 1e-6},
+}  # name -> config; the CLI kind is the name up to its first "/"
 
 
 def _csv_values(path: Path) -> str:
@@ -184,19 +227,20 @@ def cli_outputs(out: dict, workdir: Path) -> None:
             os.environ["LQRLAB_THREADS"] = "1"
         else:
             os.environ.pop("LQRLAB_THREADS", None)
-        for kind, cfg in CLI_RUNS.items():
-            path = workdir / f"{kind}.cfg"
+        for name, cfg in CLI_RUNS.items():
+            kind = name.split("/")[0]
+            path = workdir / f"{name.replace('/', '-')}.cfg"
             path.write_text(dump_kv(cfg))
-            run = workdir / f"{kind}-{threads}"
+            run = workdir / f"{name.replace('/', '-')}-{threads}"
             with open(os.devnull, "w") as devnull:
                 stdout, sys.stdout = sys.stdout, devnull
                 try:
                     code = cli.main([kind, "--config", str(path), "--seeds", "0", "1", "2", "--out", str(run)])
                 finally:
                     sys.stdout = stdout
-            out[f"cli/{kind}/threads={threads}/exit"] = str(code)
+            out[f"cli/{name}/threads={threads}/exit"] = str(code)
             for f in sorted(run.iterdir()):
-                key = f"cli/{kind}/threads={threads}/{f.name}"
+                key = f"cli/{name}/threads={threads}/{f.name}"
                 out[key] = hashlib.sha256(f.read_bytes()).hexdigest()
                 if f.suffix == ".csv":
                     out[f"{key}#values"] = _csv_values(f)
@@ -224,6 +268,7 @@ def main(argv=None) -> int:
     keyed_outputs(out)
     estimator_outputs(out)
     loop_outputs(out)
+    handle_outputs(out)
     with tempfile.TemporaryDirectory() as tmp:
         cli_outputs(out, Path(tmp))
     Path(args.out).write_text(json.dumps(out, indent=0, sort_keys=True) + "\n")
