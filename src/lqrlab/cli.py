@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config_io import ac_from_config, instance_from_config, load_config
+from .config_io import ac_from_config, as_count, instance_from_config, load_config
 from .core import solve_riccati
 from .errors import LqrlabError
 from .liquidation import (
@@ -80,7 +80,7 @@ def _descent_cfg(cfg) -> DescentConfig:
     target = cfg.get("target_error")
     return DescentConfig(
         eta=float(cfg["eta"]),
-        iters=int(cfg["iters"]),
+        iters=as_count(cfg["iters"], "iters"),
         line_search=line_search,
         target_error=None if target is None else float(target),
     )
@@ -105,7 +105,7 @@ def _run_seed(cfg: dict, kind: str, seed: int):
         dc = _descent_cfg(cfg)
         constraint = _constraint(cfg) if kind.endswith("ppg") else None
         if kind.startswith("zo"):
-            sm = SmoothingConfig(radius=float(cfg["radius"]), samples=int(cfg["samples"]))
+            sm = SmoothingConfig(radius=float(cfg["radius"]), samples=as_count(cfg["samples"], "samples"))
             _, trace = run_modelfree_pg(inst, K0, dc, sm, seed, constraint=constraint)
         elif constraint is not None:
             _, trace = run_exact_ppg(inst, K0, dc, constraint)
@@ -118,8 +118,8 @@ def _run_seed(cfg: dict, kind: str, seed: int):
         else:
             series = synthetic_lob(
                 SyntheticBookConfig(
-                    T=int(cfg["book.T"]),
-                    levels=int(cfg.get("book.levels", 10)),
+                    T=as_count(cfg["book.T"], "book.T"),
+                    levels=as_count(cfg.get("book.levels", 10), "book.levels"),
                     tick=float(cfg.get("book.tick", 0.1)),
                     depth_mean=float(cfg.get("book.depth_mean", 400.0)),
                     mid0=float(cfg.get("book.mid0", 200.0)),
@@ -134,14 +134,16 @@ def _run_seed(cfg: dict, kind: str, seed: int):
         return cols, rows, {"shortfall": rec.shortfall, "clamped": rec.clamped}
     if kind == "qlearn":
         inst = _instance(cfg)
-        table = make_qtable(inst, int(cfg.get("n_states", 100)), int(cfg.get("n_actions", 100)))
+        table = make_qtable(inst, as_count(cfg.get("n_states", 100), "n_states"),
+                            as_count(cfg.get("n_actions", 100), "n_actions"))
         lr = float(cfg.get("lr", 0.1))
-        sweeps = int(cfg["sweeps"])
+        sweeps = as_count(cfg["sweeps"], "sweeps")
         if sweeps < 0:
             raise ValueError(f"sweeps must be >= 0, got {sweeps}")
         for i in range(sweeps):
             table = q_learning_step(table, inst, lr, [seed, i])
-        cost = greedy_policy_cost(table, inst, int(cfg.get("eval_rollouts", 100000)), [seed, sweeps])
+        n_rollouts = as_count(cfg.get("eval_rollouts", 100000), "eval_rollouts")
+        cost = greedy_policy_cost(table, inst, n_rollouts, [seed, sweeps])
         cstar = solve_riccati(inst).optimal_cost
         return (
             ["sweeps", "greedy_cost", "optimal_cost", "normalized_error"],
@@ -154,14 +156,14 @@ def _run_seed(cfg: dict, kind: str, seed: int):
             mfi = np.asarray(cfg["impact.mfi"], dtype=float)
         else:
             rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF])
-            n = int(cfg.get("impact.n", 1000))
+            n = as_count(cfg.get("impact.n", 1000), "impact.n")
             mfi = rng.normal(0.0, float(cfg.get("impact.mfi_std", 100.0)), n)
             delta_s = float(cfg["impact.gamma"]) * mfi + float(cfg["impact.sigma"]) * rng.standard_normal(n)
         gamma_hat, sigma_hat = estimate_impact_params(delta_s, mfi)
         return ["gamma_hat", "sigma_hat"], [[gamma_hat, sigma_hat]], {}
     if kind == "deadline":
         p = ac_from_config(cfg)
-        horizons = [int(h) for h in cfg["horizons"]]
+        horizons = [as_count(h, "horizons") for h in cfg["horizons"]]
         rows = []
         for T in horizons:
             pT = replace(p, T=T)

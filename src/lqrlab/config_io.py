@@ -36,6 +36,21 @@ def parse_kv(text: str) -> dict:
     return out
 
 
+def as_count(value, key: str) -> int:
+    """A config value that counts something, as an int; a number may also be
+    given as a string.  A value that is not a whole number (2.5, true, "x")
+    raises ValueError naming its key rather than being truncated."""
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def dump_kv(cfg: dict) -> str:
     return "".join(f"{k} = {json.dumps(v)}\n" for k, v in cfg.items())
 
@@ -84,7 +99,7 @@ def instance_from_config(cfg: dict) -> LqrInstance:
     R = np.asarray(sub["R"], dtype=float)
     if Q.ndim == 3:
         return LqrInstance(A, B, Q, R, noise, init)
-    T = int(sub["T"])
+    T = as_count(sub["T"], "instance.T")
     Q_term = np.asarray(sub.get("Q_terminal", Q), dtype=float)
     return constant_instance(A, B, Q, R, Q_term, T, noise, init)
 
@@ -99,7 +114,7 @@ def ac_from_config(cfg: dict) -> AcParams:
         sigma=float(sub["sigma"]),
         phi=float(sub.get("phi", 0.0)),
         epsilon=float(sub.get("epsilon", 0.0)),
-        T=int(sub["T"]),
+        T=as_count(sub["T"], "ac.T"),
         S0=float(sub.get("S0", 200.0)),
         q0_mean=float(sub.get("q0_mean", 500.0)),
         q0_std=float(sub.get("q0_std", 1.0)),

@@ -97,6 +97,18 @@ class CounterStream:
         return self.generator
 
 
+_thread = threading.local()  # .stream: the thread's CounterStream
+
+
+def _counter_stream() -> CounterStream:
+    """This thread's CounterStream, built at its first use, which keyed_draws
+    re-keys for the rows it leaves to numpy instead of building one per call."""
+    stream = getattr(_thread, "stream", None)
+    if stream is None:
+        stream = _thread.stream = CounterStream()
+    return stream
+
+
 def standard_draw(kind: str, rng: np.random.Generator, size) -> np.ndarray:
     """Standardized draw (zero mean, unit variance per coordinate) of a noise
     or initial-state kind: "gaussian", "uniform" on [-sqrt(3), sqrt(3)], or
@@ -446,8 +458,8 @@ def keyed_draws(layout, prefix, tails) -> np.ndarray:
     vectorised Philox whose words go through numpy's ziggurat fast path, and
     rows with words off that path through its wedge branch (_wedge_draws); a
     row that reaches the tail, a guard band or the end of the computed words
-    is redrawn whole by numpy on a re-keyed CounterStream, so every row equals
-    the per-key draw bit for bit.
+    is redrawn whole by numpy on the thread's re-keyed CounterStream, so every
+    row equals the per-key draw bit for bit.
 
     prefix may also be a sequence of B prefixes, such as a (B, 2) array: the
     result is then (B, n, W), slice b holding the draws under prefix[b], and
@@ -472,7 +484,7 @@ def keyed_draws(layout, prefix, tails) -> np.ndarray:
         del words
     if not done.all():
         # one re-key per prefix, then only the tail words per row
-        stream = CounterStream()
+        stream = _counter_stream()
         for p, z_p, done_p in zip(prefixes, z.reshape(-1, n, width), done.reshape(-1, n)):
             slow = np.flatnonzero(~done_p)
             if len(slow):
@@ -483,31 +495,43 @@ def keyed_draws(layout, prefix, tails) -> np.ndarray:
     return z
 
 
-def _swap(M: np.ndarray) -> np.ndarray:
-    return np.swapaxes(M, -1, -2)
+def _sym(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (M + M'), bit for bit, into out if given."""
+    out = np.add(M, M.swapaxes(-1, -2), out=out)
+    out *= 0.5
+    return out
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + _swap(M))
-
-
-def _check_pd(M: np.ndarray, name: str, *, allow_psd: bool = False) -> None:
-    M = np.asarray(M, dtype=float)
-    if not np.allclose(M, M.T, atol=1e-10 * (1.0 + np.abs(M).max())):
-        raise NonPositiveDefinite(f"{name} is not symmetric")
-    eigmin = float(np.linalg.eigvalsh(M)[0])
-    scale = 1.0 + float(np.linalg.norm(M, 2))
-    if allow_psd:
-        if eigmin < -_PD_RTOL * scale:
-            raise NonPositiveDefinite(f"{name} is not positive semidefinite (min eig {eigmin:g})")
-    elif eigmin <= _PD_RTOL * scale:
-        raise NonPositiveDefinite(f"{name} is not positive definite (min eig {eigmin:g})")
+def _check_stack(M: np.ndarray, name: str) -> None:
+    """Raise NonPositiveDefinite for the first slice M[t] of a (n, d, d) stack
+    that is not symmetric (np.allclose(M[t], M[t]', atol=1e-10 (1 + max|M[t]|)))
+    or not positive definite (min eig <= 1e-12 (1 + max|eig|), max|eig| being
+    the 2-norm of a symmetric matrix) or not finite, in one vectorised pass."""
+    Mt = M.swapaxes(-1, -2)
+    atol = 1e-10 * (1.0 + np.abs(M).max(axis=(-2, -1), keepdims=True))
+    with np.errstate(invalid="ignore"):
+        close = (np.abs(M - Mt) <= atol + 1e-5 * np.abs(Mt)) & np.isfinite(Mt) | (M == Mt)  # np.isclose's test
+    symmetric = close.all(axis=(-2, -1))
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    eig = np.linalg.eigvalsh(np.where((symmetric & finite)[:, None, None], M, 0.0))
+    eigmin = np.where(finite, eig[:, 0], np.nan)
+    definite = eigmin > _PD_RTOL * (1.0 + np.abs(eig).max(axis=-1))
+    bad = np.flatnonzero(~(symmetric & definite))
+    if bad.size:
+        t = bad[0]
+        if not symmetric[t]:
+            raise NonPositiveDefinite(f"{name}[{t}] is not symmetric")
+        raise NonPositiveDefinite(f"{name}[{t}] is not positive definite (min eig {eigmin[t]:g})")
 
 
 def spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs for symmetric positive definite M via Cholesky."""
-    c, low = sla.cho_factor(_sym(M), check_finite=False)
-    return sla.cho_solve((c, low), rhs, check_finite=False)
+    """Solve M x = rhs for symmetric positive definite M via Cholesky: the
+    LAPACK calls of scipy's cho_factor and cho_solve (upper factor), without
+    their per-call wrappers."""
+    c, info = sla.lapack.dpotrf(_sym(M), lower=False, clean=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return sla.lapack.dpotrs(c, rhs, lower=False)[0]
 
 
 @dataclass(frozen=True)
@@ -589,7 +613,14 @@ class InitialStateModel:
 
 @dataclass
 class LqrInstance:
-    """Problem data.  Q has T+1 slices (terminal last), R has T slices."""
+    """Problem data.  Q has T+1 slices (terminal last), R has T slices.
+
+    Construction checks every R_t (and every Q_t when validate) once, in one
+    pass per stack, symmetrises Q and R, and computes the noise covariance W
+    and the start second moment S0 as read-only arrays.  Derive a changed
+    instance with dataclasses.replace, which does all of that again; a field
+    assigned afterwards is neither checked nor seen by W and S0.
+    """
 
     A: np.ndarray  # (d, d)
     B: np.ndarray  # (d, k)
@@ -598,6 +629,8 @@ class LqrInstance:
     noise: NoiseModel
     init: InitialStateModel
     validate: bool = True
+    W: np.ndarray = field(init=False, repr=False, compare=False)  # (d, d) noise covariance
+    S0: np.ndarray = field(init=False, repr=False, compare=False)  # (d, d) second moment of x_0
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -611,15 +644,14 @@ class LqrInstance:
         if self.Q.shape[0] != self.R.shape[0] + 1:
             raise ValueError("Q must have T+1 slices and R must have T")
         if self.validate:
-            for t in range(self.T + 1):
-                _check_pd(self.Q[t], f"Q[{t}]", allow_psd=False)
-            for t in range(self.T):
-                _check_pd(self.R[t], f"R[{t}]", allow_psd=False)
-        else:
-            for t in range(self.T):
-                _check_pd(self.R[t], f"R[{t}]", allow_psd=False)
-        self.Q = 0.5 * (self.Q + np.transpose(self.Q, (0, 2, 1)))
-        self.R = 0.5 * (self.R + np.transpose(self.R, (0, 2, 1)))
+            _check_stack(self.Q, "Q")
+        _check_stack(self.R, "R")
+        self.Q = _sym(self.Q)
+        self.R = _sym(self.R)
+        self.W = self.noise.covariance(self.d)
+        self.S0 = self.init.second_moment()
+        for moment in (self.W, self.S0):
+            moment.setflags(write=False)
 
     @property
     def d(self) -> int:
@@ -634,7 +666,8 @@ class LqrInstance:
         return self.R.shape[0]
 
     def noise_covariance(self) -> np.ndarray:
-        return self.noise.covariance(self.d)
+        """W, computed once at construction (read-only)."""
+        return self.W
 
 
 def constant_instance(A, B, Q, R, Q_terminal, T, noise, init, **kw) -> LqrInstance:
@@ -688,20 +721,19 @@ def _as_gain_array(policy, T: int, k: int, d: int) -> np.ndarray:
 
 def solve_riccati(instance: LqrInstance) -> RiccatiSolution:
     """Backward Riccati recursion; returns optimal gains, value matrices, cost."""
-    A, B = instance.A, instance.B
+    A, B, Q, R, W = instance.A, instance.B, instance.Q, instance.R, instance.W
+    At, Bt = A.T, B.T
     T, d, k = instance.T, instance.d, instance.k
-    W = instance.noise_covariance()
     P = np.empty((T + 1, d, d))
     gains = np.empty((T, k, d))
-    P[T] = instance.Q[T]
+    P[T] = Q[T]
     trace_noise = 0.0
     for t in range(T - 1, -1, -1):
-        BtP = B.T @ P[t + 1]
-        G = instance.R[t] + BtP @ B
-        gains[t] = spd_solve(G, BtP @ A)
-        P[t] = _sym(instance.Q[t] + A.T @ P[t + 1] @ A - A.T @ BtP.T @ gains[t])
-        trace_noise += float(np.trace(W @ P[t + 1]))
-    cost = float(np.trace(instance.init.second_moment() @ P[0])) + trace_noise
+        BtP = Bt @ P[t + 1]
+        gains[t] = spd_solve(R[t] + BtP @ B, BtP @ A)
+        _sym(Q[t] + At @ P[t + 1] @ A - At @ BtP.T @ gains[t], out=P[t])
+        trace_noise += float((W @ P[t + 1]).trace())
+    cost = float((instance.S0 @ P[0]).trace()) + trace_noise
     return RiccatiSolution(gains=gains, P=P, optimal_cost=cost)
 
 
@@ -724,18 +756,19 @@ def backup_value(instance: LqrInstance, policy) -> ValueBackup:
     T = instance.T
     K = _gain_batch(instance, policy)
     batch = K.shape[:-3]
-    W = instance.noise_covariance()
     M = instance.A - instance.B @ K
-    stage = instance.Q[:T] + _swap(K) @ instance.R @ K
+    Mt = M.swapaxes(-1, -2)
+    stage = instance.Q[:T] + K.swapaxes(-1, -2) @ instance.R @ K
     P = np.empty((*batch, T + 1, instance.d, instance.d))
     P[..., T, :, :] = instance.Q[T]
     for t in range(T - 1, -1, -1):
-        Mt = M[..., t, :, :]
-        P[..., t, :, :] = _sym(stage[..., t, :, :] + _swap(Mt) @ P[..., t + 1, :, :] @ Mt)
+        # a fresh sum, then a copy into P: ufuncs writing into a strided slice
+        # of a batch run slower than that
+        P[..., t, :, :] = _sym(stage[..., t, :, :] + Mt[..., t, :, :] @ P[..., t + 1, :, :] @ M[..., t, :, :])
     # L_t = L_{t+1} + tr(W P_{t+1}) from L_T = 0, accumulated backward in that order
-    noise = np.trace(W @ P[..., :0:-1, :, :], axis1=-2, axis2=-1)
+    noise = (instance.W @ P[..., :0:-1, :, :]).trace(axis1=-2, axis2=-1)
     L = np.cumsum(np.concatenate([np.zeros((*batch, 1)), noise], axis=-1), axis=-1)[..., ::-1].copy()
-    cost = np.trace(instance.init.second_moment() @ P[..., 0, :, :], axis1=-2, axis2=-1) + L[..., 0]
+    cost = (instance.S0 @ P[..., 0, :, :]).trace(axis1=-2, axis2=-1) + L[..., 0]
     return ValueBackup(P=P, L=L, cost=cost)
 
 
@@ -746,14 +779,15 @@ def exact_cost(instance: LqrInstance, policy):
 
 def _second_moments(instance: LqrInstance, K: np.ndarray) -> np.ndarray:
     """Forward recursion Sigma_{t+1} = M_t Sigma_t M_t' + W from Sigma_0, shape (..., T+1, d, d)."""
-    T, d = instance.T, instance.d
-    W = instance.noise_covariance()
+    T, d, W = instance.T, instance.d, instance.W
     M = instance.A - instance.B @ K
+    Mt = M.swapaxes(-1, -2)
     sig = np.empty((*K.shape[:-3], T + 1, d, d))
-    sig[..., 0, :, :] = instance.init.second_moment()
+    sig[..., 0, :, :] = instance.S0
     for t in range(T):
-        Mt = M[..., t, :, :]
-        sig[..., t + 1, :, :] = _sym(Mt @ sig[..., t, :, :] @ _swap(Mt) + W)
+        S = M[..., t, :, :] @ sig[..., t, :, :] @ Mt[..., t, :, :]
+        S += W
+        _sym(S, out=sig[..., t + 1, :, :])
     return sig
 
 
@@ -813,8 +847,7 @@ def operator_decomposition(instance: LqrInstance, policy) -> tuple[np.ndarray, n
     A, B = instance.A, instance.B
     T, d = instance.T, instance.d
     K = _as_gain_array(policy, T, instance.k, d)
-    W = instance.noise_covariance()
-    S0 = instance.init.second_moment()
+    W, S0 = instance.W, instance.S0
     M = [A - B @ K[t] for t in range(T)]
     tk = S0.copy()
     Phi = np.eye(d)

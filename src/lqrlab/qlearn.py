@@ -81,7 +81,10 @@ def make_qtable(instance: LqrInstance, n_states: int, n_actions: int) -> QTable:
 
 
 def q_learning_step(table: QTable, instance: LqrInstance, lr: float, seed) -> QTable:
-    """One full sweep over all cells; returns a new table."""
+    """One full sweep over all cells; returns a new table.  lr must lie in
+    [0, 1]; lr = 0 leaves the table as it is."""
+    if not 0.0 <= lr <= 1.0:
+        raise ValueError(f"lr must be in [0, 1], got {lr!r}")
     a, b, qcoef, rcoef = _scalars(instance)
     T = instance.T
     rng = make_rng(seed)

@@ -177,6 +177,32 @@ class TestCli:
         assert main(["qlearn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,setting,key", [
+        ("zo-pg", "samples = 2.5\n", "samples"), ("pg", "iters = 2.9\n", "iters"),
+        ("qlearn", "sweeps = 1.5\n", "sweeps"), ("qlearn", "n_states = 11.5\n", "n_states"),
+        ("pg", "iters = true\n", "iters"), ("riccati", "instance.T = 4.5\n", "instance.T"),
+    ])
+    def test_fractional_counts_exit_two(self, tmp_path, capsys, kind, setting, key):
+        # a count that is not a whole number is a config error, never truncated
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + KIND_EXTRAS[kind] + setting)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"{key} must be a whole number" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "seed_0.csv").exists()
+
+    def test_whole_float_counts_run_as_integers(self, tmp_path):
+        for name, counts in (("int", "iters = 3\nsamples = 5\n"), ("float", "iters = 3.0\nsamples = 5e0\n")):
+            cfg = write(tmp_path, f"{name}.cfg", SCALAR_CFG + "eta = 0.2\nradius = 0.1\n" + counts)
+            assert main(["zo-pg", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "int" / "seed_0.csv").read_bytes() == (tmp_path / "float" / "seed_0.csv").read_bytes()
+
+    @pytest.mark.parametrize("lr,code", [("-1", 2), ("0", 0), ("5", 2), ("NaN", 2)])
+    def test_qlearn_step_size_is_checked(self, tmp_path, capsys, lr, code):
+        # lr = 0 is a valid (if idle) step: a sweep then leaves the table as it is
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + KIND_EXTRAS["qlearn"] + f"lr = {lr}\n")
+        assert main(["qlearn", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        if code:
+            assert "lr must be in [0, 1]" in capsys.readouterr().err
+
     def test_target_error_is_read_as_a_number(self, tmp_path):
         extra = "eta = 0.5\niters = 30\npolicy0 = 0.1\n"
         for name, target in (("num", "0.1"), ("str", '"0.1"')):

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -267,7 +268,109 @@ def inst_rng(i):
     return make_rng([123, i])
 
 
+def _reference_check(M, name):
+    """Per-slice reference of the instance check: slice after slice, the
+    2-norm of a slice taken by SVD."""
+    for t, S in enumerate(M):
+        with np.errstate(invalid="ignore"):  # np.allclose warns of the nan atol of a slice with a NaN
+            close = np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max()))
+        if not close:
+            raise NonPositiveDefinite(f"{name}[{t}] is not symmetric")
+        eigmin = float(np.linalg.eigvalsh(S)[0])
+        if eigmin <= 1e-12 * (1.0 + float(np.linalg.norm(S, 2))):
+            raise NonPositiveDefinite(f"{name}[{t}] is not positive definite (min eig {eigmin:g})")
+
+
+@st.composite
+def weight_stacks(draw):
+    """(n, d, d) stacks whose slices are each symmetric positive definite,
+    asymmetric by a relative 1e-13 to 1e-1, indefinite, on the edge of
+    definiteness (min eig 0, +-0.5 or 2 times the threshold), or holding a
+    NaN, at scales 1e-4 to 1e4."""
+    n, d = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    stack = np.empty((n, d, d))
+    for t in range(n):
+        kind = draw(st.sampled_from(["spd", "asym", "indefinite", "edge", "nan"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = 10.0 ** draw(st.integers(-4, 4))
+        V = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        lam = rng.uniform(0.3, 3.0, d) * scale
+        if kind == "indefinite":
+            lam[0] = -rng.uniform(0.01, 1.0) * scale
+        elif kind == "edge":
+            lam[0] = draw(st.sampled_from([0.0, -0.5, 0.5, 2.0])) * 1e-12 * (1.0 + lam[1:].max(initial=0.0))
+        S = (V * lam) @ V.T
+        if kind == "asym":
+            S += draw(st.sampled_from([1e-13, 1e-9, 1e-5, 1e-3, 1e-1])) * scale * rng.normal(size=(d, d))
+        elif kind == "nan":
+            S[rng.integers(d), rng.integers(d)] = np.nan
+        stack[t] = S
+    return stack
+
+
+def _check_message(build):
+    try:
+        build()
+    except NonPositiveDefinite as e:
+        return str(e)
+    return None
+
+
 class TestValidation:
+    @settings(deadline=None, max_examples=300)
+    @given(stack=weight_stacks())
+    @example(stack=np.stack([np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), -np.eye(2)]))
+    def test_batched_check_matches_per_slice_reference(self, stack):
+        n, d = stack.shape[:2]
+        noise, init = NoiseModel("zero"), InitialStateModel("point", np.ones(d))
+        ones = np.ones((1, 1))
+        as_q = _check_message(lambda: LqrInstance(np.eye(d), np.ones((d, 1)), stack, np.tile(ones, (n - 1, 1, 1)),
+                                                  noise, init))
+        assert as_q == _check_message(lambda: _reference_check(stack, "Q"))
+        as_r = _check_message(lambda: LqrInstance(np.eye(1), np.ones((1, d)), np.tile(ones, (n + 1, 1, 1)), stack,
+                                                  NoiseModel("zero"), InitialStateModel("point", np.ones(1))))
+        assert as_r == _check_message(lambda: _reference_check(stack, "R"))
+
+    def test_first_failing_slice_is_named(self):
+        Q = np.stack([np.eye(2), np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]), -np.eye(2)])
+        with pytest.raises(NonPositiveDefinite, match=r"^Q\[2\] is not symmetric$"):
+            LqrInstance(np.eye(2), np.ones((2, 1)), Q, np.ones((3, 1, 1)), NoiseModel("zero"),
+                        InitialStateModel("point", np.ones(2)))
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.full((2, 2), np.nan), "is not symmetric"),
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), "is not symmetric"),
+        (np.full((2, 2), np.inf), "is not positive definite (min eig nan)"),
+    ])
+    def test_non_finite_slices_raise_non_positive_definite(self, bad, message):
+        # not a LinAlgError, and never a pass on a nan eigenvalue
+        with pytest.raises(NonPositiveDefinite) as err:
+            LqrInstance(np.eye(2), np.ones((2, 1)), np.stack([np.eye(2), bad]), np.ones((1, 1, 1)),
+                        NoiseModel("zero"), InitialStateModel("point", np.ones(2)))
+        assert str(err.value) == f"Q[1] {message}"
+
+    def test_validate_false_still_checks_r(self):
+        with pytest.raises(NonPositiveDefinite, match=r"^R\[0\] is not positive definite"):
+            constant_instance(
+                np.eye(1), np.eye(1), -np.eye(1), -np.eye(1), np.eye(1), 1,
+                NoiseModel("zero"), InitialStateModel("point", np.ones(1)), validate=False,
+            )
+
+    def test_moments_are_read_only_and_follow_replace(self, rng):
+        inst = random_instance(rng, d=2, k=1, T=3)
+        W, S0 = inst.noise_covariance(), inst.S0
+        np.testing.assert_array_equal(W, inst.noise.covariance(2))
+        np.testing.assert_array_equal(S0, inst.init.second_moment())
+        for moment in (W, S0):
+            assert not moment.flags.writeable
+            with pytest.raises(ValueError):
+                moment[0, 0] = 1.0
+        louder = dataclasses.replace(inst, noise=NoiseModel("gaussian", 2.0))
+        np.testing.assert_array_equal(louder.noise_covariance(), 4.0 * np.eye(2))
+        moved = dataclasses.replace(inst, init=InitialStateModel("point", np.array([1.0, 2.0])))
+        np.testing.assert_array_equal(moved.S0, [[1.0, 2.0], [2.0, 4.0]])
+        assert inst.noise_covariance() is W and inst.S0 is S0
+
     def test_rejects_indefinite_q(self):
         with pytest.raises(NonPositiveDefinite):
             constant_instance(
@@ -628,6 +731,49 @@ class TestKeyedDraws:
         assert got[0] and all(g is got[0] for g in got)
         for a, b in zip(got[0], core._derive_ziggurat()):
             np.testing.assert_array_equal(a, b)
+
+    def test_threads_keep_their_own_stream(self, monkeypatch):
+        # with no tables every row takes the per-key path through the
+        # thread's CounterStream; threads drawing at once (more than cores)
+        # must each get the rows of their own keys
+        monkeypatch.setattr(core, "_ziggurat", ())
+        layout = [("gaussian", 5), ("uniform", 2)]
+        tails = np.stack([np.arange(150), np.zeros(150), np.ones(150)], axis=1).astype(np.uint64)
+        prefixes = [(11, 1), (12, 2), (13, 3), (14, 4)]
+        expected = [keyed_draws(layout, p, tails) for p in prefixes]
+        streams, kept, got = [None] * 4, [False] * 4, [[] for _ in prefixes]
+
+        def draw(j):
+            streams[j] = core._counter_stream()
+            for _ in range(5):
+                got[j].append(keyed_draws(layout, prefixes[j], tails))
+            kept[j] = core._counter_stream() is streams[j]
+
+        threads = [threading.Thread(target=draw, args=(j,)) for j in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and all(kept)
+        assert len({id(x) for x in streams}) == 4 and core._counter_stream() not in streams
+        for j in range(4):
+            assert len(got[j]) == 5
+            for z in got[j]:
+                _assert_same_bits(z, expected[j])
+
+    def test_per_key_rows_build_no_stream(self, monkeypatch):
+        monkeypatch.setattr(core, "_ziggurat", ())
+        core._counter_stream()  # this thread's, built at its first use
+        built = []
+        monkeypatch.setattr(core, "CounterStream", lambda: built.append(1))
+        for prefix in ((5, 1), (6, 2), (7, 3)):
+            keyed_draws([("gaussian", 3)], prefix, np.ones((4, 3), dtype=np.uint64))
+        assert not built
 
     def test_tables_hold_for_the_installed_numpy(self):
         # fails when numpy's ziggurat changes, rather than quietly losing the fast path

@@ -46,6 +46,12 @@ class TestTable:
         tab2 = q_learning_step(tab, inst, lr=0.0, seed=1)
         np.testing.assert_array_equal(tab2.q, tab.q)
 
+    @pytest.mark.parametrize("lr", [-1.0, -1e-12, 1.0 + 1e-12, 5.0, np.nan, np.inf])
+    def test_rejects_step_sizes_outside_the_unit_interval(self, lr):
+        inst = noiseless_scalar()
+        with pytest.raises(ValueError, match="lr must be in"):
+            q_learning_step(make_qtable(inst, n_states=5, n_actions=3), inst, lr, seed=0)
+
     def test_lr_one_noiseless_hits_bellman_target(self):
         # with lr = 1 and no noise a sweep writes the exact snapped Bellman
         # backup, so a second sweep is a fixed point

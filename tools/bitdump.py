@@ -1,6 +1,7 @@
-"""Bit-identity dump: one sha256 per named output of the keyed sampler, the
-sampled estimator, the zeroth-order loops (also through opaque simulator
-handles) and the CLI, to compare two versions of lqrlab.
+"""Bit-identity dump: one sha256 per named output of the exact layer and the
+exact descent, the keyed sampler, the sampled estimator, the zeroth-order
+loops (also through opaque simulator handles) and the CLI, to compare two
+versions of lqrlab.
 
     PYTHONPATH=src python tools/bitdump.py change.json
     PYTHONPATH=<other checkout>/src python tools/bitdump.py parent.json
@@ -11,7 +12,7 @@ exits 1 if there is any.  Each CSV the CLI writes gets two names: its bytes,
 and its cells parsed as float64 ("#values"), so a change in how numbers are
 written shows apart from a change in the numbers.  The dump uses only names
 that older checkouts also have, so it runs on them too.  It takes about
-20 s on a 2-CPU VM.
+25 s on a 2-CPU VM.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,16 +34,24 @@ from lqrlab import (
     InitialStateModel,
     LqrSimulator,
     NoiseModel,
+    ProjectionSet,
     SmoothingConfig,
+    backup_value,
     constant_instance,
+    covariance_profile,
     estimate_gradient,
     exact_cost,
+    exact_gradient,
+    run_exact_pg,
+    run_exact_ppg,
     run_modelfree_pg,
     run_modelfree_ppg,
+    solve_riccati,
 )
 from lqrlab import cli, core, zeroth
 from lqrlab.benchmarks import four_state_benchmark, scalar_benchmark, stock_liquidation
 from lqrlab.config_io import dump_kv
+from lqrlab.errors import LqrlabError
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
 
 KIND_PAIRS = [("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gaussian"), ("gaussian", "zero"),
@@ -81,6 +91,80 @@ def _instances() -> dict:
         K = np.random.default_rng(4).normal(size=(inst.T, inst.k, inst.d)) * 0.2
         out[f"{init_kind}-{noise_kind}"] = (inst, K, 0.3)
     return out
+
+
+# (d, k, T) of the exact suite: every d in 1-4, k in 1-2 and T in 1-10
+EXACT_SHAPES = [(d, k, T) for d in range(1, 5) for k in (1, 2) for T in range(1, 11)]
+EXACT_BATCH = 5  # policies per batched call
+
+
+def _exact_instance(n: int):
+    """Suite instance n: a random instance of shape EXACT_SHAPES[n] whose
+    start state and noise are of kind pair n of KIND_PAIRS, cycled."""
+    d, k, T = EXACT_SHAPES[n]
+    init_kind, noise_kind = KIND_PAIRS[n % len(KIND_PAIRS)]
+    rng = np.random.default_rng([59, n])
+    M, N = rng.normal(size=(d, d)), rng.normal(size=(k, k))
+    Q, R = M @ M.T + 0.3 * np.eye(d), N @ N.T + 0.3 * np.eye(k)
+    noise = NoiseModel(noise_kind, 0.4, rng.normal(size=(d, d)))
+    init = InitialStateModel(init_kind, rng.normal(size=d), 0.6)
+    return constant_instance(rng.normal(size=(d, d)) * 0.5, rng.normal(size=(d, k)), Q, R, 2.0 * Q, T, noise, init)
+
+
+def _run_sha(run, *args) -> str:
+    """The hash of a descent's final policy and trace rows, or the error it raised."""
+    try:
+        K, trace = run(*args)
+    except LqrlabError as e:  # a run that fails must fail alike on both sides
+        return f"{type(e).__name__}: {e}"
+    return _sha(K, trace.rows)
+
+
+def exact_outputs(out: dict) -> None:
+    """backup_value, exact_gradient (plain and with its terms),
+    covariance_profile and solve_riccati on the suite of EXACT_SHAPES, for
+    one policy and a batch; then exact PG and box-projected PG traces with
+    Armijo at backtrack 0.5 and 0.3 on every fourth suite instance, projected
+    PG on the liquidation instance, and 4-state runs."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate covariances of point starts without noise
+        for n, (d, k, T) in enumerate(EXACT_SHAPES):
+            inst = _exact_instance(n)
+            name = f"exact/d={d},k={k},T={T}"
+            rng = np.random.default_rng([61, n])
+            sol = solve_riccati(inst)
+            out[f"{name}/riccati"] = _sha(sol.gains, sol.P, sol.optimal_cost)
+            single = rng.normal(size=(T, k, d)) * 0.3
+            for policy, tag in ((single, "single"), (rng.normal(size=(EXACT_BATCH, *single.shape)) * 0.3, "batch")):
+                bk = backup_value(inst, policy)
+                out[f"{name}/{tag}/backup"] = _sha(bk.P, bk.L, bk.cost)
+                prof = covariance_profile(inst, policy)
+                out[f"{name}/{tag}/profile"] = _sha(prof.sigmas, prof.aggregate, prof.sigma_x)
+                out[f"{name}/{tag}/gradient"] = _sha(exact_gradient(inst, policy))
+                grads, E, bk, prof = exact_gradient(inst, policy, return_terms=True)
+                out[f"{name}/{tag}/gradient-terms"] = _sha(grads, E, bk.P, bk.L, bk.cost, prof.sigmas, prof.aggregate,
+                                                           prof.sigma_x)
+        box = ProjectionSet(kind="box", lo=-0.4, hi=0.4)
+        for backtrack in (0.5, 0.3):
+            for n in range(0, len(EXACT_SHAPES), 4):
+                d, k, T = EXACT_SHAPES[n]
+                inst = _exact_instance(n)
+                K0 = np.random.default_rng([67, n]).uniform(-0.3, 0.3, size=(T, k, d))
+                cfg = DescentConfig(eta=1.0, iters=30, line_search=True, backtrack=backtrack)
+                name = f"exact/loop/d={d},k={k},T={T}/backtrack={backtrack}"
+                out[f"{name}/pg"] = _run_sha(run_exact_pg, inst, K0, cfg)
+                out[f"{name}/ppg-box"] = _run_sha(run_exact_ppg, inst, K0, cfg, box)
+            liq = ac_to_lqr(stock_liquidation())
+            cfg = DescentConfig(eta=1e3, iters=30, line_search=True, backtrack=backtrack)
+            out[f"exact/loop/liquidation-ppg/backtrack={backtrack}"] = _run_sha(
+                run_exact_ppg, liq, np.full((liq.T, 1, 2), -0.2), cfg, liquidation_constraint(5e-5, 1e-12))
+            four = four_state_benchmark()
+            cfg = DescentConfig(eta=1e-2, iters=50, line_search=True, backtrack=backtrack, target_error=1e-3)
+            K0 = 0.05 + np.random.default_rng(71).uniform(-0.02, 0.02, size=(four.T, four.k, four.d))
+            out[f"exact/loop/four-state/backtrack={backtrack}"] = _run_sha(run_exact_pg, four, K0, cfg)
+        four = four_state_benchmark()
+        out["exact/loop/four-state/fixed-step"] = _run_sha(
+            run_exact_pg, four, np.full((four.T, four.k, four.d), 0.05), DescentConfig(eta=1e-4, iters=50))
 
 
 def estimator_outputs(out: dict) -> None:
@@ -265,6 +349,7 @@ def main(argv=None) -> int:
     if not args.out:
         ap.error("give an output file or --compare A B")
     out: dict = {}
+    exact_outputs(out)
     keyed_outputs(out)
     estimator_outputs(out)
     loop_outputs(out)
