@@ -4,7 +4,9 @@ or not), Armijo line search, and constraint sets."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -17,7 +19,7 @@ _MEMBER_TOL = 1e-9
 _LADDER_CHUNK = 16
 
 
-@dataclass
+@dataclass(frozen=True)  # frozen, so a field cannot skip the checks below
 class DescentConfig:
     eta: float
     iters: int
@@ -27,6 +29,18 @@ class DescentConfig:
     eta_floor: float = 1e-15
     divergence_factor: float = 1e12
     target_error: float | None = None  # stop when normalized error falls below
+
+    def __post_init__(self):
+        for name in ("eta", "eta_floor", "armijo_c", "divergence_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0 < self.backtrack < 1:  # a factor of 1 or more never leaves the Armijo ladder
+            raise ValueError(f"backtrack must be in (0, 1), got {self.backtrack!r}")
+        if isinstance(self.iters, bool) or not isinstance(self.iters, Integral) or self.iters < 0:
+            raise ValueError(f"iters must be an integer >= 0, got {self.iters!r}")
+        if self.target_error is not None and not math.isfinite(self.target_error):
+            raise ValueError(f"target_error must be finite, got {self.target_error!r}")
 
 
 @dataclass

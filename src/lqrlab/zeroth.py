@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     LqrInstance,
+    _computed_words,
     _path_layout,
     _paths_from_draws,
     _stream_words,
@@ -40,10 +41,11 @@ from .optimize import DescentConfig, ProjectionSet, _descent
 # 1024 ran faster than 4096 or 16384 on the scalar and 4-state benchmarks
 _REFERENCE_CHUNK = 1024
 
-# keys per kind of draw that an estimate of T * m rollouts draws ahead: the
-# standardized rows of max(1, _DRAW_AHEAD // (T * m)) iterations come from one
-# keyed_draws pass, whose numpy call overhead dominates small estimates
-_DRAW_AHEAD = 2048
+# Philox blocks per kind of draw that an estimate draws ahead: when a row of
+# the kind's layout takes b blocks, the standardized rows of
+# max(1, _DRAW_AHEAD // (T * m * b)) iterations come from one keyed_draws
+# pass, whose numpy call overhead dominates small estimates
+_DRAW_AHEAD = 4096
 
 
 class _Blocks(threading.local):
@@ -113,13 +115,15 @@ def _standard_rows(layout, T: int, m: int, flag: int, seed, iteration: int) -> n
     """(T * m, W) standardized draws of the keys (seed, iteration, t, i, flag),
     row t * m + i, as one keyed_draws call gives them.
 
-    When B = _DRAW_AHEAD // (T * m) is above one, a call outside the thread's
+    A row of W words takes b = _computed_words(W) / 4 Philox blocks.  When
+    B = _DRAW_AHEAD // (T * m * b) is above one, a call outside the thread's
     block for this flag draws the rows of iterations [iteration, iteration + B)
     in one keyed_draws pass, keeps them as a read-only block keyed on the
     layout, T, m, the masked seed word and the first iteration, and serves
     later calls within the block from it.  With B = 1 nothing is kept.
     """
-    span = _DRAW_AHEAD // (T * m) if T * m else 1
+    blocks = _computed_words(sum(w for _, w in layout)) // 4
+    span = _DRAW_AHEAD // (T * m * blocks) if T * m else 1
     if span <= 1:
         return keyed_draws(layout, (seed, iteration), _slot_tails(range(T), m, flag))
     seed_word, it = _stream_words((seed, iteration))[:2]
@@ -160,6 +164,21 @@ def slot_paths(instance: LqrInstance, m: int, seed, iteration: int) -> tuple[np.
     drawn ahead for the next iterations when T * m is small (_standard_rows),
     and are placed and scaled for the instance on every call."""
     return _paths_from_draws(instance, _standard_rows(_path_layout(instance), instance.T, m, 1, seed, iteration))
+
+
+def _row_forms(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """(n,) quadratic forms x_i' M x_i of the rows of x (n, d).
+
+    The contraction runs on a coordinate-major copy of x, so einsum's inner
+    loop runs along the n rows instead of across d columns, and it sums the
+    d * d terms of each row in the order it does on x itself: the bits are
+    those of einsum("id,de,ie->i", x, M, x) for x row-major or a column slice
+    of a row-major array, as the roll passes it.  On one or two rows numpy
+    picks its loop order from the strides, which the copy transposes, so
+    there the loops run in the labels' order, as they do on row-major x.
+    """
+    xt = np.ascontiguousarray(x.T)
+    return np.einsum("di,de,ei->i", xt, M, xt, order="C" if len(x) <= 2 else "K")
 
 
 class LqrSimulator:
@@ -217,10 +236,10 @@ class LqrSimulator:
             if j is not None:
                 rows = slice(j * m, (j + 1) * m)
                 u[rows] = -np.einsum("ikd,id->ik", K[s][None] + U[j], x[rows])
-            cost += np.einsum("id,de,ie->i", x, inst.Q[s], x)
-            cost += np.einsum("ik,kl,il->i", u, inst.R[s], u)
+            cost += _row_forms(x, inst.Q[s])
+            cost += _row_forms(u, inst.R[s])
             x = x @ inst.A.T + u @ inst.B.T + w[:, s]
-        cost += np.einsum("id,de,ie->i", x, inst.Q[T], x)
+        cost += _row_forms(x, inst.Q[T])
         return cost.reshape(n_blocks, m)
 
 
@@ -263,8 +282,13 @@ def smoothed_gradient_reference(instance: LqrInstance, policy, t: int, radius: f
 
     The perturbed policies are costed in batches of _REFERENCE_CHUNK, and the
     terms (c_i - base) U_i are summed one after another in sample order.
+    The radius and n_samples follow SmoothingConfig's rules, and the slot
+    must satisfy 0 <= t < T.
     """
+    SmoothingConfig(radius, n_samples)
     K = np.asarray(policy, dtype=float)
+    if isinstance(t, bool) or not isinstance(t, Integral) or not 0 <= t < len(K):
+        raise ValueError(f"slot t must be an integer in [0, {len(K)}), got {t!r}")
     k, d = K.shape[1], K.shape[2]
     D = k * d
     U = sample_sphere_batch(n_samples, (k, d), radius, seed)

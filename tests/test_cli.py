@@ -216,6 +216,12 @@ class TestCli:
         assert main(["pg", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "line_search" in capsys.readouterr().err
 
+    def test_negative_step_size_exit_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = -1\niters = 5\n")
+        assert main(["pg", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "eta must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "seed_0.csv").exists()
+
     def test_runtime_failure_exit_three(self, tmp_path):
         # diverging step size trips the divergence guard -> exit 3
         cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 1e9\niters = 50\npolicy0 = 0.1\n")

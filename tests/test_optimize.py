@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,34 @@ class TestExactPg:
         K0 = sol.gains + 1e-3 * random_policy(rng, inst)
         with pytest.raises(StepSizeUnderflow):
             run_exact_pg(inst, K0, cfg)
+
+    @pytest.mark.parametrize("name,value", [
+        ("backtrack", 1.0), ("backtrack", 1.5), ("backtrack", 0.0), ("backtrack", -0.5), ("backtrack", np.nan),
+        ("eta", 0.0), ("eta", -1.0), ("eta", np.inf), ("eta", np.nan),
+        ("eta_floor", 0.0), ("eta_floor", -1e-15), ("eta_floor", np.nan),
+        ("iters", -1), ("iters", 2.5), ("iters", 3.0), ("iters", True),
+        ("armijo_c", 0.0), ("armijo_c", -1e-4), ("armijo_c", np.inf),
+        ("divergence_factor", 0.0), ("divergence_factor", -1.0), ("divergence_factor", np.nan),
+        ("target_error", np.nan), ("target_error", np.inf), ("target_error", -np.inf),
+    ])
+    def test_config_rejects_bad_settings(self, name, value):
+        # backtrack = 1 used to loop forever in the Armijo search, and 0 or
+        # less to raise StepSizeUnderflow, a runtime failure, for bad input
+        settings = {"eta": 1.0, "iters": 5, "line_search": True, name: value}
+        with pytest.raises(ValueError, match=name):
+            DescentConfig(**settings)
+
+    def test_config_fields_cannot_be_assigned(self):
+        # an assigned backtrack = 1 would reach the Armijo search unchecked
+        cfg = DescentConfig(eta=1.0, iters=5, line_search=True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.backtrack = 1.0
+
+    def test_config_accepts_edge_settings(self):
+        cfg = DescentConfig(eta=np.float64(1.0), iters=np.int64(0), armijo_c=1e4, backtrack=0.999, target_error=-1.0)
+        K0 = np.full((5, 1, 1), 0.1)
+        _, trace = run_exact_pg(scalar_benchmark(), K0, cfg)
+        assert len(trace.rows) == 1
 
     def test_trace_csv_roundtrip(self, rng, tmp_path):
         inst = random_instance(rng)

@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lqrlab import (
     DescentConfig,
@@ -26,7 +28,7 @@ from lqrlab import zeroth
 from lqrlab.errors import DegenerateDraw, Diverged, NotInSet, ZeroOptimalCost
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
 from lqrlab.core import keyed_draws, keyed_paths
-from lqrlab.zeroth import slot_paths, sphere_directions
+from lqrlab.zeroth import _row_forms, slot_paths, sphere_directions
 
 from conftest import random_instance, random_policy
 
@@ -127,6 +129,75 @@ class TestEstimatorDraws:
             np.testing.assert_array_equal(fast.mean_costs, ref.mean_costs)
 
 
+class ReferenceKernel(LqrSimulator):
+    """Reference rollout kernel: the _roll loop with its quadratic costs as
+    row-major einsum calls."""
+
+    def _roll(self, policy, blocks: dict, U: np.ndarray, x0: np.ndarray, w: np.ndarray) -> np.ndarray:
+        inst = self._inst
+        T = self.T
+        n_blocks, m = U.shape[:2]
+        K = np.asarray(policy, dtype=float)
+        x = x0
+        cost = np.zeros(n_blocks * m)
+        for s in range(T):
+            u = -(x @ K[s].T)
+            j = blocks.get(s)
+            if j is not None:
+                rows = slice(j * m, (j + 1) * m)
+                u[rows] = -np.einsum("ikd,id->ik", K[s][None] + U[j], x[rows])
+            cost += np.einsum("id,de,ie->i", x, inst.Q[s], x)
+            cost += np.einsum("ik,kl,il->i", u, inst.R[s], u)
+            x = x @ inst.A.T + u @ inst.B.T + w[:, s]
+        cost += np.einsum("id,de,ie->i", x, inst.Q[T], x)
+        return cost.reshape(n_blocks, m)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _wide(rng, shape):
+    """Normal entries scaled over sixteen decades."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+
+class TestRolloutKernel:
+    @settings(deadline=None, max_examples=80)
+    @given(d=st.integers(1, 5), k=st.integers(1, 3), T=st.integers(1, 6), m=st.sampled_from([1, 2, 3, 9, 200]),
+           kinds=st.sampled_from(KIND_PAIRS), data=st.integers(0, 2**32 - 1), seed=st.integers(-2**63, 2**64 - 1),
+           iteration=st.integers(0, 2**64 - 1))
+    # two rows of width two, where numpy orders einsum's loops by strides alone
+    @example(d=2, k=2, T=3, m=2, kinds=KIND_PAIRS[0], data=2, seed=0, iteration=0)
+    def test_rollouts_match_reference_kernel(self, d, k, T, m, kinds, data, seed, iteration):
+        # non-diagonal Q, R and terminal Q, so every cross term of a form counts
+        rng = np.random.default_rng(data)
+        M, N, F = rng.normal(size=(d, d)), rng.normal(size=(k, k)), rng.normal(size=(d, d))
+        noise = NoiseModel(kinds[1], 0.4, rng.normal(size=(d, d)))
+        init = InitialStateModel(kinds[0], rng.normal(size=d), 0.6)
+        inst = constant_instance(rng.normal(size=(d, d)) * 0.5, rng.normal(size=(d, k)), M @ M.T + 0.3 * np.eye(d),
+                                 N @ N.T + 0.3 * np.eye(k), F @ F.T, T, noise, init)
+        K = rng.normal(size=(T, k, d)) * 0.3
+        U = sphere_directions(T, m, (k, d), 0.2, seed, iteration)
+        sim, ref = LqrSimulator(inst), ReferenceKernel(inst)
+        np.testing.assert_array_equal(_bits(sim.rollout_perturbed_slots(K, U, seed, iteration)),
+                                      _bits(ref.rollout_perturbed_slots(K, U, seed, iteration)))
+        for t in range(T):
+            key = (seed, iteration, t)
+            np.testing.assert_array_equal(_bits(sim.rollout_perturbed_batch(K, t, U[t], key)),
+                                          _bits(ref.rollout_perturbed_batch(K, t, U[t], key)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 250, 2000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_row_forms_match_row_major_einsum(self, n, d):
+        rng = np.random.default_rng([n, d])
+        for _ in range(20):
+            wide = _wide(rng, (n, d + 3))
+            M = _wide(rng, (d, d))  # neither diagonal nor symmetric
+            for x in (np.ascontiguousarray(wide[:, :d]), wide[:, :d], wide[:, 2:d + 2]):
+                np.testing.assert_array_equal(_bits(_row_forms(x, M)), _bits(np.einsum("id,de,ie->i", x, M, x)))
+
+
 def _fresh_directions(T, m, shape, radius, seed, iteration):
     """sphere_directions from one single-prefix keyed_draws call, as drawn without draw-ahead."""
     g = keyed_draws([("gaussian", shape[0] * shape[1])], (seed, iteration), zeroth._slot_tails(range(T), m, 0))
@@ -157,7 +228,7 @@ class TestDrawAhead:
 
     def test_call_sequences_match_fresh_draws(self, fresh_blocks):
         # two path layouts of six words at T = 5, k = d = 1: Gaussian start and
-        # noise, and uniform start with Gaussian noise; blocks of 8 to 409 iterations
+        # noise, and uniform start with Gaussian noise; blocks of 8 to 819 iterations
         insts = [scalar_benchmark(), _instance_of_kinds("uniform", "gaussian", d=1, T=5)]
         for seed in (3, -5):
             for inst in insts:
@@ -170,6 +241,13 @@ class TestDrawAhead:
                     for inst in insts:
                         _assert_matches_fresh(inst, m, seed, it)
 
+    def test_zo_liquidation_sphere_blocks_match_fresh_draws(self, fresh_blocks):
+        # T * m = 2000: sphere blocks of two iterations, path rows drawn one iteration at a time
+        liq = ac_to_lqr(stock_liquidation())
+        for seed in (3 << 20, -5):
+            for it in self.ITERATIONS:
+                _assert_matches_fresh(liq, 200, seed, it)
+
     def test_one_pass_per_block_and_nothing_kept_for_large_estimates(self, fresh_blocks, monkeypatch):
         calls = []
 
@@ -179,15 +257,15 @@ class TestDrawAhead:
 
         monkeypatch.setattr(zeroth, "keyed_draws", counted)
         inst, K = scalar_benchmark(), np.zeros((5, 1, 1))
-        for it in range(16):  # T * m = 250: blocks of 8 iterations
+        for it in range(16):  # T * m = 250: sphere rows of one Philox block, path rows of two
             estimate_gradient(inst, K, SmoothingConfig(0.1, 50), 4, iteration=it)
-        assert calls == [8, 8, 8, 8]
+        assert calls == [16, 8, 8]
         calls.clear()
         zeroth._blocks.held.clear()
         liq = ac_to_lqr(stock_liquidation())
-        for it in range(2):  # T * m = 2000: one iteration per pass, nothing kept
+        for it in range(2):  # T * m = 2000: sphere blocks of 2 iterations; path rows of 7 Philox blocks are not kept
             estimate_gradient(liq, np.full((10, 1, 2), -0.2), SmoothingConfig(0.6, 200), 4, iteration=it)
-        assert calls == [1, 1, 1, 1] and zeroth._blocks.held == {}
+        assert calls == [2, 1, 1] and set(zeroth._blocks.held) == {0}
 
     def test_threads_draw_their_own_keys(self, fresh_blocks):
         # more threads than cores, switching often, each on its own seed
@@ -238,7 +316,7 @@ class TestDrawAhead:
         assert redrawn == [(7, 12, 1, 4, 0)]
 
     def test_early_stop_mid_block_matches_one_iteration_per_pass(self, fresh_blocks, monkeypatch):
-        # m = 3 draws 136 iterations per block; this run reaches its target after 59
+        # m = 3 draws 273 sphere and 136 path iterations per block; this run reaches its target after 59
         inst, K0 = scalar_benchmark(), np.zeros((5, 1, 1))
         cfg, sm = DescentConfig(eta=0.05, iters=300, target_error=0.15), SmoothingConfig(0.1, 3)
         K, trace = run_modelfree_pg(inst, K0, cfg, sm, 3)
@@ -306,6 +384,17 @@ class TestEstimator:
     def test_smoothing_config_accepts_numpy_scalars(self):
         cfg = SmoothingConfig(radius=np.float64(0.1), samples=np.int64(1))
         assert cfg.samples == 1
+
+    @pytest.mark.parametrize("t,radius,n_samples,match", [
+        (0, 0.0, 10, "radius"), (0, -0.1, 10, "radius"), (0, np.nan, 10, "radius"), (0, np.inf, 10, "radius"),
+        (0, 0.1, 0, "samples"), (0, 0.1, -3, "samples"), (0, 0.1, 2.5, "samples"),
+        (-1, 0.1, 10, "slot"), (5, 0.1, 10, "slot"), (1.0, 0.1, 10, "slot"), (True, 0.1, 10, "slot"),
+    ])
+    def test_reference_rejects_bad_inputs(self, t, radius, n_samples, match):
+        # n_samples = 0 used to give nan, radius = 0 a ZeroDivisionError, and a
+        # negative radius or t = -1 a number
+        with pytest.raises(ValueError, match=match):
+            smoothed_gradient_reference(scalar_benchmark(), np.zeros((5, 1, 1)), t, radius, n_samples, 0)
 
     def test_reference_equals_per_sample_loop(self, rng):
         # 2500 samples span three cost batches; the sum must keep sample order

@@ -1,7 +1,7 @@
 """Bit-identity dump: one sha256 per named output of the exact layer and the
-exact descent, the keyed sampler, the sampled estimator, the zeroth-order
-loops (also through opaque simulator handles) and the CLI, to compare two
-versions of lqrlab.
+exact descent, the keyed sampler, the rollout kernel, the sampled estimator,
+the zeroth-order loops (also through opaque simulator handles) and the CLI,
+to compare two versions of lqrlab.
 
     PYTHONPATH=src python tools/bitdump.py change.json
     PYTHONPATH=<other checkout>/src python tools/bitdump.py parent.json
@@ -188,6 +188,27 @@ def estimator_outputs(out: dict) -> None:
                         out[f"{key}/mean_costs"] = _sha(est.mean_costs)
 
 
+ROLL_SAMPLES = [1, 2, 3, 200]
+ROLL_SEEDS = [5, 2**63 + 4]
+
+
+def roll_outputs(out: dict) -> None:
+    """LqrSimulator.rollout_perturbed_slots and rollout_perturbed_batch (every
+    slot) on each suite instance of EXACT_SHAPES, whose Q and R are not
+    diagonal, per m, seed and iterations 0 and 1."""
+    for n, (d, k, T) in enumerate(EXACT_SHAPES):
+        inst = _exact_instance(n)
+        sim = LqrSimulator(inst)
+        K = np.random.default_rng([73, n]).normal(size=(T, k, d)) * 0.3
+        for m in ROLL_SAMPLES:
+            for seed in ROLL_SEEDS:
+                for it in (0, 1):
+                    name = f"roll/d={d},k={k},T={T}/m={m}/seed={seed}/it={it}"
+                    U = zeroth.sphere_directions(T, m, (k, d), 0.2, seed, it)
+                    out[f"{name}/slots"] = _sha(sim.rollout_perturbed_slots(K, U, seed, it))
+                    out[f"{name}/batch"] = _sha(*(sim.rollout_perturbed_batch(K, t, U[t], (seed, it, t)) for t in range(T)))
+
+
 KEYED_KEYS = 51200  # keys per layout; a quarter of 22-normal rows take numpy's wedge branch, about 0.5% its tail
 
 
@@ -351,6 +372,7 @@ def main(argv=None) -> int:
     out: dict = {}
     exact_outputs(out)
     keyed_outputs(out)
+    roll_outputs(out)
     estimator_outputs(out)
     loop_outputs(out)
     handle_outputs(out)
