@@ -746,30 +746,52 @@ def _gain_batch(instance: LqrInstance, policy) -> np.ndarray:
     return K
 
 
-def backup_value(instance: LqrInstance, policy) -> ValueBackup:
-    """Evaluate a linear policy: closed-loop value matrices P_t and offsets L_t.
-
-    policy is one gain sequence (T, k, d) or a batch (n, T, k, d).  A batch
-    runs as one stacked recursion whose every slice takes the operations of a
-    single policy in the same order, so it equals per-policy calls bit for bit.
-    """
+def _closed_loop(instance: LqrInstance, K: np.ndarray, *, values: bool = True, moments: bool = True):
+    """(P, sigmas) of gains K (T, k, d) or (n, T, k, d), each (..., T+1, d, d) or
+    None where not asked for.  With M_t = A - B K_t, the value chain P_t = Q_t +
+    K_t'R_t K_t + M_t'P_{t+1} M_t from Q_T and the moment chain Sigma_{t+1} = W +
+    M_t Sigma_t M_t' from S0 both read X <- _sym(add + N'X N), N = M_t or M_t',
+    and advance stacked on one axis.  Every slice takes the operations of its
+    own chain and policy in the same order, so it equals that chain run alone."""
     T = instance.T
-    K = _gain_batch(instance, policy)
-    batch = K.shape[:-3]
-    M = instance.A - instance.B @ K
-    Mt = M.swapaxes(-1, -2)
-    stage = instance.Q[:T] + K.swapaxes(-1, -2) @ instance.R @ K
-    P = np.empty((*batch, T + 1, instance.d, instance.d))
-    P[..., T, :, :] = instance.Q[T]
-    for t in range(T - 1, -1, -1):
-        # a fresh sum, then a copy into P: ufuncs writing into a strided slice
-        # of a batch run slower than that
-        P[..., t, :, :] = _sym(stage[..., t, :, :] + Mt[..., t, :, :] @ P[..., t + 1, :, :] @ M[..., t, :, :])
+    M = (instance.A - instance.B @ K).swapaxes(0, -3)  # step-major: (T, ..., d, d)
+    chains = []  # (start, N, add), step-major in the order the chain runs
+    if values:
+        stage = (instance.Q[:T] + K.swapaxes(-1, -2) @ instance.R @ K).swapaxes(0, -3)
+        chains.append((instance.Q[T], M[::-1], stage[::-1]))
+    if moments:  # W spans the steps by broadcasting alone, by assignment in a stack
+        chains.append((instance.S0, M.swapaxes(-1, -2), instance.W if values else np.broadcast_to(instance.W, M.shape)))
+    if len(chains) == 1:  # views: copying a large batch costs more than the matmuls save
+        N, add = (part[:, None] for part in chains[0][1:])
+    else:  # contiguous copies: a matmul with a transposed right operand takes up to twice as long
+        N, add = np.empty((2, T, len(chains), *M.shape[1:]))
+        for c, (_, *parts) in enumerate(chains):
+            N[:, c], add[:, c] = parts
+    X = np.empty((T + 1, *N.shape[1:]))  # the iterates of every chain, step-major
+    for c, (start, *_) in enumerate(chains):
+        X[0, c] = start
+    for n, nt, a, x, out in zip(N, N.swapaxes(-1, -2), add, X, X[1:]):
+        _sym(a + nt @ x @ n, out=out)
+    # back to (..., T+1, d, d), the value chain in the order of time
+    P = np.ascontiguousarray(X[::-1, 0].swapaxes(0, -3)) if values else None
+    sig = np.ascontiguousarray(X[:, -1].swapaxes(0, -3)) if moments else None
+    return P, sig
+
+
+def _value_backup(instance: LqrInstance, P: np.ndarray) -> ValueBackup:
+    """ValueBackup of the value matrices P (..., T+1, d, d) of a policy or a batch."""
     # L_t = L_{t+1} + tr(W P_{t+1}) from L_T = 0, accumulated backward in that order
     noise = (instance.W @ P[..., :0:-1, :, :]).trace(axis1=-2, axis2=-1)
-    L = np.cumsum(np.concatenate([np.zeros((*batch, 1)), noise], axis=-1), axis=-1)[..., ::-1].copy()
+    L = np.cumsum(np.concatenate([np.zeros((*P.shape[:-3], 1)), noise], axis=-1), axis=-1)[..., ::-1].copy()
     cost = (instance.S0 @ P[..., 0, :, :]).trace(axis1=-2, axis2=-1) + L[..., 0]
     return ValueBackup(P=P, L=L, cost=cost)
+
+
+def backup_value(instance: LqrInstance, policy) -> ValueBackup:
+    """Closed-loop value matrices P_t and offsets L_t of one policy (T, k, d) or
+    a batch (n, T, k, d), from the value chain of _closed_loop, so a batch
+    equals per-policy calls bit for bit."""
+    return _value_backup(instance, _closed_loop(instance, _gain_batch(instance, policy), moments=False)[0])
 
 
 def exact_cost(instance: LqrInstance, policy):
@@ -777,29 +799,17 @@ def exact_cost(instance: LqrInstance, policy):
     return backup_value(instance, policy).cost
 
 
-def _second_moments(instance: LqrInstance, K: np.ndarray) -> np.ndarray:
-    """Forward recursion Sigma_{t+1} = M_t Sigma_t M_t' + W from Sigma_0, shape (..., T+1, d, d)."""
-    T, d, W = instance.T, instance.d, instance.W
-    M = instance.A - instance.B @ K
-    Mt = M.swapaxes(-1, -2)
-    sig = np.empty((*K.shape[:-3], T + 1, d, d))
-    sig[..., 0, :, :] = instance.S0
-    for t in range(T):
-        S = M[..., t, :, :] @ sig[..., t, :, :] @ Mt[..., t, :, :]
-        S += W
-        _sym(S, out=sig[..., t + 1, :, :])
-    return sig
+def _profile(sig: np.ndarray, warn_degenerate: bool) -> CovarianceProfile:
+    sigma_x = np.linalg.eigvalsh(sig)[..., 0].min(axis=-1)
+    if warn_degenerate and np.any(sigma_x <= _PD_RTOL * (1.0 + np.abs(sig).max(axis=(-3, -2, -1)))):
+        warnings.warn("state covariance is degenerate (sigma_x ~ 0)", RuntimeWarning, stacklevel=3)
+    return CovarianceProfile(sigmas=sig, aggregate=sig.sum(axis=-3), sigma_x=sigma_x)
 
 
 def covariance_profile(instance: LqrInstance, policy, *, warn_degenerate: bool = True) -> CovarianceProfile:
-    """Forward second-moment recursion Sigma_{t+1} = M Sigma_t M' + W under the
-    policy, for one policy (T, k, d) or a batch (n, T, k, d) as in backup_value."""
-    sig = _second_moments(instance, _gain_batch(instance, policy))
-    sigma_x = np.linalg.eigvalsh(sig)[..., 0].min(axis=-1)
-    degenerate = sigma_x <= _PD_RTOL * (1.0 + np.abs(sig).max(axis=(-3, -2, -1)))
-    if warn_degenerate and np.any(degenerate):
-        warnings.warn("state covariance is degenerate (sigma_x ~ 0)", RuntimeWarning, stacklevel=2)
-    return CovarianceProfile(sigmas=sig, aggregate=sig.sum(axis=-3), sigma_x=sigma_x)
+    """State second moments Sigma_{t+1} = M_t Sigma_t M_t' + W under one policy
+    (T, k, d) or a batch (n, T, k, d), from the moment chain of _closed_loop."""
+    return _profile(_closed_loop(instance, _gain_batch(instance, policy), values=False)[1], warn_degenerate)
 
 
 def _gradient_terms(instance: LqrInstance, K: np.ndarray, P: np.ndarray, sigmas: np.ndarray):
@@ -810,27 +820,17 @@ def _gradient_terms(instance: LqrInstance, K: np.ndarray, P: np.ndarray, sigmas:
     return 2.0 * E @ sigmas[..., :-1, :, :], E
 
 
-def _gradient_from_values(instance: LqrInstance, policy, P: np.ndarray) -> np.ndarray:
-    """exact_gradient of one policy or a batch, given its value matrices
-    P = backup_value(instance, policy).P, which a descent loop already holds."""
-    K = _gain_batch(instance, policy)
-    return _gradient_terms(instance, K, P, _second_moments(instance, K))[0]
-
-
 def exact_gradient(instance: LqrInstance, policy, *, return_terms: bool = False):
     """Cost gradient w.r.t. each gain: grad_t = 2 E_t Sigma_t with
     E_t = (R_t + B' P_{t+1} B) K_t - B' P_{t+1} A, for one policy (T, k, d)
-    or a batch (n, T, k, d).
+    or a batch (n, T, k, d), P and Sigma from one pass of _closed_loop.
 
     With return_terms=True, also returns (E, backup, profile).
     """
     K = _gain_batch(instance, policy)
-    bk = backup_value(instance, K)
-    if not return_terms:
-        return _gradient_from_values(instance, K, bk.P)
-    prof = covariance_profile(instance, K, warn_degenerate=False)
-    grads, E = _gradient_terms(instance, K, bk.P, prof.sigmas)
-    return grads, E, bk, prof
+    P, sig = _closed_loop(instance, K)
+    grads, E = _gradient_terms(instance, K, P, sig)
+    return (grads, E, _value_backup(instance, P), _profile(sig, warn_degenerate=False)) if return_terms else grads
 
 
 def operator_decomposition(instance: LqrInstance, policy) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import LqrInstance, _gradient_from_values, backup_value, exact_cost, solve_riccati
+from .core import LqrInstance, _closed_loop, _gradient_terms, _value_backup, exact_cost, solve_riccati
 from .errors import Diverged, EmptySet, NotInSet, StepSizeUnderflow, ZeroOptimalCost
 
 _MEMBER_TOL = 1e-9
@@ -200,12 +200,12 @@ def run_exact_ppg(instance: LqrInstance, policy0, cfg: DescentConfig, constraint
 
 
 def _evaluate(instance: LqrInstance | None, K: np.ndarray, cost_oracle):
-    """(value matrices, trace cost) of K: the oracle's cost if there is one,
-    else the exact cost; no value matrices and a nan cost without an instance."""
+    """(P, Sigma, trace cost) of K from one closed-loop pass, the oracle's cost
+    if there is one; no P or Sigma and a nan cost without an instance."""
     if instance is None:
-        return None, cost_oracle(K) if cost_oracle is not None else np.nan
-    bk = backup_value(instance, K)
-    return bk.P, cost_oracle(K) if cost_oracle is not None else bk.cost
+        return None, None, cost_oracle(K) if cost_oracle is not None else np.nan
+    P, sig = _closed_loop(instance, K)
+    return P, sig, cost_oracle(K) if cost_oracle is not None else _value_backup(instance, P).cost
 
 
 def _descent(instance: LqrInstance | None, policy0, cfg: DescentConfig, projection: ProjectionSet | None = None, *,
@@ -213,21 +213,24 @@ def _descent(instance: LqrInstance | None, policy0, cfg: DescentConfig, projecti
     """The descent loop K <- Proj(K - eta g(K)) of every exact, projected and
     zeroth-order entry point.
 
-    g is the exact gradient, built from the value matrices the loop already
-    holds for K, unless estimate(K, n) gives a sampled one at iteration n;
-    a sampled trace then carries smoothing's samples m and radius r and the
-    estimate's norm, and a projected exact trace the squared norm of the
-    gradient mapping.  Armijo line search needs exact gradients.  instance
-    is None for an opaque simulator, whose trace has no exact gradient norm
-    or normalized error.  cost_oracle(K), if given, is the cost that the
-    trace reports and that the divergence guard and the target stop check;
-    it never steers a step.  With neither an instance nor an oracle the
-    costs are nan and unguarded.
+    g is the exact gradient, built from the value matrices P and state
+    moments Sigma that the loop carries for K (one closed-loop pass per
+    iterate, or the Armijo ladder's), unless estimate(K, n) gives a sampled
+    one at iteration n; a sampled trace then carries smoothing's samples m and
+    radius r and the estimate's norm, and a projected exact trace the squared
+    norm of the gradient mapping.  Armijo line search needs exact gradients.
+    instance is None for an opaque simulator, whose trace has no exact
+    gradient norm or normalized error, so a target_error raises ValueError.
+    cost_oracle(K), if given, is the cost that the trace reports and that the
+    divergence guard checks; it never steers a step.  With neither an
+    instance nor an oracle the costs are nan and unguarded.
     """
     if estimate is not None and cfg.line_search:
         raise ValueError("line search needs exact gradients; sampled descent takes fixed steps")
     if projection is not None and not projection.contains(policy0):
         raise NotInSet("initial policy violates the constraint set")
+    if instance is None and cfg.target_error is not None:
+        raise ValueError("target_error needs an instance: the normalized error of an opaque simulator is unknown")
     cstar = _nonzero_optimal_cost(instance) if instance is not None else np.nan
     if estimate is not None:
         columns = ["m", "r", "est_grad_fro_norm"]
@@ -236,25 +239,25 @@ def _descent(instance: LqrInstance | None, policy0, cfg: DescentConfig, projecti
     trace = DescentTrace(columns=TRACE_COLUMNS + columns)
     extra = []
     K = np.array(policy0, dtype=float)
-    P, cost = _evaluate(instance, K, cost_oracle)
+    P, sig, cost = _evaluate(instance, K, cost_oracle)
     guarded = instance is not None or cost_oracle is not None
     if guarded and not np.isfinite(cost):
         raise Diverged(f"initial cost {cost:g} is not finite")
     guard = cfg.divergence_factor * max(abs(cost), 1.0) if guarded else np.inf
     for n in range(cfg.iters):
-        grads = _gradient_from_values(instance, K, P) if instance is not None else None
+        grads = _gradient_terms(instance, K, P, sig)[0] if instance is not None else None
         gnorm = _grad_norm(grads) if grads is not None else np.nan
         err = (cost - cstar) / cstar
         if estimate is not None:
             grads = estimate(K, n)
             extra = [smoothing.samples, smoothing.radius, _grad_norm(grads)]
         if cfg.line_search:
-            eta, K_next, P, cost_next = _armijo(instance, K, grads, cost, cfg, projection)
+            eta, K_next, P, sig, cost_next = _armijo(instance, K, grads, cost, cfg, projection)
         else:
             eta = cfg.eta
             step = K - eta * grads
             K_next = projection.project(step) if projection is not None else step
-            P, cost_next = _evaluate(instance, K_next, cost_oracle)
+            P, sig, cost_next = _evaluate(instance, K_next, cost_oracle)
         if estimate is None and projection is not None:
             gm = (K_next - K) / (2.0 * eta)
             extra = [float((gm**2).sum())]
@@ -264,24 +267,21 @@ def _descent(instance: LqrInstance | None, policy0, cfg: DescentConfig, projecti
             raise Diverged(f"cost {cost:g} is not finite or exceeded the divergence guard at iteration {n}")
         if cfg.target_error is not None and (cost - cstar) / cstar <= cfg.target_error:
             break
-    gnorm = _grad_norm(_gradient_from_values(instance, K, P)) if instance is not None else np.nan
-    if estimate is not None:
-        extra = [smoothing.samples, smoothing.radius, np.nan]
-    else:
-        extra = [np.nan] * len(columns)
+    gnorm = _grad_norm(_gradient_terms(instance, K, P, sig)[0]) if instance is not None else np.nan
+    extra = [smoothing.samples, smoothing.radius, np.nan] if estimate is not None else [np.nan] * len(columns)
     trace.append(len(trace.rows), cost, (cost - cstar) / cstar, gnorm, cfg.eta, *extra)
     return K, trace
 
 
 def _armijo(instance, K, grads, cost, cfg: DescentConfig, projection):
     """Backtracking line search over the ladder eta, eta * backtrack, ... down
-    to eta_floor.  Returns (eta, step, its value matrices P, its cost) of the
-    first rung with sufficient decrease.
+    to eta_floor.  Returns (eta, step, its value matrices P, its state moments
+    Sigma, its cost) of the first rung with sufficient decrease.
 
     The ladder is built by repeated multiplication, as one-at-a-time
     backtracking builds it, and is projected and evaluated _LADDER_CHUNK rungs
-    at a time by one batched backup, whose costs equal per-rung exact_cost
-    calls bit for bit.
+    at a time by one batched closed-loop pass, whose costs equal per-rung
+    exact_cost calls bit for bit and are tested in one vectorised comparison.
     """
     gsq = float((grads**2).sum())
     eta = cfg.eta
@@ -290,16 +290,16 @@ def _armijo(instance, K, grads, cost, cfg: DescentConfig, projection):
         while eta >= cfg.eta_floor and len(etas) < _LADDER_CHUNK:
             etas.append(eta)
             eta *= cfg.backtrack
-        steps = K - np.array(etas)[:, None, None, None] * grads
-        cands = steps if projection is None else projection.project(steps.reshape(-1, *K.shape[1:])).reshape(steps.shape)
-        bk = backup_value(instance, cands)
-        for j, rung in enumerate(etas):
-            if projection is None:
-                sufficient = cost - cfg.armijo_c * rung * gsq
-            else:
-                # for projected steps require decrease against the gradient mapping
-                gm_sq = float(((cands[j] - K) ** 2).sum()) / (4.0 * rung**2)
-                sufficient = cost - cfg.armijo_c * rung * gm_sq
-            if bk.cost[j] <= sufficient:
-                return rung, cands[j].copy(), bk.P[j], bk.cost[j]
+        rungs = np.array(etas)
+        cands, decrease = K - rungs[:, None, None, None] * grads, gsq
+        if projection is not None:
+            cands = projection.project(cands.reshape(-1, *K.shape[1:])).reshape(cands.shape)
+            # for projected steps require decrease against the gradient mapping
+            decrease = np.array([float(((c - K) ** 2).sum()) / (4.0 * rung**2) for c, rung in zip(cands, etas)])
+        P, sig = _closed_loop(instance, cands)
+        costs = _value_backup(instance, P).cost
+        passing = costs <= cost - cfg.armijo_c * rungs * decrease
+        j = passing.argmax()
+        if passing[j]:
+            return etas[j], cands[j].copy(), P[j], sig[j], costs[j]
     raise StepSizeUnderflow(f"line search fell below {cfg.eta_floor:g}")

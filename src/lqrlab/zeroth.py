@@ -312,7 +312,7 @@ def run_modelfree_pg(sim, policy0, cfg: DescentConfig, smoothing: SmoothingConfi
     sim is an LqrInstance the trace defaults to the closed-form cost and also
     reports the exact gradient norm and the normalized error against the
     Riccati solution.  For an opaque handle without an oracle those columns
-    are nan.
+    are nan, and an opaque handle takes no target_error (ValueError).
     """
     instance = sim if isinstance(sim, LqrInstance) else None
     if instance is not None:

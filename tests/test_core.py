@@ -188,6 +188,65 @@ class TestBatchedEvaluation:
             covariance_profile(inst, np.zeros((3, 2, 2, 2)))
 
 
+def reference_backup(instance, K):
+    """(P, L, cost) by the backward value loop backup_value ran on its own
+    before both chains shared one recursion."""
+    T = instance.T
+    batch = K.shape[:-3]
+    M = instance.A - instance.B @ K
+    Mt = M.swapaxes(-1, -2)
+    stage = instance.Q[:T] + K.swapaxes(-1, -2) @ instance.R @ K
+    P = np.empty((*batch, T + 1, instance.d, instance.d))
+    P[..., T, :, :] = instance.Q[T]
+    for t in range(T - 1, -1, -1):
+        P[..., t, :, :] = core._sym(stage[..., t, :, :] + Mt[..., t, :, :] @ P[..., t + 1, :, :] @ M[..., t, :, :])
+    noise = (instance.W @ P[..., :0:-1, :, :]).trace(axis1=-2, axis2=-1)
+    L = np.cumsum(np.concatenate([np.zeros((*batch, 1)), noise], axis=-1), axis=-1)[..., ::-1].copy()
+    cost = (instance.S0 @ P[..., 0, :, :]).trace(axis1=-2, axis2=-1) + L[..., 0]
+    return P, L, cost
+
+
+def reference_moments(instance, K):
+    """Sigma by the forward moment loop covariance_profile and the gradient
+    ran on their own before both chains shared one recursion."""
+    T, d, W = instance.T, instance.d, instance.W
+    M = instance.A - instance.B @ K
+    Mt = M.swapaxes(-1, -2)
+    sig = np.empty((*K.shape[:-3], T + 1, d, d))
+    sig[..., 0, :, :] = instance.S0
+    for t in range(T):
+        S = M[..., t, :, :] @ sig[..., t, :, :] @ Mt[..., t, :, :]
+        S += W
+        core._sym(S, out=sig[..., t + 1, :, :])
+    return sig
+
+
+class TestClosedLoopRecursion:
+    @settings(deadline=None, max_examples=150)
+    @given(d=st.integers(1, 4), k=st.integers(1, 2), T=st.integers(1, 10), n=st.sampled_from([None, 1, 2, 5, 16]),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 0.3, 3.0]))
+    def test_equals_separate_loops(self, d, k, T, n, seed, scale):
+        """P, L, cost and Sigma of one policy or a batch, from every entry
+        point, equal the separate reference loops bit for bit."""
+        rng = np.random.default_rng(seed)
+        noise = NoiseModel("gaussian", 0.4, rng.normal(size=(d, d)))
+        init = InitialStateModel("gaussian", rng.normal(size=d), 0.6, rng.normal(size=(d, d)))
+        M, N = rng.normal(size=(d, d)), rng.normal(size=(k, k))
+        inst = constant_instance(rng.normal(size=(d, d)), rng.normal(size=(d, k)), M @ M.T + 0.3 * np.eye(d),
+                                 N @ N.T + 0.3 * np.eye(k), 2.0 * M @ M.T + 0.1 * np.eye(d), T, noise, init)
+        K = rng.normal(size=(T, k, d) if n is None else (n, T, k, d)) * scale
+        P, L, cost = reference_backup(inst, K)
+        sig = reference_moments(inst, K)
+        bk = backup_value(inst, K)
+        prof = covariance_profile(inst, K, warn_degenerate=False)
+        _, _, bk2, prof2 = exact_gradient(inst, K, return_terms=True)
+        both = core._closed_loop(inst, K)
+        pairs = [(bk.P, P), (bk.L, L), (bk.cost, cost), (exact_cost(inst, K), cost), (prof.sigmas, sig),
+                 (bk2.P, P), (bk2.L, L), (bk2.cost, cost), (prof2.sigmas, sig), (both[0], P), (both[1], sig)]
+        assert all(_same_bits(a, b) for a, b in pairs)
+        assert bk.P.flags.c_contiguous and prof.sigmas.flags.c_contiguous
+
+
 class TestCovariance:
     def test_aggregate_decomposition(self, rng):
         for _ in range(10):

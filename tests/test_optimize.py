@@ -10,6 +10,7 @@ from lqrlab import (
     DescentConfig,
     ProjectionSet,
     backup_value,
+    covariance_profile,
     exact_cost,
     exact_gradient,
     normalized_error,
@@ -279,18 +280,21 @@ class TestLadderArmijo:
     def _check_path(self, inst, K, cfg, projection, steps):
         """Follow the reference search for `steps` iterates; at each, the
         ladder must pick the same step size and iterate, with that iterate's
-        exact cost and value matrices.  Returns the largest rung index used."""
+        exact cost, value matrices and state moments.  Returns the largest rung
+        index used."""
         deepest = 0
         for _ in range(steps):
             bk = backup_value(inst, K)
             grads = exact_gradient(inst, K)
             eta_ref, K_ref = sequential_armijo(inst, K, grads, bk.cost, cfg, projection)
-            eta, K_next, P, cost = _armijo(inst, K, grads, bk.cost, cfg, projection)
+            eta, K_next, P, sig, cost = _armijo(inst, K, grads, bk.cost, cfg, projection)
             assert eta == eta_ref
             np.testing.assert_array_equal(K_next, K_ref)
             ref = backup_value(inst, K_ref)
             assert cost == ref.cost
             np.testing.assert_array_equal(P, ref.P)
+            ref_sig = covariance_profile(inst, K_ref, warn_degenerate=False).sigmas
+            assert sig.shape == ref_sig.shape and sig.tobytes() == ref_sig.tobytes()
             deepest = max(deepest, int(round(np.log(cfg.eta / eta) / np.log(1.0 / cfg.backtrack))))
             K = K_next
         return deepest

@@ -11,6 +11,7 @@ from lqrlab import (
     InitialStateModel,
     LqrSimulator,
     NoiseModel,
+    ProjectionSet,
     SmoothingConfig,
     constant_instance,
     estimate_gradient,
@@ -486,6 +487,21 @@ class TestModelFreeLoops:
         cfg = DescentConfig(eta=0.2, iters=3)
         _, trace = run_modelfree_pg(Opaque(), np.zeros((5, 1, 1)), cfg, SmoothingConfig(radius=0.1, samples=5), seed=1)
         assert len(trace.rows) == 4 and np.isnan(trace.column("cost")).all()
+
+    def test_opaque_handle_rejects_target_error(self):
+        # C* of an opaque handle is unknown, so its normalized error is nan and
+        # a target was silently never reached: all 40 iterations ran, where the
+        # same call on the instance stops after one
+        inst = scalar_benchmark()
+        cfg = DescentConfig(eta=0.2, iters=40, target_error=0.5)
+        args = (np.zeros((5, 1, 1)), cfg, SmoothingConfig(0.1, 20), 0)
+        _, trace = run_modelfree_pg(inst, *args)
+        assert len(trace.rows) == 2
+        oracle = lambda K: exact_cost(inst, K)  # noqa: E731
+        with pytest.raises(ValueError, match="target_error"):
+            run_modelfree_pg(LqrSimulator(inst), *args, cost_oracle=oracle)
+        with pytest.raises(ValueError, match="target_error"):
+            run_modelfree_ppg(LqrSimulator(inst), *args, ProjectionSet(kind="box", lo=-1.0, hi=1.0), cost_oracle=oracle)
 
     def test_zero_optimal_cost_raises_at_start(self):
         inst = constant_instance(

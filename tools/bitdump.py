@@ -125,7 +125,9 @@ def exact_outputs(out: dict) -> None:
     covariance_profile and solve_riccati on the suite of EXACT_SHAPES, for
     one policy and a batch; then exact PG and box-projected PG traces with
     Armijo at backtrack 0.5 and 0.3 on every fourth suite instance, projected
-    PG on the liquidation instance, and 4-state runs."""
+    PG on the liquidation instance, and 4-state runs; then exact PG with the
+    exact-pg benchmark's settings (Armijo from eta = 1, up to 50 iterations,
+    stopping at a normalized error of 1e-2) on every suite instance."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degenerate covariances of point starts without noise
         for n, (d, k, T) in enumerate(EXACT_SHAPES):
@@ -165,6 +167,10 @@ def exact_outputs(out: dict) -> None:
         four = four_state_benchmark()
         out["exact/loop/four-state/fixed-step"] = _run_sha(
             run_exact_pg, four, np.full((four.T, four.k, four.d), 0.05), DescentConfig(eta=1e-4, iters=50))
+        cfg = DescentConfig(eta=1.0, iters=50, line_search=True, target_error=1e-2)
+        for n, (d, k, T) in enumerate(EXACT_SHAPES):
+            K0 = np.random.default_rng([79, n]).normal(size=(T, k, d)) * 0.2
+            out[f"exact/loop/d={d},k={k},T={T}/exact-pg"] = _run_sha(run_exact_pg, _exact_instance(n), K0, cfg)
 
 
 def estimator_outputs(out: dict) -> None:
