@@ -11,7 +11,6 @@ cost gradients, and seeded trajectory simulation.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -53,121 +52,37 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-class CounterStream:
-    """One Philox generator that is re-keyed in place instead of rebuilt.
-
-    After rekey(key) its draws equal make_rng(key)'s bit for bit, and a
-    re-key costs a fraction of building a generator (about half of which is
-    entropy seeding that the key then overrides).  A re-key goes through the
-    public state setter: key = the first two words, counter = [0, *the other
-    three], an empty output buffer (buffer_pos 4) and no pending 32-bit half
-    word, which is the state a freshly built Philox starts in.
-    """
-
-    def __init__(self):
-        self._bitgen = np.random.Philox(key=0)
-        self.generator = np.random.Generator(self._bitgen)
-        self._key = [0, 0]
-        self._counter = [0, 0, 0, 0]
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": self._counter, "key": self._key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def rekey(self, key) -> np.random.Generator:
-        """The generator, reset to the state make_rng(key) starts in."""
-        words = _stream_words(key)
-        self._key[:] = words[:2]
-        return self.rekey_tail(*words[2:])
-
-    def rekey_tail(self, w2: int = 0, w3: int = 0, w4: int = 0) -> np.random.Generator:
-        """rekey(key) for a key whose first two words are those of the last
-        rekey and whose other words are w2, w3, w4, each in [0, 2**64).
-
-        Skips the word arithmetic of rekey; keyed_draws' per-key rows and the
-        ziggurat table probe and check re-key this way under a fixed prefix.
-        """
-        c = self._counter
-        c[1], c[2], c[3] = w2, w3, w4
-        self._bitgen.state = self._state
-        return self.generator
-
-
-_thread = threading.local()  # .stream: the thread's CounterStream
-
-
-def _counter_stream() -> CounterStream:
-    """This thread's CounterStream, built at its first use, which keyed_draws
-    re-keys for the rows it leaves to numpy instead of building one per call."""
-    stream = getattr(_thread, "stream", None)
-    if stream is None:
-        stream = _thread.stream = CounterStream()
-    return stream
-
-
 def standard_draw(kind: str, rng: np.random.Generator, size) -> np.ndarray:
     """Standardized draw (zero mean, unit variance per coordinate) of a noise
     or initial-state kind: "gaussian", "uniform" on [-sqrt(3), sqrt(3)], or
     zeros for the degenerate kinds "zero" and "point", which consume nothing
-    from the stream."""
-    if kind == "gaussian":
-        return rng.standard_normal(size)
-    if kind == "uniform":
-        return rng.uniform(-_SQRT3, _SQRT3, size=size)
+    from the stream.  A Gaussian or uniform draw maps the next raw words of
+    rng's bit generator, one word per number, as keyed_draws maps a key's
+    words, so a draw on make_rng(key) equals that key's keyed_draws row."""
     if kind in ("zero", "point"):
         return np.zeros(size)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _draw_row(rng: np.random.Generator, layout, row: np.ndarray) -> None:
-    """Fill row with standard_draw(kind, rng, width) for each (kind, width)
-    of layout, one part after another from the same stream."""
-    lo = 0
-    for kind, width in layout:
-        if kind == "gaussian":
-            rng.standard_normal(out=row[lo:lo + width])  # the numbers of standard_draw, without a copy
-        else:
-            row[lo:lo + width] = standard_draw(kind, rng, width)
-        lo += width
+    if kind not in ("gaussian", "uniform"):
+        raise ValueError(f"unknown kind {kind!r}")
+    return _standardize(kind, rng.bit_generator.random_raw(size))
 
 
 # Keyed sampling.  make_rng(key) is Philox4x64-10 (Salmon et al., SC'11) with
 # key = the first two words and counter [0, *the other three]; numpy bumps the
 # counter before each 4-word block, so block b of a stream is the Philox
-# function of [b + 1, *tail].  A standard normal is one word on numpy's
-# ziggurat fast path (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000): idx =
-# the low 8 bits, sign = bit 8, rabs = the next 52 bits, x = +-rabs * wi[idx],
-# accepted when rabs < ki[idx]; a uniform is one word, (w >> 11) * 2**-53.
-# Off that path, a word of layer idx >= 1 takes the next word as a uniform u
-# (the wedge): it returns x when (fi[idx-1] - fi[idx]) * u + fi[idx] <
-# exp(-x*x/2), and otherwise the same output draws again from the word after
-# u.  A base-layer word off the path goes to the tail, which draws log1p's of
-# further words.
+# function of [b + 1, *tail].  Every number takes one word w: a standard
+# normal is ndtri(((w >> 12) + 1/2) 2**-52), the inverse normal CDF of an odd
+# multiple of 2**-53 strictly inside (0, 1), so |x| lies in [2.8e-16, 8.21];
+# a uniform is low + (high - low) (w >> 11) 2**-53, as Generator.uniform maps it.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
-_RABS = np.uint64((1 << 52) - 1)
+_U11, _U1 = np.uint64(11), np.uint64(1)
 _U_LOW = -_SQRT3
-_U_RANGE = _SQRT3 - _U_LOW  # Generator.uniform maps a double u to low + (high - low) * u
+_U_RANGE = _SQRT3 - _U_LOW
 # round r of Philox4x64-10 runs under the key plus r times the Weyl constants
 _ROUND_BUMPS = np.array([[(r * w) & _WORD for w in _PHILOX_W] for r in range(10)], dtype=np.uint64)
 _KEYED_CHUNK = 4096  # rows per vectorised pass, which bounds the working memory
-_PROBE_PREFIX = (0x7AB1E5, 0)  # keys of the table probe and of its check
-_PROBE_KEYS = 2048
-_KI_GUARD = 20  # ki +- ki >> _KI_GUARD is left to numpy, in case the table rounds otherwise
-_NEVER = np.uint64(1 << 52)  # a ki no rabs reaches
-_WEDGE_BAND = 2.0**-40  # wedge verdicts this close to their boundary are left to numpy (fi and exp may round otherwise)
-# words computed past a row of W words: _SPARE_WORDS + W // _SPARE_PER, rounded
-# up to whole Philox blocks, so that few rows run out through wedge events
-_SPARE_WORDS, _SPARE_PER = 2, 8
-
-_ziggurat = None  # (wi, ki, kw, fd, fi) by layer and sign once derived, () when they failed their check
-_ziggurat_lock = threading.Lock()
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,225 +142,32 @@ def _philox_words(prefix, tails: np.ndarray, width: int) -> np.ndarray:
     return words.reshape(*lead, n, 4 * blocks)[..., :width]
 
 
-def _uniform(words: np.ndarray, out: np.ndarray) -> None:
-    """out = Generator.uniform(-sqrt(3), sqrt(3)) of raw words."""
-    np.multiply(words >> np.uint64(11), 2.0**-53, out=out)
+def _standardize(kind: str, words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The standardized draws of raw words of one kind, one word per number,
+    into out if given.  Shifts the words in place, so no third word-sized
+    array is alive."""
+    words >>= _U11
+    if kind == "gaussian":
+        # imported at the first draw, not with lqrlab: on a 2-CPU x86-64 box,
+        # importing scipy.special adds 50-90 ms and about 2.6 MB of RSS
+        from scipy.special import ndtri
+
+        words |= _U1  # (w >> 11) | 1 = 2 (w >> 12) + 1: u = ((w >> 12) + 1/2) 2**-52
+        out = np.multiply(words, 2.0**-53, out=out)
+        return ndtri(out, out=out)
+    out = np.multiply(words, 2.0**-53, out=out)
     out *= _U_RANGE
     out += _U_LOW
+    return out
 
 
-def _fast_draws(words: np.ndarray, layout, tables, z: np.ndarray) -> np.ndarray:
-    """Fill z with the standardized draws of raw words laid out as layout,
-    each normal as the one-word ziggurat path of tables maps its word;
-    returns a mask of the rows whose every normal took that path (no row
-    does when the tables are empty)."""
-    fast = np.full(words.shape[:-1], bool(tables))
-    lo = 0
-    for kind, width in layout:
-        w, out = words[..., lo:lo + width], z[..., lo:lo + width]
-        lo += width
-        if kind == "uniform":
-            _uniform(w, out)
-        elif tables:
-            wi, ki = tables[:2]
-            # layer and sign: the tables hold -wi from 256 on; the buffer
-            # then takes rabs, so two word-sized temporaries live at once
-            buf = w & np.uint64(0x1FF)
-            idx = buf.view(np.int64)
-            np.take(wi, idx, out=out, mode="clip")
-            k = ki.take(idx, mode="clip")
-            rabs = np.right_shift(w, np.uint64(9), out=buf)
-            rabs &= _RABS
-            fast &= (rabs < k).all(axis=-1)
-            del k
-            out *= rabs
-    return fast
-
-
-def _wedge_draws(words: np.ndarray, layout, tables) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve rows off the one-word path through numpy's wedge branch.
-
-    words are the (n, wc) raw words of n rows whose layout is W < wc words
-    wide.  Every off-path word gets its verdict as a wedge event once (x from
-    it, u from the next word).  A wedge event consumes its word and the next,
-    and shifts every later word of the row, uniform parts included, by one on
-    accept and by two on reject, when the output draws again.  Within a
-    Gaussian part, which off-path words are events does not depend on the
-    verdicts: in each run of consecutive off-path words from the part's first
-    word on, every other word is an event and the words between are their u.
-    The shifts then place each event at its output, and events past the
-    part's end drop out.  A row stays unresolved when an event is a tail or
-    guard-band word or a verdict within _WEDGE_BAND of its boundary, or when
-    the row runs past the computed words.  Returns the mask of resolved rows
-    and their (r, W) draws.
-    """
-    wi, ki, kw, fd, fi = tables
-    n, wc = words.shape
-    width = sum(w for _, w in layout)
-    flat = words.ravel()
-    idx = (flat & np.uint64(0x1FF)).view(np.int64)
-    rabs = flat >> np.uint64(9)
-    rabs &= _RABS
-    off = np.flatnonzero(rabs >= ki[idx])  # row-major, so sorted by row, then word
-    row, col = np.divmod(off, wc)
-    j, ra = idx[off], rabs[off]
-    normal = wi[idx]  # every word as a normal, +-rabs * wi[idx]
-    normal *= rabs
-    del idx, rabs
-    x = normal[off]
-    u = (flat[np.minimum(off + 1, flat.size - 1)] >> np.uint64(11)) * 2.0**-53
-    gap = fd[j] * u + fi[j] - np.exp(-0.5 * x * x)
-    shift = np.where(gap < 0, 1, 2)  # accept, reject
-    unresolved = (ra < kw[j]) | (col + 1 >= wc) | (np.abs(gap) <= _WEDGE_BAND)
-    s = np.zeros(n, dtype=np.intp)  # shift of each row so far: word = output + s
-    ok = np.ones(n, dtype=bool)
-    gone = []  # (rows, words) no output takes: u's, and x's of rejects
-    lo = 0
-    for kind, width_k in layout:
-        if kind == "gaussian":
-            at = np.flatnonzero(col >= lo + s[row])
-            r, c = row[at], col[at]
-            i = np.arange(len(at))
-            run = np.ones(len(at), dtype=bool)
-            run[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1] + 1)
-            event = (i - np.maximum.accumulate(np.where(run, i, 0))) % 2 == 0
-            add = np.where(event, shift[at], 0)
-            before = np.cumsum(add) - add  # shift by the events before, within the row from here on
-            first = np.ones(len(at), dtype=bool)
-            first[1:] = r[1:] != r[:-1]
-            before -= np.maximum.accumulate(np.where(first, before, 0))
-            event &= c - s[r] - before < lo + width_k  # the output the word feeds is in the part
-            ok[r[event & unresolved[at]]] = False
-            s += np.bincount(r[event], add[event], n).astype(np.intp)
-            r, c, reject = r[event], c[event], add[event] == 2
-            gone += [(r, c + 1), (r[reject], c[reject])]
-        lo += width_k
-    ok &= s <= wc - width
-    # the words each resolved row takes, in output order
-    keep = np.arange(wc + 1) < np.where(ok, width + s, 0)[:, None]
-    for r, c in gone:
-        keep[r, c] = False
-    at = np.flatnonzero(keep[:, :wc]).reshape(-1, width)
-    z = np.empty(at.shape)
-    lo = 0
-    for kind, width_k in layout:
-        a, out = at[:, lo:lo + width_k], z[:, lo:lo + width_k]
-        lo += width_k
-        if kind == "uniform":
-            _uniform(flat[a], out)
-        else:
-            out[...] = normal[a]
-    return ok, z
-
-
-def _array_draws(words: np.ndarray, layout, tables, z: np.ndarray) -> np.ndarray:
-    """_fast_draws, then the wedge for rows off its path; returns the mask of
-    rows resolved in arrays.  words has more columns than the layout is wide."""
-    resolved = _fast_draws(words, layout, tables, z)
-    if tables and not resolved.all():
-        off = np.nonzero(~resolved)
-        ok, z_ok = _wedge_draws(words[off], layout, tables)
-        off = tuple(a[ok] for a in off)
-        z[off] = z_ok
-        resolved[off] = True
-    return resolved
-
-
-def _computed_words(width: int) -> int:
-    """Words computed per row of a layout width wide: whole Philox blocks with
-    at least _SPARE_WORDS + width // _SPARE_PER past the width."""
-    return 4 * -(-(width + _SPARE_WORDS + width // _SPARE_PER) // 4)
-
-
-def _derive_ziggurat():
-    """numpy's ziggurat tables, read off the installed numpy, as (wi, ki, kw,
-    fd, fi) indexed by the word's low 9 bits (layer, then sign).
-
-    Each probe key pairs its first raw words with its first standard normal.
-    The draw took one word (the fast path) exactly when the next raw word is
-    the key's second, and two (a wedge accept) exactly when it is the third;
-    either way x = +-rabs * wi[idx].  wi[idx] is the double among the ulp
-    neighbours of |x|/rabs that reproduces the most such draws of the layer,
-    unresolved on a tie; layer 1, which has no fast path, is read off its
-    two-word draws.  From the table's construction, ki[i] = 2**52 wi[i-1] /
-    wi[i], ki[0] = 2**52 wi[255] / wi[0] and ki[1] = 0; words below ki minus a
-    guard band take the fast path (ki), words above ki plus the band of a
-    layer >= 1 take the wedge (kw), and the rest go to numpy.  fi[i] =
-    exp(-(2**52 wi[i])**2 / 2), fi[0] = 1 and fd[i] = fi[i-1] - fi[i].  A
-    layer whose wi or whose neighbour's is unresolved sends every word to
-    numpy.  Returns () unless the tables reproduce numpy on check keys.
-    """
-    n = _PROBE_KEYS
-    tails = np.zeros((n, 3), dtype=np.uint64)
-    tails[:, 0] = np.arange(n)
-    first, second, third = _philox_words(_PROBE_PREFIX, tails, 3).T
-    stream = CounterStream()
-    stream.rekey(_PROBE_PREFIX)
-    x, follow = np.empty(n), np.empty(n, dtype=np.uint64)
-    for j in range(n):
-        x[j] = stream.rekey_tail(j).standard_normal()
-        follow[j] = stream._bitgen.random_raw()
-    idx = (first & np.uint64(0xFF)).astype(np.intp)
-    rabs = (first >> np.uint64(9)) & _RABS
-    keep = np.flatnonzero(((follow == second) | (follow == third)) & (rabs > 0))
-    keep = keep[np.argsort(idx[keep], kind="stable")]
-    layer = idx[keep]
-    # accepted draws by layer, padded with nan, and their candidates for wi
-    col = np.arange(len(keep)) - np.searchsorted(layer, layer)
-    r, ax = np.full((2, 256, col.max(initial=0) + 1), np.nan)
-    r[layer, col], ax[layer, col] = rabs[keep], np.abs(x[keep])
-    cands = [ax / r]
-    for _ in range(2):
-        cands = [np.nextafter(cands[0], 0), *cands, np.nextafter(cands[-1], np.inf)]
-    cands = np.concatenate(cands, axis=1)
-    votes = np.zeros(cands.shape, dtype=int)
-    for j in range(r.shape[1]):
-        votes += r[:, j:j + 1] * cands == ax[:, j:j + 1]
-    best = (votes == votes.max(axis=1, keepdims=True)) & (votes > 0)
-    lo, hi = np.where(best, cands, np.inf).min(axis=1), np.where(best, cands, -np.inf).max(axis=1)
-    wi = np.where(lo == hi, lo, np.nan)
-    with np.errstate(invalid="ignore"):
-        ratio = 2.0**52 * np.roll(wi, 1) / wi  # 2**52 wi[i-1] / wi[i], and 2**52 wi[255] / wi[0]
-    ratio[1] = 0 if np.isfinite(wi[1]) else np.nan
-    known = np.isfinite(ratio)
-    ki = np.where(known, ratio, 0).astype(np.uint64)
-    guard = ki >> np.uint64(_KI_GUARD)
-    kw = np.where(known, ki + guard, _NEVER)
-    kw[0] = _NEVER  # the base layer's words off the fast path go to the tail
-    ki = np.where(known, ki - guard, 0)
-    fi = np.exp(-0.5 * (2.0**52 * wi) ** 2)
-    fi[0] = 1.0
-    fd = np.roll(fi, 1) - fi  # fd[0] is never read
-    # rabs * -wi is -(rabs * wi) bit for bit, the sign numpy applies, so the
-    # sign bit can index a negated copy of wi
-    tables = (np.concatenate([wi, -wi]), *(np.concatenate([a, a]) for a in (ki, kw, fd, fi)))
-    return tables if _tables_agree(tables) else ()
-
-
-def _tables_agree(tables) -> bool:
-    """True if every row that tables resolve in arrays, on the fast path or
-    through the wedge, equals numpy's per-key draws bit for bit, on 512 check
-    keys of 36 words in mixed parts."""
-    layout = [("gaussian", 29), ("uniform", 3), ("gaussian", 4)]
-    tails = np.ones((512, 3), dtype=np.uint64)
-    tails[:, 1] = np.arange(512)
-    z, ref = np.empty((2, 512, 36))
-    done = _array_draws(_philox_words(_PROBE_PREFIX, tails, _computed_words(36)), layout, tables, z)
-    stream = CounterStream()
-    stream.rekey(_PROBE_PREFIX)
-    for j in np.flatnonzero(done):
-        _draw_row(stream.rekey_tail(1, int(j), 1), layout, ref[j])
-    return bool(done.any()) and np.array_equal(z[done].view(np.uint64), ref[done].view(np.uint64))
-
-
-def _ziggurat_tables():
-    """The ziggurat tables, derived once per process at the first call."""
-    global _ziggurat
-    if _ziggurat is None:
-        with _ziggurat_lock:
-            if _ziggurat is None:
-                _ziggurat = _derive_ziggurat()
-    return _ziggurat
+def _key_words(prefix) -> list[int]:
+    """The two key words of a stream prefix, which must have exactly two:
+    padding a shorter one or dropping the rest of a longer one would key
+    other streams than make_rng((*prefix, *tail)) does."""
+    if np.isscalar(prefix) or len(prefix) != 2:
+        raise ValueError("a key prefix has exactly two words")
+    return _stream_words(prefix)[:2]
 
 
 def keyed_draws(layout, prefix, tails) -> np.ndarray:
@@ -453,13 +175,12 @@ def keyed_draws(layout, prefix, tails) -> np.ndarray:
 
     Row j holds what standard_draw(kind, rng, width) gives for each
     (kind, width) of layout, part after part, on rng = make_rng((*prefix,
-    *tails[j])); kinds are "gaussian" and "uniform", prefix is two words and
-    tails an (n, 3) array of words in [0, 2**64).  All rows run as one
-    vectorised Philox whose words go through numpy's ziggurat fast path, and
-    rows with words off that path through its wedge branch (_wedge_draws); a
-    row that reaches the tail, a guard band or the end of the computed words
-    is redrawn whole by numpy on the thread's re-keyed CounterStream, so every
-    row equals the per-key draw bit for bit.
+    *tails[j])); kinds are "gaussian" and "uniform", prefix is two words
+    (ValueError otherwise) and tails an (n, 3) array of words in [0, 2**64).
+    All rows run as one
+    vectorised Philox of exactly ceil(W / 4) blocks per key, whose words map
+    to numbers one each, with no rejection: every row is a pure function of
+    its key.
 
     prefix may also be a sequence of B prefixes, such as a (B, 2) array: the
     result is then (B, n, W), slice b holding the draws under prefix[b], and
@@ -467,31 +188,19 @@ def keyed_draws(layout, prefix, tails) -> np.ndarray:
     """
     tails = np.asarray(tails, dtype=np.uint64).reshape(-1, 3)
     batched = not np.isscalar(prefix) and len(prefix) > 0 and not np.isscalar(prefix[0])
-    prefixes = list(prefix) if batched else [prefix]
-    keys = np.array([_stream_words(p)[:2] for p in prefixes], dtype=np.uint64) if batched else prefix
-    lead = (len(prefixes),) if batched else ()
+    keys = np.array([_key_words(p) for p in prefix], dtype=np.uint64) if batched else _key_words(prefix)
+    lead = (len(keys),) if batched else ()
     n, width = len(tails), sum(w for _, w in layout)
     z = np.empty((*lead, n, width))
     if not width:
         return z
-    tables = _ziggurat_tables()
-    done = np.empty((*lead, n), dtype=bool)
-    step = max(1, _KEYED_CHUNK // len(prefixes))
+    step = max(1, _KEYED_CHUNK // len(keys)) if batched else _KEYED_CHUNK
     for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        words = _philox_words(keys, tails[rows], _computed_words(width))
-        done[..., rows] = _array_draws(words, layout, tables, z[..., rows, :])
-        del words
-    if not done.all():
-        # one re-key per prefix, then only the tail words per row
-        stream = _counter_stream()
-        for p, z_p, done_p in zip(prefixes, z.reshape(-1, n, width), done.reshape(-1, n)):
-            slow = np.flatnonzero(~done_p)
-            if len(slow):
-                stream.rekey(p)
-                rekey = stream.rekey_tail
-                for j, tail in zip(slow.tolist(), tails[slow].tolist()):
-                    _draw_row(rekey(*tail), layout, z_p[j])
+        rows, at = slice(lo, lo + step), 0
+        words = _philox_words(keys, tails[rows], width)
+        for kind, w in layout:
+            _standardize(kind, words[..., at:at + w], z[..., rows, at:at + w])
+            at += w
     return z
 
 
@@ -890,18 +599,10 @@ def simulate_trajectory(instance: LqrInstance, policy, seed) -> Trajectory:
 
 def _path_layout(instance: LqrInstance) -> list:
     """[(kind, width)] of the draw calls simulate_trajectory makes on one
-    stream, start state first, with the degenerate kinds left out.  When the
-    start state and the noise are of one kind, one call takes both, which
-    yields the same numbers as two calls."""
+    stream, start state first, with the degenerate kinds left out."""
     T, d = instance.T, instance.d
     init, noise = instance.init.kind, instance.noise.kind
-    parts = [] if init == "point" else [(init, d)]
-    if noise != "zero":
-        if parts and parts[0][0] == noise:
-            parts = [(noise, d + T * d)]
-        else:
-            parts.append((noise, T * d))
-    return parts
+    return [part for part in ((init, d), (noise, T * d)) if part[0] not in ("point", "zero")]
 
 
 def _paths_from_draws(instance: LqrInstance, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -919,19 +620,10 @@ def _paths_from_draws(instance: LqrInstance, z: np.ndarray) -> tuple[np.ndarray,
     return x0, w
 
 
-def sample_paths(instance: LqrInstance, rngs, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start states (n, d) and noise sequences (n, T, d) from n freshly keyed
-    generators, each drawn as simulate_trajectory draws from its stream."""
-    layout = _path_layout(instance)
-    z = np.empty((n, sum(width for _, width in layout)))
-    if layout:
-        for rng, row in zip(rngs, z):
-            _draw_row(rng, layout, row)
-    return _paths_from_draws(instance, z)
-
-
 def keyed_paths(instance: LqrInstance, prefix, tails) -> tuple[np.ndarray, np.ndarray]:
-    """sample_paths on the streams make_rng((*prefix, *tails[j])), drawn by keyed_draws."""
+    """Start states (n, d) and noise (n, T, d): row j is what
+    simulate_trajectory draws from the stream make_rng((*prefix, *tails[j])),
+    drawn by keyed_draws."""
     return _paths_from_draws(instance, keyed_draws(_path_layout(instance), prefix, tails))
 
 

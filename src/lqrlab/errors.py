@@ -29,10 +29,6 @@ class EmptySet(LqrlabError):
     """Constraint set parameters describe an empty set."""
 
 
-class DegenerateDraw(LqrlabError):
-    """Random draw could not be normalized (all entries ~ 0)."""
-
-
 class NonPositiveDelta(LqrlabError):
     """Permanent/temporary impact parameters give delta = beta - gamma/2 <= 0."""
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import (
     LqrInstance,
-    _computed_words,
     _path_layout,
     _paths_from_draws,
     _stream_words,
@@ -33,8 +32,8 @@ from .core import (
     keyed_paths,
     make_rng,
     simulate_trajectory,
+    standard_draw,
 )
-from .errors import DegenerateDraw
 from .optimize import DescentConfig, ProjectionSet, _descent
 
 # perturbed policies per batched exact_cost call of smoothed_gradient_reference;
@@ -81,23 +80,14 @@ class GradientEstimate:
 
 def sample_sphere(shape: tuple[int, int], radius: float, seed) -> np.ndarray:
     """Uniform draw from the Frobenius sphere of the given radius."""
-    rng = make_rng(seed)
-    for _ in range(100):
-        g = rng.standard_normal(shape)
-        nrm = float(np.sqrt((g**2).sum()))
-        if nrm > 1e-30:
-            return (radius / nrm) * g
-    raise DegenerateDraw("could not normalize a sphere draw")
+    g = standard_draw("gaussian", make_rng(seed), shape)
+    return (radius / float(np.sqrt((g**2).sum()))) * g
 
 
 def sample_sphere_batch(n: int, shape: tuple[int, int], radius: float, seed) -> np.ndarray:
     """(n, *shape) independent sphere draws from a single stream."""
-    rng = make_rng(seed)
-    g = rng.standard_normal((n, *shape))
-    nrm = np.sqrt((g**2).sum(axis=(1, 2), keepdims=True))
-    if (nrm <= 1e-30).any():
-        raise DegenerateDraw("could not normalize a sphere draw")
-    return radius * g / nrm
+    g = standard_draw("gaussian", make_rng(seed), (n, *shape))
+    return radius * g / np.sqrt((g**2).sum(axis=(1, 2), keepdims=True))
 
 
 def _slot_tails(slots, m: int, flag: int) -> np.ndarray:
@@ -115,15 +105,16 @@ def _standard_rows(layout, T: int, m: int, flag: int, seed, iteration: int) -> n
     """(T * m, W) standardized draws of the keys (seed, iteration, t, i, flag),
     row t * m + i, as one keyed_draws call gives them.
 
-    A row of W words takes b = _computed_words(W) / 4 Philox blocks.  When
+    A row of W words takes b = ceil(W / 4) Philox blocks.  When
     B = _DRAW_AHEAD // (T * m * b) is above one, a call outside the thread's
     block for this flag draws the rows of iterations [iteration, iteration + B)
     in one keyed_draws pass, keeps them as a read-only block keyed on the
     layout, T, m, the masked seed word and the first iteration, and serves
-    later calls within the block from it.  With B = 1 nothing is kept.
+    later calls within the block from it.  With B = 1, or no draws at all
+    (W = 0), nothing is kept.
     """
-    blocks = _computed_words(sum(w for _, w in layout)) // 4
-    span = _DRAW_AHEAD // (T * m * blocks) if T * m else 1
+    blocks = T * m * -(-sum(w for _, w in layout) // 4)
+    span = _DRAW_AHEAD // blocks if blocks else 1
     if span <= 1:
         return keyed_draws(layout, (seed, iteration), _slot_tails(range(T), m, flag))
     seed_word, it = _stream_words((seed, iteration))[:2]
@@ -144,25 +135,20 @@ def sphere_directions(T: int, m: int, shape: tuple[int, int], radius: float, see
 
     The T * m Gaussian draws come from keyed_draws, drawn ahead for the next
     iterations when T * m is small (_standard_rows), and are scaled and
-    normalized on every call; a draw too short to normalize is redrawn by
-    sample_sphere on its own iteration's key.
+    normalized on every call.  No draw is 0 (|x| >= 2.8e-16), so every norm
+    is positive.
     """
     g = _standard_rows([("gaussian", shape[0] * shape[1])], T, m, 0, seed, iteration)
-    nrm = np.sqrt((g**2).sum(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        U = ((radius / nrm)[:, None] * g).reshape(T, m, *shape)
-    for j in np.flatnonzero(nrm <= 1e-30):
-        t, i = divmod(int(j), m)
-        U[t, i] = sample_sphere(shape, radius, (seed, iteration, t, i, 0))
-    return U
+    return ((radius / np.sqrt((g**2).sum(axis=1)))[:, None] * g).reshape(T, m, *shape)
 
 
 def slot_paths(instance: LqrInstance, m: int, seed, iteration: int) -> tuple[np.ndarray, np.ndarray]:
     """Start states (T * m, d) and noise (T * m, T, d) of one estimate's
     rollouts: row t * m + i is what simulate_trajectory draws from the stream
-    (seed, iteration, t, i, 1).  The standardized draws come from keyed_draws,
-    drawn ahead for the next iterations when T * m is small (_standard_rows),
-    and are placed and scaled for the instance on every call."""
+    (seed, iteration, t, i, 1), one Philox word per number.  The standardized
+    draws come from keyed_draws, drawn ahead for the next iterations when
+    T * m is small (_standard_rows), and are placed and scaled for the
+    instance on every call; a point start with zero noise draws nothing."""
     return _paths_from_draws(instance, _standard_rows(_path_layout(instance), instance.T, m, 1, seed, iteration))
 
 
@@ -187,9 +173,10 @@ class LqrSimulator:
     Optimization loops use only T, k, d and the rollout methods, never the
     instance matrices.  rollout_perturbed_slots vectorizes the dynamics over
     all T * m rollouts of an estimate, with start states and noise from
-    slot_paths, and replays exactly the streams simulate_trajectory would
-    consume.  rollout_perturbed_batch rolls one slot the same way and gives
-    the same costs bit for bit; no estimator calls it.
+    slot_paths, so each rollout replays the words simulate_trajectory would
+    read from its stream, mapped to the same numbers.  rollout_perturbed_batch
+    rolls one slot the same way and gives the same costs bit for bit; no
+    estimator calls it.
     """
 
     def __init__(self, instance: LqrInstance):

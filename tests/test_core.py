@@ -1,11 +1,14 @@
 import dataclasses
+import statistics
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from lqrlab import (
     InitialStateModel,
@@ -21,10 +24,8 @@ from lqrlab import (
     solve_riccati,
 )
 from lqrlab import core
-from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
-from lqrlab.core import (CounterStream, keyed_draws, keyed_paths, make_rng, pathwise_cost_terms, sample_paths,
-                         standard_draw)
-from lqrlab.liquidation import ac_to_lqr
+from lqrlab.benchmarks import scalar_benchmark
+from lqrlab.core import keyed_draws, keyed_paths, make_rng, pathwise_cost_terms, standard_draw
 from lqrlab.errors import HorizonTooShort, NonPositiveDefinite
 from lqrlab.zeroth import LqrSimulator
 
@@ -469,85 +470,13 @@ class TestBatchRollouts:
 # stream words: negative ints wrap to two's complement, so both ends of the
 # 64-bit range and beyond 2**63 are covered
 WORDS = st.integers(min_value=-(2**63), max_value=2**64 - 1)
-KEYS = st.lists(WORDS, min_size=1, max_size=5)
-
-
-def _consume(rng, kind: int, n: int) -> None:
-    """Leave a generator mid-stream: an odd count of 32-bit halves leaves a
-    pending half word, the others stop inside Philox's 4-word output block."""
-    if kind == 0:
-        rng.integers(0, 2**32, size=2 * n + 1, dtype=np.uint32)
-    elif kind == 1:
-        rng.standard_normal(n)
-    else:
-        rng.random(n)
-
-
-def _draws(rng) -> list:
-    return [rng.integers(0, 2**32, size=3, dtype=np.uint32), rng.standard_normal(5), rng.uniform(-2.0, 2.0, 4),
-            rng.integers(0, 2**64, size=2, dtype=np.uint64)]
-
-
-def _assert_same_draws(a, b) -> None:
-    for x, y in zip(_draws(a), _draws(b)):
-        np.testing.assert_array_equal(x, y)
-
-
-class TestCounterStream:
-    @settings(deadline=None, max_examples=200)
-    @given(previous=KEYS, key=KEYS, kind=st.integers(0, 2), n=st.integers(0, 9))
-    def test_rekey_matches_make_rng(self, previous, key, kind, n):
-        stream = CounterStream()
-        _consume(stream.rekey(previous), kind, n)
-        _assert_same_draws(stream.rekey(key), make_rng(key))
-
-    @settings(deadline=None, max_examples=100)
-    @given(prefix=st.lists(WORDS, min_size=2, max_size=2),
-           tails=st.lists(st.lists(st.integers(0, 2**64 - 1), max_size=3), min_size=1, max_size=3),
-           kind=st.integers(0, 2), n=st.integers(0, 9))
-    def test_rekey_tail_keeps_the_first_two_words(self, prefix, tails, kind, n):
-        stream = CounterStream()
-        stream.rekey(prefix)
-        for tail in tails:
-            rng = stream.rekey_tail(*tail)
-            _assert_same_draws(rng, make_rng([*prefix, *tail]))
-            _consume(rng, kind, n)
-
-    def test_rejects_long_keys(self):
-        with pytest.raises(ValueError):
-            CounterStream().rekey([1, 2, 3, 4, 5, 6])
-
-
-class TestSamplePaths:
-    @pytest.mark.parametrize("init_kind,noise_kind", [
-        ("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gaussian"), ("gaussian", "zero"),
-        ("uniform", "gaussian"), ("gaussian", "uniform"), ("point", "zero"),
-    ])
-    def test_matches_model_draws(self, init_kind, noise_kind):
-        rng = np.random.default_rng(7)
-        d, T = 3, 4
-        noise = NoiseModel(noise_kind, 0.4, rng.normal(size=(d, d)))
-        init = InitialStateModel(init_kind, rng.normal(size=d), 0.6, rng.normal(size=(d, d)))
-        inst = constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise, init)
-        keys = [[4, j, -1] for j in range(6)]
-        x0, w = sample_paths(inst, (make_rng(key) for key in keys), len(keys))
-        for j, key in enumerate(keys):
-            ref = make_rng(key)
-            np.testing.assert_array_equal(x0[j], init.draw(ref))
-            np.testing.assert_array_equal(w[j], noise.draw(ref, T, d))
-
-    def test_models_reject_unknown_kinds(self):
-        with pytest.raises(ValueError):
-            NoiseModel("point")
-        with pytest.raises(ValueError):
-            InitialStateModel("zero", np.zeros(1))
-
-
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 PREFIXES = st.lists(WORDS, min_size=2, max_size=2)
 TAILS = st.lists(st.tuples(U64, U64, U64), min_size=1, max_size=8)
+LAYOUTS = st.lists(st.tuples(st.sampled_from(["gaussian", "uniform"]), st.integers(1, 30)), min_size=1, max_size=3)
 KIND_PAIRS = [("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gaussian"), ("gaussian", "zero"),
               ("uniform", "gaussian"), ("gaussian", "uniform"), ("point", "zero")]
+SQRT3 = np.sqrt(3.0)
 
 
 def _per_key_draws(layout, prefix, tails) -> np.ndarray:
@@ -559,254 +488,220 @@ def _per_key_draws(layout, prefix, tails) -> np.ndarray:
     return np.array(rows)
 
 
+def _word_draw(kind: str, w: int) -> float:
+    """The number one raw word w maps to, computed on Python scalars."""
+    if kind == "gaussian":
+        return ndtri(((w >> 12) + 0.5) * 2.0**-52)
+    return -SQRT3 + 2 * SQRT3 * ((w >> 11) * 2.0**-53)
+
+
+def _mapped(kind: str, words) -> np.ndarray:
+    return core._standardize(kind, np.array(words, dtype=np.uint64))
+
+
 def _assert_same_bits(a, b) -> None:
     # compares the float64 bit patterns, so a -0.0 for a 0.0 fails
-    np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+    np.testing.assert_array_equal(np.asarray(a, dtype=float).view(np.uint64), np.asarray(b, dtype=float).view(np.uint64))
 
 
-_RABS = (1 << 52) - 1
+def _instance_of_kinds(pair, d: int, T: int):
+    noise = NoiseModel(pair[1], 0.4)
+    init = InitialStateModel(pair[0], np.linspace(-1.0, 1.0, d), 0.6)
+    return constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise, init)
 
 
-def _ziggurat_walk(words, layout, tables):
-    """numpy's standard_normal and uniform read off one row of raw words with
-    the derived tables, output by output: the (case, layer, output) of every
-    Gaussian word off the fast path, where "tail", "guard" (words numpy is
-    left to decide) and "end" (of the words given) stop the walk."""
-    wi, ki, kw, fd, fi = tables
-    events, p = [], 0
-    for kind, width in layout:
-        for o in range(width):
-            while True:
-                if p >= len(words):
-                    return events + [("end", None, o)]
-                w = int(words[p])
-                i, rabs = w & 0x1FF, (w >> 9) & _RABS
-                if kind == "uniform" or rabs < ki[i]:
-                    p += 1
-                    break
-                if rabs < kw[i]:
-                    return events + [("tail" if i % 256 == 0 else "guard", i % 256, o)]
-                if p + 1 >= len(words):
-                    return events + [("end", i % 256, o)]
-                x = rabs * wi[i]
-                accept = fd[i] * ((int(words[p + 1]) >> 11) * 2.0**-53) + fi[i] < np.exp(-0.5 * x * x)
-                events.append(("accept" if accept else "reject", i % 256, o))
-                p += 2
-                if accept:
-                    break
-    return events
+class TestStandardDraw:
+    @settings(deadline=None, max_examples=100)
+    @given(prefix=PREFIXES, tails=TAILS, layout=LAYOUTS)
+    def test_rows_map_each_raw_word_on_its_own(self, prefix, tails, layout):
+        # the bit-exact scalar reference: ndtri or the uniform map of each
+        # make_rng(key).bit_generator.random_raw() word, in order
+        ref = []
+        for tail in tails:
+            bits = make_rng([*prefix, *tail]).bit_generator
+            ref.append([_word_draw(kind, int(bits.random_raw())) for kind, width in layout for _ in range(width)])
+        _assert_same_bits(keyed_draws(layout, prefix, tails), ref)
+
+    def test_normals_match_an_independent_inverse_cdf(self):
+        words = make_rng(17).bit_generator.random_raw(4096).tolist() + [0, 1 << 12, 2**64 - 1, 2**63, 2**63 - 1]
+        ref = [statistics.NormalDist().inv_cdf(((w >> 12) + 0.5) * 2.0**-52) for w in words]
+        np.testing.assert_allclose(_mapped("gaussian", words), ref, rtol=0, atol=1e-12)
+
+    def test_extreme_words_map_to_finite_values(self):
+        x = _mapped("gaussian", [0, 2**64 - 1])
+        assert np.isfinite(x).all() and x[0] == -x[1] and 8.2 < x[1] < 8.3
+        u = _mapped("uniform", [0, 2**64 - 1])
+        assert u[0] == -SQRT3 and -SQRT3 < u[1] < SQRT3
+
+    def test_smallest_magnitude_words_are_not_zero(self):
+        # w >> 12 = 2**51 and 2**51 - 1: u = 1/2 +- 2**-53, so no normal is 0
+        # and no sphere draw has a zero norm
+        x = _mapped("gaussian", [2**51 << 12, (2**51 - 1) << 12 | 0xFFF])
+        assert x[0] == -x[1] > 2e-16
+
+    def test_rejects_long_keys(self):
+        with pytest.raises(ValueError):
+            make_rng([1, 2, 3, 4, 5, 6])
+
+    def test_rejects_unknown_kinds(self):
+        with pytest.raises(ValueError):
+            standard_draw("point-mass", make_rng(0), 3)
+
+    def test_sizes_are_shapes_and_degenerate_or_empty_draws_take_no_word(self):
+        for kind in ("gaussian", "uniform"):
+            flat = standard_draw(kind, make_rng(8), 6)
+            _assert_same_bits(standard_draw(kind, make_rng(8), (2, 3)), flat.reshape(2, 3))
+            rng = make_rng(8)
+            assert standard_draw(kind, rng, 0).shape == (0,)
+            _assert_same_bits(standard_draw("point", rng, 4), np.zeros(4))
+            _assert_same_bits(standard_draw("zero", rng, (2, 2)), np.zeros((2, 2)))
+            _assert_same_bits(standard_draw(kind, rng, 6), flat)
+
+    def test_uniforms_equal_generator_uniform(self):
+        # the uniform map is the one Generator.uniform applies to a raw word
+        _assert_same_bits(standard_draw("uniform", make_rng([5, 1, 2]), 4096),
+                          make_rng([5, 1, 2]).uniform(-SQRT3, SQRT3, 4096))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    def test_draws_keep_no_third_word_sized_array(self, kind):
+        # the raw words are shifted in place and mapped into the output, so a
+        # draw of n numbers peaks at two n-word arrays, not three
+        n = 2**17
+        standard_draw(kind, make_rng(1), 8)  # imports ndtri outside the trace
+        rng = make_rng(2)
+        tracemalloc.start()
+        try:
+            x = standard_draw(kind, rng, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (n,) and 2 * 8 * n <= peak < 2.5 * 8 * n
+
+    def test_moments_and_ks_distance_of_a_million_draws(self):
+        # 2**20 keyed normals; thresholds fixed before the first run: five
+        # standard errors for each moment and a KS distance whose chance
+        # under a true normal is about 1e-6 (2 exp(-2 * 2.7**2))
+        n = 2**20
+        tails = np.stack([np.arange(4096), np.zeros(4096), np.ones(4096)], axis=1).astype(np.uint64)
+        x = np.sort(keyed_draws([("gaussian", n // 4096)], (29, 3), tails).ravel())
+        z = (x - x.mean()) / x.std()
+        assert abs(x.mean()) < 5 / np.sqrt(n)
+        assert abs(x.var() - 1) < 5 * np.sqrt(2 / n)
+        assert abs((z**3).mean()) < 5 * np.sqrt(6 / n)
+        assert abs((z**4).mean() - 3) < 5 * np.sqrt(24 / n)
+        cdf = ndtr(x)
+        ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+        assert ks < 2.7 / np.sqrt(n)
 
 
-def _wedge_events(events):
-    return [e for e in events if e[0] in ("accept", "reject")]
+class TestSamplePaths:
+    @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS)
+    def test_matches_model_draws(self, init_kind, noise_kind):
+        # keyed_paths under full start and noise factors against the models'
+        # own draw methods on make_rng of each key
+        rng = np.random.default_rng(7)
+        d, T = 3, 4
+        noise = NoiseModel(noise_kind, 0.4, rng.normal(size=(d, d)))
+        init = InitialStateModel(init_kind, rng.normal(size=d), 0.6, rng.normal(size=(d, d)))
+        inst = constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise, init)
+        tails = [(j, 2**64 - 1, 1) for j in range(6)]
+        x0, w = keyed_paths(inst, (4, -1), tails)
+        for j, tail in enumerate(tails):
+            ref = make_rng([4, -1, *tail])
+            _assert_same_bits(x0[j], init.draw(ref))
+            _assert_same_bits(w[j], noise.draw(ref, T, d))
 
-
-# rows that exercise numpy's wedge branch, each with the case it must hit
-# among the words keyed_draws computes: (case, prefix, tails, layout)
-WEDGE_CASES = [
-    ("layer 1", [5, 8], [(8, 0, 1)], [("gaussian", 6)]),
-    ("accept", [5, 8], [(26, 0, 1)], [("gaussian", 6)]),
-    ("reject", [5, 8], [(2, 0, 1)], [("gaussian", 6)]),
-    ("two events", [5, 8], [(590, 0, 1)], [("gaussian", 6)]),
-    ("reject before a uniform part", [5, 8], [(187, 0, 1)], [("gaussian", 3), ("uniform", 3)]),
-    ("accept after a uniform part", [5, 8], [(26, 0, 1)], [("uniform", 2), ("gaussian", 4)]),
-    ("tail", [5, 8], [(1383, 0, 1)], [("gaussian", 6)]),
-    ("end", [5, 8], [(142, 0, 1)], [("gaussian", 6)]),
-]
-WEDGE_HITS = {
-    "layer 1": lambda ev, layout: any(e[1] == 1 for e in _wedge_events(ev)),
-    "accept": lambda ev, layout: any(e[0] == "accept" and e[1] != 1 for e in ev),
-    "reject": lambda ev, layout: any(e[0] == "reject" for e in ev),
-    "two events": lambda ev, layout: len(_wedge_events(ev)) == 2 and ev[-1][0] in ("accept", "reject"),
-    "reject before a uniform part": lambda ev, layout: any(e[0] == "reject" and e[2] == layout[0][1] - 1 for e in ev),
-    "accept after a uniform part": lambda ev, layout: any(e[0] == "accept" and e[2] >= layout[0][1] for e in ev),
-    "tail": lambda ev, layout: ev[-1:] and ev[-1][0] == "tail",
-    "end": lambda ev, layout: ev[-1:] and ev[-1][0] == "end",
-}
-LAYOUTS = st.one_of(
-    st.builds(lambda g: [("gaussian", g)], st.integers(1, 30)),
-    st.builds(lambda g, u: [("gaussian", g), ("uniform", u)], st.integers(1, 30), st.integers(1, 8)),
-    st.builds(lambda u, g: [("uniform", u), ("gaussian", g)], st.integers(1, 8), st.integers(1, 30)),
-)
-
-
-def _with_wedge_examples(test):
-    for _, prefix, tails, layout in reversed(WEDGE_CASES):
-        test = example(prefix=prefix, tails=tails, layout=layout)(test)
-    return test
-
-
-def _liquidation_slot_keys():
-    """The path layout and keys of one zo-liquidation estimate (T = 10, m = 200)."""
-    inst = ac_to_lqr(stock_liquidation())
-    tails = np.array([(t, i, 1) for t in range(inst.T) for i in range(200)], dtype=np.uint64)
-    return inst, (3 << 20, 5), tails
+    def test_models_reject_unknown_kinds(self):
+        with pytest.raises(ValueError):
+            NoiseModel("point")
+        with pytest.raises(ValueError):
+            InitialStateModel("zero", np.zeros(1))
 
 
 class TestKeyedDraws:
     @settings(deadline=None, max_examples=200)
-    @given(prefix=PREFIXES, tails=TAILS,
-           layout=st.lists(st.tuples(st.sampled_from(["gaussian", "uniform"]), st.integers(1, 30)), min_size=1, max_size=3))
-    # a one-word part in rows of 8 words: numpy 2.4's masked in-place negative
-    # reads such a column with the wrong stride
+    @given(prefix=PREFIXES, tails=TAILS, layout=LAYOUTS)
+    # a one-word part in rows of 8 words: a strided column of the words
     @example(prefix=[0, 1], tails=[(0, 0, 0), (0, 0, 0)], layout=[("gaussian", 1), ("gaussian", 7)])
     def test_matches_per_key_draws(self, prefix, tails, layout):
-        _assert_same_bits(keyed_draws(layout, prefix, tails), _per_key_draws(layout, prefix, tails))
+        ref = _per_key_draws(layout, prefix, tails)
+        _assert_same_bits(keyed_draws(layout, prefix, tails), ref)
+        _assert_same_bits(keyed_draws(layout, np.array([w % 2**64 for w in prefix], dtype=np.uint64), tails), ref)
 
     @settings(deadline=None, max_examples=100)
     @given(prefix=PREFIXES, tails=TAILS, pair=st.sampled_from(KIND_PAIRS), d=st.integers(1, 3), T=st.integers(1, 9))
     @example(prefix=[3, 4], tails=[(0, i, 1) for i in range(8)], pair=("gaussian", "uniform"), d=1, T=7)
-    def test_paths_match_per_key_paths(self, prefix, tails, pair, d, T):
-        # path layouts of every kind pair: merged same-kind parts, skipped degenerate ones
-        noise = NoiseModel(pair[1], 0.4)
-        init = InitialStateModel(pair[0], np.linspace(-1.0, 1.0, d), 0.6)
-        inst = constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise, init)
+    def test_paths_match_simulated_trajectories(self, prefix, tails, pair, d, T):
+        # path layouts of every kind pair, degenerate parts skipped, against
+        # the start state and noise simulate_trajectory draws on each key
+        inst = _instance_of_kinds(pair, d, T)
         x0, w = keyed_paths(inst, prefix, tails)
-        ref_x0, ref_w = sample_paths(inst, (make_rng([*prefix, *tail]) for tail in tails), len(tails))
-        _assert_same_bits(x0, ref_x0)
-        _assert_same_bits(w, ref_w)
+        for j, tail in enumerate(tails):
+            traj = simulate_trajectory(inst, np.zeros((T, 1, d)), [*prefix, *tail])
+            _assert_same_bits(x0[j], traj.states[0])
+            _assert_same_bits(w[j], traj.noises)
 
     @settings(deadline=None, max_examples=100)
     @given(prefixes=st.lists(PREFIXES, min_size=1, max_size=4), tails=TAILS, pair=st.sampled_from(KIND_PAIRS),
-           d=st.integers(1, 3), T=st.integers(1, 6), emptied=st.booleans(), chunk=st.sampled_from([3, 4096]))
-    def test_prefix_batch_equals_one_call_per_prefix(self, prefixes, tails, pair, d, T, emptied, chunk):
+           d=st.integers(1, 3), T=st.integers(1, 6), chunk=st.sampled_from([3, 4096]))
+    def test_prefix_batch_equals_one_call_per_prefix(self, prefixes, tails, pair, d, T, chunk):
         # a (B, 2) batch of prefixes, as nested ints and as uint64 words, in
-        # passes of a few rows or of all, on the fast path or all on the per-key one
-        noise = NoiseModel(pair[1], 0.4)
-        init = InitialStateModel(pair[0], np.linspace(-1.0, 1.0, d), 0.6)
-        layout = core._path_layout(constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T,
-                                                     noise, init))
+        # passes of a few rows or of all
+        layout = core._path_layout(_instance_of_kinds(pair, d, T))
         singles = [keyed_draws(layout, prefix, tails) for prefix in prefixes]
         words = np.array([[w % 2**64 for w in prefix] for prefix in prefixes], dtype=np.uint64)
-        tables, kept_chunk = core._ziggurat_tables(), core._KEYED_CHUNK
-        core._ziggurat, core._KEYED_CHUNK = (() if emptied else tables), chunk
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_KEYED_CHUNK", chunk)
             batches = keyed_draws(layout, prefixes, tails), keyed_draws(layout, words, tails)
-        finally:
-            core._ziggurat, core._KEYED_CHUNK = tables, kept_chunk
         for batch in batches:
             assert batch.shape == (len(prefixes), *singles[0].shape)
             for got, single in zip(batch, singles):
                 _assert_same_bits(got, single)
 
-    @settings(deadline=None, max_examples=150)
-    @given(prefix=PREFIXES, tails=st.lists(st.tuples(U64, U64, U64), min_size=1, max_size=40), layout=LAYOUTS)
-    @_with_wedge_examples
-    def test_wedge_rows_match_per_key_draws(self, prefix, tails, layout):
-        # Gaussian-only, Gaussian-then-uniform and uniform-then-Gaussian rows,
-        # a quarter of them with wedge events at 20 normals
-        _assert_same_bits(keyed_draws(layout, prefix, tails), _per_key_draws(layout, prefix, tails))
+    @pytest.mark.parametrize("width", [1, 3, 4, 5, 8, 9])
+    def test_widths_around_block_edges_take_the_stream_in_order(self, width):
+        # ceil(width / 4) Philox blocks per key: a row is the key's first
+        # width raw words, so a narrower row is the start of a wider one
+        prefix = (3, 2**64 - 2)
+        tails = np.array([[0, 0, 0], [7, 2**64 - 1, 1], [2**63, 5, 2**32]], dtype=np.uint64)
+        ref = [make_rng([*prefix, *map(int, tail)]).bit_generator.random_raw(width) for tail in tails]
+        np.testing.assert_array_equal(core._philox_words(prefix, tails, width), ref)
+        wide = keyed_draws([("uniform", 2), ("gaussian", 7)], prefix, tails)
+        layout = [("uniform", min(width, 2)), ("gaussian", max(width - 2, 0))]
+        _assert_same_bits(keyed_draws(layout, prefix, tails), wide[:, :width])
 
-    @pytest.mark.parametrize("case, prefix, tails, layout", WEDGE_CASES, ids=[c[0] for c in WEDGE_CASES])
-    def test_wedge_examples_hit_their_cases(self, case, prefix, tails, layout):
-        width = sum(w for _, w in layout)
-        words = core._philox_words(prefix, np.array(tails, dtype=np.uint64), core._computed_words(width))
-        walks = [_ziggurat_walk(row, layout, core._ziggurat_tables()) for row in words]
-        assert any(WEDGE_HITS[case](ev, layout) for ev in walks), walks
+    def test_zero_width_layouts_draw_nothing(self):
+        # a point start with zero noise: no words, and no pass is run
+        tails = np.zeros((3, 3), dtype=np.uint64)
+        assert keyed_draws([], (1, 2), tails).shape == (3, 0)
+        assert keyed_draws([("gaussian", 0), ("uniform", 0)], [(1, 2), (3, 4)], tails).shape == (2, 3, 0)
+        inst = _instance_of_kinds(("point", "zero"), 2, 4)
+        x0, w = keyed_paths(inst, (1, 2), tails)
+        _assert_same_bits(x0, np.tile(inst.init.mean, (3, 1)))
+        _assert_same_bits(w, np.zeros((3, 4, 2)))
 
-    def test_wedge_tables_reproduce_two_word_draws(self):
-        # first normals of fresh keys: those that took two words are wedge
-        # accepts, x = +-rabs wi[idx] with the derived wi[1] among them, and
-        # the derived fi gives their verdicts; those of wedge words that took
-        # more were rejected
-        wi, ki, kw, fd, fi = core._ziggurat_tables()
-        n = 4096
-        x, follow = np.empty(n), np.empty(n, dtype=np.uint64)
-        for j in range(n):
-            rng = make_rng((11, 12, j, 0, 3))
-            x[j] = rng.standard_normal()
-            follow[j] = rng.bit_generator.random_raw()
-        tails = np.array([(j, 0, 3) for j in range(n)], dtype=np.uint64)
-        first, second, third = core._philox_words((11, 12), tails, 3).T
-        idx = (first & np.uint64(0x1FF)).astype(np.intp)
-        rabs = (first >> np.uint64(9)) & np.uint64(_RABS)
-        wedge = rabs >= kw[idx]
-        two = follow == third
-        assert np.count_nonzero(two & (idx % 256 == 1)) >= 3
-        assert wedge[two].all()
-        _assert_same_bits(rabs[two] * wi[idx[two]], x[two])
-        gap = fd[idx] * ((second >> np.uint64(11)) * 2.0**-53) + fi[idx] - np.exp(-0.5 * (rabs * wi[idx]) ** 2)
-        assert (gap[two] < -core._WEDGE_BAND).all()
-        rejected = wedge & ~two
-        assert np.count_nonzero(rejected) >= 10 and (gap[rejected] > core._WEDGE_BAND).all()
+    @pytest.mark.parametrize("prefix", [5, [5], (1, 2, 3), [1, 2, 3, 4, 5, 6], [(1, 2), (1, 2, 3)],
+                                        np.zeros(3, dtype=np.uint64), np.zeros((2, 3), dtype=np.uint64)],
+                             ids=["one word", "a list of one word", "three words", "six words",
+                                  "a three-word prefix in a batch", "a uint64 array of three words", "a (B, 3) array"])
+    def test_rejects_prefixes_that_are_not_two_words(self, prefix):
+        # a padded or cut prefix would key other streams than make_rng((*prefix, *tail))
+        with pytest.raises(ValueError, match="two words"):
+            keyed_draws([("gaussian", 2)], prefix, np.zeros((1, 3), dtype=np.uint64))
 
-    def test_verdicts_near_their_boundary_go_to_numpy(self):
-        # a wedge word of layer 7 with the u that puts its verdict on the
-        # boundary, and the same word with u = 0, a clear accept
-        tables = core._ziggurat_tables()
-        wi, ki, kw, fd, fi = tables
-        rabs = int(kw[7]) + 4096
-        x = rabs * wi[7]
-        u = round((np.exp(-0.5 * x * x) - fi[7]) / fd[7] * 2.0**53)
-        assert 0 < u < 2**53
-        words = np.array([[rabs << 9 | 7, u << 11, 0, 0], [rabs << 9 | 7, 0, 0, 0]], dtype=np.uint64)
-        ok, z = core._wedge_draws(words, [("gaussian", 1)], tables)
-        assert ok.tolist() == [False, True]
-        _assert_same_bits(z, [[x]])
-
-    def test_wedge_resolves_zo_liquidation_rows_in_arrays(self):
-        # all but the tail, guard-band and run-out rows: at least 97% of the
-        # path rows of five zo-liquidation estimates
-        inst, (seed, _), tails = _liquidation_slot_keys()
-        layout = core._path_layout(inst)
-        width = sum(w for _, w in layout)
-        done = [core._array_draws(core._philox_words((seed, it), tails, core._computed_words(width)), layout,
-                                  core._ziggurat_tables(), np.empty((len(tails), width))) for it in range(5)]
-        assert np.mean(done) >= 0.97, f"{np.mean(done):.4f} of zo-liquidation rows resolved in arrays"
-
-    def test_empty_tables_send_every_row_to_the_per_key_path(self, monkeypatch):
-        layout = [("uniform", 3), ("gaussian", 17)]
-        tails = np.array([(t, i, 7) for t in range(3) for i in range(40)], dtype=np.uint64)
-        inst, prefix, slot_tails = _liquidation_slot_keys()
-        fast = keyed_draws(layout, (-9, 2**63 + 1), tails), keyed_paths(inst, prefix, slot_tails)
-        monkeypatch.setattr(core, "_ziggurat", ())
-        assert not core._fast_draws(core._philox_words((-9, 2**63 + 1), tails, 20), layout, (), np.empty((120, 20))).any()
-        assert not core._array_draws(core._philox_words((-9, 2**63 + 1), tails, 24), layout, (), np.empty((120, 20))).any()
-        _assert_same_bits(keyed_draws(layout, (-9, 2**63 + 1), tails), fast[0])
-        for a, b in zip(keyed_paths(inst, prefix, slot_tails), fast[1]):
-            _assert_same_bits(a, b)
-
-    def test_racing_first_calls_share_one_table(self, monkeypatch):
-        # more threads than cores, switching often, all released at once
-        monkeypatch.setattr(core, "_ziggurat", None)
+    def test_threads_drawing_interleaved_keys_get_the_serial_arrays(self):
+        # more threads than cores, switching often; thread j draws every
+        # fourth key from j on, one pass at a time
+        layout = [("gaussian", 5), ("uniform", 2), ("gaussian", 9)]
+        tails = np.stack([np.arange(400), np.zeros(400), np.ones(400)], axis=1).astype(np.uint64)
+        serial = keyed_draws(layout, (11, 1), tails)
+        got = [[] for _ in range(4)]
         barrier = threading.Barrier(4)
-        got = [None] * 4
-
-        def first_call(j):
-            barrier.wait()
-            got[j] = core._ziggurat_tables()
-
-        threads = [threading.Thread(target=first_call, args=(j,)) for j in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert got[0] and all(g is got[0] for g in got)
-        for a, b in zip(got[0], core._derive_ziggurat()):
-            np.testing.assert_array_equal(a, b)
-
-    def test_threads_keep_their_own_stream(self, monkeypatch):
-        # with no tables every row takes the per-key path through the
-        # thread's CounterStream; threads drawing at once (more than cores)
-        # must each get the rows of their own keys
-        monkeypatch.setattr(core, "_ziggurat", ())
-        layout = [("gaussian", 5), ("uniform", 2)]
-        tails = np.stack([np.arange(150), np.zeros(150), np.ones(150)], axis=1).astype(np.uint64)
-        prefixes = [(11, 1), (12, 2), (13, 3), (14, 4)]
-        expected = [keyed_draws(layout, p, tails) for p in prefixes]
-        streams, kept, got = [None] * 4, [False] * 4, [[] for _ in prefixes]
 
         def draw(j):
-            streams[j] = core._counter_stream()
-            for _ in range(5):
-                got[j].append(keyed_draws(layout, prefixes[j], tails))
-            kept[j] = core._counter_stream() is streams[j]
+            barrier.wait()
+            for lo in range(j, 400, 40):
+                got[j].append(keyed_draws(layout, (11, 1), tails[lo:lo + 40:4]))
 
         threads = [threading.Thread(target=draw, args=(j,)) for j in range(4)]
         interval = sys.getswitchinterval()
@@ -818,28 +713,6 @@ class TestKeyedDraws:
                 th.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads) and all(kept)
-        assert len({id(x) for x in streams}) == 4 and core._counter_stream() not in streams
+        assert not any(th.is_alive() for th in threads)
         for j in range(4):
-            assert len(got[j]) == 5
-            for z in got[j]:
-                _assert_same_bits(z, expected[j])
-
-    def test_per_key_rows_build_no_stream(self, monkeypatch):
-        monkeypatch.setattr(core, "_ziggurat", ())
-        core._counter_stream()  # this thread's, built at its first use
-        built = []
-        monkeypatch.setattr(core, "CounterStream", lambda: built.append(1))
-        for prefix in ((5, 1), (6, 2), (7, 3)):
-            keyed_draws([("gaussian", 3)], prefix, np.ones((4, 3), dtype=np.uint64))
-        assert not built
-
-    def test_tables_hold_for_the_installed_numpy(self):
-        # fails when numpy's ziggurat changes, rather than quietly losing the fast path
-        tables = core._derive_ziggurat()
-        assert tables and core._tables_agree(tables)
-        inst, prefix, tails = _liquidation_slot_keys()
-        layout = core._path_layout(inst)
-        width = sum(w for _, w in layout)
-        fast = core._fast_draws(core._philox_words(prefix, tails, width), layout, tables, np.empty((len(tails), width)))
-        assert fast.mean() >= 0.6, f"{fast.mean():.3f} of zo-liquidation rows on the fast path"
+            _assert_same_bits(np.concatenate(got[j]), serial[j::4])
