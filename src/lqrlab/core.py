@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -170,37 +171,62 @@ def _key_words(prefix) -> list[int]:
     return _stream_words(prefix)[:2]
 
 
+def _layout_words(layout) -> tuple[list, int]:
+    """[(kind, words, count)] of a layout: the row's words each part maps, a
+    slice for a part that maps all its words and an offset array for one
+    with live offsets, and how many; then W, the sum of the widths.
+    ValueError unless live offsets ascend strictly inside [0, width)."""
+    parts, at = [], 0
+    for kind, width, *live in layout:
+        if live:
+            offsets = np.asarray(live[0], dtype=np.intp).reshape(-1)
+            if offsets.size and (offsets[0] < 0 or offsets[-1] >= width or (np.diff(offsets) <= 0).any()):
+                raise ValueError(f"live offsets of a {kind} part of width {width} must ascend strictly inside [0, {width})")
+            words, count = at + offsets, offsets.size
+        else:
+            words, count = slice(at, at + width), width
+        parts.append((kind, words, count))
+        at += width
+    return parts, at
+
+
 def keyed_draws(layout, prefix, tails) -> np.ndarray:
-    """(n, W) standardized draws of n counter keys (*prefix, *tails[j]).
+    """(n, N) standardized draws of n counter keys (*prefix, *tails[j]).
 
     Row j holds what standard_draw(kind, rng, width) gives for each
     (kind, width) of layout, part after part, on rng = make_rng((*prefix,
     *tails[j])); kinds are "gaussian" and "uniform", prefix is two words
     (ValueError otherwise) and tails an (n, 3) array of words in [0, 2**64).
-    All rows run as one
-    vectorised Philox of exactly ceil(W / 4) blocks per key, whose words map
-    to numbers one each, with no rejection: every row is a pure function of
-    its key.
+    A part may be (kind, width, live), live a strictly ascending sequence
+    of offsets in [0, width) (ValueError otherwise): the stream still
+    advances past all width words, but only the words at those offsets are
+    mapped, and the row holds their numbers alone (a zo-liquidation path
+    row draws 22 words and maps 11).  So N is the number of mapped words:
+    W, the sum of the widths, when every part maps all its words.  All rows
+    run as one vectorised Philox of exactly ceil(W / 4) blocks per key,
+    whose words map to numbers one each, with no rejection: every row is a
+    pure function of its key.
 
     prefix may also be a sequence of B prefixes, such as a (B, 2) array: the
-    result is then (B, n, W), slice b holding the draws under prefix[b], and
+    result is then (B, n, N), slice b holding the draws under prefix[b], and
     every pass runs the keys of all prefixes together.
     """
     tails = np.asarray(tails, dtype=np.uint64).reshape(-1, 3)
     batched = not np.isscalar(prefix) and len(prefix) > 0 and not np.isscalar(prefix[0])
     keys = np.array([_key_words(p) for p in prefix], dtype=np.uint64) if batched else _key_words(prefix)
     lead = (len(keys),) if batched else ()
-    n, width = len(tails), sum(w for _, w in layout)
-    z = np.empty((*lead, n, width))
-    if not width:
+    parts, drawn = _layout_words(layout)
+    n = len(tails)
+    z = np.empty((*lead, n, sum(count for *_, count in parts)))
+    if not drawn:
         return z
     step = max(1, _KEYED_CHUNK // len(keys)) if batched else _KEYED_CHUNK
     for lo in range(0, n, step):
         rows, at = slice(lo, lo + step), 0
-        words = _philox_words(keys, tails[rows], width)
-        for kind, w in layout:
-            _standardize(kind, words[..., at:at + w], z[..., rows, at:at + w])
-            at += w
+        words = _philox_words(keys, tails[rows], drawn)
+        for kind, w, count in parts:  # a view of the words, or a gathered copy of the live ones
+            _standardize(kind, words[..., w], z[..., rows, at:at + count])
+            at += count
     return z
 
 
@@ -269,9 +295,10 @@ class NoiseModel:
         if self.kind not in ("gaussian", "uniform", "zero"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
-    def scale(self, v: np.ndarray) -> np.ndarray:
-        """Noise vectors sigma * factor @ v_t from standardized draws v of shape (..., T, d)."""
-        return self.sigma * (v @ self._factor(v.shape[-1]).T)
+    def scale(self, v: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
+        """Noise vectors sigma * factor @ v_t from standardized draws v of shape
+        (..., T, c), for a (d, c) factor, by default the model's own (c = d)."""
+        return self.sigma * (v @ (self._factor(v.shape[-1]) if factor is None else factor).T)
 
     def draw(self, rng: np.random.Generator, T: int, d: int) -> np.ndarray:
         """(T, d) array of noise vectors, consuming a deterministic number of draws."""
@@ -309,10 +336,11 @@ class InitialStateModel:
             S0 = S0 + self.sigma**2 * (F @ F.T)
         return S0
 
-    def place(self, z: np.ndarray) -> np.ndarray:
-        """Initial states mean + sigma * factor @ z from standardized draws z of shape (..., d)."""
+    def place(self, z: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
+        """Initial states mean + sigma * factor @ z from standardized draws z of
+        shape (..., c), for a (d, c) factor, by default the model's own (c = d)."""
         mu = np.asarray(self.mean, dtype=float)
-        return mu + self.sigma * (self._factor(mu.shape[0]) @ z[..., None])[..., 0]
+        return mu + self.sigma * ((self._factor(mu.shape[0]) if factor is None else factor) @ z[..., None])[..., 0]
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "point":
@@ -320,15 +348,58 @@ class InitialStateModel:
         return self.place(standard_draw(self.kind, rng, len(self.mean)))
 
 
+class _Reads(NamedTuple):
+    """How keyed paths read a start or noise factor F (d, d).  cols: its
+    live (nonzero) columns, whose numbers alone are mapped, or None when
+    every column is mapped.  factor: what those numbers multiply, F[:, cols]
+    or F.  Columns are left unmapped only when each row of F has at most one
+    nonzero entry: each coordinate is then one exactly rounded product, in
+    any summation order, whereas dropping terms from a longer sum could
+    regroup it and change its bits."""
+
+    cols: np.ndarray | None
+    factor: np.ndarray
+
+    @classmethod
+    def of(cls, F: np.ndarray) -> _Reads:
+        nonzero = F != 0
+        cols = np.flatnonzero(nonzero.any(axis=0))
+        if len(cols) == F.shape[1] or (nonzero.sum(axis=1) > 1).any():
+            return cls(None, F)
+        return cls(cols, F[:, cols])
+
+
+def _check_model(model, name: str, d: int) -> None:
+    """ValueError naming the first field of a start or noise model that does
+    not fit d states: a mean of length d and finite and, unless the kind is
+    degenerate ("point", "zero", which read neither), a finite sigma and a
+    (d, d) finite factor."""
+    reads = model.kind not in ("point", "zero")
+    if reads and not np.isfinite(model.sigma):
+        raise ValueError(f"{name}.sigma must be finite, got {model.sigma!r}")
+    for part, shape in (("factor", (d, d)), ("mean", (d,))):
+        value = getattr(model, part, None)
+        if value is None or (part == "factor" and not reads):
+            continue
+        value = np.asarray(value, dtype=float)
+        if value.shape != shape:
+            raise ValueError(f"{name}.{part} must have shape {shape}, got {value.shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name}.{part} must be finite")
+
+
 @dataclass
 class LqrInstance:
     """Problem data.  Q has T+1 slices (terminal last), R has T slices.
 
     Construction checks every R_t (and every Q_t when validate) once, in one
-    pass per stack, symmetrises Q and R, and computes the noise covariance W
-    and the start second moment S0 as read-only arrays.  Derive a changed
-    instance with dataclasses.replace, which does all of that again; a field
-    assigned afterwards is neither checked nor seen by W and S0.
+    pass per stack, and that the start and noise models fit d states
+    (ValueError naming the field otherwise), symmetrises Q and R, and
+    computes the noise covariance W, the start second moment S0 as
+    read-only arrays, and the plan of keyed paths (_path_plan).  Derive a
+    changed instance with dataclasses.replace, which does all of that again;
+    a field assigned afterwards is neither checked nor seen by W, S0 and
+    the plan.
     """
 
     A: np.ndarray  # (d, d)
@@ -340,6 +411,7 @@ class LqrInstance:
     validate: bool = True
     W: np.ndarray = field(init=False, repr=False, compare=False)  # (d, d) noise covariance
     S0: np.ndarray = field(init=False, repr=False, compare=False)  # (d, d) second moment of x_0
+    paths: tuple = field(init=False, repr=False, compare=False)  # (layout, start reads, noise reads), see _path_plan
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -355,12 +427,15 @@ class LqrInstance:
         if self.validate:
             _check_stack(self.Q, "Q")
         _check_stack(self.R, "R")
+        _check_model(self.noise, "noise", self.d)
+        _check_model(self.init, "init", self.d)
         self.Q = _sym(self.Q)
         self.R = _sym(self.R)
         self.W = self.noise.covariance(self.d)
         self.S0 = self.init.second_moment()
         for moment in (self.W, self.S0):
             moment.setflags(write=False)
+        self.paths = _path_plan(self)
 
     @property
     def d(self) -> int:
@@ -597,34 +672,61 @@ def simulate_trajectory(instance: LqrInstance, policy, seed) -> Trajectory:
     return Trajectory(states=states, controls=controls, noises=w, realized_cost=cost)
 
 
+def _path_plan(instance: LqrInstance) -> tuple:
+    """(layout, start reads, noise reads) of keyed paths, built once per
+    instance.  The layout has one part per draw call simulate_trajectory
+    makes on a stream, start state first, the degenerate kinds left out; a
+    part whose factor leaves columns unread (_Reads.cols) carries the
+    offsets of the words of the live columns, so keyed_draws maps only
+    those.  The reads (_Reads,
+    None for a point start or zero noise) place and scale their numbers."""
+    T, d = instance.T, instance.d
+    layout, reads = [], []
+    for model, steps in ((instance.init, 1), (instance.noise, T)):
+        if model.kind in ("point", "zero"):
+            reads.append(None)
+            continue
+        r = _Reads.of(model._factor(d))
+        part = (model.kind, steps * d)
+        if r.cols is not None:  # the live columns' offsets in each of the steps vectors of d words
+            part += (tuple((np.arange(steps)[:, None] * d + r.cols).ravel().tolist()),)
+        layout.append(part)
+        reads.append(r)
+    return layout, *reads
+
+
 def _path_layout(instance: LqrInstance) -> list:
     """[(kind, width)] of the draw calls simulate_trajectory makes on one
     stream, start state first, with the degenerate kinds left out."""
-    T, d = instance.T, instance.d
-    init, noise = instance.init.kind, instance.noise.kind
-    return [part for part in ((init, d), (noise, T * d)) if part[0] not in ("point", "zero")]
+    return [part[:2] for part in instance.paths[0]]
 
 
 def _paths_from_draws(instance: LqrInstance, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start states (n, d) and noise (n, T, d) from standardized draws laid out as _path_layout."""
+    """Start states (..., d) and noise (..., T, d) from standardized draws
+    (..., N) laid out as the instance's keyed path layout, the live numbers
+    alone."""
     T, d = instance.T, instance.d
-    init, noise = instance.init, instance.noise
-    n = len(z)
-    if init.kind == "point":
-        x0 = np.tile(np.asarray(init.mean, dtype=float), (n, 1))
-        z_noise = z
+    _, start, drive = instance.paths
+    lead, at = z.shape[:-1], 0
+    if start is None:
+        x0 = np.tile(np.asarray(instance.init.mean, dtype=float), (*lead, 1))
     else:
-        x0 = init.place(z[:, :d])
-        z_noise = z[:, d:]
-    w = np.zeros((n, T, d)) if noise.kind == "zero" else noise.scale(z_noise.reshape(n, T, d))
-    return x0, w
+        at = start.factor.shape[1]
+        x0 = instance.init.place(z[..., :at], start.factor)
+    if drive is None:
+        return x0, np.zeros((*lead, T, d))
+    return x0, instance.noise.scale(z[..., at:].reshape(*lead, T, drive.factor.shape[1]), drive.factor)
 
 
 def keyed_paths(instance: LqrInstance, prefix, tails) -> tuple[np.ndarray, np.ndarray]:
     """Start states (n, d) and noise (n, T, d): row j is what
     simulate_trajectory draws from the stream make_rng((*prefix, *tails[j])),
-    drawn by keyed_draws."""
-    return _paths_from_draws(instance, keyed_draws(_path_layout(instance), prefix, tails))
+    bit for bit, drawn by keyed_draws; a sequence of B prefixes adds a
+    leading axis B, as in keyed_draws.  Words that a start or noise factor
+    never reads (those of its zero columns) are drawn, so the stream
+    advances past them, but not mapped: a zo-liquidation row draws 22 words
+    and maps 11 (_path_plan)."""
+    return _paths_from_draws(instance, keyed_draws(instance.paths[0], prefix, tails))
 
 
 def pathwise_cost_terms(instance: LqrInstance, policy, traj: Trajectory, backup: ValueBackup | None = None):

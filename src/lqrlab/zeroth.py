@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import (
     LqrInstance,
-    _path_layout,
     _paths_from_draws,
     _stream_words,
     exact_cost,
@@ -102,18 +101,22 @@ def _slot_tails(slots, m: int, flag: int) -> np.ndarray:
 
 
 def _standard_rows(layout, T: int, m: int, flag: int, seed, iteration: int) -> np.ndarray:
-    """(T * m, W) standardized draws of the keys (seed, iteration, t, i, flag),
-    row t * m + i, as one keyed_draws call gives them.
+    """(T * m, N) standardized draws of the keys (seed, iteration, t, i, flag),
+    row t * m + i, as one keyed_draws call gives them: the N numbers of the
+    layout's mapped words, the unmapped ones drawn but skipped
+    (zo-liquidation: 22 words drawn a row, 11 mapped).
 
     A row of W words takes b = ceil(W / 4) Philox blocks.  When
     B = _DRAW_AHEAD // (T * m * b) is above one, a call outside the thread's
-    block for this flag draws the rows of iterations [iteration, iteration + B)
-    in one keyed_draws pass, keeps them as a read-only block keyed on the
-    layout, T, m, the masked seed word and the first iteration, and serves
-    later calls within the block from it.  With B = 1, or no draws at all
-    (W = 0), nothing is kept.
+    block for this flag draws the rows of iterations [iteration,
+    iteration + B) in one keyed_draws pass, keeps them as a read-only block
+    keyed on the layout (its live offsets included, so instances that map
+    other words of the same stream get their own rows), T, m, the masked
+    seed word and the first iteration, and serves later calls within the
+    block from it.  With B = 1, or no draws at
+    all (W = 0), nothing is kept.
     """
-    blocks = T * m * -(-sum(w for _, w in layout) // 4)
+    blocks = T * m * -(-sum(part[1] for part in layout) // 4)
     span = _DRAW_AHEAD // blocks if blocks else 1
     if span <= 1:
         return keyed_draws(layout, (seed, iteration), _slot_tails(range(T), m, flag))
@@ -146,10 +149,13 @@ def slot_paths(instance: LqrInstance, m: int, seed, iteration: int) -> tuple[np.
     """Start states (T * m, d) and noise (T * m, T, d) of one estimate's
     rollouts: row t * m + i is what simulate_trajectory draws from the stream
     (seed, iteration, t, i, 1), one Philox word per number.  The standardized
-    draws come from keyed_draws, drawn ahead for the next iterations when
-    T * m is small (_standard_rows), and are placed and scaled for the
-    instance on every call; a point start with zero noise draws nothing."""
-    return _paths_from_draws(instance, _standard_rows(_path_layout(instance), instance.T, m, 1, seed, iteration))
+    draws come from keyed_draws on the instance's path layout, drawn ahead
+    for the next iterations when T * m is small (_standard_rows), and are
+    placed and scaled for the instance on every call.  Words of a factor's
+    zero columns advance the stream but are not mapped (zo-liquidation: 22
+    words drawn per row, 11 mapped); a point start with zero noise draws
+    nothing."""
+    return _paths_from_draws(instance, _standard_rows(instance.paths[0], instance.T, m, 1, seed, iteration))
 
 
 def _row_forms(x: np.ndarray, M: np.ndarray) -> np.ndarray:

@@ -222,6 +222,17 @@ class TestCli:
         assert "eta must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "o" / "seed_0.csv").exists()
 
+    @pytest.mark.parametrize("setting,field", [
+        ("instance.noise.sigma = NaN\n", "noise.sigma"), ("instance.init.mean = [NaN]\n", "init.mean"),
+        ("instance.noise.factor = [[1.0, 0.5]]\n", "noise.factor"), ("instance.init.mean = [1.0, 2.0]\n", "init.mean"),
+    ])
+    def test_models_that_do_not_fit_exit_two(self, tmp_path, capsys, setting, field):
+        # bad input, named at construction: not a nan trace or a failed run (exit 3)
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + KIND_EXTRAS["pg"] + setting)
+        assert main(["pg", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o" / "seed_0.csv").exists()
+
     def test_runtime_failure_exit_three(self, tmp_path):
         # diverging step size trips the divergence guard -> exit 3
         cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 1e9\niters = 50\npolicy0 = 0.1\n")

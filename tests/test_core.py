@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import statistics
 import sys
 import threading
@@ -90,6 +91,19 @@ class TestRiccati:
         assert costs.min() >= sol.optimal_cost - 1e-12 * abs(sol.optimal_cost)
 
 
+def scalar_realized_costs(inst, K, x, w):
+    """(n,) realized costs of rollouts of a scalar instance (d = k = 1) from
+    start states x (n,) under noise w (n, T): simulate_trajectory's
+    operations on every row at once, in its order."""
+    a, b = inst.A[0, 0], inst.B[0, 0]
+    cost = np.zeros(len(x))
+    for t in range(inst.T):
+        u = -K[t, 0, 0] * x
+        cost += x * inst.Q[t, 0, 0] * x + u * inst.R[t, 0, 0] * u
+        x = a * x + b * u + w[:, t]
+    return cost + x * inst.Q[inst.T, 0, 0] * x
+
+
 class TestBackup:
     def test_zero_policy_scalar_recursion(self):
         # with K = 0 and A = 1 the value recursion is P_t = Q_t + P_{t+1}
@@ -105,10 +119,17 @@ class TestBackup:
         assert bk.cost == pytest.approx(sol.optimal_cost, rel=1e-12)
 
     def test_monte_carlo_cost(self):
+        # the realized costs of simulate_trajectory(inst, K, [7, i]), i < 100000,
+        # in one array pass over keyed paths, pinned bit for bit to the
+        # per-trajectory loop on 1001 keys across the range
         inst = scalar_benchmark()
         K = np.zeros((5, 1, 1))
         exact = exact_cost(inst, K)
-        costs = np.array([simulate_trajectory(inst, K, [7, i]).realized_cost for i in range(100000)])
+        n = 100000
+        x0, w = keyed_paths(inst, [(7, i) for i in range(n)], np.zeros((1, 3)))
+        costs = scalar_realized_costs(inst, K, x0[:, 0, 0], w[:, 0, :, 0])
+        for i in np.linspace(0, n - 1, 1001).astype(int):
+            assert _same_bits(costs[i], simulate_trajectory(inst, K, [7, int(i)]).realized_cost), i
         se = costs.std() / np.sqrt(costs.size)
         assert abs(costs.mean() - exact) < 3 * se
 
@@ -431,6 +452,45 @@ class TestValidation:
         np.testing.assert_array_equal(moved.S0, [[1.0, 2.0], [2.0, 4.0]])
         assert inst.noise_covariance() is W and inst.S0 is S0
 
+    @staticmethod
+    def _two_state(noise, init):
+        return constant_instance(np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(1), np.eye(2), 3, noise, init)
+
+    def test_rejects_a_noise_factor_with_three_columns(self):
+        # W = F F' would be 2 x 2 from three noise dimensions, which a path cannot draw
+        with pytest.raises(ValueError, match=r"^noise\.factor must have shape \(2, 2\), got \(2, 3\)$"):
+            self._two_state(NoiseModel("gaussian", 0.4, np.ones((2, 3))), InitialStateModel("point", np.ones(2)))
+
+    def test_rejects_a_factor_of_one_row(self):
+        with pytest.raises(ValueError, match=r"^noise\.factor must have shape \(2, 2\), got \(1, 2\)$"):
+            self._two_state(NoiseModel("gaussian", 0.4, np.ones((1, 2))), InitialStateModel("point", np.ones(2)))
+        with pytest.raises(ValueError, match=r"^init\.factor must have shape \(2, 2\), got \(1, 2\)$"):
+            self._two_state(NoiseModel("zero"), InitialStateModel("gaussian", np.ones(2), 0.6, np.ones((1, 2))))
+
+    def test_rejects_a_mean_of_another_length(self):
+        with pytest.raises(ValueError, match=r"^init\.mean must have shape \(2,\), got \(3,\)$"):
+            self._two_state(NoiseModel("gaussian", 0.4), InitialStateModel("point", np.ones(3)))
+
+    def test_degenerate_kinds_ignore_sigma_and_factor(self):
+        # a point start and zero noise read neither field, so neither is checked
+        inst = self._two_state(NoiseModel("zero", np.nan, np.ones((2, 3))),
+                               InitialStateModel("point", np.ones(2), np.inf, np.full((1, 2), np.nan)))
+        np.testing.assert_array_equal(inst.W, np.zeros((2, 2)))
+        np.testing.assert_array_equal(inst.S0, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("field,build", [
+        ("noise.factor", lambda: (NoiseModel("gaussian", 0.4, np.array([[1.0, 0.0], [np.nan, 1.0]])),
+                                  InitialStateModel("point", np.ones(2)))),
+        ("init.factor", lambda: (NoiseModel("zero"), InitialStateModel("uniform", np.ones(2), 0.6, np.diag([np.inf, 1.0])))),
+        ("init.mean", lambda: (NoiseModel("gaussian", 0.4), InitialStateModel("point", np.array([0.0, np.nan])))),
+        ("noise.sigma", lambda: (NoiseModel("gaussian", np.nan), InitialStateModel("point", np.ones(2)))),
+        ("init.sigma", lambda: (NoiseModel("zero"), InitialStateModel("gaussian", np.ones(2), np.inf))),
+    ])
+    def test_rejects_non_finite_model_fields(self, field, build):
+        # a nan here would reach every cost as nan, a failed run rather than bad input
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be finite"):
+            self._two_state(*build())
+
     def test_rejects_indefinite_q(self):
         with pytest.raises(NonPositiveDefinite):
             constant_instance(
@@ -474,6 +534,9 @@ U64 = st.integers(min_value=0, max_value=2**64 - 1)
 PREFIXES = st.lists(WORDS, min_size=2, max_size=2)
 TAILS = st.lists(st.tuples(U64, U64, U64), min_size=1, max_size=8)
 LAYOUTS = st.lists(st.tuples(st.sampled_from(["gaussian", "uniform"]), st.integers(1, 30)), min_size=1, max_size=3)
+# a layout part that maps all its words, or (kind, width, live) with ascending live offsets
+LIVE_PARTS = st.tuples(st.sampled_from(["gaussian", "uniform"]), st.integers(1, 30)).flatmap(
+    lambda part: st.one_of(st.just(part), st.sets(st.integers(0, part[1] - 1)).map(lambda live: (*part, tuple(sorted(live))))))
 KIND_PAIRS = [("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gaussian"), ("gaussian", "zero"),
               ("uniform", "gaussian"), ("gaussian", "uniform"), ("point", "zero")]
 SQRT3 = np.sqrt(3.0)
@@ -657,6 +720,26 @@ class TestKeyedDraws:
             assert batch.shape == (len(prefixes), *singles[0].shape)
             for got, single in zip(batch, singles):
                 _assert_same_bits(got, single)
+
+    @settings(deadline=None, max_examples=100)
+    @given(prefix=PREFIXES, tails=TAILS, parts=st.lists(LIVE_PARTS, min_size=1, max_size=3))
+    # two mapped words in the first of four blocks, then a part that maps none
+    @example(prefix=[1, 2], tails=[(0, 0, 0), (5, 6, 7)], parts=[("uniform", 9, (0, 4)), ("gaussian", 6, ())])
+    def test_live_offsets_pick_the_full_rows_numbers(self, prefix, tails, parts):
+        # a part (kind, width, live) maps only the words at the live offsets,
+        # each to the number the full row holds there
+        cols, at = [], 0
+        for kind, width, *live in parts:
+            cols += [at + j for j in (live[0] if live else range(width))]
+            at += width
+        full = keyed_draws([part[:2] for part in parts], prefix, tails)
+        _assert_same_bits(keyed_draws(parts, prefix, tails), full[:, cols])
+
+    @pytest.mark.parametrize("live", [(3, 1), (1, 1), (-1, 2), (0, 6), (7,)])
+    def test_rejects_live_offsets_out_of_order_or_range(self, live):
+        # an offset at or past the width would map a word of the next part
+        with pytest.raises(ValueError, match="must ascend strictly inside"):
+            keyed_draws([("gaussian", 6, live), ("uniform", 4)], (1, 2), np.zeros((2, 3), dtype=np.uint64))
 
     @pytest.mark.parametrize("width", [1, 3, 4, 5, 8, 9])
     def test_widths_around_block_edges_take_the_stream_in_order(self, width):

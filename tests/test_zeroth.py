@@ -190,6 +190,55 @@ class TestRolloutKernel:
                 np.testing.assert_array_equal(_bits(_row_forms(x, M)), _bits(np.einsum("id,de,ie->i", x, M, x)))
 
 
+def _two_factor_instance(init_kind, init_factor, noise_kind, noise_factor, T=4):
+    d = len(init_factor)
+    init = InitialStateModel(init_kind, np.linspace(-1.0, 0.5, d), 0.6, np.asarray(init_factor))
+    noise = NoiseModel(noise_kind, 0.4, np.asarray(noise_factor))
+    return constant_instance(np.eye(d) * 0.9, np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise, init)
+
+
+# instance -> (numbers mapped, words drawn) per path row.  A factor whose
+# rows each have at most one nonzero entry leaves the words of its zero
+# columns unmapped; one whose rows mix columns maps every word, as the
+# models' own product does
+UNREAD = {
+    "liquidation": (ac_to_lqr(stock_liquidation()), 11, 22),
+    "non-diagonal, rows mixing columns": (_two_factor_instance(
+        "gaussian", [[0.0, 0.3, -1.1], [0.0, 0.8, 0.4], [0.0, -0.5, 0.9]],
+        "gaussian", [[1.2, 0.0, 0.3], [-0.7, 0.0, 0.5], [0.2, 0.0, -0.4]]), 15, 15),
+    "non-diagonal, one entry a row": (_two_factor_instance(
+        "gaussian", [[0.0, 0.0, 2.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        "gaussian", [[0.0, 0.7, 0.0], [0.0, 0.0, 0.0], [0.0, -1.2, 0.0]]), 6, 15),
+    "all-zero gaussian noise": (_two_factor_instance("gaussian", np.eye(2), "gaussian", np.zeros((2, 2))), 2, 10),
+    "uniform kinds": (_two_factor_instance(  # a start factor column of -0.0 is a zero column too
+        "uniform", [[-0.0, 0.6, 0.0], [-0.0, -0.3, 0.0], [-0.0, 0.0, 1.1]],
+        "uniform", [[0.5, 0.0, 1.0], [0.0, 0.0, -2.0], [0.3, 0.0, 0.0]]), 14, 15),
+}
+
+
+class TestUnreadCoordinates:
+    @pytest.mark.parametrize("name", list(UNREAD))
+    def test_paths_equal_model_draws_byte_for_byte(self, name):
+        # tobytes, so the sign of every zero counts
+        inst, mapped, drawn = UNREAD[name]
+        T, d, m, seed, it = inst.T, inst.d, 3, -5, 2**63 + 4
+        tails = zeroth._slot_tails(range(T), m, 1)
+        layout = inst.paths[0]
+        assert sum(part[1] for part in layout) == drawn
+        assert keyed_draws(layout, (seed, it), tails[:1]).shape == (1, mapped)
+        for x0, w in (slot_paths(inst, m, seed, it), keyed_paths(inst, (seed, it), tails)):
+            for j, tail in enumerate(tails.tolist()):
+                rng = make_rng([seed, it, *tail])
+                assert x0[j].tobytes() == inst.init.draw(rng).tobytes()
+                assert w[j].tobytes() == inst.noise.draw(rng, T, d).tobytes()
+
+    def test_liquidation_rows_draw_22_words_and_map_11(self):
+        liq = UNREAD["liquidation"][0]
+        layout = liq.paths[0]
+        assert [part[:2] for part in layout] == [("gaussian", 2), ("gaussian", 20)]
+        assert keyed_draws(layout, (1, 2), np.zeros((3, 3), dtype=np.uint64)).shape == (3, 11)
+
+
 def _fresh_directions(T, m, shape, radius, seed, iteration):
     """sphere_directions from one single-prefix keyed_draws call, as drawn without draw-ahead."""
     g = keyed_draws([("gaussian", shape[0] * shape[1])], (seed, iteration), zeroth._slot_tails(range(T), m, 0))
@@ -239,6 +288,19 @@ class TestDrawAhead:
         for seed in (3 << 20, -5):
             for it in self.ITERATIONS:
                 _assert_matches_fresh(liq, 200, seed, it)
+
+    def test_instances_reading_other_columns_get_their_own_rows(self, fresh_blocks):
+        # one layout of kinds and widths, but the live columns differ, so the
+        # mapped words do too: each instance's rows must come from its own block
+        insts = [_two_factor_instance("gaussian", np.diag([1.0, 0.0]), "gaussian", np.diag([0.0, 1.0]), T=5),
+                 _two_factor_instance("gaussian", np.diag([0.0, 1.0]), "gaussian", np.diag([1.0, 0.0]), T=5)]
+        for it in self.ITERATIONS:
+            for inst in insts:
+                _assert_matches_fresh(inst, 7, 3, it)
+                x0, w = slot_paths(inst, 7, 3, it)
+                rng = make_rng([3, it, 4, 6, 1])  # the last row: slot 4, sample 6
+                assert x0[-1].tobytes() == inst.init.draw(rng).tobytes()
+                assert w[-1].tobytes() == inst.noise.draw(rng, 5, 2).tobytes()
 
     def test_one_pass_per_block_and_nothing_kept_for_large_estimates(self, fresh_blocks, monkeypatch):
         calls = []

@@ -80,6 +80,29 @@ def _kinds_instance(init_kind: str, noise_kind: str, d: int = 2, k: int = 1, T: 
                              T, noise, init)
 
 
+def _zero_column_instances() -> dict:
+    """name -> instance whose start or noise factor has a zero column, so
+    its paths draw words that no factor reads: a uniform start whose rows
+    each read one column, a non-diagonal noise factor whose rows each read
+    one column, one whose rows mix the live columns, and an all-zero
+    Gaussian noise factor."""
+    rng = np.random.default_rng(37)
+    d, k, T = 3, 1, 4
+    A, B, mean = rng.normal(size=(d, d)) * 0.5, rng.normal(size=(d, k)), rng.normal(size=d)
+    mixing = rng.normal(size=(d, d))
+    mixing[:, 1] = 0.0
+    models = {
+        "uniform-start-zero-column": (NoiseModel("gaussian", 0.4, rng.normal(size=(d, d))),
+                                      InitialStateModel("uniform", mean, 0.6, [[0, 0.7, 0], [0, 0, 1.1], [0, -0.4, 0]])),
+        "noise-zero-column": (NoiseModel("gaussian", 0.4, mixing), InitialStateModel("gaussian", mean, 0.6)),
+        "noise-zero-column-one-entry-a-row": (NoiseModel("gaussian", 0.4, [[0, 0, 0.8], [-1.3, 0, 0], [0, 0, 0.5]]),
+                                              InitialStateModel("gaussian", mean, 0.6)),
+        "zero-gaussian-noise": (NoiseModel("gaussian", 0.4, np.zeros((d, d))), InitialStateModel("gaussian", mean, 0.6)),
+    }
+    return {name: constant_instance(A, B, np.eye(d), np.eye(k), np.eye(d), T, noise, init)
+            for name, (noise, init) in models.items()}
+
+
 def _instances() -> dict:
     """name -> (instance, policy, radius)."""
     liq = ac_to_lqr(stock_liquidation())
@@ -93,6 +116,8 @@ def _instances() -> dict:
         inst = _kinds_instance(init_kind, noise_kind)
         K = np.random.default_rng(4).normal(size=(inst.T, inst.k, inst.d)) * 0.2
         out[f"{init_kind}-{noise_kind}"] = (inst, K, 0.3)
+    for name, inst in _zero_column_instances().items():
+        out[name] = (inst, np.random.default_rng(5).normal(size=(inst.T, inst.k, inst.d)) * 0.2, 0.3)
     return out
 
 
@@ -224,7 +249,8 @@ KEYED_KEYS = 51200  # keys per layout and prefix: slots t < 256 of 200 samples e
 def keyed_outputs(out: dict) -> None:
     """core.keyed_draws on KEYED_KEYS slot keys (t, i, 1) per layout: the
     zo-liquidation and c11 path layouts, the path layout of every kind pair
-    and sphere rows of widths 1 and 2, in passes of 10240 keys."""
+    and of each zero-column instance, every word of it mapped, and sphere
+    rows of widths 1 and 2, in passes of 10240 keys."""
     layouts = {
         "zo-liquidation": core._path_layout(ac_to_lqr(stock_liquidation())),
         "c11": core._path_layout(scalar_benchmark()),
@@ -233,6 +259,8 @@ def keyed_outputs(out: dict) -> None:
     }
     for init_kind, noise_kind in KIND_PAIRS:
         layouts[f"{init_kind}-{noise_kind}"] = core._path_layout(_kinds_instance(init_kind, noise_kind))
+    for name, inst in _zero_column_instances().items():
+        layouts[name] = core._path_layout(inst)
     j = np.arange(KEYED_KEYS)
     tails = np.stack([j // 200, j % 200, np.ones_like(j)], axis=1).astype(np.uint64)
     for name, layout in layouts.items():
