@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +59,7 @@ def standard_draw(kind: str, rng: np.random.Generator, size) -> np.ndarray:
     or initial-state kind: "gaussian", "uniform" on [-sqrt(3), sqrt(3)], or
     zeros for the degenerate kinds "zero" and "point", which consume nothing
     from the stream.  A Gaussian or uniform draw maps the next raw words of
-    rng's bit generator, one word per number, as keyed_draws maps a key's
-    words, so a draw on make_rng(key) equals that key's keyed_draws row."""
+    rng's bit generator, one word per number (_standardize)."""
     if kind in ("zero", "point"):
         return np.zeros(size)
     if kind not in ("gaussian", "uniform"):
@@ -67,80 +67,14 @@ def standard_draw(kind: str, rng: np.random.Generator, size) -> np.ndarray:
     return _standardize(kind, rng.bit_generator.random_raw(size))
 
 
-# Keyed sampling.  make_rng(key) is Philox4x64-10 (Salmon et al., SC'11) with
-# key = the first two words and counter [0, *the other three]; numpy bumps the
-# counter before each 4-word block, so block b of a stream is the Philox
-# function of [b + 1, *tail].  Every number takes one word w: a standard
-# normal is ndtri(((w >> 12) + 1/2) 2**-52), the inverse normal CDF of an odd
-# multiple of 2**-53 strictly inside (0, 1), so |x| lies in [2.8e-16, 8.21];
-# a uniform is low + (high - low) (w >> 11) 2**-53, as Generator.uniform maps it.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32 = np.uint64(0xFFFFFFFF)
-_U32 = np.uint64(32)
+# Every number takes one raw word w of a stream: a standard normal is
+# ndtri(((w >> 12) + 1/2) 2**-52), the inverse normal CDF of an odd multiple
+# of 2**-53 strictly inside (0, 1), so |x| lies in [2.8e-16, 8.21]; a uniform
+# is low + (high - low) (w >> 11) 2**-53, as Generator.uniform maps it.
 _U11, _U1 = np.uint64(11), np.uint64(1)
 _U_LOW = -_SQRT3
 _U_RANGE = _SQRT3 - _U_LOW
-# round r of Philox4x64-10 runs under the key plus r times the Weyl constants
-_ROUND_BUMPS = np.array([[(r * w) & _WORD for w in _PHILOX_W] for r in range(10)], dtype=np.uint64)
-_KEYED_CHUNK = 4096  # rows per vectorised pass, which bounds the working memory
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, from 32-bit halves
-    (in place on fresh temporaries, at most four alive besides x)."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    carry = x & _LO32
-    t = carry * m_lo
-    t >>= _U32
-    mid = x >> _U32
-    hi = mid * m_hi
-    mid *= m_lo
-    mid += t  # x_hi m_lo + (x_lo m_lo >> 32), below 2**64
-    np.bitwise_and(mid, _LO32, out=t)
-    carry *= m_hi
-    carry += t  # x_lo m_hi + the low half of mid, below 2**64
-    del t
-    mid >>= _U32
-    hi += mid
-    del mid
-    carry >>= _U32
-    hi += carry  # x_hi m_hi + both high halves
-    del carry
-    return hi, x * np.uint64(m)
-
-
-def _round_keys(prefix) -> list:
-    """Philox4x64-10's ten round keys (k0, k1): uint64 scalars for one key
-    prefix, or (B, 1, 1) columns for a (B, 2) uint64 array of key words."""
-    if isinstance(prefix, np.ndarray):
-        keys = prefix + _ROUND_BUMPS[:, None]  # (10, B, 2), wrapping mod 2**64
-        return [(k[:, 0, None, None], k[:, 1, None, None]) for k in keys]
-    k0, k1 = _stream_words(prefix)[:2]
-    return [(np.uint64((k0 + b0) & _WORD), np.uint64((k1 + b1) & _WORD)) for b0, b1 in _ROUND_BUMPS.tolist()]
-
-
-def _philox_words(prefix, tails: np.ndarray, width: int) -> np.ndarray:
-    """(n, width) uint64: the first width words make_rng((*prefix, *tails[j]))
-    yields (random_raw), for n counter tails of three words each; for a
-    (B, 2) uint64 array of key words, (B, n, width), one slice per key.  The
-    block index, the tail words and the keys enter as broadcast columns, so
-    the first rounds run on small arrays."""
-    n, blocks = len(tails), -(-width // 4)
-    lead = prefix.shape[:1] if isinstance(prefix, np.ndarray) else ()
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)
-    c1, c2, c3 = (tails[:, j:j + 1] for j in range(3))
-    for k0, k1 in _round_keys(prefix):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        del c0
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        del c2
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        del hi0, lo0, hi1, lo1
-    words = np.empty((*lead, n, blocks, 4), dtype=np.uint64)
-    for j, c in enumerate((c0, c1, c2, c3)):
-        words[..., j] = c
-    return words.reshape(*lead, n, 4 * blocks)[..., :width]
+_STREAM_CHUNK = 4096  # path rows per pass of stream_paths, which bounds the working memory
 
 
 def _standardize(kind: str, words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -160,74 +94,6 @@ def _standardize(kind: str, words: np.ndarray, out: np.ndarray | None = None) ->
     out *= _U_RANGE
     out += _U_LOW
     return out
-
-
-def _key_words(prefix) -> list[int]:
-    """The two key words of a stream prefix, which must have exactly two:
-    padding a shorter one or dropping the rest of a longer one would key
-    other streams than make_rng((*prefix, *tail)) does."""
-    if np.isscalar(prefix) or len(prefix) != 2:
-        raise ValueError("a key prefix has exactly two words")
-    return _stream_words(prefix)[:2]
-
-
-def _layout_words(layout) -> tuple[list, int]:
-    """[(kind, words, count)] of a layout: the row's words each part maps, a
-    slice for a part that maps all its words and an offset array for one
-    with live offsets, and how many; then W, the sum of the widths.
-    ValueError unless live offsets ascend strictly inside [0, width)."""
-    parts, at = [], 0
-    for kind, width, *live in layout:
-        if live:
-            offsets = np.asarray(live[0], dtype=np.intp).reshape(-1)
-            if offsets.size and (offsets[0] < 0 or offsets[-1] >= width or (np.diff(offsets) <= 0).any()):
-                raise ValueError(f"live offsets of a {kind} part of width {width} must ascend strictly inside [0, {width})")
-            words, count = at + offsets, offsets.size
-        else:
-            words, count = slice(at, at + width), width
-        parts.append((kind, words, count))
-        at += width
-    return parts, at
-
-
-def keyed_draws(layout, prefix, tails) -> np.ndarray:
-    """(n, N) standardized draws of n counter keys (*prefix, *tails[j]).
-
-    Row j holds what standard_draw(kind, rng, width) gives for each
-    (kind, width) of layout, part after part, on rng = make_rng((*prefix,
-    *tails[j])); kinds are "gaussian" and "uniform", prefix is two words
-    (ValueError otherwise) and tails an (n, 3) array of words in [0, 2**64).
-    A part may be (kind, width, live), live a strictly ascending sequence
-    of offsets in [0, width) (ValueError otherwise): the stream still
-    advances past all width words, but only the words at those offsets are
-    mapped, and the row holds their numbers alone (a zo-liquidation path
-    row draws 22 words and maps 11).  So N is the number of mapped words:
-    W, the sum of the widths, when every part maps all its words.  All rows
-    run as one vectorised Philox of exactly ceil(W / 4) blocks per key,
-    whose words map to numbers one each, with no rejection: every row is a
-    pure function of its key.
-
-    prefix may also be a sequence of B prefixes, such as a (B, 2) array: the
-    result is then (B, n, N), slice b holding the draws under prefix[b], and
-    every pass runs the keys of all prefixes together.
-    """
-    tails = np.asarray(tails, dtype=np.uint64).reshape(-1, 3)
-    batched = not np.isscalar(prefix) and len(prefix) > 0 and not np.isscalar(prefix[0])
-    keys = np.array([_key_words(p) for p in prefix], dtype=np.uint64) if batched else _key_words(prefix)
-    lead = (len(keys),) if batched else ()
-    parts, drawn = _layout_words(layout)
-    n = len(tails)
-    z = np.empty((*lead, n, sum(count for *_, count in parts)))
-    if not drawn:
-        return z
-    step = max(1, _KEYED_CHUNK // len(keys)) if batched else _KEYED_CHUNK
-    for lo in range(0, n, step):
-        rows, at = slice(lo, lo + step), 0
-        words = _philox_words(keys, tails[rows], drawn)
-        for kind, w, count in parts:  # a view of the words, or a gathered copy of the live ones
-            _standardize(kind, words[..., w], z[..., rows, at:at + count])
-            at += count
-    return z
 
 
 def _sym(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -269,8 +135,46 @@ def spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sla.lapack.dpotrs(c, rhs, lower=False)[0]
 
 
+def _rows_of_one(F: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(src, coef) when every row r of F has at most one nonzero entry,
+    F[r, src[r]] = coef[r], else None.  A zero row reads the first live
+    column (column 0 when none is live) with its entry, a zero."""
+    nonzero = F != 0
+    if (nonzero.sum(axis=1) > 1).any():
+        return None
+    src = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), nonzero.any(axis=0).argmax())
+    return src, F[np.arange(len(F)), src]
+
+
+def _picked(v: np.ndarray, pick: tuple, sigma: float) -> np.ndarray:
+    """sigma * (v @ F.T) bit for bit, for a factor F whose rows each read one
+    column of v's last axis, pick = (src, coef): every coordinate of the
+    matrix product is one exactly rounded product plus zero terms, on a sum
+    that starts from +0.0, and the + 0.0 here turns a -0.0 product into
+    that +0.0."""
+    out = v[..., pick[0]] * pick[1]
+    out += 0.0
+    out *= sigma
+    return out
+
+
+class _Factored:
+    """The factor of a start or noise model: a (d, d) array, or None for the identity."""
+
+    factor: np.ndarray | None
+
+    def _factor(self, d: int) -> np.ndarray:
+        return np.eye(d) if self.factor is None else np.asarray(self.factor, dtype=float)
+
+    @cached_property
+    def _pick(self) -> tuple | None:
+        """(src, coef) of the factor when its rows each read one column
+        (_rows_of_one; the identity when factor is None), else None."""
+        return (slice(None), 1.0) if self.factor is None else _rows_of_one(np.asarray(self.factor, dtype=float))
+
+
 @dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(_Factored):
     """Additive dynamics noise w_t = sigma * factor @ v_t.
 
     kind selects the distribution of the standardized draw v_t (unit variance
@@ -282,9 +186,6 @@ class NoiseModel:
     sigma: float = 1.0
     factor: np.ndarray | None = None  # (d, d); identity if None
 
-    def _factor(self, d: int) -> np.ndarray:
-        return np.eye(d) if self.factor is None else np.asarray(self.factor, dtype=float)
-
     def covariance(self, d: int) -> np.ndarray:
         if self.kind == "zero":
             return np.zeros((d, d))
@@ -295,10 +196,15 @@ class NoiseModel:
         if self.kind not in ("gaussian", "uniform", "zero"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
-    def scale(self, v: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
+    def scale(self, v: np.ndarray, pick: tuple | None = None) -> np.ndarray:
         """Noise vectors sigma * factor @ v_t from standardized draws v of shape
-        (..., T, c), for a (d, c) factor, by default the model's own (c = d)."""
-        return self.sigma * (v @ (self._factor(v.shape[-1]) if factor is None else factor).T)
+        (..., T, c): an elementwise product when the factor's rows each read
+        one column (_picked), with pick = (src, coef) indexing v's c columns
+        if given, else the model's own; a matrix product otherwise."""
+        pick = self._pick if pick is None else pick
+        if pick is None:
+            return self.sigma * (v @ self._factor(v.shape[-1]).T)
+        return _picked(v, pick, self.sigma)
 
     def draw(self, rng: np.random.Generator, T: int, d: int) -> np.ndarray:
         """(T, d) array of noise vectors, consuming a deterministic number of draws."""
@@ -308,7 +214,7 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class InitialStateModel:
+class InitialStateModel(_Factored):
     """Initial state x_0 = mean + sigma * factor @ z_0, kinds as in NoiseModel.
 
     kind "point" puts all mass at mean.  Second moment is
@@ -324,9 +230,6 @@ class InitialStateModel:
         if self.kind not in ("gaussian", "uniform", "point"):
             raise ValueError(f"unknown initial-state kind {self.kind!r}")
 
-    def _factor(self, d: int) -> np.ndarray:
-        return np.eye(d) if self.factor is None else np.asarray(self.factor, dtype=float)
-
     def second_moment(self) -> np.ndarray:
         mu = np.asarray(self.mean, dtype=float)
         d = mu.shape[0]
@@ -336,11 +239,16 @@ class InitialStateModel:
             S0 = S0 + self.sigma**2 * (F @ F.T)
         return S0
 
-    def place(self, z: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
+    def place(self, z: np.ndarray, pick: tuple | None = None) -> np.ndarray:
         """Initial states mean + sigma * factor @ z from standardized draws z of
-        shape (..., c), for a (d, c) factor, by default the model's own (c = d)."""
+        shape (..., c), elementwise or by a matrix product as NoiseModel.scale."""
         mu = np.asarray(self.mean, dtype=float)
-        return mu + self.sigma * ((self._factor(mu.shape[0]) if factor is None else factor) @ z[..., None])[..., 0]
+        pick = self._pick if pick is None else pick
+        if pick is None:
+            return mu + self.sigma * (self._factor(mu.shape[0]) @ z[..., None])[..., 0]
+        out = _picked(z, pick, self.sigma)
+        out += mu
+        return out
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "point":
@@ -349,24 +257,26 @@ class InitialStateModel:
 
 
 class _Reads(NamedTuple):
-    """How keyed paths read a start or noise factor F (d, d).  cols: its
-    live (nonzero) columns, whose numbers alone are mapped, or None when
-    every column is mapped.  factor: what those numbers multiply, F[:, cols]
-    or F.  Columns are left unmapped only when each row of F has at most one
-    nonzero entry: each coordinate is then one exactly rounded product, in
-    any summation order, whereas dropping terms from a longer sum could
-    regroup it and change its bits."""
+    """How stream paths read a start or noise model of d states.  cols: the
+    columns of its factor F whose numbers are mapped.  pick: (src, coef)
+    over those numbers for the model's place or scale, or None for the
+    model's own.  Only the live columns are mapped when each row of F has at
+    most one nonzero entry: each coordinate is then one exactly rounded
+    product, whereas dropping terms from a longer sum could regroup it and
+    change its bits."""
 
-    cols: np.ndarray | None
-    factor: np.ndarray
+    cols: np.ndarray
+    pick: tuple | None
 
     @classmethod
-    def of(cls, F: np.ndarray) -> _Reads:
-        nonzero = F != 0
-        cols = np.flatnonzero(nonzero.any(axis=0))
-        if len(cols) == F.shape[1] or (nonzero.sum(axis=1) > 1).any():
-            return cls(None, F)
-        return cls(cols, F[:, cols])
+    def of(cls, model, d: int) -> _Reads:
+        if model._pick is not None and model.factor is not None:
+            src, coef = model._pick
+            live = np.zeros(d, dtype=bool)
+            live[src] = True
+            if not live.all():
+                return cls(np.flatnonzero(live), ((np.cumsum(live) - 1)[src], coef))
+        return cls(np.arange(d), None)
 
 
 def _check_model(model, name: str, d: int) -> None:
@@ -395,11 +305,11 @@ class LqrInstance:
     Construction checks every R_t (and every Q_t when validate) once, in one
     pass per stack, and that the start and noise models fit d states
     (ValueError naming the field otherwise), symmetrises Q and R, and
-    computes the noise covariance W, the start second moment S0 as
-    read-only arrays, and the plan of keyed paths (_path_plan).  Derive a
-    changed instance with dataclasses.replace, which does all of that again;
-    a field assigned afterwards is neither checked nor seen by W, S0 and
-    the plan.
+    computes the noise covariance W and the start second moment S0 as
+    read-only arrays; the plan of stream paths (paths) is built at the first
+    path draw.  Derive a changed instance with dataclasses.replace, which
+    does all of that again; a field assigned afterwards is neither checked
+    nor seen by W, S0 and a plan already built.
     """
 
     A: np.ndarray  # (d, d)
@@ -411,7 +321,6 @@ class LqrInstance:
     validate: bool = True
     W: np.ndarray = field(init=False, repr=False, compare=False)  # (d, d) noise covariance
     S0: np.ndarray = field(init=False, repr=False, compare=False)  # (d, d) second moment of x_0
-    paths: tuple = field(init=False, repr=False, compare=False)  # (layout, start reads, noise reads), see _path_plan
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -435,7 +344,11 @@ class LqrInstance:
         self.S0 = self.init.second_moment()
         for moment in (self.W, self.S0):
             moment.setflags(write=False)
-        self.paths = _path_plan(self)
+
+    @cached_property
+    def paths(self) -> _PathPlan:
+        """How stream_paths reads this instance's path rows (_path_plan)."""
+        return _path_plan(self)
 
     @property
     def d(self) -> int:
@@ -672,61 +585,73 @@ def simulate_trajectory(instance: LqrInstance, policy, seed) -> Trajectory:
     return Trajectory(states=states, controls=controls, noises=w, realized_cost=cost)
 
 
-def _path_plan(instance: LqrInstance) -> tuple:
-    """(layout, start reads, noise reads) of keyed paths, built once per
-    instance.  The layout has one part per draw call simulate_trajectory
-    makes on a stream, start state first, the degenerate kinds left out; a
-    part whose factor leaves columns unread (_Reads.cols) carries the
-    offsets of the words of the live columns, so keyed_draws maps only
-    those.  The reads (_Reads,
-    None for a point start or zero noise) place and scale their numbers."""
+class _PathPlan(NamedTuple):
+    """How stream_paths reads an instance's path rows.  parts: (kind, the
+    row's words the part maps, a slice or an offset array, and the columns
+    of the mapped numbers they fill), one per draw call simulate_trajectory
+    makes on a stream, start state first, the degenerate kinds left out.
+    words: W, the words a row takes; numbers: how many of them are mapped.
+    start, noise: the _Reads of each model, None for a kind that draws
+    nothing."""
+
+    parts: list
+    words: int
+    numbers: int
+    start: _Reads | None
+    noise: _Reads | None
+
+
+def _path_plan(instance: LqrInstance) -> _PathPlan:
+    """The _PathPlan of an instance.  A part whose factor leaves columns
+    unread (_Reads.cols) maps only the words of the live columns."""
     T, d = instance.T, instance.d
-    layout, reads = [], []
+    parts, reads, at, mapped = [], [], 0, 0
     for model, steps in ((instance.init, 1), (instance.noise, T)):
-        if model.kind in ("point", "zero"):
-            reads.append(None)
-            continue
-        r = _Reads.of(model._factor(d))
-        part = (model.kind, steps * d)
-        if r.cols is not None:  # the live columns' offsets in each of the steps vectors of d words
-            part += (tuple((np.arange(steps)[:, None] * d + r.cols).ravel().tolist()),)
-        layout.append(part)
+        r = None
+        if model.kind not in ("point", "zero"):
+            r = _Reads.of(model, d)
+            count = steps * len(r.cols)
+            if r.pick is None:
+                words = slice(at, at + steps * d)
+            else:  # the live columns' offsets in each of the steps vectors of d words
+                words = at + (np.arange(steps)[:, None] * d + r.cols).ravel()
+            parts.append((model.kind, words, slice(mapped, mapped + count)))
+            at, mapped = at + steps * d, mapped + count
         reads.append(r)
-    return layout, *reads
+    return _PathPlan(parts, at, mapped, *reads)
 
 
-def _path_layout(instance: LqrInstance) -> list:
-    """[(kind, width)] of the draw calls simulate_trajectory makes on one
-    stream, start state first, with the degenerate kinds left out."""
-    return [part[:2] for part in instance.paths[0]]
-
-
-def _paths_from_draws(instance: LqrInstance, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start states (..., d) and noise (..., T, d) from standardized draws
-    (..., N) laid out as the instance's keyed path layout, the live numbers
-    alone."""
+def stream_paths(instance: LqrInstance, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start states (n, d) and noise (n, T, d) of the next n path rows of
+    rng's stream.  A row takes the W words simulate_trajectory reads, start
+    state first, then noise (none for a point start or zero noise), so row j
+    is what simulate_trajectory draws from the stream advanced by j * W
+    words, bit for bit, and the stream ends n * W words on.  Words that a
+    factor never reads (those of its zero columns) are drawn but not mapped:
+    a zo-liquidation row takes 22 words and maps 11 (_path_plan).  Rows are
+    drawn and mapped in passes of _STREAM_CHUNK, which bounds the working
+    memory beyond the result."""
     T, d = instance.T, instance.d
-    _, start, drive = instance.paths
-    lead, at = z.shape[:-1], 0
-    if start is None:
-        x0 = np.tile(np.asarray(instance.init.mean, dtype=float), (*lead, 1))
+    if n > _STREAM_CHUNK:
+        x0, w = np.empty((n, d)), np.empty((n, T, d))
+        for lo in range(0, n, _STREAM_CHUNK):
+            x0[lo:lo + _STREAM_CHUNK], w[lo:lo + _STREAM_CHUNK] = stream_paths(instance, rng, min(_STREAM_CHUNK, n - lo))
+        return x0, w
+    plan = instance.paths
+    z = np.empty((n, plan.numbers))
+    if plan.words:
+        words = rng.bit_generator.random_raw(n * plan.words).reshape(n, plan.words)
+        for kind, picked, cols in plan.parts:  # a view of the words, or a gathered copy of the live ones
+            _standardize(kind, words[:, picked], z[:, cols])
+    at = 0
+    if plan.start is None:
+        x0 = np.tile(np.asarray(instance.init.mean, dtype=float), (n, 1))
     else:
-        at = start.factor.shape[1]
-        x0 = instance.init.place(z[..., :at], start.factor)
-    if drive is None:
-        return x0, np.zeros((*lead, T, d))
-    return x0, instance.noise.scale(z[..., at:].reshape(*lead, T, drive.factor.shape[1]), drive.factor)
-
-
-def keyed_paths(instance: LqrInstance, prefix, tails) -> tuple[np.ndarray, np.ndarray]:
-    """Start states (n, d) and noise (n, T, d): row j is what
-    simulate_trajectory draws from the stream make_rng((*prefix, *tails[j])),
-    bit for bit, drawn by keyed_draws; a sequence of B prefixes adds a
-    leading axis B, as in keyed_draws.  Words that a start or noise factor
-    never reads (those of its zero columns) are drawn, so the stream
-    advances past them, but not mapped: a zo-liquidation row draws 22 words
-    and maps 11 (_path_plan)."""
-    return _paths_from_draws(instance, keyed_draws(instance.paths[0], prefix, tails))
+        at = len(plan.start.cols)
+        x0 = instance.init.place(z[:, :at], plan.start.pick)
+    if plan.noise is None:
+        return x0, np.zeros((n, T, d))
+    return x0, instance.noise.scale(z[:, at:].reshape(n, T, len(plan.noise.cols)), plan.noise.pick)
 
 
 def pathwise_cost_terms(instance: LqrInstance, policy, traj: Trajectory, backup: ValueBackup | None = None):

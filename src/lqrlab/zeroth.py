@@ -2,21 +2,25 @@
 
 The learner touches the system only through a simulator handle: T, k, d
 and rollout_perturbed_slots(policy, U, seed, iteration) -> (T, m) costs,
-entry (t, i) one trajectory with gain t perturbed by U[t, i] on the stream
-(seed, iteration, t, i, 1); a handle with only rollout(policy, seed) -> cost
-gets them one rollout at a time.  Each K_t is perturbed by m draws U_i from
-the Frobenius sphere of radius r, and
+entry (t, i) one trajectory with gain t perturbed by U[t, i].  Each K_t is
+perturbed by m draws U_i from the Frobenius sphere of radius r, and
 
     ghat_t = (D / r^2) * mean_i  cost_i * U_i,        D = k * d.
 
-All randomness is keyed by counter tuples (seed, iteration, t, i) so runs
-are reproducible and independent of execution order.
+Iteration n of seed s reads two streams, rollout (t, i) from row
+j = i * T + t of each (i-major, so its numbers do not depend on m): the
+directions are the rows of sample_sphere_batch(T * m, (k, d), r,
+(s, n, 0, 0, 0)), and LqrSimulator rolls rollout (t, i) on path row j of
+make_rng((s, n, 0, 0, 1)) (core.stream_paths).  A handle with only
+rollout(policy, seed) -> cost gets one rollout at a time, rollout (t, i) on
+its own stream (s, n, t, i, 1), so its costs differ from LqrSimulator's.
+Every stream is keyed by counters, so runs are reproducible and independent
+of execution order.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -24,37 +28,17 @@ import numpy as np
 
 from .core import (
     LqrInstance,
-    _paths_from_draws,
-    _stream_words,
     exact_cost,
-    keyed_draws,
-    keyed_paths,
     make_rng,
     simulate_trajectory,
     standard_draw,
+    stream_paths,
 )
 from .optimize import DescentConfig, ProjectionSet, _descent
 
 # perturbed policies per batched exact_cost call of smoothed_gradient_reference;
 # 1024 ran faster than 4096 or 16384 on the scalar and 4-state benchmarks
 _REFERENCE_CHUNK = 1024
-
-# Philox blocks per kind of draw that an estimate draws ahead: when a row of
-# the kind's layout takes b blocks, the standardized rows of
-# max(1, _DRAW_AHEAD // (T * m * b)) iterations come from one keyed_draws
-# pass, whose numpy call overhead dominates small estimates
-_DRAW_AHEAD = 4096
-
-
-class _Blocks(threading.local):
-    """Per thread, flag -> (identity, first iteration, read-only rows) of the
-    last block drawn ahead for that kind of draw."""
-
-    def __init__(self):
-        self.held = {}
-
-
-_blocks = _Blocks()
 
 
 @dataclass(frozen=True)
@@ -89,73 +73,21 @@ def sample_sphere_batch(n: int, shape: tuple[int, int], radius: float, seed) -> 
     return radius * g / np.sqrt((g**2).sum(axis=(1, 2), keepdims=True))
 
 
-def _slot_tails(slots, m: int, flag: int) -> np.ndarray:
-    """Counter tails (t, i, flag) for each slot t in slots and i < m, one row
-    per key in that order; slots are words in [0, 2**64)."""
-    slots = np.asarray(slots, dtype=np.uint64)
-    tails = np.empty((len(slots), m, 3), dtype=np.uint64)
-    tails[..., 0] = slots[:, None]
-    tails[..., 1] = np.arange(m)
-    tails[..., 2] = flag
-    return tails.reshape(-1, 3)
-
-
-def _standard_rows(layout, T: int, m: int, flag: int, seed, iteration: int) -> np.ndarray:
-    """(T * m, N) standardized draws of the keys (seed, iteration, t, i, flag),
-    row t * m + i, as one keyed_draws call gives them: the N numbers of the
-    layout's mapped words, the unmapped ones drawn but skipped
-    (zo-liquidation: 22 words drawn a row, 11 mapped).
-
-    A row of W words takes b = ceil(W / 4) Philox blocks.  When
-    B = _DRAW_AHEAD // (T * m * b) is above one, a call outside the thread's
-    block for this flag draws the rows of iterations [iteration,
-    iteration + B) in one keyed_draws pass, keeps them as a read-only block
-    keyed on the layout (its live offsets included, so instances that map
-    other words of the same stream get their own rows), T, m, the masked
-    seed word and the first iteration, and serves later calls within the
-    block from it.  With B = 1, or no draws at
-    all (W = 0), nothing is kept.
-    """
-    blocks = T * m * -(-sum(part[1] for part in layout) // 4)
-    span = _DRAW_AHEAD // blocks if blocks else 1
-    if span <= 1:
-        return keyed_draws(layout, (seed, iteration), _slot_tails(range(T), m, flag))
-    seed_word, it = _stream_words((seed, iteration))[:2]
-    ident = (tuple(layout), T, m, seed_word)
-    kept, first, rows = _blocks.held.get(flag, (None, 0, None))
-    b = (it - first) % 2**64
-    if kept != ident or b >= span:
-        b = 0
-        rows = keyed_draws(layout, [(seed_word, it + j) for j in range(span)], _slot_tails(range(T), m, flag))
-        rows.flags.writeable = False
-        _blocks.held[flag] = (ident, it, rows)
-    return rows[b]
-
-
 def sphere_directions(T: int, m: int, shape: tuple[int, int], radius: float, seed, iteration: int) -> np.ndarray:
-    """(T, m, *shape) perturbations of one estimate: entry (t, i) equals
-    sample_sphere(shape, radius, (seed, iteration, t, i, 0)) bit for bit.
-
-    The T * m Gaussian draws come from keyed_draws, drawn ahead for the next
-    iterations when T * m is small (_standard_rows), and are scaled and
-    normalized on every call.  No draw is 0 (|x| >= 2.8e-16), so every norm
-    is positive.
-    """
-    g = _standard_rows([("gaussian", shape[0] * shape[1])], T, m, 0, seed, iteration)
-    return ((radius / np.sqrt((g**2).sum(axis=1)))[:, None] * g).reshape(T, m, *shape)
+    """(T, m, *shape) perturbations of one estimate: entry (t, i) is row
+    i * T + t of sample_sphere_batch(T * m, shape, radius, (seed, iteration,
+    0, 0, 0)).  No draw is 0 (|x| >= 2.8e-16), so every norm is positive."""
+    U = sample_sphere_batch(T * m, shape, radius, (seed, iteration, 0, 0, 0))
+    return np.ascontiguousarray(U.reshape(m, T, *shape).swapaxes(0, 1))
 
 
 def slot_paths(instance: LqrInstance, m: int, seed, iteration: int) -> tuple[np.ndarray, np.ndarray]:
     """Start states (T * m, d) and noise (T * m, T, d) of one estimate's
-    rollouts: row t * m + i is what simulate_trajectory draws from the stream
-    (seed, iteration, t, i, 1), one Philox word per number.  The standardized
-    draws come from keyed_draws on the instance's path layout, drawn ahead
-    for the next iterations when T * m is small (_standard_rows), and are
-    placed and scaled for the instance on every call.  Words of a factor's
-    zero columns advance the stream but are not mapped (zo-liquidation: 22
-    words drawn per row, 11 mapped); a point start with zero noise draws
-    nothing."""
-    return _paths_from_draws(instance, _standard_rows(instance.paths[0], instance.T, m, 1, seed, iteration))
+    rollouts, row i * T + t that of rollout (t, i): the first T * m path
+    rows of the stream make_rng((seed, iteration, 0, 0, 1)), each what
+    simulate_trajectory draws from that stream advanced to the row
+    (core.stream_paths)."""
+    return stream_paths(instance, make_rng((seed, iteration, 0, 0, 1)), instance.T * m)
 
 
 def _row_forms(x: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -178,11 +110,11 @@ class LqrSimulator:
 
     Optimization loops use only T, k, d and the rollout methods, never the
     instance matrices.  rollout_perturbed_slots vectorizes the dynamics over
-    all T * m rollouts of an estimate, with start states and noise from
-    slot_paths, so each rollout replays the words simulate_trajectory would
-    read from its stream, mapped to the same numbers.  rollout_perturbed_batch
-    rolls one slot the same way and gives the same costs bit for bit; no
-    estimator calls it.
+    all T * m rollouts of an estimate, rollout (t, i) on row i * T + t of
+    slot_paths: the words simulate_trajectory would read from the paths
+    stream advanced to that row, mapped to the same numbers.
+    rollout_perturbed_batch rolls the rows of one slot alone and gives that
+    slot's costs bit for bit; no estimator calls it.
     """
 
     def __init__(self, instance: LqrInstance):
@@ -196,50 +128,58 @@ class LqrSimulator:
 
     def rollout_perturbed_batch(self, policy, t: int, U: np.ndarray, key) -> np.ndarray:
         """(m,) costs; entry i rolls the policy with gain t perturbed by U[i]
-        on the stream (*key, i, 1), for a key (seed, iteration, slot)."""
+        on path row i * T + slot of slot_paths(m, seed, iteration), for a key
+        (seed, iteration, slot) with 0 <= slot < T: with t = slot, slot t of
+        rollout_perturbed_slots."""
         seed, iteration, slot = key
-        x0, w = keyed_paths(self._inst, (seed, iteration), _slot_tails([int(slot) % 2**64], U.shape[0], 1))
-        return self._roll(policy, {t: 0}, U[None], x0, w)[0]
+        if not 0 <= slot < self.T:
+            raise ValueError(f"slot must lie in [0, {self.T}), got {slot!r}")
+        return self._roll_slot(policy, t, U, *slot_paths(self._inst, U.shape[0], seed, iteration), slot)
 
     def rollout_perturbed_slots(self, policy, U: np.ndarray, seed, iteration: int) -> np.ndarray:
         """(T, m) costs; entry (t, i) rolls the policy with gain t perturbed
-        by U[t, i] on the stream (seed, iteration, t, i, 1)."""
+        by U[t, i] on path row i * T + t of slot_paths(m, seed, iteration)."""
         T, m = U.shape[:2]
         x0, w = slot_paths(self._inst, m, seed, iteration)
         if m <= 2:
             # numpy's matmul and einsum take other inner loops on blocks of one
             # or two rows than on T * m rows, so each slot is rolled alone
-            rows = [slice(t * m, (t + 1) * m) for t in range(T)]
-            return np.concatenate([self._roll(policy, {t: 0}, U[t:t + 1], x0[r], w[r]) for t, r in enumerate(rows)])
+            return np.stack([self._roll_slot(policy, t, U[t], x0, w, t) for t in range(T)])
         return self._roll(policy, {t: t for t in range(T)}, U, x0, w)
 
+    def _roll_slot(self, policy, t: int, U: np.ndarray, x0: np.ndarray, w: np.ndarray, slot: int) -> np.ndarray:
+        """(m,) costs of the path rows slot, slot + T, ... of x0 and w, copied
+        out and rolled alone with gain t perturbed by U (m, k, d)."""
+        return self._roll(policy, {t: 0}, U[None], x0[slot::self.T].copy(), w[slot::self.T].copy())[0]
+
     def _roll(self, policy, blocks: dict, U: np.ndarray, x0: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Costs (n_blocks, m) of rollouts from x0 (n_blocks * m, d) under
-        noise w; the rows of block blocks[s] run with gain s perturbed by
-        U[blocks[s]], the other rows with the policy's gain."""
+        """Costs (n_blocks, m) of rollouts from x0 (m * n_blocks, d) under
+        noise w, row i * n_blocks + j in block j; the rows of block blocks[s]
+        run with gain s perturbed by U[blocks[s]], the other rows with the
+        policy's gain."""
         inst = self._inst
         T = self.T
         n_blocks, m = U.shape[:2]
         K = np.asarray(policy, dtype=float)
         x = x0
-        cost = np.zeros(n_blocks * m)
+        cost = np.zeros(m * n_blocks)
         for s in range(T):
             u = -(x @ K[s].T)
             j = blocks.get(s)
             if j is not None:
-                rows = slice(j * m, (j + 1) * m)
-                u[rows] = -np.einsum("ikd,id->ik", K[s][None] + U[j], x[rows])
+                rows = slice(j, None, n_blocks)  # contiguous, as a block rolled alone passes them
+                u[rows] = -np.einsum("ikd,id->ik", K[s][None] + U[j], np.ascontiguousarray(x[rows]))
             cost += _row_forms(x, inst.Q[s])
             cost += _row_forms(u, inst.R[s])
             x = x @ inst.A.T + u @ inst.B.T + w[:, s]
         cost += _row_forms(x, inst.Q[T])
-        return cost.reshape(n_blocks, m)
+        return np.ascontiguousarray(cost.reshape(m, n_blocks).T)
 
 
 def _perturbed_costs(sim, policy, U: np.ndarray, seed, iteration: int) -> np.ndarray:
     """(T, m) costs of the handle's rollout_perturbed_slots, or, for a handle
     exposing only rollout(), of one rollout per perturbed policy, entry (t, i)
-    on the stream (seed, iteration, t, i, 1)."""
+    on its own stream (seed, iteration, t, i, 1) rather than on a path row."""
     if hasattr(sim, "rollout_perturbed_slots"):
         return sim.rollout_perturbed_slots(policy, U, seed, iteration)
     if not hasattr(sim, "rollout"):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lqrlab import InitialStateModel, LqrInstance, NoiseModel, constant_instance
+from lqrlab import InitialStateModel, LqrInstance, NoiseModel, constant_instance, make_rng, simulate_trajectory
+from lqrlab import core
 
 
 def random_instance(rng, d=None, k=None, T=None, noise_sigma=0.4, init_sigma=0.6):
@@ -22,6 +23,23 @@ def random_instance(rng, d=None, k=None, T=None, noise_sigma=0.4, init_sigma=0.6
 
 def random_policy(rng, instance, scale=0.2):
     return rng.normal(size=(instance.T, instance.k, instance.d)) * scale
+
+
+def stream_at(key, words: int):
+    """make_rng(key) advanced by the given number of raw words: whole Philox
+    blocks of four words by advance, the rest drawn and dropped."""
+    rng = make_rng(key)
+    rng.bit_generator.advance(words // 4)
+    rng.bit_generator.random_raw(words % 4)
+    return rng
+
+
+def simulated_row(inst, K, key, j: int):
+    """simulate_trajectory(inst, K, key) on the stream make_rng(key) advanced
+    to path row j, that is by j * W words."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "make_rng", lambda _: stream_at(key, j * inst.paths.words))
+        return simulate_trajectory(inst, K, key)
 
 
 @pytest.fixture

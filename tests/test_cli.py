@@ -265,14 +265,14 @@ class TestCli:
     def test_aggregate_pairs_rows_by_iteration(self, tmp_path):
         # with target_error the seeds stop at different iterations; the
         # aggregate must pair each iteration's rows, not truncate by row index
-        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 0.2\niters = 100\nradius = 0.1\nsamples = 50\ntarget_error = 0.06\n")
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 0.1\niters = 100\nradius = 0.1\nsamples = 50\ntarget_error = 0.04\n")
         assert main(["zo-pg", "--config", cfg, "--seeds", "0", "1", "2", "--out", str(tmp_path / "o")]) == 0
         seeds = [np.genfromtxt(tmp_path / "o" / f"seed_{s}.csv", delimiter=",", names=True) for s in range(3)]
-        assert [len(s) for s in seeds] == [101, 101, 8]
+        assert [len(s) for s in seeds] == [46, 101, 101]
         agg = np.genfromtxt(tmp_path / "o" / "aggregate.csv", delimiter=",", names=True)
         assert len(agg) == 101
         np.testing.assert_array_equal(agg["iter"], np.arange(101))
-        np.testing.assert_array_equal(agg["n_seeds"], np.where(np.arange(101) < 8, 3, 2))
+        np.testing.assert_array_equal(agg["n_seeds"], np.where(np.arange(101) < 46, 3, 2))
         np.testing.assert_array_equal(agg["iter_min"], agg["iter"])
         np.testing.assert_array_equal(agg["iter_max"], agg["iter"])
         # counts and indices are written as integers, the statistics of them as floats

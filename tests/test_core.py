@@ -26,11 +26,11 @@ from lqrlab import (
 )
 from lqrlab import core
 from lqrlab.benchmarks import scalar_benchmark
-from lqrlab.core import keyed_draws, keyed_paths, make_rng, pathwise_cost_terms, standard_draw
+from lqrlab.core import make_rng, pathwise_cost_terms, standard_draw, stream_paths
 from lqrlab.errors import HorizonTooShort, NonPositiveDefinite
 from lqrlab.zeroth import LqrSimulator
 
-from conftest import random_instance, random_policy
+from conftest import random_instance, random_policy, simulated_row, stream_at
 
 
 def one_step_unit_instance():
@@ -119,17 +119,17 @@ class TestBackup:
         assert bk.cost == pytest.approx(sol.optimal_cost, rel=1e-12)
 
     def test_monte_carlo_cost(self):
-        # the realized costs of simulate_trajectory(inst, K, [7, i]), i < 100000,
-        # in one array pass over keyed paths, pinned bit for bit to the
-        # per-trajectory loop on 1001 keys across the range
+        # the realized costs of the first 100000 path rows of make_rng(7) in
+        # one array pass, pinned bit for bit to simulate_trajectory on the
+        # stream advanced to 1001 rows across the range
         inst = scalar_benchmark()
         K = np.zeros((5, 1, 1))
         exact = exact_cost(inst, K)
         n = 100000
-        x0, w = keyed_paths(inst, [(7, i) for i in range(n)], np.zeros((1, 3)))
-        costs = scalar_realized_costs(inst, K, x0[:, 0, 0], w[:, 0, :, 0])
+        x0, w = stream_paths(inst, make_rng(7), n)
+        costs = scalar_realized_costs(inst, K, x0[:, 0], w[:, :, 0])
         for i in np.linspace(0, n - 1, 1001).astype(int):
-            assert _same_bits(costs[i], simulate_trajectory(inst, K, [7, int(i)]).realized_cost), i
+            assert _same_bits(costs[i], simulated_row(inst, K, 7, int(i)).realized_cost), i
         se = costs.std() / np.sqrt(costs.size)
         assert abs(costs.mean() - exact) < 3 * se
 
@@ -321,16 +321,28 @@ class TestSimulation:
             assert traj.realized_cost == pytest.approx(head + quad + cross, rel=1e-9)
 
     def test_two_term_decomposition_holds_in_expectation(self, rng):
-        # dropping the noise-state cross term leaves a zero-mean residual
+        # dropping the noise-state cross term leaves a zero-mean residual: the
+        # residuals of the first 20000 path rows of make_rng(99) in one array
+        # pass, pinned to simulate_trajectory and pathwise_cost_terms on the
+        # stream advanced to 201 rows across the range (1e-12 of the terms'
+        # size, as the array pass sums in another order)
         inst = random_instance(rng, d=2, k=1, T=4)
         K = random_policy(rng, inst)
         bk = backup_value(inst, K)
-        resid = []
-        for i in range(20000):
-            traj = simulate_trajectory(inst, K, [99, i])
-            head, quad, _ = pathwise_cost_terms(inst, K, traj, bk)
-            resid.append(traj.realized_cost - head - quad)
-        resid = np.array(resid)
+        n = 20000
+        x0, w = stream_paths(inst, make_rng(99), n)
+        x, cost = x0, np.zeros(n)
+        for t in range(inst.T):
+            u = -(x @ K[t].T)
+            cost += np.einsum("id,de,ie->i", x, inst.Q[t], x) + np.einsum("ik,kl,il->i", u, inst.R[t], u)
+            x = x @ inst.A.T + u @ inst.B.T + w[:, t]
+        cost += np.einsum("id,de,ie->i", x, inst.Q[inst.T], x)
+        head = np.einsum("id,de,ie->i", x0, bk.P[0], x0)
+        resid = cost - head - np.einsum("itd,tde,ite->i", w, bk.P[1:], w)
+        for j in np.linspace(0, n - 1, 201).astype(int):
+            traj = simulated_row(inst, K, 99, int(j))
+            h, q, _ = pathwise_cost_terms(inst, K, traj, bk)
+            assert abs(resid[j] - (traj.realized_cost - h - q)) <= 1e-12 * (abs(traj.realized_cost) + abs(h) + abs(q)), j
         se = resid.std() / np.sqrt(resid.size)
         assert abs(resid.mean()) < 4 * se
         assert resid.std() > 0  # the cross term is *not* pathwise zero
@@ -523,32 +535,18 @@ class TestBatchRollouts:
         for i in range(8):
             pert = K.copy()
             pert[1] = pert[1] + U[i]
-            single = sim.rollout(pert, [5, 0, 1, i, 1])
+            single = simulated_row(inst, pert, (5, 0, 0, 0, 1), i * inst.T + 1).realized_cost
             assert batch[i] == pytest.approx(single, rel=1e-12)
 
 
 # stream words: negative ints wrap to two's complement, so both ends of the
 # 64-bit range and beyond 2**63 are covered
 WORDS = st.integers(min_value=-(2**63), max_value=2**64 - 1)
-U64 = st.integers(min_value=0, max_value=2**64 - 1)
-PREFIXES = st.lists(WORDS, min_size=2, max_size=2)
-TAILS = st.lists(st.tuples(U64, U64, U64), min_size=1, max_size=8)
+KEYS = st.lists(WORDS, min_size=1, max_size=5)
 LAYOUTS = st.lists(st.tuples(st.sampled_from(["gaussian", "uniform"]), st.integers(1, 30)), min_size=1, max_size=3)
-# a layout part that maps all its words, or (kind, width, live) with ascending live offsets
-LIVE_PARTS = st.tuples(st.sampled_from(["gaussian", "uniform"]), st.integers(1, 30)).flatmap(
-    lambda part: st.one_of(st.just(part), st.sets(st.integers(0, part[1] - 1)).map(lambda live: (*part, tuple(sorted(live))))))
 KIND_PAIRS = [("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gaussian"), ("gaussian", "zero"),
               ("uniform", "gaussian"), ("gaussian", "uniform"), ("point", "zero")]
 SQRT3 = np.sqrt(3.0)
-
-
-def _per_key_draws(layout, prefix, tails) -> np.ndarray:
-    """The reference: one make_rng per key, standard_draw per part."""
-    rows = []
-    for tail in tails:
-        rng = make_rng([*prefix, *tail])
-        rows.append(np.concatenate([standard_draw(kind, rng, width) for kind, width in layout]))
-    return np.array(rows)
 
 
 def _word_draw(kind: str, w: int) -> float:
@@ -567,23 +565,41 @@ def _assert_same_bits(a, b) -> None:
     np.testing.assert_array_equal(np.asarray(a, dtype=float).view(np.uint64), np.asarray(b, dtype=float).view(np.uint64))
 
 
-def _instance_of_kinds(pair, d: int, T: int):
-    noise = NoiseModel(pair[1], 0.4)
-    init = InitialStateModel(pair[0], np.linspace(-1.0, 1.0, d), 0.6)
+def _instance_of_kinds(pair, d: int, T: int, factors=(None, None)):
+    noise = NoiseModel(pair[1], 0.4, factors[1])
+    init = InitialStateModel(pair[0], np.linspace(-1.0, 1.0, d), 0.6, factors[0])
     return constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise, init)
+
+
+@st.composite
+def factors(draw, d: int):
+    """A (d, d) factor, or None for the identity: full (rows mixing
+    columns), or each row reading at most one column, with zero rows and
+    zero columns, some zeros -0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["identity", "full", "one a row"]))
+    if shape == "identity":
+        return None
+    if shape == "full":
+        return rng.normal(size=(d, d))
+    F = np.where(rng.random((d, d)) < 0.5, -0.0, 0.0)
+    for r, c in enumerate(draw(st.lists(st.one_of(st.none(), st.integers(0, d - 1)), min_size=d, max_size=d))):
+        if c is not None:
+            F[r, c] = rng.normal() * 10.0 ** rng.uniform(-3, 3)
+    return F
 
 
 class TestStandardDraw:
     @settings(deadline=None, max_examples=100)
-    @given(prefix=PREFIXES, tails=TAILS, layout=LAYOUTS)
-    def test_rows_map_each_raw_word_on_its_own(self, prefix, tails, layout):
+    @given(key=KEYS, layout=LAYOUTS)
+    def test_draws_map_each_raw_word_on_its_own(self, key, layout):
         # the bit-exact scalar reference: ndtri or the uniform map of each
-        # make_rng(key).bit_generator.random_raw() word, in order
-        ref = []
-        for tail in tails:
-            bits = make_rng([*prefix, *tail]).bit_generator
-            ref.append([_word_draw(kind, int(bits.random_raw())) for kind, width in layout for _ in range(width)])
-        _assert_same_bits(keyed_draws(layout, prefix, tails), ref)
+        # make_rng(key).bit_generator.random_raw() word, in order, across
+        # draw calls of several kinds on one generator
+        bits = make_rng(key).bit_generator
+        ref = [_word_draw(kind, int(bits.random_raw())) for kind, width in layout for _ in range(width)]
+        rng = make_rng(key)
+        _assert_same_bits(np.concatenate([standard_draw(kind, rng, width) for kind, width in layout]), ref)
 
     def test_normals_match_an_independent_inverse_cdf(self):
         words = make_rng(17).bit_generator.random_raw(4096).tolist() + [0, 1 << 12, 2**64 - 1, 2**63, 2**63 - 1]
@@ -641,12 +657,11 @@ class TestStandardDraw:
         assert x.shape == (n,) and 2 * 8 * n <= peak < 2.5 * 8 * n
 
     def test_moments_and_ks_distance_of_a_million_draws(self):
-        # 2**20 keyed normals; thresholds fixed before the first run: five
-        # standard errors for each moment and a KS distance whose chance
+        # 2**20 normals of one stream; thresholds fixed before the first run:
+        # five standard errors for each moment and a KS distance whose chance
         # under a true normal is about 1e-6 (2 exp(-2 * 2.7**2))
         n = 2**20
-        tails = np.stack([np.arange(4096), np.zeros(4096), np.ones(4096)], axis=1).astype(np.uint64)
-        x = np.sort(keyed_draws([("gaussian", n // 4096)], (29, 3), tails).ravel())
+        x = np.sort(standard_draw("gaussian", make_rng((29, 3)), n))
         z = (x - x.mean()) / x.std()
         assert abs(x.mean()) < 5 / np.sqrt(n)
         assert abs(x.var() - 1) < 5 * np.sqrt(2 / n)
@@ -657,20 +672,39 @@ class TestStandardDraw:
         assert ks < 2.7 / np.sqrt(n)
 
 
+class TestFactorProducts:
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), d=st.integers(1, 4), sigma=st.floats(-3, 3), seed=st.integers(0, 2**32 - 1))
+    def test_models_equal_the_matrix_products_byte_for_byte(self, data, d, sigma, seed):
+        # elementwise products where the factor's rows each read one column,
+        # on draws with +-0.0 entries, against the matrix products they replace
+        F = data.draw(factors(d))
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(4, 3, d))
+        v[rng.random(v.shape) < 0.2] = -0.0
+        v[rng.random(v.shape) < 0.1] = 0.0
+        mean = rng.normal(size=d)
+        Fm = np.eye(d) if F is None else F
+        noise, init = NoiseModel("gaussian", sigma, F), InitialStateModel("gaussian", mean, sigma, F)
+        assert (noise._pick is None) == (F is not None and ((F != 0).sum(axis=1) > 1).any())
+        assert noise.scale(v).tobytes() == (sigma * (v @ Fm.T)).tobytes()
+        assert init.place(v).tobytes() == (mean + sigma * (Fm @ v[..., None])[..., 0]).tobytes()
+
+
 class TestSamplePaths:
     @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS)
     def test_matches_model_draws(self, init_kind, noise_kind):
-        # keyed_paths under full start and noise factors against the models'
-        # own draw methods on make_rng of each key
+        # stream_paths under full start and noise factors, whose rows mix
+        # columns, against the models' own draw methods on the stream
+        # advanced to each row
         rng = np.random.default_rng(7)
-        d, T = 3, 4
+        d, T, key = 3, 4, (4, -1, 2**64 - 1, 0, 1)
         noise = NoiseModel(noise_kind, 0.4, rng.normal(size=(d, d)))
         init = InitialStateModel(init_kind, rng.normal(size=d), 0.6, rng.normal(size=(d, d)))
         inst = constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise, init)
-        tails = [(j, 2**64 - 1, 1) for j in range(6)]
-        x0, w = keyed_paths(inst, (4, -1), tails)
-        for j, tail in enumerate(tails):
-            ref = make_rng([4, -1, *tail])
+        x0, w = stream_paths(inst, make_rng(key), 6)
+        for j in range(6):
+            ref = stream_at(key, j * inst.paths.words)
             _assert_same_bits(x0[j], init.draw(ref))
             _assert_same_bits(w[j], noise.draw(ref, T, d))
 
@@ -681,112 +715,106 @@ class TestSamplePaths:
             InitialStateModel("zero", np.zeros(1))
 
 
-class TestKeyedDraws:
-    @settings(deadline=None, max_examples=200)
-    @given(prefix=PREFIXES, tails=TAILS, layout=LAYOUTS)
-    # a one-word part in rows of 8 words: a strided column of the words
-    @example(prefix=[0, 1], tails=[(0, 0, 0), (0, 0, 0)], layout=[("gaussian", 1), ("gaussian", 7)])
-    def test_matches_per_key_draws(self, prefix, tails, layout):
-        ref = _per_key_draws(layout, prefix, tails)
-        _assert_same_bits(keyed_draws(layout, prefix, tails), ref)
-        _assert_same_bits(keyed_draws(layout, np.array([w % 2**64 for w in prefix], dtype=np.uint64), tails), ref)
+class TestStreamPaths:
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data(), key=KEYS, pair=st.sampled_from(KIND_PAIRS), d=st.integers(1, 3), T=st.integers(1, 6),
+           n=st.integers(0, 9))
+    @example(data=None, key=[4, -1], pair=("gaussian", "uniform"), d=3, T=4, n=6)
+    def test_rows_equal_model_draws_on_the_advanced_stream(self, data, key, pair, d, T, n):
+        # row j: the models' draws on make_rng(key) advanced by j * W words,
+        # byte for byte, for factors that mix columns or leave some unread;
+        # n rows leave the stream n * W words on
+        fs = (None, None) if data is None else (data.draw(factors(d)), data.draw(factors(d)))
+        inst = _instance_of_kinds(pair, d, T, fs)
+        W = inst.paths.words
+        assert W == d * (pair[0] != "point") + T * d * (pair[1] != "zero")
+        rng = make_rng(key)
+        x0, w = stream_paths(inst, rng, n)
+        assert x0.shape == (n, d) and w.shape == (n, T, d)
+        for j in range(n):
+            ref = stream_at(key, j * W)
+            assert x0[j].tobytes() == inst.init.draw(ref).tobytes()
+            assert w[j].tobytes() == inst.noise.draw(ref, T, d).tobytes()
+        assert rng.bit_generator.random_raw() == stream_at(key, n * W).bit_generator.random_raw()
 
     @settings(deadline=None, max_examples=100)
-    @given(prefix=PREFIXES, tails=TAILS, pair=st.sampled_from(KIND_PAIRS), d=st.integers(1, 3), T=st.integers(1, 9))
-    @example(prefix=[3, 4], tails=[(0, i, 1) for i in range(8)], pair=("gaussian", "uniform"), d=1, T=7)
-    def test_paths_match_simulated_trajectories(self, prefix, tails, pair, d, T):
+    @given(key=KEYS, pair=st.sampled_from(KIND_PAIRS), d=st.integers(1, 3), T=st.integers(1, 9))
+    @example(key=[3, 4, 0, 0, 1], pair=("gaussian", "uniform"), d=1, T=7)
+    def test_rows_match_simulated_trajectories(self, key, pair, d, T):
         # path layouts of every kind pair, degenerate parts skipped, against
-        # the start state and noise simulate_trajectory draws on each key
+        # the start state and noise simulate_trajectory draws on the stream
+        # advanced to each row
         inst = _instance_of_kinds(pair, d, T)
-        x0, w = keyed_paths(inst, prefix, tails)
-        for j, tail in enumerate(tails):
-            traj = simulate_trajectory(inst, np.zeros((T, 1, d)), [*prefix, *tail])
+        x0, w = stream_paths(inst, make_rng(key), 5)
+        for j in range(5):
+            traj = simulated_row(inst, np.zeros((T, 1, d)), key, j)
             _assert_same_bits(x0[j], traj.states[0])
             _assert_same_bits(w[j], traj.noises)
 
-    @settings(deadline=None, max_examples=100)
-    @given(prefixes=st.lists(PREFIXES, min_size=1, max_size=4), tails=TAILS, pair=st.sampled_from(KIND_PAIRS),
-           d=st.integers(1, 3), T=st.integers(1, 6), chunk=st.sampled_from([3, 4096]))
-    def test_prefix_batch_equals_one_call_per_prefix(self, prefixes, tails, pair, d, T, chunk):
-        # a (B, 2) batch of prefixes, as nested ints and as uint64 words, in
-        # passes of a few rows or of all
-        layout = core._path_layout(_instance_of_kinds(pair, d, T))
-        singles = [keyed_draws(layout, prefix, tails) for prefix in prefixes]
-        words = np.array([[w % 2**64 for w in prefix] for prefix in prefixes], dtype=np.uint64)
+    @settings(deadline=None, max_examples=60)
+    @given(key=KEYS, pair=st.sampled_from(KIND_PAIRS), d=st.integers(1, 3), T=st.integers(1, 6),
+           n=st.integers(0, 40), split=st.integers(0, 40), chunk=st.sampled_from([1, 3, 7]))
+    def test_chunked_draws_equal_one_call(self, key, pair, d, T, n, split, chunk):
+        # passes of a few rows, and two calls that continue one stream, give
+        # the rows of one call in one pass
+        inst = _instance_of_kinds(pair, d, T, (np.diag(np.arange(d) % 2), None))
+        one = stream_paths(inst, make_rng(key), n)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "_KEYED_CHUNK", chunk)
-            batches = keyed_draws(layout, prefixes, tails), keyed_draws(layout, words, tails)
-        for batch in batches:
-            assert batch.shape == (len(prefixes), *singles[0].shape)
-            for got, single in zip(batch, singles):
-                _assert_same_bits(got, single)
-
-    @settings(deadline=None, max_examples=100)
-    @given(prefix=PREFIXES, tails=TAILS, parts=st.lists(LIVE_PARTS, min_size=1, max_size=3))
-    # two mapped words in the first of four blocks, then a part that maps none
-    @example(prefix=[1, 2], tails=[(0, 0, 0), (5, 6, 7)], parts=[("uniform", 9, (0, 4)), ("gaussian", 6, ())])
-    def test_live_offsets_pick_the_full_rows_numbers(self, prefix, tails, parts):
-        # a part (kind, width, live) maps only the words at the live offsets,
-        # each to the number the full row holds there
-        cols, at = [], 0
-        for kind, width, *live in parts:
-            cols += [at + j for j in (live[0] if live else range(width))]
-            at += width
-        full = keyed_draws([part[:2] for part in parts], prefix, tails)
-        _assert_same_bits(keyed_draws(parts, prefix, tails), full[:, cols])
-
-    @pytest.mark.parametrize("live", [(3, 1), (1, 1), (-1, 2), (0, 6), (7,)])
-    def test_rejects_live_offsets_out_of_order_or_range(self, live):
-        # an offset at or past the width would map a word of the next part
-        with pytest.raises(ValueError, match="must ascend strictly inside"):
-            keyed_draws([("gaussian", 6, live), ("uniform", 4)], (1, 2), np.zeros((2, 3), dtype=np.uint64))
+            patch.setattr(core, "_STREAM_CHUNK", chunk)
+            chunked = stream_paths(inst, make_rng(key), n)
+        rng, cut = make_rng(key), min(split, n)
+        parts = stream_paths(inst, rng, cut), stream_paths(inst, rng, n - cut)
+        for a, b, c in zip(one, chunked, (np.concatenate(p) for p in zip(*parts))):
+            _assert_same_bits(a, b)
+            _assert_same_bits(a, c)
 
     @pytest.mark.parametrize("width", [1, 3, 4, 5, 8, 9])
     def test_widths_around_block_edges_take_the_stream_in_order(self, width):
-        # ceil(width / 4) Philox blocks per key: a row is the key's first
-        # width raw words, so a narrower row is the start of a wider one
-        prefix = (3, 2**64 - 2)
-        tails = np.array([[0, 0, 0], [7, 2**64 - 1, 1], [2**63, 5, 2**32]], dtype=np.uint64)
-        ref = [make_rng([*prefix, *map(int, tail)]).bit_generator.random_raw(width) for tail in tails]
-        np.testing.assert_array_equal(core._philox_words(prefix, tails, width), ref)
-        wide = keyed_draws([("uniform", 2), ("gaussian", 7)], prefix, tails)
-        layout = [("uniform", min(width, 2)), ("gaussian", max(width - 2, 0))]
-        _assert_same_bits(keyed_draws(layout, prefix, tails), wide[:, :width])
+        # numpy's Philox hands out four words a block: a row of W words maps
+        # words j * W to (j + 1) * W - 1 of one make_rng(key).random_raw
+        # sequence, each on its own, wherever the block edges fall, and the
+        # stream ends n * W words on
+        pair, T = (("gaussian", "uniform"), width - 1) if width > 1 else (("gaussian", "zero"), 1)
+        inst = _instance_of_kinds(pair, 1, T)
+        assert inst.paths.words == width
+        n = 9
+        for key in [(3, 2**64 - 2), (7, -1, 1, 2**63, 5)]:
+            bits = make_rng(key).bit_generator
+            words = bits.random_raw(n * width).reshape(n, width).tolist()
+            rng = make_rng(key)
+            x0, w = stream_paths(inst, rng, n)
+            for j, row in enumerate(words):
+                _assert_same_bits(x0[j], inst.init.place(np.array([_word_draw("gaussian", row[0])])))
+                noise = np.zeros((1, 1)) if width == 1 else inst.noise.scale(np.array([[_word_draw("uniform", v)] for v in row[1:]]))
+                _assert_same_bits(w[j], noise)
+            assert rng.bit_generator.random_raw() == bits.random_raw()
 
-    def test_zero_width_layouts_draw_nothing(self):
-        # a point start with zero noise: no words, and no pass is run
-        tails = np.zeros((3, 3), dtype=np.uint64)
-        assert keyed_draws([], (1, 2), tails).shape == (3, 0)
-        assert keyed_draws([("gaussian", 0), ("uniform", 0)], [(1, 2), (3, 4)], tails).shape == (2, 3, 0)
-        inst = _instance_of_kinds(("point", "zero"), 2, 4)
-        x0, w = keyed_paths(inst, (1, 2), tails)
-        _assert_same_bits(x0, np.tile(inst.init.mean, (3, 1)))
-        _assert_same_bits(w, np.zeros((3, 4, 2)))
+    def test_threads_drawing_interleaved_keys_get_the_serial_arrays(self, monkeypatch):
+        # more threads than cores, switching often; thread j draws the rows of
+        # every fourth key from j on, in two calls that continue one stream
+        # and in passes of five rows, on instances whose path plans no draw
+        # has built yet
+        def instances():
+            fs = (np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 0.5, 0.0]))
+            return [_instance_of_kinds(pair, 3, 4, fs) for pair in KIND_PAIRS]
 
-    @pytest.mark.parametrize("prefix", [5, [5], (1, 2, 3), [1, 2, 3, 4, 5, 6], [(1, 2), (1, 2, 3)],
-                                        np.zeros(3, dtype=np.uint64), np.zeros((2, 3), dtype=np.uint64)],
-                             ids=["one word", "a list of one word", "three words", "six words",
-                                  "a three-word prefix in a batch", "a uint64 array of three words", "a (B, 3) array"])
-    def test_rejects_prefixes_that_are_not_two_words(self, prefix):
-        # a padded or cut prefix would key other streams than make_rng((*prefix, *tail))
-        with pytest.raises(ValueError, match="two words"):
-            keyed_draws([("gaussian", 2)], prefix, np.zeros((1, 3), dtype=np.uint64))
+        def draw(insts, n):
+            rng = make_rng((11, n, 0, 0, 1))
+            first, rest = stream_paths(insts[n % len(insts)], rng, 17), stream_paths(insts[n % len(insts)], rng, 20)
+            return [np.concatenate(part) for part in zip(first, rest)]
 
-    def test_threads_drawing_interleaved_keys_get_the_serial_arrays(self):
-        # more threads than cores, switching often; thread j draws every
-        # fourth key from j on, one pass at a time
-        layout = [("gaussian", 5), ("uniform", 2), ("gaussian", 9)]
-        tails = np.stack([np.arange(400), np.zeros(400), np.ones(400)], axis=1).astype(np.uint64)
-        serial = keyed_draws(layout, (11, 1), tails)
-        got = [[] for _ in range(4)]
+        monkeypatch.setattr(core, "_STREAM_CHUNK", 5)
+        serial_insts = instances()
+        serial = [draw(serial_insts, n) for n in range(40)]
+        insts, got = instances(), {}
         barrier = threading.Barrier(4)
 
-        def draw(j):
+        def run(j):
             barrier.wait()
-            for lo in range(j, 400, 40):
-                got[j].append(keyed_draws(layout, (11, 1), tails[lo:lo + 40:4]))
+            for n in range(j, 40, 4):
+                got[n] = draw(insts, n)
 
-        threads = [threading.Thread(target=draw, args=(j,)) for j in range(4)]
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -797,5 +825,15 @@ class TestKeyedDraws:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        for j in range(4):
-            _assert_same_bits(np.concatenate(got[j]), serial[j::4])
+        for n, ref in enumerate(serial):
+            for a, b in zip(got[n], ref):
+                _assert_same_bits(a, b)
+
+    def test_zero_width_paths_draw_nothing(self):
+        # a point start with zero noise takes no words from the stream
+        inst = _instance_of_kinds(("point", "zero"), 2, 4)
+        rng = make_rng((1, 2))
+        x0, w = stream_paths(inst, rng, 3)
+        _assert_same_bits(x0, np.tile(inst.init.mean, (3, 1)))
+        _assert_same_bits(w, np.zeros((3, 4, 2)))
+        assert rng.bit_generator.random_raw() == make_rng((1, 2)).bit_generator.random_raw()

@@ -17,21 +17,19 @@ from lqrlab import (
     estimate_gradient,
     exact_cost,
     exact_gradient,
-    make_rng,
     run_modelfree_pg,
     run_modelfree_ppg,
     sample_sphere,
     sample_sphere_batch,
+    simulate_trajectory,
     smoothed_gradient_reference,
 )
 from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
-from lqrlab import zeroth
 from lqrlab.errors import Diverged, NotInSet, ZeroOptimalCost
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
-from lqrlab.core import keyed_draws, keyed_paths
-from lqrlab.zeroth import _row_forms, slot_paths, sphere_directions
+from lqrlab.zeroth import _perturbed_costs, _row_forms, slot_paths, sphere_directions
 
-from conftest import random_instance, random_policy
+from conftest import random_instance, random_policy, simulated_row, stream_at
 
 
 class TestSphere:
@@ -73,22 +71,89 @@ KIND_PAIRS = [("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gauss
 
 class TestEstimatorDraws:
     @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS)
-    def test_draws_match_per_key_generators(self, init_kind, noise_kind):
-        # reference: one make_rng per key, the way each draw is specified
+    def test_draws_are_rows_of_the_two_streams(self, init_kind, noise_kind):
+        # rollout (t, i) reads row i * T + t of the sphere stream and of the
+        # path stream, the latter as the models draw on it advanced to the row
         inst = _instance_of_kinds(init_kind, noise_kind)
         T, k, d, m, r = inst.T, inst.k, inst.d, 7, 0.3
         seed, it = -5, 2**63 + 4
         U = sphere_directions(T, m, (k, d), r, seed, it)
+        rows = sample_sphere_batch(T * m, (k, d), r, [seed, it, 0, 0, 0])
         x0, w = slot_paths(inst, m, seed, it)
         for t in range(T):
             for i in range(m):
-                np.testing.assert_array_equal(U[t, i], sample_sphere((k, d), r, [seed, it, t, i, 0]))
-                rng = make_rng([seed, it, t, i, 1])
-                np.testing.assert_array_equal(x0[t * m + i], inst.init.draw(rng))
-                np.testing.assert_array_equal(w[t * m + i], inst.noise.draw(rng, T, d))
+                j = i * T + t
+                assert U[t, i].tobytes() == rows[j].tobytes()
+                rng = stream_at([seed, it, 0, 0, 1], j * inst.paths.words)
+                assert x0[j].tobytes() == inst.init.draw(rng).tobytes()
+                assert w[j].tobytes() == inst.noise.draw(rng, T, d).tobytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(kinds=st.sampled_from(KIND_PAIRS), d=st.integers(1, 3), k=st.integers(1, 2), T=st.integers(1, 6),
+           m=st.integers(1, 9), live=st.sampled_from([None, 0, 1]), seed=st.integers(-2**63, 2**64 - 1),
+           iteration=st.integers(0, 2**64 - 1))
+    def test_numbers_do_not_depend_on_m(self, kinds, d, k, T, m, live, seed, iteration):
+        # an estimate at 2m draws the numbers of one at m for every (t, i < m),
+        # the noise factor reading every column or one live column
+        noise = NoiseModel(kinds[1], 0.4, None if live is None else np.diag(np.arange(d) == live % d))
+        inst = constant_instance(np.eye(d), np.ones((d, k)), np.eye(d), np.eye(k), np.eye(d), T, noise,
+                                 InitialStateModel(kinds[0], np.linspace(-1.0, 1.0, d), 0.6))
+        U, U2 = (sphere_directions(T, n, (k, d), 0.3, seed, iteration) for n in (m, 2 * m))
+        assert U.tobytes() == U2[:, :m].tobytes()
+        for a, b in zip(slot_paths(inst, m, seed, iteration), slot_paths(inst, 2 * m, seed, iteration)):
+            assert a.tobytes() == b[:T * m].tobytes()
+
+    def test_threads_interleaving_estimates_get_the_serial_arrays(self):
+        # more threads than cores, switching often; thread j runs the
+        # estimates of every fourth (seed, iteration) from j on
+        inst, K, cfg = ac_to_lqr(stock_liquidation()), np.full((10, 1, 2), -0.2), SmoothingConfig(0.6, 20)
+        keys = [(seed, it) for seed in (3, -5) for it in range(20)]
+
+        def draws(seed, it):
+            return (sphere_directions(inst.T, 20, (1, 2), 0.6, seed, it), *slot_paths(inst, 20, seed, it),
+                    estimate_gradient(inst, K, cfg, seed, iteration=it).grads)
+
+        serial = [draws(*key) for key in keys]
+        got = {}
+        barrier = threading.Barrier(4)
+
+        def run(j):
+            barrier.wait()
+            for n in range(j, len(keys), 4):
+                got[n] = draws(*keys[n])
+
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for n, ref in enumerate(serial):
+            for a, b in zip(got[n], ref):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS)
+    def test_slots_replay_simulated_rows(self, init_kind, noise_kind):
+        # cost (t, i) of the all-slots kernel is simulate_trajectory's, with
+        # gain t perturbed by U[t, i], on the path stream advanced to row
+        # i * T + t
+        inst = _instance_of_kinds(init_kind, noise_kind, d=2, k=2, T=4)
+        K = np.random.default_rng(5).normal(size=(4, 2, 2)) * 0.2
+        U = sphere_directions(inst.T, 3, (2, 2), 0.2, -5, 9)
+        costs = LqrSimulator(inst).rollout_perturbed_slots(K, U, -5, 9)
+        for t, i in np.ndindex(inst.T, 3):
+            pert = K.copy()
+            pert[t] = pert[t] + U[t, i]
+            ref = simulated_row(inst, pert, (-5, 9, 0, 0, 1), i * inst.T + t).realized_cost
+            assert costs[t, i] == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 9])
-    @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS[:4])
+    @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS)
     def test_all_slots_rollout_matches_per_slot_batches(self, init_kind, noise_kind, m):
         inst = _instance_of_kinds(init_kind, noise_kind, d=2, k=2, T=4)
         K = np.random.default_rng(4).normal(size=(4, 2, 2)) * 0.2
@@ -131,18 +196,18 @@ class ReferenceKernel(LqrSimulator):
         n_blocks, m = U.shape[:2]
         K = np.asarray(policy, dtype=float)
         x = x0
-        cost = np.zeros(n_blocks * m)
+        cost = np.zeros(m * n_blocks)
         for s in range(T):
             u = -(x @ K[s].T)
             j = blocks.get(s)
             if j is not None:
-                rows = slice(j * m, (j + 1) * m)
-                u[rows] = -np.einsum("ikd,id->ik", K[s][None] + U[j], x[rows])
+                rows = slice(j, None, n_blocks)
+                u[rows] = -np.einsum("ikd,id->ik", K[s][None] + U[j], np.ascontiguousarray(x[rows]))
             cost += np.einsum("id,de,ie->i", x, inst.Q[s], x)
             cost += np.einsum("ik,kl,il->i", u, inst.R[s], u)
             x = x @ inst.A.T + u @ inst.B.T + w[:, s]
         cost += np.einsum("id,de,ie->i", x, inst.Q[T], x)
-        return cost.reshape(n_blocks, m)
+        return np.ascontiguousarray(cost.reshape(m, n_blocks).T)
 
 
 def _bits(a):
@@ -209,7 +274,8 @@ UNREAD = {
     "non-diagonal, one entry a row": (_two_factor_instance(
         "gaussian", [[0.0, 0.0, 2.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]],
         "gaussian", [[0.0, 0.7, 0.0], [0.0, 0.0, 0.0], [0.0, -1.2, 0.0]]), 6, 15),
-    "all-zero gaussian noise": (_two_factor_instance("gaussian", np.eye(2), "gaussian", np.zeros((2, 2))), 2, 10),
+    # no live column: one word a step is still mapped, times a zero
+    "all-zero gaussian noise": (_two_factor_instance("gaussian", np.eye(2), "gaussian", np.zeros((2, 2))), 6, 10),
     "uniform kinds": (_two_factor_instance(  # a start factor column of -0.0 is a zero column too
         "uniform", [[-0.0, 0.6, 0.0], [-0.0, -0.3, 0.0], [-0.0, 0.0, 1.1]],
         "uniform", [[0.5, 0.0, 1.0], [0.0, 0.0, -2.0], [0.3, 0.0, 0.0]]), 14, 15),
@@ -222,143 +288,17 @@ class TestUnreadCoordinates:
         # tobytes, so the sign of every zero counts
         inst, mapped, drawn = UNREAD[name]
         T, d, m, seed, it = inst.T, inst.d, 3, -5, 2**63 + 4
-        tails = zeroth._slot_tails(range(T), m, 1)
-        layout = inst.paths[0]
-        assert sum(part[1] for part in layout) == drawn
-        assert keyed_draws(layout, (seed, it), tails[:1]).shape == (1, mapped)
-        for x0, w in (slot_paths(inst, m, seed, it), keyed_paths(inst, (seed, it), tails)):
-            for j, tail in enumerate(tails.tolist()):
-                rng = make_rng([seed, it, *tail])
-                assert x0[j].tobytes() == inst.init.draw(rng).tobytes()
-                assert w[j].tobytes() == inst.noise.draw(rng, T, d).tobytes()
+        assert (inst.paths.numbers, inst.paths.words) == (mapped, drawn)
+        x0, w = slot_paths(inst, m, seed, it)
+        for j in range(T * m):
+            rng = stream_at([seed, it, 0, 0, 1], j * drawn)
+            assert x0[j].tobytes() == inst.init.draw(rng).tobytes()
+            assert w[j].tobytes() == inst.noise.draw(rng, T, d).tobytes()
 
     def test_liquidation_rows_draw_22_words_and_map_11(self):
-        liq = UNREAD["liquidation"][0]
-        layout = liq.paths[0]
-        assert [part[:2] for part in layout] == [("gaussian", 2), ("gaussian", 20)]
-        assert keyed_draws(layout, (1, 2), np.zeros((3, 3), dtype=np.uint64)).shape == (3, 11)
-
-
-def _fresh_directions(T, m, shape, radius, seed, iteration):
-    """sphere_directions from one single-prefix keyed_draws call, as drawn without draw-ahead."""
-    g = keyed_draws([("gaussian", shape[0] * shape[1])], (seed, iteration), zeroth._slot_tails(range(T), m, 0))
-    return ((radius / np.sqrt((g**2).sum(axis=1)))[:, None] * g).reshape(T, m, *shape)
-
-
-def _fresh_paths(inst, m, seed, iteration):
-    return keyed_paths(inst, (seed, iteration), zeroth._slot_tails(range(inst.T), m, 1))
-
-
-def _assert_matches_fresh(inst, m, seed, it):
-    shape = (inst.k, inst.d)
-    np.testing.assert_array_equal(sphere_directions(inst.T, m, shape, 0.3, seed, it),
-                                  _fresh_directions(inst.T, m, shape, 0.3, seed, it))
-    for got, ref in zip(slot_paths(inst, m, seed, it), _fresh_paths(inst, m, seed, it)):
-        np.testing.assert_array_equal(got, ref)
-
-
-@pytest.fixture
-def fresh_blocks(monkeypatch):
-    """An empty set of drawn-ahead blocks for every thread, restored afterwards."""
-    monkeypatch.setattr(zeroth, "_blocks", zeroth._Blocks())
-
-
-class TestDrawAhead:
-    # in order, back into and out of a block, repeated, far ahead, wrapping at 2**64
-    ITERATIONS = [0, 1, 2, 3, 9, 4, 4, 300, 299, 2**64 - 1, 0, 5]
-
-    def test_call_sequences_match_fresh_draws(self, fresh_blocks):
-        # two path layouts of six words at T = 5, k = d = 1: Gaussian start and
-        # noise, and uniform start with Gaussian noise; blocks of 8 to 819 iterations
-        insts = [scalar_benchmark(), _instance_of_kinds("uniform", "gaussian", d=1, T=5)]
-        for seed in (3, -5):
-            for inst in insts:
-                for m in (1, 7, 50):
-                    for it in self.ITERATIONS:
-                        _assert_matches_fresh(inst, m, seed, it)
-        for it in self.ITERATIONS:  # every call switches the layout, the seed or m, one at a time
-            for m in (1, 50):
-                for seed in (3, -5):
-                    for inst in insts:
-                        _assert_matches_fresh(inst, m, seed, it)
-
-    def test_zo_liquidation_sphere_blocks_match_fresh_draws(self, fresh_blocks):
-        # T * m = 2000: sphere blocks of two iterations, path rows drawn one iteration at a time
-        liq = ac_to_lqr(stock_liquidation())
-        for seed in (3 << 20, -5):
-            for it in self.ITERATIONS:
-                _assert_matches_fresh(liq, 200, seed, it)
-
-    def test_instances_reading_other_columns_get_their_own_rows(self, fresh_blocks):
-        # one layout of kinds and widths, but the live columns differ, so the
-        # mapped words do too: each instance's rows must come from its own block
-        insts = [_two_factor_instance("gaussian", np.diag([1.0, 0.0]), "gaussian", np.diag([0.0, 1.0]), T=5),
-                 _two_factor_instance("gaussian", np.diag([0.0, 1.0]), "gaussian", np.diag([1.0, 0.0]), T=5)]
-        for it in self.ITERATIONS:
-            for inst in insts:
-                _assert_matches_fresh(inst, 7, 3, it)
-                x0, w = slot_paths(inst, 7, 3, it)
-                rng = make_rng([3, it, 4, 6, 1])  # the last row: slot 4, sample 6
-                assert x0[-1].tobytes() == inst.init.draw(rng).tobytes()
-                assert w[-1].tobytes() == inst.noise.draw(rng, 5, 2).tobytes()
-
-    def test_one_pass_per_block_and_nothing_kept_for_large_estimates(self, fresh_blocks, monkeypatch):
-        calls = []
-
-        def counted(layout, prefix, tails):
-            calls.append(len(prefix) if not np.isscalar(prefix[0]) else 1)
-            return keyed_draws(layout, prefix, tails)
-
-        monkeypatch.setattr(zeroth, "keyed_draws", counted)
-        inst, K = scalar_benchmark(), np.zeros((5, 1, 1))
-        for it in range(16):  # T * m = 250: sphere rows of one Philox block, path rows of two
-            estimate_gradient(inst, K, SmoothingConfig(0.1, 50), 4, iteration=it)
-        assert calls == [16, 8, 8]
-        calls.clear()
-        zeroth._blocks.held.clear()
-        liq = ac_to_lqr(stock_liquidation())
-        for it in range(2):  # T * m = 2000: sphere blocks of 2 iterations; path rows of 7 Philox blocks are not kept
-            estimate_gradient(liq, np.full((10, 1, 2), -0.2), SmoothingConfig(0.6, 200), 4, iteration=it)
-        assert calls == [2, 1, 1] and set(zeroth._blocks.held) == {0}
-
-    def test_threads_draw_their_own_keys(self, fresh_blocks):
-        # more threads than cores, switching often, each on its own seed
-        inst, seeds = scalar_benchmark(), [0, 1, 2**63 + 4, -5]
-        got = {}
-        barrier = threading.Barrier(len(seeds))
-
-        def run(seed):
-            barrier.wait()
-            got[seed] = [(sphere_directions(5, 50, (1, 1), 0.3, seed, it), *slot_paths(inst, 50, seed, it))
-                         for it in range(20)]
-
-        threads = [threading.Thread(target=run, args=(s,)) for s in seeds]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        for seed in seeds:
-            for it, (U, x0, w) in enumerate(got[seed]):
-                np.testing.assert_array_equal(U, _fresh_directions(5, 50, (1, 1), 0.3, seed, it))
-                for a, b in zip((x0, w), _fresh_paths(inst, 50, seed, it)):
-                    np.testing.assert_array_equal(a, b)
-
-    def test_early_stop_mid_block_matches_one_iteration_per_pass(self, fresh_blocks, monkeypatch):
-        # m = 3 draws 273 sphere and 136 path iterations per block; this run reaches its target after 124
-        inst, K0 = scalar_benchmark(), np.zeros((5, 1, 1))
-        cfg, sm = DescentConfig(eta=0.05, iters=300, target_error=0.2), SmoothingConfig(0.1, 3)
-        K, trace = run_modelfree_pg(inst, K0, cfg, sm, 3)
-        assert len(trace.rows) == 125
-        monkeypatch.setattr(zeroth, "_DRAW_AHEAD", 1)
-        K_ref, ref = run_modelfree_pg(inst, K0, cfg, sm, 3)
-        np.testing.assert_array_equal(K, K_ref)
-        np.testing.assert_array_equal(np.array(trace.rows), np.array(ref.rows))
+        plan = UNREAD["liquidation"][0].paths
+        assert [(kind, cols) for kind, _, cols in plan.parts] == [("gaussian", slice(0, 1)), ("gaussian", slice(1, 11))]
+        assert plan.parts[0][1].tolist() == [1] and plan.parts[1][1].tolist() == list(range(2, 22, 2))
 
 
 class TestEstimator:
@@ -373,21 +313,49 @@ class TestEstimator:
         assert not np.array_equal(g1.grads, g3.grads)
 
     def test_batch_matches_single_rollouts(self, rng):
-        # the vectorized batch path must replay the loop-of-rollouts streams
+        # the vectorized batch path must replay simulate_trajectory on the
+        # path stream advanced to each of the slot's rows
         inst = random_instance(rng, d=2, k=2, T=4)
         K = random_policy(rng, inst)
         sim = LqrSimulator(inst)
         U = sample_sphere_batch(8, (2, 2), 0.2, seed=1)
-        key = [7, 0, 2]
-        fast = sim.rollout_perturbed_batch(K, 2, U, key)
+        fast = sim.rollout_perturbed_batch(K, 2, U, [7, 0, 2])
         slow = np.empty(8)
         for i in range(8):
             pert = K.copy()
             pert[2] = pert[2] + U[i]
-            slow[i] = sim.rollout(pert, [*key, i, 1])
+            slow[i] = simulated_row(inst, pert, (7, 0, 0, 0, 1), i * inst.T + 2).realized_cost
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
+        for slot in (-1, 4):
+            with pytest.raises(ValueError, match="slot"):
+                sim.rollout_perturbed_batch(K, 2, U, [7, 0, slot])
+
+    @settings(deadline=None, max_examples=40)
+    @given(kinds=st.sampled_from(KIND_PAIRS), d=st.integers(1, 3), T=st.integers(1, 5), m=st.integers(1, 4),
+           seed=st.integers(-2**63, 2**64 - 1), iteration=st.integers(0, 2**64 - 1))
+    def test_rollout_only_adapter_rolls_each_rollout_on_its_own_key(self, kinds, d, T, m, seed, iteration):
+        # a handle with rollout() alone: entry (t, i) is simulate_trajectory on
+        # the key (seed, iteration, t, i, 1), not a row of LqrSimulator's paths
+        inst = _instance_of_kinds(*kinds, d=d, T=T)
+        sim = LqrSimulator(inst)
+
+        class Opaque:
+            T, k, d = sim.T, sim.k, sim.d
+            rollout = staticmethod(sim.rollout)
+
+        K = np.random.default_rng(d * T).normal(size=(T, 1, d)) * 0.2
+        U = sphere_directions(T, m, (1, d), 0.3, seed, iteration)
+        costs = _perturbed_costs(Opaque(), K, U, seed, iteration)
+        for t, i in np.ndindex(T, m):
+            pert = K.copy()
+            pert[t] = pert[t] + U[t, i]
+            assert costs[t, i] == simulate_trajectory(inst, pert, [seed, iteration, t, i, 1]).realized_cost
 
     def test_opaque_handle_only_needs_rollout(self, rng):
+        # a handle with rollout() alone drives the estimator: the estimate is
+        # (D / r^2) mean_i cost_i U_i over simulate_trajectory's costs on each
+        # rollout's own key (seed, iteration, t, i, 1), so it differs from
+        # LqrSimulator's, which reads path rows
         inst = random_instance(rng, d=2, k=1, T=3)
         K = random_policy(rng, inst)
         sim = LqrSimulator(inst)
@@ -397,9 +365,17 @@ class TestEstimator:
             rollout = staticmethod(sim.rollout)
 
         cfg = SmoothingConfig(radius=0.3, samples=20)
-        ref = estimate_gradient(sim, K, cfg, seed=3)
-        alt = estimate_gradient(Opaque(), K, cfg, seed=3)
-        np.testing.assert_allclose(alt.grads, ref.grads, rtol=1e-12)
+        est = estimate_gradient(Opaque(), K, cfg, seed=3, iteration=5)
+        U = sphere_directions(3, 20, (1, 2), 0.3, 3, 5)
+        costs = np.empty((3, 20))
+        for t, i in np.ndindex(3, 20):
+            pert = K.copy()
+            pert[t] = pert[t] + U[t, i]
+            costs[t, i] = simulate_trajectory(inst, pert, [3, 5, t, i, 1]).realized_cost
+        grads = (2 / 0.3**2) * np.einsum("ti,tikd->tkd", costs, U) / 20
+        np.testing.assert_allclose(est.mean_costs, costs.mean(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(est.grads, grads, rtol=1e-12, atol=1e-12 * np.abs(grads).max())
+        assert not np.array_equal(est.grads, estimate_gradient(sim, K, cfg, seed=3, iteration=5).grads)
 
     def test_handle_without_rollouts_is_rejected(self):
         class Bare:
@@ -464,7 +440,7 @@ class TestEstimator:
 class TestModelFreeLoops:
     def test_reduces_cost_on_scalar_benchmark(self):
         # a statement about the descent, not about one stream: the mean error
-        # ratio over 30 seeds (about 0.79; single seeds range 0.23-2.22)
+        # ratio over 30 seeds (about 0.76; single seeds range 0.38-1.84)
         inst = scalar_benchmark()
         K0 = np.zeros((5, 1, 1))
         cfg = DescentConfig(eta=0.2, iters=100)
@@ -502,6 +478,17 @@ class TestModelFreeLoops:
         for K, cost, gnorm in zip(seen, trace.column("cost"), trace.column("grad_fro_norm")):
             assert cost == exact_cost(inst, K)
             assert gnorm == float(np.sqrt((exact_gradient(inst, K) ** 2).sum()))
+
+    def test_early_stop_matches_a_run_of_that_many_iterations(self):
+        # every estimate is keyed by its iteration, so a run that reaches its
+        # target gives the iterates and rows of a run told to stop there
+        inst, K0, sm = scalar_benchmark(), np.zeros((5, 1, 1)), SmoothingConfig(0.1, 3)
+        K, trace = run_modelfree_pg(inst, K0, DescentConfig(eta=0.05, iters=300, target_error=0.16), sm, 3)
+        n = len(trace.rows) - 1
+        assert 1 < n < 300 and trace.column("normalized_error")[-1] <= 0.16
+        K_ref, ref = run_modelfree_pg(inst, K0, DescentConfig(eta=0.05, iters=n), sm, 3)
+        np.testing.assert_array_equal(K, K_ref)
+        np.testing.assert_array_equal(np.array(trace.rows), np.array(ref.rows))
 
     def test_nan_policy_diverges(self):
         K0 = np.full((5, 1, 1), np.nan)

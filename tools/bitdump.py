@@ -1,5 +1,5 @@
 """Bit-identity dump: one sha256 per named output of the exact layer and the
-exact descent, the keyed sampler, the rollout kernel, the sampled estimator,
+exact descent, the stream sampler, the rollout kernel, the sampled estimator,
 the zeroth-order loops (also through opaque simulator handles) and the CLI,
 to compare two versions of lqrlab.
 
@@ -13,8 +13,10 @@ or cli/<kind>), so a deliberate change of the sampled stream reads at a
 glance against exact outputs that must not move; it exits 1 if any differ.
 Each CSV the CLI writes gets two names: its bytes, and its cells parsed as
 float64 ("#values"), so a change in how numbers are written shows apart from
-a change in the numbers.  The dump uses only names that older checkouts also
-have, so it runs on them too.  It takes about 25 s on a 2-CPU VM.
+a change in the numbers.  The path-row dumps need core.stream_paths and are
+left out on checkouts without it; the rest uses only names that older
+checkouts also have, so it runs on them too.  It takes about 25 s on a 2-CPU
+VM.
 """
 
 from __future__ import annotations
@@ -243,30 +245,32 @@ def roll_outputs(out: dict) -> None:
                     out[f"{name}/batch"] = _sha(*(sim.rollout_perturbed_batch(K, t, U[t], (seed, it, t)) for t in range(T)))
 
 
-KEYED_KEYS = 51200  # keys per layout and prefix: slots t < 256 of 200 samples each
+STREAM_ROWS = 51200  # rows per stream: 256 estimates of 200 rollouts
+STREAM_PASS = 10240  # rows per stream_paths call, each continuing the stream
 
 
-def keyed_outputs(out: dict) -> None:
-    """core.keyed_draws on KEYED_KEYS slot keys (t, i, 1) per layout: the
-    zo-liquidation and c11 path layouts, the path layout of every kind pair
-    and of each zero-column instance, every word of it mapped, and sphere
-    rows of widths 1 and 2, in passes of 10240 keys."""
-    layouts = {
-        "zo-liquidation": core._path_layout(ac_to_lqr(stock_liquidation())),
-        "c11": core._path_layout(scalar_benchmark()),
-        "sphere-1": [("gaussian", 1)],
-        "sphere-2": [("gaussian", 2)],
-    }
+def stream_outputs(out: dict) -> None:
+    """STREAM_ROWS rows of a stream per key: sphere rows of widths 1 and 2
+    (sample_sphere_batch), then, where core.stream_paths exists, path rows of
+    the zo-liquidation instance (live columns), c11, every kind pair (point
+    start, zero noise, uniform kinds) and each zero-column instance, in
+    passes of STREAM_PASS rows from one generator."""
+    keys = ((3 << 20, 5, 0, 0, 1), (2**63 + 4, 11, 0, 0, 1))
+    for width in (1, 2):
+        for key in keys:
+            U = zeroth.sample_sphere_batch(STREAM_ROWS, (1, width), 0.6, key)
+            out[f"stream/sphere-{width}/key={key[0]},{key[1]}/n={STREAM_ROWS}"] = _sha(U)
+    if not hasattr(core, "stream_paths"):
+        return
+    instances = {"zo-liquidation": ac_to_lqr(stock_liquidation()), "c11": scalar_benchmark()}
     for init_kind, noise_kind in KIND_PAIRS:
-        layouts[f"{init_kind}-{noise_kind}"] = core._path_layout(_kinds_instance(init_kind, noise_kind))
-    for name, inst in _zero_column_instances().items():
-        layouts[name] = core._path_layout(inst)
-    j = np.arange(KEYED_KEYS)
-    tails = np.stack([j // 200, j % 200, np.ones_like(j)], axis=1).astype(np.uint64)
-    for name, layout in layouts.items():
-        for prefix in ((3 << 20, 5), (2**63 + 4, 11)):
-            draws = [core.keyed_draws(layout, prefix, tails[lo:lo + 10240]) for lo in range(0, KEYED_KEYS, 10240)]
-            out[f"keyed/{name}/prefix={prefix[0]},{prefix[1]}/n={KEYED_KEYS}"] = _sha(*draws)
+        instances[f"{init_kind}-{noise_kind}"] = _kinds_instance(init_kind, noise_kind)
+    instances.update(_zero_column_instances())
+    for name, inst in instances.items():
+        for key in keys:
+            rng = core.make_rng(key)
+            paths = [core.stream_paths(inst, rng, STREAM_PASS) for _ in range(STREAM_ROWS // STREAM_PASS)]
+            out[f"stream/{name}/key={key[0]},{key[1]}/n={STREAM_ROWS}"] = _sha(*(a for pair in paths for a in pair))
 
 
 def loop_outputs(out: dict) -> None:
@@ -417,7 +421,7 @@ def main(argv=None) -> int:
         ap.error("give an output file or --compare A B")
     out: dict = {}
     exact_outputs(out)
-    keyed_outputs(out)
+    stream_outputs(out)
     roll_outputs(out)
     estimator_outputs(out)
     loop_outputs(out)
