@@ -14,7 +14,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -25,7 +24,7 @@ from .errors import HorizonTooShort, NonPositiveDefinite
 _PD_RTOL = 1e-12
 
 _SQRT3 = np.sqrt(3.0)
-
+_SQRT_HALF = np.sqrt(0.5)
 
 _WORD = 0xFFFFFFFFFFFFFFFF
 
@@ -58,42 +57,32 @@ def standard_draw(kind: str, rng: np.random.Generator, size) -> np.ndarray:
     """Standardized draw (zero mean, unit variance per coordinate) of a noise
     or initial-state kind: "gaussian", "uniform" on [-sqrt(3), sqrt(3)], or
     zeros for the degenerate kinds "zero" and "point", which consume nothing
-    from the stream.  A Gaussian or uniform draw maps the next raw words of
-    rng's bit generator, one word per number (_standardize)."""
+    from the stream.  A Gaussian or uniform draw takes the next
+    rng.standard_normal numbers, one per coordinate (_standardize)."""
     if kind in ("zero", "point"):
         return np.zeros(size)
     if kind not in ("gaussian", "uniform"):
         raise ValueError(f"unknown kind {kind!r}")
-    return _standardize(kind, rng.bit_generator.random_raw(size))
+    return _standardize(kind, rng.standard_normal(size))
 
 
-# Every number takes one raw word w of a stream: a standard normal is
-# ndtri(((w >> 12) + 1/2) 2**-52), the inverse normal CDF of an odd multiple
-# of 2**-53 strictly inside (0, 1), so |x| lies in [2.8e-16, 8.21]; a uniform
-# is low + (high - low) (w >> 11) 2**-53, as Generator.uniform maps it.
-_U11, _U1 = np.uint64(11), np.uint64(1)
-_U_LOW = -_SQRT3
-_U_RANGE = _SQRT3 - _U_LOW
 _STREAM_CHUNK = 4096  # path rows per pass of stream_paths, which bounds the working memory
 
 
-def _standardize(kind: str, words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The standardized draws of raw words of one kind, one word per number,
-    into out if given.  Shifts the words in place, so no third word-sized
-    array is alive."""
-    words >>= _U11
-    if kind == "gaussian":
-        # imported at the first draw, not with lqrlab: on a 2-CPU x86-64 box,
-        # importing scipy.special adds 50-90 ms and about 2.6 MB of RSS
-        from scipy.special import ndtri
+def _standardize(kind: str, z: np.ndarray) -> np.ndarray:
+    """Standard normals z as standardized draws of a kind, in place: a
+    Gaussian keeps them, a uniform is sqrt(3) erf(z sqrt(1/2)), which is
+    sqrt(3) (2 Phi(z) - 1) for the normal CDF Phi, uniform on
+    [-sqrt(3), sqrt(3)] as Phi(z) is on [0, 1]."""
+    if kind == "uniform":
+        # imported at the first uniform draw, not with lqrlab: on a 2-CPU
+        # x86-64 box, importing scipy.special adds 50-90 ms and about 2.6 MB of RSS
+        from scipy.special import erf
 
-        words |= _U1  # (w >> 11) | 1 = 2 (w >> 12) + 1: u = ((w >> 12) + 1/2) 2**-52
-        out = np.multiply(words, 2.0**-53, out=out)
-        return ndtri(out, out=out)
-    out = np.multiply(words, 2.0**-53, out=out)
-    out *= _U_RANGE
-    out += _U_LOW
-    return out
+        z *= _SQRT_HALF
+        erf(z, out=z)
+        z *= _SQRT3
+    return z
 
 
 def _sym(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -167,10 +156,27 @@ class _Factored:
         return np.eye(d) if self.factor is None else np.asarray(self.factor, dtype=float)
 
     @cached_property
-    def _pick(self) -> tuple | None:
-        """(src, coef) of the factor when its rows each read one column
-        (_rows_of_one; the identity when factor is None), else None."""
-        return (slice(None), 1.0) if self.factor is None else _rows_of_one(np.asarray(self.factor, dtype=float))
+    def _reads(self) -> tuple:
+        """(c, product): a draw takes c numbers a vector, one per live
+        (nonzero) column of the factor F, c = None for all d of the identity,
+        and F @ v reads them as product: (src, coef) over the c numbers when
+        each row of F reads one column (_rows_of_one, _picked), else F's c
+        live columns, a (d, c) matrix (F itself when every column is live,
+        so its products keep their bits).  A factor without a live column
+        reads one number a vector, times zeros."""
+        if self.factor is None:
+            return None, (slice(None), 1.0)
+        F = np.asarray(self.factor, dtype=float)
+        pick = _rows_of_one(F)
+        if pick is None:
+            live = (F != 0).any(axis=0)
+            return int(live.sum()), F if live.all() else F[:, live]
+        cols, src = np.unique(pick[0], return_inverse=True)
+        return len(cols), (src, pick[1])
+
+    def _width(self, d: int) -> int:
+        """The numbers a draw takes per vector of d states."""
+        return self._reads[0] or d
 
 
 @dataclass(frozen=True)
@@ -196,21 +202,22 @@ class NoiseModel(_Factored):
         if self.kind not in ("gaussian", "uniform", "zero"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
-    def scale(self, v: np.ndarray, pick: tuple | None = None) -> np.ndarray:
+    def scale(self, v: np.ndarray) -> np.ndarray:
         """Noise vectors sigma * factor @ v_t from standardized draws v of shape
-        (..., T, c): an elementwise product when the factor's rows each read
-        one column (_picked), with pick = (src, coef) indexing v's c columns
-        if given, else the model's own; a matrix product otherwise."""
-        pick = self._pick if pick is None else pick
-        if pick is None:
-            return self.sigma * (v @ self._factor(v.shape[-1]).T)
-        return _picked(v, pick, self.sigma)
+        (..., T, c), one per live column of the factor (_Factored._reads): an
+        elementwise product when the factor's rows each read one column
+        (_picked), a matrix product otherwise."""
+        product = self._reads[1]
+        if isinstance(product, tuple):
+            return _picked(v, product, self.sigma)
+        return self.sigma * (v @ product.T)
 
     def draw(self, rng: np.random.Generator, T: int, d: int) -> np.ndarray:
-        """(T, d) array of noise vectors, consuming a deterministic number of draws."""
+        """(T, d) array of noise vectors from the next T * c standard normals
+        of rng, c per vector (_Factored._width); none for the zero kind."""
         if self.kind == "zero":
             return np.zeros((T, d))
-        return self.scale(standard_draw(self.kind, rng, (T, d)))
+        return self.scale(standard_draw(self.kind, rng, (T, self._width(d))))
 
 
 @dataclass(frozen=True)
@@ -239,44 +246,23 @@ class InitialStateModel(_Factored):
             S0 = S0 + self.sigma**2 * (F @ F.T)
         return S0
 
-    def place(self, z: np.ndarray, pick: tuple | None = None) -> np.ndarray:
+    def place(self, z: np.ndarray) -> np.ndarray:
         """Initial states mean + sigma * factor @ z from standardized draws z of
         shape (..., c), elementwise or by a matrix product as NoiseModel.scale."""
         mu = np.asarray(self.mean, dtype=float)
-        pick = self._pick if pick is None else pick
-        if pick is None:
-            return mu + self.sigma * (self._factor(mu.shape[0]) @ z[..., None])[..., 0]
-        out = _picked(z, pick, self.sigma)
+        product = self._reads[1]
+        if not isinstance(product, tuple):
+            return mu + self.sigma * (product @ z[..., None])[..., 0]
+        out = _picked(z, product, self.sigma)
         out += mu
         return out
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """The start state from the next c standard normals of rng
+        (_Factored._width); none for the point kind."""
         if self.kind == "point":
             return np.array(self.mean, dtype=float)
-        return self.place(standard_draw(self.kind, rng, len(self.mean)))
-
-
-class _Reads(NamedTuple):
-    """How stream paths read a start or noise model of d states.  cols: the
-    columns of its factor F whose numbers are mapped.  pick: (src, coef)
-    over those numbers for the model's place or scale, or None for the
-    model's own.  Only the live columns are mapped when each row of F has at
-    most one nonzero entry: each coordinate is then one exactly rounded
-    product, whereas dropping terms from a longer sum could regroup it and
-    change its bits."""
-
-    cols: np.ndarray
-    pick: tuple | None
-
-    @classmethod
-    def of(cls, model, d: int) -> _Reads:
-        if model._pick is not None and model.factor is not None:
-            src, coef = model._pick
-            live = np.zeros(d, dtype=bool)
-            live[src] = True
-            if not live.all():
-                return cls(np.flatnonzero(live), ((np.cumsum(live) - 1)[src], coef))
-        return cls(np.arange(d), None)
+        return self.place(standard_draw(self.kind, rng, self._width(len(self.mean))))
 
 
 def _check_model(model, name: str, d: int) -> None:
@@ -306,10 +292,9 @@ class LqrInstance:
     pass per stack, and that the start and noise models fit d states
     (ValueError naming the field otherwise), symmetrises Q and R, and
     computes the noise covariance W and the start second moment S0 as
-    read-only arrays; the plan of stream paths (paths) is built at the first
-    path draw.  Derive a changed instance with dataclasses.replace, which
-    does all of that again; a field assigned afterwards is neither checked
-    nor seen by W, S0 and a plan already built.
+    read-only arrays.  Derive a changed instance with dataclasses.replace,
+    which does all of that again; a field assigned afterwards is neither
+    checked nor seen by W and S0.
     """
 
     A: np.ndarray  # (d, d)
@@ -344,11 +329,6 @@ class LqrInstance:
         self.S0 = self.init.second_moment()
         for moment in (self.W, self.S0):
             moment.setflags(write=False)
-
-    @cached_property
-    def paths(self) -> _PathPlan:
-        """How stream_paths reads this instance's path rows (_path_plan)."""
-        return _path_plan(self)
 
     @property
     def d(self) -> int:
@@ -585,51 +565,14 @@ def simulate_trajectory(instance: LqrInstance, policy, seed) -> Trajectory:
     return Trajectory(states=states, controls=controls, noises=w, realized_cost=cost)
 
 
-class _PathPlan(NamedTuple):
-    """How stream_paths reads an instance's path rows.  parts: (kind, the
-    row's words the part maps, a slice or an offset array, and the columns
-    of the mapped numbers they fill), one per draw call simulate_trajectory
-    makes on a stream, start state first, the degenerate kinds left out.
-    words: W, the words a row takes; numbers: how many of them are mapped.
-    start, noise: the _Reads of each model, None for a kind that draws
-    nothing."""
-
-    parts: list
-    words: int
-    numbers: int
-    start: _Reads | None
-    noise: _Reads | None
-
-
-def _path_plan(instance: LqrInstance) -> _PathPlan:
-    """The _PathPlan of an instance.  A part whose factor leaves columns
-    unread (_Reads.cols) maps only the words of the live columns."""
-    T, d = instance.T, instance.d
-    parts, reads, at, mapped = [], [], 0, 0
-    for model, steps in ((instance.init, 1), (instance.noise, T)):
-        r = None
-        if model.kind not in ("point", "zero"):
-            r = _Reads.of(model, d)
-            count = steps * len(r.cols)
-            if r.pick is None:
-                words = slice(at, at + steps * d)
-            else:  # the live columns' offsets in each of the steps vectors of d words
-                words = at + (np.arange(steps)[:, None] * d + r.cols).ravel()
-            parts.append((model.kind, words, slice(mapped, mapped + count)))
-            at, mapped = at + steps * d, mapped + count
-        reads.append(r)
-    return _PathPlan(parts, at, mapped, *reads)
-
-
 def stream_paths(instance: LqrInstance, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Start states (n, d) and noise (n, T, d) of the next n path rows of
-    rng's stream.  A row takes the W words simulate_trajectory reads, start
-    state first, then noise (none for a point start or zero noise), so row j
-    is what simulate_trajectory draws from the stream advanced by j * W
-    words, bit for bit, and the stream ends n * W words on.  Words that a
-    factor never reads (those of its zero columns) are drawn but not mapped:
-    a zo-liquidation row takes 22 words and maps 11 (_path_plan).  Rows are
-    drawn and mapped in passes of _STREAM_CHUNK, which bounds the working
+    rng's stream.  A row takes the N standard normals simulate_trajectory
+    draws, start state first, then noise, one per live factor column of a
+    vector (_Factored._width; none for a point start or zero noise, 11 on
+    zo-liquidation), so row j is the (j + 1)-th pair of init.draw and
+    noise.draw on the stream, bit for bit, and the stream ends n * N numbers
+    on.  Rows are drawn in passes of _STREAM_CHUNK, which bounds the working
     memory beyond the result."""
     T, d = instance.T, instance.d
     if n > _STREAM_CHUNK:
@@ -637,21 +580,14 @@ def stream_paths(instance: LqrInstance, rng: np.random.Generator, n: int) -> tup
         for lo in range(0, n, _STREAM_CHUNK):
             x0[lo:lo + _STREAM_CHUNK], w[lo:lo + _STREAM_CHUNK] = stream_paths(instance, rng, min(_STREAM_CHUNK, n - lo))
         return x0, w
-    plan = instance.paths
-    z = np.empty((n, plan.numbers))
-    if plan.words:
-        words = rng.bit_generator.random_raw(n * plan.words).reshape(n, plan.words)
-        for kind, picked, cols in plan.parts:  # a view of the words, or a gathered copy of the live ones
-            _standardize(kind, words[:, picked], z[:, cols])
-    at = 0
-    if plan.start is None:
-        x0 = np.tile(np.asarray(instance.init.mean, dtype=float), (n, 1))
-    else:
-        at = len(plan.start.cols)
-        x0 = instance.init.place(z[:, :at], plan.start.pick)
-    if plan.noise is None:
+    init, noise = instance.init, instance.noise
+    a = 0 if init.kind == "point" else init._width(d)
+    c = 0 if noise.kind == "zero" else noise._width(d)
+    z = rng.standard_normal((n, a + T * c))
+    x0 = init.place(_standardize(init.kind, z[:, :a])) if a else np.tile(np.asarray(init.mean, dtype=float), (n, 1))
+    if not c:
         return x0, np.zeros((n, T, d))
-    return x0, instance.noise.scale(z[:, at:].reshape(n, T, len(plan.noise.cols)), plan.noise.pick)
+    return x0, noise.scale(_standardize(noise.kind, z[:, a:]).reshape(n, T, c))
 
 
 def pathwise_cost_terms(instance: LqrInstance, policy, traj: Trajectory, backup: ValueBackup | None = None):

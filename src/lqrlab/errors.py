@@ -47,3 +47,7 @@ class DegenerateDesign(LqrlabError):
 
 class ZeroOptimalCost(LqrlabError):
     """Optimal cost is ~ 0, normalized error undefined."""
+
+
+class ZeroDirection(LqrlabError):
+    """A sphere direction's normals are all zero, so it has no direction."""

@@ -8,6 +8,10 @@ backward in t so the freshest next-layer values are used:
 
 with x' = A x + B u + w snapped to the nearest grid point (clamped at the
 boundary, occurrences counted).  The terminal layer is fixed at x^2 Q_T.
+A sweep draws one standard normal of its stream per cell and layer, and
+greedy_policy_cost one per rollout for the start state and each step, none
+for a point start or zero noise (core.standard_draw; a uniform kind maps
+each normal).
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ def _scalars(instance: LqrInstance):
 
 
 def _noise(instance: LqrInstance, rng, shape) -> np.ndarray:
-    """Scalar noise draws of the given shape, mapped through the noise model."""
+    """Scalar noise of the given shape from the next standard normals of
+    rng, one per entry, mapped through the noise model."""
     return instance.noise.scale(standard_draw(instance.noise.kind, rng, (*shape, 1)))[..., 0]
 
 

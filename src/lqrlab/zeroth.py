@@ -7,11 +7,12 @@ perturbed by m draws U_i from the Frobenius sphere of radius r, and
 
     ghat_t = (D / r^2) * mean_i  cost_i * U_i,        D = k * d.
 
-Iteration n of seed s reads two streams, rollout (t, i) from row
-j = i * T + t of each (i-major, so its numbers do not depend on m): the
-directions are the rows of sample_sphere_batch(T * m, (k, d), r,
-(s, n, 0, 0, 0)), and LqrSimulator rolls rollout (t, i) on path row j of
-make_rng((s, n, 0, 0, 1)) (core.stream_paths).  A handle with only
+Iteration n of seed s reads two streams of standard normals, rollout
+(t, i) from row j = i * T + t of each (i-major, so its numbers do not
+depend on m): the directions are the rows of sample_sphere_batch(T * m,
+(k, d), r, (s, n, 0, 0, 0)), the j-th run of k * d normals normalised, and
+LqrSimulator rolls rollout (t, i) on path row j of make_rng((s, n, 0, 0, 1)),
+its j-th run of N normals (core.stream_paths).  A handle with only
 rollout(policy, seed) -> cost gets one rollout at a time, rollout (t, i) on
 its own stream (s, n, t, i, 1), so its costs differ from LqrSimulator's.
 Every stream is keyed by counters, so runs are reproducible and independent
@@ -31,9 +32,9 @@ from .core import (
     exact_cost,
     make_rng,
     simulate_trajectory,
-    standard_draw,
     stream_paths,
 )
+from .errors import ZeroDirection
 from .optimize import DescentConfig, ProjectionSet, _descent
 
 # perturbed policies per batched exact_cost call of smoothed_gradient_reference;
@@ -62,21 +63,29 @@ class GradientEstimate:
 
 
 def sample_sphere(shape: tuple[int, int], radius: float, seed) -> np.ndarray:
-    """Uniform draw from the Frobenius sphere of the given radius."""
-    g = standard_draw("gaussian", make_rng(seed), shape)
-    return (radius / float(np.sqrt((g**2).sum()))) * g
+    """Uniform draw from the Frobenius sphere of the given radius: the one
+    row of sample_sphere_batch(1, shape, radius, seed)."""
+    return sample_sphere_batch(1, shape, radius, seed)[0]
 
 
 def sample_sphere_batch(n: int, shape: tuple[int, int], radius: float, seed) -> np.ndarray:
-    """(n, *shape) independent sphere draws from a single stream."""
-    g = standard_draw("gaussian", make_rng(seed), (n, *shape))
-    return radius * g / np.sqrt((g**2).sum(axis=(1, 2), keepdims=True))
+    """(n, *shape) independent sphere draws from a single stream: row j is
+    the j-th run of k * d standard normals of make_rng(seed), scaled to the
+    radius.  A normal is +-0 with chance about 2**-52, so a row of k * d = 1
+    can have norm 0: ZeroDirection names the first such row instead of
+    returning its 0 / 0 = nan."""
+    g = make_rng(seed).standard_normal((n, *shape))
+    norms = np.sqrt((g**2).sum(axis=(1, 2), keepdims=True))
+    zero = np.flatnonzero(norms == 0)
+    if zero.size:
+        raise ZeroDirection(f"sphere row {zero[0]} of stream {seed!r} has norm 0")
+    return radius * g / norms
 
 
 def sphere_directions(T: int, m: int, shape: tuple[int, int], radius: float, seed, iteration: int) -> np.ndarray:
     """(T, m, *shape) perturbations of one estimate: entry (t, i) is row
     i * T + t of sample_sphere_batch(T * m, shape, radius, (seed, iteration,
-    0, 0, 0)).  No draw is 0 (|x| >= 2.8e-16), so every norm is positive."""
+    0, 0, 0))."""
     U = sample_sphere_batch(T * m, shape, radius, (seed, iteration, 0, 0, 0))
     return np.ascontiguousarray(U.reshape(m, T, *shape).swapaxes(0, 1))
 
@@ -84,8 +93,8 @@ def sphere_directions(T: int, m: int, shape: tuple[int, int], radius: float, see
 def slot_paths(instance: LqrInstance, m: int, seed, iteration: int) -> tuple[np.ndarray, np.ndarray]:
     """Start states (T * m, d) and noise (T * m, T, d) of one estimate's
     rollouts, row i * T + t that of rollout (t, i): the first T * m path
-    rows of the stream make_rng((seed, iteration, 0, 0, 1)), each what
-    simulate_trajectory draws from that stream advanced to the row
+    rows of the stream make_rng((seed, iteration, 0, 0, 1)): row j is the
+    (j + 1)-th start state and noise simulate_trajectory would draw on it
     (core.stream_paths)."""
     return stream_paths(instance, make_rng((seed, iteration, 0, 0, 1)), instance.T * m)
 
@@ -111,8 +120,8 @@ class LqrSimulator:
     Optimization loops use only T, k, d and the rollout methods, never the
     instance matrices.  rollout_perturbed_slots vectorizes the dynamics over
     all T * m rollouts of an estimate, rollout (t, i) on row i * T + t of
-    slot_paths: the words simulate_trajectory would read from the paths
-    stream advanced to that row, mapped to the same numbers.
+    slot_paths: the numbers simulate_trajectory would draw from the paths
+    stream advanced to that row.
     rollout_perturbed_batch rolls the rows of one slot alone and gives that
     slot's costs bit for bit; no estimator calls it.
     """

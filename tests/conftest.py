@@ -25,21 +25,31 @@ def random_policy(rng, instance, scale=0.2):
     return rng.normal(size=(instance.T, instance.k, instance.d)) * scale
 
 
-def stream_at(key, words: int):
-    """make_rng(key) advanced by the given number of raw words: whole Philox
-    blocks of four words by advance, the rest drawn and dropped."""
-    rng = make_rng(key)
-    rng.bit_generator.advance(words // 4)
-    rng.bit_generator.random_raw(words % 4)
-    return rng
+def path_width(inst) -> int:
+    """N, the standard normals one path row (one simulate_trajectory) takes:
+    one per live (nonzero) factor column of the start state and of each of
+    the T noise vectors, all d for the identity, at least one, and none for
+    a point start or zero noise."""
+    def live(model):
+        if model.factor is None:
+            return inst.d
+        return max(1, int((np.asarray(model.factor) != 0).any(axis=0).sum()))
+
+    return live(inst.init) * (inst.init.kind != "point") + inst.T * live(inst.noise) * (inst.noise.kind != "zero")
 
 
-def simulated_row(inst, K, key, j: int):
-    """simulate_trajectory(inst, K, key) on the stream make_rng(key) advanced
-    to path row j, that is by j * W words."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(core, "make_rng", lambda _: stream_at(key, j * inst.paths.words))
-        return simulate_trajectory(inst, K, key)
+def simulated_rows(inst, key, policies: dict) -> dict:
+    """{j: simulate_trajectory(inst, K, key) on the stream make_rng(key)
+    advanced to path row j} for policies {j: K}: one stream, which skips
+    the N standard normals (path_width) of every row before j."""
+    rng, at, out = make_rng(key), 0, {}
+    for j in sorted(policies):
+        rng.standard_normal((j - at) * path_width(inst))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "make_rng", lambda _: rng)
+            out[j] = simulate_trajectory(inst, policies[j], key)
+        at = j + 1
+    return out
 
 
 @pytest.fixture

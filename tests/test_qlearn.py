@@ -1,3 +1,5 @@
+import statistics
+
 import numpy as np
 import pytest
 
@@ -101,12 +103,14 @@ class TestLearning:
 
     def test_greedy_cost_draws_the_instance_noise_kind(self):
         # x0 = 0 and the untrained table plays u = 0, so the cost is w^2 with
-        # w drawn from the instance's uniform noise, never above (sqrt(3) * 0.5)^2
+        # w drawn from the instance's uniform noise, sqrt(3) (2 Phi(z) - 1)
+        # of the stream's first normal z, never above (sqrt(3) * 0.5)^2
         inst = constant_instance(
             np.eye(1), np.eye(1), np.eye(1), np.eye(1), np.eye(1), 1,
             NoiseModel("uniform", 0.5), InitialStateModel("point", np.zeros(1)),
         )
         got = greedy_policy_cost(make_qtable(inst, 11, 11), inst, n_rollouts=1, seed=7)
-        expected = (0.5 * make_rng(7).uniform(-np.sqrt(3.0), np.sqrt(3.0), 1)[0]) ** 2
+        u = np.sqrt(3.0) * (2 * statistics.NormalDist().cdf(make_rng(7).standard_normal()) - 1)
+        expected = (0.5 * u) ** 2
         assert got == pytest.approx(expected, rel=1e-12)
         assert got <= (np.sqrt(3.0) * 0.5) ** 2

@@ -24,12 +24,14 @@ from lqrlab import (
     simulate_trajectory,
     smoothed_gradient_reference,
 )
+from lqrlab import zeroth
 from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
-from lqrlab.errors import Diverged, NotInSet, ZeroOptimalCost
+from lqrlab.core import make_rng
+from lqrlab.errors import Diverged, NotInSet, ZeroDirection, ZeroOptimalCost
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
 from lqrlab.zeroth import _perturbed_costs, _row_forms, slot_paths, sphere_directions
 
-from conftest import random_instance, random_policy, simulated_row, stream_at
+from conftest import path_width, random_instance, random_policy, simulated_rows
 
 
 class TestSphere:
@@ -56,6 +58,31 @@ class TestSphere:
         b = sample_sphere((1, 2), 0.1, [3, 0, 1, 8, 0])
         assert not np.array_equal(a, b)
 
+    def test_rows_are_runs_of_the_streams_normals(self):
+        z = make_rng([3, 1]).standard_normal((6, 2, 3))
+        ref = 0.4 * z / np.sqrt((z**2).sum(axis=(1, 2), keepdims=True))
+        assert sample_sphere_batch(6, (2, 3), 0.4, [3, 1]).tobytes() == ref.tobytes()
+        assert sample_sphere((2, 3), 0.4, [3, 1]).tobytes() == ref[0].tobytes()
+
+    def test_a_row_of_zeros_is_a_typed_error(self, monkeypatch):
+        # a normal is +-0 with chance about 2**-52, so a row of k * d = 1 can
+        # be 0: the first such row is named instead of a 0 / 0 = nan direction
+        class Stub:
+            def __init__(self, zero_rows):
+                self.zero_rows = zero_rows
+
+            def standard_normal(self, size):
+                g = np.ones(size)
+                g[self.zero_rows] = -0.0
+                return g
+
+        monkeypatch.setattr(zeroth, "make_rng", lambda seed: Stub([2, 4]))
+        with pytest.raises(ZeroDirection, match="row 2 "):
+            sample_sphere_batch(5, (1, 1), 0.1, 7)
+        monkeypatch.setattr(zeroth, "make_rng", lambda seed: Stub(slice(None)))
+        with pytest.raises(ZeroDirection, match="row 0 "):
+            sample_sphere((1, 1), 0.1, 7)
+
 
 def _instance_of_kinds(init_kind, noise_kind, d=2, k=1, T=3):
     rng = np.random.default_rng(31)
@@ -80,11 +107,11 @@ class TestEstimatorDraws:
         U = sphere_directions(T, m, (k, d), r, seed, it)
         rows = sample_sphere_batch(T * m, (k, d), r, [seed, it, 0, 0, 0])
         x0, w = slot_paths(inst, m, seed, it)
-        for t in range(T):
-            for i in range(m):
+        rng = make_rng([seed, it, 0, 0, 1])
+        for i in range(m):
+            for t in range(T):
                 j = i * T + t
                 assert U[t, i].tobytes() == rows[j].tobytes()
-                rng = stream_at([seed, it, 0, 0, 1], j * inst.paths.words)
                 assert x0[j].tobytes() == inst.init.draw(rng).tobytes()
                 assert w[j].tobytes() == inst.noise.draw(rng, T, d).tobytes()
 
@@ -146,11 +173,13 @@ class TestEstimatorDraws:
         K = np.random.default_rng(5).normal(size=(4, 2, 2)) * 0.2
         U = sphere_directions(inst.T, 3, (2, 2), 0.2, -5, 9)
         costs = LqrSimulator(inst).rollout_perturbed_slots(K, U, -5, 9)
+        perts = {}
         for t, i in np.ndindex(inst.T, 3):
-            pert = K.copy()
-            pert[t] = pert[t] + U[t, i]
-            ref = simulated_row(inst, pert, (-5, 9, 0, 0, 1), i * inst.T + t).realized_cost
-            assert costs[t, i] == pytest.approx(ref, rel=1e-12)
+            perts[i * inst.T + t] = K.copy()
+            perts[i * inst.T + t][t] += U[t, i]
+        refs = simulated_rows(inst, (-5, 9, 0, 0, 1), perts)
+        for t, i in np.ndindex(inst.T, 3):
+            assert costs[t, i] == pytest.approx(refs[i * inst.T + t].realized_cost, rel=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 9])
     @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS)
@@ -262,43 +291,39 @@ def _two_factor_instance(init_kind, init_factor, noise_kind, noise_factor, T=4):
     return constant_instance(np.eye(d) * 0.9, np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise, init)
 
 
-# instance -> (numbers mapped, words drawn) per path row.  A factor whose
-# rows each have at most one nonzero entry leaves the words of its zero
-# columns unmapped; one whose rows mix columns maps every word, as the
-# models' own product does
+# instance -> N, the standard normals a path row draws: one per live
+# (nonzero) column of each start and noise vector's factor, whether the
+# factor's rows each read one column or mix columns
 UNREAD = {
-    "liquidation": (ac_to_lqr(stock_liquidation()), 11, 22),
+    "liquidation": (ac_to_lqr(stock_liquidation()), 11),
     "non-diagonal, rows mixing columns": (_two_factor_instance(
         "gaussian", [[0.0, 0.3, -1.1], [0.0, 0.8, 0.4], [0.0, -0.5, 0.9]],
-        "gaussian", [[1.2, 0.0, 0.3], [-0.7, 0.0, 0.5], [0.2, 0.0, -0.4]]), 15, 15),
+        "gaussian", [[1.2, 0.0, 0.3], [-0.7, 0.0, 0.5], [0.2, 0.0, -0.4]]), 10),
     "non-diagonal, one entry a row": (_two_factor_instance(
         "gaussian", [[0.0, 0.0, 2.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]],
-        "gaussian", [[0.0, 0.7, 0.0], [0.0, 0.0, 0.0], [0.0, -1.2, 0.0]]), 6, 15),
-    # no live column: one word a step is still mapped, times a zero
-    "all-zero gaussian noise": (_two_factor_instance("gaussian", np.eye(2), "gaussian", np.zeros((2, 2))), 6, 10),
+        "gaussian", [[0.0, 0.7, 0.0], [0.0, 0.0, 0.0], [0.0, -1.2, 0.0]]), 6),
+    # no live column: one number a vector is still drawn, times a zero
+    "all-zero gaussian noise": (_two_factor_instance("gaussian", np.eye(2), "gaussian", np.zeros((2, 2))), 6),
     "uniform kinds": (_two_factor_instance(  # a start factor column of -0.0 is a zero column too
         "uniform", [[-0.0, 0.6, 0.0], [-0.0, -0.3, 0.0], [-0.0, 0.0, 1.1]],
-        "uniform", [[0.5, 0.0, 1.0], [0.0, 0.0, -2.0], [0.3, 0.0, 0.0]]), 14, 15),
+        "uniform", [[0.5, 0.0, 1.0], [0.0, 0.0, -2.0], [0.3, 0.0, 0.0]]), 10),
 }
 
 
 class TestUnreadCoordinates:
     @pytest.mark.parametrize("name", list(UNREAD))
     def test_paths_equal_model_draws_byte_for_byte(self, name):
-        # tobytes, so the sign of every zero counts
-        inst, mapped, drawn = UNREAD[name]
+        # tobytes, so the sign of every zero counts; T * m rows leave the
+        # stream T * m * N normals on
+        inst, N = UNREAD[name]
         T, d, m, seed, it = inst.T, inst.d, 3, -5, 2**63 + 4
-        assert (inst.paths.numbers, inst.paths.words) == (mapped, drawn)
+        assert path_width(inst) == N
         x0, w = slot_paths(inst, m, seed, it)
+        rng = make_rng([seed, it, 0, 0, 1])
         for j in range(T * m):
-            rng = stream_at([seed, it, 0, 0, 1], j * drawn)
             assert x0[j].tobytes() == inst.init.draw(rng).tobytes()
             assert w[j].tobytes() == inst.noise.draw(rng, T, d).tobytes()
-
-    def test_liquidation_rows_draw_22_words_and_map_11(self):
-        plan = UNREAD["liquidation"][0].paths
-        assert [(kind, cols) for kind, _, cols in plan.parts] == [("gaussian", slice(0, 1)), ("gaussian", slice(1, 11))]
-        assert plan.parts[0][1].tolist() == [1] and plan.parts[1][1].tolist() == list(range(2, 22, 2))
+        assert rng.standard_normal() == make_rng([seed, it, 0, 0, 1]).standard_normal(T * m * N + 1)[-1]
 
 
 class TestEstimator:
@@ -320,11 +345,10 @@ class TestEstimator:
         sim = LqrSimulator(inst)
         U = sample_sphere_batch(8, (2, 2), 0.2, seed=1)
         fast = sim.rollout_perturbed_batch(K, 2, U, [7, 0, 2])
-        slow = np.empty(8)
+        perts = {i * inst.T + 2: K.copy() for i in range(8)}
         for i in range(8):
-            pert = K.copy()
-            pert[2] = pert[2] + U[i]
-            slow[i] = simulated_row(inst, pert, (7, 0, 0, 0, 1), i * inst.T + 2).realized_cost
+            perts[i * inst.T + 2][2] += U[i]
+        slow = [traj.realized_cost for traj in simulated_rows(inst, (7, 0, 0, 0, 1), perts).values()]
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
         for slot in (-1, 4):
             with pytest.raises(ValueError, match="slot"):

@@ -15,7 +15,9 @@ Each CSV the CLI writes gets two names: its bytes, and its cells parsed as
 float64 ("#values"), so a change in how numbers are written shows apart from
 a change in the numbers.  The path-row dumps need core.stream_paths and are
 left out on checkouts without it; the rest uses only names that older
-checkouts also have, so it runs on them too.  It takes about 25 s on a 2-CPU
+checkouts also have, so it runs on them too.  Path row j is the (j + 1)-th
+pair of init.draw and noise.draw on its stream, so the "stream" group dumps
+both: the rows stream_paths draws, and those the models draw one at a time.  It takes about 25 s on a 2-CPU
 VM.
 """
 
@@ -83,11 +85,11 @@ def _kinds_instance(init_kind: str, noise_kind: str, d: int = 2, k: int = 1, T: 
 
 
 def _zero_column_instances() -> dict:
-    """name -> instance whose start or noise factor has a zero column, so
-    its paths draw words that no factor reads: a uniform start whose rows
-    each read one column, a non-diagonal noise factor whose rows each read
-    one column, one whose rows mix the live columns, and an all-zero
-    Gaussian noise factor."""
+    """name -> instance whose start or noise factor has a zero column, for
+    which its paths draw no number: a uniform start whose rows each read one
+    column, a non-diagonal noise factor whose rows each read one column, one
+    whose rows mix the live columns, and an all-zero Gaussian noise factor
+    (one number a vector, times zeros)."""
     rng = np.random.default_rng(37)
     d, k, T = 3, 1, 4
     A, B, mean = rng.normal(size=(d, d)) * 0.5, rng.normal(size=(d, k)), rng.normal(size=d)
@@ -247,25 +249,33 @@ def roll_outputs(out: dict) -> None:
 
 STREAM_ROWS = 51200  # rows per stream: 256 estimates of 200 rollouts
 STREAM_PASS = 10240  # rows per stream_paths call, each continuing the stream
+MODEL_ROWS = 256  # rows per stream drawn by the models one at a time
 
 
 def stream_outputs(out: dict) -> None:
     """STREAM_ROWS rows of a stream per key: sphere rows of widths 1 and 2
-    (sample_sphere_batch), then, where core.stream_paths exists, path rows of
-    the zo-liquidation instance (live columns), c11, every kind pair (point
-    start, zero noise, uniform kinds) and each zero-column instance, in
-    passes of STREAM_PASS rows from one generator."""
+    (sample_sphere_batch), then, on the zo-liquidation instance (live
+    columns), c11, every kind pair (point start, zero noise, uniform kinds)
+    and each zero-column instance: the first MODEL_ROWS rows as consecutive
+    init.draw and noise.draw calls on one generator, and, where
+    core.stream_paths exists, path rows in passes of STREAM_PASS rows from
+    one generator."""
     keys = ((3 << 20, 5, 0, 0, 1), (2**63 + 4, 11, 0, 0, 1))
     for width in (1, 2):
         for key in keys:
             U = zeroth.sample_sphere_batch(STREAM_ROWS, (1, width), 0.6, key)
             out[f"stream/sphere-{width}/key={key[0]},{key[1]}/n={STREAM_ROWS}"] = _sha(U)
-    if not hasattr(core, "stream_paths"):
-        return
     instances = {"zo-liquidation": ac_to_lqr(stock_liquidation()), "c11": scalar_benchmark()}
     for init_kind, noise_kind in KIND_PAIRS:
         instances[f"{init_kind}-{noise_kind}"] = _kinds_instance(init_kind, noise_kind)
     instances.update(_zero_column_instances())
+    for name, inst in instances.items():
+        for key in keys:
+            rng = core.make_rng(key)
+            rows = [(inst.init.draw(rng), inst.noise.draw(rng, inst.T, inst.d)) for _ in range(MODEL_ROWS)]
+            out[f"stream/{name}/key={key[0]},{key[1]}/models/n={MODEL_ROWS}"] = _sha(*(a for pair in rows for a in pair))
+    if not hasattr(core, "stream_paths"):
+        return
     for name, inst in instances.items():
         for key in keys:
             rng = core.make_rng(key)
