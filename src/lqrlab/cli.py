@@ -114,7 +114,10 @@ def _run_seed(cfg: dict, kind: str, seed: int):
         return trace.columns, trace.rows, {}
     if kind == "lob":
         if "lob_csv" in cfg:
-            series = read_lob_csv(cfg["lob_csv"])
+            try:
+                series = read_lob_csv(cfg["lob_csv"])
+            except OSError as e:
+                raise ValueError(f"cannot read lob_csv: {e}") from e
         else:
             series = synthetic_lob(
                 SyntheticBookConfig(

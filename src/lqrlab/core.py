@@ -342,10 +342,6 @@ class LqrInstance:
     def T(self) -> int:
         return self.R.shape[0]
 
-    def noise_covariance(self) -> np.ndarray:
-        """W, computed once at construction (read-only)."""
-        return self.W
-
 
 def constant_instance(A, B, Q, R, Q_terminal, T, noise, init, **kw) -> LqrInstance:
     """Build an instance with time-invariant running Q, R and a terminal Q."""

@@ -181,18 +181,25 @@ def write_lob_csv(path, series: LobSeries) -> None:
 
 
 def read_lob_csv(path) -> LobSeries:
+    """The series write_lob_csv writes; ValueError names the path and the
+    fault: no "# tick = ..." first line, a malformed tick or row, no rows, or
+    one snapshot only."""
     with open(path) as f:
-        header = f.readline()
-        tick = float(header.split("=")[1])
+        key, eq, tick = f.readline().partition("=")
         rows = list(csv.DictReader(f))
+    if key.strip("# \t") != "tick" or not eq:
+        raise ValueError(f"{path}: no '# tick = <tick>' first line")
     by_ts: dict[int, list] = {}
-    for r in rows:
-        by_ts.setdefault(int(r["timestamp"]), []).append((int(r["level"]), float(r["bid_price"]), float(r["bid_volume"])))
-    snaps = []
-    for ts in sorted(by_ts):
-        levels = sorted(by_ts[ts])
-        snaps.append(LobSnapshot(prices=[p for _, p, _ in levels], volumes=[v for _, _, v in levels]))
-    return LobSeries(snapshots=snaps, tick=tick)
+    try:
+        tick = float(tick)
+        for r in rows:
+            by_ts.setdefault(int(r["timestamp"]), []).append((int(r["level"]), float(r["bid_price"]), float(r["bid_volume"])))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: malformed tick or row: {e!r}") from e
+    if len(by_ts) < 2:
+        raise ValueError(f"{path}: {'one snapshot' if by_ts else 'no rows'}, a series needs at least two snapshots")
+    books = [sorted(by_ts[ts]) for ts in sorted(by_ts)]
+    return LobSeries([LobSnapshot([p for _, p, _ in lv], [v for _, _, v in lv]) for lv in books], tick)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ or not), Armijo line search, and constraint sets."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -58,12 +57,6 @@ class DescentTrace:
     def column(self, name: str) -> np.ndarray:
         j = self.columns.index(name)
         return np.array([r[j] for r in self.rows])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(self.columns)
-            w.writerows(self.rows)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ each normal).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,15 +61,6 @@ class QTable:
         ranked = self.q[:T][:, :, order]
         best = np.argmin(ranked, axis=2)  # argmin takes the first minimum
         return order[best]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t", "x", "u", "q"])
-            for t in range(self.q.shape[0]):
-                for i, x in enumerate(self.x_grid):
-                    for j, u in enumerate(self.u_grid):
-                        w.writerow([t, repr(float(x)), repr(float(u)), repr(float(self.q[t, i, j]))])
 
 
 def make_qtable(instance: LqrInstance, n_states: int, n_actions: int) -> QTable:

@@ -12,11 +12,11 @@ Iteration n of seed s reads two streams of standard normals, rollout
 depend on m): the directions are the rows of sample_sphere_batch(T * m,
 (k, d), r, (s, n, 0, 0, 0)), the j-th run of k * d normals normalised, and
 LqrSimulator rolls rollout (t, i) on path row j of make_rng((s, n, 0, 0, 1)),
-its j-th run of N normals (core.stream_paths).  A handle with only
-rollout(policy, seed) -> cost gets one rollout at a time, rollout (t, i) on
-its own stream (s, n, t, i, 1), so its costs differ from LqrSimulator's.
-Every stream is keyed by counters, so runs are reproducible and independent
-of execution order.
+its j-th run of N normals (core.stream_paths), all T * m rows in one roll
+over the T steps.  A handle with only rollout(policy, seed) -> cost gets
+one rollout at a time, rollout (t, i) on its own stream (s, n, t, i, 1), so
+its costs differ from LqrSimulator's.  Every stream is keyed by counters, so
+runs are reproducible and independent of execution order.
 """
 
 from __future__ import annotations
@@ -118,12 +118,10 @@ class LqrSimulator:
     """Opaque rollout handle over an LqrInstance.
 
     Optimization loops use only T, k, d and the rollout methods, never the
-    instance matrices.  rollout_perturbed_slots vectorizes the dynamics over
-    all T * m rollouts of an estimate, rollout (t, i) on row i * T + t of
-    slot_paths: the numbers simulate_trajectory would draw from the paths
-    stream advanced to that row.
-    rollout_perturbed_batch rolls the rows of one slot alone and gives that
-    slot's costs bit for bit; no estimator calls it.
+    instance matrices.  rollout_perturbed_slots is the one rollout kernel: it
+    vectorizes the dynamics over all T * m rollouts of an estimate, on the
+    rows of slot_paths.  rollout_perturbed_batch is one slot of it, so it has
+    the estimator's bits for every m; no estimator calls it.
     """
 
     def __init__(self, instance: LqrInstance):
@@ -136,53 +134,36 @@ class LqrSimulator:
         return simulate_trajectory(self._inst, policy, seed).realized_cost
 
     def rollout_perturbed_batch(self, policy, t: int, U: np.ndarray, key) -> np.ndarray:
-        """(m,) costs; entry i rolls the policy with gain t perturbed by U[i]
-        on path row i * T + slot of slot_paths(m, seed, iteration), for a key
-        (seed, iteration, slot) with 0 <= slot < T: with t = slot, slot t of
-        rollout_perturbed_slots."""
+        """(m,) costs: slot t of rollout_perturbed_slots for the key (seed,
+        iteration, t), with U (m, k, d) at slot t and zero directions elsewhere."""
         seed, iteration, slot = key
-        if not 0 <= slot < self.T:
-            raise ValueError(f"slot must lie in [0, {self.T}), got {slot!r}")
-        return self._roll_slot(policy, t, U, *slot_paths(self._inst, U.shape[0], seed, iteration), slot)
+        if slot != t or not 0 <= slot < self.T:
+            raise ValueError(f"slot must equal t and lie in [0, {self.T}), got slot {slot!r} for t = {t!r}")
+        V = np.zeros((self.T, *U.shape))
+        V[t] = U
+        return self.rollout_perturbed_slots(policy, V, seed, iteration)[t]
 
     def rollout_perturbed_slots(self, policy, U: np.ndarray, seed, iteration: int) -> np.ndarray:
         """(T, m) costs; entry (t, i) rolls the policy with gain t perturbed
         by U[t, i] on path row i * T + t of slot_paths(m, seed, iteration)."""
-        T, m = U.shape[:2]
-        x0, w = slot_paths(self._inst, m, seed, iteration)
-        if m <= 2:
-            # numpy's matmul and einsum take other inner loops on blocks of one
-            # or two rows than on T * m rows, so each slot is rolled alone
-            return np.stack([self._roll_slot(policy, t, U[t], x0, w, t) for t in range(T)])
-        return self._roll(policy, {t: t for t in range(T)}, U, x0, w)
+        return self._roll(policy, U, *slot_paths(self._inst, U.shape[1], seed, iteration))
 
-    def _roll_slot(self, policy, t: int, U: np.ndarray, x0: np.ndarray, w: np.ndarray, slot: int) -> np.ndarray:
-        """(m,) costs of the path rows slot, slot + T, ... of x0 and w, copied
-        out and rolled alone with gain t perturbed by U (m, k, d)."""
-        return self._roll(policy, {t: 0}, U[None], x0[slot::self.T].copy(), w[slot::self.T].copy())[0]
-
-    def _roll(self, policy, blocks: dict, U: np.ndarray, x0: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Costs (n_blocks, m) of rollouts from x0 (m * n_blocks, d) under
-        noise w, row i * n_blocks + j in block j; the rows of block blocks[s]
-        run with gain s perturbed by U[blocks[s]], the other rows with the
-        policy's gain."""
+    def _roll(self, policy, U: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """(T, m) costs of the rollouts from x (T * m, d) under noise w
+        (T * m, T, d): at step t the rows t, t + T, ... run with gain t
+        perturbed by U[t] (m, k, d), the other rows with the policy's gain."""
         inst = self._inst
-        T = self.T
-        n_blocks, m = U.shape[:2]
+        T, m = U.shape[:2]
         K = np.asarray(policy, dtype=float)
-        x = x0
-        cost = np.zeros(m * n_blocks)
-        for s in range(T):
-            u = -(x @ K[s].T)
-            j = blocks.get(s)
-            if j is not None:
-                rows = slice(j, None, n_blocks)  # contiguous, as a block rolled alone passes them
-                u[rows] = -np.einsum("ikd,id->ik", K[s][None] + U[j], np.ascontiguousarray(x[rows]))
-            cost += _row_forms(x, inst.Q[s])
-            cost += _row_forms(u, inst.R[s])
-            x = x @ inst.A.T + u @ inst.B.T + w[:, s]
+        cost = np.zeros(T * m)
+        for t in range(T):
+            u = -(x @ K[t].T)
+            u[t::T] = -np.einsum("ikd,id->ik", K[t][None] + U[t], np.ascontiguousarray(x[t::T]))
+            cost += _row_forms(x, inst.Q[t])
+            cost += _row_forms(u, inst.R[t])
+            x = x @ inst.A.T + u @ inst.B.T + w[:, t]
         cost += _row_forms(x, inst.Q[T])
-        return np.ascontiguousarray(cost.reshape(m, n_blocks).T)
+        return np.ascontiguousarray(cost.reshape(m, T).T)
 
 
 def _perturbed_costs(sim, policy, U: np.ndarray, seed, iteration: int) -> np.ndarray:

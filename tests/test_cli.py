@@ -155,6 +155,24 @@ class TestCli:
         incomplete = write(tmp_path, "inc.cfg", SCALAR_CFG)  # no eta/iters
         assert main(["pg", "--config", incomplete, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text,fault", [
+        (None, "No such file"),
+        ("timestamp,level,bid_price,bid_volume\n0,0,200.0,100.0\n1,0,199.9,100.0\n", "no '# tick = <tick>' first line"),
+        ("# tick = 0.1\ntimestamp,level,bid_price,bid_volume\n", "no rows"),
+        ("# tick = 0.1\ntimestamp,level,bid_price,bid_volume\n0,0,200.0\n1,0,199.9,100.0\n", "malformed tick or row"),
+        ("# tick = 0.1\ntimestamp,level,bid_price,bid_volume\n0,0,200.0,100.0\n0,1,199.9,50.0\n", "one snapshot"),
+    ])
+    def test_malformed_lob_csv_exit_two(self, tmp_path, capsys, text, fault):
+        # a book file that is missing or malformed is bad input, named with its path
+        book = tmp_path / "book.csv"
+        if text is not None:
+            book.write_text(text)
+        cfg = write(tmp_path, "c.cfg", AC_CFG + f'phi_prime = 1e-6\nlob_csv = "{book}"\n')
+        assert main(["lob", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ") and str(book) in err and fault in err
+        assert not (tmp_path / "o" / "seed_0.csv").exists()
+
     def test_zo_line_search_exit_two(self, tmp_path, capsys):
         # sampled gradients take fixed steps; asking for Armijo is a config error
         cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 0.2\niters = 5\nradius = 0.1\nsamples = 5\nline_search = true\n")

@@ -453,7 +453,7 @@ class TestValidation:
 
     def test_moments_are_read_only_and_follow_replace(self, rng):
         inst = random_instance(rng, d=2, k=1, T=3)
-        W, S0 = inst.noise_covariance(), inst.S0
+        W, S0 = inst.W, inst.S0
         np.testing.assert_array_equal(W, inst.noise.covariance(2))
         np.testing.assert_array_equal(S0, inst.init.second_moment())
         for moment in (W, S0):
@@ -461,10 +461,10 @@ class TestValidation:
             with pytest.raises(ValueError):
                 moment[0, 0] = 1.0
         louder = dataclasses.replace(inst, noise=NoiseModel("gaussian", 2.0))
-        np.testing.assert_array_equal(louder.noise_covariance(), 4.0 * np.eye(2))
+        np.testing.assert_array_equal(louder.W, 4.0 * np.eye(2))
         moved = dataclasses.replace(inst, init=InitialStateModel("point", np.array([1.0, 2.0])))
         np.testing.assert_array_equal(moved.S0, [[1.0, 2.0], [2.0, 4.0]])
-        assert inst.noise_covariance() is W and inst.S0 is S0
+        assert inst.W is W and inst.S0 is S0
 
     @staticmethod
     def _two_state(noise, init):

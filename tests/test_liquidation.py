@@ -51,7 +51,7 @@ class TestEmbedding:
         np.testing.assert_allclose(inst.Q[0], np.diag([p.epsilon, p.phi * p.sigma**2]))
         np.testing.assert_allclose(inst.Q[-1], np.diag([p.epsilon, p.delta + p.phi * p.sigma**2]))
         np.testing.assert_allclose(inst.R, p.delta)
-        np.testing.assert_allclose(inst.noise_covariance(), np.diag([p.sigma**2, 0.0]))
+        np.testing.assert_allclose(inst.W, np.diag([p.sigma**2, 0.0]))
         np.testing.assert_allclose(
             inst.init.second_moment(),
             np.diag([p.S0**2, p.q0_mean**2 + p.q0_std**2])

@@ -85,15 +85,6 @@ class TestExactPg:
         _, trace = run_exact_pg(scalar_benchmark(), K0, cfg)
         assert len(trace.rows) == 1
 
-    def test_trace_csv_roundtrip(self, rng, tmp_path):
-        inst = random_instance(rng)
-        _, trace = run_exact_pg(inst, random_policy(rng, inst), DescentConfig(eta=1e-3, iters=5))
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        assert data.dtype.names == tuple(trace.columns)
-        assert data.shape[0] == len(trace.rows)
-
     def test_normalized_error_zero_cost_guard(self):
         with pytest.raises(ZeroOptimalCost):
             normalized_error(zero_cost_instance(), np.zeros((1, 1, 1)))

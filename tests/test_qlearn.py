@@ -72,14 +72,6 @@ class TestTable:
         idx = tab.greedy_indices()
         np.testing.assert_array_equal(tab.u_grid[idx], np.zeros((1, 3)))
 
-    def test_csv_dump(self, tmp_path):
-        inst = noiseless_scalar(T=1)
-        tab = make_qtable(inst, n_states=3, n_actions=2)
-        path = tmp_path / "qtable.csv"
-        tab.to_csv(path)
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        assert data.shape[0] == 2 * 3 * 2
-
 
 class TestLearning:
     def test_noiseless_converges_to_near_optimal(self):

@@ -192,51 +192,25 @@ class TestEstimatorDraws:
         for t in range(inst.T):
             np.testing.assert_array_equal(slots[t], sim.rollout_perturbed_batch(K, t, U[t], [8, 1, t]))
 
-    @pytest.mark.parametrize("case", ["zo-liquidation", "c11"])
-    def test_estimate_matches_per_slot_estimator(self, case):
-        # the all-slots path against the one-slot-at-a-time path it replaced
-        if case == "zo-liquidation":
-            inst, K, cfg, seed = ac_to_lqr(stock_liquidation()), np.full((10, 1, 2), -0.2), SmoothingConfig(0.6, 200), 3 << 20
-        else:
-            inst, K, cfg, seed = scalar_benchmark(), np.zeros((5, 1, 1)), SmoothingConfig(0.1, 50), 4
-        sim = LqrSimulator(inst)
-
-        class PerSlot:
-            T, k, d = sim.T, sim.k, sim.d
-
-            @staticmethod
-            def rollout_perturbed_slots(policy, U, seed, iteration):
-                return np.stack([sim.rollout_perturbed_batch(policy, t, U[t], [seed, iteration, t]) for t in range(sim.T)])
-
-        for it in (0, 7):
-            fast = estimate_gradient(inst, K, cfg, seed, iteration=it)
-            ref = estimate_gradient(PerSlot(), K, cfg, seed, iteration=it)
-            np.testing.assert_array_equal(fast.grads, ref.grads)
-            np.testing.assert_array_equal(fast.mean_costs, ref.mean_costs)
-
 
 class ReferenceKernel(LqrSimulator):
     """Reference rollout kernel: the _roll loop with its quadratic costs as
     row-major einsum calls."""
 
-    def _roll(self, policy, blocks: dict, U: np.ndarray, x0: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def _roll(self, policy, U: np.ndarray, x0: np.ndarray, w: np.ndarray) -> np.ndarray:
         inst = self._inst
-        T = self.T
-        n_blocks, m = U.shape[:2]
+        T, m = U.shape[:2]
         K = np.asarray(policy, dtype=float)
         x = x0
-        cost = np.zeros(m * n_blocks)
-        for s in range(T):
-            u = -(x @ K[s].T)
-            j = blocks.get(s)
-            if j is not None:
-                rows = slice(j, None, n_blocks)
-                u[rows] = -np.einsum("ikd,id->ik", K[s][None] + U[j], np.ascontiguousarray(x[rows]))
-            cost += np.einsum("id,de,ie->i", x, inst.Q[s], x)
-            cost += np.einsum("ik,kl,il->i", u, inst.R[s], u)
-            x = x @ inst.A.T + u @ inst.B.T + w[:, s]
+        cost = np.zeros(T * m)
+        for t in range(T):
+            u = -(x @ K[t].T)
+            u[t::T] = -np.einsum("ikd,id->ik", K[t][None] + U[t], np.ascontiguousarray(x[t::T]))
+            cost += np.einsum("id,de,ie->i", x, inst.Q[t], x)
+            cost += np.einsum("ik,kl,il->i", u, inst.R[t], u)
+            x = x @ inst.A.T + u @ inst.B.T + w[:, t]
         cost += np.einsum("id,de,ie->i", x, inst.Q[T], x)
-        return np.ascontiguousarray(cost.reshape(m, n_blocks).T)
+        return np.ascontiguousarray(cost.reshape(m, T).T)
 
 
 def _bits(a):
@@ -350,7 +324,7 @@ class TestEstimator:
             perts[i * inst.T + 2][2] += U[i]
         slow = [traj.realized_cost for traj in simulated_rows(inst, (7, 0, 0, 0, 1), perts).values()]
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
-        for slot in (-1, 4):
+        for slot in (-1, 1, 4):  # the slot must lie in [0, T) and equal t
             with pytest.raises(ValueError, match="slot"):
                 sim.rollout_perturbed_batch(K, 2, U, [7, 0, slot])
 

@@ -233,7 +233,10 @@ ROLL_SEEDS = [5, 2**63 + 4]
 def roll_outputs(out: dict) -> None:
     """LqrSimulator.rollout_perturbed_slots and rollout_perturbed_batch (every
     slot) on each suite instance of EXACT_SHAPES, whose Q and R are not
-    diagonal, per m, seed and iterations 0 and 1."""
+    diagonal, per m, seed and iterations 0 and 1.  rollout_perturbed_batch
+    is slot t of rollout_perturbed_slots, so "batch" hashes a slice of
+    "slots"; on older checkouts, which rolled one slot alone, it shows
+    whether those bits matched."""
     for n, (d, k, T) in enumerate(EXACT_SHAPES):
         inst = _exact_instance(n)
         sim = LqrSimulator(inst)
