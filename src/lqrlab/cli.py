@@ -28,11 +28,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config_io import ac_from_config, as_count, instance_from_config, load_config
+from .config_io import ac_from_config, as_count, book_from_config, instance_from_config, load_config
 from .core import solve_riccati
 from .errors import LqrlabError
 from .liquidation import (
-    SyntheticBookConfig,
     ac_to_lqr,
     estimate_impact_params,
     expected_inventory_path,
@@ -119,17 +118,7 @@ def _run_seed(cfg: dict, kind: str, seed: int):
             except OSError as e:
                 raise ValueError(f"cannot read lob_csv: {e}") from e
         else:
-            series = synthetic_lob(
-                SyntheticBookConfig(
-                    T=as_count(cfg["book.T"], "book.T"),
-                    levels=as_count(cfg.get("book.levels", 10), "book.levels"),
-                    tick=float(cfg.get("book.tick", 0.1)),
-                    depth_mean=float(cfg.get("book.depth_mean", 400.0)),
-                    mid0=float(cfg.get("book.mid0", 200.0)),
-                    sigma_mid=float(cfg.get("book.sigma_mid", 0.1)),
-                ),
-                seed,
-            )
+            series = synthetic_lob(book_from_config(cfg), seed)
         p = ac_from_config(cfg)
         rec = simulate_lob(series, solve_riccati(ac_to_lqr(p)).gains, float(cfg["phi_prime"]), float(cfg.get("q0", p.q0_mean)))
         cols = ["t", "trade", "proceeds", "holding"]
@@ -208,6 +197,10 @@ def run_experiment(cfg: dict, seeds, outdir) -> dict:
     kind = cfg.get("kind")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    read = {"ac": kind != "impact", "book": kind == "lob" and "lob_csv" not in cfg}  # sections the run reads
+    unread = [key for key in cfg if not read.get(key.split(".")[0], True)]
+    if unread:
+        raise ValueError(f"{unread[0]} is not read by kind {kind!r}")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = [int(s) for s in seeds]
@@ -280,6 +273,9 @@ def main(argv=None) -> int:
         manifest = run_experiment(cfg, args.seeds, args.out)
     except (KeyError, ValueError) as e:
         print(f"error: invalid config: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # the run reads no file but lob_csv, whose OSError is a ValueError
+        print(f"error: cannot write output: {e}", file=sys.stderr)
         return 2
     except (LqrlabError, FloatingPointError) as e:
         print(f"error: run failed: {e}", file=sys.stderr)

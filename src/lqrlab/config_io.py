@@ -13,11 +13,12 @@ related fields, e.g.
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from .core import InitialStateModel, LqrInstance, NoiseModel, constant_instance
-from .liquidation import AcParams
+from .liquidation import AcParams, SyntheticBookConfig
 
 
 def parse_kv(text: str) -> dict:
@@ -65,6 +66,23 @@ def _sub(cfg: dict, prefix: str) -> dict:
     return {k[len(p):]: v for k, v in cfg.items() if k.startswith(p)}
 
 
+def _fields_from(cls, cfg: dict, prefix: str, counts: tuple, skip: tuple = (), **defaults):
+    """cls from the `prefix.*` keys of cfg, those in counts read with as_count
+    and the rest as floats; defaults, then cls's own, fill the fields not
+    given.  ValueError names the first key that is not a field of cls or is
+    in skip, KeyError the first field that has no value."""
+    names = [f.name for f in fields(cls) if f.name not in skip]
+    given = _sub(cfg, prefix)
+    unknown = sorted(set(given) - set(names))
+    if unknown:
+        raise ValueError(f"unknown key {prefix}.{unknown[0]}; the {prefix}.* keys are {', '.join(names)}")
+    values = defaults | {k: as_count(v, f"{prefix}.{k}") if k in counts else float(v) for k, v in given.items()}
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
+    if missing:
+        raise KeyError(f"{prefix}.{missing[0]}")
+    return cls(**values)
+
+
 def _noise_from(cfg: dict) -> NoiseModel:
     factor = cfg.get("factor")
     return NoiseModel(
@@ -105,17 +123,10 @@ def instance_from_config(cfg: dict) -> LqrInstance:
 
 
 def ac_from_config(cfg: dict) -> AcParams:
-    sub = _sub(cfg, "ac")
-    if not sub:
-        raise KeyError("config has no ac.* keys")
-    return AcParams(
-        beta=float(sub["beta"]),
-        gamma=float(sub["gamma"]),
-        sigma=float(sub["sigma"]),
-        phi=float(sub.get("phi", 0.0)),
-        epsilon=float(sub.get("epsilon", 0.0)),
-        T=as_count(sub["T"], "ac.T"),
-        S0=float(sub.get("S0", 200.0)),
-        q0_mean=float(sub.get("q0_mean", 500.0)),
-        q0_std=float(sub.get("q0_std", 1.0)),
-    )
+    """AcParams from the `ac.*` keys, phi and epsilon 0 unless given."""
+    return _fields_from(AcParams, cfg, "ac", ("T",), phi=0.0, epsilon=0.0)
+
+
+def book_from_config(cfg: dict) -> SyntheticBookConfig:
+    """A synthetic book from the `book.*` keys; random_depth is not one, so the book has random depth."""
+    return _fields_from(SyntheticBookConfig, cfg, "book", ("T", "levels"), skip=("random_depth",))

@@ -380,7 +380,6 @@ class CovarianceProfile:
 @dataclass
 class Trajectory:
     states: np.ndarray  # (T+1, d)
-    controls: np.ndarray  # (T, k)
     noises: np.ndarray  # (T, d)
     realized_cost: float
 
@@ -472,38 +471,31 @@ def exact_cost(instance: LqrInstance, policy):
     return backup_value(instance, policy).cost
 
 
-def _profile(sig: np.ndarray, warn_degenerate: bool) -> CovarianceProfile:
+def covariance_profile(instance: LqrInstance, policy) -> CovarianceProfile:
+    """State second moments Sigma_{t+1} = M_t Sigma_t M_t' + W under one policy
+    (T, k, d) or a batch (n, T, k, d), from the moment chain of _closed_loop;
+    warns (RuntimeWarning) when some Sigma_t is degenerate (sigma_x ~ 0)."""
+    sig = _closed_loop(instance, _gain_batch(instance, policy), values=False)[1]
     sigma_x = np.linalg.eigvalsh(sig)[..., 0].min(axis=-1)
-    if warn_degenerate and np.any(sigma_x <= _PD_RTOL * (1.0 + np.abs(sig).max(axis=(-3, -2, -1)))):
-        warnings.warn("state covariance is degenerate (sigma_x ~ 0)", RuntimeWarning, stacklevel=3)
+    if np.any(sigma_x <= _PD_RTOL * (1.0 + np.abs(sig).max(axis=(-3, -2, -1)))):
+        warnings.warn("state covariance is degenerate (sigma_x ~ 0)", RuntimeWarning, stacklevel=2)
     return CovarianceProfile(sigmas=sig, aggregate=sig.sum(axis=-3), sigma_x=sigma_x)
 
 
-def covariance_profile(instance: LqrInstance, policy, *, warn_degenerate: bool = True) -> CovarianceProfile:
-    """State second moments Sigma_{t+1} = M_t Sigma_t M_t' + W under one policy
-    (T, k, d) or a batch (n, T, k, d), from the moment chain of _closed_loop."""
-    return _profile(_closed_loop(instance, _gain_batch(instance, policy), values=False)[1], warn_degenerate)
-
-
-def _gradient_terms(instance: LqrInstance, K: np.ndarray, P: np.ndarray, sigmas: np.ndarray):
-    """(grads, E) with E_t = (R_t + B' P_{t+1} B) K_t - B' P_{t+1} A and grad_t = 2 E_t Sigma_t."""
+def _gradient_terms(instance: LqrInstance, K: np.ndarray, P: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """grad_t = 2 E_t Sigma_t with E_t = (R_t + B' P_{t+1} B) K_t - B' P_{t+1} A."""
     B = instance.B
     BtP = B.T @ P[..., 1:, :, :]
     E = (instance.R + BtP @ B) @ K - BtP @ instance.A
-    return 2.0 * E @ sigmas[..., :-1, :, :], E
+    return 2.0 * E @ sigmas[..., :-1, :, :]
 
 
-def exact_gradient(instance: LqrInstance, policy, *, return_terms: bool = False):
+def exact_gradient(instance: LqrInstance, policy) -> np.ndarray:
     """Cost gradient w.r.t. each gain: grad_t = 2 E_t Sigma_t with
     E_t = (R_t + B' P_{t+1} B) K_t - B' P_{t+1} A, for one policy (T, k, d)
-    or a batch (n, T, k, d), P and Sigma from one pass of _closed_loop.
-
-    With return_terms=True, also returns (E, backup, profile).
-    """
+    or a batch (n, T, k, d), P and Sigma from one pass of _closed_loop."""
     K = _gain_batch(instance, policy)
-    P, sig = _closed_loop(instance, K)
-    grads, E = _gradient_terms(instance, K, P, sig)
-    return (grads, E, _value_backup(instance, P), _profile(sig, warn_degenerate=False)) if return_terms else grads
+    return _gradient_terms(instance, K, *_closed_loop(instance, K))
 
 
 def operator_decomposition(instance: LqrInstance, policy) -> tuple[np.ndarray, np.ndarray]:
@@ -548,17 +540,15 @@ def simulate_trajectory(instance: LqrInstance, policy, seed) -> Trajectory:
     x = instance.init.draw(rng)
     w = instance.noise.draw(rng, T, d)
     states = np.empty((T + 1, d))
-    controls = np.empty((T, k))
     states[0] = x
     cost = 0.0
     for t in range(T):
         u = -K[t] @ x
-        controls[t] = u
         cost += float(x @ instance.Q[t] @ x + u @ instance.R[t] @ u)
         x = instance.A @ x + instance.B @ u + w[t]
         states[t + 1] = x
     cost += float(x @ instance.Q[T] @ x)
-    return Trajectory(states=states, controls=controls, noises=w, realized_cost=cost)
+    return Trajectory(states=states, noises=w, realized_cost=cost)
 
 
 def stream_paths(instance: LqrInstance, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:

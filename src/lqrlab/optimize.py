@@ -16,6 +16,8 @@ _MEMBER_TOL = 1e-9
 
 # Armijo rungs per batched backup: on the exact-pg benchmark 97% of steps pass within 16
 _LADDER_CHUNK = 16
+_ETA_FLOOR = 1e-15  # the Armijo ladder's last rung; below it the search raises StepSizeUnderflow
+_DIVERGENCE_FACTOR = 1e12  # a cost above this times max(|C(K0)|, 1) is a divergence
 
 
 @dataclass(frozen=True)  # frozen, so a field cannot skip the checks below
@@ -25,12 +27,10 @@ class DescentConfig:
     line_search: bool = False
     armijo_c: float = 1e-4
     backtrack: float = 0.5
-    eta_floor: float = 1e-15
-    divergence_factor: float = 1e12
     target_error: float | None = None  # stop when normalized error falls below
 
     def __post_init__(self):
-        for name in ("eta", "eta_floor", "armijo_c", "divergence_factor"):
+        for name in ("eta", "armijo_c"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -63,20 +63,21 @@ class DescentTrace:
 class ProjectionSet:
     """Per-time constraint set on gains.
 
-    kinds:
-      "unconstrained"
+    kinds (for no constraint pass no set):
       "box":          lo <= K_t entries <= hi
       "liquidation":  k = 1, d = 2; per t the row (k1, k2) must satisfy
                       gamma_bar*k1 + k2 >= -1 + zeta, k1 <= 0, k2 <= 0.
     """
 
-    kind: str = "unconstrained"
+    kind: str
     lo: float = -np.inf
     hi: float = np.inf
     gamma_bar: float = 0.0
     zeta: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in ("box", "liquidation"):
+            raise ValueError(f"unknown constraint set kind {self.kind!r}; the kinds are 'box' and 'liquidation'")
         if self.kind == "box" and self.lo > self.hi:
             raise EmptySet("box has lo > hi")
         if self.kind == "liquidation":
@@ -87,8 +88,6 @@ class ProjectionSet:
 
     def contains(self, policy, tol: float = _MEMBER_TOL) -> bool:
         K = np.asarray(policy, dtype=float)
-        if self.kind == "unconstrained":
-            return True
         if self.kind == "box":
             return bool(np.all(K >= self.lo - tol) and np.all(K <= self.hi + tol))
         k1, k2 = K[:, 0, 0], K[:, 0, 1]
@@ -100,8 +99,6 @@ class ProjectionSet:
 
     def project(self, policy) -> np.ndarray:
         K = np.asarray(policy, dtype=float)
-        if self.kind == "unconstrained":
-            return K.copy()
         if self.kind == "box":
             return np.clip(K, self.lo, self.hi)
         if K.shape[1:] != (1, 2):
@@ -236,9 +233,9 @@ def _descent(instance: LqrInstance | None, policy0, cfg: DescentConfig, projecti
     guarded = instance is not None or cost_oracle is not None
     if guarded and not np.isfinite(cost):
         raise Diverged(f"initial cost {cost:g} is not finite")
-    guard = cfg.divergence_factor * max(abs(cost), 1.0) if guarded else np.inf
+    guard = _DIVERGENCE_FACTOR * max(abs(cost), 1.0) if guarded else np.inf
     for n in range(cfg.iters):
-        grads = _gradient_terms(instance, K, P, sig)[0] if instance is not None else None
+        grads = _gradient_terms(instance, K, P, sig) if instance is not None else None
         gnorm = _grad_norm(grads) if grads is not None else np.nan
         err = (cost - cstar) / cstar
         if estimate is not None:
@@ -260,7 +257,7 @@ def _descent(instance: LqrInstance | None, policy0, cfg: DescentConfig, projecti
             raise Diverged(f"cost {cost:g} is not finite or exceeded the divergence guard at iteration {n}")
         if cfg.target_error is not None and (cost - cstar) / cstar <= cfg.target_error:
             break
-    gnorm = _grad_norm(_gradient_terms(instance, K, P, sig)[0]) if instance is not None else np.nan
+    gnorm = _grad_norm(_gradient_terms(instance, K, P, sig)) if instance is not None else np.nan
     extra = [smoothing.samples, smoothing.radius, np.nan] if estimate is not None else [np.nan] * len(columns)
     trace.append(len(trace.rows), cost, (cost - cstar) / cstar, gnorm, cfg.eta, *extra)
     return K, trace
@@ -268,7 +265,7 @@ def _descent(instance: LqrInstance | None, policy0, cfg: DescentConfig, projecti
 
 def _armijo(instance, K, grads, cost, cfg: DescentConfig, projection):
     """Backtracking line search over the ladder eta, eta * backtrack, ... down
-    to eta_floor.  Returns (eta, step, its value matrices P, its state moments
+    to _ETA_FLOOR.  Returns (eta, step, its value matrices P, its state moments
     Sigma, its cost) of the first rung with sufficient decrease.
 
     The ladder is built by repeated multiplication, as one-at-a-time
@@ -278,9 +275,9 @@ def _armijo(instance, K, grads, cost, cfg: DescentConfig, projection):
     """
     gsq = float((grads**2).sum())
     eta = cfg.eta
-    while eta >= cfg.eta_floor:
+    while eta >= _ETA_FLOOR:
         etas = []
-        while eta >= cfg.eta_floor and len(etas) < _LADDER_CHUNK:
+        while eta >= _ETA_FLOOR and len(etas) < _LADDER_CHUNK:
             etas.append(eta)
             eta *= cfg.backtrack
         rungs = np.array(etas)
@@ -295,4 +292,4 @@ def _armijo(instance, K, grads, cost, cfg: DescentConfig, projection):
         j = passing.argmax()
         if passing[j]:
             return etas[j], cands[j].copy(), P[j], sig[j], costs[j]
-    raise StepSizeUnderflow(f"line search fell below {cfg.eta_floor:g}")
+    raise StepSizeUnderflow(f"line search fell below {_ETA_FLOOR:g}")

@@ -31,7 +31,6 @@ from .core import (
     LqrInstance,
     exact_cost,
     make_rng,
-    simulate_trajectory,
     stream_paths,
 )
 from .errors import ZeroDirection
@@ -58,8 +57,6 @@ class SmoothingConfig:
 class GradientEstimate:
     grads: np.ndarray  # (T, k, d)
     mean_costs: np.ndarray  # (T,) average rollout cost per slot
-    samples: int
-    radius: float
 
 
 def sample_sphere(shape: tuple[int, int], radius: float, seed) -> np.ndarray:
@@ -130,9 +127,6 @@ class LqrSimulator:
         self.k = instance.k
         self.d = instance.d
 
-    def rollout(self, policy, seed) -> float:
-        return simulate_trajectory(self._inst, policy, seed).realized_cost
-
     def rollout_perturbed_batch(self, policy, t: int, U: np.ndarray, key) -> np.ndarray:
         """(m,) costs: slot t of rollout_perturbed_slots for the key (seed,
         iteration, t), with U (m, k, d) at slot t and zero directions elsewhere."""
@@ -195,7 +189,7 @@ def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 
     costs = _perturbed_costs(sim, policy, U, seed, iteration)
     # one einsum per slot: a single einsum over all slots rounds differently
     grads = np.stack([(D / r**2) * np.einsum("i,ikd->kd", costs[t], U[t]) / m for t in range(T)])
-    return GradientEstimate(grads=grads, mean_costs=costs.mean(axis=1), samples=m, radius=r)
+    return GradientEstimate(grads=grads, mean_costs=costs.mean(axis=1))
 
 
 def smoothed_gradient_reference(instance: LqrInstance, policy, t: int, radius: float, n_samples: int, seed) -> np.ndarray:

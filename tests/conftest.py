@@ -25,6 +25,18 @@ def random_policy(rng, instance, scale=0.2):
     return rng.normal(size=(instance.T, instance.k, instance.d)) * scale
 
 
+def error_terms(inst, K, P) -> np.ndarray:
+    """E_t = (R_t + B' P_{t+1} B) K_t - B' P_{t+1} A, the factor of the exact
+    gradient grad_t = 2 E_t Sigma_t, one step at a time from the value
+    matrices P (T+1, d, d) of backup_value for one policy K (T, k, d): a
+    reference written apart from core's vectorised gradient."""
+    E = np.empty(np.shape(K))
+    for t in range(inst.T):
+        BtP = inst.B.T @ P[t + 1]
+        E[t] = (inst.R[t] + BtP @ inst.B) @ K[t] - BtP @ inst.A
+    return E
+
+
 def path_width(inst) -> int:
     """N, the standard normals one path row (one simulate_trajectory) takes:
     one per live (nonzero) factor column of the start state and of each of

@@ -47,7 +47,7 @@ from lqrlab.liquidation import ac_to_lqr, almgren_chriss_reference, SyntheticBoo
 from lqrlab.optimize import _project_halfplane_triangle
 from lqrlab.qlearn import greedy_policy_cost, make_qtable, q_learning_step
 
-from conftest import random_instance, random_policy
+from conftest import error_terms, random_instance, random_policy
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -213,7 +213,8 @@ def test_c3_identity_almost_smoothness():
         inst = random_instance(rng)
         K = random_policy(rng, inst)
         K2 = K + random_policy(rng, inst, scale=0.1)
-        _, E, bk, _ = exact_gradient(inst, K, return_terms=True)
+        bk = backup_value(inst, K)
+        E = error_terms(inst, K, bk.P)
         prof2 = covariance_profile(inst, K2)
         rhs = 0.0
         for t in range(inst.T):
@@ -267,7 +268,8 @@ def test_c4_inequalities():
         cstar = sol.optimal_cost
         cost = exact_cost(inst, K)
         gap = cost - cstar
-        grads, E, bk, prof = exact_gradient(inst, K, return_terms=True)
+        grads, bk, prof = exact_gradient(inst, K), backup_value(inst, K), covariance_profile(inst, K)
+        E = error_terms(inst, K, bk.P)
         sx = prof.sigma_x
         sR = min(np.linalg.eigvalsh(inst.R[t])[0] for t in range(T))
         sQ = min(np.linalg.eigvalsh(inst.Q[t])[0] for t in range(T + 1))
@@ -279,7 +281,7 @@ def test_c4_inequalities():
         Kp = np.array(
             [K[t] - spd_solve(inst.R[t] + inst.B.T @ bk.P[t + 1] @ inst.B, E[t]) for t in range(T)]
         )
-        sxp = covariance_profile(inst, Kp, warn_degenerate=False).sigma_x
+        sxp = covariance_profile(inst, Kp).sigma_x
         lo = sxp * sum(
             np.trace(E[t].T @ E[t])
             / np.linalg.norm(inst.R[t] + inst.B.T @ bk.P[t + 1] @ inst.B, 2)

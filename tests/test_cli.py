@@ -6,7 +6,8 @@ import pytest
 
 from lqrlab import cli, zeroth
 from lqrlab.cli import main, run_experiment
-from lqrlab.config_io import dump_kv, instance_from_config, parse_kv
+from lqrlab.config_io import book_from_config, dump_kv, instance_from_config, parse_kv
+from lqrlab.liquidation import SyntheticBookConfig
 
 SCALAR_CFG = """
 # scalar instance with a stiffer terminal weight
@@ -172,6 +173,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config: ") and str(book) in err and fault in err
         assert not (tmp_path / "o" / "seed_0.csv").exists()
+
+    @pytest.mark.parametrize("kind,text,key", [
+        ("lob", AC_CFG + "book.T = 10\nbook.depth_men = 5\nphi_prime = 1e-6\n", "unknown key book.depth_men"),
+        ("lob", AC_CFG + "book.T = 10\nbook.random_depth = false\nphi_prime = 1e-6\n", "unknown key book.random_depth"),
+        ("deadline", AC_CFG + "ac.sgima = 0.2\nhorizons = [5]\n", "unknown key ac.sgima"),
+        ("lob", AC_CFG + "phi_prime = 1e-6\n", "book.T"),
+        ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "book.T = 10\n", "book.T is not read by kind 'pg'"),
+        ("lob", AC_CFG + 'book.T = 10\nphi_prime = 1e-6\nlob_csv = "b.csv"\n', "book.T is not read by kind 'lob'"),
+        ("impact", "impact.gamma = 2.5e-6\nimpact.sigma = 0.01\nac.T = 10\n", "ac.T is not read by kind 'impact'"),
+    ])
+    def test_section_keys_the_run_does_not_read_exit_two(self, tmp_path, capsys, kind, text, key):
+        # a misspelt book.* or ac.* key used to be ignored: `lob` ran with the
+        # default depth and exited 0
+        cfg = write(tmp_path, "c.cfg", text)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ") and key in err
+        assert not (tmp_path / "o" / "seed_0.csv").exists()
+
+    def test_book_from_given_keys(self):
+        # the keys given, SyntheticBookConfig's defaults for the rest
+        assert book_from_config({"book.T": 7, "book.levels": 3.0, "book.tick": "0.5"}) == SyntheticBookConfig(
+            T=7, levels=3, tick=0.5)
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        # an --out that names a file used to exit 1 with a FileExistsError traceback
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["riccati", "--config", cfg, "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
     def test_zo_line_search_exit_two(self, tmp_path, capsys):
         # sampled gradients take fixed steps; asking for Armijo is a config error

@@ -33,7 +33,7 @@ from lqrlab.core import make_rng, pathwise_cost_terms, standard_draw, stream_pat
 from lqrlab.errors import HorizonTooShort, NonPositiveDefinite
 from lqrlab.zeroth import LqrSimulator
 
-from conftest import path_width, random_instance, random_policy, simulated_rows
+from conftest import error_terms, path_width, random_instance, random_policy, simulated_rows
 
 
 def one_step_unit_instance():
@@ -154,8 +154,17 @@ class TestGradient:
     def test_error_terms_vanish_at_optimum(self, rng):
         inst = random_instance(rng)
         sol = solve_riccati(inst)
-        _, E, _, _ = exact_gradient(inst, sol.gains, return_terms=True)
+        E = error_terms(inst, sol.gains, backup_value(inst, sol.gains).P)
         assert np.abs(E).max() < 1e-9
+
+    def test_is_twice_error_terms_times_moments(self, rng):
+        # grad_t = 2 E_t Sigma_t, E_t from backup_value's P and Sigma_t from covariance_profile
+        for _ in range(10):
+            inst = random_instance(rng)
+            K = random_policy(rng, inst)
+            E = error_terms(inst, K, backup_value(inst, K).P)
+            sig = covariance_profile(inst, K).sigmas
+            np.testing.assert_allclose(exact_gradient(inst, K), 2.0 * E @ sig[:-1], rtol=1e-12, atol=1e-14)
 
 
 def _same_bits(a, b) -> bool:
@@ -167,6 +176,7 @@ class TestBatchedEvaluation:
     @settings(deadline=None, max_examples=60)
     @given(n=st.integers(1, 9), d=st.integers(1, 4), k=st.integers(1, 2), T=st.integers(1, 10),
            seed=st.integers(0, 2**32 - 1), zero_noise=st.booleans())
+    @pytest.mark.filterwarnings("ignore:state covariance is degenerate:RuntimeWarning")
     def test_batch_equals_per_policy_calls(self, n, d, k, T, seed, zero_noise):
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, d=d, k=k, T=T, noise_sigma=0.0 if zero_noise else 0.4)
@@ -174,18 +184,15 @@ class TestBatchedEvaluation:
         bk = backup_value(inst, K)
         costs = exact_cost(inst, K)
         grads = exact_gradient(inst, K)
-        g, E, bk2, prof = exact_gradient(inst, K, return_terms=True)
-        prof2 = covariance_profile(inst, K, warn_degenerate=False)
+        prof = covariance_profile(inst, K)
         assert bk.P.shape == (n, T + 1, d, d) and costs.shape == (n,) and prof.sigma_x.shape == (n,)
         for i in range(n):
             one = backup_value(inst, K[i])
-            gi, Ei, bki, pi = exact_gradient(inst, K[i], return_terms=True)
-            pi2 = covariance_profile(inst, K[i], warn_degenerate=False)
+            pi = covariance_profile(inst, K[i])
             pairs = [
                 (bk.P[i], one.P), (bk.L[i], one.L), (bk.cost[i], one.cost), (costs[i], exact_cost(inst, K[i])),
-                (grads[i], exact_gradient(inst, K[i])), (g[i], gi), (E[i], Ei), (bk2.cost[i], bki.cost),
-                (prof.sigmas[i], pi.sigmas), (prof.sigma_x[i], pi.sigma_x),
-                (prof2.sigmas[i], pi2.sigmas), (prof2.aggregate[i], pi2.aggregate), (prof2.sigma_x[i], pi2.sigma_x),
+                (grads[i], exact_gradient(inst, K[i])),
+                (prof.sigmas[i], pi.sigmas), (prof.aggregate[i], pi.aggregate), (prof.sigma_x[i], pi.sigma_x),
             ]
             assert all(_same_bits(a, b) for a, b in pairs)
 
@@ -193,7 +200,7 @@ class TestBatchedEvaluation:
         inst = random_instance(rng, d=2, k=1, T=3)
         K = random_policy(rng, inst)
         bk = backup_value(inst, K)
-        prof = covariance_profile(inst, K, warn_degenerate=False)
+        prof = covariance_profile(inst, K)
         assert bk.P.shape == (4, 2, 2) and bk.L.shape == (4,) and np.ndim(bk.cost) == 0
         assert prof.aggregate.shape == (2, 2) and np.ndim(prof.sigma_x) == 0
         assert exact_gradient(inst, K).shape == K.shape
@@ -250,6 +257,7 @@ class TestClosedLoopRecursion:
     @settings(deadline=None, max_examples=150)
     @given(d=st.integers(1, 4), k=st.integers(1, 2), T=st.integers(1, 10), n=st.sampled_from([None, 1, 2, 5, 16]),
            seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 0.3, 3.0]))
+    @pytest.mark.filterwarnings("ignore:state covariance is degenerate:RuntimeWarning")
     def test_equals_separate_loops(self, d, k, T, n, seed, scale):
         """P, L, cost and Sigma of one policy or a batch, from every entry
         point, equal the separate reference loops bit for bit."""
@@ -263,11 +271,10 @@ class TestClosedLoopRecursion:
         P, L, cost = reference_backup(inst, K)
         sig = reference_moments(inst, K)
         bk = backup_value(inst, K)
-        prof = covariance_profile(inst, K, warn_degenerate=False)
-        _, _, bk2, prof2 = exact_gradient(inst, K, return_terms=True)
+        prof = covariance_profile(inst, K)
         both = core._closed_loop(inst, K)
         pairs = [(bk.P, P), (bk.L, L), (bk.cost, cost), (exact_cost(inst, K), cost), (prof.sigmas, sig),
-                 (bk2.P, P), (bk2.L, L), (bk2.cost, cost), (prof2.sigmas, sig), (both[0], P), (both[1], sig)]
+                 (both[0], P), (both[1], sig), (exact_gradient(inst, K), core._gradient_terms(inst, K, P, sig))]
         assert all(_same_bits(a, b) for a, b in pairs)
         assert bk.P.flags.c_contiguous and prof.sigmas.flags.c_contiguous
 
@@ -278,12 +285,12 @@ class TestCovariance:
             inst = random_instance(rng)
             K = random_policy(rng, inst)
             tk, delta = operator_decomposition(inst, K)
-            prof = covariance_profile(inst, K, warn_degenerate=False)
+            prof = covariance_profile(inst, K)
             np.testing.assert_allclose(tk + delta, prof.aggregate, atol=1e-9 * (1 + np.abs(prof.aggregate).max()))
 
     def test_positive_definite_with_pd_inputs(self, rng):
         inst = random_instance(rng)
-        prof = covariance_profile(inst, random_policy(rng, inst), warn_degenerate=False)
+        prof = covariance_profile(inst, random_policy(rng, inst))
         assert prof.sigma_x > 0
 
     def test_degenerate_warning(self):

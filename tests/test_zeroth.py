@@ -335,11 +335,12 @@ class TestEstimator:
         # a handle with rollout() alone: entry (t, i) is simulate_trajectory on
         # the key (seed, iteration, t, i, 1), not a row of LqrSimulator's paths
         inst = _instance_of_kinds(*kinds, d=d, T=T)
-        sim = LqrSimulator(inst)
 
         class Opaque:
-            T, k, d = sim.T, sim.k, sim.d
-            rollout = staticmethod(sim.rollout)
+            T, k, d = inst.T, inst.k, inst.d
+
+            def rollout(self, policy, seed):
+                return simulate_trajectory(inst, policy, seed).realized_cost
 
         K = np.random.default_rng(d * T).normal(size=(T, 1, d)) * 0.2
         U = sphere_directions(T, m, (1, d), 0.3, seed, iteration)
@@ -356,11 +357,12 @@ class TestEstimator:
         # LqrSimulator's, which reads path rows
         inst = random_instance(rng, d=2, k=1, T=3)
         K = random_policy(rng, inst)
-        sim = LqrSimulator(inst)
 
         class Opaque:
-            T, k, d = sim.T, sim.k, sim.d
-            rollout = staticmethod(sim.rollout)
+            T, k, d = inst.T, inst.k, inst.d
+
+            def rollout(self, policy, seed):
+                return simulate_trajectory(inst, policy, seed).realized_cost
 
         cfg = SmoothingConfig(radius=0.3, samples=20)
         est = estimate_gradient(Opaque(), K, cfg, seed=3, iteration=5)
@@ -373,7 +375,7 @@ class TestEstimator:
         grads = (2 / 0.3**2) * np.einsum("ti,tikd->tkd", costs, U) / 20
         np.testing.assert_allclose(est.mean_costs, costs.mean(axis=1), rtol=1e-12)
         np.testing.assert_allclose(est.grads, grads, rtol=1e-12, atol=1e-12 * np.abs(grads).max())
-        assert not np.array_equal(est.grads, estimate_gradient(sim, K, cfg, seed=3, iteration=5).grads)
+        assert not np.array_equal(est.grads, estimate_gradient(LqrSimulator(inst), K, cfg, seed=3, iteration=5).grads)
 
     def test_handle_without_rollouts_is_rejected(self):
         class Bare:

@@ -53,6 +53,7 @@ from lqrlab import (
     run_exact_ppg,
     run_modelfree_pg,
     run_modelfree_ppg,
+    simulate_trajectory,
     solve_riccati,
 )
 from lqrlab import cli, core, zeroth
@@ -152,9 +153,17 @@ def _run_sha(run, *args) -> str:
     return _sha(K, trace.rows)
 
 
+def _error_terms(inst, policy, P) -> np.ndarray:
+    """E_t = (R_t + B' P_{t+1} B) K_t - B' P_{t+1} A of the gradient, from
+    the value matrices P of backup_value."""
+    BtP = inst.B.T @ P[..., 1:, :, :]
+    return (inst.R + BtP @ inst.B) @ np.asarray(policy, dtype=float) - BtP @ inst.A
+
+
 def exact_outputs(out: dict) -> None:
-    """backup_value, exact_gradient (plain and with its terms),
-    covariance_profile and solve_riccati on the suite of EXACT_SHAPES, for
+    """backup_value, exact_gradient (plain and with its terms: E_t from
+    backup_value's P, then the backup and profile), covariance_profile and
+    solve_riccati on the suite of EXACT_SHAPES, for
     one policy and a batch; then exact PG and box-projected PG traces with
     Armijo at backtrack 0.5 and 0.3 on every fourth suite instance, projected
     PG on the liquidation instance, and 4-state runs; then exact PG with the
@@ -174,10 +183,10 @@ def exact_outputs(out: dict) -> None:
                 out[f"{name}/{tag}/backup"] = _sha(bk.P, bk.L, bk.cost)
                 prof = covariance_profile(inst, policy)
                 out[f"{name}/{tag}/profile"] = _sha(prof.sigmas, prof.aggregate, prof.sigma_x)
-                out[f"{name}/{tag}/gradient"] = _sha(exact_gradient(inst, policy))
-                grads, E, bk, prof = exact_gradient(inst, policy, return_terms=True)
-                out[f"{name}/{tag}/gradient-terms"] = _sha(grads, E, bk.P, bk.L, bk.cost, prof.sigmas, prof.aggregate,
-                                                           prof.sigma_x)
+                grads = exact_gradient(inst, policy)
+                out[f"{name}/{tag}/gradient"] = _sha(grads)
+                out[f"{name}/{tag}/gradient-terms"] = _sha(grads, _error_terms(inst, policy, bk.P), bk.P, bk.L, bk.cost,
+                                                           prof.sigmas, prof.aggregate, prof.sigma_x)
         box = ProjectionSet(kind="box", lo=-0.4, hi=0.4)
         for backtrack in (0.5, 0.3):
             for n in range(0, len(EXACT_SHAPES), 4):
@@ -315,17 +324,19 @@ HANDLE_SEEDS = [0, -5, 2**63 + 4]
 
 
 class RolloutOnly:
-    """A handle exposing T, k, d and rollout() alone."""
+    """A handle exposing T, k, d and rollout() alone: the realized cost of
+    simulate_trajectory."""
 
-    def __init__(self, sim):
-        self.T, self.k, self.d = sim.T, sim.k, sim.d
-        self.rollout = sim.rollout
+    def __init__(self, inst):
+        self.T, self.k, self.d = inst.T, inst.k, inst.d
+        self.rollout = lambda policy, seed: simulate_trajectory(inst, policy, seed).realized_cost
 
 
 class SlotsOnly:
     """A handle exposing T, k, d and rollout_perturbed_slots() alone."""
 
-    def __init__(self, sim):
+    def __init__(self, inst):
+        sim = LqrSimulator(inst)
         self.T, self.k, self.d = sim.T, sim.k, sim.d
         self.rollout_perturbed_slots = sim.rollout_perturbed_slots
 
@@ -338,16 +349,15 @@ def handle_outputs(out: dict) -> None:
     etas = {"zo-liquidation": 0.05, "c11": 0.2, "four-state": 1e-4}
     for name, eta in etas.items():
         inst, K, r = instances[name]
-        sim = LqrSimulator(inst)
         for handle in (RolloutOnly, SlotsOnly):
             for m in HANDLE_SAMPLES:
                 cfg = SmoothingConfig(radius=r, samples=m)
                 for seed in HANDLE_SEEDS:
                     key = f"handle/{handle.__name__}/{name}/m={m}/seed={seed}"
                     for it in (0, 3):
-                        est = estimate_gradient(handle(sim), K, cfg, seed, iteration=it)
+                        est = estimate_gradient(handle(inst), K, cfg, seed, iteration=it)
                         out[f"{key}/est:it={it}"] = _sha(est.grads, est.mean_costs)
-                    Kf, trace = run_modelfree_pg(handle(sim), K, DescentConfig(eta=eta, iters=3), cfg, seed)
+                    Kf, trace = run_modelfree_pg(handle(inst), K, DescentConfig(eta=eta, iters=3), cfg, seed)
                     out[f"{key}/loop"] = _sha(Kf, trace.rows)
 
 
