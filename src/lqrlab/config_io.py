@@ -66,16 +66,22 @@ def _sub(cfg: dict, prefix: str) -> dict:
     return {k[len(p):]: v for k, v in cfg.items() if k.startswith(p)}
 
 
+def _known(cfg: dict, prefix: str, names) -> dict:
+    """The `prefix.*` keys of cfg, without the prefix; ValueError names the
+    first that is not in names."""
+    given = _sub(cfg, prefix)
+    unknown = sorted(set(given) - set(names))
+    if unknown:
+        raise ValueError(f"unknown key {prefix}.{unknown[0]}; the {prefix}.* keys are {', '.join(names)}")
+    return given
+
+
 def _fields_from(cls, cfg: dict, prefix: str, counts: tuple, skip: tuple = (), **defaults):
     """cls from the `prefix.*` keys of cfg, those in counts read with as_count
     and the rest as floats; defaults, then cls's own, fill the fields not
     given.  ValueError names the first key that is not a field of cls or is
     in skip, KeyError the first field that has no value."""
-    names = [f.name for f in fields(cls) if f.name not in skip]
-    given = _sub(cfg, prefix)
-    unknown = sorted(set(given) - set(names))
-    if unknown:
-        raise ValueError(f"unknown key {prefix}.{unknown[0]}; the {prefix}.* keys are {', '.join(names)}")
+    given = _known(cfg, prefix, [f.name for f in fields(cls) if f.name not in skip])
     values = defaults | {k: as_count(v, f"{prefix}.{k}") if k in counts else float(v) for k, v in given.items()}
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
     if missing:
@@ -83,36 +89,31 @@ def _fields_from(cls, cfg: dict, prefix: str, counts: tuple, skip: tuple = (), *
     return cls(**values)
 
 
-def _noise_from(cfg: dict) -> NoiseModel:
-    factor = cfg.get("factor")
-    return NoiseModel(
-        kind=cfg.get("kind", "gaussian"),
-        sigma=float(cfg.get("sigma", 1.0)),
-        factor=None if factor is None else np.asarray(factor, dtype=float),
-    )
+_INSTANCE_KEYS = ("A", "B", "Q", "R", "T", "Q_terminal", "noise.kind", "noise.sigma", "noise.factor",
+                 "init.kind", "init.mean", "init.sigma", "init.factor")
 
 
-def _init_from(cfg: dict) -> InitialStateModel:
-    factor = cfg.get("factor")
-    return InitialStateModel(
-        kind=cfg.get("kind", "gaussian"),
-        mean=np.asarray(cfg["mean"], dtype=float),
-        sigma=float(cfg.get("sigma", 1.0)),
-        factor=None if factor is None else np.asarray(factor, dtype=float),
-    )
+def _model_from(cls, keys: dict, **fields):
+    """A start or noise model cls from its kind, sigma and factor keys, a
+    Gaussian of sigma 1 and the identity factor unless given, and fields."""
+    factor = keys.get("factor")
+    return cls(kind=keys.get("kind", "gaussian"), sigma=float(keys.get("sigma", 1.0)),
+               factor=None if factor is None else np.asarray(factor, dtype=float), **fields)
 
 
 def instance_from_config(cfg: dict) -> LqrInstance:
     """Build an instance from the `instance.*` keys.  Q and R may be a single
     matrix (repeated over the horizon, with `instance.Q_terminal` for the
-    last slice) or full stacks with T+1 / T slices."""
-    sub = _sub(cfg, "instance")
+    last slice) or full stacks with T+1 / T slices.  ValueError names the
+    first key outside _INSTANCE_KEYS."""
+    sub = _known(cfg, "instance", _INSTANCE_KEYS)
     if not sub:
         raise KeyError("config has no instance.* keys")
     A = np.asarray(sub["A"], dtype=float)
     B = np.asarray(sub["B"], dtype=float)
-    noise = _noise_from(_sub(sub, "noise"))
-    init = _init_from(_sub(sub, "init"))
+    noise = _model_from(NoiseModel, _sub(sub, "noise"))
+    init_keys = _sub(sub, "init")
+    init = _model_from(InitialStateModel, init_keys, mean=np.asarray(init_keys["mean"], dtype=float))
     Q = np.asarray(sub["Q"], dtype=float)
     R = np.asarray(sub["R"], dtype=float)
     if Q.ndim == 3:

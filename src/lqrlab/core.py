@@ -53,19 +53,6 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def standard_draw(kind: str, rng: np.random.Generator, size) -> np.ndarray:
-    """Standardized draw (zero mean, unit variance per coordinate) of a noise
-    or initial-state kind: "gaussian", "uniform" on [-sqrt(3), sqrt(3)], or
-    zeros for the degenerate kinds "zero" and "point", which consume nothing
-    from the stream.  A Gaussian or uniform draw takes the next
-    rng.standard_normal numbers, one per coordinate (_standardize)."""
-    if kind in ("zero", "point"):
-        return np.zeros(size)
-    if kind not in ("gaussian", "uniform"):
-        raise ValueError(f"unknown kind {kind!r}")
-    return _standardize(kind, rng.standard_normal(size))
-
-
 _STREAM_CHUNK = 4096  # path rows per pass of stream_paths, which bounds the working memory
 
 
@@ -124,59 +111,75 @@ def spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sla.lapack.dpotrs(c, rhs, lower=False)[0]
 
 
-def _rows_of_one(F: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(src, coef) when every row r of F has at most one nonzero entry,
-    F[r, src[r]] = coef[r], else None.  A zero row reads the first live
-    column (column 0 when none is live) with its entry, a zero."""
-    nonzero = F != 0
-    if (nonzero.sum(axis=1) > 1).any():
-        return None
-    src = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), nonzero.any(axis=0).argmax())
-    return src, F[np.arange(len(F)), src]
-
-
-def _picked(v: np.ndarray, pick: tuple, sigma: float) -> np.ndarray:
-    """sigma * (v @ F.T) bit for bit, for a factor F whose rows each read one
-    column of v's last axis, pick = (src, coef): every coordinate of the
-    matrix product is one exactly rounded product plus zero terms, on a sum
-    that starts from +0.0, and the + 0.0 here turns a -0.0 product into
-    that +0.0."""
-    out = v[..., pick[0]] * pick[1]
-    out += 0.0
-    out *= sigma
-    return out
-
-
 class _Factored:
-    """The factor of a start or noise model: a (d, d) array, or None for the identity."""
+    """The sampler of a start or noise model: sigma * factor @ v for standardized
+    draws v (_standardize), the factor a (d, d) array or None for the identity.
+    A model names its degenerate kind (_DEGENERATE), which draws nothing, and
+    its own matrix form of factor @ v (_times)."""
 
+    kind: str
+    sigma: float
     factor: np.ndarray | None
 
-    def _factor(self, d: int) -> np.ndarray:
-        return np.eye(d) if self.factor is None else np.asarray(self.factor, dtype=float)
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "uniform", self._DEGENERATE):
+            raise ValueError(f"unknown {type(self).__name__} kind {self.kind!r}")
+
+    def covariance(self, d: int) -> np.ndarray:
+        """sigma^2 factor factor', the covariance about the mean; zeros for the degenerate kind."""
+        if self.kind == self._DEGENERATE:
+            return np.zeros((d, d))
+        F = np.eye(d) if self.factor is None else np.asarray(self.factor, dtype=float)
+        return self.sigma**2 * (F @ F.T)
 
     @cached_property
     def _reads(self) -> tuple:
         """(c, product): a draw takes c numbers a vector, one per live
         (nonzero) column of the factor F, c = None for all d of the identity,
         and F @ v reads them as product: (src, coef) over the c numbers when
-        each row of F reads one column (_rows_of_one, _picked), else F's c
+        each row of F has at most one nonzero entry (vectors), else F's c
         live columns, a (d, c) matrix (F itself when every column is live,
         so its products keep their bits).  A factor without a live column
         reads one number a vector, times zeros."""
         if self.factor is None:
             return None, (slice(None), 1.0)
         F = np.asarray(self.factor, dtype=float)
-        pick = _rows_of_one(F)
-        if pick is None:
-            live = (F != 0).any(axis=0)
+        nonzero = F != 0
+        if (nonzero.sum(axis=1) > 1).any():
+            live = nonzero.any(axis=0)
             return int(live.sum()), F if live.all() else F[:, live]
-        cols, src = np.unique(pick[0], return_inverse=True)
-        return len(cols), (src, pick[1])
+        # row r reads column pick[r], a zero row the first live column (column 0
+        # when none is live) with its entry, a zero
+        pick = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), nonzero.any(axis=0).argmax())
+        cols, src = np.unique(pick, return_inverse=True)
+        return len(cols), (src, F[np.arange(len(F)), pick])
 
     def _width(self, d: int) -> int:
-        """The numbers a draw takes per vector of d states."""
-        return self._reads[0] or d
+        """The numbers a draw takes per vector of d states: none for the degenerate kind."""
+        return 0 if self.kind == self._DEGENERATE else self._reads[0] or d
+
+    def vectors(self, z: np.ndarray, d: int) -> np.ndarray:
+        """Vectors (..., d) from standard normals z (..., _width(d)), standardized
+        in place: zeros for the degenerate kind, else sigma * factor @ v."""
+        if self.kind == self._DEGENERATE:
+            return np.zeros((*z.shape[:-1], d))
+        v = _standardize(self.kind, z)
+        product = self._reads[1]
+        if not isinstance(product, tuple):
+            return self.sigma * self._times(product, v)
+        # each row of the factor reads one column, product = (src, coef): the
+        # model's matrix form bit for bit, as every coordinate of the matrix
+        # product is one exactly rounded product plus zero terms, on a sum that
+        # starts from +0.0, and the + 0.0 here turns a -0.0 product into that +0.0
+        out = v[..., product[0]] * product[1]
+        out += 0.0
+        out *= self.sigma
+        return out
+
+    def sample(self, rng: np.random.Generator, shape: tuple, d: int) -> np.ndarray:
+        """vectors of the next (*shape, _width(d)) standard normals of rng; a
+        zero-size draw (the degenerate kind) leaves the stream where it was."""
+        return self.vectors(rng.standard_normal((*shape, self._width(d))), d)
 
 
 @dataclass(frozen=True)
@@ -188,36 +191,20 @@ class NoiseModel(_Factored):
     or "zero".
     """
 
+    _DEGENERATE = "zero"
+
     kind: str
     sigma: float = 1.0
     factor: np.ndarray | None = None  # (d, d); identity if None
 
-    def covariance(self, d: int) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros((d, d))
-        F = self._factor(d)
-        return self.sigma**2 * (F @ F.T)
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "uniform", "zero"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-
-    def scale(self, v: np.ndarray) -> np.ndarray:
-        """Noise vectors sigma * factor @ v_t from standardized draws v of shape
-        (..., T, c), one per live column of the factor (_Factored._reads): an
-        elementwise product when the factor's rows each read one column
-        (_picked), a matrix product otherwise."""
-        product = self._reads[1]
-        if isinstance(product, tuple):
-            return _picked(v, product, self.sigma)
-        return self.sigma * (v @ product.T)
+    @staticmethod
+    def _times(F: np.ndarray, v: np.ndarray) -> np.ndarray:  # F @ v changes bits, and is slower where rows mix columns
+        return v @ F.T  # one product a stack (..., T, c)
 
     def draw(self, rng: np.random.Generator, T: int, d: int) -> np.ndarray:
         """(T, d) array of noise vectors from the next T * c standard normals
         of rng, c per vector (_Factored._width); none for the zero kind."""
-        if self.kind == "zero":
-            return np.zeros((T, d))
-        return self.scale(standard_draw(self.kind, rng, (T, self._width(d))))
+        return self.sample(rng, (T,), d)
 
 
 @dataclass(frozen=True)
@@ -228,41 +215,35 @@ class InitialStateModel(_Factored):
     mean mean' + sigma^2 factor factor'.
     """
 
+    _DEGENERATE = "point"
+
     kind: str
     mean: np.ndarray
     sigma: float = 1.0
     factor: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "uniform", "point"):
-            raise ValueError(f"unknown initial-state kind {self.kind!r}")
-
     def second_moment(self) -> np.ndarray:
         mu = np.asarray(self.mean, dtype=float)
-        d = mu.shape[0]
         S0 = np.outer(mu, mu)
-        if self.kind != "point":
-            F = self._factor(d)
-            S0 = S0 + self.sigma**2 * (F @ F.T)
-        return S0
+        return S0 if self.kind == "point" else S0 + self.covariance(len(mu))
 
-    def place(self, z: np.ndarray) -> np.ndarray:
-        """Initial states mean + sigma * factor @ z from standardized draws z of
-        shape (..., c), elementwise or by a matrix product as NoiseModel.scale."""
-        mu = np.asarray(self.mean, dtype=float)
-        product = self._reads[1]
-        if not isinstance(product, tuple):
-            return mu + self.sigma * (product @ z[..., None])[..., 0]
-        out = _picked(z, product, self.sigma)
-        out += mu
-        return out
+    @staticmethod
+    def _times(F: np.ndarray, z: np.ndarray) -> np.ndarray:  # z @ F.T makes a batch row differ from a single draw
+        return (F @ z[..., None])[..., 0]  # one product a vector (..., c)
+
+    def vectors(self, z: np.ndarray, d: int) -> np.ndarray:
+        """mean + the sampler's vectors: the mean itself, bit for bit, for the point kind."""
+        x = super().vectors(z, d)
+        if self.kind == "point":
+            x[...] = self.mean
+        else:
+            x += self.mean
+        return x
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """The start state from the next c standard normals of rng
         (_Factored._width); none for the point kind."""
-        if self.kind == "point":
-            return np.array(self.mean, dtype=float)
-        return self.place(standard_draw(self.kind, rng, self._width(len(self.mean))))
+        return self.sample(rng, (), len(self.mean))
 
 
 def _check_model(model, name: str, d: int) -> None:
@@ -270,7 +251,7 @@ def _check_model(model, name: str, d: int) -> None:
     not fit d states: a mean of length d and finite and, unless the kind is
     degenerate ("point", "zero", which read neither), a finite sigma and a
     (d, d) finite factor."""
-    reads = model.kind not in ("point", "zero")
+    reads = model.kind != model._DEGENERATE
     if reads and not np.isfinite(model.sigma):
         raise ValueError(f"{name}.sigma must be finite, got {model.sigma!r}")
     for part, shape in (("factor", (d, d)), ("mean", (d,))):
@@ -556,10 +537,10 @@ def stream_paths(instance: LqrInstance, rng: np.random.Generator, n: int) -> tup
     rng's stream.  A row takes the N standard normals simulate_trajectory
     draws, start state first, then noise, one per live factor column of a
     vector (_Factored._width; none for a point start or zero noise, 11 on
-    zo-liquidation), so row j is the (j + 1)-th pair of init.draw and
-    noise.draw on the stream, bit for bit, and the stream ends n * N numbers
-    on.  Rows are drawn in passes of _STREAM_CHUNK, which bounds the working
-    memory beyond the result."""
+    zo-liquidation), mapped by the models' vectors, so row j is the (j + 1)-th
+    pair of init.draw and noise.draw on the stream, bit for bit, and the
+    stream ends n * N numbers on.  Rows are drawn in passes of _STREAM_CHUNK,
+    which bounds the working memory beyond the result."""
     T, d = instance.T, instance.d
     if n > _STREAM_CHUNK:
         x0, w = np.empty((n, d)), np.empty((n, T, d))
@@ -567,13 +548,9 @@ def stream_paths(instance: LqrInstance, rng: np.random.Generator, n: int) -> tup
             x0[lo:lo + _STREAM_CHUNK], w[lo:lo + _STREAM_CHUNK] = stream_paths(instance, rng, min(_STREAM_CHUNK, n - lo))
         return x0, w
     init, noise = instance.init, instance.noise
-    a = 0 if init.kind == "point" else init._width(d)
-    c = 0 if noise.kind == "zero" else noise._width(d)
+    a, c = init._width(d), noise._width(d)
     z = rng.standard_normal((n, a + T * c))
-    x0 = init.place(_standardize(init.kind, z[:, :a])) if a else np.tile(np.asarray(init.mean, dtype=float), (n, 1))
-    if not c:
-        return x0, np.zeros((n, T, d))
-    return x0, noise.scale(_standardize(noise.kind, z[:, a:]).reshape(n, T, c))
+    return init.vectors(z[:, :a], d), noise.vectors(z[:, a:].reshape(n, T, c), d)
 
 
 def pathwise_cost_terms(instance: LqrInstance, policy, traj: Trajectory, backup: ValueBackup | None = None):

@@ -214,6 +214,17 @@ class SyntheticBookConfig:
     sigma_mid: float = 0.1
     random_depth: bool = True
 
+    def __post_init__(self):
+        """ValueError naming the first field out of range."""
+        for name in ("T", "levels"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"book.{name} must be an integer >= 1, got {n!r}")
+        for name in ("tick", "depth_mean", "mid0", "sigma_mid"):
+            x, positive = getattr(self, name), name != "sigma_mid"
+            if not np.isfinite(x) or x < 0 or (positive and x == 0):
+                raise ValueError(f"book.{name} must be finite and {'> 0' if positive else '>= 0'}, got {x!r}")
+
 
 def synthetic_lob(cfg: SyntheticBookConfig, seed) -> LobSeries:
     rng = make_rng(seed)

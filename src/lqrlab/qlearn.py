@@ -10,7 +10,7 @@ with x' = A x + B u + w snapped to the nearest grid point (clamped at the
 boundary, occurrences counted).  The terminal layer is fixed at x^2 Q_T.
 A sweep draws one standard normal of its stream per cell and layer, and
 greedy_policy_cost one per rollout for the start state and each step, none
-for a point start or zero noise (core.standard_draw; a uniform kind maps
+for a point start or zero noise (the models' sample; a uniform kind maps
 each normal).
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LqrInstance, make_rng, standard_draw
+from .core import LqrInstance, make_rng
 
 
 def _scalars(instance: LqrInstance):
@@ -31,12 +31,6 @@ def _scalars(instance: LqrInstance):
     q = instance.Q[:, 0, 0]
     r = instance.R[:, 0, 0]
     return a, b, q, r
-
-
-def _noise(instance: LqrInstance, rng, shape) -> np.ndarray:
-    """Scalar noise of the given shape from the next standard normals of
-    rng, one per entry, mapped through the noise model."""
-    return instance.noise.scale(standard_draw(instance.noise.kind, rng, (*shape, 1)))[..., 0]
 
 
 @dataclass
@@ -88,7 +82,7 @@ def q_learning_step(table: QTable, instance: LqrInstance, lr: float, seed) -> QT
     q = table.q.copy()
     clamps = table.clamp_count
     for t in range(T - 1, -1, -1):
-        w = _noise(instance, rng, q[t].shape)
+        w = instance.noise.sample(rng, q[t].shape, 1)[..., 0]
         x_next = a * X + b * U + w
         clamps += int(np.count_nonzero((x_next < -1.0) | (x_next > 1.0)))
         idx = table.snap(x_next)
@@ -106,12 +100,12 @@ def greedy_policy_cost(table: QTable, instance: LqrInstance, n_rollouts: int, se
     T = instance.T
     greedy = table.greedy_indices()
     rng = make_rng(seed)
-    x = instance.init.place(standard_draw(instance.init.kind, rng, (n_rollouts, 1)))[:, 0]
+    x = instance.init.sample(rng, (n_rollouts,), 1)[:, 0]
     cost = np.zeros(n_rollouts)
     for t in range(T):
         u = table.u_grid[greedy[t][table.snap(x)]]
         cost += x**2 * qcoef[t] + u**2 * rcoef[t]
         x = a * x + b * u
-        x += _noise(instance, rng, (n_rollouts,))  # in place: no third (n,) array alive while drawing
+        x += instance.noise.sample(rng, (n_rollouts,), 1)[:, 0]  # in place: no third (n,) array alive while drawing
     cost += x**2 * qcoef[T]
     return float(cost.mean())

@@ -182,14 +182,37 @@ class TestCli:
         ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "book.T = 10\n", "book.T is not read by kind 'pg'"),
         ("lob", AC_CFG + 'book.T = 10\nphi_prime = 1e-6\nlob_csv = "b.csv"\n', "book.T is not read by kind 'lob'"),
         ("impact", "impact.gamma = 2.5e-6\nimpact.sigma = 0.01\nac.T = 10\n", "ac.T is not read by kind 'impact'"),
+        ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "instance.noise.sigmaa = 5.0\n", "unknown key instance.noise.sigmaa"),
+        ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "instance.init.factr = [[2.0]]\n", "unknown key instance.init.factr"),
+        ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "instance.Q_terminl = [[9.0]]\n", "unknown key instance.Q_terminl"),
     ])
     def test_section_keys_the_run_does_not_read_exit_two(self, tmp_path, capsys, kind, text, key):
-        # a misspelt book.* or ac.* key used to be ignored: `lob` ran with the
-        # default depth and exited 0
+        # a misspelt book.*, ac.* or instance.* key used to be ignored: `lob`
+        # ran with the default depth, `pg` with the default noise, and both
+        # exited 0
         cfg = write(tmp_path, "c.cfg", text)
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config: ") and key in err
+        assert not (tmp_path / "o" / "seed_0.csv").exists()
+
+    @pytest.mark.parametrize("setting,field", [
+        ("book.tick = 0", "book.tick"),
+        ("book.levels = 0", "book.levels"),
+        ("book.sigma_mid = -1", "book.sigma_mid"),
+        ("book.T = 0", "book.T"),
+        ("book.depth_mean = -5", "book.depth_mean"),
+        ("book.mid0 = 0", "book.mid0"),
+        ("book.sigma_mid = NaN", "book.sigma_mid"),
+    ])
+    def test_bad_synthetic_book_exit_two(self, tmp_path, capsys, setting, field):
+        # a zero tick used to exit 1 with a ZeroDivisionError, zero levels
+        # with an IndexError, and a negative sigma_mid ran and exited 0
+        text = AC_CFG + "book.T = 10\nbook.depth_mean = 2000\nphi_prime = 1e-6\n" + setting + "\n"
+        cfg = write(tmp_path, "c.cfg", text)
+        assert main(["lob", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ") and field in err
         assert not (tmp_path / "o" / "seed_0.csv").exists()
 
     def test_book_from_given_keys(self):

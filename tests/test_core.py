@@ -29,7 +29,7 @@ from lqrlab import (
 )
 from lqrlab import core
 from lqrlab.benchmarks import scalar_benchmark
-from lqrlab.core import make_rng, pathwise_cost_terms, standard_draw, stream_paths
+from lqrlab.core import make_rng, pathwise_cost_terms, stream_paths
 from lqrlab.errors import HorizonTooShort, NonPositiveDefinite
 from lqrlab.zeroth import LqrSimulator
 
@@ -597,18 +597,22 @@ def factors(draw, d: int):
     return F
 
 
-class TestStandardDraw:
+class TestModelSample:
+    # a model of unit sigma and the identity factor samples standardized
+    # draws: one number a coordinate, zero mean and unit variance
+
     @settings(deadline=None, max_examples=100)
     @given(key=KEYS, layout=LAYOUTS)
     def test_draws_are_the_streams_normals_in_order(self, key, layout):
-        # draw calls of several kinds on one generator take consecutive runs
+        # sample calls of several kinds on one generator take consecutive runs
         # of make_rng(key).standard_normal, one number a coordinate, a
         # uniform as sqrt(3) erf(z sqrt(1/2)) of its normal
         z = make_rng(key).standard_normal(sum(width for _, width in layout))
         ref = np.split(z, np.cumsum([width for _, width in layout])[:-1])
         ref = [part if kind == "gaussian" else _uniform(part) for (kind, _), part in zip(layout, ref)]
         rng = make_rng(key)
-        _assert_same_bits(np.concatenate([standard_draw(kind, rng, width) for kind, width in layout]), np.concatenate(ref))
+        drawn = [NoiseModel(kind).sample(rng, (), width) for kind, width in layout]
+        _assert_same_bits(np.concatenate(drawn), np.concatenate(ref))
 
     def test_uniforms_match_an_independent_normal_cdf(self):
         z = make_rng(17).standard_normal(4096).tolist() + [-40.0, -8.5, -0.0, 0.0, 8.5, 40.0]
@@ -623,29 +627,32 @@ class TestStandardDraw:
             make_rng([1, 2, 3, 4, 5, 6])
 
     def test_rejects_unknown_kinds(self):
-        with pytest.raises(ValueError):
-            standard_draw("point-mass", make_rng(0), 3)
+        for model in (NoiseModel, lambda kind: InitialStateModel(kind, np.zeros(1))):
+            with pytest.raises(ValueError, match="unknown .* kind 'point-mass'"):
+                model("point-mass")
 
-    def test_sizes_are_shapes_and_degenerate_or_empty_draws_take_no_number(self):
+    def test_shapes_lead_and_degenerate_or_empty_draws_take_no_number(self):
         for kind in ("gaussian", "uniform"):
-            flat = standard_draw(kind, make_rng(8), 6)
-            _assert_same_bits(standard_draw(kind, make_rng(8), (2, 3)), flat.reshape(2, 3))
+            model = NoiseModel(kind)
+            flat = model.sample(make_rng(8), (), 6)
+            _assert_same_bits(model.sample(make_rng(8), (2,), 3), flat.reshape(2, 3))
             rng = make_rng(8)
-            assert standard_draw(kind, rng, 0).shape == (0,)
-            _assert_same_bits(standard_draw("point", rng, 4), np.zeros(4))
-            _assert_same_bits(standard_draw("zero", rng, (2, 2)), np.zeros((2, 2)))
-            _assert_same_bits(standard_draw(kind, rng, 6), flat)
+            assert model.sample(rng, (), 0).shape == (0,) and model.sample(rng, (0,), 3).shape == (0, 3)
+            _assert_same_bits(InitialStateModel("point", np.zeros(4)).sample(rng, (), 4), np.zeros(4))
+            _assert_same_bits(NoiseModel("zero").sample(rng, (2,), 2), np.zeros((2, 2)))
+            _assert_same_bits(model.sample(rng, (), 6), flat)
 
     @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
-    def test_draws_keep_one_array(self, kind):
-        # a uniform maps its normals in place, so a draw of n numbers peaks
-        # at one n-number array
+    def test_vectors_keep_one_array(self, kind):
+        # a uniform maps its normals in place, so the vectors of n numbers
+        # peak at the one n-number result
         n = 2**17
-        standard_draw(kind, make_rng(1), 8)  # imports erf outside the trace
-        rng = make_rng(2)
+        model = NoiseModel(kind)
+        model.sample(make_rng(1), (), 8)  # imports erf outside the trace
+        z = make_rng(2).standard_normal(n)
         tracemalloc.start()
         try:
-            x = standard_draw(kind, rng, n)
+            x = model.vectors(z, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -656,7 +663,7 @@ class TestStandardDraw:
         # five standard errors for each moment and a KS distance whose chance
         # under a true normal is about 1e-6 (2 exp(-2 * 2.7**2))
         n = 2**20
-        x = np.sort(standard_draw("gaussian", make_rng((29, 3)), n))
+        x = np.sort(NoiseModel("gaussian").sample(make_rng((29, 3)), (), n))
         z = (x - x.mean()) / x.std()
         assert abs(x.mean()) < 5 / np.sqrt(n)
         assert abs(x.var() - 1) < 5 * np.sqrt(2 / n)
@@ -670,7 +677,7 @@ class TestStandardDraw:
         # 2**20 uniforms of one stream against the uniform CDF on
         # [-sqrt(3), sqrt(3)], with the KS threshold of the normals
         n = 2**20
-        x = np.sort(standard_draw("uniform", make_rng((31, 3)), n))
+        x = np.sort(NoiseModel("uniform").sample(make_rng((31, 3)), (), n))
         assert -SQRT3 <= x[0] and x[-1] <= SQRT3
         cdf = (x + SQRT3) / (2 * SQRT3)
         ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
@@ -686,7 +693,7 @@ def test_gaussian_work_leaves_scipy_special_unimported():
         import numpy as np
         from lqrlab import SmoothingConfig, estimate_gradient, simulate_trajectory
         from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
-        from lqrlab.core import make_rng, standard_draw
+        from lqrlab.core import NoiseModel, make_rng
         from lqrlab.liquidation import ac_to_lqr
         from lqrlab.qlearn import make_qtable, q_learning_step
         liq, scalar = ac_to_lqr(stock_liquidation()), scalar_benchmark()
@@ -694,7 +701,7 @@ def test_gaussian_work_leaves_scipy_special_unimported():
         simulate_trajectory(scalar, np.zeros((5, 1, 1)), 1)
         q_learning_step(make_qtable(scalar, 11, 11), scalar, 0.5, 2)
         print("scipy.special" in sys.modules)
-        standard_draw("uniform", make_rng(0), 3)
+        NoiseModel("uniform").sample(make_rng(0), (), 3)
         print("scipy.special" in sys.modules)
     """
     src = str(Path(core.__file__).parents[1])
@@ -724,7 +731,7 @@ class TestFactorProducts:
         live[0] |= not live.any()
         noise, init = NoiseModel("gaussian", sigma, F), InitialStateModel("gaussian", mean, sigma, F)
         assert noise._width(d) == init._width(d) == live.sum()
-        scaled, placed = noise.scale(v[..., live]), init.place(v[..., live])
+        scaled, placed = noise.vectors(v[..., live], d), init.vectors(v[..., live], d)
         noise_ref, init_ref = sigma * (v @ Fm.T), mean + sigma * (Fm @ v[..., None])[..., 0]
         if ((Fm != 0).sum(axis=1) > 1).any() and not live.all():
             atol = 1e-12 * (1 + np.abs(noise_ref).max())
@@ -829,9 +836,11 @@ class TestStreamPaths:
             z = ref.standard_normal((n, width))
             rng = make_rng(key)
             x0, w = stream_paths(inst, rng, n)
+            # the uniform noise as the Gaussian model's vectors of _uniform's map
+            scaled = dataclasses.replace(inst.noise, kind="gaussian")
             for j, row in enumerate(z):
-                _assert_same_bits(x0[j], inst.init.place(row[:1]))
-                noise = np.zeros((1, 1)) if width == 1 else inst.noise.scale(_uniform(row[1:, None]))
+                _assert_same_bits(x0[j], inst.init.vectors(row[:1], 1))
+                noise = np.zeros((1, 1)) if width == 1 else scaled.vectors(_uniform(row[1:, None]), 1)
                 _assert_same_bits(w[j], noise)
             assert rng.standard_normal() == ref.standard_normal()
 

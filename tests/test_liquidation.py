@@ -63,19 +63,24 @@ class TestEmbedding:
         inst = ac_to_lqr(small_params(epsilon=0.0))
         assert np.isfinite(solve_riccati(inst).optimal_cost)
 
-    @pytest.mark.filterwarnings("ignore:state covariance is degenerate:RuntimeWarning")
+    @pytest.mark.filterwarnings("error:state covariance is degenerate:RuntimeWarning")
     def test_covariance_stays_pd_on_constraint_set(self):
-        # despite a singular noise covariance, constrained gains keep the
-        # state second moment positive definite at every time (its smallest
-        # eigenvalue is still below the warning's relative floor of 1e-12)
+        # despite a singular noise covariance, gains that keep a margin zeta
+        # from selling the whole inventory keep the state second moment
+        # positive definite at every time, above the warning's relative
+        # floor 1e-12 (1 + max|Sigma|); at zeta = 1e-12 a projected step can
+        # sell all but about 1e-12 of it, and covariance_profile warns
         inst = ac_to_lqr(stock_liquidation())
-        S = liquidation_constraint(5e-5, 1e-12)
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            K = S.project(rng.normal(scale=0.5, size=(10, 1, 2)))
-            prof = covariance_profile(inst, K)
-            assert prof.sigma_x > 0
-            assert all(np.linalg.eigvalsh(s)[0] > 0 for s in prof.sigmas)
+        gains = [rng.normal(scale=0.5, size=(10, 1, 2)) for _ in range(20)]
+        S = liquidation_constraint(5e-5, 5e-2)
+        for G in gains:
+            prof = covariance_profile(inst, S.project(G))
+            assert prof.sigma_x > 1e-12 * (1 + np.abs(prof.sigmas).max())
+        S = liquidation_constraint(5e-5, 1e-12)
+        with pytest.warns(RuntimeWarning, match="state covariance is degenerate"):
+            for G in gains:
+                covariance_profile(inst, S.project(G))
 
     def test_riskless_matches_brute_force(self):
         # phi = 0, deterministic start: optimal expected cost by direct

@@ -1,7 +1,8 @@
 """Bit-identity dump: one sha256 per named output of the exact layer and the
-exact descent, the stream sampler, the rollout kernel, the sampled estimator,
-the zeroth-order loops (also through opaque simulator handles) and the CLI,
-to compare two versions of lqrlab.
+exact descent, the stream sampler, Q-learning on every start and noise kind,
+the rollout kernel, the sampled estimator, the zeroth-order loops (also
+through opaque simulator handles) and the CLI, to compare two versions of
+lqrlab.
 
     PYTHONPATH=src python tools/bitdump.py change.json
     PYTHONPATH=<other checkout>/src python tools/bitdump.py parent.json
@@ -61,6 +62,7 @@ from lqrlab.benchmarks import four_state_benchmark, scalar_benchmark, stock_liqu
 from lqrlab.config_io import dump_kv
 from lqrlab.errors import LqrlabError
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
+from lqrlab.qlearn import greedy_policy_cost, make_qtable, q_learning_step
 
 KIND_PAIRS = [("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gaussian"), ("gaussian", "zero"),
               ("uniform", "gaussian"), ("gaussian", "uniform"), ("point", "zero")]
@@ -295,6 +297,26 @@ def stream_outputs(out: dict) -> None:
             out[f"stream/{name}/key={key[0]},{key[1]}/n={STREAM_ROWS}"] = _sha(*(a for pair in paths for a in pair))
 
 
+QLEARN_FACTORS = {"identity": None, "zero": [[0.0]], "1.7": [[1.7]]}
+
+
+def qlearn_outputs(out: dict) -> None:
+    """Three q_learning_step tables in turn, each with its clamp count, and
+    one greedy_policy_cost of the last, on a scalar instance per kind pair
+    and noise factor (QLEARN_FACTORS)."""
+    for init_kind, noise_kind in KIND_PAIRS:
+        for tag, factor in QLEARN_FACTORS.items():
+            noise = NoiseModel(noise_kind, 0.3, factor)
+            init = InitialStateModel(init_kind, [0.2], 0.4)
+            inst = constant_instance([[0.9]], [[0.5]], [[0.2]], [[0.1]], [[0.4]], 5, noise, init)
+            name = f"qlearn/{init_kind}-{noise_kind}/factor={tag}"
+            table = make_qtable(inst, 21, 11)
+            for sweep in range(3):
+                table = q_learning_step(table, inst, 0.5, (13, sweep))
+                out[f"{name}/sweep={sweep}"] = _sha(table.q, table.clamp_count)
+            out[f"{name}/greedy"] = _sha(greedy_policy_cost(table, inst, 500, (17, 1)))
+
+
 def loop_outputs(out: dict) -> None:
     """Traces and final iterates of zo-liquidation PPG, c11 zo-pg, a small-m
     run that stops at a target, and a 4-state run."""
@@ -445,6 +467,7 @@ def main(argv=None) -> int:
     out: dict = {}
     exact_outputs(out)
     stream_outputs(out)
+    qlearn_outputs(out)
     roll_outputs(out)
     estimator_outputs(out)
     loop_outputs(out)
