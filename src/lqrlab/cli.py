@@ -3,12 +3,14 @@
     lqrlab <kind> --config <path> [--seeds 1 2 3] [--out dir]
 
 Kinds: riccati, pg, ppg, zo-pg, zo-ppg, lob, impact, qlearn, deadline.
-Seeds fan out over a thread pool capped by the LQRLAB_THREADS environment
-variable; the kinds whose runs never read the seed run once, and that run
-stands for every seed.  Every run writes a manifest plus one CSV per seed
-and, for iterative kinds, an aggregate CSV with per-iteration median and
-min/max envelope.  Exit codes: 0 success, 2 invalid config or usage, 3
-runtime failure.
+Each kind first reads its keys from the config, once and without the seed;
+any key it does not read is a config error, reported before any seed runs.
+Seeds then fan out over a thread pool capped by the LQRLAB_THREADS
+environment variable; the kinds whose runs never read the seed run once, and
+that run stands for every seed.  Every run writes a manifest plus one CSV per
+seed and an aggregate CSV whose row i holds the median and min/max envelope
+of row i over the seeds that have one.  Exit codes: 0 success, 2 invalid
+config or usage, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config_io import ac_from_config, as_count, book_from_config, instance_from_config, load_config
-from .core import solve_riccati
+from .config_io import ac_from_config, as_count, book_from_config, dump_kv, instance_from_config, load_config
+from .core import make_rng, solve_riccati
 from .errors import LqrlabError
 from .liquidation import (
     ac_to_lqr,
@@ -45,7 +47,7 @@ from .qlearn import greedy_policy_cost, make_qtable, q_learning_step
 from .zeroth import SmoothingConfig, run_modelfree_pg
 
 KINDS = ["riccati", "pg", "ppg", "zo-pg", "zo-ppg", "lob", "impact", "qlearn", "deadline"]
-_SEEDLESS_KINDS = ("riccati", "pg", "ppg", "deadline")  # deterministic: _run_seed never reads the seed
+_SEEDLESS_KINDS = ("riccati", "pg", "ppg", "deadline")  # deterministic: their runs never read the seed
 
 # CSV columns that count or index, written as integers ("3", not "3.0")
 _INT_COLUMNS = frozenset({"iter", "n_seeds", "row", "m", "t", "sweeps", "horizon"})
@@ -58,112 +60,124 @@ def _max_workers() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _instance(cfg):
-    if any(k.startswith("ac.") for k in cfg):
-        return ac_to_lqr(ac_from_config(cfg))
-    return instance_from_config(cfg)
-
-
-def _initial_policy(cfg, instance):
-    k0 = cfg.get("policy0", 0.0)
+def _initial_policy(k0, instance):
     K = np.asarray(k0, dtype=float)
     if K.ndim == 0:
         return np.full((instance.T, instance.k, instance.d), float(K))
     return K.reshape((instance.T, instance.k, instance.d))
 
 
-def _descent_cfg(cfg) -> DescentConfig:
-    line_search = cfg.get("line_search", False)
-    if not isinstance(line_search, bool):
-        raise ValueError(f"line_search must be true or false, got {line_search!r}")
-    target = cfg.get("target_error")
-    return DescentConfig(
-        eta=float(cfg["eta"]),
-        iters=as_count(cfg["iters"], "iters"),
-        line_search=line_search,
-        target_error=None if target is None else float(target),
-    )
+def _read(keys: dict, kind: str):
+    """Take every key `kind` reads out of keys and return run(seed) ->
+    (columns, rows, scalars), which does the file reads and the heavy work."""
+    if kind == "impact":
+        if "impact.delta_s" in keys:
+            quotes = np.asarray(keys.pop("impact.delta_s"), dtype=float), np.asarray(keys.pop("impact.mfi"), dtype=float)
 
-
-def _constraint(cfg):
-    return liquidation_constraint(float(cfg["constraint.gamma_bar"]), float(cfg.get("constraint.zeta", 1e-12)))
-
-
-def _run_seed(cfg: dict, kind: str, seed: int):
-    """One seed of one experiment; returns (columns, rows)."""
-    if kind == "riccati":
-        inst = _instance(cfg)
-        sol = solve_riccati(inst)
-        rows = [[t, *sol.gains[t].ravel()] for t in range(inst.T)]
-        cols = ["t"] + [f"K_{i}{j}" for i in range(inst.k) for j in range(inst.d)]
-        rows.append([inst.T] + [np.nan] * (len(cols) - 1))
-        return cols, rows, {"optimal_cost": sol.optimal_cost}
-    if kind in ("pg", "ppg", "zo-pg", "zo-ppg"):
-        inst = _instance(cfg)
-        K0 = _initial_policy(cfg, inst)
-        dc = _descent_cfg(cfg)
-        constraint = _constraint(cfg) if kind.endswith("ppg") else None
-        if kind.startswith("zo"):
-            sm = SmoothingConfig(radius=float(cfg["radius"]), samples=as_count(cfg["samples"], "samples"))
-            _, trace = run_modelfree_pg(inst, K0, dc, sm, seed, constraint=constraint)
-        elif constraint is not None:
-            _, trace = run_exact_ppg(inst, K0, dc, constraint)
+            def draw(seed):
+                return quotes
         else:
-            _, trace = run_exact_pg(inst, K0, dc)
-        return trace.columns, trace.rows, {}
+            n = as_count(keys.pop("impact.n", 1000), "impact.n")
+            mfi_std = float(keys.pop("impact.mfi_std", 100.0))
+            gamma, sigma = float(keys.pop("impact.gamma")), float(keys.pop("impact.sigma"))
+
+            def draw(seed):
+                rng = make_rng(seed)
+                mfi = rng.normal(0.0, mfi_std, n)
+                return gamma * mfi + sigma * rng.standard_normal(n), mfi
+
+        return lambda seed: (["gamma_hat", "sigma_hat"], [list(estimate_impact_params(*draw(seed)))], {})
+    if kind == "deadline":
+        p = ac_from_config(keys)
+        horizons = [as_count(h, "horizons") for h in keys.pop("horizons")]
+
+        def run(seed):
+            rows = []
+            for T in horizons:
+                pT = replace(p, T=T)
+                path = expected_inventory_path(pT, solve_riccati(ac_to_lqr(pT)).gains)
+                rows.extend([[T, t, path[t]] for t in range(T + 1)])
+            return ["horizon", "t", "mean_inventory"], rows, {}
+
+        return run
     if kind == "lob":
-        if "lob_csv" in cfg:
-            try:
-                series = read_lob_csv(cfg["lob_csv"])
-            except OSError as e:
-                raise ValueError(f"cannot read lob_csv: {e}") from e
+        p = ac_from_config(keys)
+        phi_prime, q0 = float(keys.pop("phi_prime")), float(keys.pop("q0", p.q0_mean))
+        if "lob_csv" in keys:
+            lob_csv = keys.pop("lob_csv")
+
+            def series(seed):
+                try:
+                    return read_lob_csv(lob_csv)
+                except OSError as e:
+                    raise ValueError(f"cannot read lob_csv: {e}") from e
         else:
-            series = synthetic_lob(book_from_config(cfg), seed)
-        p = ac_from_config(cfg)
-        rec = simulate_lob(series, solve_riccati(ac_to_lqr(p)).gains, float(cfg["phi_prime"]), float(cfg.get("q0", p.q0_mean)))
-        cols = ["t", "trade", "proceeds", "holding"]
-        rows = [[t, rec.trades[t], rec.proceeds[t], rec.holdings[t]] for t in range(len(rec.trades))]
-        return cols, rows, {"shortfall": rec.shortfall, "clamped": rec.clamped}
+            book = book_from_config(keys)
+
+            def series(seed):
+                return synthetic_lob(book, seed)
+
+        def run(seed):
+            rec = simulate_lob(series(seed), solve_riccati(ac_to_lqr(p)).gains, phi_prime, q0)
+            rows = [[t, rec.trades[t], rec.proceeds[t], rec.holdings[t]] for t in range(len(rec.trades))]
+            return ["t", "trade", "proceeds", "holding"], rows, {"shortfall": rec.shortfall, "clamped": rec.clamped}
+
+        return run
+    inst = ac_to_lqr(ac_from_config(keys)) if any(k.startswith("ac.") for k in keys) else instance_from_config(keys)
+    if kind == "riccati":
+        def run(seed):
+            sol = solve_riccati(inst)
+            cols = ["t"] + [f"K_{i}{j}" for i in range(inst.k) for j in range(inst.d)]
+            rows = [[t, *sol.gains[t].ravel()] for t in range(inst.T)] + [[inst.T] + [np.nan] * (len(cols) - 1)]
+            return cols, rows, {"optimal_cost": sol.optimal_cost}
+
+        return run
     if kind == "qlearn":
-        inst = _instance(cfg)
-        table = make_qtable(inst, as_count(cfg.get("n_states", 100), "n_states"),
-                            as_count(cfg.get("n_actions", 100), "n_actions"))
-        lr = float(cfg.get("lr", 0.1))
-        sweeps = as_count(cfg["sweeps"], "sweeps")
+        n_states, n_actions = (as_count(keys.pop(k, 100), k) for k in ("n_states", "n_actions"))
+        lr, sweeps = float(keys.pop("lr", 0.1)), as_count(keys.pop("sweeps"), "sweeps")
+        n_rollouts = as_count(keys.pop("eval_rollouts", 100000), "eval_rollouts")
         if sweeps < 0:
             raise ValueError(f"sweeps must be >= 0, got {sweeps}")
-        for i in range(sweeps):
-            table = q_learning_step(table, inst, lr, [seed, i])
-        n_rollouts = as_count(cfg.get("eval_rollouts", 100000), "eval_rollouts")
-        cost = greedy_policy_cost(table, inst, n_rollouts, [seed, sweeps])
-        cstar = solve_riccati(inst).optimal_cost
-        return (
-            ["sweeps", "greedy_cost", "optimal_cost", "normalized_error"],
-            [[sweeps, cost, cstar, (cost - cstar) / cstar]],
-            {},
-        )
-    if kind == "impact":
-        if "impact.delta_s" in cfg:
-            delta_s = np.asarray(cfg["impact.delta_s"], dtype=float)
-            mfi = np.asarray(cfg["impact.mfi"], dtype=float)
-        else:
-            rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF])
-            n = as_count(cfg.get("impact.n", 1000), "impact.n")
-            mfi = rng.normal(0.0, float(cfg.get("impact.mfi_std", 100.0)), n)
-            delta_s = float(cfg["impact.gamma"]) * mfi + float(cfg["impact.sigma"]) * rng.standard_normal(n)
-        gamma_hat, sigma_hat = estimate_impact_params(delta_s, mfi)
-        return ["gamma_hat", "sigma_hat"], [[gamma_hat, sigma_hat]], {}
-    if kind == "deadline":
-        p = ac_from_config(cfg)
-        horizons = [as_count(h, "horizons") for h in cfg["horizons"]]
-        rows = []
-        for T in horizons:
-            pT = replace(p, T=T)
-            gains = solve_riccati(ac_to_lqr(pT)).gains
-            path = expected_inventory_path(pT, gains)
-            rows.extend([[T, t, path[t]] for t in range(T + 1)])
-        return ["horizon", "t", "mean_inventory"], rows, {}
-    raise ValueError(f"unknown kind {kind!r}")
+
+        def run(seed):
+            table = make_qtable(inst, n_states, n_actions)
+            for i in range(sweeps):
+                table = q_learning_step(table, inst, lr, [seed, i])
+            cost = greedy_policy_cost(table, inst, n_rollouts, [seed, sweeps])
+            cstar = solve_riccati(inst).optimal_cost
+            cols = ["sweeps", "greedy_cost", "optimal_cost", "normalized_error"]
+            return cols, [[sweeps, cost, cstar, (cost - cstar) / cstar]], {}
+
+        return run
+    K0 = _initial_policy(keys.pop("policy0", 0.0), inst)
+    target = keys.pop("target_error", None)
+    dc = DescentConfig(eta=float(keys.pop("eta")), iters=as_count(keys.pop("iters"), "iters"),
+                       line_search=keys.pop("line_search", False), target_error=None if target is None else float(target))
+    constraint = None
+    if kind.endswith("ppg"):
+        constraint = liquidation_constraint(float(keys.pop("constraint.gamma_bar")), float(keys.pop("constraint.zeta", 1e-12)))
+    if kind.startswith("zo"):
+        sm = SmoothingConfig(radius=float(keys.pop("radius")), samples=as_count(keys.pop("samples"), "samples"))
+
+        def descend(seed):
+            return run_modelfree_pg(inst, K0, dc, sm, seed, constraint=constraint)
+    elif constraint is not None:
+        def descend(seed):
+            return run_exact_ppg(inst, K0, dc, constraint)
+    else:
+        def descend(seed):
+            return run_exact_pg(inst, K0, dc)
+
+    def run(seed):
+        _, trace = descend(seed)
+        return trace.columns, trace.rows, {}
+
+    return run
+
+
+def _run_seed(run, seed: int):
+    """One seed of one experiment; returns (columns, rows, scalars)."""
+    return run(seed)
 
 
 def _cell(v, integer: bool):
@@ -182,62 +196,52 @@ def _write_csv(path, cols, rows):
             w.writerow([_cell(v, integer) for v, integer in zip(r, ints)])
 
 
-def _seed_stats(vals: np.ndarray) -> np.ndarray:
-    """(rows, 3 * cols): median, min and max over the seed axis of (rows,
-    seeds, cols) values, as (median, min, max) per column."""
-    stats = np.stack([np.median(vals, axis=1), vals.min(axis=1), vals.max(axis=1)], axis=-1)
-    return stats.reshape(len(vals), -1)
+def _aggregate(results):
+    """Columns and rows of the aggregate: row i holds the median, min and max
+    of each column's row i over the seeds that have a row i.  A trace's row i
+    is iteration i, taken with the count of seeds that reached it; the other
+    kinds stop at the shortest seed."""
+    cols = results[0][0]
+    trace = "iter" in cols
+    lengths = [len(rows) for _, rows, _ in results]
+    n = max(lengths) if trace else min(lengths)
+    agg_rows, lo = [], 0
+    for hi in sorted({min(length, n) for length in lengths}):  # rows lo..hi-1 have the same seeds
+        block = np.array([rows[lo:hi] for _, rows, _ in results if len(rows) >= hi], dtype=float)
+        block = block.reshape(len(block), hi - lo, len(cols)).swapaxes(0, 1)
+        stats = np.stack([np.median(block, axis=1), block.min(axis=1), block.max(axis=1)], axis=-1)
+        lead = [[i, block.shape[1]] if trace else [i] for i in range(lo, hi)]
+        agg_rows += [head + list(r) for head, r in zip(lead, stats.reshape(hi - lo, -1))]
+        lo = hi
+    stats = [f"{c}_{stat}" for c in cols for stat in ("median", "min", "max")]
+    return (["iter", "n_seeds"] if trace else ["row"]) + stats, agg_rows
 
 
 def run_experiment(cfg: dict, seeds, outdir) -> dict:
-    """Run all seeds, write per-seed CSVs, an aggregate CSV (median and
-    min/max over seeds, per iteration number with the count of seeds that
-    reached it for traces, else per row index over the shortest seed), and a
-    manifest.  Returns the manifest."""
-    kind = cfg.get("kind")
+    """Read the config, then run all seeds and write per-seed CSVs, the
+    aggregate CSV and a manifest.  Returns the manifest.  ValueError names
+    the first key the kind does not read, before anything is written."""
+    keys = dict(cfg)
+    kind = keys.pop("kind", None)
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    read = {"ac": kind != "impact", "book": kind == "lob" and "lob_csv" not in cfg}  # sections the run reads
-    unread = [key for key in cfg if not read.get(key.split(".")[0], True)]
-    if unread:
-        raise ValueError(f"{unread[0]} is not read by kind {kind!r}")
+    run = _read(keys, kind)
+    if keys:
+        raise ValueError(f"{next(iter(keys))} is not read by kind {kind!r}")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = [int(s) for s in seeds]
     if kind in _SEEDLESS_KINDS:
-        results = [_run_seed(cfg, kind, seeds[0])] * len(seeds)
+        results = [_run_seed(run, seeds[0])] * len(seeds)
     else:
         with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            results = list(pool.map(lambda s: _run_seed(cfg, kind, s), seeds))
+            results = list(pool.map(lambda s: _run_seed(run, s), seeds))
     scalars = {}
     for seed, (cols, rows, extra) in zip(seeds, results):
         _write_csv(out / f"seed_{seed}.csv", cols, rows)
         if extra:
             scalars[str(seed)] = extra
-    cols = results[0][0]
-    stats = [f"{c}_{stat}" for c in cols for stat in ("median", "min", "max")]
-    if "iter" in cols:
-        # traces stop at different iterations (target_error): pair rows by
-        # iteration number over the seeds that reached it
-        vals = np.concatenate([np.array(rows, dtype=float).reshape(-1, len(cols)) for _, rows, _ in results])
-        it = vals[:, cols.index("iter")].astype(int)
-        order = np.argsort(it, kind="stable")  # by iteration, then seed
-        iters, first, n_seeds = np.unique(it[order], return_index=True, return_counts=True)
-        agg_cols = ["iter", "n_seeds"] + stats
-        agg_rows = []
-        # one block per run of iterations with equal seed counts
-        ends = np.flatnonzero(np.diff(n_seeds, append=0)) + 1
-        for lo, hi in zip(np.concatenate([[0], ends[:-1]]), ends):
-            block = vals[order[first[lo]:first[hi - 1] + n_seeds[lo]]].reshape(hi - lo, n_seeds[lo], len(cols))
-            agg_rows += [[int(i), int(n), *r] for i, n, r in zip(iters[lo:hi], n_seeds[lo:hi], _seed_stats(block))]
-    else:
-        agg_cols = ["row"] + stats
-        n = min(len(r[1]) for r in results)
-        block = np.array([rows[:n] for _, rows, _ in results], dtype=float).reshape(len(results), n, len(cols))
-        agg_rows = [[i, *r] for i, r in enumerate(_seed_stats(block.swapaxes(0, 1)))]
-    _write_csv(out / "aggregate.csv", agg_cols, agg_rows)
-    from .config_io import dump_kv
-
+    _write_csv(out / "aggregate.csv", *_aggregate(results))
     manifest = {
         "kind": kind,
         "config_sha256": hashlib.sha256(dump_kv(cfg).encode()).hexdigest(),

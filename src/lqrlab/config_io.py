@@ -61,27 +61,13 @@ def load_config(path) -> dict:
         return parse_kv(f.read())
 
 
-def _sub(cfg: dict, prefix: str) -> dict:
-    p = prefix + "."
-    return {k[len(p):]: v for k, v in cfg.items() if k.startswith(p)}
-
-
-def _known(cfg: dict, prefix: str, names) -> dict:
-    """The `prefix.*` keys of cfg, without the prefix; ValueError names the
-    first that is not in names."""
-    given = _sub(cfg, prefix)
-    unknown = sorted(set(given) - set(names))
-    if unknown:
-        raise ValueError(f"unknown key {prefix}.{unknown[0]}; the {prefix}.* keys are {', '.join(names)}")
-    return given
-
-
 def _fields_from(cls, cfg: dict, prefix: str, counts: tuple, skip: tuple = (), **defaults):
-    """cls from the `prefix.*` keys of cfg, those in counts read with as_count
-    and the rest as floats; defaults, then cls's own, fill the fields not
-    given.  ValueError names the first key that is not a field of cls or is
-    in skip, KeyError the first field that has no value."""
-    given = _known(cfg, prefix, [f.name for f in fields(cls) if f.name not in skip])
+    """cls from the `prefix.*` keys of cfg that name its fields (but those in
+    skip), taken out of cfg; those in counts are read with as_count and the
+    rest as floats, and defaults, then cls's own, fill the fields not given.
+    KeyError names the first field that has no value."""
+    names = [f.name for f in fields(cls) if f.name not in skip]
+    given = {k: cfg.pop(f"{prefix}.{k}") for k in names if f"{prefix}.{k}" in cfg}
     values = defaults | {k: as_count(v, f"{prefix}.{k}") if k in counts else float(v) for k, v in given.items()}
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
     if missing:
@@ -89,45 +75,40 @@ def _fields_from(cls, cfg: dict, prefix: str, counts: tuple, skip: tuple = (), *
     return cls(**values)
 
 
-_INSTANCE_KEYS = ("A", "B", "Q", "R", "T", "Q_terminal", "noise.kind", "noise.sigma", "noise.factor",
-                 "init.kind", "init.mean", "init.sigma", "init.factor")
-
-
-def _model_from(cls, keys: dict, **fields):
-    """A start or noise model cls from its kind, sigma and factor keys, a
-    Gaussian of sigma 1 and the identity factor unless given, and fields."""
-    factor = keys.get("factor")
-    return cls(kind=keys.get("kind", "gaussian"), sigma=float(keys.get("sigma", 1.0)),
+def _model_from(cls, cfg: dict, prefix: str, **fields):
+    """A start or noise model cls from its `prefix.kind`, `.sigma` and
+    `.factor` keys, taken out of cfg, a Gaussian of sigma 1 and the identity
+    factor unless given, and fields."""
+    factor = cfg.pop(f"{prefix}.factor", None)
+    return cls(kind=cfg.pop(f"{prefix}.kind", "gaussian"), sigma=float(cfg.pop(f"{prefix}.sigma", 1.0)),
                factor=None if factor is None else np.asarray(factor, dtype=float), **fields)
 
 
 def instance_from_config(cfg: dict) -> LqrInstance:
-    """Build an instance from the `instance.*` keys.  Q and R may be a single
-    matrix (repeated over the horizon, with `instance.Q_terminal` for the
-    last slice) or full stacks with T+1 / T slices.  ValueError names the
-    first key outside _INSTANCE_KEYS."""
-    sub = _known(cfg, "instance", _INSTANCE_KEYS)
-    if not sub:
+    """Build an instance from the `instance.*` keys, taking those it reads
+    out of cfg.  Q and R may be a single matrix (repeated over the horizon,
+    with `instance.Q_terminal` for the last slice) or full stacks with T+1 /
+    T slices, which take no `instance.T` or `instance.Q_terminal`."""
+    if not any(k.startswith("instance.") for k in cfg):
         raise KeyError("config has no instance.* keys")
-    A = np.asarray(sub["A"], dtype=float)
-    B = np.asarray(sub["B"], dtype=float)
-    noise = _model_from(NoiseModel, _sub(sub, "noise"))
-    init_keys = _sub(sub, "init")
-    init = _model_from(InitialStateModel, init_keys, mean=np.asarray(init_keys["mean"], dtype=float))
-    Q = np.asarray(sub["Q"], dtype=float)
-    R = np.asarray(sub["R"], dtype=float)
+    A = np.asarray(cfg.pop("instance.A"), dtype=float)
+    B = np.asarray(cfg.pop("instance.B"), dtype=float)
+    noise = _model_from(NoiseModel, cfg, "instance.noise")
+    init = _model_from(InitialStateModel, cfg, "instance.init", mean=np.asarray(cfg.pop("instance.init.mean"), dtype=float))
+    Q = np.asarray(cfg.pop("instance.Q"), dtype=float)
+    R = np.asarray(cfg.pop("instance.R"), dtype=float)
     if Q.ndim == 3:
         return LqrInstance(A, B, Q, R, noise, init)
-    T = as_count(sub["T"], "instance.T")
-    Q_term = np.asarray(sub.get("Q_terminal", Q), dtype=float)
+    T = as_count(cfg.pop("instance.T"), "instance.T")
+    Q_term = np.asarray(cfg.pop("instance.Q_terminal", Q), dtype=float)
     return constant_instance(A, B, Q, R, Q_term, T, noise, init)
 
 
 def ac_from_config(cfg: dict) -> AcParams:
-    """AcParams from the `ac.*` keys, phi and epsilon 0 unless given."""
+    """AcParams from the `ac.*` keys, taken out of cfg; phi and epsilon 0 unless given."""
     return _fields_from(AcParams, cfg, "ac", ("T",), phi=0.0, epsilon=0.0)
 
 
 def book_from_config(cfg: dict) -> SyntheticBookConfig:
-    """A synthetic book from the `book.*` keys; random_depth is not one, so the book has random depth."""
+    """A synthetic book from the `book.*` keys, taken out of cfg; random_depth is not one, so the book has random depth."""
     return _fields_from(SyntheticBookConfig, cfg, "book", ("T", "levels"), skip=("random_depth",))

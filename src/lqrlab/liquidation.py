@@ -50,6 +50,16 @@ class AcParams:
     q0_mean: float = 500.0
     q0_std: float = 1.0
 
+    def __post_init__(self):
+        """ValueError naming a field out of range: every field finite, T an
+        integer >= 1, and all but S0 and q0_mean >= 0."""
+        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)) or self.T < 1:
+            raise ValueError(f"ac.T must be an integer >= 1, got {self.T!r}")
+        for name in ("beta", "gamma", "sigma", "phi", "epsilon", "S0", "q0_mean", "q0_std"):
+            x, signed = getattr(self, name), name in ("S0", "q0_mean")
+            if not np.isfinite(x) or (x < 0 and not signed):
+                raise ValueError(f"ac.{name} must be finite{'' if signed else ' and >= 0'}, got {x!r}")
+
     @property
     def delta(self) -> float:
         d = self.beta - self.gamma / 2.0

@@ -38,6 +38,8 @@ class DescentConfig:
             raise ValueError(f"backtrack must be in (0, 1), got {self.backtrack!r}")
         if isinstance(self.iters, bool) or not isinstance(self.iters, Integral) or self.iters < 0:
             raise ValueError(f"iters must be an integer >= 0, got {self.iters!r}")
+        if not isinstance(self.line_search, (bool, np.bool_)):
+            raise ValueError(f"line_search must be true or false, got {self.line_search!r}")
         if self.target_error is not None and not math.isfinite(self.target_error):
             raise ValueError(f"target_error must be finite, got {self.target_error!r}")
 
@@ -78,6 +80,9 @@ class ProjectionSet:
     def __post_init__(self):
         if self.kind not in ("box", "liquidation"):
             raise ValueError(f"unknown constraint set kind {self.kind!r}; the kinds are 'box' and 'liquidation'")
+        for name in ("gamma_bar", "zeta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"constraint.{name} must be finite, got {getattr(self, name)!r}")
         if self.kind == "box" and self.lo > self.hi:
             raise EmptySet("box has lo > hi")
         if self.kind == "liquidation":

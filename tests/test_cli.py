@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +44,8 @@ KIND_EXTRAS = {
     "lob": "book.T = 10\nbook.depth_mean = 2000\nphi_prime = 1e-6\n",
     "deadline": "horizons = [5, 10]\n",
 }
+PPG_EXTRAS = "eta = 1e3\niters = 3\npolicy0 = -0.2\nconstraint.gamma_bar = 5e-5\n"
+IMPACT_CFG = "impact.gamma = 2.5e-6\nimpact.sigma = 0.01\nimpact.n = 500\n"
 
 
 def write(tmp_path, name, text):
@@ -136,7 +139,7 @@ class TestCli:
         assert rc == 0
         manifest = json.loads((tmp_path / "lob" / "manifest.json").read_text())
         assert "shortfall" in manifest["scalars"]["0"]
-        cfg2 = write(tmp_path, "i.cfg", "impact.gamma = 2.5e-6\nimpact.sigma = 0.01\nimpact.n = 500\n")
+        cfg2 = write(tmp_path, "i.cfg", IMPACT_CFG)
         rc = main(["impact", "--config", cfg2, "--seeds", "0", "--out", str(tmp_path / "imp")])
         assert rc == 0
 
@@ -175,26 +178,78 @@ class TestCli:
         assert not (tmp_path / "o" / "seed_0.csv").exists()
 
     @pytest.mark.parametrize("kind,text,key", [
-        ("lob", AC_CFG + "book.T = 10\nbook.depth_men = 5\nphi_prime = 1e-6\n", "unknown key book.depth_men"),
-        ("lob", AC_CFG + "book.T = 10\nbook.random_depth = false\nphi_prime = 1e-6\n", "unknown key book.random_depth"),
-        ("deadline", AC_CFG + "ac.sgima = 0.2\nhorizons = [5]\n", "unknown key ac.sgima"),
+        ("lob", AC_CFG + "book.T = 10\nbook.depth_men = 5\nphi_prime = 1e-6\n", "book.depth_men is not read by kind 'lob'"),
+        ("lob", AC_CFG + "book.T = 10\nbook.random_depth = false\nphi_prime = 1e-6\n", "book.random_depth is not read by kind 'lob'"),
+        ("deadline", AC_CFG + "ac.sgima = 0.2\nhorizons = [5]\n", "ac.sgima is not read by kind 'deadline'"),
         ("lob", AC_CFG + "phi_prime = 1e-6\n", "book.T"),
         ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "book.T = 10\n", "book.T is not read by kind 'pg'"),
         ("lob", AC_CFG + 'book.T = 10\nphi_prime = 1e-6\nlob_csv = "b.csv"\n', "book.T is not read by kind 'lob'"),
         ("impact", "impact.gamma = 2.5e-6\nimpact.sigma = 0.01\nac.T = 10\n", "ac.T is not read by kind 'impact'"),
-        ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "instance.noise.sigmaa = 5.0\n", "unknown key instance.noise.sigmaa"),
-        ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "instance.init.factr = [[2.0]]\n", "unknown key instance.init.factr"),
-        ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "instance.Q_terminl = [[9.0]]\n", "unknown key instance.Q_terminl"),
+        ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "instance.noise.sigmaa = 5.0\n", "instance.noise.sigmaa is not read by kind 'pg'"),
+        ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "instance.init.factr = [[2.0]]\n", "instance.init.factr is not read by kind 'pg'"),
+        ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "instance.Q_terminl = [[9.0]]\n", "instance.Q_terminl is not read by kind 'pg'"),
+        ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "line_serach = true\n", "line_serach is not read by kind 'pg'"),
+        ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "radius = 0.1\nsamples = 5\n", "radius is not read by kind 'pg'"),
+        ("ppg", AC_CFG + PPG_EXTRAS + "constraint.zeat = 0.1\n", "constraint.zeat is not read by kind 'ppg'"),
+        ("impact", IMPACT_CFG + "impact.mfi_sdt = 50.0\n", "impact.mfi_sdt is not read by kind 'impact'"),
+        ("impact", IMPACT_CFG + "eta = 0.5\n", "eta is not read by kind 'impact'"),
+        ("impact", IMPACT_CFG + "instance.A = [[1.0]]\n", "instance.A is not read by kind 'impact'"),
+        ("deadline", AC_CFG + KIND_EXTRAS["deadline"] + "samples = 5\n", "samples is not read by kind 'deadline'"),
+        ("pg", AC_CFG + KIND_EXTRAS["pg"] + "instance.A = [[1.0]]\n", "instance.A is not read by kind 'pg'"),
     ])
     def test_section_keys_the_run_does_not_read_exit_two(self, tmp_path, capsys, kind, text, key):
-        # a misspelt book.*, ac.* or instance.* key used to be ignored: `lob`
-        # ran with the default depth, `pg` with the default noise, and both
-        # exited 0
+        # a misspelt or misplaced key used to be ignored and the run exited 0:
+        # `lob` ran with the default depth, `pg` with the default noise or no
+        # line search, and `pg` with ac.* keys dropped its instance.* keys
         cfg = write(tmp_path, "c.cfg", text)
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config: ") and key in err
-        assert not (tmp_path / "o" / "seed_0.csv").exists()
+        assert not (tmp_path / "o").exists()  # reported before --out is made, so no seed_0.csv
+
+    @pytest.mark.parametrize("kind,setting,key", [
+        ("riccati", "ac.phi = NaN", "ac.phi"), ("riccati", "ac.epsilon = NaN", "ac.epsilon"),
+        ("riccati", "ac.epsilon = -1", "ac.epsilon"), ("riccati", "ac.phi = Infinity", "ac.phi"),
+        ("riccati", "ac.phi = -1", "ac.phi"), ("riccati", "ac.T = 0", "ac.T"),
+        ("ppg", "constraint.gamma_bar = NaN", "constraint.gamma_bar"),
+        ("ppg", "constraint.zeta = NaN", "constraint.zeta"),
+        ("ppg", "constraint.gamma_bar = Infinity", "constraint.gamma_bar"),
+    ])
+    def test_bad_liquidation_settings_exit_two(self, tmp_path, capsys, kind, setting, key):
+        # NaN or negative ac.phi and ac.epsilon used to exit 0 with NaN gains or
+        # an indefinite state cost, ac.phi = Infinity and the bad constraints
+        # exit 3, and ac.phi = -1 exit 2 with a LAPACK message
+        extras = PPG_EXTRAS if kind == "ppg" else ""
+        cfg = write(tmp_path, "c.cfg", AC_CFG + extras + setting + "\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config: {key} must be ")
+        assert not (tmp_path / "o").exists()
+
+    def test_config_is_read_once_for_all_seeds(self, tmp_path, monkeypatch):
+        calls = []
+        read = cli.instance_from_config
+        monkeypatch.setattr(cli, "instance_from_config", lambda keys: calls.append(1) or read(keys))
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + KIND_EXTRAS["zo-pg"])
+        assert main(["zo-pg", "--config", cfg, "--seeds", "0", "1", "2", "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+        assert all((tmp_path / "o" / f"seed_{s}.csv").exists() for s in range(3))
+
+    def test_seed_threads_share_what_was_read(self, tmp_path, monkeypatch):
+        # every seed thread runs on the same instance and initial policy; more
+        # threads than cores, switching often, must write what one thread writes
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + KIND_EXTRAS["zo-pg"])
+        seeds = [str(s) for s in range(8)]
+        interval = sys.getswitchinterval()
+        try:
+            for threads in ("1", "8"):
+                monkeypatch.setenv("LQRLAB_THREADS", threads)
+                sys.setswitchinterval(1e-6)
+                assert main(["zo-pg", "--config", cfg, "--seeds", *seeds, "--out", str(tmp_path / threads)]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        for name in [f"seed_{s}.csv" for s in seeds] + ["aggregate.csv"]:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "8" / name).read_bytes()
 
     @pytest.mark.parametrize("setting,field", [
         ("book.tick = 0", "book.tick"),
@@ -322,7 +377,8 @@ class TestCli:
     def test_zero_optimal_cost_exit_three(self, tmp_path, kind):
         zero = SCALAR_CFG.replace('instance.noise.kind = "gaussian"', 'instance.noise.kind = "zero"').replace(
             'instance.init.kind = "gaussian"', 'instance.init.kind = "point"').replace("instance.init.mean = [1.0]", "instance.init.mean = [0.0]")
-        cfg = write(tmp_path, "c.cfg", zero + "eta = 0.1\niters = 5\npolicy0 = 0.0\nradius = 0.1\nsamples = 5\n")
+        smoothing = "radius = 0.1\nsamples = 5\n" if kind == "zo-pg" else ""
+        cfg = write(tmp_path, "c.cfg", zero + "eta = 0.1\niters = 5\npolicy0 = 0.0\n" + smoothing)
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
     def test_zero_sphere_direction_exit_three(self, tmp_path, monkeypatch, capsys):
@@ -386,7 +442,7 @@ class TestCli:
         lengths = {3: 9, 4: 4, 5: 12, 6: 7}
         traces = {s: [[i, *rng.normal(size=2)] for i in range(n)] for s, n in lengths.items()}
         traces[5][2][1] = traces[4][2][1]  # a tie
-        monkeypatch.setattr(cli, "_run_seed", lambda cfg, kind, seed: (cols, traces[seed], {}))
+        monkeypatch.setattr(cli, "_read", lambda keys, kind: lambda seed: (cols, traces[seed], {}))
         run_experiment({"kind": kind}, list(lengths), tmp_path / "o")
         if kind == "zo-pg":
             rows = {}

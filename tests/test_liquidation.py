@@ -43,6 +43,17 @@ class TestEmbedding:
         with pytest.raises(NonPositiveDelta):
             _ = small_params(beta=1e-7).delta
 
+    @pytest.mark.parametrize("name,value", [
+        ("phi", np.nan), ("phi", np.inf), ("phi", -1.0), ("epsilon", np.nan), ("epsilon", -1.0), ("beta", -1.0),
+        ("gamma", -1e-6), ("sigma", -0.1), ("q0_std", -1.0), ("S0", np.inf), ("q0_mean", np.nan),
+        ("T", 0), ("T", 2.5), ("T", True),
+    ])
+    def test_bad_fields_rejected(self, name, value):
+        # NaN or negative phi and epsilon used to skip the state cost check in
+        # ac_to_lqr, so the embedding ran with NaN gains or an indefinite cost
+        with pytest.raises(ValueError, match=f"ac.{name} must be"):
+            small_params(**{name: value})
+
     def test_matrices(self):
         p = small_params()
         inst = ac_to_lqr(p)

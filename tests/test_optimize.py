@@ -64,10 +64,12 @@ class TestExactPg:
         ("iters", -1), ("iters", 2.5), ("iters", 3.0), ("iters", True),
         ("armijo_c", 0.0), ("armijo_c", -1e-4), ("armijo_c", np.inf),
         ("target_error", np.nan), ("target_error", np.inf), ("target_error", -np.inf),
+        ("line_search", "false"), ("line_search", 1),
     ])
     def test_config_rejects_bad_settings(self, name, value):
-        # backtrack = 1 used to loop forever in the Armijo search, and 0 or
-        # less to raise StepSizeUnderflow, a runtime failure, for bad input
+        # backtrack = 1 used to loop forever in the Armijo search, 0 or less
+        # to raise StepSizeUnderflow, a runtime failure, for bad input, and
+        # line_search = "false" to run the search, as the string is truthy
         settings = {"eta": 1.0, "iters": 5, "line_search": True, name: value}
         with pytest.raises(ValueError, match=name):
             DescentConfig(**settings)
@@ -160,6 +162,13 @@ class TestProjection:
             ProjectionSet(kind="liquidation", gamma_bar=5e-5, zeta=1.5)
         with pytest.raises(EmptySet):
             ProjectionSet(kind="box", lo=1.0, hi=0.0)
+
+    @pytest.mark.parametrize("name,value", [("gamma_bar", np.nan), ("gamma_bar", np.inf), ("zeta", np.nan)])
+    def test_non_finite_liquidation_parameters_rejected(self, name, value):
+        # these used to build a set that no policy is in (EmptySet or NotInSet, runtime failures)
+        settings = {"gamma_bar": 5e-5, "zeta": 1e-12, name: value}
+        with pytest.raises(ValueError, match=f"constraint.{name} must be finite"):
+            ProjectionSet(kind="liquidation", **settings)
 
     def test_box_projection(self):
         S = ProjectionSet(kind="box", lo=-1.0, hi=1.0)

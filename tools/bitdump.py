@@ -61,7 +61,7 @@ from lqrlab import cli, core, zeroth
 from lqrlab.benchmarks import four_state_benchmark, scalar_benchmark, stock_liquidation
 from lqrlab.config_io import dump_kv
 from lqrlab.errors import LqrlabError
-from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
+from lqrlab.liquidation import SyntheticBookConfig, ac_to_lqr, liquidation_constraint, synthetic_lob, write_lob_csv
 from lqrlab.qlearn import greedy_policy_cost, make_qtable, q_learning_step
 
 KIND_PAIRS = [("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gaussian"), ("gaussian", "zero"),
@@ -401,6 +401,10 @@ CLI_RUNS = {
     "deadline": {**AC_CFG, "horizons": [5, 10]},
     "lob": {**AC_CFG, "book.T": 10, "book.depth_mean": 2000, "phi_prime": 1e-6},
     "lob/epsilon=0": {**AC_CFG, "ac.epsilon": 0.0, "book.T": 10, "book.depth_mean": 2000, "phi_prime": 1e-6},
+    "lob/csv": {**AC_CFG, "lob_csv": "book.csv", "phi_prime": 1e-6},  # the book cli_outputs writes
+    "impact": {"impact.gamma": 2.5e-6, "impact.sigma": 0.01, "impact.n": 500},
+    "impact/explicit": {"impact.mfi": [120.0, -80.0, 35.0, -15.0, 60.0, -95.0, 10.0, 45.0],
+                        "impact.delta_s": [3.1e-4, -1.9e-4, 0.8e-4, -0.2e-4, 1.6e-4, -2.5e-4, 0.4e-4, 1.0e-4]},
 }  # name -> config; the CLI kind is the name up to its first "/"
 
 
@@ -412,7 +416,18 @@ def _csv_values(path: Path) -> str:
 
 def cli_outputs(out: dict, workdir: Path) -> None:
     """Every file of each CLI kind, on seeds 0-2, in the default thread pool
-    and on one thread."""
+    and on one thread.  The runs start in workdir, so a relative lob_csv is
+    the synthetic book written there."""
+    write_lob_csv(workdir / "book.csv", synthetic_lob(SyntheticBookConfig(T=10, depth_mean=2000.0), 11))
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        _cli_runs(out, workdir)
+    finally:
+        os.chdir(cwd)
+
+
+def _cli_runs(out: dict, workdir: Path) -> None:
     for threads in ("default", "1"):
         if threads == "1":
             os.environ["LQRLAB_THREADS"] = "1"
