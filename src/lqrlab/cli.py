@@ -30,7 +30,16 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config_io import ac_from_config, as_count, book_from_config, dump_kv, instance_from_config, load_config
+from .config_io import (
+    ac_from_config,
+    as_array,
+    as_count,
+    as_float,
+    book_from_config,
+    dump_kv,
+    instance_from_config,
+    load_config,
+)
 from .core import make_rng, solve_riccati
 from .errors import LqrlabError
 from .liquidation import (
@@ -47,7 +56,6 @@ from .qlearn import greedy_policy_cost, make_qtable, q_learning_step
 from .zeroth import SmoothingConfig, run_modelfree_pg
 
 KINDS = ["riccati", "pg", "ppg", "zo-pg", "zo-ppg", "lob", "impact", "qlearn", "deadline"]
-_SEEDLESS_KINDS = ("riccati", "pg", "ppg", "deadline")  # deterministic: their runs never read the seed
 
 # CSV columns that count or index, written as integers ("3", not "3.0")
 _INT_COLUMNS = frozenset({"iter", "n_seeds", "row", "m", "t", "sweeps", "horizon"})
@@ -61,35 +69,40 @@ def _max_workers() -> int:
 
 
 def _initial_policy(k0, instance):
-    K = np.asarray(k0, dtype=float)
+    K = as_array(k0, "policy0")
     if K.ndim == 0:
         return np.full((instance.T, instance.k, instance.d), float(K))
     return K.reshape((instance.T, instance.k, instance.d))
 
 
 def _read(keys: dict, kind: str):
-    """Take every key `kind` reads out of keys and return run(seed) ->
-    (columns, rows, scalars), which does the file reads and the heavy work."""
+    """Take every key `kind` reads out of keys and return (run, seeded):
+    run(seed) -> (columns, rows, scalars) does the file reads and the heavy
+    work, and reads the seed only if seeded."""
     if kind == "impact":
-        if "impact.delta_s" in keys:
-            quotes = np.asarray(keys.pop("impact.delta_s"), dtype=float), np.asarray(keys.pop("impact.mfi"), dtype=float)
+        seeded = "impact.delta_s" not in keys
+        if not seeded:
+            quotes = as_array(keys.pop("impact.delta_s"), "impact.delta_s"), as_array(keys.pop("impact.mfi"), "impact.mfi")
 
             def draw(seed):
                 return quotes
         else:
             n = as_count(keys.pop("impact.n", 1000), "impact.n")
-            mfi_std = float(keys.pop("impact.mfi_std", 100.0))
-            gamma, sigma = float(keys.pop("impact.gamma")), float(keys.pop("impact.sigma"))
+            mfi_std = as_float(keys.pop("impact.mfi_std", 100.0), "impact.mfi_std")
+            gamma, sigma = as_float(keys.pop("impact.gamma"), "impact.gamma"), as_float(keys.pop("impact.sigma"), "impact.sigma")
 
             def draw(seed):
                 rng = make_rng(seed)
                 mfi = rng.normal(0.0, mfi_std, n)
                 return gamma * mfi + sigma * rng.standard_normal(n), mfi
 
-        return lambda seed: (["gamma_hat", "sigma_hat"], [list(estimate_impact_params(*draw(seed)))], {})
+        return (lambda seed: (["gamma_hat", "sigma_hat"], [list(estimate_impact_params(*draw(seed)))], {})), seeded
     if kind == "deadline":
         p = ac_from_config(keys)
-        horizons = [as_count(h, "horizons") for h in keys.pop("horizons")]
+        horizons = keys.pop("horizons")
+        if not isinstance(horizons, list):
+            raise ValueError(f"horizons must be a list of whole numbers, got {horizons!r}")
+        horizons = [as_count(h, "horizons") for h in horizons]
 
         def run(seed):
             rows = []
@@ -99,12 +112,15 @@ def _read(keys: dict, kind: str):
                 rows.extend([[T, t, path[t]] for t in range(T + 1)])
             return ["horizon", "t", "mean_inventory"], rows, {}
 
-        return run
+        return run, False
     if kind == "lob":
         p = ac_from_config(keys)
-        phi_prime, q0 = float(keys.pop("phi_prime")), float(keys.pop("q0", p.q0_mean))
-        if "lob_csv" in keys:
+        phi_prime, q0 = as_float(keys.pop("phi_prime"), "phi_prime"), as_float(keys.pop("q0", p.q0_mean), "q0")
+        seeded = "lob_csv" not in keys
+        if not seeded:
             lob_csv = keys.pop("lob_csv")
+            if not isinstance(lob_csv, str):
+                raise ValueError(f"lob_csv must be a path, got {lob_csv!r}")
 
             def series(seed):
                 try:
@@ -122,7 +138,7 @@ def _read(keys: dict, kind: str):
             rows = [[t, rec.trades[t], rec.proceeds[t], rec.holdings[t]] for t in range(len(rec.trades))]
             return ["t", "trade", "proceeds", "holding"], rows, {"shortfall": rec.shortfall, "clamped": rec.clamped}
 
-        return run
+        return run, seeded
     inst = ac_to_lqr(ac_from_config(keys)) if any(k.startswith("ac.") for k in keys) else instance_from_config(keys)
     if kind == "riccati":
         def run(seed):
@@ -131,10 +147,10 @@ def _read(keys: dict, kind: str):
             rows = [[t, *sol.gains[t].ravel()] for t in range(inst.T)] + [[inst.T] + [np.nan] * (len(cols) - 1)]
             return cols, rows, {"optimal_cost": sol.optimal_cost}
 
-        return run
+        return run, False
     if kind == "qlearn":
         n_states, n_actions = (as_count(keys.pop(k, 100), k) for k in ("n_states", "n_actions"))
-        lr, sweeps = float(keys.pop("lr", 0.1)), as_count(keys.pop("sweeps"), "sweeps")
+        lr, sweeps = as_float(keys.pop("lr", 0.1), "lr"), as_count(keys.pop("sweeps"), "sweeps")
         n_rollouts = as_count(keys.pop("eval_rollouts", 100000), "eval_rollouts")
         if sweeps < 0:
             raise ValueError(f"sweeps must be >= 0, got {sweeps}")
@@ -148,16 +164,18 @@ def _read(keys: dict, kind: str):
             cols = ["sweeps", "greedy_cost", "optimal_cost", "normalized_error"]
             return cols, [[sweeps, cost, cstar, (cost - cstar) / cstar]], {}
 
-        return run
+        return run, True
     K0 = _initial_policy(keys.pop("policy0", 0.0), inst)
     target = keys.pop("target_error", None)
-    dc = DescentConfig(eta=float(keys.pop("eta")), iters=as_count(keys.pop("iters"), "iters"),
-                       line_search=keys.pop("line_search", False), target_error=None if target is None else float(target))
+    dc = DescentConfig(eta=as_float(keys.pop("eta"), "eta"), iters=as_count(keys.pop("iters"), "iters"),
+                       line_search=keys.pop("line_search", False),
+                       target_error=None if target is None else as_float(target, "target_error"))
     constraint = None
     if kind.endswith("ppg"):
-        constraint = liquidation_constraint(float(keys.pop("constraint.gamma_bar")), float(keys.pop("constraint.zeta", 1e-12)))
+        constraint = liquidation_constraint(as_float(keys.pop("constraint.gamma_bar"), "constraint.gamma_bar"),
+                                            as_float(keys.pop("constraint.zeta", 1e-12), "constraint.zeta"))
     if kind.startswith("zo"):
-        sm = SmoothingConfig(radius=float(keys.pop("radius")), samples=as_count(keys.pop("samples"), "samples"))
+        sm = SmoothingConfig(radius=as_float(keys.pop("radius"), "radius"), samples=as_count(keys.pop("samples"), "samples"))
 
         def descend(seed):
             return run_modelfree_pg(inst, K0, dc, sm, seed, constraint=constraint)
@@ -172,7 +190,7 @@ def _read(keys: dict, kind: str):
         _, trace = descend(seed)
         return trace.columns, trace.rows, {}
 
-    return run
+    return run, kind.startswith("zo")
 
 
 def _run_seed(run, seed: int):
@@ -225,13 +243,13 @@ def run_experiment(cfg: dict, seeds, outdir) -> dict:
     kind = keys.pop("kind", None)
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    run = _read(keys, kind)
+    run, seeded = _read(keys, kind)
     if keys:
         raise ValueError(f"{next(iter(keys))} is not read by kind {kind!r}")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = [int(s) for s in seeds]
-    if kind in _SEEDLESS_KINDS:
+    if not seeded:
         results = [_run_seed(run, seeds[0])] * len(seeds)
     else:
         with ThreadPoolExecutor(max_workers=_max_workers()) as pool:

@@ -52,6 +52,36 @@ def as_count(value, key: str) -> int:
     return int(value)
 
 
+def as_float(value, key: str) -> float:
+    """A config value that is one number, as a float; a number may also be
+    given as a string.  Anything else (a list, true, null, "x") raises
+    ValueError naming its key."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
+def _holds_bool_or_null(value) -> bool:
+    if isinstance(value, list):
+        return any(map(_holds_bool_or_null, value))
+    return isinstance(value, bool) or value is None
+
+
+def as_array(value, key: str) -> np.ndarray:
+    """A config value that is a number or nested lists of numbers, as a
+    float array; anything else (true or null too, which numpy would read as
+    1 and NaN) raises ValueError naming its key."""
+    try:
+        if not _holds_bool_or_null(value):
+            return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{key} must be a number or nested lists of numbers, got {value!r}")
+
+
 def dump_kv(cfg: dict) -> str:
     return "".join(f"{k} = {json.dumps(v)}\n" for k, v in cfg.items())
 
@@ -64,11 +94,11 @@ def load_config(path) -> dict:
 def _fields_from(cls, cfg: dict, prefix: str, counts: tuple, skip: tuple = (), **defaults):
     """cls from the `prefix.*` keys of cfg that name its fields (but those in
     skip), taken out of cfg; those in counts are read with as_count and the
-    rest as floats, and defaults, then cls's own, fill the fields not given.
+    rest with as_float, and defaults, then cls's own, fill the fields not given.
     KeyError names the first field that has no value."""
     names = [f.name for f in fields(cls) if f.name not in skip]
     given = {k: cfg.pop(f"{prefix}.{k}") for k in names if f"{prefix}.{k}" in cfg}
-    values = defaults | {k: as_count(v, f"{prefix}.{k}") if k in counts else float(v) for k, v in given.items()}
+    values = defaults | {k: (as_count if k in counts else as_float)(v, f"{prefix}.{k}") for k, v in given.items()}
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
     if missing:
         raise KeyError(f"{prefix}.{missing[0]}")
@@ -80,8 +110,8 @@ def _model_from(cls, cfg: dict, prefix: str, **fields):
     `.factor` keys, taken out of cfg, a Gaussian of sigma 1 and the identity
     factor unless given, and fields."""
     factor = cfg.pop(f"{prefix}.factor", None)
-    return cls(kind=cfg.pop(f"{prefix}.kind", "gaussian"), sigma=float(cfg.pop(f"{prefix}.sigma", 1.0)),
-               factor=None if factor is None else np.asarray(factor, dtype=float), **fields)
+    return cls(kind=cfg.pop(f"{prefix}.kind", "gaussian"), sigma=as_float(cfg.pop(f"{prefix}.sigma", 1.0), f"{prefix}.sigma"),
+               factor=None if factor is None else as_array(factor, f"{prefix}.factor"), **fields)
 
 
 def instance_from_config(cfg: dict) -> LqrInstance:
@@ -91,16 +121,13 @@ def instance_from_config(cfg: dict) -> LqrInstance:
     T slices, which take no `instance.T` or `instance.Q_terminal`."""
     if not any(k.startswith("instance.") for k in cfg):
         raise KeyError("config has no instance.* keys")
-    A = np.asarray(cfg.pop("instance.A"), dtype=float)
-    B = np.asarray(cfg.pop("instance.B"), dtype=float)
+    A, B, mean, Q, R = (as_array(cfg.pop(f"instance.{k}"), f"instance.{k}") for k in ("A", "B", "init.mean", "Q", "R"))
     noise = _model_from(NoiseModel, cfg, "instance.noise")
-    init = _model_from(InitialStateModel, cfg, "instance.init", mean=np.asarray(cfg.pop("instance.init.mean"), dtype=float))
-    Q = np.asarray(cfg.pop("instance.Q"), dtype=float)
-    R = np.asarray(cfg.pop("instance.R"), dtype=float)
+    init = _model_from(InitialStateModel, cfg, "instance.init", mean=mean)
     if Q.ndim == 3:
         return LqrInstance(A, B, Q, R, noise, init)
     T = as_count(cfg.pop("instance.T"), "instance.T")
-    Q_term = np.asarray(cfg.pop("instance.Q_terminal", Q), dtype=float)
+    Q_term = as_array(cfg.pop("instance.Q_terminal", Q), "instance.Q_terminal")
     return constant_instance(A, B, Q, R, Q_term, T, noise, init)
 
 

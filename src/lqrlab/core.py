@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import HorizonTooShort, NonPositiveDefinite
 
@@ -62,8 +61,9 @@ def _standardize(kind: str, z: np.ndarray) -> np.ndarray:
     sqrt(3) (2 Phi(z) - 1) for the normal CDF Phi, uniform on
     [-sqrt(3), sqrt(3)] as Phi(z) is on [0, 1]."""
     if kind == "uniform":
-        # imported at the first uniform draw, not with lqrlab: on a 2-CPU
-        # x86-64 box, importing scipy.special adds 50-90 ms and about 2.6 MB of RSS
+        # imported at the first uniform draw, not with lqrlab, which imports no
+        # scipy module: on a 2-CPU x86-64 box, importing scipy.special then
+        # adds 280-360 ms and 19-25 MB of RSS, most of it scipy's package init
         from scipy.special import erf
 
         z *= _SQRT_HALF
@@ -79,11 +79,12 @@ def _sym(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _check_stack(M: np.ndarray, name: str) -> None:
-    """Raise NonPositiveDefinite for the first slice M[t] of a (n, d, d) stack
-    that is not symmetric (np.allclose(M[t], M[t]', atol=1e-10 (1 + max|M[t]|)))
-    or not positive definite (min eig <= 1e-12 (1 + max|eig|), max|eig| being
-    the 2-norm of a symmetric matrix) or not finite, in one vectorised pass."""
+def _check_stack(M: np.ndarray, name: str, last: bool = False) -> None:
+    """Raise NonPositiveDefinite for the first slice M[t] (the last if last)
+    of a (n, d, d) stack that is not symmetric (np.allclose(M[t], M[t]',
+    atol=1e-10 (1 + max|M[t]|))) or not positive definite (min eig <= 1e-12
+    (1 + max|eig|), max|eig| being the 2-norm of a symmetric matrix) or not
+    finite, in one vectorised pass."""
     Mt = M.swapaxes(-1, -2)
     atol = 1e-10 * (1.0 + np.abs(M).max(axis=(-2, -1), keepdims=True))
     with np.errstate(invalid="ignore"):
@@ -95,20 +96,19 @@ def _check_stack(M: np.ndarray, name: str) -> None:
     definite = eigmin > _PD_RTOL * (1.0 + np.abs(eig).max(axis=-1))
     bad = np.flatnonzero(~(symmetric & definite))
     if bad.size:
-        t = bad[0]
+        t = bad[-1] if last else bad[0]
         if not symmetric[t]:
             raise NonPositiveDefinite(f"{name}[{t}] is not symmetric")
         raise NonPositiveDefinite(f"{name}[{t}] is not positive definite (min eig {eigmin[t]:g})")
 
 
 def spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs for symmetric positive definite M via Cholesky: the
-    LAPACK calls of scipy's cho_factor and cho_solve (upper factor), without
-    their per-call wrappers."""
-    c, info = sla.lapack.dpotrf(_sym(M), lower=False, clean=False)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    return sla.lapack.dpotrs(c, rhs, lower=False)[0]
+    """Solve M x = rhs for the symmetric part of M with numpy's LAPACK solve
+    (LU with partial pivoting), so that lqrlab needs no scipy.linalg.  It
+    rounds otherwise than a Cholesky solve (LAPACK dpotrf and dpotrs) and
+    does not check that M is positive definite: np.linalg.LinAlgError only
+    if M is exactly singular."""
+    return np.linalg.solve(_sym(M), rhs)
 
 
 class _Factored:
@@ -256,22 +256,27 @@ def _check_model(model, name: str, d: int) -> None:
         raise ValueError(f"{name}.sigma must be finite, got {model.sigma!r}")
     for part, shape in (("factor", (d, d)), ("mean", (d,))):
         value = getattr(model, part, None)
-        if value is None or (part == "factor" and not reads):
-            continue
-        value = np.asarray(value, dtype=float)
-        if value.shape != shape:
-            raise ValueError(f"{name}.{part} must have shape {shape}, got {value.shape}")
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name}.{part} must be finite")
+        if value is not None and (part == "mean" or reads):
+            _check_array(value, f"{name}.{part}", shape)
+
+
+def _check_array(value, name: str, shape: tuple) -> None:
+    """ValueError naming an array that does not have shape or is not finite."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite")
 
 
 @dataclass
 class LqrInstance:
     """Problem data.  Q has T+1 slices (terminal last), R has T slices.
 
-    Construction checks every R_t (and every Q_t when validate) once, in one
-    pass per stack, and that the start and noise models fit d states
-    (ValueError naming the field otherwise), symmetrises Q and R, and
+    Construction checks that A is a finite (d, d) array and B a finite
+    (d, k) array, every R_t (and every Q_t when validate) once, in one pass
+    per stack, and that the start and noise models fit d states (ValueError
+    naming the field otherwise), symmetrises Q and R, and
     computes the noise covariance W and the start second moment S0 as
     read-only arrays.  Derive a changed instance with dataclasses.replace,
     which does all of that again; a field assigned afterwards is neither
@@ -295,6 +300,9 @@ class LqrInstance:
         self.R = np.asarray(self.R, dtype=float)
         if self.B.ndim == 1:
             self.B = self.B[:, None]
+        d = len(self.A) if self.A.ndim else 1
+        _check_array(self.A, "A", (d, d))
+        _check_array(self.B, "B", (d, self.B.shape[1] if self.B.ndim > 1 else 1))
         if self.Q.shape[0] < 2:
             raise HorizonTooShort("need at least one transition (T >= 1)")
         if self.Q.shape[0] != self.R.shape[0] + 1:
@@ -373,20 +381,37 @@ def _as_gain_array(policy, T: int, k: int, d: int) -> np.ndarray:
 
 
 def solve_riccati(instance: LqrInstance) -> RiccatiSolution:
-    """Backward Riccati recursion; returns optimal gains, value matrices, cost."""
+    """Backward Riccati recursion; returns optimal gains, value matrices, cost.
+
+    Step t solves (R_t + B'P_{t+1}B) K_t = B'P_{t+1}A with spd_solve.  The
+    step matrices are then checked in one pass (_check_stack): one that is
+    not positive definite, or not finite after an overflow, raises
+    NonPositiveDefinite naming the highest such t, the step where the
+    backward recursion broke (every step below an overflow is NaN too), and
+    a cost that overflowed at t = 0 raises FloatingPointError, rather than
+    return NaN gains or cost."""
     A, B, Q, R, W = instance.A, instance.B, instance.Q, instance.R, instance.W
     At, Bt = A.T, B.T
     T, d, k = instance.T, instance.d, instance.k
     P = np.empty((T + 1, d, d))
     gains = np.empty((T, k, d))
+    steps = np.empty((T, k, k))
     P[T] = Q[T]
     trace_noise = 0.0
-    for t in range(T - 1, -1, -1):
-        BtP = Bt @ P[t + 1]
-        gains[t] = spd_solve(R[t] + BtP @ B, BtP @ A)
-        _sym(Q[t] + At @ P[t + 1] @ A - At @ BtP.T @ gains[t], out=P[t])
-        trace_noise += float((W @ P[t + 1]).trace())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        for t in range(T - 1, -1, -1):
+            BtP = Bt @ P[t + 1]
+            steps[t] = R[t] + BtP @ B
+            try:
+                gains[t] = spd_solve(steps[t], BtP @ A)
+            except np.linalg.LinAlgError:
+                raise NonPositiveDefinite(f"Riccati step matrix R + B'PB[{t}] is singular") from None
+            _sym(Q[t] + At @ P[t + 1] @ A - At @ BtP.T @ gains[t], out=P[t])
+            trace_noise += float((W @ P[t + 1]).trace())
+    _check_stack(steps, "Riccati step matrix R + B'PB", last=True)
     cost = float((instance.S0 @ P[0]).trace()) + trace_noise
+    if not np.isfinite(cost):
+        raise FloatingPointError(f"Riccati optimal cost is {cost}: the recursion overflowed")
     return RiccatiSolution(gains=gains, P=P, optimal_cost=cost)
 
 

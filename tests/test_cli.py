@@ -8,7 +8,7 @@ import pytest
 from lqrlab import cli, zeroth
 from lqrlab.cli import main, run_experiment
 from lqrlab.config_io import book_from_config, dump_kv, instance_from_config, parse_kv
-from lqrlab.liquidation import SyntheticBookConfig
+from lqrlab.liquidation import SyntheticBookConfig, synthetic_lob, write_lob_csv
 
 SCALAR_CFG = """
 # scalar instance with a stiffer terminal weight
@@ -361,6 +361,60 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o" / "seed_0.csv").exists()
 
+    @pytest.mark.parametrize("setting,code,message", [
+        ("instance.B = [[NaN]]\n", 2, "B must be finite"),
+        ("instance.A = [[Infinity]]\n", 2, "A must be finite"),
+        ("instance.A = [[1.0, 0.5]]\n", 2, "A must have shape (1, 1), got (1, 2)"),
+        ("instance.A = [[1e200]]\n", 3, "Riccati step matrix R + B'PB[3] is not"),  # T = 5 breaks at step 3
+        ("instance.A = [[1e200]]\ninstance.T = 1\n", 3, "Riccati optimal cost is nan"),
+    ])
+    def test_riccati_input_that_does_not_fit_or_overflows(self, tmp_path, capsys, setting, code, message):
+        # the first three and the overflow used to write NaN gains and
+        # "optimal_cost": NaN, which is not JSON, and exit 0; the non-square
+        # A exited 2 with numpy's broadcast message
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + setting)
+        assert main(["riccati", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("kind,setting,key", [
+        ("pg", "eta = [0.5]", "eta"), ("pg", "iters = [3]", "iters"), ("zo-pg", "radius = [0.1]", "radius"),
+        ("deadline", "ac.beta = [1.03e-5]", "ac.beta"), ("pg", 'instance.A = {"a": 1}', "instance.A"),
+        ("pg", "policy0 = {}", "policy0"), ("pg", "policy0 = true", "policy0"), ("pg", "policy0 = null", "policy0"),
+        ("pg", "instance.noise.factor = [[true]]", "instance.noise.factor"), ("pg", "instance.B = [[1, null]]", "instance.B"),
+        ("lob", "lob_csv = 5", "lob_csv"), ("deadline", "horizons = 5", "horizons"),
+    ])
+    def test_wrong_json_types_exit_two(self, tmp_path, capsys, kind, setting, key):
+        # eta = [0.5] used to exit 1 with a TypeError traceback from float(),
+        # and numpy read policy0 = true as K0 = 1 and null as NaN
+        base = AC_CFG if kind in ("lob", "deadline") else SCALAR_CFG
+        cfg = write(tmp_path, "c.cfg", base + KIND_EXTRAS[kind] + setting + "\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid config: {key} must be ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["lob", "impact"])
+    def test_seedless_inputs_run_once_for_all_seeds(self, tmp_path, monkeypatch, kind):
+        # a book file or explicit quotes never read the seed, so one run is
+        # written to every seed's CSV, byte for byte what a one-seed run writes
+        if kind == "lob":
+            write_lob_csv(tmp_path / "book.csv", synthetic_lob(SyntheticBookConfig(T=10, depth_mean=2000), 0))
+            text, name = AC_CFG + f'phi_prime = 1e-6\nlob_csv = "{tmp_path / "book.csv"}"\n', "read_lob_csv"
+        else:
+            rng = np.random.default_rng(0)
+            mfi = rng.normal(0.0, 100.0, 50)
+            delta_s = 2.5e-6 * mfi + 0.01 * rng.standard_normal(50)
+            text, name = f"impact.delta_s = {json.dumps(delta_s.tolist())}\nimpact.mfi = {json.dumps(mfi.tolist())}\n", "estimate_impact_params"
+        calls = []
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a: calls.append(1) or real(*a))
+        cfg = write(tmp_path, "c.cfg", text)
+        assert main([kind, "--config", cfg, "--seeds", "0", "1", "2", "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+        assert main([kind, "--config", cfg, "--seeds", "0", "--out", str(tmp_path / "one")]) == 0
+        single = (tmp_path / "one" / "seed_0.csv").read_bytes()
+        assert all((tmp_path / "o" / f"seed_{s}.csv").read_bytes() == single for s in range(3))
+
     def test_runtime_failure_exit_three(self, tmp_path):
         # diverging step size trips the divergence guard -> exit 3
         cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 1e9\niters = 50\npolicy0 = 0.1\n")
@@ -442,7 +496,7 @@ class TestCli:
         lengths = {3: 9, 4: 4, 5: 12, 6: 7}
         traces = {s: [[i, *rng.normal(size=2)] for i in range(n)] for s, n in lengths.items()}
         traces[5][2][1] = traces[4][2][1]  # a tie
-        monkeypatch.setattr(cli, "_read", lambda keys, kind: lambda seed: (cols, traces[seed], {}))
+        monkeypatch.setattr(cli, "_read", lambda keys, kind: (lambda seed: (cols, traces[seed], {}), True))
         run_experiment({"kind": kind}, list(lengths), tmp_path / "o")
         if kind == "zo-pg":
             rows = {}

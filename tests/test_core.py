@@ -93,6 +93,20 @@ class TestRiccati:
         costs = exact_cost(inst, sol.gains + scale * rng.normal(size=(16, *sol.gains.shape)))
         assert costs.min() >= sol.optimal_cost - 1e-12 * abs(sol.optimal_cost)
 
+    @pytest.mark.parametrize("a,q_terminal,T,error,message", [
+        (1e200, 1.0, 5, NonPositiveDefinite, r"^Riccati step matrix R \+ B'PB\[3\] is not "),  # inf at 3, then NaN
+        (1e200, 1.0, 1, FloatingPointError, r"^Riccati optimal cost is nan"),  # P_0 alone overflows
+        (0.0, -3.0, 1, NonPositiveDefinite, r"^Riccati step matrix R \+ B'PB\[0\] is not positive definite \(min eig -2\)$"),
+        (0.0, -1.0, 1, NonPositiveDefinite, r"^Riccati step matrix R \+ B'PB\[0\] is singular$"),
+    ])
+    def test_bad_step_raises_rather_than_returning_nan(self, a, q_terminal, T, error, message):
+        # an overflow used to return NaN gains and cost; an indefinite Q_T
+        # (validate=False) makes the step matrix indefinite or singular
+        inst = constant_instance([[a]], [[1.0]], [[1.0]], [[1.0]], [[q_terminal]], T, NoiseModel("zero"),
+                                 InitialStateModel("point", np.ones(1)), validate=False)
+        with pytest.raises(error, match=message):
+            solve_riccati(inst)
+
 
 def scalar_realized_costs(inst, K, x, w):
     """(n,) realized costs of rollouts of a scalar instance (d = k = 1) from
@@ -512,6 +526,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be finite"):
             self._two_state(*build())
 
+    @pytest.mark.parametrize("A,B,message", [
+        (np.ones((1, 2)), np.ones((1, 1)), r"^A must have shape \(1, 1\), got \(1, 2\)$"),
+        (np.full((1, 1), np.inf), np.ones((1, 1)), r"^A must be finite$"),
+        (np.eye(1), np.full((1, 1), np.nan), r"^B must be finite$"),
+        (np.eye(1), np.ones((2, 1)), r"^B must have shape \(1, 1\), got \(2, 1\)$"),
+    ])
+    def test_rejects_dynamics_that_do_not_fit(self, A, B, message):
+        # a non-finite A or B used to give NaN Riccati gains, a non-square A a broadcast error
+        with pytest.raises(ValueError, match=message):
+            constant_instance(A, B, np.eye(1), np.eye(1), np.eye(1), 2, NoiseModel("zero"),
+                              InitialStateModel("point", np.ones(1)))
+
     def test_rejects_indefinite_q(self):
         with pytest.raises(NonPositiveDefinite):
             constant_instance(
@@ -685,22 +711,30 @@ class TestModelSample:
 
 
 def test_gaussian_work_leaves_scipy_special_unimported():
-    # a Gaussian-only estimate, simulate_trajectory and a Q-learning sweep
-    # never import scipy.special (its RSS and import time); the first
-    # uniform draw does
+    # the CLI module, the Riccati solve, exact and zeroth-order descents, a
+    # Gaussian-only estimate, simulate_trajectory and a Q-learning sweep never
+    # import scipy.linalg or scipy.special (their RSS and import time); the
+    # first uniform draw imports scipy.special
     code = """if True:
         import sys
         import numpy as np
-        from lqrlab import SmoothingConfig, estimate_gradient, simulate_trajectory
+        import lqrlab.cli
+        from lqrlab import (DescentConfig, SmoothingConfig, estimate_gradient, run_exact_pg, run_modelfree_ppg,
+                            simulate_trajectory, solve_riccati)
         from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
         from lqrlab.core import NoiseModel, make_rng
-        from lqrlab.liquidation import ac_to_lqr
+        from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
         from lqrlab.qlearn import make_qtable, q_learning_step
         liq, scalar = ac_to_lqr(stock_liquidation()), scalar_benchmark()
-        estimate_gradient(liq, np.full((liq.T, 1, 2), -0.2), SmoothingConfig(0.6, 20), 3)
+        K0 = np.full((liq.T, 1, 2), -0.2)
+        solve_riccati(liq)
+        run_exact_pg(scalar, np.zeros((5, 1, 1)), DescentConfig(eta=0.5, iters=2))
+        run_modelfree_ppg(liq, K0, DescentConfig(eta=0.05, iters=2), SmoothingConfig(0.6, 20), 3,
+                          liquidation_constraint(5e-5, 1e-12))
+        estimate_gradient(liq, K0, SmoothingConfig(0.6, 20), 3)
         simulate_trajectory(scalar, np.zeros((5, 1, 1)), 1)
         q_learning_step(make_qtable(scalar, 11, 11), scalar, 0.5, 2)
-        print("scipy.special" in sys.modules)
+        print("scipy.linalg" in sys.modules, "scipy.special" in sys.modules)
         NoiseModel("uniform").sample(make_rng(0), (), 3)
         print("scipy.special" in sys.modules)
     """
@@ -708,7 +742,7 @@ def test_gaussian_work_leaves_scipy_special_unimported():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 class TestFactorProducts:
