@@ -69,10 +69,10 @@ def _max_workers() -> int:
 
 
 def _initial_policy(k0, instance):
-    K = as_array(k0, "policy0")
-    if K.ndim == 0:
-        return np.full((instance.T, instance.k, instance.d), float(K))
-    return K.reshape((instance.T, instance.k, instance.d))
+    K, shape = as_array(k0, "policy0"), (instance.T, instance.k, instance.d)
+    if K.ndim and K.size != np.prod(shape):
+        raise ValueError(f"policy0 must be a number or hold T * k * d = {np.prod(shape)} gains, got {K.size}")
+    return K.reshape(shape) if K.ndim else np.full(shape, float(K))
 
 
 def _read(keys: dict, kind: str):

@@ -81,10 +81,10 @@ def _sym(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _check_stack(M: np.ndarray, name: str, last: bool = False) -> None:
     """Raise NonPositiveDefinite for the first slice M[t] (the last if last)
-    of a (n, d, d) stack that is not symmetric (np.allclose(M[t], M[t]',
-    atol=1e-10 (1 + max|M[t]|))) or not positive definite (min eig <= 1e-12
-    (1 + max|eig|), max|eig| being the 2-norm of a symmetric matrix) or not
-    finite, in one vectorised pass."""
+    of a (n, d, d) stack that is not finite, not symmetric (np.allclose(M[t],
+    M[t]', atol=1e-10 (1 + max|M[t]|))) or not positive definite (min eig <=
+    1e-12 (1 + max|eig|), max|eig| being the 2-norm of a symmetric matrix),
+    in one vectorised pass."""
     Mt = M.swapaxes(-1, -2)
     atol = 1e-10 * (1.0 + np.abs(M).max(axis=(-2, -1), keepdims=True))
     with np.errstate(invalid="ignore"):
@@ -97,8 +97,8 @@ def _check_stack(M: np.ndarray, name: str, last: bool = False) -> None:
     bad = np.flatnonzero(~(symmetric & definite))
     if bad.size:
         t = bad[-1] if last else bad[0]
-        if not symmetric[t]:
-            raise NonPositiveDefinite(f"{name}[{t}] is not symmetric")
+        if not (finite[t] and symmetric[t]):
+            raise NonPositiveDefinite(f"{name}[{t}] is not {'symmetric' if finite[t] else 'finite'}")
         raise NonPositiveDefinite(f"{name}[{t}] is not positive definite (min eig {eigmin[t]:g})")
 
 
@@ -305,8 +305,10 @@ class LqrInstance:
         _check_array(self.B, "B", (d, self.B.shape[1] if self.B.ndim > 1 else 1))
         if self.Q.shape[0] < 2:
             raise HorizonTooShort("need at least one transition (T >= 1)")
-        if self.Q.shape[0] != self.R.shape[0] + 1:
-            raise ValueError("Q must have T+1 slices and R must have T")
+        T, k = self.Q.shape[0] - 1, self.B.shape[1]
+        for name, M, shape in (("Q", self.Q, (T + 1, d, d)), ("R", self.R, (T, k, k))):
+            if M.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {M.shape}")
         if self.validate:
             _check_stack(self.Q, "Q")
         _check_stack(self.R, "R")
@@ -334,9 +336,11 @@ class LqrInstance:
 
 def constant_instance(A, B, Q, R, Q_terminal, T, noise, init, **kw) -> LqrInstance:
     """Build an instance with time-invariant running Q, R and a terminal Q."""
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
-    Qs = np.concatenate([np.repeat(Q[None], T, axis=0), np.asarray(Q_terminal, dtype=float)[None]])
+    Q, R, Q_terminal = (np.asarray(M, dtype=float) for M in (Q, R, Q_terminal))
+    if Q.shape != Q_terminal.shape:  # name the one that does not fit A, not concatenate's message
+        name, M = ("Q_terminal", Q_terminal) if Q.shape == np.shape(A)[:1] * 2 else ("Q", Q)
+        raise ValueError(f"{name} must have shape {np.shape(A)[:1] * 2}, got {M.shape}")
+    Qs = np.concatenate([np.repeat(Q[None], T, axis=0), Q_terminal[None]])
     Rs = np.repeat(R[None], T, axis=0)
     return LqrInstance(A, B, Qs, Rs, noise, init, **kw)
 
@@ -557,25 +561,32 @@ def simulate_trajectory(instance: LqrInstance, policy, seed) -> Trajectory:
     return Trajectory(states=states, noises=w, realized_cost=cost)
 
 
+def path_normals(instance: LqrInstance, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start states (n, d) and the noise's standard normals (n, T, c) of the next
+    n path rows of rng's stream: stream_paths' draw, before noise.vectors."""
+    T, d = instance.T, instance.d
+    a, c = instance.init._width(d), instance.noise._width(d)
+    z = rng.standard_normal((n, a + T * c))
+    return instance.init.vectors(z[:, :a], d), z[:, a:].reshape(n, T, c)
+
+
 def stream_paths(instance: LqrInstance, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Start states (n, d) and noise (n, T, d) of the next n path rows of
     rng's stream.  A row takes the N standard normals simulate_trajectory
     draws, start state first, then noise, one per live factor column of a
     vector (_Factored._width; none for a point start or zero noise, 11 on
-    zo-liquidation), mapped by the models' vectors, so row j is the (j + 1)-th
-    pair of init.draw and noise.draw on the stream, bit for bit, and the
-    stream ends n * N numbers on.  Rows are drawn in passes of _STREAM_CHUNK,
-    which bounds the working memory beyond the result."""
+    zo-liquidation), drawn by path_normals and mapped by the models' vectors,
+    so row j is the (j + 1)-th pair of init.draw and noise.draw on the stream,
+    bit for bit, and the stream ends n * N numbers on.  Rows are drawn in
+    passes of _STREAM_CHUNK, which bounds the working memory beyond the result."""
     T, d = instance.T, instance.d
     if n > _STREAM_CHUNK:
         x0, w = np.empty((n, d)), np.empty((n, T, d))
         for lo in range(0, n, _STREAM_CHUNK):
             x0[lo:lo + _STREAM_CHUNK], w[lo:lo + _STREAM_CHUNK] = stream_paths(instance, rng, min(_STREAM_CHUNK, n - lo))
         return x0, w
-    init, noise = instance.init, instance.noise
-    a, c = init._width(d), noise._width(d)
-    z = rng.standard_normal((n, a + T * c))
-    return init.vectors(z[:, :a], d), noise.vectors(z[:, a:].reshape(n, T, c), d)
+    x0, z = path_normals(instance, rng, n)
+    return x0, instance.noise.vectors(z, d)
 
 
 def pathwise_cost_terms(instance: LqrInstance, policy, traj: Trajectory, backup: ValueBackup | None = None):

@@ -7,16 +7,16 @@ perturbed by m draws U_i from the Frobenius sphere of radius r, and
 
     ghat_t = (D / r^2) * mean_i  cost_i * U_i,        D = k * d.
 
-Iteration n of seed s reads two streams of standard normals, rollout
-(t, i) from row j = i * T + t of each (i-major, so its numbers do not
-depend on m): the directions are the rows of sample_sphere_batch(T * m,
-(k, d), r, (s, n, 0, 0, 0)), the j-th run of k * d normals normalised, and
-LqrSimulator rolls rollout (t, i) on path row j of make_rng((s, n, 0, 0, 1)),
-its j-th run of N normals (core.stream_paths), all T * m rows in one roll
-over the T steps.  A handle with only rollout(policy, seed) -> cost gets
-one rollout at a time, rollout (t, i) on its own stream (s, n, t, i, 1), so
-its costs differ from LqrSimulator's.  Every stream is keyed by counters, so
-runs are reproducible and independent of execution order.
+Iteration n of seed s reads two streams of standard normals, rollout (t, i)
+from row j = i * T + t of each (i-major, so its numbers do not depend on m):
+the directions are the rows of sample_sphere_batch(T * m, (k, d), r, (s, n,
+0, 0, 0)), the j-th run of k * d normals normalised, and LqrSimulator rolls
+rollout (t, i) on path row j of make_rng((s, n, 0, 0, 1)), its j-th run of N
+normals (core.stream_paths), all T * m rows in one coordinate-major roll that
+maps step t's noise at step t.  A handle with only rollout(policy, seed) ->
+cost gets one rollout at a time, rollout (t, i) on its own stream (s, n, t,
+i, 1), so its costs differ from LqrSimulator's.  Every stream is keyed by
+counters, so runs are reproducible and independent of execution order.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .core import (
     LqrInstance,
     exact_cost,
     make_rng,
+    path_normals,
     stream_paths,
 )
 from .errors import ZeroDirection
@@ -96,29 +97,22 @@ def slot_paths(instance: LqrInstance, m: int, seed, iteration: int) -> tuple[np.
     return stream_paths(instance, make_rng((seed, iteration, 0, 0, 1)), instance.T * m)
 
 
-def _row_forms(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """(n,) quadratic forms x_i' M x_i of the rows of x (n, d).
-
-    The contraction runs on a coordinate-major copy of x, so einsum's inner
-    loop runs along the n rows instead of across d columns, and it sums the
-    d * d terms of each row in the order it does on x itself: the bits are
-    those of einsum("id,de,ie->i", x, M, x) for x row-major or a column slice
-    of a row-major array, as the roll passes it.  On one or two rows numpy
-    picks its loop order from the strides, which the copy transposes, so
-    there the loops run in the labels' order, as they do on row-major x.
-    """
-    xt = np.ascontiguousarray(x.T)
-    return np.einsum("di,de,ei->i", xt, M, xt, order="C" if len(x) <= 2 else "K")
+def _forms(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """(n,) quadratic forms x_i' M x_i of the columns of a C-contiguous (d, n)
+    x, bit for bit einsum("id,de,ie->i") on its row-major copy: on one or two
+    columns, where numpy orders the loops by strides, in the labels' order."""
+    return np.einsum("di,de,ei->i", x, M, x, order="C" if x.shape[1] <= 2 else "K")
 
 
 class LqrSimulator:
     """Opaque rollout handle over an LqrInstance.
 
     Optimization loops use only T, k, d and the rollout methods, never the
-    instance matrices.  rollout_perturbed_slots is the one rollout kernel: it
-    vectorizes the dynamics over all T * m rollouts of an estimate, on the
-    rows of slot_paths.  rollout_perturbed_batch is one slot of it, so it has
-    the estimator's bits for every m; no estimator calls it.
+    instance matrices.  rollout_perturbed_slots is the one rollout kernel: one
+    coordinate-major roll of all T * m rollouts of an estimate on the rows of
+    slot_paths, their noise mapped a step at a time.  rollout_perturbed_batch
+    is one slot of it, with the estimator's bits for every m; no estimator
+    calls it.
     """
 
     def __init__(self, instance: LqrInstance):
@@ -140,23 +134,32 @@ class LqrSimulator:
     def rollout_perturbed_slots(self, policy, U: np.ndarray, seed, iteration: int) -> np.ndarray:
         """(T, m) costs; entry (t, i) rolls the policy with gain t perturbed
         by U[t, i] on path row i * T + t of slot_paths(m, seed, iteration)."""
-        return self._roll(policy, U, *slot_paths(self._inst, U.shape[1], seed, iteration))
+        return self._roll(policy, U, *path_normals(self._inst, make_rng((seed, iteration, 0, 0, 1)), self.T * U.shape[1]))
 
-    def _roll(self, policy, U: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """(T, m) costs of the rollouts from x (T * m, d) under noise w
-        (T * m, T, d): at step t the rows t, t + T, ... run with gain t
-        perturbed by U[t] (m, k, d), the other rows with the policy's gain."""
+    def _roll(self, policy, U: np.ndarray, x0: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """(T, m) costs of the rollouts from x0 (T * m, d) under the noise of
+        the normals z (T * m, T, c) (core.path_normals): at step t the rows
+        t, t + T, ... run with gain t perturbed by U[t] (m, k, d), the others
+        with the policy's gain.  States are held coordinate-major, (d, T * m),
+        and step t maps z[:, t] alone.  gemv rounds by its operands' layout, so
+        for the row-major roll's bits on slot_paths, gains act on row-major
+        states (x0 as drawn at t = 0), B on row-major u if d = 1 < k, and T = 1
+        maps noise as a (T * m, 1, c) stack."""
         inst = self._inst
         T, m = U.shape[:2]
         K = np.asarray(policy, dtype=float)
+        x = np.ascontiguousarray(x0.T)
         cost = np.zeros(T * m)
         for t in range(T):
-            u = -(x @ K[t].T)
-            u[t::T] = -np.einsum("ikd,id->ik", K[t][None] + U[t], np.ascontiguousarray(x[t::T]))
-            cost += _row_forms(x, inst.Q[t])
-            cost += _row_forms(u, inst.R[t])
-            x = x @ inst.A.T + u @ inst.B.T + w[:, t]
-        cost += _row_forms(x, inst.Q[T])
+            rows = x0 if t == 0 else np.ascontiguousarray(x.T)
+            u = -(rows @ K[t].T)
+            u[t::T] = -np.einsum("ikd,id->ik", K[t][None] + U[t], np.ascontiguousarray(rows[t::T]))
+            cost += _forms(x, inst.Q[t])
+            cost += _forms(np.ascontiguousarray(u.T), inst.R[t])
+            x = inst.A @ x
+            x += (u @ inst.B.T).T if self.d == 1 < self.k else inst.B @ u.T
+            x += inst.noise.vectors(z if T == 1 else z[:, t], self.d).reshape(-1, self.d).T
+        cost += _forms(x, inst.Q[T])
         return np.ascontiguousarray(cost.reshape(m, T).T)
 
 

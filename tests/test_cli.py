@@ -361,11 +361,23 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o" / "seed_0.csv").exists()
 
+    @pytest.mark.parametrize("setting,key", [
+        ("instance.Q = [[0.2, 0.0], [0.0, 0.2]]", "Q"), ("instance.Q_terminal = [[0.4, 0.0], [0.0, 0.4]]", "Q_terminal"),
+        ("instance.R = [[0.1, 0.0], [0.0, 0.1]]", "R"), ("instance.Q = [[[0.2, 0.0]], [[0.2, 0.0]]]", "Q"),
+        ("policy0 = [0.1, 0.2]", "policy0"),
+    ])
+    def test_weights_and_gains_that_do_not_fit_exit_two(self, tmp_path, capsys, setting, key):
+        # these exited 2 with numpy's concatenate or reshape message, which named no key
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + KIND_EXTRAS["pg"] + setting + "\n")
+        assert main(["pg", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid config: {key} must ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("setting,code,message", [
         ("instance.B = [[NaN]]\n", 2, "B must be finite"),
         ("instance.A = [[Infinity]]\n", 2, "A must be finite"),
         ("instance.A = [[1.0, 0.5]]\n", 2, "A must have shape (1, 1), got (1, 2)"),
-        ("instance.A = [[1e200]]\n", 3, "Riccati step matrix R + B'PB[3] is not"),  # T = 5 breaks at step 3
+        ("instance.A = [[1e200]]\n", 3, "Riccati step matrix R + B'PB[3] is not finite"),  # T = 5 breaks at step 3
         ("instance.A = [[1e200]]\ninstance.T = 1\n", 3, "Riccati optimal cost is nan"),
     ])
     def test_riccati_input_that_does_not_fit_or_overflows(self, tmp_path, capsys, setting, code, message):

@@ -94,7 +94,7 @@ class TestRiccati:
         assert costs.min() >= sol.optimal_cost - 1e-12 * abs(sol.optimal_cost)
 
     @pytest.mark.parametrize("a,q_terminal,T,error,message", [
-        (1e200, 1.0, 5, NonPositiveDefinite, r"^Riccati step matrix R \+ B'PB\[3\] is not "),  # inf at 3, then NaN
+        (1e200, 1.0, 5, NonPositiveDefinite, r"^Riccati step matrix R \+ B'PB\[3\] is not finite$"),  # inf at 3, then NaN
         (1e200, 1.0, 1, FloatingPointError, r"^Riccati optimal cost is nan"),  # P_0 alone overflows
         (0.0, -3.0, 1, NonPositiveDefinite, r"^Riccati step matrix R \+ B'PB\[0\] is not positive definite \(min eig -2\)$"),
         (0.0, -1.0, 1, NonPositiveDefinite, r"^Riccati step matrix R \+ B'PB\[0\] is singular$"),
@@ -388,6 +388,8 @@ def _reference_check(M, name):
     """Per-slice reference of the instance check: slice after slice, the
     2-norm of a slice taken by SVD."""
     for t, S in enumerate(M):
+        if not np.isfinite(S).all():
+            raise NonPositiveDefinite(f"{name}[{t}] is not finite")
         with np.errstate(invalid="ignore"):  # np.allclose warns of the nan atol of a slice with a NaN
             close = np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max()))
         if not close:
@@ -454,12 +456,13 @@ class TestValidation:
                         InitialStateModel("point", np.ones(2)))
 
     @pytest.mark.parametrize("bad,message", [
-        (np.full((2, 2), np.nan), "is not symmetric"),
-        (np.array([[1.0, np.inf], [0.0, 1.0]]), "is not symmetric"),
-        (np.full((2, 2), np.inf), "is not positive definite (min eig nan)"),
+        (np.full((2, 2), np.nan), "is not finite"),
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), "is not finite"),
+        (np.full((2, 2), np.inf), "is not finite"),
     ])
     def test_non_finite_slices_raise_non_positive_definite(self, bad, message):
-        # not a LinAlgError, and never a pass on a nan eigenvalue
+        # not a LinAlgError, and never a pass on a nan eigenvalue; a NaN
+        # slice used to read "is not symmetric", as NaN never equals itself
         with pytest.raises(NonPositiveDefinite) as err:
             LqrInstance(np.eye(2), np.ones((2, 1)), np.stack([np.eye(2), bad]), np.ones((1, 1, 1)),
                         NoiseModel("zero"), InitialStateModel("point", np.ones(2)))

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
 from lqrlab.core import make_rng
 from lqrlab.errors import Diverged, NotInSet, ZeroDirection, ZeroOptimalCost
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
-from lqrlab.zeroth import _perturbed_costs, _row_forms, slot_paths, sphere_directions
+from lqrlab.zeroth import _forms, _perturbed_costs, slot_paths, sphere_directions
 
 from conftest import path_width, random_instance, random_policy, simulated_rows
 
@@ -194,14 +195,14 @@ class TestEstimatorDraws:
 
 
 class ReferenceKernel(LqrSimulator):
-    """Reference rollout kernel: the _roll loop with its quadratic costs as
-    row-major einsum calls."""
+    """Reference rollout kernel: the roll on slot_paths' rows, row-major, its
+    quadratic costs as einsum calls on the rows."""
 
-    def _roll(self, policy, U: np.ndarray, x0: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def rollout_perturbed_slots(self, policy, U: np.ndarray, seed, iteration: int) -> np.ndarray:
         inst = self._inst
         T, m = U.shape[:2]
         K = np.asarray(policy, dtype=float)
-        x = x0
+        x, w = slot_paths(inst, m, seed, iteration)
         cost = np.zeros(T * m)
         for t in range(T):
             u = -(x @ K[t].T)
@@ -222,6 +223,29 @@ def _wide(rng, shape):
     return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
 
 
+def _roll_case(d, k, T, kinds, data):
+    """A random instance whose Q, R and terminal Q are not diagonal, so every
+    cross term of a form counts, under a noise factor whose rows mix columns
+    for d >= 2, and a random policy for it."""
+    rng = np.random.default_rng(data)
+    M, N, F = rng.normal(size=(d, d)), rng.normal(size=(k, k)), rng.normal(size=(d, d))
+    noise = NoiseModel(kinds[1], 0.4, rng.normal(size=(d, d)))
+    init = InitialStateModel(kinds[0], rng.normal(size=d), 0.6)
+    inst = constant_instance(rng.normal(size=(d, d)) * 0.5, rng.normal(size=(d, k)), M @ M.T + 0.3 * np.eye(d),
+                             N @ N.T + 0.3 * np.eye(k), F @ F.T, T, noise, init)
+    return inst, rng.normal(size=(T, k, d)) * 0.3
+
+
+# shapes where gemv, whose rounding depends on its operands' layout, would
+# round the coordinate-major roll otherwise than the row-major one
+ROLL_LAYOUTS = {
+    # start states drawn F-ordered, noise one factor entry a row, k = 1
+    **{f"zo-liquidation, m = {m}": (ac_to_lqr(stock_liquidation()), m) for m in (1, 3, 7)},
+    "d = 1, k = 2": (_roll_case(1, 2, 5, KIND_PAIRS[0], 3)[0], 2),  # 10 rows: gemv's short tail rounds otherwise
+    "T = 1, noise rows mixing columns": (_roll_case(3, 2, 1, KIND_PAIRS[0], 4)[0], 9),
+}
+
+
 class TestRolloutKernel:
     @settings(deadline=None, max_examples=80)
     @given(d=st.integers(1, 5), k=st.integers(1, 3), T=st.integers(1, 6), m=st.sampled_from([1, 2, 3, 9, 200]),
@@ -230,14 +254,7 @@ class TestRolloutKernel:
     # two rows of width two, where numpy orders einsum's loops by strides alone
     @example(d=2, k=2, T=3, m=2, kinds=KIND_PAIRS[0], data=2, seed=0, iteration=0)
     def test_rollouts_match_reference_kernel(self, d, k, T, m, kinds, data, seed, iteration):
-        # non-diagonal Q, R and terminal Q, so every cross term of a form counts
-        rng = np.random.default_rng(data)
-        M, N, F = rng.normal(size=(d, d)), rng.normal(size=(k, k)), rng.normal(size=(d, d))
-        noise = NoiseModel(kinds[1], 0.4, rng.normal(size=(d, d)))
-        init = InitialStateModel(kinds[0], rng.normal(size=d), 0.6)
-        inst = constant_instance(rng.normal(size=(d, d)) * 0.5, rng.normal(size=(d, k)), M @ M.T + 0.3 * np.eye(d),
-                                 N @ N.T + 0.3 * np.eye(k), F @ F.T, T, noise, init)
-        K = rng.normal(size=(T, k, d)) * 0.3
+        inst, K = _roll_case(d, k, T, kinds, data)
         U = sphere_directions(T, m, (k, d), 0.2, seed, iteration)
         sim, ref = LqrSimulator(inst), ReferenceKernel(inst)
         np.testing.assert_array_equal(_bits(sim.rollout_perturbed_slots(K, U, seed, iteration)),
@@ -247,15 +264,29 @@ class TestRolloutKernel:
             np.testing.assert_array_equal(_bits(sim.rollout_perturbed_batch(K, t, U[t], key)),
                                           _bits(ref.rollout_perturbed_batch(K, t, U[t], key)))
 
+    @pytest.mark.parametrize("name", list(ROLL_LAYOUTS))
+    def test_layouts_where_gemv_rounding_differs_match_reference_kernel(self, name):
+        inst, m = ROLL_LAYOUTS[name]
+        T, k, d = inst.T, inst.k, inst.d
+        K = np.random.default_rng(m).normal(size=(T, k, d)) * 0.3
+        sim, ref = LqrSimulator(inst), ReferenceKernel(inst)
+        for seed, iteration in ((0, 0), (-5, 2**63 + 4), (3, 17)):
+            U = sphere_directions(T, m, (k, d), 0.2, seed, iteration)
+            np.testing.assert_array_equal(_bits(sim.rollout_perturbed_slots(K, U, seed, iteration)),
+                                          _bits(ref.rollout_perturbed_slots(K, U, seed, iteration)))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 250, 2000])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_row_forms_match_row_major_einsum(self, n, d):
+    def test_forms_match_row_major_einsum(self, n, d):
+        # the coordinate-major copy of x row-major or of a column slice of a
+        # row-major array: the roll's states and actions
         rng = np.random.default_rng([n, d])
         for _ in range(20):
             wide = _wide(rng, (n, d + 3))
             M = _wide(rng, (d, d))  # neither diagonal nor symmetric
             for x in (np.ascontiguousarray(wide[:, :d]), wide[:, :d], wide[:, 2:d + 2]):
-                np.testing.assert_array_equal(_bits(_row_forms(x, M)), _bits(np.einsum("id,de,ie->i", x, M, x)))
+                np.testing.assert_array_equal(_bits(_forms(np.ascontiguousarray(x.T), M)),
+                                              _bits(np.einsum("id,de,ie->i", x, M, x)))
 
 
 def _two_factor_instance(init_kind, init_factor, noise_kind, noise_factor, T=4):
@@ -301,6 +332,20 @@ class TestUnreadCoordinates:
 
 
 class TestEstimator:
+    def test_liquidation_estimate_peaks_below_half_a_megabyte(self):
+        # one zo-liquidation estimate at m = 200: 2000 path rows of 11
+        # normals (176 KB) mapped one step at a time, not a (2000, 10, 2)
+        # noise array (320 KB) on top of them
+        inst, K, cfg = ac_to_lqr(stock_liquidation()), np.full((10, 1, 2), -0.2), SmoothingConfig(0.6, 200)
+        estimate_gradient(inst, K, cfg, 3, iteration=0)
+        tracemalloc.start()
+        try:
+            estimate_gradient(inst, K, cfg, 3, iteration=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024
+
     def test_deterministic_in_seed(self, rng):
         inst = random_instance(rng, d=2, k=1, T=3)
         K = random_policy(rng, inst)
