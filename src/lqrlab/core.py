@@ -52,9 +52,6 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-_STREAM_CHUNK = 4096  # path rows per pass of stream_paths, which bounds the working memory
-
-
 def _standardize(kind: str, z: np.ndarray) -> np.ndarray:
     """Standard normals z as standardized draws of a kind, in place: a
     Gaussian keeps them, a uniform is sqrt(3) erf(z sqrt(1/2)), which is
@@ -303,6 +300,8 @@ class LqrInstance:
         d = len(self.A) if self.A.ndim else 1
         _check_array(self.A, "A", (d, d))
         _check_array(self.B, "B", (d, self.B.shape[1] if self.B.ndim > 1 else 1))
+        if self.Q.ndim != 3:
+            raise ValueError(f"Q must have shape (T + 1, {d}, {d}), got {self.Q.shape}")
         if self.Q.shape[0] < 2:
             raise HorizonTooShort("need at least one transition (T >= 1)")
         T, k = self.Q.shape[0] - 1, self.B.shape[1]
@@ -562,31 +561,18 @@ def simulate_trajectory(instance: LqrInstance, policy, seed) -> Trajectory:
 
 
 def path_normals(instance: LqrInstance, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start states (n, d) and the noise's standard normals (n, T, c) of the next
-    n path rows of rng's stream: stream_paths' draw, before noise.vectors."""
+    """Start states (n, d) and the noise's standard normals (n, T, c) of the
+    next n path rows of rng's stream.  A row takes the N standard normals
+    simulate_trajectory draws, start state first, then noise, one per live
+    factor column of a vector (_Factored._width; none for a point start or
+    zero noise, 11 on zo-liquidation), so row j's start state and
+    noise.vectors of its normals are the (j + 1)-th pair of init.draw and
+    noise.draw on the stream, bit for bit, and the stream ends n * N numbers
+    on."""
     T, d = instance.T, instance.d
     a, c = instance.init._width(d), instance.noise._width(d)
     z = rng.standard_normal((n, a + T * c))
     return instance.init.vectors(z[:, :a], d), z[:, a:].reshape(n, T, c)
-
-
-def stream_paths(instance: LqrInstance, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start states (n, d) and noise (n, T, d) of the next n path rows of
-    rng's stream.  A row takes the N standard normals simulate_trajectory
-    draws, start state first, then noise, one per live factor column of a
-    vector (_Factored._width; none for a point start or zero noise, 11 on
-    zo-liquidation), drawn by path_normals and mapped by the models' vectors,
-    so row j is the (j + 1)-th pair of init.draw and noise.draw on the stream,
-    bit for bit, and the stream ends n * N numbers on.  Rows are drawn in
-    passes of _STREAM_CHUNK, which bounds the working memory beyond the result."""
-    T, d = instance.T, instance.d
-    if n > _STREAM_CHUNK:
-        x0, w = np.empty((n, d)), np.empty((n, T, d))
-        for lo in range(0, n, _STREAM_CHUNK):
-            x0[lo:lo + _STREAM_CHUNK], w[lo:lo + _STREAM_CHUNK] = stream_paths(instance, rng, min(_STREAM_CHUNK, n - lo))
-        return x0, w
-    x0, z = path_normals(instance, rng, n)
-    return x0, instance.noise.vectors(z, d)
 
 
 def pathwise_cost_terms(instance: LqrInstance, policy, traj: Trajectory, backup: ValueBackup | None = None):

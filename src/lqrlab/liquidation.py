@@ -307,11 +307,6 @@ def simulate_lob(series: LobSeries, strategy, phi_prime: float, q0: float) -> Ex
     return ExecutionRecord(trades=trades, proceeds=proceeds, holdings=holdings, shortfall=cost - baseline, clamped=clamped)
 
 
-def relative_performance(record_a: ExecutionRecord, record_b: ExecutionRecord) -> float:
-    """(IS_b - IS_a) / |IS_b|: positive when strategy a beats the benchmark b."""
-    return (record_b.shortfall - record_a.shortfall) / abs(record_b.shortfall)
-
-
 # ---------------------------------------------------------------------------
 # parameter estimation
 

@@ -1,9 +1,10 @@
 """Model-free policy gradient via sphere-smoothed zeroth-order estimates.
 
-The learner touches the system only through a simulator handle: T, k, d
-and rollout_perturbed_slots(policy, U, seed, iteration) -> (T, m) costs,
-entry (t, i) one trajectory with gain t perturbed by U[t, i].  Each K_t is
-perturbed by m draws U_i from the Frobenius sphere of radius r, and
+The learner touches the system only through a simulator handle: T, k, d,
+paths(seed, iteration, n) -> the first n path rows of the iteration's
+stream, and costs(policy, U, paths) -> (T, m) costs, entry (t, i) one
+trajectory on path row i * T + t with gain t perturbed by U[t, i].  Each K_t
+is perturbed by m draws U_i from the Frobenius sphere of radius r, and
 
     ghat_t = (D / r^2) * mean_i  cost_i * U_i,        D = k * d.
 
@@ -12,7 +13,7 @@ from row j = i * T + t of each (i-major, so its numbers do not depend on m):
 the directions are the rows of sample_sphere_batch(T * m, (k, d), r, (s, n,
 0, 0, 0)), the j-th run of k * d normals normalised, and LqrSimulator rolls
 rollout (t, i) on path row j of make_rng((s, n, 0, 0, 1)), its j-th run of N
-normals (core.stream_paths), all T * m rows in one coordinate-major roll that
+normals (core.path_normals), all T * m rows in one coordinate-major roll that
 maps step t's noise at step t.  A handle with only rollout(policy, seed) ->
 cost gets one rollout at a time, rollout (t, i) on its own stream (s, n, t,
 i, 1), so its costs differ from LqrSimulator's.  Every stream is keyed by
@@ -27,13 +28,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import (
-    LqrInstance,
-    exact_cost,
-    make_rng,
-    path_normals,
-    stream_paths,
-)
+from .core import LqrInstance, exact_cost, make_rng, path_normals
 from .errors import ZeroDirection
 from .optimize import DescentConfig, ProjectionSet, _descent
 
@@ -88,15 +83,6 @@ def sphere_directions(T: int, m: int, shape: tuple[int, int], radius: float, see
     return np.ascontiguousarray(U.reshape(m, T, *shape).swapaxes(0, 1))
 
 
-def slot_paths(instance: LqrInstance, m: int, seed, iteration: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start states (T * m, d) and noise (T * m, T, d) of one estimate's
-    rollouts, row i * T + t that of rollout (t, i): the first T * m path
-    rows of the stream make_rng((seed, iteration, 0, 0, 1)): row j is the
-    (j + 1)-th start state and noise simulate_trajectory would draw on it
-    (core.stream_paths)."""
-    return stream_paths(instance, make_rng((seed, iteration, 0, 0, 1)), instance.T * m)
-
-
 def _forms(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     """(n,) quadratic forms x_i' M x_i of the columns of a C-contiguous (d, n)
     x, bit for bit einsum("id,de,ie->i") on its row-major copy: on one or two
@@ -107,11 +93,11 @@ def _forms(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 class LqrSimulator:
     """Opaque rollout handle over an LqrInstance.
 
-    Optimization loops use only T, k, d and the rollout methods, never the
-    instance matrices.  rollout_perturbed_slots is the one rollout kernel: one
-    coordinate-major roll of all T * m rollouts of an estimate on the rows of
-    slot_paths, their noise mapped a step at a time.  rollout_perturbed_batch
-    is one slot of it, with the estimator's bits for every m; no estimator
+    Optimization loops use only T, k, d, paths and costs, never the instance
+    matrices.  paths draws an estimate's path rows and costs is the one
+    rollout kernel: one coordinate-major roll of all T * m rollouts on those
+    rows, their noise mapped a step at a time.  rollout_perturbed_batch is
+    one slot of it, with the estimator's bits for every m; no estimator
     calls it.
     """
 
@@ -122,30 +108,34 @@ class LqrSimulator:
         self.d = instance.d
 
     def rollout_perturbed_batch(self, policy, t: int, U: np.ndarray, key) -> np.ndarray:
-        """(m,) costs: slot t of rollout_perturbed_slots for the key (seed,
-        iteration, t), with U (m, k, d) at slot t and zero directions elsewhere."""
+        """(m,) costs: slot t of costs on paths(seed, iteration, T * m) for
+        the key (seed, iteration, t), with U (m, k, d) at slot t and zero
+        directions elsewhere."""
         seed, iteration, slot = key
         if slot != t or not 0 <= slot < self.T:
             raise ValueError(f"slot must equal t and lie in [0, {self.T}), got slot {slot!r} for t = {t!r}")
         V = np.zeros((self.T, *U.shape))
         V[t] = U
-        return self.rollout_perturbed_slots(policy, V, seed, iteration)[t]
+        return self.costs(policy, V, self.paths(seed, iteration, self.T * len(U)))[t]
 
-    def rollout_perturbed_slots(self, policy, U: np.ndarray, seed, iteration: int) -> np.ndarray:
-        """(T, m) costs; entry (t, i) rolls the policy with gain t perturbed
-        by U[t, i] on path row i * T + t of slot_paths(m, seed, iteration)."""
-        return self._roll(policy, U, *path_normals(self._inst, make_rng((seed, iteration, 0, 0, 1)), self.T * U.shape[1]))
+    def paths(self, seed, iteration: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first n path rows of the stream make_rng((seed, iteration, 0, 0,
+        1)) (core.path_normals): start states x0 (n, d) and noise normals z
+        (n, T, c); x0[j] and noise.vectors(z[j], d) are the (j + 1)-th pair of
+        init.draw and noise.draw on that stream."""
+        return path_normals(self._inst, make_rng((seed, iteration, 0, 0, 1)), n)
 
-    def _roll(self, policy, U: np.ndarray, x0: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """(T, m) costs of the rollouts from x0 (T * m, d) under the noise of
-        the normals z (T * m, T, c) (core.path_normals): at step t the rows
+    def costs(self, policy, U: np.ndarray, paths: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """(T, m) costs of the rollouts on paths = (x0, z), start states x0
+        (T * m, d) and the noise's normals z (T * m, T, c): at step t the rows
         t, t + T, ... run with gain t perturbed by U[t] (m, k, d), the others
         with the policy's gain.  States are held coordinate-major, (d, T * m),
         and step t maps z[:, t] alone.  gemv rounds by its operands' layout, so
-        for the row-major roll's bits on slot_paths, gains act on row-major
-        states (x0 as drawn at t = 0), B on row-major u if d = 1 < k, and T = 1
-        maps noise as a (T * m, 1, c) stack."""
+        for the bits of a row-major roll on the mapped rows, gains act on
+        row-major states (x0 as drawn at t = 0), B on row-major u if d = 1 < k,
+        and T = 1 maps noise as a (T * m, 1, c) stack."""
         inst = self._inst
+        x0, z = paths
         T, m = U.shape[:2]
         K = np.asarray(policy, dtype=float)
         x = np.ascontiguousarray(x0.T)
@@ -164,13 +154,14 @@ class LqrSimulator:
 
 
 def _perturbed_costs(sim, policy, U: np.ndarray, seed, iteration: int) -> np.ndarray:
-    """(T, m) costs of the handle's rollout_perturbed_slots, or, for a handle
-    exposing only rollout(), of one rollout per perturbed policy, entry (t, i)
-    on its own stream (seed, iteration, t, i, 1) rather than on a path row."""
-    if hasattr(sim, "rollout_perturbed_slots"):
-        return sim.rollout_perturbed_slots(policy, U, seed, iteration)
+    """(T, m) costs of the handle's costs on its first T * m paths of the
+    iteration, or, for a handle exposing only rollout(), of one rollout per
+    perturbed policy, entry (t, i) on its own stream (seed, iteration, t, i,
+    1) rather than on a path row."""
+    if hasattr(sim, "paths"):
+        return sim.costs(policy, U, sim.paths(seed, iteration, U.shape[0] * U.shape[1]))
     if not hasattr(sim, "rollout"):
-        raise TypeError("a simulator handle needs rollout_perturbed_slots(policy, U, seed, iteration) or rollout(policy, seed)")
+        raise TypeError("a simulator handle needs paths(seed, iteration, n) and costs(policy, U, paths), or rollout(policy, seed)")
     K = np.asarray(policy, dtype=float)
     T, m = U.shape[:2]
     costs = np.empty((T, m))

@@ -50,6 +50,14 @@ def path_width(inst) -> int:
     return live(inst.init) * (inst.init.kind != "point") + inst.T * live(inst.noise) * (inst.noise.kind != "zero")
 
 
+def mapped(inst, paths) -> tuple[np.ndarray, np.ndarray]:
+    """Path rows (x0 (n, d), noise normals z (n, T, c)), as core.path_normals
+    and LqrSimulator.paths return them, with the noise mapped by the noise
+    model's vectors to (n, T, d): row j's start state and noise."""
+    x0, z = paths
+    return x0, inst.noise.vectors(z, inst.d)
+
+
 def simulated_rows(inst, key, policies: dict) -> dict:
     """{j: simulate_trajectory(inst, K, key) on the stream make_rng(key)
     advanced to path row j} for policies {j: K}: one stream, which skips

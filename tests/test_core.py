@@ -29,11 +29,11 @@ from lqrlab import (
 )
 from lqrlab import core
 from lqrlab.benchmarks import scalar_benchmark
-from lqrlab.core import make_rng, pathwise_cost_terms, stream_paths
+from lqrlab.core import make_rng, path_normals, pathwise_cost_terms
 from lqrlab.errors import HorizonTooShort, NonPositiveDefinite
 from lqrlab.zeroth import LqrSimulator
 
-from conftest import error_terms, path_width, random_instance, random_policy, simulated_rows
+from conftest import error_terms, mapped, path_width, random_instance, random_policy, simulated_rows
 
 
 def one_step_unit_instance():
@@ -143,7 +143,7 @@ class TestBackup:
         K = np.zeros((5, 1, 1))
         exact = exact_cost(inst, K)
         n = 100000
-        x0, w = stream_paths(inst, make_rng(7), n)
+        x0, w = mapped(inst, path_normals(inst, make_rng(7), n))
         costs = scalar_realized_costs(inst, K, x0[:, 0], w[:, :, 0])
         for i, traj in simulated_rows(inst, 7, {int(i): K for i in np.linspace(0, n - 1, 1001)}).items():
             assert _same_bits(costs[i], traj.realized_cost), i
@@ -354,7 +354,7 @@ class TestSimulation:
         K = random_policy(rng, inst)
         bk = backup_value(inst, K)
         n = 20000
-        x0, w = stream_paths(inst, make_rng(99), n)
+        x0, w = mapped(inst, path_normals(inst, make_rng(99), n))
         x, cost = x0, np.zeros(n)
         for t in range(inst.T):
             u = -(x @ K[t].T)
@@ -540,6 +540,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             constant_instance(A, B, np.eye(1), np.eye(1), np.eye(1), 2, NoiseModel("zero"),
                               InitialStateModel("point", np.ones(1)))
+
+    @pytest.mark.parametrize("Q,R,message", [
+        (1.0, np.ones((1, 1, 1)), r"^Q must have shape \(T \+ 1, 1, 1\), got \(\)$"),  # an IndexError before
+        (np.ones((2, 1, 1)), 1.0, r"^R must have shape \(1, 1, 1\), got \(\)$"),
+    ])
+    def test_rejects_scalar_weights(self, Q, R, message):
+        with pytest.raises(ValueError, match=message):
+            LqrInstance(np.eye(1), np.eye(1), Q, R, NoiseModel("zero"), InitialStateModel("point", np.ones(1)))
 
     def test_rejects_indefinite_q(self):
         with pytest.raises(NonPositiveDefinite):
@@ -782,16 +790,16 @@ class TestFactorProducts:
 class TestSamplePaths:
     @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS)
     def test_matches_model_draws(self, init_kind, noise_kind):
-        # stream_paths under full start and noise factors, whose rows mix
-        # columns, against the models' own draw methods, called in turn on
+        # LqrSimulator's paths under full start and noise factors, whose rows
+        # mix columns, against the models' own draw methods, called in turn on
         # one stream
         rng = np.random.default_rng(7)
-        d, T, key = 3, 4, (4, -1, 2**64 - 1, 0, 1)
+        d, T, seed, iteration = 3, 4, 4, 2**64 - 1
         noise = NoiseModel(noise_kind, 0.4, rng.normal(size=(d, d)))
         init = InitialStateModel(init_kind, rng.normal(size=d), 0.6, rng.normal(size=(d, d)))
         inst = constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise, init)
-        x0, w = stream_paths(inst, make_rng(key), 6)
-        ref = make_rng(key)
+        x0, w = mapped(inst, LqrSimulator(inst).paths(seed, iteration, 6))
+        ref = make_rng((seed, iteration, 0, 0, 1))
         for j in range(6):
             _assert_same_bits(x0[j], init.draw(ref))
             _assert_same_bits(w[j], noise.draw(ref, T, d))
@@ -806,55 +814,55 @@ class TestSamplePaths:
 class TestStreamPaths:
     @pytest.mark.parametrize("pair", KIND_PAIRS, ids="-".join)
     @settings(deadline=None, max_examples=40)
-    @given(data=st.data(), key=KEYS, d=st.integers(1, 3), T=st.integers(1, 6), n=st.integers(0, 40))
-    @example(data=None, key=[4, -1, 2**64 - 1, 0, 1], d=3, T=4, n=6)
-    def test_rows_are_consecutive_model_draws(self, pair, data, key, d, T, n):
-        # row j: the (j + 1)-th pair of init.draw and noise.draw on one
-        # stream, byte for byte, for factors that mix columns or leave some
-        # unread (data=None: full factors), so row j is the j-th run of N
-        # normals and n rows leave the stream n * N normals on
+    @given(data=st.data(), seed=WORDS, iteration=WORDS, d=st.integers(1, 3), T=st.integers(1, 6),
+           n=st.integers(0, 40))
+    @example(data=None, seed=4, iteration=2**64 - 1, d=3, T=4, n=6)
+    def test_rows_are_consecutive_model_draws(self, pair, data, seed, iteration, d, T, n):
+        # row j of LqrSimulator's paths: the (j + 1)-th pair of init.draw and
+        # noise.draw on its stream, byte for byte, for factors that mix
+        # columns or leave some unread (data=None: full factors), so row j is
+        # the j-th run of N normals and n rows leave the stream n * N normals on
         if data is None:
             fs = tuple(np.random.default_rng(7).normal(size=(2, d, d)))
         else:
             fs = data.draw(factors(d)), data.draw(factors(d))
         inst = _instance_of_kinds(pair, d, T, fs)
-        rng, ref = make_rng(key), make_rng(key)
-        x0, w = stream_paths(inst, rng, n)
+        key = (seed, iteration, 0, 0, 1)
+        x0, w = mapped(inst, LqrSimulator(inst).paths(seed, iteration, n))
         assert x0.shape == (n, d) and w.shape == (n, T, d)
+        ref = make_rng(key)
         for j in range(n):
             assert x0[j].tobytes() == inst.init.draw(ref).tobytes()
             assert w[j].tobytes() == inst.noise.draw(ref, T, d).tobytes()
+        rng = make_rng(key)
+        path_normals(inst, rng, n)
         N = path_width(inst)
         assert rng.standard_normal() == ref.standard_normal() == make_rng(key).standard_normal(n * N + 1)[-1]
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data(), key=KEYS, pair=st.sampled_from(KIND_PAIRS), d=st.integers(1, 3), T=st.integers(1, 6),
-           n=st.integers(0, 40), split=st.integers(0, 40), chunk=st.sampled_from([1, 3, 7]))
-    def test_chunked_draws_equal_one_call(self, data, key, pair, d, T, n, split, chunk):
-        # passes of a few rows, and two calls that continue one stream, give
-        # the rows of one call in one pass, for factors that mix columns or
-        # leave some unread
+           n=st.integers(0, 40), split=st.integers(0, 40))
+    def test_two_calls_continuing_a_stream_equal_one_call(self, data, key, pair, d, T, n, split):
+        # two calls that continue one stream give the rows of one call, for
+        # factors that mix columns or leave some unread
         inst = _instance_of_kinds(pair, d, T, (data.draw(factors(d)), data.draw(factors(d))))
-        one = stream_paths(inst, make_rng(key), n)
+        one = mapped(inst, path_normals(inst, make_rng(key), n))
         rest, cut = make_rng(key), min(split, n)
-        parts = stream_paths(inst, rest, cut), stream_paths(inst, rest, n - cut)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "_STREAM_CHUNK", chunk)
-            chunked = stream_paths(inst, make_rng(key), n)
-        for a, b, c in zip(one, chunked, (np.concatenate(p) for p in zip(*parts))):
-            _assert_same_bits(a, b)
+        parts = mapped(inst, path_normals(inst, rest, cut)), mapped(inst, path_normals(inst, rest, n - cut))
+        for a, c in zip(one, (np.concatenate(p) for p in zip(*parts))):
             _assert_same_bits(a, c)
 
     @settings(deadline=None, max_examples=100)
-    @given(key=KEYS, pair=st.sampled_from(KIND_PAIRS), d=st.integers(1, 3), T=st.integers(1, 9))
-    @example(key=[3, 4, 0, 0, 1], pair=("gaussian", "uniform"), d=1, T=7)
-    def test_rows_match_simulated_trajectories(self, key, pair, d, T):
+    @given(seed=WORDS, iteration=WORDS, pair=st.sampled_from(KIND_PAIRS), d=st.integers(1, 3), T=st.integers(1, 9))
+    @example(seed=3, iteration=4, pair=("gaussian", "uniform"), d=1, T=7)
+    def test_rows_match_simulated_trajectories(self, seed, iteration, pair, d, T):
         # path layouts of every kind pair, degenerate parts skipped, against
         # the start state and noise simulate_trajectory draws on the stream
         # advanced to each row
         inst = _instance_of_kinds(pair, d, T)
-        x0, w = stream_paths(inst, make_rng(key), 5)
-        for j, traj in simulated_rows(inst, key, {j: np.zeros((T, 1, d)) for j in range(5)}).items():
+        x0, w = mapped(inst, LqrSimulator(inst).paths(seed, iteration, 5))
+        rows = simulated_rows(inst, (seed, iteration, 0, 0, 1), {j: np.zeros((T, 1, d)) for j in range(5)})
+        for j, traj in rows.items():
             _assert_same_bits(x0[j], traj.states[0])
             _assert_same_bits(w[j], traj.noises)
 
@@ -872,7 +880,7 @@ class TestStreamPaths:
             ref = make_rng(key)
             z = ref.standard_normal((n, width))
             rng = make_rng(key)
-            x0, w = stream_paths(inst, rng, n)
+            x0, w = mapped(inst, path_normals(inst, rng, n))
             # the uniform noise as the Gaussian model's vectors of _uniform's map
             scaled = dataclasses.replace(inst.noise, kind="gaussian")
             for j, row in enumerate(z):
@@ -881,21 +889,20 @@ class TestStreamPaths:
                 _assert_same_bits(w[j], noise)
             assert rng.standard_normal() == ref.standard_normal()
 
-    def test_threads_drawing_interleaved_keys_get_the_serial_arrays(self, monkeypatch):
+    def test_threads_drawing_interleaved_keys_get_the_serial_arrays(self):
         # more threads than cores, switching often; thread j draws the rows of
-        # every fourth key from j on, in two calls that continue one stream
-        # and in passes of five rows, on models whose live columns no draw
-        # has read yet
+        # every fourth key from j on, in one paths call and in two calls that
+        # continue one stream, on models whose live columns no draw has read yet
         def instances():
             fs = (np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 0.5, 0.0]))
             return [_instance_of_kinds(pair, 3, 4, fs) for pair in KIND_PAIRS]
 
         def draw(insts, n):
+            inst = insts[n % len(insts)]
             rng = make_rng((11, n, 0, 0, 1))
-            first, rest = stream_paths(insts[n % len(insts)], rng, 17), stream_paths(insts[n % len(insts)], rng, 20)
-            return [np.concatenate(part) for part in zip(first, rest)]
+            first, rest = mapped(inst, path_normals(inst, rng, 17)), mapped(inst, path_normals(inst, rng, 20))
+            return [*mapped(inst, LqrSimulator(inst).paths(11, n, 37)), *(np.concatenate(part) for part in zip(first, rest))]
 
-        monkeypatch.setattr(core, "_STREAM_CHUNK", 5)
         serial_insts = instances()
         serial = [draw(serial_insts, n) for n in range(40)]
         insts, got = instances(), {}
@@ -925,7 +932,7 @@ class TestStreamPaths:
         # a point start with zero noise takes no number from the stream
         inst = _instance_of_kinds(("point", "zero"), 2, 4)
         rng = make_rng((1, 2))
-        x0, w = stream_paths(inst, rng, 3)
+        x0, w = mapped(inst, path_normals(inst, rng, 3))
         _assert_same_bits(x0, np.tile(inst.init.mean, (3, 1)))
         _assert_same_bits(w, np.zeros((3, 4, 2)))
         assert rng.standard_normal() == make_rng((1, 2)).standard_normal()

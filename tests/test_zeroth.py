@@ -30,9 +30,9 @@ from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
 from lqrlab.core import make_rng
 from lqrlab.errors import Diverged, NotInSet, ZeroDirection, ZeroOptimalCost
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
-from lqrlab.zeroth import _forms, _perturbed_costs, slot_paths, sphere_directions
+from lqrlab.zeroth import _forms, _perturbed_costs, sphere_directions
 
-from conftest import path_width, random_instance, random_policy, simulated_rows
+from conftest import mapped, path_width, random_instance, random_policy, simulated_rows
 
 
 class TestSphere:
@@ -107,7 +107,7 @@ class TestEstimatorDraws:
         seed, it = -5, 2**63 + 4
         U = sphere_directions(T, m, (k, d), r, seed, it)
         rows = sample_sphere_batch(T * m, (k, d), r, [seed, it, 0, 0, 0])
-        x0, w = slot_paths(inst, m, seed, it)
+        x0, w = mapped(inst, LqrSimulator(inst).paths(seed, it, T * m))
         rng = make_rng([seed, it, 0, 0, 1])
         for i in range(m):
             for t in range(T):
@@ -128,17 +128,19 @@ class TestEstimatorDraws:
                                  InitialStateModel(kinds[0], np.linspace(-1.0, 1.0, d), 0.6))
         U, U2 = (sphere_directions(T, n, (k, d), 0.3, seed, iteration) for n in (m, 2 * m))
         assert U.tobytes() == U2[:, :m].tobytes()
-        for a, b in zip(slot_paths(inst, m, seed, iteration), slot_paths(inst, 2 * m, seed, iteration)):
+        half, full = (mapped(inst, LqrSimulator(inst).paths(seed, iteration, T * n)) for n in (m, 2 * m))
+        for a, b in zip(half, full):
             assert a.tobytes() == b[:T * m].tobytes()
 
     def test_threads_interleaving_estimates_get_the_serial_arrays(self):
         # more threads than cores, switching often; thread j runs the
         # estimates of every fourth (seed, iteration) from j on
         inst, K, cfg = ac_to_lqr(stock_liquidation()), np.full((10, 1, 2), -0.2), SmoothingConfig(0.6, 20)
+        sim = LqrSimulator(inst)
         keys = [(seed, it) for seed in (3, -5) for it in range(20)]
 
         def draws(seed, it):
-            return (sphere_directions(inst.T, 20, (1, 2), 0.6, seed, it), *slot_paths(inst, 20, seed, it),
+            return (sphere_directions(inst.T, 20, (1, 2), 0.6, seed, it), *mapped(inst, sim.paths(seed, it, 200)),
                     estimate_gradient(inst, K, cfg, seed, iteration=it).grads)
 
         serial = [draws(*key) for key in keys]
@@ -173,7 +175,8 @@ class TestEstimatorDraws:
         inst = _instance_of_kinds(init_kind, noise_kind, d=2, k=2, T=4)
         K = np.random.default_rng(5).normal(size=(4, 2, 2)) * 0.2
         U = sphere_directions(inst.T, 3, (2, 2), 0.2, -5, 9)
-        costs = LqrSimulator(inst).rollout_perturbed_slots(K, U, -5, 9)
+        sim = LqrSimulator(inst)
+        costs = sim.costs(K, U, sim.paths(-5, 9, inst.T * 3))
         perts = {}
         for t, i in np.ndindex(inst.T, 3):
             perts[i * inst.T + t] = K.copy()
@@ -189,20 +192,21 @@ class TestEstimatorDraws:
         K = np.random.default_rng(4).normal(size=(4, 2, 2)) * 0.2
         sim = LqrSimulator(inst)
         U = sphere_directions(inst.T, m, (2, 2), 0.2, 8, 1)
-        slots = sim.rollout_perturbed_slots(K, U, 8, 1)
+        slots = sim.costs(K, U, sim.paths(8, 1, inst.T * m))
         for t in range(inst.T):
             np.testing.assert_array_equal(slots[t], sim.rollout_perturbed_batch(K, t, U[t], [8, 1, t]))
 
 
 class ReferenceKernel(LqrSimulator):
-    """Reference rollout kernel: the roll on slot_paths' rows, row-major, its
-    quadratic costs as einsum calls on the rows."""
+    """Reference rollout kernel: the roll on the path rows, row-major, with
+    all their noise mapped at once, its quadratic costs as einsum calls on
+    the rows."""
 
-    def rollout_perturbed_slots(self, policy, U: np.ndarray, seed, iteration: int) -> np.ndarray:
+    def costs(self, policy, U: np.ndarray, paths) -> np.ndarray:
         inst = self._inst
         T, m = U.shape[:2]
         K = np.asarray(policy, dtype=float)
-        x, w = slot_paths(inst, m, seed, iteration)
+        x, w = mapped(inst, paths)
         cost = np.zeros(T * m)
         for t in range(T):
             u = -(x @ K[t].T)
@@ -212,6 +216,11 @@ class ReferenceKernel(LqrSimulator):
             x = x @ inst.A.T + u @ inst.B.T + w[:, t]
         cost += np.einsum("id,de,ie->i", x, inst.Q[T], x)
         return np.ascontiguousarray(cost.reshape(m, T).T)
+
+
+def _slots(sim, K, U, seed, iteration):
+    """(T, m) costs of the handle on the first T * m path rows of (seed, iteration)."""
+    return sim.costs(K, U, sim.paths(seed, iteration, U.shape[0] * U.shape[1]))
 
 
 def _bits(a):
@@ -257,8 +266,7 @@ class TestRolloutKernel:
         inst, K = _roll_case(d, k, T, kinds, data)
         U = sphere_directions(T, m, (k, d), 0.2, seed, iteration)
         sim, ref = LqrSimulator(inst), ReferenceKernel(inst)
-        np.testing.assert_array_equal(_bits(sim.rollout_perturbed_slots(K, U, seed, iteration)),
-                                      _bits(ref.rollout_perturbed_slots(K, U, seed, iteration)))
+        np.testing.assert_array_equal(_bits(_slots(sim, K, U, seed, iteration)), _bits(_slots(ref, K, U, seed, iteration)))
         for t in range(T):
             key = (seed, iteration, t)
             np.testing.assert_array_equal(_bits(sim.rollout_perturbed_batch(K, t, U[t], key)),
@@ -272,8 +280,8 @@ class TestRolloutKernel:
         sim, ref = LqrSimulator(inst), ReferenceKernel(inst)
         for seed, iteration in ((0, 0), (-5, 2**63 + 4), (3, 17)):
             U = sphere_directions(T, m, (k, d), 0.2, seed, iteration)
-            np.testing.assert_array_equal(_bits(sim.rollout_perturbed_slots(K, U, seed, iteration)),
-                                          _bits(ref.rollout_perturbed_slots(K, U, seed, iteration)))
+            np.testing.assert_array_equal(_bits(_slots(sim, K, U, seed, iteration)),
+                                          _bits(_slots(ref, K, U, seed, iteration)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 250, 2000])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -323,12 +331,20 @@ class TestUnreadCoordinates:
         inst, N = UNREAD[name]
         T, d, m, seed, it = inst.T, inst.d, 3, -5, 2**63 + 4
         assert path_width(inst) == N
-        x0, w = slot_paths(inst, m, seed, it)
+        x0, w = mapped(inst, LqrSimulator(inst).paths(seed, it, T * m))
         rng = make_rng([seed, it, 0, 0, 1])
         for j in range(T * m):
             assert x0[j].tobytes() == inst.init.draw(rng).tobytes()
             assert w[j].tobytes() == inst.noise.draw(rng, T, d).tobytes()
         assert rng.standard_normal() == make_rng([seed, it, 0, 0, 1]).standard_normal(T * m * N + 1)[-1]
+
+
+class PathsAndCosts:
+    """A handle exposing T, k, d, paths() and costs() alone."""
+
+    def __init__(self, sim):
+        self.T, self.k, self.d = sim.T, sim.k, sim.d
+        self.paths, self.costs = sim.paths, sim.costs
 
 
 class TestEstimator:
@@ -422,11 +438,24 @@ class TestEstimator:
         np.testing.assert_allclose(est.grads, grads, rtol=1e-12, atol=1e-12 * np.abs(grads).max())
         assert not np.array_equal(est.grads, estimate_gradient(LqrSimulator(inst), K, cfg, seed=3, iteration=5).grads)
 
+    @pytest.mark.parametrize("name", ["zo-liquidation", "4-state"])
+    def test_paths_and_costs_handle_gives_the_simulators_bits(self, name):
+        # no rollout(): the estimator draws the handle's paths once and costs
+        # them, as it does for LqrSimulator, so the estimates are its bits
+        inst = ac_to_lqr(stock_liquidation()) if name == "zo-liquidation" else _roll_case(4, 2, 3, KIND_PAIRS[0], 6)[0]
+        K = np.random.default_rng(2).normal(size=(inst.T, inst.k, inst.d)) * 0.2
+        handle = PathsAndCosts(LqrSimulator(inst))
+        assert not hasattr(handle, "rollout")
+        for m in (1, 7, 200):
+            for seed, it in ((3, 0), (-5, 2**63 + 4)):
+                a, b = (estimate_gradient(h, K, SmoothingConfig(0.3, m), seed, iteration=it) for h in (handle, inst))
+                assert a.grads.tobytes() == b.grads.tobytes() and a.mean_costs.tobytes() == b.mean_costs.tobytes()
+
     def test_handle_without_rollouts_is_rejected(self):
         class Bare:
             T, k, d = 5, 1, 1
 
-        with pytest.raises(TypeError, match=r"rollout_perturbed_slots\(.*rollout\("):
+        with pytest.raises(TypeError, match=r"paths\(.*costs\(.*rollout\("):
             estimate_gradient(Bare(), np.zeros((5, 1, 1)), SmoothingConfig(radius=0.1, samples=3), seed=0)
 
     @pytest.mark.parametrize("radius,samples", [
@@ -542,16 +571,15 @@ class TestModelFreeLoops:
             run_modelfree_pg(scalar_benchmark(), K0, cfg, SmoothingConfig(radius=0.1, samples=5), seed=1)
 
     def test_opaque_handle_without_oracle_is_not_guarded(self):
-        # a rollout-only handle has no cost to trace: nan by design, not a divergence
+        # a paths-and-costs handle has no cost to trace: nan by design, not a
+        # divergence; its iterates are LqrSimulator's, bit for bit
         sim = LqrSimulator(scalar_benchmark())
-
-        class Opaque:
-            T, k, d = sim.T, sim.k, sim.d
-            rollout_perturbed_slots = staticmethod(sim.rollout_perturbed_slots)
-
-        cfg = DescentConfig(eta=0.2, iters=3)
-        _, trace = run_modelfree_pg(Opaque(), np.zeros((5, 1, 1)), cfg, SmoothingConfig(radius=0.1, samples=5), seed=1)
+        cfg, sm = DescentConfig(eta=0.2, iters=3), SmoothingConfig(radius=0.1, samples=5)
+        K, trace = run_modelfree_pg(PathsAndCosts(sim), np.zeros((5, 1, 1)), cfg, sm, seed=1)
         assert len(trace.rows) == 4 and np.isnan(trace.column("cost")).all()
+        K_ref, ref = run_modelfree_pg(sim, np.zeros((5, 1, 1)), cfg, sm, seed=1)
+        assert K.tobytes() == K_ref.tobytes()
+        np.testing.assert_array_equal(np.array(trace.rows), np.array(ref.rows))
 
     def test_opaque_handle_rejects_target_error(self):
         # C* of an opaque handle is unknown, so its normalized error is nan and

@@ -14,12 +14,14 @@ or cli/<kind>), so a deliberate change of the sampled stream reads at a
 glance against exact outputs that must not move; it exits 1 if any differ.
 Each CSV the CLI writes gets two names: its bytes, and its cells parsed as
 float64 ("#values"), so a change in how numbers are written shows apart from
-a change in the numbers.  The path-row dumps need core.stream_paths and are
-left out on checkouts without it; the rest uses only names that older
-checkouts also have, so it runs on them too.  Path row j is the (j + 1)-th
-pair of init.draw and noise.draw on its stream, so the "stream" group dumps
-both: the rows stream_paths draws, and those the models draw one at a time.  It takes about 25 s on a 2-CPU
-VM.
+a change in the numbers.  The path rows are core.path_normals' start states
+and noise normals, the noise mapped by the noise model's vectors, so the
+dumps need path_normals; the rollout kernel is LqrSimulator.costs on its
+paths, or rollout_perturbed_slots on checkouts from before those two.  The
+rest uses only names that older checkouts also have, so one script runs on
+both sides.  Path row j is the (j + 1)-th pair of init.draw and noise.draw on
+its stream, so the "stream" group dumps both: the rows path_normals draws,
+and those the models draw one at a time.  It takes about 25 s on a 2-CPU VM.
 """
 
 from __future__ import annotations
@@ -146,6 +148,13 @@ def _exact_instance(n: int):
     return constant_instance(rng.normal(size=(d, d)) * 0.5, rng.normal(size=(d, k)), Q, R, 2.0 * Q, T, noise, init)
 
 
+def _slots(sim, K, U, seed, it) -> np.ndarray:
+    """(T, m) costs of LqrSimulator's rollout kernel on the paths of (seed, it)."""
+    if hasattr(sim, "paths"):
+        return sim.costs(K, U, sim.paths(seed, it, U.shape[0] * U.shape[1]))
+    return sim.rollout_perturbed_slots(K, U, seed, it)
+
+
 def _run_sha(run, *args) -> str:
     """The hash of a descent's final policy and trace rows, or the error it raised."""
     try:
@@ -229,10 +238,10 @@ def estimator_outputs(out: dict) -> None:
                         key = f"est/{name}/m={m}/seed={seed}/{run}{pos}:it={it}"
                         est = estimate_gradient(inst, K, cfg, seed, iteration=it)
                         U = zeroth.sphere_directions(inst.T, m, shape, r, seed, it)
-                        x0, w = zeroth.slot_paths(inst, m, seed, it)
+                        x0, z = core.path_normals(inst, core.make_rng((seed, it, 0, 0, 1)), inst.T * m)
                         out[f"{key}/U"] = _sha(U)
                         out[f"{key}/x0"] = _sha(x0)
-                        out[f"{key}/w"] = _sha(w)
+                        out[f"{key}/w"] = _sha(inst.noise.vectors(z, inst.d))
                         out[f"{key}/grads"] = _sha(est.grads)
                         out[f"{key}/mean_costs"] = _sha(est.mean_costs)
 
@@ -242,12 +251,12 @@ ROLL_SEEDS = [5, 2**63 + 4]
 
 
 def roll_outputs(out: dict) -> None:
-    """LqrSimulator.rollout_perturbed_slots and rollout_perturbed_batch (every
-    slot) on each suite instance of EXACT_SHAPES, whose Q and R are not
-    diagonal, per m, seed and iterations 0 and 1.  rollout_perturbed_batch
-    is slot t of rollout_perturbed_slots, so "batch" hashes a slice of
-    "slots"; on older checkouts, which rolled one slot alone, it shows
-    whether those bits matched."""
+    """LqrSimulator's rollout kernel (_slots) and rollout_perturbed_batch
+    (every slot) on each suite instance of EXACT_SHAPES, whose Q and R are
+    not diagonal, per m, seed and iterations 0 and 1.  rollout_perturbed_batch
+    is slot t of the kernel, so "batch" hashes a slice of "slots"; on older
+    checkouts, which rolled one slot alone, it shows whether those bits
+    matched."""
     for n, (d, k, T) in enumerate(EXACT_SHAPES):
         inst = _exact_instance(n)
         sim = LqrSimulator(inst)
@@ -257,12 +266,12 @@ def roll_outputs(out: dict) -> None:
                 for it in (0, 1):
                     name = f"roll/d={d},k={k},T={T}/m={m}/seed={seed}/it={it}"
                     U = zeroth.sphere_directions(T, m, (k, d), 0.2, seed, it)
-                    out[f"{name}/slots"] = _sha(sim.rollout_perturbed_slots(K, U, seed, it))
+                    out[f"{name}/slots"] = _sha(_slots(sim, K, U, seed, it))
                     out[f"{name}/batch"] = _sha(*(sim.rollout_perturbed_batch(K, t, U[t], (seed, it, t)) for t in range(T)))
 
 
 STREAM_ROWS = 51200  # rows per stream: 256 estimates of 200 rollouts
-STREAM_PASS = 10240  # rows per stream_paths call, each continuing the stream
+STREAM_PASS = 10240  # rows per path_normals call, each continuing the stream
 MODEL_ROWS = 256  # rows per stream drawn by the models one at a time
 
 
@@ -271,9 +280,9 @@ def stream_outputs(out: dict) -> None:
     (sample_sphere_batch), then, on the zo-liquidation instance (live
     columns), c11, every kind pair (point start, zero noise, uniform kinds)
     and each zero-column instance: the first MODEL_ROWS rows as consecutive
-    init.draw and noise.draw calls on one generator, and, where
-    core.stream_paths exists, path rows in passes of STREAM_PASS rows from
-    one generator."""
+    init.draw and noise.draw calls on one generator, and path rows in passes
+    of STREAM_PASS rows of path_normals from one generator, the noise mapped
+    by the model's vectors."""
     keys = ((3 << 20, 5, 0, 0, 1), (2**63 + 4, 11, 0, 0, 1))
     for width in (1, 2):
         for key in keys:
@@ -288,13 +297,12 @@ def stream_outputs(out: dict) -> None:
             rng = core.make_rng(key)
             rows = [(inst.init.draw(rng), inst.noise.draw(rng, inst.T, inst.d)) for _ in range(MODEL_ROWS)]
             out[f"stream/{name}/key={key[0]},{key[1]}/models/n={MODEL_ROWS}"] = _sha(*(a for pair in rows for a in pair))
-    if not hasattr(core, "stream_paths"):
-        return
     for name, inst in instances.items():
         for key in keys:
             rng = core.make_rng(key)
-            paths = [core.stream_paths(inst, rng, STREAM_PASS) for _ in range(STREAM_ROWS // STREAM_PASS)]
-            out[f"stream/{name}/key={key[0]},{key[1]}/n={STREAM_ROWS}"] = _sha(*(a for pair in paths for a in pair))
+            passes = [core.path_normals(inst, rng, STREAM_PASS) for _ in range(STREAM_ROWS // STREAM_PASS)]
+            rows = [(x0, inst.noise.vectors(z, inst.d)) for x0, z in passes]
+            out[f"stream/{name}/key={key[0]},{key[1]}/n={STREAM_ROWS}"] = _sha(*(a for pair in rows for a in pair))
 
 
 QLEARN_FACTORS = {"identity": None, "zero": [[0.0]], "1.7": [[1.7]]}
@@ -354,24 +362,27 @@ class RolloutOnly:
         self.rollout = lambda policy, seed: simulate_trajectory(inst, policy, seed).realized_cost
 
 
-class SlotsOnly:
-    """A handle exposing T, k, d and rollout_perturbed_slots() alone."""
+class KernelOnly:
+    """A handle exposing T, k, d and LqrSimulator's rollout kernel alone:
+    paths() and costs(), or rollout_perturbed_slots() on older checkouts."""
 
     def __init__(self, inst):
         sim = LqrSimulator(inst)
         self.T, self.k, self.d = sim.T, sim.k, sim.d
-        self.rollout_perturbed_slots = sim.rollout_perturbed_slots
+        names = ("paths", "costs") if hasattr(sim, "paths") else ("rollout_perturbed_slots",)
+        for name in names:
+            setattr(self, name, getattr(sim, name))
 
 
 def handle_outputs(out: dict) -> None:
     """Estimates at iterations 0 and 3 and a three-iteration run_modelfree_pg
-    (no cost oracle) through a rollout-only and a slots-only handle, on the
+    (no cost oracle) through a rollout-only and a kernel-only handle, on the
     zo-liquidation, c11 and four-state instances."""
     instances = _instances()
     etas = {"zo-liquidation": 0.05, "c11": 0.2, "four-state": 1e-4}
     for name, eta in etas.items():
         inst, K, r = instances[name]
-        for handle in (RolloutOnly, SlotsOnly):
+        for handle in (RolloutOnly, KernelOnly):
             for m in HANDLE_SAMPLES:
                 cfg = SmoothingConfig(radius=r, samples=m)
                 for seed in HANDLE_SEEDS:
