@@ -376,10 +376,15 @@ class Trajectory:
     realized_cost: float
 
 
-def _as_gain_array(policy, T: int, k: int, d: int) -> np.ndarray:
+def _gains(policy, dims, *, batch: bool = False) -> np.ndarray:
+    """policy as a float array of the gains (T, k, d) of dims, an instance or
+    a simulator handle, or with batch also a stack (n, T, k, d) of them;
+    ValueError naming policy for any other shape."""
     K = np.asarray(policy, dtype=float)
-    if K.shape != (T, k, d):
-        raise ValueError(f"policy must have shape ({T}, {k}, {d}), got {K.shape}")
+    shape = (dims.T, dims.k, dims.d)
+    if K.shape[-3:] != shape or K.ndim != 3 and not (batch and K.ndim == 4):
+        stack = f" or (n, {', '.join(map(str, shape))})" if batch else ""
+        raise ValueError(f"policy must have shape {shape}{stack}, got {K.shape}")
     return K
 
 
@@ -416,15 +421,6 @@ def solve_riccati(instance: LqrInstance) -> RiccatiSolution:
     if not np.isfinite(cost):
         raise FloatingPointError(f"Riccati optimal cost is {cost}: the recursion overflowed")
     return RiccatiSolution(gains=gains, P=P, optimal_cost=cost)
-
-
-def _gain_batch(instance: LqrInstance, policy) -> np.ndarray:
-    """Gains as an array of one policy (T, k, d) or a batch of n policies (n, T, k, d)."""
-    K = np.asarray(policy, dtype=float)
-    shape = (instance.T, instance.k, instance.d)
-    if K.ndim not in (3, 4) or K.shape[-3:] != shape:
-        raise ValueError(f"policy must have shape {shape} or (n, {', '.join(map(str, shape))}), got {K.shape}")
-    return K
 
 
 def _closed_loop(instance: LqrInstance, K: np.ndarray, *, values: bool = True, moments: bool = True):
@@ -472,7 +468,7 @@ def backup_value(instance: LqrInstance, policy) -> ValueBackup:
     """Closed-loop value matrices P_t and offsets L_t of one policy (T, k, d) or
     a batch (n, T, k, d), from the value chain of _closed_loop, so a batch
     equals per-policy calls bit for bit."""
-    return _value_backup(instance, _closed_loop(instance, _gain_batch(instance, policy), moments=False)[0])
+    return _value_backup(instance, _closed_loop(instance, _gains(policy, instance, batch=True), moments=False)[0])
 
 
 def exact_cost(instance: LqrInstance, policy):
@@ -484,7 +480,7 @@ def covariance_profile(instance: LqrInstance, policy) -> CovarianceProfile:
     """State second moments Sigma_{t+1} = M_t Sigma_t M_t' + W under one policy
     (T, k, d) or a batch (n, T, k, d), from the moment chain of _closed_loop;
     warns (RuntimeWarning) when some Sigma_t is degenerate (sigma_x ~ 0)."""
-    sig = _closed_loop(instance, _gain_batch(instance, policy), values=False)[1]
+    sig = _closed_loop(instance, _gains(policy, instance, batch=True), values=False)[1]
     sigma_x = np.linalg.eigvalsh(sig)[..., 0].min(axis=-1)
     if np.any(sigma_x <= _PD_RTOL * (1.0 + np.abs(sig).max(axis=(-3, -2, -1)))):
         warnings.warn("state covariance is degenerate (sigma_x ~ 0)", RuntimeWarning, stacklevel=2)
@@ -503,7 +499,7 @@ def exact_gradient(instance: LqrInstance, policy) -> np.ndarray:
     """Cost gradient w.r.t. each gain: grad_t = 2 E_t Sigma_t with
     E_t = (R_t + B' P_{t+1} B) K_t - B' P_{t+1} A, for one policy (T, k, d)
     or a batch (n, T, k, d), P and Sigma from one pass of _closed_loop."""
-    K = _gain_batch(instance, policy)
+    K = _gains(policy, instance, batch=True)
     return _gradient_terms(instance, K, *_closed_loop(instance, K))
 
 
@@ -520,7 +516,7 @@ def operator_decomposition(instance: LqrInstance, policy) -> tuple[np.ndarray, n
     """
     A, B = instance.A, instance.B
     T, d = instance.T, instance.d
-    K = _as_gain_array(policy, T, instance.k, d)
+    K = _gains(policy, instance)
     W, S0 = instance.W, instance.S0
     M = [A - B @ K[t] for t in range(T)]
     tk = S0.copy()
@@ -543,8 +539,8 @@ def simulate_trajectory(instance: LqrInstance, policy, seed) -> Trajectory:
     Seed may be an int or a tuple of ints (counter-style stream key);
     identical seeds reproduce the trajectory bit for bit.
     """
-    T, d, k = instance.T, instance.d, instance.k
-    K = _as_gain_array(policy, T, k, d)
+    T, d = instance.T, instance.d
+    K = _gains(policy, instance)
     rng = make_rng(seed)
     x = instance.init.draw(rng)
     w = instance.noise.draw(rng, T, d)
@@ -587,7 +583,7 @@ def pathwise_cost_terms(instance: LqrInstance, policy, traj: Trajectory, backup:
     zero-mean remainder that makes the identity hold path by path.
     """
     T = instance.T
-    K = _as_gain_array(policy, T, instance.k, instance.d)
+    K = _gains(policy, instance)
     bk = backup if backup is not None else backup_value(instance, K)
     x0 = traj.states[0]
     head = float(x0 @ bk.P[0] @ x0)

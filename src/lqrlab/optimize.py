@@ -9,7 +9,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import LqrInstance, _closed_loop, _gradient_terms, _value_backup, exact_cost, solve_riccati
+from .core import LqrInstance, _closed_loop, _gains, _gradient_terms, _value_backup, exact_cost, solve_riccati
 from .errors import Diverged, EmptySet, NotInSet, StepSizeUnderflow, ZeroOptimalCost
 
 _MEMBER_TOL = 1e-9
@@ -17,6 +17,8 @@ _MEMBER_TOL = 1e-9
 # Armijo rungs per batched backup: on the exact-pg benchmark 97% of steps pass within 16
 _LADDER_CHUNK = 16
 _ETA_FLOOR = 1e-15  # the Armijo ladder's last rung; below it the search raises StepSizeUnderflow
+_ARMIJO_C = 1e-4  # a step passes when its cost falls by c * eta * the squared (gradient-mapping) norm
+_BACKTRACK = 0.5  # each rung of the Armijo ladder is the last one times this factor
 _DIVERGENCE_FACTOR = 1e12  # a cost above this times max(|C(K0)|, 1) is a divergence
 
 
@@ -25,17 +27,11 @@ class DescentConfig:
     eta: float
     iters: int
     line_search: bool = False
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
     target_error: float | None = None  # stop when normalized error falls below
 
     def __post_init__(self):
-        for name in ("eta", "armijo_c"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not 0 < self.backtrack < 1:  # a factor of 1 or more never leaves the Armijo ladder
-            raise ValueError(f"backtrack must be in (0, 1), got {self.backtrack!r}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
         if isinstance(self.iters, bool) or not isinstance(self.iters, Integral) or self.iters < 0:
             raise ValueError(f"iters must be an integer >= 0, got {self.iters!r}")
         if not isinstance(self.line_search, (bool, np.bool_)):
@@ -204,7 +200,7 @@ def _evaluate(instance: LqrInstance | None, K: np.ndarray, cost_oracle):
 
 
 def _descent(instance: LqrInstance | None, policy0, cfg: DescentConfig, projection: ProjectionSet | None = None, *,
-             smoothing=None, estimate=None, cost_oracle=None):
+             handle=None, smoothing=None, estimate=None, cost_oracle=None):
     """The descent loop K <- Proj(K - eta g(K)) of every exact, projected and
     zeroth-order entry point.
 
@@ -216,13 +212,16 @@ def _descent(instance: LqrInstance | None, policy0, cfg: DescentConfig, projecti
     norm of the gradient mapping.  Armijo line search needs exact gradients.
     instance is None for an opaque simulator, whose trace has no exact
     gradient norm or normalized error, so a target_error raises ValueError.
+    policy0 must have the gains' shape (T, k, d) of the simulator handle of a
+    sampled descent, else of the instance (ValueError naming policy).
     cost_oracle(K), if given, is the cost that the trace reports and that the
     divergence guard checks; it never steers a step.  With neither an
     instance nor an oracle the costs are nan and unguarded.
     """
+    K = _gains(np.array(policy0, dtype=float), handle if handle is not None else instance)
     if estimate is not None and cfg.line_search:
         raise ValueError("line search needs exact gradients; sampled descent takes fixed steps")
-    if projection is not None and not projection.contains(policy0):
+    if projection is not None and not projection.contains(K):
         raise NotInSet("initial policy violates the constraint set")
     if instance is None and cfg.target_error is not None:
         raise ValueError("target_error needs an instance: the normalized error of an opaque simulator is unknown")
@@ -233,7 +232,6 @@ def _descent(instance: LqrInstance | None, policy0, cfg: DescentConfig, projecti
         columns = ["gradmap_sq"] if projection is not None else []
     trace = DescentTrace(columns=TRACE_COLUMNS + columns)
     extra = []
-    K = np.array(policy0, dtype=float)
     P, sig, cost = _evaluate(instance, K, cost_oracle)
     guarded = instance is not None or cost_oracle is not None
     if guarded and not np.isfinite(cost):
@@ -269,9 +267,10 @@ def _descent(instance: LqrInstance | None, policy0, cfg: DescentConfig, projecti
 
 
 def _armijo(instance, K, grads, cost, cfg: DescentConfig, projection):
-    """Backtracking line search over the ladder eta, eta * backtrack, ... down
-    to _ETA_FLOOR.  Returns (eta, step, its value matrices P, its state moments
-    Sigma, its cost) of the first rung with sufficient decrease.
+    """Backtracking line search over the ladder eta, eta * _BACKTRACK, ...
+    down to _ETA_FLOOR, with Armijo's constant _ARMIJO_C.  Returns (eta,
+    step, its value matrices P, its state moments Sigma, its cost) of the
+    first rung with sufficient decrease.
 
     The ladder is built by repeated multiplication, as one-at-a-time
     backtracking builds it, and is projected and evaluated _LADDER_CHUNK rungs
@@ -284,7 +283,7 @@ def _armijo(instance, K, grads, cost, cfg: DescentConfig, projection):
         etas = []
         while eta >= _ETA_FLOOR and len(etas) < _LADDER_CHUNK:
             etas.append(eta)
-            eta *= cfg.backtrack
+            eta *= _BACKTRACK
         rungs = np.array(etas)
         cands, decrease = K - rungs[:, None, None, None] * grads, gsq
         if projection is not None:
@@ -293,7 +292,7 @@ def _armijo(instance, K, grads, cost, cfg: DescentConfig, projection):
             decrease = np.array([float(((c - K) ** 2).sum()) / (4.0 * rung**2) for c, rung in zip(cands, etas)])
         P, sig = _closed_loop(instance, cands)
         costs = _value_backup(instance, P).cost
-        passing = costs <= cost - cfg.armijo_c * rungs * decrease
+        passing = costs <= cost - _ARMIJO_C * rungs * decrease
         j = passing.argmax()
         if passing[j]:
             return etas[j], cands[j].copy(), P[j], sig[j], costs[j]

@@ -14,10 +14,8 @@ the directions are the rows of sample_sphere_batch(T * m, (k, d), r, (s, n,
 0, 0, 0)), the j-th run of k * d normals normalised, and LqrSimulator rolls
 rollout (t, i) on path row j of make_rng((s, n, 0, 0, 1)), its j-th run of N
 normals (core.path_normals), all T * m rows in one coordinate-major roll that
-maps step t's noise at step t.  A handle with only rollout(policy, seed) ->
-cost gets one rollout at a time, rollout (t, i) on its own stream (s, n, t,
-i, 1), so its costs differ from LqrSimulator's.  Every stream is keyed by
-counters, so runs are reproducible and independent of execution order.
+maps step t's noise at step t.  Every stream is keyed by counters, so runs
+are reproducible and independent of execution order.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import LqrInstance, exact_cost, make_rng, path_normals
+from .core import LqrInstance, _gains, exact_cost, make_rng, path_normals
 from .errors import ZeroDirection
 from .optimize import DescentConfig, ProjectionSet, _descent
 
@@ -153,34 +151,20 @@ class LqrSimulator:
         return np.ascontiguousarray(cost.reshape(m, T).T)
 
 
-def _perturbed_costs(sim, policy, U: np.ndarray, seed, iteration: int) -> np.ndarray:
-    """(T, m) costs of the handle's costs on its first T * m paths of the
-    iteration, or, for a handle exposing only rollout(), of one rollout per
-    perturbed policy, entry (t, i) on its own stream (seed, iteration, t, i,
-    1) rather than on a path row."""
-    if hasattr(sim, "paths"):
-        return sim.costs(policy, U, sim.paths(seed, iteration, U.shape[0] * U.shape[1]))
-    if not hasattr(sim, "rollout"):
-        raise TypeError("a simulator handle needs paths(seed, iteration, n) and costs(policy, U, paths), or rollout(policy, seed)")
-    K = np.asarray(policy, dtype=float)
-    T, m = U.shape[:2]
-    costs = np.empty((T, m))
-    for t, i in np.ndindex(T, m):
-        pert = K.copy()
-        pert[t] = pert[t] + U[t, i]
-        costs[t, i] = sim.rollout(pert, [seed, iteration, t, i, 1])
-    return costs
-
-
 def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 0) -> GradientEstimate:
-    """Zeroth-order gradient estimate from m single-trajectory rollouts per slot."""
+    """Zeroth-order gradient estimate from m single-trajectory rollouts per
+    slot: the handle's costs on its first T * m paths of the iteration.  The
+    policy must have the handle's shape (T, k, d) (ValueError naming policy)."""
     if isinstance(sim, LqrInstance):
         sim = LqrSimulator(sim)
-    T, k, d = sim.T, sim.k, sim.d
+    if not (hasattr(sim, "paths") and hasattr(sim, "costs")):
+        raise TypeError("a simulator handle needs paths(seed, iteration, n) and costs(policy, U, paths)")
+    K = _gains(policy, sim)
+    T, k, d = K.shape
     D = k * d
     r, m = cfg.radius, cfg.samples
     U = sphere_directions(T, m, (k, d), r, seed, iteration)
-    costs = _perturbed_costs(sim, policy, U, seed, iteration)
+    costs = sim.costs(K, U, sim.paths(seed, iteration, T * m))
     # one einsum per slot: a single einsum over all slots rounds differently
     grads = np.stack([(D / r**2) * np.einsum("i,ikd->kd", costs[t], U[t]) / m for t in range(T)])
     return GradientEstimate(grads=grads, mean_costs=costs.mean(axis=1))
@@ -193,14 +177,14 @@ def smoothed_gradient_reference(instance: LqrInstance, policy, t: int, radius: f
 
     The perturbed policies are costed in batches of _REFERENCE_CHUNK, and the
     terms (c_i - base) U_i are summed one after another in sample order.
-    The radius and n_samples follow SmoothingConfig's rules, and the slot
-    must satisfy 0 <= t < T.
+    The radius and n_samples follow SmoothingConfig's rules, the policy has
+    the instance's shape (T, k, d), and the slot must satisfy 0 <= t < T.
     """
     SmoothingConfig(radius, n_samples)
-    K = np.asarray(policy, dtype=float)
-    if isinstance(t, bool) or not isinstance(t, Integral) or not 0 <= t < len(K):
-        raise ValueError(f"slot t must be an integer in [0, {len(K)}), got {t!r}")
-    k, d = K.shape[1], K.shape[2]
+    K = _gains(policy, instance)
+    T, k, d = K.shape
+    if isinstance(t, bool) or not isinstance(t, Integral) or not 0 <= t < T:
+        raise ValueError(f"slot t must be an integer in [0, {T}), got {t!r}")
     D = k * d
     U = sample_sphere_batch(n_samples, (k, d), radius, seed)
     acc = np.zeros((1, k, d))
@@ -232,7 +216,8 @@ def run_modelfree_pg(sim, policy0, cfg: DescentConfig, smoothing: SmoothingConfi
     def estimate(K, n):
         return estimate_gradient(sim, K, smoothing, seed, iteration=n).grads
 
-    return _descent(instance, policy0, cfg, constraint, smoothing=smoothing, estimate=estimate, cost_oracle=cost_oracle)
+    return _descent(instance, policy0, cfg, constraint, handle=sim, smoothing=smoothing, estimate=estimate,
+                    cost_oracle=cost_oracle)
 
 
 def run_modelfree_ppg(sim, policy0, cfg: DescentConfig, smoothing: SmoothingConfig, seed, constraint: ProjectionSet, *, cost_oracle=None):

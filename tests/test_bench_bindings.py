@@ -2,10 +2,13 @@
 
 perfbench/tracing.py rebinds the functions and methods in its FUNCTIONS and
 METHODS tables, and perfbench/workloads.py calls cli._max_workers, rebinds
-cli.run_modelfree_pg and passes cost_oracle to run_modelfree_ppg.  A deletion
-that breaks any of these fails here rather than in a benchmark run.
+cli.run_modelfree_pg, passes cost_oracle to run_modelfree_ppg and builds
+DescentConfig and SmoothingConfig by keyword.  A deletion that breaks any of
+these fails here rather than in a benchmark run.
 """
 
+import ast
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
@@ -17,6 +20,7 @@ from lqrlab.benchmarks import stock_liquidation
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 
 def _tracing():
@@ -45,3 +49,18 @@ def test_cli_and_loop_bindings():
     assert cli._max_workers() >= 1
     assert callable(cli.run_modelfree_pg)
     assert "cost_oracle" in inspect.signature(run_modelfree_ppg).parameters
+
+
+def test_config_keywords_stay_fields():
+    # every keyword workloads.py passes to a config, e.g. DescentConfig's
+    # eta, iters, line_search and target_error and SmoothingConfig's radius
+    # and samples, must remain a field of it
+    passed = {DescentConfig: set(), SmoothingConfig: set()}
+    by_name = {cls.__name__: cls for cls in passed}
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in by_name:
+            passed[by_name[node.func.attr]].update(kw.arg for kw in node.keywords)
+    assert passed[DescentConfig] >= {"eta", "iters", "line_search", "target_error"}
+    assert passed[SmoothingConfig] >= {"radius", "samples"}
+    for cls, keywords in passed.items():
+        assert keywords <= {f.name for f in dataclasses.fields(cls)}, cls.__name__

@@ -48,40 +48,37 @@ class TestExactPg:
         with pytest.raises(Diverged):
             run_exact_pg(inst, K0, DescentConfig(eta=1e6, iters=200))
 
-    def test_step_size_underflow(self, rng):
+    def test_step_size_underflow(self, rng, monkeypatch):
         inst = random_instance(rng)
         sol = solve_riccati(inst)
-        # at the optimum no step achieves the Armijo decrease against a
-        # strictly positive gradient-norm floor, so backtracking bottoms out
-        cfg = DescentConfig(eta=1.0, iters=5, line_search=True, armijo_c=1e4)
+        # near the optimum no step achieves an Armijo decrease of c = 1e4 times
+        # the squared gradient norm, so backtracking bottoms out
+        monkeypatch.setattr(optimize, "_ARMIJO_C", 1e4)
+        cfg = DescentConfig(eta=1.0, iters=5, line_search=True)
         K0 = sol.gains + 1e-3 * random_policy(rng, inst)
         with pytest.raises(StepSizeUnderflow):
             run_exact_pg(inst, K0, cfg)
 
     @pytest.mark.parametrize("name,value", [
-        ("backtrack", 1.0), ("backtrack", 1.5), ("backtrack", 0.0), ("backtrack", -0.5), ("backtrack", np.nan),
         ("eta", 0.0), ("eta", -1.0), ("eta", np.inf), ("eta", np.nan),
         ("iters", -1), ("iters", 2.5), ("iters", 3.0), ("iters", True),
-        ("armijo_c", 0.0), ("armijo_c", -1e-4), ("armijo_c", np.inf),
         ("target_error", np.nan), ("target_error", np.inf), ("target_error", -np.inf),
         ("line_search", "false"), ("line_search", 1),
     ])
     def test_config_rejects_bad_settings(self, name, value):
-        # backtrack = 1 used to loop forever in the Armijo search, 0 or less
-        # to raise StepSizeUnderflow, a runtime failure, for bad input, and
-        # line_search = "false" to run the search, as the string is truthy
+        # line_search = "false" used to run the search, as the string is truthy
         settings = {"eta": 1.0, "iters": 5, "line_search": True, name: value}
         with pytest.raises(ValueError, match=name):
             DescentConfig(**settings)
 
     def test_config_fields_cannot_be_assigned(self):
-        # an assigned backtrack = 1 would reach the Armijo search unchecked
+        # an assigned eta = 0 would reach the Armijo search unchecked
         cfg = DescentConfig(eta=1.0, iters=5, line_search=True)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.backtrack = 1.0
+            cfg.eta = 0.0
 
     def test_config_accepts_edge_settings(self):
-        cfg = DescentConfig(eta=np.float64(1.0), iters=np.int64(0), armijo_c=1e4, backtrack=0.999, target_error=-1.0)
+        cfg = DescentConfig(eta=np.float64(1.0), iters=np.int64(0), target_error=-1.0)
         K0 = np.full((5, 1, 1), 0.1)
         _, trace = run_exact_pg(scalar_benchmark(), K0, cfg)
         assert len(trace.rows) == 1
@@ -247,6 +244,30 @@ class TestExactPpg:
         assert avg400 <= 0.5 * avg100
 
 
+WRONG_SHAPE_ENTRIES = {
+    "run_exact_pg": lambda inst, K: run_exact_pg(inst, K, DescentConfig(eta=0.1, iters=3)),
+    "run_exact_ppg": lambda inst, K: run_exact_ppg(inst, K, DescentConfig(eta=0.1, iters=3),
+                                                   ProjectionSet(kind="box", lo=-1.0, hi=1.0)),
+    "run_modelfree_pg": lambda inst, K: lqrlab.run_modelfree_pg(inst, K, DescentConfig(eta=0.1, iters=3),
+                                                                lqrlab.SmoothingConfig(0.1, 5), 0),
+    "run_modelfree_pg/handle": lambda inst, K: lqrlab.run_modelfree_pg(lqrlab.LqrSimulator(inst), K,
+                                                                       DescentConfig(eta=0.1, iters=3),
+                                                                       lqrlab.SmoothingConfig(0.1, 5), 0),
+    "estimate_gradient": lambda inst, K: lqrlab.estimate_gradient(inst, K, lqrlab.SmoothingConfig(0.1, 5), 0),
+    "smoothed_gradient_reference": lambda inst, K: lqrlab.smoothed_gradient_reference(inst, K, 0, 0.1, 5, 0),
+}
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (5, 1), (3, 1, 1), ()], ids=["1x1x1", "5x1", "3x1x1", "scalar"])
+@pytest.mark.parametrize("entry", list(WRONG_SHAPE_ENTRIES))
+def test_policy_of_another_shape_is_rejected(entry, shape):
+    # the exact loops used to broadcast a (1, 1, 1) policy over the T = 5
+    # steps and return a (5, 1, 1) one; other shapes failed with numpy's
+    # matmul or index errors instead of a message naming the policy
+    with pytest.raises(ValueError, match=r"^policy must have shape \(5, 1, 1\), got "):
+        WRONG_SHAPE_ENTRIES[entry](scalar_benchmark(), np.zeros(shape))
+
+
 def zero_cost_instance():
     """No noise and x_0 = 0: every policy, the optimal one too, costs 0."""
     return lqrlab.constant_instance(
@@ -264,13 +285,13 @@ def sequential_armijo(instance, K, grads, cost, cfg, projection):
         step = K - eta * grads
         cand = projection.project(step) if projection is not None else step
         if projection is None:
-            sufficient = cost - cfg.armijo_c * eta * gsq
+            sufficient = cost - optimize._ARMIJO_C * eta * gsq
         else:
             gm_sq = float(((cand - K) ** 2).sum()) / (4.0 * eta**2)
-            sufficient = cost - cfg.armijo_c * eta * gm_sq
+            sufficient = cost - optimize._ARMIJO_C * eta * gm_sq
         if exact_cost(instance, cand) <= sufficient:
             return eta, cand
-        eta *= cfg.backtrack
+        eta *= optimize._BACKTRACK
     raise StepSizeUnderflow("reference search fell below the floor")
 
 
@@ -293,31 +314,30 @@ class TestLadderArmijo:
             np.testing.assert_array_equal(P, ref.P)
             ref_sig = covariance_profile(inst, K_ref).sigmas
             assert sig.shape == ref_sig.shape and sig.tobytes() == ref_sig.tobytes()
-            deepest = max(deepest, int(round(np.log(cfg.eta / eta) / np.log(1.0 / cfg.backtrack))))
+            deepest = max(deepest, int(round(np.log(cfg.eta / eta) / np.log(1.0 / optimize._BACKTRACK))))
             K = K_next
         return deepest
 
-    @pytest.mark.parametrize("backtrack", [0.5, 0.3])
-    def test_matches_sequential_search(self, rng, backtrack):
+    def test_matches_sequential_search(self, rng):
         deepest = 0
         for eta0 in (1.0, 1e6):  # 1e6 needs rungs beyond the first batch
             for _ in range(3):
                 inst = random_instance(rng)
-                cfg = DescentConfig(eta=eta0, iters=1, line_search=True, backtrack=backtrack)
+                cfg = DescentConfig(eta=eta0, iters=1, line_search=True)
                 deepest = max(deepest, self._check_path(inst, random_policy(rng, inst), cfg, None, 8))
         assert deepest >= 16
 
-    @pytest.mark.parametrize("backtrack", [0.5, 0.3])
-    def test_matches_sequential_search_projected_liquidation(self, backtrack):
+    def test_matches_sequential_search_projected_liquidation(self):
         inst = ac_to_lqr(stock_liquidation())
         S = liquidation_constraint(5e-5, 1e-12)
-        cfg = DescentConfig(eta=1.0, iters=1, line_search=True, backtrack=backtrack)
+        cfg = DescentConfig(eta=1.0, iters=1, line_search=True)
         self._check_path(inst, np.full((10, 1, 2), -0.2), cfg, S, 20)
 
-    def test_underflow_as_sequential_search(self, rng):
+    def test_underflow_as_sequential_search(self, rng, monkeypatch):
         inst = random_instance(rng)
         K = solve_riccati(inst).gains + 1e-3 * random_policy(rng, inst)
-        cfg = DescentConfig(eta=1.0, iters=1, line_search=True, armijo_c=1e4)
+        monkeypatch.setattr(optimize, "_ARMIJO_C", 1e4)
+        cfg = DescentConfig(eta=1.0, iters=1, line_search=True)
         bk, grads = backup_value(inst, K), exact_gradient(inst, K)
         with pytest.raises(StepSizeUnderflow):
             sequential_armijo(inst, K, grads, bk.cost, cfg, None)

@@ -22,7 +22,6 @@ from lqrlab import (
     run_modelfree_ppg,
     sample_sphere,
     sample_sphere_batch,
-    simulate_trajectory,
     smoothed_gradient_reference,
 )
 from lqrlab import zeroth
@@ -30,7 +29,7 @@ from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
 from lqrlab.core import make_rng
 from lqrlab.errors import Diverged, NotInSet, ZeroDirection, ZeroOptimalCost
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
-from lqrlab.zeroth import _forms, _perturbed_costs, sphere_directions
+from lqrlab.zeroth import _forms, sphere_directions
 
 from conftest import mapped, path_width, random_instance, random_policy, simulated_rows
 
@@ -389,63 +388,13 @@ class TestEstimator:
             with pytest.raises(ValueError, match="slot"):
                 sim.rollout_perturbed_batch(K, 2, U, [7, 0, slot])
 
-    @settings(deadline=None, max_examples=40)
-    @given(kinds=st.sampled_from(KIND_PAIRS), d=st.integers(1, 3), T=st.integers(1, 5), m=st.integers(1, 4),
-           seed=st.integers(-2**63, 2**64 - 1), iteration=st.integers(0, 2**64 - 1))
-    def test_rollout_only_adapter_rolls_each_rollout_on_its_own_key(self, kinds, d, T, m, seed, iteration):
-        # a handle with rollout() alone: entry (t, i) is simulate_trajectory on
-        # the key (seed, iteration, t, i, 1), not a row of LqrSimulator's paths
-        inst = _instance_of_kinds(*kinds, d=d, T=T)
-
-        class Opaque:
-            T, k, d = inst.T, inst.k, inst.d
-
-            def rollout(self, policy, seed):
-                return simulate_trajectory(inst, policy, seed).realized_cost
-
-        K = np.random.default_rng(d * T).normal(size=(T, 1, d)) * 0.2
-        U = sphere_directions(T, m, (1, d), 0.3, seed, iteration)
-        costs = _perturbed_costs(Opaque(), K, U, seed, iteration)
-        for t, i in np.ndindex(T, m):
-            pert = K.copy()
-            pert[t] = pert[t] + U[t, i]
-            assert costs[t, i] == simulate_trajectory(inst, pert, [seed, iteration, t, i, 1]).realized_cost
-
-    def test_opaque_handle_only_needs_rollout(self, rng):
-        # a handle with rollout() alone drives the estimator: the estimate is
-        # (D / r^2) mean_i cost_i U_i over simulate_trajectory's costs on each
-        # rollout's own key (seed, iteration, t, i, 1), so it differs from
-        # LqrSimulator's, which reads path rows
-        inst = random_instance(rng, d=2, k=1, T=3)
-        K = random_policy(rng, inst)
-
-        class Opaque:
-            T, k, d = inst.T, inst.k, inst.d
-
-            def rollout(self, policy, seed):
-                return simulate_trajectory(inst, policy, seed).realized_cost
-
-        cfg = SmoothingConfig(radius=0.3, samples=20)
-        est = estimate_gradient(Opaque(), K, cfg, seed=3, iteration=5)
-        U = sphere_directions(3, 20, (1, 2), 0.3, 3, 5)
-        costs = np.empty((3, 20))
-        for t, i in np.ndindex(3, 20):
-            pert = K.copy()
-            pert[t] = pert[t] + U[t, i]
-            costs[t, i] = simulate_trajectory(inst, pert, [3, 5, t, i, 1]).realized_cost
-        grads = (2 / 0.3**2) * np.einsum("ti,tikd->tkd", costs, U) / 20
-        np.testing.assert_allclose(est.mean_costs, costs.mean(axis=1), rtol=1e-12)
-        np.testing.assert_allclose(est.grads, grads, rtol=1e-12, atol=1e-12 * np.abs(grads).max())
-        assert not np.array_equal(est.grads, estimate_gradient(LqrSimulator(inst), K, cfg, seed=3, iteration=5).grads)
-
     @pytest.mark.parametrize("name", ["zo-liquidation", "4-state"])
     def test_paths_and_costs_handle_gives_the_simulators_bits(self, name):
-        # no rollout(): the estimator draws the handle's paths once and costs
-        # them, as it does for LqrSimulator, so the estimates are its bits
+        # the estimator draws the handle's paths once and costs them, as it
+        # does for LqrSimulator, so the estimates are its bits
         inst = ac_to_lqr(stock_liquidation()) if name == "zo-liquidation" else _roll_case(4, 2, 3, KIND_PAIRS[0], 6)[0]
         K = np.random.default_rng(2).normal(size=(inst.T, inst.k, inst.d)) * 0.2
         handle = PathsAndCosts(LqrSimulator(inst))
-        assert not hasattr(handle, "rollout")
         for m in (1, 7, 200):
             for seed, it in ((3, 0), (-5, 2**63 + 4)):
                 a, b = (estimate_gradient(h, K, SmoothingConfig(0.3, m), seed, iteration=it) for h in (handle, inst))
@@ -455,7 +404,7 @@ class TestEstimator:
         class Bare:
             T, k, d = 5, 1, 1
 
-        with pytest.raises(TypeError, match=r"paths\(.*costs\(.*rollout\("):
+        with pytest.raises(TypeError, match=r"paths\(.*costs\("):
             estimate_gradient(Bare(), np.zeros((5, 1, 1)), SmoothingConfig(radius=0.1, samples=3), seed=0)
 
     @pytest.mark.parametrize("radius,samples", [

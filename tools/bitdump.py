@@ -1,7 +1,7 @@
 """Bit-identity dump: one sha256 per named output of the exact layer and the
 exact descent, the stream sampler, Q-learning on every start and noise kind,
 the rollout kernel, the sampled estimator, the zeroth-order loops (also
-through opaque simulator handles) and the CLI, to compare two versions of
+through an opaque simulator handle) and the CLI, to compare two versions of
 lqrlab.
 
     PYTHONPATH=src python tools/bitdump.py change.json
@@ -15,11 +15,10 @@ glance against exact outputs that must not move; it exits 1 if any differ.
 Each CSV the CLI writes gets two names: its bytes, and its cells parsed as
 float64 ("#values"), so a change in how numbers are written shows apart from
 a change in the numbers.  The path rows are core.path_normals' start states
-and noise normals, the noise mapped by the noise model's vectors, so the
-dumps need path_normals; the rollout kernel is LqrSimulator.costs on its
-paths, or rollout_perturbed_slots on checkouts from before those two.  The
-rest uses only names that older checkouts also have, so one script runs on
-both sides.  Path row j is the (j + 1)-th pair of init.draw and noise.draw on
+and noise normals, the noise mapped by the noise model's vectors, and the
+rollout kernel is LqrSimulator.costs on its paths, so the dumps need
+path_normals, paths and costs; the rest uses only names that older
+checkouts also have, so one script runs on both sides.  Path row j is the (j + 1)-th pair of init.draw and noise.draw on
 its stream, so the "stream" group dumps both: the rows path_normals draws,
 and those the models draw one at a time.  It takes about 25 s on a 2-CPU VM.
 """
@@ -56,7 +55,6 @@ from lqrlab import (
     run_exact_ppg,
     run_modelfree_pg,
     run_modelfree_ppg,
-    simulate_trajectory,
     solve_riccati,
 )
 from lqrlab import cli, core, zeroth
@@ -148,13 +146,6 @@ def _exact_instance(n: int):
     return constant_instance(rng.normal(size=(d, d)) * 0.5, rng.normal(size=(d, k)), Q, R, 2.0 * Q, T, noise, init)
 
 
-def _slots(sim, K, U, seed, it) -> np.ndarray:
-    """(T, m) costs of LqrSimulator's rollout kernel on the paths of (seed, it)."""
-    if hasattr(sim, "paths"):
-        return sim.costs(K, U, sim.paths(seed, it, U.shape[0] * U.shape[1]))
-    return sim.rollout_perturbed_slots(K, U, seed, it)
-
-
 def _run_sha(run, *args) -> str:
     """The hash of a descent's final policy and trace rows, or the error it raised."""
     try:
@@ -176,8 +167,8 @@ def exact_outputs(out: dict) -> None:
     backup_value's P, then the backup and profile), covariance_profile and
     solve_riccati on the suite of EXACT_SHAPES, for
     one policy and a batch; then exact PG and box-projected PG traces with
-    Armijo at backtrack 0.5 and 0.3 on every fourth suite instance, projected
-    PG on the liquidation instance, and 4-state runs; then exact PG with the
+    Armijo on every fourth suite instance, projected PG on the liquidation
+    instance, and 4-state runs; then exact PG with the
     exact-pg benchmark's settings (Armijo from eta = 1, up to 50 iterations,
     stopping at a normalized error of 1e-2) on every suite instance."""
     with warnings.catch_warnings():
@@ -199,24 +190,22 @@ def exact_outputs(out: dict) -> None:
                 out[f"{name}/{tag}/gradient-terms"] = _sha(grads, _error_terms(inst, policy, bk.P), bk.P, bk.L, bk.cost,
                                                            prof.sigmas, prof.aggregate, prof.sigma_x)
         box = ProjectionSet(kind="box", lo=-0.4, hi=0.4)
-        for backtrack in (0.5, 0.3):
-            for n in range(0, len(EXACT_SHAPES), 4):
-                d, k, T = EXACT_SHAPES[n]
-                inst = _exact_instance(n)
-                K0 = np.random.default_rng([67, n]).uniform(-0.3, 0.3, size=(T, k, d))
-                cfg = DescentConfig(eta=1.0, iters=30, line_search=True, backtrack=backtrack)
-                name = f"exact/loop/d={d},k={k},T={T}/backtrack={backtrack}"
-                out[f"{name}/pg"] = _run_sha(run_exact_pg, inst, K0, cfg)
-                out[f"{name}/ppg-box"] = _run_sha(run_exact_ppg, inst, K0, cfg, box)
-            liq = ac_to_lqr(stock_liquidation())
-            cfg = DescentConfig(eta=1e3, iters=30, line_search=True, backtrack=backtrack)
-            out[f"exact/loop/liquidation-ppg/backtrack={backtrack}"] = _run_sha(
-                run_exact_ppg, liq, np.full((liq.T, 1, 2), -0.2), cfg, liquidation_constraint(5e-5, 1e-12))
-            four = four_state_benchmark()
-            cfg = DescentConfig(eta=1e-2, iters=50, line_search=True, backtrack=backtrack, target_error=1e-3)
-            K0 = 0.05 + np.random.default_rng(71).uniform(-0.02, 0.02, size=(four.T, four.k, four.d))
-            out[f"exact/loop/four-state/backtrack={backtrack}"] = _run_sha(run_exact_pg, four, K0, cfg)
+        cfg = DescentConfig(eta=1.0, iters=30, line_search=True)
+        for n in range(0, len(EXACT_SHAPES), 4):
+            d, k, T = EXACT_SHAPES[n]
+            inst = _exact_instance(n)
+            K0 = np.random.default_rng([67, n]).uniform(-0.3, 0.3, size=(T, k, d))
+            name = f"exact/loop/d={d},k={k},T={T}/backtrack=0.5"
+            out[f"{name}/pg"] = _run_sha(run_exact_pg, inst, K0, cfg)
+            out[f"{name}/ppg-box"] = _run_sha(run_exact_ppg, inst, K0, cfg, box)
+        liq = ac_to_lqr(stock_liquidation())
+        cfg = DescentConfig(eta=1e3, iters=30, line_search=True)
+        out["exact/loop/liquidation-ppg/backtrack=0.5"] = _run_sha(
+            run_exact_ppg, liq, np.full((liq.T, 1, 2), -0.2), cfg, liquidation_constraint(5e-5, 1e-12))
         four = four_state_benchmark()
+        cfg = DescentConfig(eta=1e-2, iters=50, line_search=True, target_error=1e-3)
+        K0 = 0.05 + np.random.default_rng(71).uniform(-0.02, 0.02, size=(four.T, four.k, four.d))
+        out["exact/loop/four-state/backtrack=0.5"] = _run_sha(run_exact_pg, four, K0, cfg)
         out["exact/loop/four-state/fixed-step"] = _run_sha(
             run_exact_pg, four, np.full((four.T, four.k, four.d), 0.05), DescentConfig(eta=1e-4, iters=50))
         cfg = DescentConfig(eta=1.0, iters=50, line_search=True, target_error=1e-2)
@@ -251,9 +240,10 @@ ROLL_SEEDS = [5, 2**63 + 4]
 
 
 def roll_outputs(out: dict) -> None:
-    """LqrSimulator's rollout kernel (_slots) and rollout_perturbed_batch
-    (every slot) on each suite instance of EXACT_SHAPES, whose Q and R are
-    not diagonal, per m, seed and iterations 0 and 1.  rollout_perturbed_batch
+    """LqrSimulator's rollout kernel (costs on its paths) and
+    rollout_perturbed_batch (every slot) on each suite instance of
+    EXACT_SHAPES, whose Q and R are not diagonal, per m, seed and iterations
+    0 and 1.  rollout_perturbed_batch
     is slot t of the kernel, so "batch" hashes a slice of "slots"; on older
     checkouts, which rolled one slot alone, it shows whether those bits
     matched."""
@@ -266,7 +256,7 @@ def roll_outputs(out: dict) -> None:
                 for it in (0, 1):
                     name = f"roll/d={d},k={k},T={T}/m={m}/seed={seed}/it={it}"
                     U = zeroth.sphere_directions(T, m, (k, d), 0.2, seed, it)
-                    out[f"{name}/slots"] = _sha(_slots(sim, K, U, seed, it))
+                    out[f"{name}/slots"] = _sha(sim.costs(K, U, sim.paths(seed, it, T * m)))
                     out[f"{name}/batch"] = _sha(*(sim.rollout_perturbed_batch(K, t, U[t], (seed, it, t)) for t in range(T)))
 
 
@@ -353,45 +343,33 @@ HANDLE_SAMPLES = [1, 2, 7]
 HANDLE_SEEDS = [0, -5, 2**63 + 4]
 
 
-class RolloutOnly:
-    """A handle exposing T, k, d and rollout() alone: the realized cost of
-    simulate_trajectory."""
-
-    def __init__(self, inst):
-        self.T, self.k, self.d = inst.T, inst.k, inst.d
-        self.rollout = lambda policy, seed: simulate_trajectory(inst, policy, seed).realized_cost
-
-
 class KernelOnly:
     """A handle exposing T, k, d and LqrSimulator's rollout kernel alone:
-    paths() and costs(), or rollout_perturbed_slots() on older checkouts."""
+    paths() and costs()."""
 
     def __init__(self, inst):
         sim = LqrSimulator(inst)
         self.T, self.k, self.d = sim.T, sim.k, sim.d
-        names = ("paths", "costs") if hasattr(sim, "paths") else ("rollout_perturbed_slots",)
-        for name in names:
-            setattr(self, name, getattr(sim, name))
+        self.paths, self.costs = sim.paths, sim.costs
 
 
 def handle_outputs(out: dict) -> None:
     """Estimates at iterations 0 and 3 and a three-iteration run_modelfree_pg
-    (no cost oracle) through a rollout-only and a kernel-only handle, on the
-    zo-liquidation, c11 and four-state instances."""
+    (no cost oracle) through a kernel-only handle, on the zo-liquidation, c11
+    and four-state instances."""
     instances = _instances()
     etas = {"zo-liquidation": 0.05, "c11": 0.2, "four-state": 1e-4}
     for name, eta in etas.items():
         inst, K, r = instances[name]
-        for handle in (RolloutOnly, KernelOnly):
-            for m in HANDLE_SAMPLES:
-                cfg = SmoothingConfig(radius=r, samples=m)
-                for seed in HANDLE_SEEDS:
-                    key = f"handle/{handle.__name__}/{name}/m={m}/seed={seed}"
-                    for it in (0, 3):
-                        est = estimate_gradient(handle(inst), K, cfg, seed, iteration=it)
-                        out[f"{key}/est:it={it}"] = _sha(est.grads, est.mean_costs)
-                    Kf, trace = run_modelfree_pg(handle(inst), K, DescentConfig(eta=eta, iters=3), cfg, seed)
-                    out[f"{key}/loop"] = _sha(Kf, trace.rows)
+        for m in HANDLE_SAMPLES:
+            cfg = SmoothingConfig(radius=r, samples=m)
+            for seed in HANDLE_SEEDS:
+                key = f"handle/KernelOnly/{name}/m={m}/seed={seed}"
+                for it in (0, 3):
+                    est = estimate_gradient(KernelOnly(inst), K, cfg, seed, iteration=it)
+                    out[f"{key}/est:it={it}"] = _sha(est.grads, est.mean_costs)
+                Kf, trace = run_modelfree_pg(KernelOnly(inst), K, DescentConfig(eta=eta, iters=3), cfg, seed)
+                out[f"{key}/loop"] = _sha(Kf, trace.rows)
 
 
 SCALAR = scalar_benchmark()
