@@ -432,6 +432,17 @@ class TestCli:
         cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 1e9\niters = 50\npolicy0 = 0.1\n")
         assert main(["pg", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_qlearn_infinite_cost_exit_three(self, tmp_path, capsys):
+        # an unstable instance whose greedy cost overflows used to write
+        # greedy_cost = inf and normalized_error = inf, and exit 0
+        unstable = SCALAR_CFG.replace("instance.A = [[1.0]]", "instance.A = [[3.0]]").replace(
+            "instance.T = 5", "instance.T = 700")
+        cfg = write(tmp_path, "c.cfg", unstable + KIND_EXTRAS["qlearn"] + "sweeps = 1\n")
+        assert main(["qlearn", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "greedy policy cost is inf" in err and "n_rollouts=100" in err and "seed=[0, 1]" in err
+
     @pytest.mark.parametrize("kind,extra", [
         ("pg", ""), ("pg", "line_search = true\n"), ("zo-pg", "radius = 0.1\nsamples = 5\n"),
     ])

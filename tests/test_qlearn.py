@@ -1,4 +1,6 @@
 import statistics
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from lqrlab import (
     solve_riccati,
 )
 from lqrlab.benchmarks import scalar_benchmark
+from lqrlab import qlearn
 from lqrlab.qlearn import QTable, greedy_policy_cost, make_qtable, q_learning_step
 
 
@@ -33,6 +36,15 @@ class TestTable:
         tab = make_qtable(noiseless_scalar(), n_states=5, n_actions=3)
         # grid is [-1, -0.5, 0, 0.5, 1]
         np.testing.assert_array_equal(tab.snap(np.array([-2.0, -0.3, 0.26, 5.0])), [0, 1, 3, 4])
+
+    def test_snap_clamps_states_past_the_int_range(self):
+        # the index used to be cast to int before the clamp, so these snapped
+        # to bin 0 with "invalid value encountered in cast"
+        tab = make_qtable(noiseless_scalar(), n_states=5, n_actions=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx = tab.snap(np.array([-5.0, 1e19, 1e300, np.inf]))
+        np.testing.assert_array_equal(idx, [0, 4, 4, 4])
 
     def test_clamp_count(self):
         inst = noiseless_scalar(T=1)
@@ -106,3 +118,57 @@ class TestLearning:
         expected = (0.5 * u) ** 2
         assert got == pytest.approx(expected, rel=1e-12)
         assert got <= (np.sqrt(3.0) * 0.5) ** 2
+
+
+def one_pass_greedy_cost(table, instance, n_rollouts, seed):
+    """greedy_policy_cost as one pass over all rollouts a step: whole-array
+    temporaries, one sample call a step, the same draws."""
+    a, b = float(instance.A[0, 0]), float(instance.B[0, 0])
+    qcoef, rcoef = instance.Q[:, 0, 0], instance.R[:, 0, 0]
+    greedy = table.greedy_indices()
+    rng = make_rng(seed)
+    x = instance.init.sample(rng, (n_rollouts,), 1)[:, 0]
+    cost = np.zeros(n_rollouts)
+    for t in range(instance.T):
+        u = table.u_grid[greedy[t][table.snap(x)]]
+        cost += x**2 * qcoef[t] + u**2 * rcoef[t]
+        x = a * x + b * u
+        x += instance.noise.sample(rng, (n_rollouts,), 1)[:, 0]
+    cost += x**2 * qcoef[instance.T]
+    return float(cost.mean())
+
+
+def trained_table(init_kind, noise_kind):
+    inst = constant_instance(
+        [[0.9]], [[0.5]], [[0.2]], [[0.1]], [[0.4]], 5,
+        NoiseModel(noise_kind, 0.3), InitialStateModel(init_kind, [0.2], 0.4),
+    )
+    table = make_qtable(inst, 21, 11)
+    for sweep in range(3):
+        table = q_learning_step(table, inst, 0.5, (13, sweep))
+    return table, inst
+
+
+class TestBlockedEvaluation:
+    B = qlearn._BLOCK
+
+    @pytest.mark.parametrize("init_kind", ["gaussian", "uniform", "point"])
+    @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform", "zero"])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5])
+    def test_blocks_equal_one_pass(self, init_kind, noise_kind, n):
+        table, inst = trained_table(init_kind, noise_kind)
+        assert greedy_policy_cost(table, inst, n, (17, 1)) == one_pass_greedy_cost(table, inst, n, (17, 1))
+
+    def test_traced_peak_is_two_doubles_a_rollout_plus_a_block(self):
+        # the one-pass evaluation peaks at 5.0 doubles a rollout
+        n = 200_000
+        inst = scalar_benchmark()
+        table = q_learning_step(make_qtable(inst, 100, 100), inst, 0.1, 0)
+        greedy_policy_cost(table, inst, 10, 0)
+        tracemalloc.start()
+        try:
+            greedy_policy_cost(table, inst, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * 8

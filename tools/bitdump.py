@@ -296,12 +296,14 @@ def stream_outputs(out: dict) -> None:
 
 
 QLEARN_FACTORS = {"identity": None, "zero": [[0.0]], "1.7": [[1.7]]}
+QLEARN_BLOCKS = 3 * 8192 + 5  # rollouts that cross three of greedy_policy_cost's block edges (_BLOCK = 8192)
 
 
 def qlearn_outputs(out: dict) -> None:
     """Three q_learning_step tables in turn, each with its clamp count, and
     one greedy_policy_cost of the last, on a scalar instance per kind pair
-    and noise factor (QLEARN_FACTORS)."""
+    and noise factor (QLEARN_FACTORS); per kind pair, also the identity
+    factor's greedy_policy_cost over QLEARN_BLOCKS rollouts."""
     for init_kind, noise_kind in KIND_PAIRS:
         for tag, factor in QLEARN_FACTORS.items():
             noise = NoiseModel(noise_kind, 0.3, factor)
@@ -313,6 +315,9 @@ def qlearn_outputs(out: dict) -> None:
                 table = q_learning_step(table, inst, 0.5, (13, sweep))
                 out[f"{name}/sweep={sweep}"] = _sha(table.q, table.clamp_count)
             out[f"{name}/greedy"] = _sha(greedy_policy_cost(table, inst, 500, (17, 1)))
+            if factor is None:
+                cost = greedy_policy_cost(table, inst, QLEARN_BLOCKS, (17, 2))
+                out[f"qlearn/{init_kind}-{noise_kind}/greedy/n={QLEARN_BLOCKS}"] = _sha(cost)
 
 
 def loop_outputs(out: dict) -> None:
