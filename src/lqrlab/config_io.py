@@ -1,7 +1,7 @@
 """Plain-text configuration files.
 
 A config is a sequence of `key = value` lines; values are JSON (so matrices
-are row-major nested arrays) and `#` starts a comment.  Dotted keys group
+are row-major nested arrays) and `#` outside a string starts a comment.  Dotted keys group
 related fields, e.g.
 
     kind = "pg"
@@ -13,6 +13,7 @@ related fields, e.g.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -20,11 +21,15 @@ import numpy as np
 from .core import InitialStateModel, LqrInstance, NoiseModel, constant_instance
 from .liquidation import AcParams, SyntheticBookConfig
 
+# a line up to its comment: any run of text but '"' and '#', or a JSON string
+# (unterminated at the end of a line, so that json.loads names the error)
+_BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*"?)*')
+
 
 def parse_kv(text: str) -> dict:
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _BEFORE_COMMENT.match(raw).group().strip()
         if not line:
             continue
         if "=" not in line:

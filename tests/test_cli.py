@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lqrlab import cli, zeroth
 from lqrlab.cli import main, run_experiment
@@ -67,6 +69,26 @@ class TestConfig:
 
     def test_dump_roundtrip(self):
         cfg = {"a": 1, "b.c": [1.5, 2.0], "s": "x"}
+        assert parse_kv(dump_kv(cfg)) == cfg
+
+    def test_hash_inside_a_string_is_not_a_comment(self):
+        cfg = parse_kv('lob_csv = "books#2.csv"  # a comment\ns = "a \\" # b" # c\n')
+        assert cfg == {"lob_csv": "books#2.csv", "s": 'a " # b'}
+        with pytest.raises(ValueError, match="Unterminated string"):
+            parse_kv('s = "a # b')
+
+    @settings(deadline=None, max_examples=100)
+    @given(cfg=st.dictionaries(
+        st.lists(st.text("abxyz_01", min_size=1, max_size=6), min_size=1, max_size=3).map(".".join),
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+            | st.text(st.sampled_from('#"\\ =x\n\u00e9')) | st.text(),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+            max_leaves=8,
+        ),
+    ))
+    @example(cfg={"lob_csv": "books#2.csv", "s": '"#"', "t": ["#", {"#": '\\"#'}]})
+    def test_dump_roundtrip_of_json_values(self, cfg):
         assert parse_kv(dump_kv(cfg)) == cfg
 
     def test_instance_from_config(self):

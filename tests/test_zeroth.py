@@ -24,8 +24,8 @@ from lqrlab import (
     sample_sphere_batch,
     smoothed_gradient_reference,
 )
-from lqrlab import zeroth
-from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
+from lqrlab import core, optimize, zeroth
+from lqrlab.benchmarks import four_state_benchmark, scalar_benchmark, stock_liquidation
 from lqrlab.core import make_rng
 from lqrlab.errors import Diverged, NotInSet, ZeroDirection, ZeroOptimalCost
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
@@ -479,28 +479,77 @@ class TestModelFreeLoops:
         with pytest.raises(ValueError, match="line search"):
             run_modelfree_pg(scalar_benchmark(), np.zeros((5, 1, 1)), cfg, SmoothingConfig(radius=0.1, samples=5), seed=1)
 
-    @pytest.mark.parametrize("projected", [False, True])
-    def test_rows_pair_costs_and_gradients_with_their_iterate(self, projected):
-        # each row's cost and exact gradient norm must belong to the iterate
-        # the oracle saw for that row, not to a neighbour's value matrices
-        inst = ac_to_lqr(stock_liquidation())
-        K0 = np.full((10, 1, 2), -0.2)
-        cfg = DescentConfig(eta=0.05, iters=6)
+    @staticmethod
+    def _loop_case(case: str):
+        """(instance, K0, descent, smoothing, seed, constraint) of a sampled run."""
+        liq, scalar, K0 = ac_to_lqr(stock_liquidation()), scalar_benchmark(), np.full((10, 1, 2), -0.2)
         sm = SmoothingConfig(radius=0.6, samples=20)
+        return {
+            "liquidation": (liq, K0, DescentConfig(eta=0.05, iters=6), sm, 4, None),
+            "liquidation-projected": (liq, K0, DescentConfig(eta=0.05, iters=6), sm, 4, liquidation_constraint(5e-5, 1e-12)),
+            "no-iterations": (liq, K0, DescentConfig(eta=0.05, iters=0), sm, 4, None),
+            "longer-than-a-chunk": (scalar, np.zeros((5, 1, 1)), DescentConfig(eta=0.05, iters=optimize._NORM_CHUNK + 7),
+                                    SmoothingConfig(0.1, 3), 3, None),
+            "stops-at-target": (scalar, np.zeros((5, 1, 1)), DescentConfig(eta=0.05, iters=300, target_error=0.16),
+                                SmoothingConfig(0.1, 3), 3, None),
+        }[case]
+
+    @pytest.mark.parametrize("case", ["liquidation", "liquidation-projected", "no-iterations", "longer-than-a-chunk",
+                                      "stops-at-target"])
+    def test_rows_pair_costs_and_gradients_with_their_iterate(self, case):
+        # each row's cost and exact gradient norm must belong to the iterate
+        # the oracle saw for that row, not to a neighbour's value matrices;
+        # the norms are filled after the loop, a chunk of iterates at a time,
+        # and a run without an oracle reports the same rows
+        inst, K0, cfg, sm, seed, constraint = self._loop_case(case)
         seen = []
 
         def oracle(K):
             seen.append(np.array(K))
             return exact_cost(inst, K)
 
-        if projected:
-            _, trace = run_modelfree_ppg(inst, K0, cfg, sm, 4, liquidation_constraint(5e-5, 1e-12), cost_oracle=oracle)
-        else:
-            _, trace = run_modelfree_pg(inst, K0, cfg, sm, 4, cost_oracle=oracle)
-        assert len(seen) == len(trace.rows) == cfg.iters + 1
-        for K, cost, gnorm in zip(seen, trace.column("cost"), trace.column("grad_fro_norm")):
-            assert cost == exact_cost(inst, K)
-            assert gnorm == float(np.sqrt((exact_gradient(inst, K) ** 2).sum()))
+        K, trace = run_modelfree_pg(inst, K0, cfg, sm, seed, cost_oracle=oracle, constraint=constraint)
+        n = len(trace.rows) - 1
+        assert len(seen) == n + 1 and (n == cfg.iters if cfg.target_error is None else 1 < n < cfg.iters)
+        for Ki, cost, gnorm in zip(seen, trace.column("cost"), trace.column("grad_fro_norm")):
+            assert cost == exact_cost(inst, Ki)
+            assert gnorm == float(np.sqrt((exact_gradient(inst, Ki) ** 2).sum()))
+        K_plain, plain = run_modelfree_pg(inst, K0, cfg, sm, seed, constraint=constraint)
+        assert K_plain.tobytes() == K.tobytes() and np.array(plain.rows).tobytes() == np.array(trace.rows).tobytes()
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_closed_loop_passes_of_a_sampled_run(self, monkeypatch, oracle):
+        # per iterate at most the value chain of its trace cost, none with an
+        # oracle, and after the loop one pass of both chains per chunk
+        calls = []
+
+        def counting(instance, K, *, values=True, moments=True):
+            calls.append((K.shape[:-3], values, moments))
+            return core._closed_loop(instance, K, values=values, moments=moments)
+
+        monkeypatch.setattr(optimize, "_closed_loop", counting)
+        inst, chunk = scalar_benchmark(), optimize._NORM_CHUNK
+        cfg = DescentConfig(eta=0.05, iters=2 * chunk + 3)
+        _, trace = run_modelfree_pg(inst, np.zeros((5, 1, 1)), cfg, SmoothingConfig(0.1, 3), 3,
+                                    cost_oracle=(lambda K: exact_cost(inst, K)) if oracle else None)
+        assert len(trace.rows) == 2 * chunk + 4 and np.isfinite(trace.column("grad_fro_norm")).all()
+        per_iterate = [] if oracle else [((), True, False)] * (2 * chunk + 4)
+        assert calls == per_iterate + [((chunk,), True, True), ((chunk,), True, True), ((4,), True, True)]
+
+    def test_long_run_peaks_below_eight_megabytes(self):
+        # 1,001 four-state iterates of 640 B of gains and their trace rows
+        # hold about 1 MB; the norms' passes over 128 of them at a time peaked
+        # at 2.8 MB in all, one pass over all of them at 14.3 MB
+        inst, K0, sm = four_state_benchmark(), np.full((10, 2, 4), 0.05), SmoothingConfig(0.2, 1)
+        run_modelfree_pg(inst, K0, DescentConfig(eta=1e-6, iters=2), sm, 0)
+        tracemalloc.start()
+        try:
+            _, trace = run_modelfree_pg(inst, K0, DescentConfig(eta=1e-6, iters=1000), sm, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.rows) == 1001 and np.isfinite(trace.column("grad_fro_norm")).all()
+        assert peak <= 8 * 2**20
 
     def test_early_stop_matches_a_run_of_that_many_iterations(self):
         # every estimate is keyed by its iteration, so a run that reaches its
@@ -526,9 +575,14 @@ class TestModelFreeLoops:
         cfg, sm = DescentConfig(eta=0.2, iters=3), SmoothingConfig(radius=0.1, samples=5)
         K, trace = run_modelfree_pg(PathsAndCosts(sim), np.zeros((5, 1, 1)), cfg, sm, seed=1)
         assert len(trace.rows) == 4 and np.isnan(trace.column("cost")).all()
+        assert np.isnan(trace.column("grad_fro_norm")).all()
         K_ref, ref = run_modelfree_pg(sim, np.zeros((5, 1, 1)), cfg, sm, seed=1)
         assert K.tobytes() == K_ref.tobytes()
         np.testing.assert_array_equal(np.array(trace.rows), np.array(ref.rows))
+        # an oracle fills the costs, but the exact gradient needs an instance
+        oracle = lambda K: exact_cost(scalar_benchmark(), K)  # noqa: E731
+        _, traced = run_modelfree_pg(PathsAndCosts(sim), np.zeros((5, 1, 1)), cfg, sm, seed=1, cost_oracle=oracle)
+        assert np.isfinite(traced.column("cost")).all() and np.isnan(traced.column("grad_fro_norm")).all()
 
     def test_opaque_handle_rejects_target_error(self):
         # C* of an opaque handle is unknown, so its normalized error is nan and

@@ -20,7 +20,7 @@ rollout kernel is LqrSimulator.costs on its paths, so the dumps need
 path_normals, paths and costs; the rest uses only names that older
 checkouts also have, so one script runs on both sides.  Path row j is the (j + 1)-th pair of init.draw and noise.draw on
 its stream, so the "stream" group dumps both: the rows path_normals draws,
-and those the models draw one at a time.  It takes about 25 s on a 2-CPU VM.
+and those the models draw one at a time.  It takes about 15 s on a 2-CPU VM.
 """
 
 from __future__ import annotations
@@ -321,8 +321,10 @@ def qlearn_outputs(out: dict) -> None:
 
 
 def loop_outputs(out: dict) -> None:
-    """Traces and final iterates of zo-liquidation PPG, c11 zo-pg, a small-m
-    run that stops at a target, and a 4-state run."""
+    """Traces and final iterates of zo-liquidation PPG, c11 zo-pg (also with
+    the exact_cost oracle that the pg-vs-qlearn-cli benchmark passes), a
+    small-m run that stops at a target, runs of no iterations, and 4-state
+    runs of 20 and 300 iterations."""
     liq = ac_to_lqr(stock_liquidation())
     constraint = liquidation_constraint(5e-5, 1e-12)
     for seed in (0, 1):
@@ -335,6 +337,15 @@ def loop_outputs(out: dict) -> None:
     for seed in (0, 1, 2):
         K, trace = run_modelfree_pg(scalar, np.zeros((5, 1, 1)), DescentConfig(eta=0.2, iters=300), SmoothingConfig(0.1, 50), seed)
         out[f"loop/c11-zo-pg/seed={seed}"] = _sha(K, trace.rows)
+    for seed in (0, 1):
+        K, trace = run_modelfree_pg(scalar, np.zeros((5, 1, 1)), DescentConfig(eta=0.2, iters=300), SmoothingConfig(0.1, 50), seed,
+                                    cost_oracle=lambda P: exact_cost(scalar, P))
+        out[f"loop/c11-zo-pg-oracle/seed={seed}"] = _sha(K, trace.rows)
+    K, trace = run_modelfree_pg(scalar, np.zeros((5, 1, 1)), DescentConfig(eta=0.2, iters=0), SmoothingConfig(0.1, 50), 0)
+    out["loop/c11-zo-pg-iters=0/seed=0"] = _sha(K, trace.rows)
+    K, trace = run_modelfree_ppg(liq, np.full((10, 1, 2), -0.2), DescentConfig(eta=0.05, iters=0), SmoothingConfig(0.6, 200), 3,
+                                 constraint, cost_oracle=lambda P: exact_cost(liq, P))
+    out["loop/zo-liquidation-ppg-iters=0/seed=3"] = _sha(K, trace.rows)
     for seed in (0, 4):  # they stop at iterations 106 and 34
         K, trace = run_modelfree_pg(scalar, np.zeros((5, 1, 1)), DescentConfig(eta=0.05, iters=300, target_error=0.15),
                                     SmoothingConfig(0.1, 3), seed)
@@ -342,6 +353,8 @@ def loop_outputs(out: dict) -> None:
     four = four_state_benchmark()
     K, trace = run_modelfree_pg(four, np.full((10, 2, 4), 0.05), DescentConfig(eta=1e-4, iters=20), SmoothingConfig(0.2, 20), 9)
     out["loop/four-state/seed=9"] = _sha(K, trace.rows)
+    K, trace = run_modelfree_pg(four, np.full((10, 2, 4), 0.05), DescentConfig(eta=1e-5, iters=300), SmoothingConfig(0.2, 20), 9)
+    out["loop/four-state-300/seed=9"] = _sha(K, trace.rows)
 
 
 HANDLE_SAMPLES = [1, 2, 7]
