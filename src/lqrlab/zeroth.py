@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -41,7 +41,8 @@ class SmoothingConfig:
     samples: int  # m rollouts per time slot
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0):
+        r = self.radius  # a bool is an Integral, so True would pass as 1.0
+        if isinstance(r, bool) or not isinstance(r, Real) or not (math.isfinite(r) and r > 0):
             raise ValueError(f"smoothing radius must be finite and positive, got {self.radius!r}")
         if isinstance(self.samples, bool) or not isinstance(self.samples, Integral) or self.samples < 1:
             raise ValueError(f"smoothing samples must be an integer >= 1, got {self.samples!r}")

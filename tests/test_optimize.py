@@ -18,10 +18,10 @@ from lqrlab import (
     run_exact_ppg,
     solve_riccati,
 )
-from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
+from lqrlab.benchmarks import four_state_benchmark, scalar_benchmark, stock_liquidation
 from lqrlab.errors import Diverged, EmptySet, NotInSet, StepSizeUnderflow, ZeroOptimalCost
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
-from lqrlab import optimize
+from lqrlab import core, optimize
 from lqrlab.optimize import _armijo
 
 from conftest import random_instance, random_policy
@@ -60,13 +60,15 @@ class TestExactPg:
             run_exact_pg(inst, K0, cfg)
 
     @pytest.mark.parametrize("name,value", [
-        ("eta", 0.0), ("eta", -1.0), ("eta", np.inf), ("eta", np.nan),
+        ("eta", 0.0), ("eta", -1.0), ("eta", np.inf), ("eta", np.nan), ("eta", True), ("eta", "1.0"), ("eta", None),
         ("iters", -1), ("iters", 2.5), ("iters", 3.0), ("iters", True),
-        ("target_error", np.nan), ("target_error", np.inf), ("target_error", -np.inf),
+        ("target_error", np.nan), ("target_error", np.inf), ("target_error", -np.inf), ("target_error", True),
+        ("target_error", "1.0"),
         ("line_search", "false"), ("line_search", 1),
     ])
     def test_config_rejects_bad_settings(self, name, value):
-        # line_search = "false" used to run the search, as the string is truthy
+        # line_search = "false" used to run the search, as the string is truthy;
+        # eta = True ran as 1.0, and eta = "1.0" raised a TypeError naming no field
         settings = {"eta": 1.0, "iters": 5, "line_search": True, name: value}
         with pytest.raises(ValueError, match=name):
             DescentConfig(**settings)
@@ -306,7 +308,7 @@ class TestLadderArmijo:
             bk = backup_value(inst, K)
             grads = exact_gradient(inst, K)
             eta_ref, K_ref = sequential_armijo(inst, K, grads, bk.cost, cfg, projection)
-            eta, K_next, P, sig, cost = _armijo(inst, K, grads, bk.cost, cfg, projection)
+            eta, K_next, P, sig, cost = _armijo(inst, K, grads, bk.cost, cfg, projection, optimize._LADDER_CHUNK)
             assert eta == eta_ref
             np.testing.assert_array_equal(K_next, K_ref)
             ref = backup_value(inst, K_ref)
@@ -342,7 +344,80 @@ class TestLadderArmijo:
         with pytest.raises(StepSizeUnderflow):
             sequential_armijo(inst, K, grads, bk.cost, cfg, None)
         with pytest.raises(StepSizeUnderflow):
-            _armijo(inst, K, grads, bk.cost, cfg, None)
+            _armijo(inst, K, grads, bk.cost, cfg, None, optimize._LADDER_CHUNK)
+
+    def _follow(self, inst, K, cfg, projection):
+        """Run the descent and replay it with the reference search: every row's
+        cost, gradient norm, step size and gradient-mapping norm, and the final
+        policy, must match bit for bit.  Returns each search's accepted depth."""
+        if projection is None:
+            K_run, trace = run_exact_pg(inst, K, cfg)
+        else:
+            K_run, trace = run_exact_ppg(inst, K, cfg, projection)
+        assert len(trace.rows) == cfg.iters + 1
+        depths = []
+        for row in trace.rows[:-1]:
+            cost, grads = exact_cost(inst, K), exact_gradient(inst, K)
+            eta, K_next = sequential_armijo(inst, K, grads, cost, cfg, projection)
+            assert row[1] == cost and row[3] == float(np.sqrt((grads**2).sum())) and row[4] == eta
+            if projection is not None:
+                assert row[5] == float((((K_next - K) / (2.0 * eta)) ** 2).sum())
+            depths.append(int(round(np.log2(cfg.eta) - np.log2(eta))))
+            K = K_next
+        np.testing.assert_array_equal(K_run, K)
+        assert trace.rows[-1][1] == exact_cost(inst, K)
+        return np.array(depths)
+
+    @pytest.mark.parametrize("seed,eta0", [(4, 1e6), (2, 1.0)])
+    def test_sized_batches_follow_sequential_search(self, seed, eta0):
+        # a search's first batch runs to the last accepted depth + 1 + the margin;
+        # one that goes deeper continues in a second batch from mid-ladder, and
+        # one that ends much shallower takes a rung early in the first batch
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng)
+        cfg = DescentConfig(eta=eta0, iters=40, line_search=True)
+        steps = np.diff(self._follow(inst, random_policy(rng, inst), cfg, None))
+        assert steps.max() > optimize._DEPTH_MARGIN and steps.min() < -optimize._DEPTH_MARGIN
+
+    def test_sized_batches_follow_sequential_search_projected_liquidation(self):
+        inst = ac_to_lqr(stock_liquidation())
+        cfg = DescentConfig(eta=1e3, iters=30, line_search=True)
+        steps = np.diff(self._follow(inst, np.full((10, 1, 2), -0.2), cfg, liquidation_constraint(5e-5, 1e-12)))
+        assert steps.max() > optimize._DEPTH_MARGIN and steps.min() < -optimize._DEPTH_MARGIN
+
+    def test_huge_eta_keeps_each_pass_within_a_chunk(self, monkeypatch):
+        # from eta = 1e300 the searches end some 1,030 rungs down, near 1e-10,
+        # where cfg.eta / eta overflows; no pass may take more than a chunk
+        sizes = []
+
+        def counting(instance, K, **kw):
+            sizes.append(K.shape[:-3])
+            return core._closed_loop(instance, K, **kw)
+
+        monkeypatch.setattr(optimize, "_closed_loop", counting)
+        inst = scalar_benchmark()  # whose cost overflows to inf, not nan or -inf, on huge steps
+        inst = dataclasses.replace(inst, Q=1e12 * inst.Q, R=1e12 * inst.R)  # scales the accepted eta by 1e-12
+        cfg = DescentConfig(eta=1e300, iters=3, line_search=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            depths = self._follow(inst, np.full((inst.T, 1, 1), 0.05), cfg, None)
+        assert 1e300 * 0.5 ** depths.min() < 1e-9 and max(sizes) == (optimize._LADDER_CHUNK,)
+
+    def test_one_pass_per_search_at_a_stable_depth(self, monkeypatch):
+        # the run's first search takes a full chunk; every later one, passing
+        # within the margin, one pass over the last depth + 1 + margin rungs
+        calls = []
+
+        def counting(instance, K, **kw):
+            calls.append(K.shape[:-3])
+            return core._closed_loop(instance, K, **kw)
+
+        monkeypatch.setattr(optimize, "_closed_loop", counting)
+        four = four_state_benchmark()
+        cfg = DescentConfig(eta=1.0, iters=30, line_search=True)
+        _, trace = run_exact_pg(four, np.full((four.T, four.k, four.d), 0.05), cfg)
+        depths = np.round(np.log2(cfg.eta / trace.column("eta")[:-1])).astype(int)
+        assert np.diff(depths).max() <= optimize._DEPTH_MARGIN and depths.max() + 3 < optimize._LADDER_CHUNK
+        assert calls == [(), (optimize._LADDER_CHUNK,)] + [(d + 1 + optimize._DEPTH_MARGIN,) for d in depths[:-1]]
 
     def test_run_follows_sequential_search(self, rng):
         inst = random_instance(rng)

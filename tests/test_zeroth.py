@@ -408,7 +408,8 @@ class TestEstimator:
             estimate_gradient(Bare(), np.zeros((5, 1, 1)), SmoothingConfig(radius=0.1, samples=3), seed=0)
 
     @pytest.mark.parametrize("radius,samples", [
-        (0.0, 5), (-0.1, 5), (np.nan, 5), (np.inf, 5), (0.1, 0), (0.1, -1), (0.1, 2.5), (0.1, True), (0.1, "5"),
+        (0.0, 5), (-0.1, 5), (np.nan, 5), (np.inf, 5), (True, 5), ("1.0", 5), (None, 5),
+        (0.1, 0), (0.1, -1), (0.1, 2.5), (0.1, True), (0.1, "5"),
     ])
     def test_smoothing_config_rejects_bad_settings(self, radius, samples):
         with pytest.raises(ValueError, match="smoothing"):

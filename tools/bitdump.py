@@ -167,8 +167,9 @@ def exact_outputs(out: dict) -> None:
     backup_value's P, then the backup and profile), covariance_profile and
     solve_riccati on the suite of EXACT_SHAPES, for
     one policy and a batch; then exact PG and box-projected PG traces with
-    Armijo on every fourth suite instance, projected PG on the liquidation
-    instance, and 4-state runs; then exact PG with the
+    Armijo on every fourth suite instance and from eta = 1e6 (searches that
+    run past their first batch) on every eighth, projected PG on the
+    liquidation instance, and 4-state runs; then exact PG with the
     exact-pg benchmark's settings (Armijo from eta = 1, up to 50 iterations,
     stopping at a normalized error of 1e-2) on every suite instance."""
     with warnings.catch_warnings():
@@ -196,6 +197,16 @@ def exact_outputs(out: dict) -> None:
             inst = _exact_instance(n)
             K0 = np.random.default_rng([67, n]).uniform(-0.3, 0.3, size=(T, k, d))
             name = f"exact/loop/d={d},k={k},T={T}/backtrack=0.5"
+            out[f"{name}/pg"] = _run_sha(run_exact_pg, inst, K0, cfg)
+            out[f"{name}/ppg-box"] = _run_sha(run_exact_ppg, inst, K0, cfg, box)
+        # from eta = 1e6 the searches end some 20 rungs down, and a search that
+        # ends more than 2 rungs below the last continues in a second batch
+        cfg = DescentConfig(eta=1e6, iters=30, line_search=True)
+        for n in range(2, len(EXACT_SHAPES), 8):
+            d, k, T = EXACT_SHAPES[n]
+            inst = _exact_instance(n)
+            K0 = np.random.default_rng([73, n]).uniform(-0.3, 0.3, size=(T, k, d))
+            name = f"exact/loop/d={d},k={k},T={T}/eta=1e6"
             out[f"{name}/pg"] = _run_sha(run_exact_pg, inst, K0, cfg)
             out[f"{name}/ppg-box"] = _run_sha(run_exact_ppg, inst, K0, cfg, box)
         liq = ac_to_lqr(stock_liquidation())
