@@ -87,8 +87,8 @@ def _read(keys: dict, kind: str):
             def draw(seed):
                 return quotes
         else:
-            n = as_count(keys.pop("impact.n", 1000), "impact.n")
-            mfi_std = as_float(keys.pop("impact.mfi_std", 100.0), "impact.mfi_std")
+            n = as_count(keys.pop("impact.n", 1000), "impact.n", 2)
+            mfi_std = as_float(keys.pop("impact.mfi_std", 100.0), "impact.mfi_std", 0)
             gamma, sigma = as_float(keys.pop("impact.gamma"), "impact.gamma"), as_float(keys.pop("impact.sigma"), "impact.sigma")
 
             def draw(seed):
@@ -102,20 +102,20 @@ def _read(keys: dict, kind: str):
         horizons = keys.pop("horizons")
         if not isinstance(horizons, list):
             raise ValueError(f"horizons must be a list of whole numbers, got {horizons!r}")
-        horizons = [as_count(h, "horizons") for h in horizons]
+        cases = [(pT, ac_to_lqr(pT)) for pT in (replace(p, T=as_count(h, "horizons", 1)) for h in horizons)]
 
         def run(seed):
             rows = []
-            for T in horizons:
-                pT = replace(p, T=T)
-                path = expected_inventory_path(pT, solve_riccati(ac_to_lqr(pT)).gains)
-                rows.extend([[T, t, path[t]] for t in range(T + 1)])
+            for pT, inst in cases:
+                path = expected_inventory_path(pT, solve_riccati(inst).gains)
+                rows.extend([[pT.T, t, path[t]] for t in range(pT.T + 1)])
             return ["horizon", "t", "mean_inventory"], rows, {}
 
         return run, False
     if kind == "lob":
         p = ac_from_config(keys)
-        phi_prime, q0 = as_float(keys.pop("phi_prime"), "phi_prime"), as_float(keys.pop("q0", p.q0_mean), "q0")
+        inst = ac_to_lqr(p)
+        phi_prime, q0 = as_float(keys.pop("phi_prime"), "phi_prime"), as_float(keys.pop("q0", p.q0_mean), "q0", 0)
         seeded = "lob_csv" not in keys
         if not seeded:
             lob_csv = keys.pop("lob_csv")
@@ -134,7 +134,7 @@ def _read(keys: dict, kind: str):
                 return synthetic_lob(book, seed)
 
         def run(seed):
-            rec = simulate_lob(series(seed), solve_riccati(ac_to_lqr(p)).gains, phi_prime, q0)
+            rec = simulate_lob(series(seed), solve_riccati(inst).gains, phi_prime, q0)
             rows = [[t, rec.trades[t], rec.proceeds[t], rec.holdings[t]] for t in range(len(rec.trades))]
             return ["t", "trade", "proceeds", "holding"], rows, {"shortfall": rec.shortfall, "clamped": rec.clamped}
 
@@ -150,10 +150,8 @@ def _read(keys: dict, kind: str):
         return run, False
     if kind == "qlearn":
         n_states, n_actions = (as_count(keys.pop(k, 100), k) for k in ("n_states", "n_actions"))
-        lr, sweeps = as_float(keys.pop("lr", 0.1), "lr"), as_count(keys.pop("sweeps"), "sweeps")
+        lr, sweeps = as_float(keys.pop("lr", 0.1), "lr", 0, 1), as_count(keys.pop("sweeps"), "sweeps")
         n_rollouts = as_count(keys.pop("eval_rollouts", 100000), "eval_rollouts")
-        if sweeps < 0:
-            raise ValueError(f"sweeps must be >= 0, got {sweeps}")
 
         def run(seed):
             table = make_qtable(inst, n_states, n_actions)
@@ -243,7 +241,10 @@ def run_experiment(cfg: dict, seeds, outdir) -> dict:
     kind = keys.pop("kind", None)
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    run, seeded = _read(keys, kind)
+    try:
+        run, seeded = _read(keys, kind)
+    except LqrlabError as e:  # a config that describes what cannot be built is invalid, not a failed run
+        raise ValueError(str(e)) from e
     if keys:
         raise ValueError(f"{next(iter(keys))} is not read by kind {kind!r}")
     out = Path(outdir)

@@ -18,7 +18,7 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .core import InitialStateModel, LqrInstance, NoiseModel, constant_instance
+from .core import _MAX, InitialStateModel, LqrInstance, NoiseModel, _number, constant_instance
 from .liquidation import AcParams, SyntheticBookConfig
 
 # a line up to its comment: any run of text but '"' and '#', or a JSON string
@@ -42,31 +42,29 @@ def parse_kv(text: str) -> dict:
     return out
 
 
-def as_count(value, key: str) -> int:
-    """A config value that counts something, as an int; a number may also be
-    given as a string.  A value that is not a whole number (2.5, true, "x")
-    raises ValueError naming its key rather than being truncated."""
-    if isinstance(value, str):
-        try:
-            value = float(value)
-        except ValueError:
-            pass
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole:
+def _unquote(value):
+    """value, or the float a string spells if it spells one."""
+    try:
+        return float(value) if isinstance(value, str) else value
+    except ValueError:
+        return value
+
+
+def as_count(value, key: str, low: int = 0) -> int:
+    """A config value that counts something, as an int >= low (core._number); a
+    whole float or a number written as a string is one too, but a value that
+    is not a whole number (2.5, true, "x") raises ValueError naming its key."""
+    value = _unquote(value)
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
+    return _number(int(value), key, low, whole=True)
 
 
-def as_float(value, key: str) -> float:
-    """A config value that is one number, as a float; a number may also be
-    given as a string.  Anything else (a list, true, null, "x") raises
-    ValueError naming its key."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"{key} must be a number, got {value!r}")
+def as_float(value, key: str, low: float = -_MAX, high: float = _MAX) -> float:
+    """A config value that is one finite number in [low, high] (core._number),
+    as a float; it may also be given as a string.  Anything else (a list,
+    true, null, "x", NaN) raises ValueError naming its key."""
+    return float(_number(_unquote(value), key, low, high))
 
 
 def _holds_bool_or_null(value) -> bool:
@@ -96,14 +94,14 @@ def load_config(path) -> dict:
         return parse_kv(f.read())
 
 
-def _fields_from(cls, cfg: dict, prefix: str, counts: tuple, skip: tuple = (), **defaults):
+def _fields_from(cls, cfg: dict, prefix: str, skip: tuple = (), **defaults):
     """cls from the `prefix.*` keys of cfg that name its fields (but those in
-    skip), taken out of cfg; those in counts are read with as_count and the
-    rest with as_float, and defaults, then cls's own, fill the fields not given.
+    skip), taken out of cfg; an int field is read with as_count and the rest
+    with as_float, and defaults, then cls's own, fill the fields not given.
     KeyError names the first field that has no value."""
-    names = [f.name for f in fields(cls) if f.name not in skip]
-    given = {k: cfg.pop(f"{prefix}.{k}") for k in names if f"{prefix}.{k}" in cfg}
-    values = defaults | {k: (as_count if k in counts else as_float)(v, f"{prefix}.{k}") for k, v in given.items()}
+    read = {f.name: as_count if f.type == "int" else as_float for f in fields(cls) if f.name not in skip}
+    given = {k: cfg.pop(f"{prefix}.{k}") for k in read if f"{prefix}.{k}" in cfg}
+    values = defaults | {k: read[k](v, f"{prefix}.{k}") for k, v in given.items()}
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
     if missing:
         raise KeyError(f"{prefix}.{missing[0]}")
@@ -131,16 +129,16 @@ def instance_from_config(cfg: dict) -> LqrInstance:
     init = _model_from(InitialStateModel, cfg, "instance.init", mean=mean)
     if Q.ndim == 3:
         return LqrInstance(A, B, Q, R, noise, init)
-    T = as_count(cfg.pop("instance.T"), "instance.T")
+    T = as_count(cfg.pop("instance.T"), "instance.T", 1)
     Q_term = as_array(cfg.pop("instance.Q_terminal", Q), "instance.Q_terminal")
     return constant_instance(A, B, Q, R, Q_term, T, noise, init)
 
 
 def ac_from_config(cfg: dict) -> AcParams:
     """AcParams from the `ac.*` keys, taken out of cfg; phi and epsilon 0 unless given."""
-    return _fields_from(AcParams, cfg, "ac", ("T",), phi=0.0, epsilon=0.0)
+    return _fields_from(AcParams, cfg, "ac", phi=0.0, epsilon=0.0)
 
 
 def book_from_config(cfg: dict) -> SyntheticBookConfig:
     """A synthetic book from the `book.*` keys, taken out of cfg; random_depth is not one, so the book has random depth."""
-    return _fields_from(SyntheticBookConfig, cfg, "book", ("T", "levels"), skip=("random_depth",))
+    return _fields_from(SyntheticBookConfig, cfg, "book", skip=("random_depth",))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -21,6 +22,23 @@ from .errors import HorizonTooShort, NonPositiveDefinite
 
 # relative tolerance for "positive definite" checks
 _PD_RTOL = 1e-12
+
+_MAX = float(np.finfo(float).max)  # the default bounds of _number: every finite float
+
+
+def _number(value, name: str, low: float = -_MAX, high: float = _MAX, *, above: bool = False, whole: bool = False):
+    """value if it is a real number (an integer if whole) but not a bool, with
+    low <= value <= high (low < value if above); else ValueError naming name.
+    NaN is in no range, so a number is finite unless a bound is infinite."""
+    if not isinstance(value, bool) and isinstance(value, Integral if whole else Real) and (low < value if above else low <= value) and value <= high:
+        return value
+    bound = "positive" if above and low == 0 else f"{'>' if above else '>='} {low:g}"
+    if high < _MAX:
+        span = f"in {'(' if above else '['}{low:g}, {high:g}]"
+    else:
+        span = "a real number" if low == -np.inf else "finite" if low == -_MAX else bound if whole else f"finite and {bound}"
+    raise ValueError(f"{name} must be {'an integer ' if whole else ''}{span}, got {value!r}")
+
 
 _SQRT3 = np.sqrt(3.0)
 _SQRT_HALF = np.sqrt(0.5)
@@ -249,8 +267,8 @@ def _check_model(model, name: str, d: int) -> None:
     degenerate ("point", "zero", which read neither), a finite sigma and a
     (d, d) finite factor."""
     reads = model.kind != model._DEGENERATE
-    if reads and not np.isfinite(model.sigma):
-        raise ValueError(f"{name}.sigma must be finite, got {model.sigma!r}")
+    if reads:
+        _number(model.sigma, f"{name}.sigma")
     for part, shape in (("factor", (d, d)), ("mean", (d,))):
         value = getattr(model, part, None)
         if value is not None and (part == "mean" or reads):

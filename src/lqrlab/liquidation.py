@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .core import _MAX, _check_array, _number
 from .core import (
     InitialStateModel,
     LqrInstance,
@@ -53,12 +54,9 @@ class AcParams:
     def __post_init__(self):
         """ValueError naming a field out of range: every field finite, T an
         integer >= 1, and all but S0 and q0_mean >= 0."""
-        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)) or self.T < 1:
-            raise ValueError(f"ac.T must be an integer >= 1, got {self.T!r}")
+        _number(self.T, "ac.T", 1, whole=True)
         for name in ("beta", "gamma", "sigma", "phi", "epsilon", "S0", "q0_mean", "q0_std"):
-            x, signed = getattr(self, name), name in ("S0", "q0_mean")
-            if not np.isfinite(x) or (x < 0 and not signed):
-                raise ValueError(f"ac.{name} must be finite{'' if signed else ' and >= 0'}, got {x!r}")
+            _number(getattr(self, name), f"ac.{name}", -_MAX if name in ("S0", "q0_mean") else 0)
 
     @property
     def delta(self) -> float:
@@ -154,9 +152,7 @@ class LobSnapshot:
 def walk_the_book(snap: LobSnapshot, u: float) -> float:
     """Proceeds r(u) from selling u shares into the visible bids, consuming
     levels best-first.  u = 0 returns 0; raises if depth is insufficient."""
-    if u < 0:
-        raise ValueError("order size must be nonnegative")
-    if u == 0:
+    if _number(u, "order size", 0) == 0:
         return 0.0
     remaining = float(u)
     proceeds = 0.0
@@ -227,13 +223,9 @@ class SyntheticBookConfig:
     def __post_init__(self):
         """ValueError naming the first field out of range."""
         for name in ("T", "levels"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-                raise ValueError(f"book.{name} must be an integer >= 1, got {n!r}")
+            _number(getattr(self, name), f"book.{name}", 1, whole=True)
         for name in ("tick", "depth_mean", "mid0", "sigma_mid"):
-            x, positive = getattr(self, name), name != "sigma_mid"
-            if not np.isfinite(x) or x < 0 or (positive and x == 0):
-                raise ValueError(f"book.{name} must be finite and {'> 0' if positive else '>= 0'}, got {x!r}")
+            _number(getattr(self, name), f"book.{name}", 0, above=name != "sigma_mid")
 
 
 def synthetic_lob(cfg: SyntheticBookConfig, seed) -> LobSeries:
@@ -273,14 +265,16 @@ def simulate_lob(series: LobSeries, strategy, phi_prime: float, q0: float) -> Ex
 
     and the shortfall is sum_t c_t(u_t) + c_T(residual) - c_0(q0): the cost
     of the strategy relative to immediate liquidation of everything at the
-    initial book.
+    initial book.  A strategy, phi_prime or q0 (>= 0) that is not finite raises ValueError naming it.
     """
     T = len(series.snapshots) - 1
     strat = np.asarray(strategy, dtype=float)
     gains = strat.shape == (T, 1, 2)
     if not gains and strat.shape != (T,):
         raise ValueError(f"strategy must be a length-{T} schedule or ({T}, 1, 2) gains")
-    q = float(q0)
+    _check_array(strat, "strategy", strat.shape)
+    _number(phi_prime, "phi_prime")
+    q = float(_number(q0, "q0", 0))
     trades = np.empty(T + 1)
     proceeds = np.empty(T + 1)
     holdings = np.empty(T + 1)
@@ -314,11 +308,13 @@ def simulate_lob(series: LobSeries, strategy, phi_prime: float, q0: float) -> Ex
 def estimate_impact_params(delta_s: np.ndarray, mfi: np.ndarray) -> tuple[float, float]:
     """Through-the-origin least squares of price changes on signed market
     flow imbalance: delta_s = gamma * mfi + noise.  Returns (gamma_hat,
-    residual standard deviation)."""
+    residual standard deviation); an input that is not finite raises ValueError naming it."""
     delta_s = np.asarray(delta_s, dtype=float)
     mfi = np.asarray(mfi, dtype=float)
     if delta_s.shape != mfi.shape or delta_s.ndim != 1 or delta_s.size < 2:
         raise ValueError("need matching 1-d arrays with at least two observations")
+    for name, x in (("delta_s", delta_s), ("mfi", mfi)):
+        _check_array(x, name, x.shape)
     if np.all(mfi == mfi[0]):
         raise DegenerateDesign("market flow imbalance has no variation")
     gamma_hat = float(mfi @ delta_s / (mfi @ mfi))
@@ -329,8 +325,6 @@ def estimate_impact_params(delta_s: np.ndarray, mfi: np.ndarray) -> tuple[float,
 
 def estimate_temporary_impact(spread: float, avg_queue: float) -> float:
     """Flat-book temporary impact beta = spread / (2 * depth per level)."""
-    if avg_queue <= 0:
+    if _number(avg_queue, "avg_queue") <= 0:
         raise ZeroQueue("average queue must be positive")
-    if spread <= 0:
-        raise ValueError("spread must be positive")
-    return spread / (2.0 * avg_queue)
+    return _number(spread, "spread", 0, above=True) / (2.0 * avg_queue)

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
-from .core import LqrInstance, _closed_loop, _gains, _gradient_terms, _value_backup, exact_cost, solve_riccati
+from .core import _MAX, LqrInstance, _closed_loop, _gains, _gradient_terms, _number, _value_backup, exact_cost, solve_riccati
 from .errors import Diverged, EmptySet, NotInSet, StepSizeUnderflow, ZeroOptimalCost
 
 _MEMBER_TOL = 1e-9
@@ -40,15 +39,12 @@ class DescentConfig:
     target_error: float | None = None  # stop when normalized error falls below
 
     def __post_init__(self):
-        if isinstance(self.eta, bool) or not isinstance(self.eta, Real) or not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
-        if isinstance(self.iters, bool) or not isinstance(self.iters, Integral) or self.iters < 0:
-            raise ValueError(f"iters must be an integer >= 0, got {self.iters!r}")
+        _number(self.eta, "eta", 0, above=True)
+        _number(self.iters, "iters", 0, whole=True)
         if not isinstance(self.line_search, (bool, np.bool_)):
             raise ValueError(f"line_search must be true or false, got {self.line_search!r}")
-        te = self.target_error  # a bool is an Integral, so True would pass as 1.0
-        if te is not None and (isinstance(te, bool) or not isinstance(te, Real) or not math.isfinite(te)):
-            raise ValueError(f"target_error must be finite, got {self.target_error!r}")
+        if self.target_error is not None:
+            _number(self.target_error, "target_error")
 
 
 @dataclass
@@ -87,9 +83,8 @@ class ProjectionSet:
     def __post_init__(self):
         if self.kind not in ("box", "liquidation"):
             raise ValueError(f"unknown constraint set kind {self.kind!r}; the kinds are 'box' and 'liquidation'")
-        for name in ("gamma_bar", "zeta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"constraint.{name} must be finite, got {getattr(self, name)!r}")
+        for name, bound in (("lo", np.inf), ("hi", np.inf), ("gamma_bar", _MAX), ("zeta", _MAX)):  # a box may be unbounded
+            _number(getattr(self, name), f"constraint.{name}", -bound, bound)
         if self.kind == "box" and self.lo > self.hi:
             raise EmptySet("box has lo > hi")
         if self.kind == "liquidation":
@@ -322,11 +317,12 @@ def _armijo(instance, K, grads, cost, cfg: DescentConfig, projection, first: int
         cands, decrease = K - rungs[:, None, None, None] * grads, gsq
         if projection is not None:
             cands = projection.project(cands.reshape(-1, *K.shape[1:])).reshape(cands.shape)
-            # for projected steps require decrease against the gradient mapping
-            decrease = np.array([float(((c - K) ** 2).sum()) / (4.0 * rung**2) for c, rung in zip(cands, etas)])
+            # for projected steps require decrease against the gradient mapping; a float64 rung's
+            # square is Python's bit for bit, but inf, not OverflowError, past 1.3e154
+            decrease = np.array([float(((c - K) ** 2).sum()) / (4.0 * rung**2) for c, rung in zip(cands, rungs)])
         P, sig = _closed_loop(instance, cands)
         costs = _value_backup(instance, P).cost
-        passing = costs <= cost - _ARMIJO_C * rungs * decrease
+        passing = (costs <= cost - _ARMIJO_C * rungs * decrease) & (costs > -np.inf)  # a cost of -inf overflowed
         j = passing.argmax()
         if passing[j]:
             return etas[j], cands[j].copy(), P[j], sig[j], costs[j]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LqrInstance, make_rng
+from .core import LqrInstance, _number, make_rng
 
 # rollouts whose temporaries one step of greedy_policy_cost holds at once, a
 # few arrays of 64 kB: on a 2-CPU x86-64 VM (2 MiB L2 a core) 8192-32768 took
@@ -69,8 +69,8 @@ class QTable:
 
 
 def make_qtable(instance: LqrInstance, n_states: int, n_actions: int) -> QTable:
-    if n_states < 2 or n_actions < 1:
-        raise ValueError(f"a Q-table needs n_states >= 2 and n_actions >= 1, got {n_states} and {n_actions}")
+    _number(n_states, "n_states", 2, whole=True)
+    _number(n_actions, "n_actions", 1, whole=True)
     _, _, qcoef, _ = _scalars(instance)
     T = instance.T
     x_grid = np.linspace(-1.0, 1.0, n_states)
@@ -83,8 +83,7 @@ def make_qtable(instance: LqrInstance, n_states: int, n_actions: int) -> QTable:
 def q_learning_step(table: QTable, instance: LqrInstance, lr: float, seed) -> QTable:
     """One full sweep over all cells; returns a new table.  lr must lie in
     [0, 1]; lr = 0 leaves the table as it is."""
-    if not 0.0 <= lr <= 1.0:
-        raise ValueError(f"lr must be in [0, 1], got {lr!r}")
+    _number(lr, "lr", 0, 1)
     a, b, qcoef, rcoef = _scalars(instance)
     T = instance.T
     rng = make_rng(seed)
@@ -106,8 +105,7 @@ def greedy_policy_cost(table: QTable, instance: LqrInstance, n_rollouts: int, se
     """Monte Carlo cost of the greedy policy (true continuous dynamics,
     actions looked up at the snapped state bin).  A cost that is not finite
     (the closed loop overflowed) raises FloatingPointError."""
-    if n_rollouts < 1:
-        raise ValueError(f"n_rollouts must be >= 1, got {n_rollouts}")
+    _number(n_rollouts, "n_rollouts", 1, whole=True)
     a, b, qcoef, rcoef = _scalars(instance)
     T = instance.T
     actions = table.u_grid[table.greedy_indices()]  # (T, n_s)

@@ -20,13 +20,11 @@ are reproducible and independent of execution order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
-from .core import LqrInstance, _gains, exact_cost, make_rng, path_normals
+from .core import LqrInstance, _gains, _number, exact_cost, make_rng, path_normals
 from .errors import ZeroDirection
 from .optimize import DescentConfig, ProjectionSet, _descent
 
@@ -41,11 +39,8 @@ class SmoothingConfig:
     samples: int  # m rollouts per time slot
 
     def __post_init__(self):
-        r = self.radius  # a bool is an Integral, so True would pass as 1.0
-        if isinstance(r, bool) or not isinstance(r, Real) or not (math.isfinite(r) and r > 0):
-            raise ValueError(f"smoothing radius must be finite and positive, got {self.radius!r}")
-        if isinstance(self.samples, bool) or not isinstance(self.samples, Integral) or self.samples < 1:
-            raise ValueError(f"smoothing samples must be an integer >= 1, got {self.samples!r}")
+        _number(self.radius, "smoothing radius", 0, above=True)
+        _number(self.samples, "smoothing samples", 1, whole=True)
 
 
 @dataclass
@@ -184,8 +179,7 @@ def smoothed_gradient_reference(instance: LqrInstance, policy, t: int, radius: f
     SmoothingConfig(radius, n_samples)
     K = _gains(policy, instance)
     T, k, d = K.shape
-    if isinstance(t, bool) or not isinstance(t, Integral) or not 0 <= t < T:
-        raise ValueError(f"slot t must be an integer in [0, {T}), got {t!r}")
+    _number(t, "slot t", 0, T - 1, whole=True)
     D = k * d
     U = sample_sphere_batch(n_samples, (k, d), radius, seed)
     acc = np.zeros((1, k, d))

@@ -427,6 +427,45 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: invalid config: {key} must be ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind,setting,key", [
+        ("lob", "phi_prime = NaN", "phi_prime"), ("lob", "q0 = NaN", "q0"), ("lob", "q0 = -1", "q0"),
+        ("impact", "impact.gamma = NaN", "impact.gamma"), ("impact", "impact.mfi_std = -1", "impact.mfi_std"),
+        ("impact", "impact.n = -3", "impact.n"), ("impact", "impact.n = 1", "impact.n"),
+        ("deadline", "horizons = [5, 0]", "horizons"), ("riccati", "instance.T = 0", "instance.T"),
+        ("qlearn", "lr = Infinity", "lr"), ("pg", 'eta = "NaN"', "eta"), ("zo-pg", "samples = -1", "samples"),
+    ])
+    def test_numbers_out_of_range_exit_two_naming_the_key(self, tmp_path, capsys, kind, setting, key):
+        # phi_prime = NaN and impact.gamma = NaN used to exit 0 writing NaN;
+        # horizons = [0] named ac.T, impact.mfi_std = -1 no key, impact.n = -3 numpy's shape
+        base = {"lob": AC_CFG, "deadline": AC_CFG, "impact": IMPACT_CFG}.get(kind, SCALAR_CFG)
+        cfg = write(tmp_path, "c.cfg", base + KIND_EXTRAS.get(kind, "") + setting + "\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid config: {key} must be ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind,text,message", [
+        ("pg", SCALAR_CFG + KIND_EXTRAS["pg"] + "instance.R = [[-0.1]]\n", "R[0] is not positive definite"),
+        ("riccati", SCALAR_CFG + "instance.Q = [[[0.2]]]\ninstance.R = [[[0.1]]]\n", "T >= 1"),
+        ("ppg", AC_CFG + PPG_EXTRAS + "constraint.zeta = 2\n", "zeta <= 1"),
+        ("riccati", AC_CFG + "ac.beta = 3e-6\n", "beta - gamma/2"),
+        ("lob", AC_CFG + KIND_EXTRAS["lob"] + "ac.beta = 3e-6\n", "beta - gamma/2"),
+        ("deadline", AC_CFG + KIND_EXTRAS["deadline"] + "ac.beta = 3e-6\n", "beta - gamma/2"),
+    ], ids=["indefinite-R", "one-Q-slice", "empty-set", "delta-riccati", "delta-lob", "delta-deadline"])
+    def test_config_that_cannot_be_built_exits_two(self, tmp_path, capsys, kind, text, message):
+        # these typed errors, raised while the config is read, used to exit 3
+        # ("run failed"), and lob and deadline read a bad delta only in the run
+        cfg = write(tmp_path, "c.cfg", text)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ") and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_quotes_exit_two(self, tmp_path, capsys):
+        # a NaN price change used to exit 0 writing gamma_hat and sigma_hat as nan
+        cfg = write(tmp_path, "c.cfg", "impact.delta_s = [NaN, 1.0, 2.0]\nimpact.mfi = [1.0, 2.0, 4.0]\n")
+        assert main(["impact", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid config: delta_s must be finite")
+
     @pytest.mark.parametrize("kind", ["lob", "impact"])
     def test_seedless_inputs_run_once_for_all_seeds(self, tmp_path, monkeypatch, kind):
         # a book file or explicit quotes never read the seed, so one run is

@@ -185,6 +185,16 @@ class TestBook:
         # book identical at t=0 and t=T, so proceeds cancel the baseline
         assert rec.shortfall == pytest.approx(3 * phi_p * q0**2, rel=1e-12)
 
+    @pytest.mark.parametrize("name,strategy,q0", [
+        ("strategy", np.full((4, 1, 2), np.nan), 400.0), ("strategy", [0.0, np.inf, 0.0, 0.0], 400.0),
+        ("q0", np.zeros((4, 1, 2)), np.nan),
+    ])
+    def test_non_finite_inputs_rejected(self, name, strategy, q0):
+        # a NaN gain or q0 used to raise InsufficientDepth("order nan exceeds visible depth")
+        series = synthetic_lob(SyntheticBookConfig(T=4, depth_mean=2000.0), seed=2)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            simulate_lob(series, strategy, phi_prime=1e-4, q0=q0)
+
     def test_gain_strategy_clamps_buys(self):
         series = synthetic_lob(SyntheticBookConfig(T=4, depth_mean=2000.0), seed=2)
         gains = np.zeros((4, 1, 2))
@@ -218,6 +228,14 @@ class TestImpactEstimation:
     def test_degenerate_design(self):
         with pytest.raises(DegenerateDesign):
             estimate_impact_params(np.ones(5), np.full(5, 3.0))
+
+    @pytest.mark.parametrize("name", ["delta_s", "mfi"])
+    def test_non_finite_observations_rejected(self, name):
+        # a NaN price change used to give gamma_hat = sigma_hat = nan
+        quotes = {"delta_s": np.array([0.1, 0.2, 0.4]), "mfi": np.array([1.0, 2.0, 4.0])}
+        quotes[name][0] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            estimate_impact_params(**quotes)
 
     def test_temporary_impact(self):
         assert estimate_temporary_impact(0.02, 1000.0) == pytest.approx(1e-5)

@@ -282,7 +282,7 @@ def sequential_armijo(instance, K, grads, cost, cfg, projection):
     """Backtracking one step size at a time: (eta, step) of the first step
     size with sufficient decrease."""
     gsq = float((grads**2).sum())
-    eta = cfg.eta
+    eta = np.float64(cfg.eta)  # whose square is inf, not OverflowError, from 1.3e154
     while eta >= optimize._ETA_FLOOR:
         step = K - eta * grads
         cand = projection.project(step) if projection is not None else step
@@ -291,7 +291,7 @@ def sequential_armijo(instance, K, grads, cost, cfg, projection):
         else:
             gm_sq = float(((cand - K) ** 2).sum()) / (4.0 * eta**2)
             sufficient = cost - optimize._ARMIJO_C * eta * gm_sq
-        if exact_cost(instance, cand) <= sufficient:
+        if -np.inf < exact_cost(instance, cand) <= sufficient:  # a cost is never negative: -inf overflowed
             return eta, cand
         eta *= optimize._BACKTRACK
     raise StepSizeUnderflow("reference search fell below the floor")
@@ -401,6 +401,35 @@ class TestLadderArmijo:
         with np.errstate(over="ignore", invalid="ignore"):
             depths = self._follow(inst, np.full((inst.T, 1, 1), 0.05), cfg, None)
         assert 1e300 * 0.5 ** depths.min() < 1e-9 and max(sizes) == (optimize._LADDER_CHUNK,)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 7, 10, 13, 16, 19, 22, 32, 39])
+    def test_rung_whose_cost_overflows_to_minus_inf_fails(self, seed, monkeypatch):
+        # from eta = 1e300 the top rungs' costs overflow, on these draws of 40
+        # to -inf, which passed the decrease test: a search took such a rung
+        # and the run raised Diverged; now it backtracks to a finite rung, as
+        # the reference search does, bit for bit
+        ladder = []
+
+        def recording(instance, P):
+            backup = core._value_backup(instance, P)
+            ladder.extend(np.ravel(backup.cost))
+            return backup
+
+        monkeypatch.setattr(optimize, "_value_backup", recording)
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._follow(inst, random_policy(rng, inst), DescentConfig(eta=1e300, iters=3, line_search=True), None)
+        assert -np.inf in ladder
+
+    def test_projected_search_from_a_huge_eta(self, rng):
+        # a rung's squared size in the gradient mapping's decrease raised
+        # OverflowError from eta = 1.3e154; now the top rungs need a decrease of 0
+        inst = random_instance(rng)
+        box = ProjectionSet(kind="box", lo=-0.4, hi=0.4)
+        cfg = DescentConfig(eta=1e300, iters=3, line_search=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._follow(inst, box.project(random_policy(rng, inst)), cfg, box)
 
     def test_one_pass_per_search_at_a_stable_depth(self, monkeypatch):
         # the run's first search takes a full chunk; every later one, passing

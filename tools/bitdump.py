@@ -150,7 +150,8 @@ def _run_sha(run, *args) -> str:
     """The hash of a descent's final policy and trace rows, or the error it raised."""
     try:
         K, trace = run(*args)
-    except LqrlabError as e:  # a run that fails must fail alike on both sides
+    except (LqrlabError, OverflowError) as e:  # fail alike on both sides; OverflowError: a projected
+        # search from eta >= 1.3e154 in checkouts that square its rungs as Python floats
         return f"{type(e).__name__}: {e}"
     return _sha(K, trace.rows)
 
@@ -167,8 +168,9 @@ def exact_outputs(out: dict) -> None:
     backup_value's P, then the backup and profile), covariance_profile and
     solve_riccati on the suite of EXACT_SHAPES, for
     one policy and a batch; then exact PG and box-projected PG traces with
-    Armijo on every fourth suite instance and from eta = 1e6 (searches that
-    run past their first batch) on every eighth, projected PG on the
+    Armijo on every fourth suite instance, from eta = 1e6 (searches that
+    run past their first batch) on every eighth and from eta = 1e300
+    (overflowing rungs) on every fifth, projected PG on the
     liquidation instance, and 4-state runs; then exact PG with the
     exact-pg benchmark's settings (Armijo from eta = 1, up to 50 iterations,
     stopping at a normalized error of 1e-2) on every suite instance."""
@@ -209,6 +211,17 @@ def exact_outputs(out: dict) -> None:
             name = f"exact/loop/d={d},k={k},T={T}/eta=1e6"
             out[f"{name}/pg"] = _run_sha(run_exact_pg, inst, K0, cfg)
             out[f"{name}/ppg-box"] = _run_sha(run_exact_ppg, inst, K0, cfg, box)
+        # from eta = 1e300 the top rungs' costs overflow, on some instances to -inf,
+        # and a projected rung's squared size to inf
+        cfg = DescentConfig(eta=1e300, iters=3, line_search=True)
+        for n in range(2, len(EXACT_SHAPES), 5):
+            d, k, T = EXACT_SHAPES[n]
+            inst = _exact_instance(n)
+            K0 = np.random.default_rng([83, n]).uniform(-0.3, 0.3, size=(T, k, d))
+            name = f"exact/loop/d={d},k={k},T={T}/eta=1e300"
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[f"{name}/pg"] = _run_sha(run_exact_pg, inst, K0, cfg)
+                out[f"{name}/ppg-box"] = _run_sha(run_exact_ppg, inst, K0, cfg, box)
         liq = ac_to_lqr(stock_liquidation())
         cfg = DescentConfig(eta=1e3, iters=30, line_search=True)
         out["exact/loop/liquidation-ppg/backtrack=0.5"] = _run_sha(
