@@ -80,23 +80,21 @@ def _read(keys: dict, kind: str):
     run(seed) -> (columns, rows, scalars) does the file reads and the heavy
     work, and reads the seed only if seeded."""
     if kind == "impact":
-        seeded = "impact.delta_s" not in keys
-        if not seeded:
-            quotes = as_array(keys.pop("impact.delta_s"), "impact.delta_s"), as_array(keys.pop("impact.mfi"), "impact.mfi")
+        cols = ["gamma_hat", "sigma_hat"]
+        if "impact.delta_s" in keys:  # explicit quotes are fitted, and so checked, as they are read
+            fit = estimate_impact_params(as_array(keys.pop("impact.delta_s"), "impact.delta_s"),
+                                         as_array(keys.pop("impact.mfi"), "impact.mfi"))
+            return (lambda seed: (cols, [list(fit)], {})), False
+        n = as_count(keys.pop("impact.n", 1000), "impact.n", 2)
+        mfi_std = as_float(keys.pop("impact.mfi_std", 100.0), "impact.mfi_std", 0)
+        gamma, sigma = as_float(keys.pop("impact.gamma"), "impact.gamma"), as_float(keys.pop("impact.sigma"), "impact.sigma")
 
-            def draw(seed):
-                return quotes
-        else:
-            n = as_count(keys.pop("impact.n", 1000), "impact.n", 2)
-            mfi_std = as_float(keys.pop("impact.mfi_std", 100.0), "impact.mfi_std", 0)
-            gamma, sigma = as_float(keys.pop("impact.gamma"), "impact.gamma"), as_float(keys.pop("impact.sigma"), "impact.sigma")
+        def run(seed):
+            rng = make_rng(seed)
+            mfi = rng.normal(0.0, mfi_std, n)
+            return cols, [list(estimate_impact_params(gamma * mfi + sigma * rng.standard_normal(n), mfi))], {}
 
-            def draw(seed):
-                rng = make_rng(seed)
-                mfi = rng.normal(0.0, mfi_std, n)
-                return gamma * mfi + sigma * rng.standard_normal(n), mfi
-
-        return (lambda seed: (["gamma_hat", "sigma_hat"], [list(estimate_impact_params(*draw(seed)))], {})), seeded
+        return run, True
     if kind == "deadline":
         p = ac_from_config(keys)
         horizons = keys.pop("horizons")
@@ -149,9 +147,9 @@ def _read(keys: dict, kind: str):
 
         return run, False
     if kind == "qlearn":
-        n_states, n_actions = (as_count(keys.pop(k, 100), k) for k in ("n_states", "n_actions"))
+        n_states, n_actions = (as_count(keys.pop(k, 100), k, low) for k, low in (("n_states", 2), ("n_actions", 1)))
         lr, sweeps = as_float(keys.pop("lr", 0.1), "lr", 0, 1), as_count(keys.pop("sweeps"), "sweeps")
-        n_rollouts = as_count(keys.pop("eval_rollouts", 100000), "eval_rollouts")
+        n_rollouts = as_count(keys.pop("eval_rollouts", 100000), "eval_rollouts", 1)
 
         def run(seed):
             table = make_qtable(inst, n_states, n_actions)

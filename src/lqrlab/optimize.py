@@ -116,19 +116,28 @@ class ProjectionSet:
 
 def _project_halfplane_triangle(pts: np.ndarray, gamma_bar: float, zeta: float) -> np.ndarray:
     """Euclidean projection of (n, 2) points onto the triangle
-    {g*x + y >= c, x <= 0, y <= 0} with c = zeta - 1 <= 0, g = gamma_bar > 0.
-
-    Active-set enumeration over candidate points (input, three edge feet,
-    three vertices); ties broken lexicographically (smaller x, then smaller y).
-    """
+    {g*x + y >= c, x <= 0, y <= 0} with c = zeta - 1 <= 0, g = gamma_bar > 0:
+    a copy of points all strictly inside, whose other candidates all lie
+    beyond _enumerate_triangle's 1e-30 tie band, else that enumeration."""
     g, c = gamma_bar, zeta - 1.0
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    # foot of perpendicular on the line g*x + y = c
+    foot = pts - ((g * pts[:, 0] + pts[:, 1] - c) / (g * g + 1.0))[:, None] * np.array([g, 1.0])
+    # the edge feet lie x^2 and y^2 away, which bounds the vertices' squared distances from below
+    if ((pts < 0.0).all() and (g * pts[:, 0] + pts[:, 1] >= c).all() and (pts**2 > 1e-30).all()
+            and (((foot - pts) ** 2).sum(axis=-1) > 1e-30).all()):
+        return pts.copy()
+    return _enumerate_triangle(pts, g, c, foot)
+
+
+def _enumerate_triangle(pts: np.ndarray, g: float, c: float, foot: np.ndarray) -> np.ndarray:
+    """Active-set enumeration over candidate points (input, three edge feet,
+    foot on g*x + y = c the first, three vertices); ties broken
+    lexicographically (smaller x, then smaller y)."""
     n = pts.shape[0]
     cands = np.empty((7, n, 2))
     cands[0] = pts
-    # foot of perpendicular on the line g*x + y = c
-    resid = (g * pts[:, 0] + pts[:, 1] - c) / (g * g + 1.0)
-    cands[1] = pts - resid[:, None] * np.array([g, 1.0])
+    cands[1] = foot
     cands[2] = np.stack([np.zeros(n), pts[:, 1]], axis=1)  # edge x = 0
     cands[3] = np.stack([pts[:, 0], np.zeros(n)], axis=1)  # edge y = 0
     cands[4] = np.array([0.0, 0.0])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LqrInstance, _gains, _number, exact_cost, make_rng, path_normals
+from .core import LqrInstance, _gains, _number, _standardize, exact_cost, make_rng, path_normals
 from .errors import ZeroDirection
 from .optimize import DescentConfig, ProjectionSet, _descent
 
@@ -77,11 +77,29 @@ def sphere_directions(T: int, m: int, shape: tuple[int, int], radius: float, see
     return np.ascontiguousarray(U.reshape(m, T, *shape).swapaxes(0, 1))
 
 
-def _forms(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _forms(x: np.ndarray, M: np.ndarray, terms=None) -> np.ndarray:
     """(n,) quadratic forms x_i' M x_i of the columns of a C-contiguous (d, n)
     x, bit for bit einsum("id,de,ie->i") on its row-major copy: on one or two
-    columns, where numpy orders the loops by strides, in the labels' order."""
-    return np.einsum("di,de,ei->i", x, M, x, order="C" if x.shape[1] <= 2 else "K")
+    columns, where numpy orders the loops by strides, in the labels' order.
+    So is the sum of (x_d M_de) x_e over terms = _form_terms(M): einsum fuses
+    no multiply-add, M's zero terms only flip the sign of a zero, and two
+    terms, unlike three, add alike in either order."""
+    if terms is None:
+        return np.einsum("di,de,ei->i", x, M, x, order="C" if x.shape[1] <= 2 else "K")
+    p = [x[d] * v * x[e] for d, e, v in terms]
+    return p[0] + p[1] if len(p) == 2 else p[0] if p else 0.0
+
+
+def _form_terms(M: np.ndarray):
+    """[(d, e, M_de)] over M's nonzero entries if at most two, else None."""
+    return terms if len(terms := [(d, e, M[d, e]) for d, e in zip(*np.nonzero(M))]) <= 2 else None
+
+
+def _one_term_rows(M: np.ndarray):
+    """(src, coef) with M @ y = coef * y[src] if each row of M has at most one nonzero entry, else None."""
+    nonzero = M != 0
+    src = nonzero.argmax(axis=1)
+    return None if (nonzero.sum(axis=1) > 1).any() else (src, M[np.arange(len(M)), src][:, None])
 
 
 class LqrSimulator:
@@ -100,6 +118,14 @@ class LqrSimulator:
         self.T = instance.T
         self.k = instance.k
         self.d = instance.d
+        # the roll's short exact forms (costs), None where BLAS or einsum stays
+        self._identity, self._A = np.array_equal(instance.A, np.eye(self.d)), _one_term_rows(instance.A)
+        self._Q, self._R = [_form_terms(M) for M in instance.Q], [_form_terms(M) for M in instance.R]
+        noise, self._noise = instance.noise, None
+        reads = (np.zeros(self.d, int), 0.0) if noise.kind == noise._DEGENERATE else noise._reads[1]
+        if isinstance(reads, tuple):  # [(row, column, coef)] of the live rows; the identity reads (slice(None), 1.0)
+            src, coef = np.broadcast_arrays(np.arange(self.d)[reads[0]], reads[1])
+            self._noise = [(r, src[r], coef[r]) for r in np.flatnonzero(coef)]
 
     def rollout_perturbed_batch(self, policy, t: int, U: np.ndarray, key) -> np.ndarray:
         """(m,) costs: slot t of costs on paths(seed, iteration, T * m) for
@@ -121,30 +147,47 @@ class LqrSimulator:
 
     def costs(self, policy, U: np.ndarray, paths: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """(T, m) costs of the rollouts on paths = (x0, z), start states x0
-        (T * m, d) and the noise's normals z (T * m, T, c): at step t the rows
-        t, t + T, ... run with gain t perturbed by U[t] (m, k, d), the others
-        with the policy's gain.  States are held coordinate-major, (d, T * m),
-        and step t maps z[:, t] alone.  gemv rounds by its operands' layout, so
-        for the bits of a row-major roll on the mapped rows, gains act on
-        row-major states (x0 as drawn at t = 0), B on row-major u if d = 1 < k,
-        and T = 1 maps noise as a (T * m, 1, c) stack."""
+        (T * m, d) and the noise's normals z (T * m, T, c), left as drawn: at
+        step t the rows t, t + T, ... run with gain t perturbed by U[t] (m, k,
+        d), the others with the policy's gain.  States are held
+        coordinate-major, (d, T * m), and step t maps z[:, t] alone.  gemv
+        rounds by its operands' layout, so for the bits of a row-major roll on
+        the mapped rows, gains act on row-major states (x0 as drawn at t = 0),
+        B on row-major u if d = 1 < k, and T = 1 maps noise as a (T * m, 1, c)
+        stack.  A = I is skipped, an A of one nonzero entry a row scales rows,
+        B u is B * u' if k = 1, and _add_noise and _forms skip zero terms: for
+        finite states the costs keep their bits, as a one-term product rounds
+        once and a dropped zero term can only flip the sign of a zero.  gemv,
+        gemm and dense forms stay on BLAS, which may fuse a multiply-add, and einsum."""
         inst = self._inst
         x0, z = paths
         T, m = U.shape[:2]
         K = np.asarray(policy, dtype=float)
-        x = np.ascontiguousarray(x0.T)
+        x = np.array(x0.T, order="C")  # a copy, as x0.T is x0 itself when d = 1, and x is added to in place
         cost = np.zeros(T * m)
         for t in range(T):
             rows = x0 if t == 0 else np.ascontiguousarray(x.T)
             u = -(rows @ K[t].T)
             u[t::T] = -np.einsum("ikd,id->ik", K[t][None] + U[t], np.ascontiguousarray(rows[t::T]))
-            cost += _forms(x, inst.Q[t])
-            cost += _forms(np.ascontiguousarray(u.T), inst.R[t])
-            x = inst.A @ x
-            x += (u @ inst.B.T).T if self.d == 1 < self.k else inst.B @ u.T
-            x += inst.noise.vectors(z if T == 1 else z[:, t], self.d).reshape(-1, self.d).T
-        cost += _forms(x, inst.Q[T])
+            cost += _forms(x, inst.Q[t], self._Q[t])
+            cost += _forms(np.ascontiguousarray(u.T), inst.R[t], self._R[t])
+            x = inst.A @ x if self._A is None else x if self._identity else self._A[1] * x[self._A[0]]
+            x += inst.B * u.T if self.k == 1 else (u @ inst.B.T).T if self.d == 1 else inst.B @ u.T
+            self._add_noise(x, z if T == 1 else z[:, t])
+        cost += _forms(x, inst.Q[T], self._Q[T])
         return np.ascontiguousarray(cost.reshape(m, T).T)
+
+    def _add_noise(self, x: np.ndarray, z: np.ndarray) -> None:
+        """x (d, n) += the noise of normals z (n, c) or (n, 1, c), on the live rows alone where the factor's
+        rows each read one column; vectors and _standardize map a uniform in place, so they map copies."""
+        noise = self._inst.noise
+        if self._noise is None:
+            x += noise.vectors(np.array(z), self.d).reshape(-1, self.d).T
+        for r, s, a in self._noise or ():  # vectors' (src, coef) product, up to the sign of a zero
+            v = _standardize(noise.kind, z[..., s].flatten())
+            v *= a
+            v *= noise.sigma
+            x[r] += v
 
 
 def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 0) -> GradientEstimate:

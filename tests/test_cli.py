@@ -319,13 +319,15 @@ class TestCli:
 
     @pytest.mark.parametrize("setting,name", [
         ("n_states = 1\n", "n_states"), ("n_actions = 0\n", "n_actions"),
-        ("eval_rollouts = 0\n", "n_rollouts"), ("sweeps = -1\n", "sweeps"),
+        ("eval_rollouts = 0\n", "eval_rollouts"), ("sweeps = -1\n", "sweeps"),
     ])
     def test_bad_qlearn_sizes_exit_two(self, tmp_path, capsys, setting, name):
-        # the setting overrides the same key of the valid extras before it
+        # the setting overrides the same key of the valid extras before it; it
+        # is checked as the config is read, before the output directory is made
         cfg = write(tmp_path, "c.cfg", SCALAR_CFG + KIND_EXTRAS["qlearn"] + setting)
         assert main(["qlearn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert name in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind,setting,key", [
         ("zo-pg", "samples = 2.5\n", "samples"), ("pg", "iters = 2.9\n", "iters"),
@@ -465,6 +467,19 @@ class TestCli:
         cfg = write(tmp_path, "c.cfg", "impact.delta_s = [NaN, 1.0, 2.0]\nimpact.mfi = [1.0, 2.0, 4.0]\n")
         assert main(["impact", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: invalid config: delta_s must be finite")
+        assert not (tmp_path / "o").exists()  # checked as the config is read
+
+    @pytest.mark.parametrize("quotes,message", [
+        ("impact.delta_s = [1.0, 2.0]\nimpact.mfi = [1.0, 2.0, 4.0]\n", "need matching 1-d arrays"),
+        ("impact.delta_s = [1.0, 2.0, 3.0]\nimpact.mfi = [2.0, 2.0, 2.0]\n", "no variation"),
+    ])
+    def test_bad_quotes_exit_two_before_any_output(self, tmp_path, capsys, quotes, message):
+        # explicit quotes were fitted only as a seed ran, after the output
+        # directory was made, and quotes without variation exited 3
+        cfg = write(tmp_path, "c.cfg", quotes)
+        assert main(["impact", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["lob", "impact"])
     def test_seedless_inputs_run_once_for_all_seeds(self, tmp_path, monkeypatch, kind):

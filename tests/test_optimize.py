@@ -459,3 +459,53 @@ class TestLadderArmijo:
             eta, K = sequential_armijo(inst, K, exact_gradient(inst, K), cost, cfg, None)
             assert trace.rows[n][4] == eta
         np.testing.assert_array_equal(K_run, K)
+
+
+def _enumerated(pts, gamma_bar, zeta):
+    """The projection by optimize._enumerate_triangle alone, without the interior shortcut."""
+    g, c = gamma_bar, zeta - 1.0
+    foot = pts - ((g * pts[:, 0] + pts[:, 1] - c) / (g * g + 1.0))[:, None] * np.array([g, 1.0])
+    return optimize._enumerate_triangle(pts, g, c, foot)
+
+
+TRIANGLES = [(5e-5, 1e-12), (1.0, 0.0), (3.0, 0.5), (1e-6, 0.999)]
+
+
+class TestInteriorShortcut:
+    """Points inside the liquidation triangle are their own projection: the
+    shortcut returns a copy of them where the enumeration would return them,
+    and the enumeration otherwise."""
+
+    @pytest.mark.parametrize("gamma_bar,zeta", TRIANGLES)
+    @pytest.mark.parametrize("offset", [1e-16, 3e-16, 1e-15, 3e-15, 1e-14, -1e-16, -1e-15, -1e-14])
+    def test_points_next_to_edges_and_vertices_match_enumeration(self, gamma_bar, zeta, offset):
+        # offset > 0 moves a point inside, < 0 outside; 1e-15 is the tie
+        # band's distance (squared distances within 1e-30 tie)
+        g, c = gamma_bar, zeta - 1.0
+        normal = np.array([g, 1.0]) / np.hypot(g, 1.0)
+        s = np.linspace(0.05, 0.95, 7)[:, None]
+        line = np.array([c / g, 0.0]) * s + np.array([0.0, c]) * (1 - s)
+        edges = [line + offset * normal, np.c_[np.zeros(7) - offset, c * s[:, 0]],
+                 np.c_[c / g * s[:, 0], np.zeros(7) - offset]]
+        corners = [np.array([[-offset, -offset]]), np.array([[-offset, c + offset * (1 + g)]]),
+                   np.array([[c / g + offset * (1 + 1 / g), -offset]])]
+        for pts in edges + corners + [np.concatenate(edges + corners)]:
+            for p in [pts] + [row[None] for row in pts]:
+                got = optimize._project_halfplane_triangle(p, g, zeta)
+                assert got.tobytes() == _enumerated(p, g, zeta).tobytes()
+                assert got is not p and not np.shares_memory(got, p)
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=st.sampled_from(TRIANGLES), weights=st.lists(st.tuples(st.floats(1e-9, 1.0), st.floats(1e-9, 1.0),
+                                                                      st.floats(1e-9, 1.0)), min_size=1, max_size=12))
+    def test_random_interior_points_are_returned_as_they_are(self, case, weights):
+        # convex combinations of the vertices with every weight positive
+        g, zeta = case
+        c = zeta - 1.0
+        w = np.array(weights)
+        pts = (w / w.sum(axis=1, keepdims=True)) @ np.array([[0.0, 0.0], [0.0, c], [c / g, 0.0]])
+        got = optimize._project_halfplane_triangle(pts, g, zeta)
+        assert got.tobytes() == _enumerated(pts, g, zeta).tobytes()
+        inside = (pts < 0).all(axis=1) & (g * pts[:, 0] + pts[:, 1] >= c) & (pts**2 > 1e-28).all(axis=1)
+        if inside.all() and (np.abs(g * pts[:, 0] + pts[:, 1] - c) > 1e-13).all():
+            assert got.tobytes() == pts.tobytes()

@@ -296,6 +296,147 @@ class TestRolloutKernel:
                                               _bits(np.einsum("id,de,ie->i", x, M, x)))
 
 
+def _unsigned_zeros(a):
+    """Bits of a with each zero as +0.0: a dropped zero term may flip the sign of a zero."""
+    a = np.asarray(a, dtype=float)
+    return _bits(np.where(a == 0, 0.0, a))
+
+
+def _one_entry_rows(rng, d, live):
+    """(d, d) factor whose live rows each hold one wide entry of either sign, in a random column; the rest are zero."""
+    F = np.zeros((d, d))
+    for r in np.flatnonzero(live):
+        F[r, rng.integers(d)] = _wide(rng, ())
+    return F
+
+
+def _three_entries(d):
+    """[[0.8, -0.4], [-0.4, 0]] in the top corner of a (d, d) zero matrix, 0.8 alone if d = 1."""
+    M = np.zeros((d, d))
+    M[0, 0] = 0.8
+    M[0, 1:2] = M[1:2, 0] = -0.4
+    return M
+
+
+STRUCTURED_A = {"identity": lambda rng, d: np.eye(d),
+                "scaled permutation": lambda rng, d: np.eye(d)[rng.permutation(d)] * _wide(rng, (d, 1)),
+                "dense": lambda rng, d: rng.normal(size=(d, d)) * 0.5}
+STRUCTURED_Q = {"diagonal": lambda rng, d: np.diag(rng.uniform(0.5, 2.0, d)),
+                "anti-diagonal": lambda rng, d: np.eye(d)[::-1] * 0.7,
+                "one entry": lambda rng, d: np.diag(np.arange(d) == d - 1) * 1.3,
+                "three entries": lambda rng, d: _three_entries(d),
+                "dense": lambda rng, d: (lambda M: M @ M.T)(rng.normal(size=(d, d)))}
+
+
+class TestShortForms:
+    """Each short exact form of the rollout kernel against the dense call it replaces."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(d=st.integers(1, 4), n=st.sampled_from([1, 2, 3, 250, 2000]), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_forms_of_one_or_two_entries_match_einsum(self, d, n, data, seed):
+        cells = data.draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), min_size=1, max_size=2,
+                                   unique=True))
+        rng = np.random.default_rng(seed)
+        M = np.zeros((d, d))
+        for cell in cells:
+            M[cell] = _wide(rng, ())
+        terms = zeroth._form_terms(M)
+        assert len(terms) == len(cells)
+        wide = _wide(rng, (n, d + 3))
+        for x in (np.ascontiguousarray(wide[:, :d]), wide[:, 2:d + 2]):
+            np.testing.assert_array_equal(_bits(_forms(np.ascontiguousarray(x.T), M, terms)),
+                                          _bits(np.einsum("id,de,ie->i", x, M, x)))
+
+    @pytest.mark.parametrize("M,count", [(np.diag([0.7, 1.3]), 2), (np.array([[0.0, 0.6], [0.6, 0.0]]), 2),
+                                         (np.array([[0.0, 0.0], [0.0, 2.5]]), 1), (np.zeros((2, 2)), 0),
+                                         (np.array([[0.8, -0.4], [-0.4, 0.0]]), None), (np.eye(3), None)])
+    def test_form_terms_keep_at_most_two_entries(self, M, count):
+        terms = zeroth._form_terms(M)
+        assert (terms is None) if count is None else len(terms) == count
+        x = np.ascontiguousarray(_wide(np.random.default_rng(2), (len(M), 250)))
+        cost = np.ones(250)
+        cost += _forms(x, M, terms)
+        np.testing.assert_array_equal(_bits(cost), _bits(1.0 + _forms(x, M)))
+
+    @settings(deadline=None, max_examples=100)
+    @given(d=st.integers(1, 5), n=st.sampled_from([1, 2, 3, 250, 2000]), zero_row=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_term_rows_match_matmul(self, d, n, zero_row, seed):
+        # A as a scaled permutation, a row of it zero or not; B with k = 1 as the kernel computes B u
+        rng = np.random.default_rng(seed)
+        A = STRUCTURED_A["scaled permutation"](rng, d)
+        A[rng.integers(d)] *= not zero_row
+        src, coef = zeroth._one_term_rows(A)
+        x = np.ascontiguousarray(_wide(rng, (d, n)))
+        np.testing.assert_array_equal(_unsigned_zeros(coef * x[src]), _unsigned_zeros(A @ x))
+        B, rows, K = _wide(rng, (d, 1)), _wide(rng, (n, d)), rng.normal(size=(1, d))
+        u = -(rows @ K.T)
+        np.testing.assert_array_equal(_bits(B * u.T), _bits(B @ u.T))
+        if d > 1:
+            assert zeroth._one_term_rows(np.ones((d, d))) is None
+
+    @settings(deadline=None, max_examples=120)
+    @given(d=st.integers(1, 4), n=st.sampled_from([1, 2, 3, 250]), T=st.integers(1, 3),
+           kind=st.sampled_from(["gaussian", "uniform", "zero"]), sigma=st.sampled_from([0.4, -0.7]),
+           mixing=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_live_row_noise_add_matches_vectors(self, d, n, T, kind, sigma, mixing, seed):
+        # factors with zero rows and entries of either sign, each row reading one column or rows mixing them
+        rng = np.random.default_rng(seed)
+        F = rng.normal(size=(d, d)) * (rng.random((d, 1)) < 0.7) if mixing else _one_entry_rows(rng, d, rng.random(d) < 0.7)
+        noise = NoiseModel(kind, sigma, F)
+        inst = constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise,
+                                 InitialStateModel("gaussian", np.zeros(d), 1.0))
+        sim = LqrSimulator(inst)
+        z = sim.paths(seed, 0, n)[1]
+        drawn = z.copy()
+        x = np.ascontiguousarray(_wide(rng, (d, n)))
+        ref = x.copy()
+        for t in range(T):
+            sim._add_noise(x, z if T == 1 else z[:, t])
+            ref += noise.vectors(np.array(z if T == 1 else z[:, t]), d).reshape(-1, d).T
+            np.testing.assert_array_equal(_unsigned_zeros(x), _unsigned_zeros(ref))
+        assert z.tobytes() == drawn.tobytes()
+
+    @settings(deadline=None, max_examples=120)
+    @given(d=st.integers(1, 3), k=st.integers(1, 2), T=st.integers(1, 4), m=st.sampled_from([1, 2, 3, 9]),
+           A=st.sampled_from(list(STRUCTURED_A)), Q=st.sampled_from(list(STRUCTURED_Q)),
+           R=st.sampled_from(["diagonal", "dense"]), kinds=st.sampled_from(KIND_PAIRS), one_entry_rows=st.booleans(),
+           data=st.integers(0, 2**32 - 1), seed=st.integers(-2**63, 2**64 - 1))
+    def test_structured_rollouts_match_reference_kernel(self, d, k, T, m, A, Q, R, kinds, one_entry_rows, data, seed):
+        # every short form, and the dense calls next to them, in one roll; Q
+        # need not be definite for a roll, so its check is off (R's is not)
+        rng = np.random.default_rng(data)
+        F = _one_entry_rows(rng, d, rng.random(d) < 0.7) if one_entry_rows else rng.normal(size=(d, d))
+        noise = NoiseModel(kinds[1], rng.choice([0.4, -0.4]), F)
+        init = InitialStateModel(kinds[0], rng.normal(size=d), 0.6)
+        B = rng.normal(size=(d, k)) * (rng.random((d, k)) < 0.7)
+        inst = constant_instance(STRUCTURED_A[A](rng, d), B, STRUCTURED_Q[Q](rng, d), STRUCTURED_Q[R](rng, k) + 0.3 * np.eye(k),
+                                 2.0 * STRUCTURED_Q[Q](rng, d), T, noise, init, validate=False)
+        K = rng.normal(size=(T, k, d)) * 0.3
+        U = sphere_directions(T, m, (k, d), 0.2, seed, 1)
+        sim, ref = LqrSimulator(inst), ReferenceKernel(inst)
+        np.testing.assert_array_equal(_bits(_slots(sim, K, U, seed, 1)), _bits(_slots(ref, K, U, seed, 1)))
+
+    @pytest.mark.parametrize("T", [1, 4])
+    @pytest.mark.parametrize("one_entry_rows", [False, True], ids=["rows-mixing", "one-entry-a-row"])
+    @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS)
+    def test_costs_leave_paths_as_drawn(self, init_kind, noise_kind, one_entry_rows, T):
+        # a uniform's normals used to be standardized in place, so a second
+        # call on the same paths rolled other noise
+        inst = _instance_of_kinds(init_kind, noise_kind, d=2, k=1, T=T)
+        if one_entry_rows:
+            inst = constant_instance(inst.A, inst.B, inst.Q[0], inst.R[0], inst.Q[T], T,
+                                     NoiseModel(noise_kind, -0.4, [[0.0, 1.3], [0.0, 0.0]]), inst.init)
+        sim = LqrSimulator(inst)
+        K = np.random.default_rng(6).normal(size=(T, 1, 2)) * 0.2
+        U = sphere_directions(T, 5, (1, 2), 0.2, 4, 0)
+        paths = sim.paths(4, 0, T * 5)
+        drawn = [a.copy() for a in paths]
+        first = sim.costs(K, U, paths)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(paths, drawn))
+        assert sim.costs(K, U, paths).tobytes() == first.tobytes()
+
+
 def _two_factor_instance(init_kind, init_factor, noise_kind, noise_factor, T=4):
     d = len(init_factor)
     init = InitialStateModel(init_kind, np.linspace(-1.0, 0.5, d), 0.6, np.asarray(init_factor))

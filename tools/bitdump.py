@@ -20,7 +20,10 @@ rollout kernel is LqrSimulator.costs on its paths, so the dumps need
 path_normals, paths and costs; the rest uses only names that older
 checkouts also have, so one script runs on both sides.  Path row j is the (j + 1)-th pair of init.draw and noise.draw on
 its stream, so the "stream" group dumps both: the rows path_normals draws,
-and those the models draw one at a time.  It takes about 15 s on a 2-CPU VM.
+and those the models draw one at a time.  The rollout kernel runs twice on
+the same paths ("slots-again"), which differs where a kernel changes its
+paths: checkouts before the uniform kind's normals were standardized on a
+copy.  It takes about 20 s on a 2-CPU VM.
 """
 
 from __future__ import annotations
@@ -110,6 +113,32 @@ def _zero_column_instances() -> dict:
             for name, (noise, init) in models.items()}
 
 
+def _structured_instances() -> dict:
+    """name -> instance of d = 2 whose small matrices take the rollout
+    kernel's short exact forms, or sit next to them: A the identity or a
+    scaled permutation; Q_t diagonal, anti-diagonal or with three nonzero
+    entries (the last two indefinite, so built unvalidated); k = 1, or k = 2
+    with B one nonzero entry a row (R diagonal) or dense (R dense); and, in
+    turn, Gaussian noise whose factor has a zero row, uniform noise with that
+    factor, and uniform noise whose factor has a zero row and a row that
+    mixes columns."""
+    As = {"A=I": np.eye(2), "A=perm": np.array([[0.0, 0.9], [-1.1, 0.0]])}
+    Qs = {"Q=diag": np.diag([0.7, 1.3]), "Q=anti": np.array([[0.0, 0.6], [0.6, 0.0]]),
+          "Q=three": np.array([[0.8, -0.4], [-0.4, 0.0]])}
+    noises = [NoiseModel("gaussian", 0.4, np.diag([1.2, 0.0])), NoiseModel("uniform", -0.4, np.diag([1.2, 0.0])),
+              NoiseModel("uniform", 0.4, [[0.0, 0.0], [0.7, -1.1]])]
+    init = InitialStateModel("gaussian", np.array([0.5, -0.3]), 0.6)
+    out = {}
+    for i, ((a, A), (q, Q), k) in enumerate((a, q, k) for a in As.items() for q in Qs.items() for k in (1, 2)):
+        dense = k == 2 and a == "A=perm"
+        B = [[0.5], [-0.8]] if k == 1 else [[0.5, 0.2], [-0.3, 0.7]] if dense else [[0.0, 0.5], [-0.8, 0.0]]
+        R = np.eye(k) if not dense else [[1.0, 0.3], [0.3, 0.8]]
+        noise = noises[i % len(noises)]
+        name = f"structured/{a},{q},k={k}{',B=dense' if dense else ''}/{noise.kind}"
+        out[name] = constant_instance(A, B, Q, R, 2.0 * Q, 3, noise, init, validate=False)
+    return out
+
+
 def _instances() -> dict:
     """name -> (instance, policy, radius)."""
     liq = ac_to_lqr(stock_liquidation())
@@ -125,6 +154,8 @@ def _instances() -> dict:
         out[f"{init_kind}-{noise_kind}"] = (inst, K, 0.3)
     for name, inst in _zero_column_instances().items():
         out[name] = (inst, np.random.default_rng(5).normal(size=(inst.T, inst.k, inst.d)) * 0.2, 0.3)
+    for name, inst in _structured_instances().items():
+        out[name] = (inst, np.random.default_rng(6).normal(size=(inst.T, inst.k, inst.d)) * 0.2, 0.3)
     return out
 
 
@@ -264,7 +295,8 @@ ROLL_SEEDS = [5, 2**63 + 4]
 
 
 def roll_outputs(out: dict) -> None:
-    """LqrSimulator's rollout kernel (costs on its paths) and
+    """LqrSimulator's rollout kernel (costs on its paths, then again on the
+    same paths, which the kernel must leave as drawn) and
     rollout_perturbed_batch (every slot) on each suite instance of
     EXACT_SHAPES, whose Q and R are not diagonal, per m, seed and iterations
     0 and 1.  rollout_perturbed_batch
@@ -280,7 +312,9 @@ def roll_outputs(out: dict) -> None:
                 for it in (0, 1):
                     name = f"roll/d={d},k={k},T={T}/m={m}/seed={seed}/it={it}"
                     U = zeroth.sphere_directions(T, m, (k, d), 0.2, seed, it)
-                    out[f"{name}/slots"] = _sha(sim.costs(K, U, sim.paths(seed, it, T * m)))
+                    paths = sim.paths(seed, it, T * m)
+                    out[f"{name}/slots"] = _sha(sim.costs(K, U, paths))
+                    out[f"{name}/slots-again"] = _sha(sim.costs(K, U, paths))
                     out[f"{name}/batch"] = _sha(*(sim.rollout_perturbed_batch(K, t, U[t], (seed, it, t)) for t in range(T)))
 
 
