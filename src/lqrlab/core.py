@@ -56,18 +56,28 @@ def _stream_words(seed) -> list[int]:
     return words + [0] * (5 - len(words))
 
 
+class _NoEntropy(np.random.bit_generator.ISeedSequence):
+    """Zeros for make_rng, which sets key and counter itself: Philox(key=...) first seeds from OS entropy."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype)
+
+
 def make_rng(seed) -> np.random.Generator:
     """Deterministic counter-based generator keyed by an int or a tuple of
     up to five ints (seed, iteration, slot, sample, flag).
 
     The first two words key a Philox stream and the rest offset its counter's
     high words, so distinct tuples give independent streams and equal tuples
-    reproduce draws bit for bit, independent of execution order.
+    reproduce draws bit for bit, independent of execution order.  It reads
+    no OS entropy: key and counter are set through the public state setter
+    on a bit generator seeded with zeros.  Each call returns its own generator.
     """
     words = _stream_words(seed)
-    key = np.array(words[:2], dtype=np.uint64)
-    counter = np.array([0, *words[2:]], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    bits = np.random.Philox(_NoEntropy())
+    bits.state = {"bit_generator": "Philox", "state": {"counter": [0, *words[2:]], "key": words[:2]},
+                  "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}  # an empty buffer
+    return np.random.Generator(bits)
 
 
 def _standardize(kind: str, z: np.ndarray) -> np.ndarray:

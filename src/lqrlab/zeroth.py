@@ -31,6 +31,15 @@ from .optimize import DescentConfig, ProjectionSet, _descent
 # perturbed policies per batched exact_cost call of smoothed_gradient_reference;
 # 1024 ran faster than 4096 or 16384 on the scalar and 4-state benchmarks
 _REFERENCE_CHUNK = 1024
+# k * d below which a sphere row's squared norm is the in-order sum of its
+# squares, as numpy's pairwise sum is a plain loop below 8 numbers: 4.6 against
+# 43.5 us on zo-liquidation's 2000 rows of k * d = 2 (best of 7 x 5000, 2-vCPU VM)
+_IN_ORDER = 8
+# the largest d at which the roll's gains read the states from d row writes
+# into one (T * m, d) array rather than np.ascontiguousarray(x.T): 2.7 against
+# 7.2 us at d = 2 and 2000 rows, but 1.7 against 1.4 us at d = 4 and 250 rows
+# (best of 7 x 2000, 2-vCPU VM); at d = 1, x.T is row-major and copies nothing
+_ROW_WRITES = 3
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,9 @@ def sample_sphere_batch(n: int, shape: tuple[int, int], radius: float, seed) -> 
     can have norm 0: ZeroDirection names the first such row instead of
     returning its 0 / 0 = nan."""
     g = make_rng(seed).standard_normal((n, *shape))
-    norms = np.sqrt((g**2).sum(axis=(1, 2), keepdims=True))
+    sq = g**2
+    cols = sq.reshape(n, shape[0] * shape[1]).T  # below _IN_ORDER numbers, a pass a column has the sum's bits
+    norms = np.sqrt(sum(cols[1:], cols[0]) if len(cols) < _IN_ORDER else sq.sum(axis=(1, 2))).reshape(n, 1, 1)
     zero = np.flatnonzero(norms == 0)
     if zero.size:
         raise ZeroDirection(f"sphere row {zero[0]} of stream {seed!r} has norm 0")
@@ -81,18 +92,23 @@ def _forms(x: np.ndarray, M: np.ndarray, terms=None) -> np.ndarray:
     """(n,) quadratic forms x_i' M x_i of the columns of a C-contiguous (d, n)
     x, bit for bit einsum("id,de,ie->i") on its row-major copy: on one or two
     columns, where numpy orders the loops by strides, in the labels' order.
-    So is the sum of (x_d M_de) x_e over terms = _form_terms(M): einsum fuses
-    no multiply-add, M's zero terms only flip the sign of a zero, and two
-    terms, unlike three, add alike in either order."""
+    So is the sum of (x_d M_de) x_e over terms, a slice of _form_terms:
+    einsum fuses no multiply-add, M's zero terms only flip the sign of a
+    zero, and two terms, unlike three, add alike in either order."""
     if terms is None:
         return np.einsum("di,de,ei->i", x, M, x, order="C" if x.shape[1] <= 2 else "K")
     p = [x[d] * v * x[e] for d, e, v in terms]
     return p[0] + p[1] if len(p) == 2 else p[0] if p else 0.0
 
 
-def _form_terms(M: np.ndarray):
-    """[(d, e, M_de)] over M's nonzero entries if at most two, else None."""
-    return terms if len(terms := [(d, e, M[d, e]) for d, e in zip(*np.nonzero(M))]) <= 2 else None
+def _form_terms(M: np.ndarray) -> list:
+    """Per slice M_t of a (n, d, d) stack, from one pass over the stack:
+    [(d, e, M_t[d, e])] over its nonzero entries, in row-major order, if at
+    most two, else None."""
+    t, ds, es = np.nonzero(M)
+    cells = list(zip(ds.tolist(), es.tolist(), M[t, ds, es].tolist()))
+    ends = np.searchsorted(t, np.arange(len(M) + 1)).tolist()
+    return [cells[a:b] if b - a <= 2 else None for a, b in zip(ends, ends[1:])]
 
 
 def _one_term_rows(M: np.ndarray):
@@ -120,12 +136,13 @@ class LqrSimulator:
         self.d = instance.d
         # the roll's short exact forms (costs), None where BLAS or einsum stays
         self._identity, self._A = np.array_equal(instance.A, np.eye(self.d)), _one_term_rows(instance.A)
-        self._Q, self._R = [_form_terms(M) for M in instance.Q], [_form_terms(M) for M in instance.R]
+        self._Q, self._R = _form_terms(instance.Q), _form_terms(instance.R)
         noise, self._noise = instance.noise, None
         reads = (np.zeros(self.d, int), 0.0) if noise.kind == noise._DEGENERATE else noise._reads[1]
         if isinstance(reads, tuple):  # [(row, column, coef)] of the live rows; the identity reads (slice(None), 1.0)
             src, coef = np.broadcast_arrays(np.arange(self.d)[reads[0]], reads[1])
-            self._noise = [(r, src[r], coef[r]) for r in np.flatnonzero(coef)]
+            unit = noise.kind == "gaussian"  # a coef of None: the row adds sigma * z, as v * 1 = v
+            self._noise = [(r, src[r], None if unit and coef[r] == 1 else coef[r]) for r in np.flatnonzero(coef)]
 
     def rollout_perturbed_batch(self, policy, t: int, U: np.ndarray, key) -> np.ndarray:
         """(m,) costs: slot t of costs on paths(seed, iteration, T * m) for
@@ -152,27 +169,36 @@ class LqrSimulator:
         d), the others with the policy's gain.  States are held
         coordinate-major, (d, T * m), and step t maps z[:, t] alone.  gemv
         rounds by its operands' layout, so for the bits of a row-major roll on
-        the mapped rows, gains act on row-major states (x0 as drawn at t = 0),
-        B on row-major u if d = 1 < k, and T = 1 maps noise as a (T * m, 1, c)
-        stack.  A = I is skipped, an A of one nonzero entry a row scales rows,
-        B u is B * u' if k = 1, and _add_noise and _forms skip zero terms: for
-        finite states the costs keep their bits, as a one-term product rounds
-        once and a dropped zero term can only flip the sign of a zero.  gemv,
-        gemm and dense forms stay on BLAS, which may fuse a multiply-add, and einsum."""
+        the mapped rows, gains act on row-major states (x0 as drawn at t = 0,
+        then d row writes into one array up to d = _ROW_WRITES), B on
+        row-major u if d = 1 < k, and T = 1 maps noise as a (T * m, 1, c)
+        stack.  The gains are negated once a call, as rounding is symmetric
+        in sign.  A = I is skipped, an A of one nonzero entry a row scales
+        rows, B u is B * u' if k = 1, and _add_noise and _forms skip zero
+        terms: for finite states the costs keep their bits, as a one-term
+        product rounds once and a dropped zero term, like a negated zero,
+        can only flip the sign of a zero.  gemv, gemm and dense forms stay on
+        BLAS, which may fuse a multiply-add, and einsum."""
         inst = self._inst
         x0, z = paths
         T, m = U.shape[:2]
-        K = np.asarray(policy, dtype=float)
+        d = self.d
+        negK = -np.asarray(policy, dtype=float)
+        negKU = negK[:, None] - U  # -(K_t + U_t), as -a - b = -(a + b) bit for bit
+        written = np.empty((T * m, d)) if 1 < d <= _ROW_WRITES else None
         x = np.array(x0.T, order="C")  # a copy, as x0.T is x0 itself when d = 1, and x is added to in place
         cost = np.zeros(T * m)
         for t in range(T):
-            rows = x0 if t == 0 else np.ascontiguousarray(x.T)
-            u = -(rows @ K[t].T)
-            u[t::T] = -np.einsum("ikd,id->ik", K[t][None] + U[t], np.ascontiguousarray(rows[t::T]))
+            if t and written is not None:
+                for i in range(d):
+                    written[:, i] = x[i]
+            rows = x0 if t == 0 else np.ascontiguousarray(x.T) if written is None else written
+            u = rows @ negK[t].T
+            u[t::T] = np.einsum("ikd,id->ik", negKU[t], np.ascontiguousarray(rows[t::T]))
             cost += _forms(x, inst.Q[t], self._Q[t])
             cost += _forms(np.ascontiguousarray(u.T), inst.R[t], self._R[t])
             x = inst.A @ x if self._A is None else x if self._identity else self._A[1] * x[self._A[0]]
-            x += inst.B * u.T if self.k == 1 else (u @ inst.B.T).T if self.d == 1 else inst.B @ u.T
+            x += inst.B * u.T if self.k == 1 else (u @ inst.B.T).T if d == 1 else inst.B @ u.T
             self._add_noise(x, z if T == 1 else z[:, t])
         cost += _forms(x, inst.Q[T], self._Q[T])
         return np.ascontiguousarray(cost.reshape(m, T).T)
@@ -184,10 +210,13 @@ class LqrSimulator:
         if self._noise is None:
             x += noise.vectors(np.array(z), self.d).reshape(-1, self.d).T
         for r, s, a in self._noise or ():  # vectors' (src, coef) product, up to the sign of a zero
-            v = _standardize(noise.kind, z[..., s].flatten())
-            v *= a
-            v *= noise.sigma
-            x[r] += v
+            if a is None:
+                x[r] += z[..., s].reshape(-1) * noise.sigma
+            else:
+                v = _standardize(noise.kind, z[..., s].flatten())
+                v *= a
+                v *= noise.sigma
+                x[r] += v
 
 
 def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 0) -> GradientEstimate:
@@ -205,7 +234,9 @@ def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 
     U = sphere_directions(T, m, (k, d), r, seed, iteration)
     costs = sim.costs(K, U, sim.paths(seed, iteration, T * m))
     # one einsum per slot: a single einsum over all slots rounds differently
-    grads = np.stack([(D / r**2) * np.einsum("i,ikd->kd", costs[t], U[t]) / m for t in range(T)])
+    grads = np.stack([np.einsum("i,ikd->kd", costs[t], U[t]) for t in range(T)])
+    grads *= D / r**2
+    grads /= m
     return GradientEstimate(grads=grads, mean_costs=costs.mean(axis=1))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -63,6 +64,15 @@ class TestSphere:
         ref = 0.4 * z / np.sqrt((z**2).sum(axis=(1, 2), keepdims=True))
         assert sample_sphere_batch(6, (2, 3), 0.4, [3, 1]).tobytes() == ref.tobytes()
         assert sample_sphere((2, 3), 0.4, [3, 1]).tobytes() == ref[0].tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (2, 4), (1, 8), (3, 3), (9, 1)])
+    def test_norms_keep_the_bits_of_numpys_sum_across_the_in_order_rule(self, shape):
+        # k * d = 1, 2, 7, 8 and 9: below 8 the squared norm is the in-order
+        # sum of the columns, from 8 on numpy's sum over the row
+        key = (11, 3, 0, 0, 0)
+        g = make_rng(key).standard_normal((2000, *shape))
+        ref = 0.6 * g / np.sqrt((g**2).sum(axis=(1, 2), keepdims=True))
+        assert sample_sphere_batch(2000, shape, 0.6, key).tobytes() == ref.tobytes()
 
     def test_a_row_of_zeros_is_a_typed_error(self, monkeypatch):
         # a normal is +-0 with chance about 2**-52, so a row of k * d = 1 can
@@ -251,6 +261,13 @@ ROLL_LAYOUTS = {
     **{f"zo-liquidation, m = {m}": (ac_to_lqr(stock_liquidation()), m) for m in (1, 3, 7)},
     "d = 1, k = 2": (_roll_case(1, 2, 5, KIND_PAIRS[0], 3)[0], 2),  # 10 rows: gemv's short tail rounds otherwise
     "T = 1, noise rows mixing columns": (_roll_case(3, 2, 1, KIND_PAIRS[0], 4)[0], 9),
+    # gains reading the states from row writes up to d = _ROW_WRITES, from a transpose past it
+    **{f"d = {d}, 2000 rows": (_roll_case(d, 1, 10, KIND_PAIRS[0], 5)[0], 200)
+       for d in (zeroth._ROW_WRITES, zeroth._ROW_WRITES + 1)},
+    # a live noise row read with a coefficient other than 1
+    **{f"zo-liquidation, {kind} noise coefficient 1.7": (dataclasses.replace(
+        ac_to_lqr(stock_liquidation()), noise=NoiseModel(kind, 0.107, np.diag([1.7, 0.0]))), 200)
+       for kind in ("gaussian", "uniform")},
 }
 
 
@@ -261,6 +278,9 @@ class TestRolloutKernel:
            iteration=st.integers(0, 2**64 - 1))
     # two rows of width two, where numpy orders einsum's loops by strides alone
     @example(d=2, k=2, T=3, m=2, kinds=KIND_PAIRS[0], data=2, seed=0, iteration=0)
+    # the last d of the row writes and the first of the transpose
+    @example(d=zeroth._ROW_WRITES, k=2, T=4, m=200, kinds=KIND_PAIRS[1], data=6, seed=-5, iteration=2**63 + 4)
+    @example(d=zeroth._ROW_WRITES + 1, k=2, T=4, m=200, kinds=KIND_PAIRS[1], data=6, seed=-5, iteration=2**63 + 4)
     def test_rollouts_match_reference_kernel(self, d, k, T, m, kinds, data, seed, iteration):
         inst, K = _roll_case(d, k, T, kinds, data)
         U = sphere_directions(T, m, (k, d), 0.2, seed, iteration)
@@ -318,6 +338,12 @@ def _three_entries(d):
     return M
 
 
+def _matrix_terms(M):
+    """The short-form terms of one matrix: [(d, e, M_de)] over its nonzero entries, in row-major order, if at most two, else None."""
+    terms = [(d, e, M[d, e]) for d, e in zip(*np.nonzero(M))]
+    return terms if len(terms) <= 2 else None
+
+
 STRUCTURED_A = {"identity": lambda rng, d: np.eye(d),
                 "scaled permutation": lambda rng, d: np.eye(d)[rng.permutation(d)] * _wide(rng, (d, 1)),
                 "dense": lambda rng, d: rng.normal(size=(d, d)) * 0.5}
@@ -340,8 +366,9 @@ class TestShortForms:
         M = np.zeros((d, d))
         for cell in cells:
             M[cell] = _wide(rng, ())
-        terms = zeroth._form_terms(M)
-        assert len(terms) == len(cells)
+        terms = zeroth._form_terms(M[None])[0]
+        assert [(a, b) for a, b, _ in terms] == sorted(cells)
+        assert all(v == M[a, b] for a, b, v in terms)
         wide = _wide(rng, (n, d + 3))
         for x in (np.ascontiguousarray(wide[:, :d]), wide[:, 2:d + 2]):
             np.testing.assert_array_equal(_bits(_forms(np.ascontiguousarray(x.T), M, terms)),
@@ -351,12 +378,27 @@ class TestShortForms:
                                          (np.array([[0.0, 0.0], [0.0, 2.5]]), 1), (np.zeros((2, 2)), 0),
                                          (np.array([[0.8, -0.4], [-0.4, 0.0]]), None), (np.eye(3), None)])
     def test_form_terms_keep_at_most_two_entries(self, M, count):
-        terms = zeroth._form_terms(M)
+        terms = zeroth._form_terms(M[None])[0]
         assert (terms is None) if count is None else len(terms) == count
         x = np.ascontiguousarray(_wide(np.random.default_rng(2), (len(M), 250)))
         cost = np.ones(250)
         cost += _forms(x, M, terms)
         np.testing.assert_array_equal(_bits(cost), _bits(1.0 + _forms(x, M)))
+
+    @settings(deadline=None, max_examples=100)
+    @given(d=st.integers(1, 4), kinds=st.lists(st.sampled_from([*STRUCTURED_Q, "zero", "signed zeros"]), min_size=1,
+                                               max_size=12), seed=st.integers(0, 2**32 - 1))
+    def test_form_terms_of_a_stack_match_each_matrix(self, d, kinds, seed):
+        # one pass over a stack of diagonal, anti-diagonal, one-entry, zero,
+        # three-entry and dense slices finds each slice's own terms
+        rng = np.random.default_rng(seed)
+        zeros = {"zero": lambda rng, d: np.zeros((d, d)), "signed zeros": lambda rng, d: np.full((d, d), -0.0)}
+        M = np.stack([{**STRUCTURED_Q, **zeros}[kind](rng, d) * _wide(rng, ()) for kind in kinds])
+        terms = zeroth._form_terms(M)
+        assert len(terms) == len(M)
+        for got, slice_ in zip(terms, M):
+            ref = _matrix_terms(slice_)
+            assert got is None if ref is None else [(a, b, v.item()) for a, b, v in ref] == got
 
     @settings(deadline=None, max_examples=100)
     @given(d=st.integers(1, 5), n=st.sampled_from([1, 2, 3, 250, 2000]), zero_row=st.booleans(),
@@ -378,11 +420,15 @@ class TestShortForms:
     @settings(deadline=None, max_examples=120)
     @given(d=st.integers(1, 4), n=st.sampled_from([1, 2, 3, 250]), T=st.integers(1, 3),
            kind=st.sampled_from(["gaussian", "uniform", "zero"]), sigma=st.sampled_from([0.4, -0.7]),
-           mixing=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_live_row_noise_add_matches_vectors(self, d, n, T, kind, sigma, mixing, seed):
-        # factors with zero rows and entries of either sign, each row reading one column or rows mixing them
+           mixing=st.booleans(), unit=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_live_row_noise_add_matches_vectors(self, d, n, T, kind, sigma, mixing, unit, seed):
+        # factors with zero rows and entries of either sign, each row reading
+        # one column or rows mixing them; with unit, the one-column rows read
+        # theirs with a coefficient of 1, which a Gaussian adds as sigma * z
         rng = np.random.default_rng(seed)
         F = rng.normal(size=(d, d)) * (rng.random((d, 1)) < 0.7) if mixing else _one_entry_rows(rng, d, rng.random(d) < 0.7)
+        if unit and not mixing:
+            F = (F != 0) * 1.0
         noise = NoiseModel(kind, sigma, F)
         inst = constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise,
                                  InitialStateModel("gaussian", np.zeros(d), 1.0))
@@ -501,6 +547,21 @@ class TestEstimator:
         finally:
             tracemalloc.stop()
         assert peak <= 512 * 1024
+
+    @pytest.mark.parametrize("m", [1, 3, 200])
+    @pytest.mark.parametrize("name", ["zo-liquidation", "four-state"])
+    def test_gradients_are_the_scaled_slot_sums(self, name, m):
+        # ghat_t = (D / r^2) * sum_i cost_i U_i / m, each slot's sum one
+        # einsum, in that order of operations, bit for bit
+        inst = ac_to_lqr(stock_liquidation()) if name == "zo-liquidation" else four_state_benchmark()
+        T, k, d, r = inst.T, inst.k, inst.d, 0.3
+        K = np.random.default_rng(m).normal(size=(T, k, d)) * 0.1
+        est = estimate_gradient(inst, K, SmoothingConfig(r, m), -5, iteration=7)
+        U = sphere_directions(T, m, (k, d), r, -5, 7)
+        costs = _slots(LqrSimulator(inst), K, U, -5, 7)
+        ref = np.stack([(k * d / r**2) * np.einsum("i,ikd->kd", costs[t], U[t]) / m for t in range(T)])
+        assert est.grads.tobytes() == ref.tobytes()
+        assert est.mean_costs.tobytes() == costs.mean(axis=1).tobytes()
 
     def test_deterministic_in_seed(self, rng):
         inst = random_instance(rng, d=2, k=1, T=3)

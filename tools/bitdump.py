@@ -8,10 +8,12 @@ lqrlab.
     PYTHONPATH=<other checkout>/src python tools/bitdump.py parent.json
     PYTHONPATH=src python tools/bitdump.py --compare parent.json change.json
 
---compare lists every name whose hash differs or that one dump lacks, then
-counts differing and total names per group (the name up to its first "/",
-or cli/<kind>), so a deliberate change of the sampled stream reads at a
-glance against exact outputs that must not move; it exits 1 if any differ.
+--compare A B lists every name of both dumps whose hash differs, then every
+name only one dump has (new in B, or lost from A), then counts differing
+and total shared names per group (the name up to its first "/", or
+cli/<kind>), so a deliberate change of the sampled stream reads at a
+glance against exact outputs that must not move; it exits 1 if a shared
+name differs or B lacks a name of A.
 Each CSV the CLI writes gets two names: its bytes, and its cells parsed as
 float64 ("#values"), so a change in how numbers are written shows apart from
 a change in the numbers.  The path rows are core.path_normals' start states
@@ -139,6 +141,24 @@ def _structured_instances() -> dict:
     return out
 
 
+def _wide_instances() -> dict:
+    """name -> instance of d = 6 or 8 and k = 1 or 3, with a dense or a
+    diagonal Q: gains past the rollout kernel's row-write d (the suite's d
+    = 1-4 dumps both sides of it), and sphere rows of k * d = 6, 8, 18 and
+    24, on both sides of 8, below which their norms add in order."""
+    out = {}
+    for d in (6, 8):
+        for k in (1, 3):
+            rng = np.random.default_rng([89, d, k])
+            M = rng.normal(size=(d, d))
+            noise = NoiseModel("gaussian", 0.4, rng.normal(size=(d, d)))
+            init = InitialStateModel("gaussian", rng.normal(size=d), 0.6)
+            A, B, R = rng.normal(size=(d, d)) * 0.3, rng.normal(size=(d, k)), np.eye(k)
+            for q, Q in (("dense", M @ M.T + 0.3 * np.eye(d)), ("diag", np.diag(rng.uniform(0.5, 2.0, d)))):
+                out[f"wide/d={d},k={k},Q={q}"] = constant_instance(A, B, Q, R, 2.0 * Q, 3, noise, init)
+    return out
+
+
 def _instances() -> dict:
     """name -> (instance, policy, radius)."""
     liq = ac_to_lqr(stock_liquidation())
@@ -156,6 +176,8 @@ def _instances() -> dict:
         out[name] = (inst, np.random.default_rng(5).normal(size=(inst.T, inst.k, inst.d)) * 0.2, 0.3)
     for name, inst in _structured_instances().items():
         out[name] = (inst, np.random.default_rng(6).normal(size=(inst.T, inst.k, inst.d)) * 0.2, 0.3)
+    for name, inst in _wide_instances().items():
+        out[name] = (inst, np.random.default_rng(7).normal(size=(inst.T, inst.k, inst.d)) * 0.1, 0.3)
     return out
 
 
@@ -298,19 +320,22 @@ def roll_outputs(out: dict) -> None:
     """LqrSimulator's rollout kernel (costs on its paths, then again on the
     same paths, which the kernel must leave as drawn) and
     rollout_perturbed_batch (every slot) on each suite instance of
-    EXACT_SHAPES, whose Q and R are not diagonal, per m, seed and iterations
-    0 and 1.  rollout_perturbed_batch
+    EXACT_SHAPES, whose Q and R are not diagonal, and on the wide instances,
+    per m, seed and iterations 0 and 1.  rollout_perturbed_batch
     is slot t of the kernel, so "batch" hashes a slice of "slots"; on older
     checkouts, which rolled one slot alone, it shows whether those bits
     matched."""
-    for n, (d, k, T) in enumerate(EXACT_SHAPES):
-        inst = _exact_instance(n)
+    cases = [(f"d={d},k={k},T={T}", _exact_instance(n), np.random.default_rng([73, n]).normal(size=(T, k, d)) * 0.3)
+             for n, (d, k, T) in enumerate(EXACT_SHAPES)]
+    cases += [(name, inst, np.random.default_rng([97, inst.d, inst.k]).normal(size=(inst.T, inst.k, inst.d)) * 0.1)
+              for name, inst in _wide_instances().items()]
+    for tag, inst, K in cases:
         sim = LqrSimulator(inst)
-        K = np.random.default_rng([73, n]).normal(size=(T, k, d)) * 0.3
+        T, k, d = K.shape
         for m in ROLL_SAMPLES:
             for seed in ROLL_SEEDS:
                 for it in (0, 1):
-                    name = f"roll/d={d},k={k},T={T}/m={m}/seed={seed}/it={it}"
+                    name = f"roll/{tag}/m={m}/seed={seed}/it={it}"
                     U = zeroth.sphere_directions(T, m, (k, d), 0.2, seed, it)
                     paths = sim.paths(seed, it, T * m)
                     out[f"{name}/slots"] = _sha(sim.costs(K, U, paths))
@@ -524,15 +549,21 @@ def _group(name: str) -> str:
 
 def compare(a_path: str, b_path: str) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
-    names = a.keys() | b.keys()
-    differ = sorted(k for k in names if a.get(k) != b.get(k))
+    shared = a.keys() & b.keys()
+    differ = sorted(k for k in shared if a[k] != b[k])
+    new, lost = sorted(b.keys() - a.keys()), sorted(a.keys() - b.keys())
     for k in differ:
-        print(k if k in a and k in b else f"{k} (only in {a_path if k in a else b_path})")
-    total, changed = Counter(map(_group, names)), Counter(map(_group, differ))
+        print(k)
+    for k in new:
+        print(f"{k} (new in {b_path})")
+    for k in lost:
+        print(f"{k} (only in {a_path})")
+    total, changed = Counter(map(_group, shared)), Counter(map(_group, differ))
     for group in sorted(total):
         print(f"{group}: {changed[group]}/{total[group]} differ", file=sys.stderr)
-    print(f"{len(differ)} of {len(names)} outputs differ", file=sys.stderr)
-    return 1 if differ else 0
+    print(f"{len(differ)} of {len(shared)} shared outputs differ; {len(new)} new in {b_path}, "
+          f"{len(lost)} only in {a_path}", file=sys.stderr)
+    return 1 if differ or lost else 0
 
 
 def main(argv=None) -> int:
