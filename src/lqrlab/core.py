@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -56,11 +56,16 @@ def _stream_words(seed) -> list[int]:
     return words + [0] * (5 - len(words))
 
 
-class _NoEntropy(np.random.bit_generator.ISeedSequence):
-    """Zeros for make_rng, which sets key and counter itself: Philox(key=...) first seeds from OS entropy."""
+@cache
+def _no_entropy():
+    """A seed sequence of zeros for make_rng, which sets key and counter itself (Philox(key=...) first seeds
+    one from OS entropy), made at the first call: importing lqrlab does not import numpy.random (about 13 ms)."""
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.zeros(n_words, dtype)
+    class NoEntropy(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype)
+
+    return NoEntropy()
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -74,7 +79,7 @@ def make_rng(seed) -> np.random.Generator:
     on a bit generator seeded with zeros.  Each call returns its own generator.
     """
     words = _stream_words(seed)
-    bits = np.random.Philox(_NoEntropy())
+    bits = np.random.Philox(_no_entropy())
     bits.state = {"bit_generator": "Philox", "state": {"counter": [0, *words[2:]], "key": words[:2]},
                   "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}  # an empty buffer
     return np.random.Generator(bits)
