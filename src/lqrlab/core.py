@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -56,33 +56,18 @@ def _stream_words(seed) -> list[int]:
     return words + [0] * (5 - len(words))
 
 
-@cache
-def _no_entropy():
-    """A seed sequence of zeros for make_rng, which sets key and counter itself (Philox(key=...) first seeds
-    one from OS entropy), made at the first call: importing lqrlab does not import numpy.random (about 13 ms)."""
-
-    class NoEntropy(np.random.bit_generator.ISeedSequence):
-        def generate_state(self, n_words, dtype=np.uint32):
-            return np.zeros(n_words, dtype)
-
-    return NoEntropy()
-
-
 def make_rng(seed) -> np.random.Generator:
     """Deterministic counter-based generator keyed by an int or a tuple of
     up to five ints (seed, iteration, slot, sample, flag).
 
     The first two words key a Philox stream and the rest offset its counter's
     high words, so distinct tuples give independent streams and equal tuples
-    reproduce draws bit for bit, independent of execution order.  It reads
-    no OS entropy: key and counter are set through the public state setter
-    on a bit generator seeded with zeros.  Each call returns its own generator.
+    reproduce draws bit for bit, independent of execution order.
     """
     words = _stream_words(seed)
-    bits = np.random.Philox(_no_entropy())
-    bits.state = {"bit_generator": "Philox", "state": {"counter": [0, *words[2:]], "key": words[:2]},
-                  "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}  # an empty buffer
-    return np.random.Generator(bits)
+    key = np.array(words[:2], dtype=np.uint64)
+    counter = np.array([0, *words[2:]], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 def _standardize(kind: str, z: np.ndarray) -> np.ndarray:

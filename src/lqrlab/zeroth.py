@@ -35,11 +35,6 @@ _REFERENCE_CHUNK = 1024
 # squares, as numpy's pairwise sum is a plain loop below 8 numbers: 4.6 against
 # 43.5 us on zo-liquidation's 2000 rows of k * d = 2 (best of 7 x 5000, 2-vCPU VM)
 _IN_ORDER = 8
-# the largest d at which the roll's gains read the states from d row writes
-# into one (T * m, d) array rather than np.ascontiguousarray(x.T): 2.7 against
-# 7.2 us at d = 2 and 2000 rows, but 1.7 against 1.4 us at d = 4 and 250 rows
-# (best of 7 x 2000, 2-vCPU VM); at d = 1, x.T is row-major and copies nothing
-_ROW_WRITES = 3
 
 
 @dataclass(frozen=True)
@@ -92,23 +87,18 @@ def _forms(x: np.ndarray, M: np.ndarray, terms=None) -> np.ndarray:
     """(n,) quadratic forms x_i' M x_i of the columns of a C-contiguous (d, n)
     x, bit for bit einsum("id,de,ie->i") on its row-major copy: on one or two
     columns, where numpy orders the loops by strides, in the labels' order.
-    So is the sum of (x_d M_de) x_e over terms, a slice of _form_terms:
-    einsum fuses no multiply-add, M's zero terms only flip the sign of a
-    zero, and two terms, unlike three, add alike in either order."""
+    So is the sum of (x_d M_de) x_e over terms = _form_terms(M): einsum fuses
+    no multiply-add, M's zero terms only flip the sign of a zero, and two
+    terms, unlike three, add alike in either order."""
     if terms is None:
         return np.einsum("di,de,ei->i", x, M, x, order="C" if x.shape[1] <= 2 else "K")
     p = [x[d] * v * x[e] for d, e, v in terms]
     return p[0] + p[1] if len(p) == 2 else p[0] if p else 0.0
 
 
-def _form_terms(M: np.ndarray) -> list:
-    """Per slice M_t of a (n, d, d) stack, from one pass over the stack:
-    [(d, e, M_t[d, e])] over its nonzero entries, in row-major order, if at
-    most two, else None."""
-    t, ds, es = np.nonzero(M)
-    cells = list(zip(ds.tolist(), es.tolist(), M[t, ds, es].tolist()))
-    ends = np.searchsorted(t, np.arange(len(M) + 1)).tolist()
-    return [cells[a:b] if b - a <= 2 else None for a, b in zip(ends, ends[1:])]
+def _form_terms(M: np.ndarray):
+    """[(d, e, M_de)] over M's nonzero entries if at most two, else None."""
+    return terms if len(terms := [(d, e, M[d, e]) for d, e in zip(*np.nonzero(M))]) <= 2 else None
 
 
 def _one_term_rows(M: np.ndarray):
@@ -136,13 +126,12 @@ class LqrSimulator:
         self.d = instance.d
         # the roll's short exact forms (costs), None where BLAS or einsum stays
         self._identity, self._A = np.array_equal(instance.A, np.eye(self.d)), _one_term_rows(instance.A)
-        self._Q, self._R = _form_terms(instance.Q), _form_terms(instance.R)
+        self._Q, self._R = [_form_terms(M) for M in instance.Q], [_form_terms(M) for M in instance.R]
         noise, self._noise = instance.noise, None
         reads = (np.zeros(self.d, int), 0.0) if noise.kind == noise._DEGENERATE else noise._reads[1]
         if isinstance(reads, tuple):  # [(row, column, coef)] of the live rows; the identity reads (slice(None), 1.0)
             src, coef = np.broadcast_arrays(np.arange(self.d)[reads[0]], reads[1])
-            unit = noise.kind == "gaussian"  # a coef of None: the row adds sigma * z, as v * 1 = v
-            self._noise = [(r, src[r], None if unit and coef[r] == 1 else coef[r]) for r in np.flatnonzero(coef)]
+            self._noise = [(r, src[r], coef[r]) for r in np.flatnonzero(coef)]
 
     def rollout_perturbed_batch(self, policy, t: int, U: np.ndarray, key) -> np.ndarray:
         """(m,) costs: slot t of costs on paths(seed, iteration, T * m) for
@@ -170,29 +159,29 @@ class LqrSimulator:
         coordinate-major, (d, T * m), and step t maps z[:, t] alone.  gemv
         rounds by its operands' layout, so for the bits of a row-major roll on
         the mapped rows, gains act on row-major states (x0 as drawn at t = 0,
-        then d row writes into one array up to d = _ROW_WRITES), B on
-        row-major u if d = 1 < k, and T = 1 maps noise as a (T * m, 1, c)
-        stack.  The gains are negated once a call, as rounding is symmetric
-        in sign.  A = I is skipped, an A of one nonzero entry a row scales
-        rows, B u is B * u' if k = 1, and _add_noise and _forms skip zero
-        terms: for finite states the costs keep their bits, as a one-term
-        product rounds once and a dropped zero term, like a negated zero,
-        can only flip the sign of a zero.  gemv, gemm and dense forms stay on
-        BLAS, which may fuse a multiply-add, and einsum."""
+        then, for d > 1, d row writes into one array), B on row-major u if
+        d = 1 < k, and T = 1 maps noise as a (T * m, 1, c) stack.  The gains
+        are negated once a call, as rounding is symmetric in sign.  A = I is
+        skipped, an A of one nonzero entry a row scales rows, B u is B * u' if
+        k = 1, and _add_noise and _forms skip zero terms: for finite states
+        the costs keep their bits, as a one-term product rounds once and a
+        dropped zero term, like a negated zero, can only flip the sign of a
+        zero.  gemv, gemm and dense forms stay on BLAS, which may fuse a
+        multiply-add, and einsum."""
         inst = self._inst
         x0, z = paths
         T, m = U.shape[:2]
         d = self.d
         negK = -np.asarray(policy, dtype=float)
         negKU = negK[:, None] - U  # -(K_t + U_t), as -a - b = -(a + b) bit for bit
-        written = np.empty((T * m, d)) if 1 < d <= _ROW_WRITES else None
+        written = np.empty((T * m, d))  # unused at d = 1, where x.T is row-major
         x = np.array(x0.T, order="C")  # a copy, as x0.T is x0 itself when d = 1, and x is added to in place
         cost = np.zeros(T * m)
         for t in range(T):
-            if t and written is not None:
+            if t and d > 1:
                 for i in range(d):
                     written[:, i] = x[i]
-            rows = x0 if t == 0 else np.ascontiguousarray(x.T) if written is None else written
+            rows = x0 if t == 0 else written if d > 1 else x.T
             u = rows @ negK[t].T
             u[t::T] = np.einsum("ikd,id->ik", negKU[t], np.ascontiguousarray(rows[t::T]))
             cost += _forms(x, inst.Q[t], self._Q[t])
@@ -210,13 +199,11 @@ class LqrSimulator:
         if self._noise is None:
             x += noise.vectors(np.array(z), self.d).reshape(-1, self.d).T
         for r, s, a in self._noise or ():  # vectors' (src, coef) product, up to the sign of a zero
-            if a is None:
-                x[r] += z[..., s].reshape(-1) * noise.sigma
-            else:
-                v = _standardize(noise.kind, z[..., s].flatten())
+            v = _standardize(noise.kind, z[..., s].flatten())
+            if a != 1:  # v * 1 = v
                 v *= a
-                v *= noise.sigma
-                x[r] += v
+            v *= noise.sigma
+            x[r] += v
 
 
 def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 0) -> GradientEstimate:

@@ -143,9 +143,9 @@ def _structured_instances() -> dict:
 
 def _wide_instances() -> dict:
     """name -> instance of d = 6 or 8 and k = 1 or 3, with a dense or a
-    diagonal Q: gains past the rollout kernel's row-write d (the suite's d
-    = 1-4 dumps both sides of it), and sphere rows of k * d = 6, 8, 18 and
-    24, on both sides of 8, below which their norms add in order."""
+    diagonal Q: rollout kernels wider than the suite's d = 1-4, and sphere
+    rows of k * d = 6, 8, 18 and 24, on both sides of 8, below which their
+    norms add in order."""
     out = {}
     for d in (6, 8):
         for k in (1, 3):
