@@ -40,7 +40,7 @@ from .config_io import (
     instance_from_config,
     load_config,
 )
-from .core import make_rng, solve_riccati
+from .core import _check_array, make_rng, solve_riccati
 from .errors import LqrlabError
 from .liquidation import (
     ac_to_lqr,
@@ -70,6 +70,7 @@ def _max_workers() -> int:
 
 def _initial_policy(k0, instance):
     K, shape = as_array(k0, "policy0"), (instance.T, instance.k, instance.d)
+    _check_array(K, "policy0", K.shape)
     if K.ndim and K.size != np.prod(shape):
         raise ValueError(f"policy0 must be a number or hold T * k * d = {np.prod(shape)} gains, got {K.size}")
     return K.reshape(shape) if K.ndim else np.full(shape, float(K))

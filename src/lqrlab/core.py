@@ -218,7 +218,8 @@ class NoiseModel(_Factored):
 
     def draw(self, rng: np.random.Generator, T: int, d: int) -> np.ndarray:
         """(T, d) array of noise vectors from the next T * c standard normals
-        of rng, c per vector (_Factored._width); none for the zero kind."""
+        of rng, c per vector (_Factored._width); none for the zero kind: the
+        stream tests' reference for path_normals, traced by name in perfbench."""
         return self.sample(rng, (T,), d)
 
 
@@ -257,7 +258,8 @@ class InitialStateModel(_Factored):
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """The start state from the next c standard normals of rng
-        (_Factored._width); none for the point kind."""
+        (_Factored._width); none for the point kind: the stream tests'
+        reference for path_normals, traced by name in perfbench."""
         return self.sample(rng, (), len(self.mean))
 
 
@@ -389,6 +391,8 @@ class CovarianceProfile:
 
 @dataclass
 class Trajectory:
+    """One rolled trajectory; a batch of n rows (LqrSimulator.trajectories) adds a leading axis to every field."""
+
     states: np.ndarray  # (T+1, d)
     noises: np.ndarray  # (T, d)
     realized_cost: float
@@ -552,37 +556,26 @@ def operator_decomposition(instance: LqrInstance, policy) -> tuple[np.ndarray, n
 
 
 def simulate_trajectory(instance: LqrInstance, policy, seed) -> Trajectory:
-    """Roll one trajectory under u_t = -K_t x_t with seeded noise.
+    """Roll one trajectory under u_t = -K_t x_t with seeded noise: path row 0
+    of make_rng(seed) (path_normals) through LqrSimulator.trajectories.
 
     Seed may be an int or a tuple of ints (counter-style stream key);
     identical seeds reproduce the trajectory bit for bit.
     """
-    T, d = instance.T, instance.d
-    K = _gains(policy, instance)
-    rng = make_rng(seed)
-    x = instance.init.draw(rng)
-    w = instance.noise.draw(rng, T, d)
-    states = np.empty((T + 1, d))
-    states[0] = x
-    cost = 0.0
-    for t in range(T):
-        u = -K[t] @ x
-        cost += float(x @ instance.Q[t] @ x + u @ instance.R[t] @ u)
-        x = instance.A @ x + instance.B @ u + w[t]
-        states[t + 1] = x
-    cost += float(x @ instance.Q[T] @ x)
-    return Trajectory(states=states, noises=w, realized_cost=cost)
+    from .zeroth import LqrSimulator  # zeroth imports core
+
+    traj = LqrSimulator(instance).trajectories(policy, path_normals(instance, make_rng(seed), 1))
+    return Trajectory(states=traj.states[0], noises=traj.noises[0], realized_cost=float(traj.realized_cost[0]))
 
 
 def path_normals(instance: LqrInstance, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Start states (n, d) and the noise's standard normals (n, T, c) of the
-    next n path rows of rng's stream.  A row takes the N standard normals
-    simulate_trajectory draws, start state first, then noise, one per live
-    factor column of a vector (_Factored._width; none for a point start or
-    zero noise, 11 on zo-liquidation), so row j's start state and
-    noise.vectors of its normals are the (j + 1)-th pair of init.draw and
-    noise.draw on the stream, bit for bit, and the stream ends n * N numbers
-    on."""
+    next n path rows of rng's stream.  A row takes N standard normals, start
+    state first, then noise, one per live factor column of a vector
+    (_Factored._width; none for a point start or zero noise, 11 on
+    zo-liquidation), so row j's start state and noise.vectors of its normals
+    are the (j + 1)-th pair of init.draw and noise.draw on the stream, bit
+    for bit, and the stream ends n * N numbers on."""
     T, d = instance.T, instance.d
     a, c = instance.init._width(d), instance.noise._width(d)
     z = rng.standard_normal((n, a + T * c))
@@ -596,21 +589,15 @@ def pathwise_cost_terms(instance: LqrInstance, policy, traj: Trajectory, backup:
                       + sum_t w_t' P_{t+1} w_t
                       + sum_t 2 w_t' P_{t+1} (A - B K_t) x_t
 
-    Returns (initial_term, noise_quadratic, noise_state_cross).  The first two
-    terms alone reproduce the cost in expectation only; the cross term is the
-    zero-mean remainder that makes the identity hold path by path.
+    Returns (initial_term, noise_quadratic, noise_state_cross), numbers for one
+    trajectory and (n,) arrays for a batch of n.  The first two terms alone
+    reproduce the cost in expectation only; the cross term is the zero-mean
+    remainder that makes the identity hold path by path.
     """
-    T = instance.T
     K = _gains(policy, instance)
-    bk = backup if backup is not None else backup_value(instance, K)
-    x0 = traj.states[0]
-    head = float(x0 @ bk.P[0] @ x0)
-    quad = 0.0
-    cross = 0.0
-    for t in range(T):
-        w = traj.noises[t]
-        Pn = bk.P[t + 1]
-        quad += float(w @ Pn @ w)
-        M = instance.A - instance.B @ K[t]
-        cross += 2.0 * float(w @ Pn @ (M @ traj.states[t]))
+    P = (backup if backup is not None else backup_value(instance, K)).P
+    x, w = traj.states, traj.noises
+    head = np.einsum("...d,de,...e->...", x[..., 0, :], P[0], x[..., 0, :])
+    quad = np.einsum("...td,tde,...te->...", w, P[1:], w)
+    cross = 2.0 * np.einsum("...td,tde,tef,...tf->...", w, P[1:], instance.A - instance.B @ K, x[..., :-1, :])
     return head, quad, cross

@@ -15,7 +15,9 @@ the directions are the rows of sample_sphere_batch(T * m, (k, d), r, (s, n,
 rollout (t, i) on path row j of make_rng((s, n, 0, 0, 1)), its j-th run of N
 normals (core.path_normals), all T * m rows in one coordinate-major roll that
 maps step t's noise at step t.  Every stream is keyed by counters, so runs
-are reproducible and independent of execution order.
+are reproducible and independent of execution order.  LqrSimulator alone
+also offers trajectories(policy, paths), the unperturbed rollouts on n path
+rows as a Trajectory whose fields lead with n, which no estimator calls.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LqrInstance, _gains, _number, _standardize, exact_cost, make_rng, path_normals
+from .core import LqrInstance, Trajectory, _gains, _number, _standardize, exact_cost, make_rng, path_normals
 from .errors import ZeroDirection
 from .optimize import DescentConfig, ProjectionSet, _descent
 
@@ -112,11 +114,11 @@ class LqrSimulator:
     """Opaque rollout handle over an LqrInstance.
 
     Optimization loops use only T, k, d, paths and costs, never the instance
-    matrices.  paths draws an estimate's path rows and costs is the one
-    rollout kernel: one coordinate-major roll of all T * m rollouts on those
-    rows, their noise mapped a step at a time.  rollout_perturbed_batch is
-    one slot of it, with the estimator's bits for every m; no estimator
-    calls it.
+    matrices.  paths draws path rows and _roll, under costs and trajectories,
+    is the one rollout kernel: one coordinate-major roll of all rollouts on
+    those rows, their noise mapped a step at a time.  rollout_perturbed_batch
+    is one slot of costs, with the estimator's bits for every m; no
+    estimator calls it or trajectories.
     """
 
     def __init__(self, instance: LqrInstance):
@@ -124,7 +126,7 @@ class LqrSimulator:
         self.T = instance.T
         self.k = instance.k
         self.d = instance.d
-        # the roll's short exact forms (costs), None where BLAS or einsum stays
+        # the roll's short exact forms (_roll), None where BLAS or einsum stays
         self._identity, self._A = np.array_equal(instance.A, np.eye(self.d)), _one_term_rows(instance.A)
         self._Q, self._R = [_form_terms(M) for M in instance.Q], [_form_terms(M) for M in instance.R]
         noise, self._noise = instance.noise, None
@@ -152,54 +154,64 @@ class LqrSimulator:
         return path_normals(self._inst, make_rng((seed, iteration, 0, 0, 1)), n)
 
     def costs(self, policy, U: np.ndarray, paths: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """(T, m) costs of the rollouts on paths = (x0, z), start states x0
-        (T * m, d) and the noise's normals z (T * m, T, c), left as drawn: at
-        step t the rows t, t + T, ... run with gain t perturbed by U[t] (m, k,
-        d), the others with the policy's gain.  States are held
-        coordinate-major, (d, T * m), and step t maps z[:, t] alone.  gemv
-        rounds by its operands' layout, so for the bits of a row-major roll on
-        the mapped rows, gains act on row-major states (x0 as drawn at t = 0,
-        then, for d > 1, d row writes into one array), B on row-major u if
-        d = 1 < k, and T = 1 maps noise as a (T * m, 1, c) stack.  The gains
-        are negated once a call, as rounding is symmetric in sign.  A = I is
-        skipped, an A of one nonzero entry a row scales rows, B u is B * u' if
-        k = 1, and _add_noise and _forms skip zero terms: for finite states
-        the costs keep their bits, as a one-term product rounds once and a
-        dropped zero term, like a negated zero, can only flip the sign of a
-        zero.  gemv, gemm and dense forms stay on BLAS, which may fuse a
-        multiply-add, and einsum."""
+        """(T, m) costs of _roll on T * m path rows, entry (t, i) on row i * T + t with gain t perturbed by U[t, i]."""
+        T, m = U.shape[:2]
+        return np.ascontiguousarray(self._roll(policy, U, paths).reshape(m, T).T)
+
+    def trajectories(self, policy, paths: tuple[np.ndarray, np.ndarray]) -> Trajectory:
+        """The unperturbed rollouts of the policy (T, k, d) on n path rows, every Trajectory field leading with n."""
+        x0, z = paths
+        states = np.empty((len(x0), self.T + 1, self.d))
+        states[:, 0] = x0
+        cost = self._roll(_gains(policy, self), None, paths, states.transpose(1, 2, 0))
+        return Trajectory(states, self._inst.noise.vectors(np.array(z), self.d), cost)
+
+    def _roll(self, policy, U, paths: tuple[np.ndarray, np.ndarray], states=None) -> np.ndarray:
+        """(n,) costs of the rollouts on n path rows paths = (x0, z), x0 (n, d) and noise normals z (n, T, c)
+        left as drawn: at step t the rows t, t + T, ... run with gain t perturbed by U[t] (m, k, d), n = T * m,
+        the others (all if U is None) with the policy's gain, and states[1:] of a (T + 1, d, n) states, if
+        given, receive x_1 to x_T.  States are coordinate-major, (d, n).  gemv rounds by its operands' layout, so for a
+        row-major roll's bits gains act on row-major states (x0 at t = 0, then, for d > 1, d row writes into
+        one array) and B on row-major u if d = 1 < k.  Gains are negated once a call, as rounding is symmetric
+        in sign.  A = I is skipped, an A of one nonzero entry a row scales rows, B u is B * u' if k = 1, and
+        _add_noise and _forms skip zero terms: for finite states the costs keep their bits, as a one-term
+        product rounds once and a dropped zero term, like a negated zero, only flips the sign of a zero.
+        gemv, gemm and dense forms stay on BLAS, which may fuse a multiply-add, and einsum."""
         inst = self._inst
         x0, z = paths
-        T, m = U.shape[:2]
-        d = self.d
+        T, d = self.T, self.d
         negK = -np.asarray(policy, dtype=float)
-        negKU = negK[:, None] - U  # -(K_t + U_t), as -a - b = -(a + b) bit for bit
-        written = np.empty((T * m, d))  # unused at d = 1, where x.T is row-major
+        negKU = None if U is None else negK[:, None] - U  # -(K_t + U_t), as -a - b = -(a + b) bit for bit
+        written = np.empty((len(x0), d))  # unused at d = 1, where x.T is row-major
         x = np.array(x0.T, order="C")  # a copy, as x0.T is x0 itself when d = 1, and x is added to in place
-        cost = np.zeros(T * m)
+        cost = np.zeros(len(x0))
         for t in range(T):
             if t and d > 1:
                 for i in range(d):
                     written[:, i] = x[i]
             rows = x0 if t == 0 else written if d > 1 else x.T
             u = rows @ negK[t].T
-            u[t::T] = np.einsum("ikd,id->ik", negKU[t], np.ascontiguousarray(rows[t::T]))
+            if U is not None:
+                u[t::T] = np.einsum("ikd,id->ik", negKU[t], np.ascontiguousarray(rows[t::T]))
             cost += _forms(x, inst.Q[t], self._Q[t])
             cost += _forms(np.ascontiguousarray(u.T), inst.R[t], self._R[t])
             x = inst.A @ x if self._A is None else x if self._identity else self._A[1] * x[self._A[0]]
             x += inst.B * u.T if self.k == 1 else (u @ inst.B.T).T if d == 1 else inst.B @ u.T
-            self._add_noise(x, z if T == 1 else z[:, t])
-        cost += _forms(x, inst.Q[T], self._Q[T])
-        return np.ascontiguousarray(cost.reshape(m, T).T)
+            self._add_noise(x, z, t)
+            if states is not None:
+                states[t + 1] = x
+        return cost + _forms(x, inst.Q[T], self._Q[T])
 
-    def _add_noise(self, x: np.ndarray, z: np.ndarray) -> None:
-        """x (d, n) += the noise of normals z (n, c) or (n, 1, c), on the live rows alone where the factor's
-        rows each read one column; vectors and _standardize map a uniform in place, so they map copies."""
+    def _add_noise(self, x: np.ndarray, z: np.ndarray, t: int) -> None:
+        """x (d, n) += the noise of step t of normals z (n, T, c), on the live rows alone where the factor's
+        rows each read one column; vectors and _standardize map a uniform in place, so they map copies.  Rows
+        that mix columns map z[:, t], or all of z at one row or step, where a step's product alone is a gemv."""
         noise = self._inst.noise
         if self._noise is None:
-            x += noise.vectors(np.array(z), self.d).reshape(-1, self.d).T
+            w = noise.vectors(np.array(z), self.d)[:, t] if 1 in z.shape[:2] else noise.vectors(np.array(z[:, t]), self.d)
+            x += w.T
         for r, s, a in self._noise or ():  # vectors' (src, coef) product, up to the sign of a zero
-            v = _standardize(noise.kind, z[..., s].flatten())
+            v = _standardize(noise.kind, np.array(z[:, t, s]))
             if a != 1:  # v * 1 = v
                 v *= a
             v *= noise.sigma

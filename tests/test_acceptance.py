@@ -20,6 +20,7 @@ import pytest
 from lqrlab import (
     DescentConfig,
     LobSnapshot,
+    LqrSimulator,
     ProjectionSet,
     SmoothingConfig,
     backup_value,
@@ -29,6 +30,7 @@ from lqrlab import (
     exact_gradient,
     liquidation_constraint,
     liquidation_cost,
+    make_rng,
     normalized_error,
     operator_decomposition,
     pathwise_cost_terms,
@@ -36,13 +38,12 @@ from lqrlab import (
     run_modelfree_pg,
     run_modelfree_ppg,
     simulate_lob,
-    simulate_trajectory,
     solve_riccati,
     synthetic_lob,
     walk_the_book,
 )
 from lqrlab.benchmarks import four_state_benchmark, scalar_benchmark, stock_liquidation
-from lqrlab.core import spd_solve
+from lqrlab.core import path_normals, spd_solve
 from lqrlab.liquidation import ac_to_lqr, almgren_chriss_reference, SyntheticBookConfig
 from lqrlab.optimize import _project_halfplane_triangle
 from lqrlab.qlearn import greedy_policy_cost, make_qtable, q_learning_step
@@ -135,6 +136,14 @@ def test_c2_gradient_finite_differences():
 # 3. algebraic identity suite
 
 
+def c3_trajectories(inst, K):
+    """c3's 1e4 noisy trajectories under K in one LqrSimulator.trajectories
+    call: row i is path row 0 of the stream make_rng([21, i]), the row that
+    simulate_trajectory(inst, K, [21, i]) rolls."""
+    rows = [path_normals(inst, make_rng([21, i]), 1) for i in range(10_000)]
+    return LqrSimulator(inst).trajectories(K, tuple(np.concatenate(part) for part in zip(*rows)))
+
+
 def test_c3_identity_pathwise_two_term():
     # The two-term form C(K) = tr(Sigma0 P0) + sum_t tr(W P_{t+1}) is a
     # statement about expectations.  Checked in the three forms in which it
@@ -155,14 +164,11 @@ def test_c3_identity_pathwise_two_term():
         float(np.trace((inst.Q[t] + K[t].T @ inst.R[t] @ K[t]) @ S[t])) for t in range(inst.T)
     ) + float(np.trace(inst.Q[inst.T] @ S[inst.T]))
     closed_dev = abs(bk.cost - ref) / max(abs(ref), 1e-12)
-    worst = 0.0
-    two_term = np.empty(10_000)
-    for i in range(10_000):
-        traj = simulate_trajectory(inst, K, [21, i])
-        head, quad, cross = pathwise_cost_terms(inst, K, traj, bk)
-        rel = abs(traj.realized_cost - (head + quad) - cross) / max(abs(traj.realized_cost), 1e-12)
-        worst = max(worst, rel)
-        two_term[i] = head + quad
+    traj = c3_trajectories(inst, K)
+    head, quad, cross = pathwise_cost_terms(inst, K, traj, bk)
+    cost = traj.realized_cost
+    worst = (np.abs(cost - (head + quad) - cross) / np.maximum(np.abs(cost), 1e-12)).max()
+    two_term = head + quad
     se = two_term.std(ddof=1) / np.sqrt(two_term.size)
     z = (two_term.mean() - bk.cost) / se
     ok = closed_dev < 1e-9 and worst < 1e-9 and abs(z) < 4.0
@@ -180,16 +186,11 @@ def test_c3_identity_pathwise_exact_and_expectation():
     inst = scalar_benchmark()
     K = np.full((5, 1, 1), 0.3)
     bk = backup_value(inst, K)
-    worst = 0.0
-    resid = np.empty(10_000)
-    totals = np.empty(10_000)
-    for i in range(10_000):
-        traj = simulate_trajectory(inst, K, [21, i])
-        head, quad, cross = pathwise_cost_terms(inst, K, traj, bk)
-        rel = abs(traj.realized_cost - (head + quad + cross)) / max(abs(traj.realized_cost), 1e-12)
-        worst = max(worst, rel)
-        resid[i] = traj.realized_cost - (head + quad)
-        totals[i] = traj.realized_cost
+    traj = c3_trajectories(inst, K)
+    head, quad, cross = pathwise_cost_terms(inst, K, traj, bk)
+    cost = traj.realized_cost
+    worst = (np.abs(cost - (head + quad + cross)) / np.maximum(np.abs(cost), 1e-12)).max()
+    resid = cost - (head + quad)
     # with the cross term the identity is exact; without it the residual is
     # mean zero but not pointwise zero
     mean_se = resid.std(ddof=1) / np.sqrt(resid.size)

@@ -109,19 +109,6 @@ class TestRiccati:
             solve_riccati(inst)
 
 
-def scalar_realized_costs(inst, K, x, w):
-    """(n,) realized costs of rollouts of a scalar instance (d = k = 1) from
-    start states x (n,) under noise w (n, T): simulate_trajectory's
-    operations on every row at once, in its order."""
-    a, b = inst.A[0, 0], inst.B[0, 0]
-    cost = np.zeros(len(x))
-    for t in range(inst.T):
-        u = -K[t, 0, 0] * x
-        cost += x * inst.Q[t, 0, 0] * x + u * inst.R[t, 0, 0] * u
-        x = a * x + b * u + w[:, t]
-    return cost + x * inst.Q[inst.T, 0, 0] * x
-
-
 class TestBackup:
     def test_zero_policy_scalar_recursion(self):
         # with K = 0 and A = 1 the value recursion is P_t = Q_t + P_{t+1}
@@ -138,14 +125,14 @@ class TestBackup:
 
     def test_monte_carlo_cost(self):
         # the realized costs of the first 100000 path rows of make_rng(7) in
-        # one array pass, pinned bit for bit to simulate_trajectory on the
-        # stream advanced to 1001 rows across the range
+        # one trajectories call, pinned bit for bit to simulate_trajectory on
+        # the stream advanced to 1001 rows across the range: at d = k = 1
+        # every product has one term, so no row count changes its rounding
         inst = scalar_benchmark()
         K = np.zeros((5, 1, 1))
         exact = exact_cost(inst, K)
         n = 100000
-        x0, w = mapped(inst, path_normals(inst, make_rng(7), n))
-        costs = scalar_realized_costs(inst, K, x0[:, 0], w[:, :, 0])
+        costs = LqrSimulator(inst).trajectories(K, path_normals(inst, make_rng(7), n)).realized_cost
         for i, traj in simulated_rows(inst, 7, {int(i): K for i in np.linspace(0, n - 1, 1001)}).items():
             assert _same_bits(costs[i], traj.realized_cost), i
         se = costs.std() / np.sqrt(costs.size)
@@ -347,23 +334,18 @@ class TestSimulation:
 
     def test_two_term_decomposition_holds_in_expectation(self, rng):
         # dropping the noise-state cross term leaves a zero-mean residual: the
-        # residuals of the first 20000 path rows of make_rng(99) in one array
-        # pass, pinned to simulate_trajectory and pathwise_cost_terms on the
-        # stream advanced to 201 rows across the range (1e-12 of the terms'
-        # size, as the array pass sums in another order)
+        # residuals of the first 20000 path rows of make_rng(99) in one
+        # trajectories call and one pathwise_cost_terms call on the batch,
+        # pinned to both on single rows, simulate_trajectory on the stream
+        # advanced to 201 rows across the range (1e-12 of the terms' size, as
+        # BLAS rounds by row count)
         inst = random_instance(rng, d=2, k=1, T=4)
         K = random_policy(rng, inst)
         bk = backup_value(inst, K)
         n = 20000
-        x0, w = mapped(inst, path_normals(inst, make_rng(99), n))
-        x, cost = x0, np.zeros(n)
-        for t in range(inst.T):
-            u = -(x @ K[t].T)
-            cost += np.einsum("id,de,ie->i", x, inst.Q[t], x) + np.einsum("ik,kl,il->i", u, inst.R[t], u)
-            x = x @ inst.A.T + u @ inst.B.T + w[:, t]
-        cost += np.einsum("id,de,ie->i", x, inst.Q[inst.T], x)
-        head = np.einsum("id,de,ie->i", x0, bk.P[0], x0)
-        resid = cost - head - np.einsum("itd,tde,ite->i", w, bk.P[1:], w)
+        batch = LqrSimulator(inst).trajectories(K, path_normals(inst, make_rng(99), n))
+        head, quad, _ = pathwise_cost_terms(inst, K, batch, bk)
+        resid = batch.realized_cost - head - quad
         for j, traj in simulated_rows(inst, 99, {int(j): K for j in np.linspace(0, n - 1, 201)}).items():
             h, q, _ = pathwise_cost_terms(inst, K, traj, bk)
             assert abs(resid[j] - (traj.realized_cost - h - q)) <= 1e-12 * (abs(traj.realized_cost) + abs(h) + abs(q)), j

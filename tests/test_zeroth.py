@@ -23,11 +23,12 @@ from lqrlab import (
     run_modelfree_ppg,
     sample_sphere,
     sample_sphere_batch,
+    simulate_trajectory,
     smoothed_gradient_reference,
 )
 from lqrlab import core, optimize, zeroth
 from lqrlab.benchmarks import four_state_benchmark, scalar_benchmark, stock_liquidation
-from lqrlab.core import make_rng
+from lqrlab.core import Trajectory, make_rng, path_normals
 from lqrlab.errors import Diverged, NotInSet, ZeroDirection, ZeroOptimalCost
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
 from lqrlab.zeroth import _forms, sphere_directions
@@ -209,22 +210,36 @@ class TestEstimatorDraws:
 class ReferenceKernel(LqrSimulator):
     """Reference rollout kernel: the roll on the path rows, row-major, with
     all their noise mapped at once, its quadratic costs as einsum calls on
-    the rows."""
+    the rows, and the states of every step kept."""
 
-    def costs(self, policy, U: np.ndarray, paths) -> np.ndarray:
+    def _reference(self, policy, U, paths):
+        """(costs (n,), states (n, T + 1, d), noise (n, T, d)) of the rows,
+        at step t rows t, t + T, ... with gain t perturbed by U[t] (m, k, d),
+        n = T * m, unless U is None."""
         inst = self._inst
-        T, m = U.shape[:2]
+        T = inst.T
         K = np.asarray(policy, dtype=float)
         x, w = mapped(inst, paths)
-        cost = np.zeros(T * m)
+        states = [x]
+        cost = np.zeros(len(x))
         for t in range(T):
             u = -(x @ K[t].T)
-            u[t::T] = -np.einsum("ikd,id->ik", K[t][None] + U[t], np.ascontiguousarray(x[t::T]))
+            if U is not None:
+                u[t::T] = -np.einsum("ikd,id->ik", K[t][None] + U[t], np.ascontiguousarray(x[t::T]))
             cost += np.einsum("id,de,ie->i", x, inst.Q[t], x)
             cost += np.einsum("ik,kl,il->i", u, inst.R[t], u)
             x = x @ inst.A.T + u @ inst.B.T + w[:, t]
+            states.append(x)
         cost += np.einsum("id,de,ie->i", x, inst.Q[T], x)
-        return np.ascontiguousarray(cost.reshape(m, T).T)
+        return cost, np.stack(states, axis=1), w
+
+    def costs(self, policy, U: np.ndarray, paths) -> np.ndarray:
+        T, m = U.shape[:2]
+        return np.ascontiguousarray(self._reference(policy, U, paths)[0].reshape(m, T).T)
+
+    def trajectories(self, policy, paths) -> Trajectory:
+        cost, states, w = self._reference(policy, None, paths)
+        return Trajectory(states, w, cost)
 
 
 def _slots(sim, K, U, seed, iteration):
@@ -308,6 +323,52 @@ class TestRolloutKernel:
             for x in (np.ascontiguousarray(wide[:, :d]), wide[:, :d], wide[:, 2:d + 2]):
                 np.testing.assert_array_equal(_bits(_forms(np.ascontiguousarray(x.T), M)),
                                               _bits(np.einsum("id,de,ie->i", x, M, x)))
+
+
+# the kernel's unperturbed rolls over the shapes of TestRolloutKernel
+TRAJECTORY_CASES = dict(d=st.integers(1, 5), k=st.integers(1, 3), T=st.integers(1, 6),
+                        n=st.sampled_from([1, 2, 3, 9, 200]), kinds=st.sampled_from(KIND_PAIRS),
+                        data=st.integers(0, 2**32 - 1), seed=st.integers(-2**63, 2**64 - 1),
+                        iteration=st.integers(0, 2**64 - 1))
+TRAJECTORY_FIELDS = ("states", "noises", "realized_cost")
+
+
+class TestTrajectories:
+    @settings(deadline=None, max_examples=80)
+    @given(**TRAJECTORY_CASES)
+    def test_trajectories_match_reference_kernel(self, d, k, T, n, kinds, data, seed, iteration):
+        inst, K = _roll_case(d, k, T, kinds, data)
+        sim = LqrSimulator(inst)
+        paths = sim.paths(seed, iteration, n)
+        got, ref = sim.trajectories(K, paths), ReferenceKernel(inst).trajectories(K, paths)
+        for field in TRAJECTORY_FIELDS:
+            np.testing.assert_array_equal(_bits(getattr(got, field)), _bits(getattr(ref, field)), err_msg=field)
+
+    @settings(deadline=None, max_examples=40)
+    @given(**TRAJECTORY_CASES)
+    def test_simulate_trajectory_is_one_path_row(self, d, k, T, n, kinds, data, seed, iteration):
+        inst, K = _roll_case(d, k, T, kinds, data)
+        key = (seed, iteration, n)
+        one = simulate_trajectory(inst, K, key)
+        row = LqrSimulator(inst).trajectories(K, path_normals(inst, make_rng(key), 1))
+        for field in TRAJECTORY_FIELDS:
+            np.testing.assert_array_equal(_bits(getattr(one, field)), _bits(getattr(row, field)[0]), err_msg=field)
+        assert isinstance(one.realized_cost, float)
+
+    @settings(deadline=None, max_examples=40)
+    @given(**TRAJECTORY_CASES)
+    def test_batch_rows_match_one_row_calls(self, d, k, T, n, kinds, data, seed, iteration):
+        # not bit for bit: BLAS rounds a product by its row count, so each
+        # field of a row is compared to 1e-12 of its largest entry
+        inst, K = _roll_case(d, k, T, kinds, data)
+        sim = LqrSimulator(inst)
+        x0, z = sim.paths(seed, iteration, n)
+        batch = sim.trajectories(K, (x0, z))
+        for j in range(n):
+            one = sim.trajectories(K, (x0[j:j + 1], z[j:j + 1]))
+            for field in TRAJECTORY_FIELDS:
+                a, b = getattr(one, field)[0], getattr(batch, field)[j]
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (field, j)
 
 
 def _unsigned_zeros(a):
@@ -410,8 +471,8 @@ class TestShortForms:
         x = np.ascontiguousarray(_wide(rng, (d, n)))
         ref = x.copy()
         for t in range(T):
-            sim._add_noise(x, z if T == 1 else z[:, t])
-            ref += noise.vectors(np.array(z if T == 1 else z[:, t]), d).reshape(-1, d).T
+            sim._add_noise(x, z, t)
+            ref += noise.vectors(np.array(z), d)[:, t].T
             np.testing.assert_array_equal(_unsigned_zeros(x), _unsigned_zeros(ref))
         assert z.tobytes() == drawn.tobytes()
 

@@ -1,8 +1,8 @@
 """Bit-identity dump: one sha256 per named output of the exact layer and the
 exact descent, the stream sampler, Q-learning on every start and noise kind,
-the rollout kernel, the sampled estimator, the zeroth-order loops (also
-through an opaque simulator handle) and the CLI, to compare two versions of
-lqrlab.
+the rollout kernel and its unperturbed trajectories, the sampled estimator,
+the zeroth-order loops (also through an opaque simulator handle) and the
+CLI, to compare two versions of lqrlab.
 
     PYTHONPATH=src python tools/bitdump.py change.json
     PYTHONPATH=<other checkout>/src python tools/bitdump.py parent.json
@@ -19,8 +19,10 @@ float64 ("#values"), so a change in how numbers are written shows apart from
 a change in the numbers.  The path rows are core.path_normals' start states
 and noise normals, the noise mapped by the noise model's vectors, and the
 rollout kernel is LqrSimulator.costs on its paths, so the dumps need
-path_normals, paths and costs; the rest uses only names that older
-checkouts also have, so one script runs on both sides.  Path row j is the (j + 1)-th pair of init.draw and noise.draw on
+path_normals, paths and costs; the "trajectories" group needs
+LqrSimulator.trajectories and is left out where a checkout lacks it; the
+rest uses only names that older checkouts also have, so one script runs on
+both sides.  Path row j is the (j + 1)-th pair of init.draw and noise.draw on
 its stream, so the "stream" group dumps both: the rows path_normals draws,
 and those the models draw one at a time.  The rollout kernel runs twice on
 the same paths ("slots-again"), which differs where a kernel changes its
@@ -343,6 +345,28 @@ def roll_outputs(out: dict) -> None:
                     out[f"{name}/batch"] = _sha(*(sim.rollout_perturbed_batch(K, t, U[t], (seed, it, t)) for t in range(T)))
 
 
+TRAJECTORY_ROWS = [1, 7, 2000]
+
+
+def trajectory_outputs(out: dict) -> None:
+    """LqrSimulator.trajectories on each suite instance of EXACT_SHAPES: the
+    states, noise and realized costs of its first 1, 7 and 2000 path rows,
+    per seed of ROLL_SEEDS, iteration 0.  Checkouts without the method dump
+    none of these names."""
+    if not hasattr(LqrSimulator, "trajectories"):
+        return
+    for n, (d, k, T) in enumerate(EXACT_SHAPES):
+        sim = LqrSimulator(_exact_instance(n))
+        K = np.random.default_rng([73, n]).normal(size=(T, k, d)) * 0.3
+        for rows in TRAJECTORY_ROWS:
+            for seed in ROLL_SEEDS:
+                traj = sim.trajectories(K, sim.paths(seed, 0, rows))
+                name = f"trajectories/d={d},k={k},T={T}/n={rows}/seed={seed}"
+                out[f"{name}/states"] = _sha(traj.states)
+                out[f"{name}/noises"] = _sha(traj.noises)
+                out[f"{name}/costs"] = _sha(traj.realized_cost)
+
+
 STREAM_ROWS = 51200  # rows per stream: 256 estimates of 200 rollouts
 STREAM_PASS = 10240  # rows per path_normals call, each continuing the stream
 MODEL_ROWS = 256  # rows per stream drawn by the models one at a time
@@ -580,6 +604,7 @@ def main(argv=None) -> int:
     stream_outputs(out)
     qlearn_outputs(out)
     roll_outputs(out)
+    trajectory_outputs(out)
     estimator_outputs(out)
     loop_outputs(out)
     handle_outputs(out)
