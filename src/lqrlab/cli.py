@@ -9,8 +9,10 @@ Seeds then fan out over a thread pool capped by the LQRLAB_THREADS
 environment variable; the kinds whose runs never read the seed run once, and
 that run stands for every seed.  Every run writes a manifest plus one CSV per
 seed and an aggregate CSV whose row i holds the median and min/max envelope
-of row i over the seeds that have one.  Exit codes: 0 success, 2 invalid
-config or usage, 3 runtime failure.
+of row i over the seeds that have one.  A zo kind's manifest also records
+its rollout layout, "branched", and each seed's rollouts: per estimate, the
+m paths and the T * m branches rolled off them.  Exit codes: 0 success, 2
+invalid config or usage, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -185,7 +187,10 @@ def _read(keys: dict, kind: str):
 
     def run(seed):
         _, trace = descend(seed)
-        return trace.columns, trace.rows, {}
+        if not kind.startswith("zo"):
+            return trace.columns, trace.rows, {}
+        # each estimate rolls its m paths and T * m branches off them (zeroth.LqrSimulator)
+        return trace.columns, trace.rows, {"rollouts": (len(trace.rows) - 1) * (inst.T + 1) * sm.samples}
 
     return run, kind.startswith("zo")
 
@@ -269,6 +274,8 @@ def run_experiment(cfg: dict, seeds, outdir) -> dict:
     }
     if scalars:
         manifest["scalars"] = scalars
+    if kind.startswith("zo"):
+        manifest["rollout_layout"] = "branched"
     with open(out / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -1,23 +1,36 @@
 """Model-free policy gradient via sphere-smoothed zeroth-order estimates.
 
-The learner touches the system only through a simulator handle: T, k, d,
-paths(seed, iteration, n) -> the first n path rows of the iteration's
-stream, and costs(policy, U, paths) -> (T, m) costs, entry (t, i) one
-trajectory on path row i * T + t with gain t perturbed by U[t, i].  Each K_t
-is perturbed by m draws U_i from the Frobenius sphere of radius r, and
+The learner touches the system only through a simulator handle.  The
+protocol an opaque handle follows, so that it branches as LqrSimulator does:
+
+- T, k, d: the horizon and the gains' shape (T, k, d);
+- paths(seed, iteration, n) -> the first n path rows of the iteration's
+  stream, an opaque value that costs takes whole; a call for more rows
+  begins with the same n, so an estimate's numbers do not depend on m;
+- costs(policy, U, paths) -> (T, m) branched costs to go on m path rows, U
+  of shape (T, m, k, d): entry (t, i) is the cost from step t on of path i
+  with gain t set to K_t + U[t, i] and every other gain K's.  Path i is
+  rolled once under K, and at step t it opens the branch of slot t from its
+  state x_t; the costs before step t do not depend on U[t], so each slot's
+  estimate below is unbiased, and slots sharing paths are correlated.
+
+Each K_t is perturbed by m draws U_i from the Frobenius sphere of radius r,
+and
 
     ghat_t = (D / r^2) * mean_i  cost_i * U_i,        D = k * d.
 
-Iteration n of seed s reads two streams of standard normals, rollout (t, i)
-from row j = i * T + t of each (i-major, so its numbers do not depend on m):
-the directions are the rows of sample_sphere_batch(T * m, (k, d), r, (s, n,
-0, 0, 0)), the j-th run of k * d normals normalised, and LqrSimulator rolls
-rollout (t, i) on path row j of make_rng((s, n, 0, 0, 1)), its j-th run of N
-normals (core.path_normals), all T * m rows in one coordinate-major roll that
-maps step t's noise at step t.  Every stream is keyed by counters, so runs
-are reproducible and independent of execution order.  LqrSimulator alone
-also offers trajectories(policy, paths), the unperturbed rollouts on n path
-rows as a Trajectory whose fields lead with n, which no estimator calls.
+Iteration n of seed s reads two streams of standard normals.  Rollout
+(t, i) reads row j = i * T + t of the direction stream (i-major, so its
+numbers do not depend on m): the directions are the rows of
+sample_sphere_batch(T * m, (k, d), r, (s, n, 0, 0, 0)), the j-th run of
+k * d normals normalised.  LqrSimulator rolls every branch of path i on path
+row i of make_rng((s, n, 0, 0, 1)), its i-th run of N normals
+(core.path_normals), the m paths and their T * m branches in one
+coordinate-major roll that maps step t's noise at step t.  Every stream is
+keyed by counters, so runs are reproducible and independent of execution
+order.  LqrSimulator alone also offers trajectories(policy, paths), the
+unperturbed rollouts on n path rows as a Trajectory whose fields lead with
+n, which no estimator calls.
 """
 
 from __future__ import annotations
@@ -52,7 +65,7 @@ class SmoothingConfig:
 @dataclass
 class GradientEstimate:
     grads: np.ndarray  # (T, k, d)
-    mean_costs: np.ndarray  # (T,) average rollout cost per slot
+    mean_costs: np.ndarray  # (T,) mean cost to go from slot t of its m branches
 
 
 def sample_sphere(shape: tuple[int, int], radius: float, seed) -> np.ndarray:
@@ -86,8 +99,9 @@ def sphere_directions(T: int, m: int, shape: tuple[int, int], radius: float, see
 
 
 def _forms(x: np.ndarray, M: np.ndarray, terms=None) -> np.ndarray:
-    """(n,) quadratic forms x_i' M x_i of the columns of a C-contiguous (d, n)
-    x, bit for bit einsum("id,de,ie->i") on its row-major copy: on one or two
+    """(n,) quadratic forms x_i' M x_i of the columns of a (d, n) x whose rows
+    are contiguous, as in a block of columns of a C-contiguous array, bit for
+    bit einsum("id,de,ie->i") on its row-major copy: on one or two
     columns, where numpy orders the loops by strides, in the labels' order.
     So is the sum of (x_d M_de) x_e over terms = _form_terms(M): einsum fuses
     no multiply-add, M's zero terms only flip the sign of a zero, and two
@@ -111,14 +125,15 @@ def _one_term_rows(M: np.ndarray):
 
 
 class LqrSimulator:
-    """Opaque rollout handle over an LqrInstance.
+    """Opaque rollout handle over an LqrInstance, in the branched layout.
 
     Optimization loops use only T, k, d, paths and costs, never the instance
     matrices.  paths draws path rows and _roll, under costs and trajectories,
-    is the one rollout kernel: one coordinate-major roll of all rollouts on
-    those rows, their noise mapped a step at a time.  rollout_perturbed_batch
-    is one slot of costs, with the estimator's bits for every m; no
-    estimator calls it or trajectories.
+    is the one rollout kernel: one coordinate-major roll of m paths under
+    the policy and of the branches that costs opens off them, each step's
+    noise mapped once for the m paths.  trajectories rolls the paths alone.
+    rollout_perturbed_batch is one slot of costs, with the estimator's bits
+    for every m; no estimator calls it or trajectories.
     """
 
     def __init__(self, instance: LqrInstance):
@@ -136,15 +151,15 @@ class LqrSimulator:
             self._noise = [(r, src[r], coef[r]) for r in np.flatnonzero(coef)]
 
     def rollout_perturbed_batch(self, policy, t: int, U: np.ndarray, key) -> np.ndarray:
-        """(m,) costs: slot t of costs on paths(seed, iteration, T * m) for
-        the key (seed, iteration, t), with U (m, k, d) at slot t and zero
+        """(m,) costs: slot t of costs on paths(seed, iteration, m) for the
+        key (seed, iteration, t), with U (m, k, d) at slot t and zero
         directions elsewhere."""
         seed, iteration, slot = key
         if slot != t or not 0 <= slot < self.T:
             raise ValueError(f"slot must equal t and lie in [0, {self.T}), got slot {slot!r} for t = {t!r}")
         V = np.zeros((self.T, *U.shape))
         V[t] = U
-        return self.costs(policy, V, self.paths(seed, iteration, self.T * len(U)))[t]
+        return self.costs(policy, V, self.paths(seed, iteration, len(U)))[t]
 
     def paths(self, seed, iteration: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The first n path rows of the stream make_rng((seed, iteration, 0, 0,
@@ -154,9 +169,12 @@ class LqrSimulator:
         return path_normals(self._inst, make_rng((seed, iteration, 0, 0, 1)), n)
 
     def costs(self, policy, U: np.ndarray, paths: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """(T, m) costs of _roll on T * m path rows, entry (t, i) on row i * T + t with gain t perturbed by U[t, i]."""
-        T, m = U.shape[:2]
-        return np.ascontiguousarray(self._roll(policy, U, paths).reshape(m, T).T)
+        """(T, m) costs to go of _roll's branches on m path rows: entry (t, i) from step t of path i, gain t
+        perturbed by U[t, i] and every other gain the policy's."""
+        if np.shape(U)[:2] != (self.T, len(paths[0])):
+            raise ValueError(f"U must have shape (T, m, k, d) = ({self.T}, {len(paths[0])}, k, d) for "
+                             f"{len(paths[0])} path rows, got {np.shape(U)}")
+        return self._roll(policy, U, paths).reshape(self.T, -1)
 
     def trajectories(self, policy, paths: tuple[np.ndarray, np.ndarray]) -> Trajectory:
         """The unperturbed rollouts of the policy (T, k, d) on n path rows, every Trajectory field leading with n."""
@@ -167,49 +185,68 @@ class LqrSimulator:
         return Trajectory(states, self._inst.noise.vectors(np.array(z), self.d), cost)
 
     def _roll(self, policy, U, paths: tuple[np.ndarray, np.ndarray], states=None) -> np.ndarray:
-        """(n,) costs of the rollouts on n path rows paths = (x0, z), x0 (n, d) and noise normals z (n, T, c)
-        left as drawn: at step t the rows t, t + T, ... run with gain t perturbed by U[t] (m, k, d), n = T * m,
-        the others (all if U is None) with the policy's gain, and states[1:] of a (T + 1, d, n) states, if
-        given, receive x_1 to x_T.  States are coordinate-major, (d, n).  gemv rounds by its operands' layout, so for a
-        row-major roll's bits gains act on row-major states (x0 at t = 0, then, for d > 1, d row writes into
-        one array) and B on row-major u if d = 1 < k.  Gains are negated once a call, as rounding is symmetric
-        in sign.  A = I is skipped, an A of one nonzero entry a row scales rows, B u is B * u' if k = 1, and
-        _add_noise and _forms skip zero terms: for finite states the costs keep their bits, as a one-term
-        product rounds once and a dropped zero term, like a negated zero, only flips the sign of a zero.
-        gemv, gemm and dense forms stay on BLAS, which may fuse a multiply-add, and einsum."""
+        """Costs of the rollouts on m path rows paths = (x0, z), x0 (m, d) and noise normals z (m, T, c) left as
+        drawn: the (m,) costs of the base block, rolled under the policy, if U is None; else the (T * m,) costs
+        to go of the branches, block-major, where branch t of path i opens at step t from the base's x_t with
+        gain t perturbed by U[t, i] (U (T, m, k, d)) and rolls under the policy after it.  states[1:] of a
+        (T + 1, d, m) states, if given, receive the base's x_1 to x_T.  States are coordinate-major in blocks,
+        (d, (T + 1) * m): [base | branch 0 | ... | branch T - 1], of which step t rolls the (t + 2) * m columns
+        of the base and the branches open so far, and adds the step's noise of the m paths to each block.
+        gemv rounds by its operands' layout, so for a row-major roll's bits gains act on row-major states (x0
+        at t = 0, then, for d > 1, d row writes into one array) and B on row-major u if d = 1 < k.  Gains are
+        negated once a call, as rounding is symmetric in sign.  A = I is skipped, an A of one nonzero entry a
+        row scales rows, B u is B * u' if k = 1, and _add_noise and _forms skip zero terms: for finite states
+        the costs keep their bits, as a one-term product rounds once and a dropped zero term, like a negated
+        zero, only flips the sign of a zero.  gemv, gemm and dense forms stay on BLAS, which may fuse a
+        multiply-add, and einsum."""
         inst = self._inst
         x0, z = paths
-        T, d = self.T, self.d
+        T, d, m = self.T, self.d, len(x0)
+        blocks, lo = (1, 0) if U is None else (T + 1, m)  # lo: the first costed column, the base's or branch 0's
         negK = -np.asarray(policy, dtype=float)
         negKU = None if U is None else negK[:, None] - U  # -(K_t + U_t), as -a - b = -(a + b) bit for bit
-        written = np.empty((len(x0), d))  # unused at d = 1, where x.T is row-major
-        x = np.array(x0.T, order="C")  # a copy, as x0.T is x0 itself when d = 1, and x is added to in place
-        cost = np.zeros(len(x0))
+        x = np.empty((d, blocks * m))
+        x[:, :m] = x0.T
+        x3 = x.reshape(d, blocks, m)  # a view: the noise of the m paths is added to every live block
+        written = np.empty((blocks * m, d))  # unused at d = 1, where x.T is row-major
+        acts = np.empty((blocks * m, self.k))  # each step's actions, row-major, written in place
+        cost = np.zeros(blocks * m - lo)
         for t in range(T):
+            b = 1 if U is None else t + 2  # live blocks: the base and, with U, branches 0 to t
+            live = b * m
+            n = live if U is None else live - m  # columns under the policy: all but branch t's
+            if U is not None:
+                x[:, n:live] = x[:, :m]
             if t and d > 1:
                 for i in range(d):
-                    written[:, i] = x[i]
-            rows = x0 if t == 0 else written if d > 1 else x.T
-            u = rows @ negK[t].T
+                    written[:n, i] = x[i, :n]
+            rows = x0 if t == 0 else written[:n] if d > 1 else x[:, :n].T
+            u = acts[:live]
+            np.matmul(rows, negK[t].T, out=u[:n])
             if U is not None:
-                u[t::T] = np.einsum("ikd,id->ik", negKU[t], np.ascontiguousarray(rows[t::T]))
-            cost += _forms(x, inst.Q[t], self._Q[t])
-            cost += _forms(np.ascontiguousarray(u.T), inst.R[t], self._R[t])
-            x = inst.A @ x if self._A is None else x if self._identity else self._A[1] * x[self._A[0]]
-            x += inst.B * u.T if self.k == 1 else (u @ inst.B.T).T if d == 1 else inst.B @ u.T
-            self._add_noise(x, z, t)
+                np.einsum("ikd,id->ik", negKU[t], np.ascontiguousarray(rows[:m]), out=u[n:])
+            xs = x[:, :live]
+            cost[:live - lo] += _forms(xs[:, lo:], inst.Q[t], self._Q[t])
+            cost[:live - lo] += _forms(np.ascontiguousarray(u[lo:].T), inst.R[t], self._R[t])
+            if self._A is None:
+                xs[...] = inst.A @ xs
+            elif not self._identity:
+                xs[...] = self._A[1] * xs[self._A[0]]
+            xs += inst.B * u.T if self.k == 1 else (u @ inst.B.T).T if d == 1 else inst.B @ u.T
+            self._add_noise(x3[:, :b], z, t)
             if states is not None:
-                states[t + 1] = x
-        return cost + _forms(x, inst.Q[T], self._Q[T])
+                states[t + 1] = x[:, :m]
+        return cost + _forms(x[:, lo:], inst.Q[T], self._Q[T])
 
     def _add_noise(self, x: np.ndarray, z: np.ndarray, t: int) -> None:
-        """x (d, n) += the noise of step t of normals z (n, T, c), on the live rows alone where the factor's
-        rows each read one column; vectors and _standardize map a uniform in place, so they map copies.  Rows
-        that mix columns map z[:, t], or all of z at one row or step, where a step's product alone is a gemv."""
+        """x (d, b, m) += the noise of step t of normals z (m, T, c), the same in each of the b blocks, on the
+        live rows alone where the factor's rows each read one column; vectors and _standardize map a uniform in
+        place, so they map copies.  Rows that mix columns map z[:, t], or all of z at one row or step, where a
+        step's product alone is a gemv."""
         noise = self._inst.noise
         if self._noise is None:
             w = noise.vectors(np.array(z), self.d)[:, t] if 1 in z.shape[:2] else noise.vectors(np.array(z[:, t]), self.d)
-            x += w.T
+            x += w.T[:, None]
         for r, s, a in self._noise or ():  # vectors' (src, coef) product, up to the sign of a zero
             v = _standardize(noise.kind, np.array(z[:, t, s]))
             if a != 1:  # v * 1 = v
@@ -219,9 +256,9 @@ class LqrSimulator:
 
 
 def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 0) -> GradientEstimate:
-    """Zeroth-order gradient estimate from m single-trajectory rollouts per
-    slot: the handle's costs on its first T * m paths of the iteration.  The
-    policy must have the handle's shape (T, k, d) (ValueError naming policy)."""
+    """Zeroth-order gradient estimate from m branched rollouts per slot: the
+    handle's costs to go on its first m paths of the iteration.  The policy
+    must have the handle's shape (T, k, d) (ValueError naming policy)."""
     if isinstance(sim, LqrInstance):
         sim = LqrSimulator(sim)
     if not (hasattr(sim, "paths") and hasattr(sim, "costs")):
@@ -231,7 +268,7 @@ def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 
     D = k * d
     r, m = cfg.radius, cfg.samples
     U = sphere_directions(T, m, (k, d), r, seed, iteration)
-    costs = sim.costs(K, U, sim.paths(seed, iteration, T * m))
+    costs = sim.costs(K, U, sim.paths(seed, iteration, m))
     # one einsum per slot: a single einsum over all slots rounds differently
     grads = np.stack([np.einsum("i,ikd->kd", costs[t], U[t]) for t in range(T)])
     grads *= D / r**2

@@ -53,9 +53,24 @@ def path_width(inst) -> int:
 def mapped(inst, paths) -> tuple[np.ndarray, np.ndarray]:
     """Path rows (x0 (n, d), noise normals z (n, T, c)), as core.path_normals
     and LqrSimulator.paths return them, with the noise mapped by the noise
-    model's vectors to (n, T, d): row j's start state and noise."""
+    model's vectors to (n, T, d): row j's start state and noise.  vectors
+    standardizes a uniform kind's normals in place, so it maps a copy."""
     x0, z = paths
-    return x0, inst.noise.vectors(z, inst.d)
+    return x0, inst.noise.vectors(np.array(z), inst.d)
+
+
+def cost_to_go(inst, K, states, t: int):
+    """The costs from step t on of rollouts under the gains K (T, k, d) whose
+    states (..., T + 1, d) are given: x_s' Q_s x_s + u_s' R_s u_s with
+    u_s = -K_s x_s over the steps s >= t, then x_T' Q_T x_T, added up in that
+    order, as LqrSimulator adds a branch's costs."""
+    x, T = np.asarray(states), inst.T
+    cost = np.zeros(x.shape[:-2])
+    for s in range(t, T):
+        u = -np.einsum("kd,...d->...k", K[s], x[..., s, :])
+        cost = cost + np.einsum("...d,de,...e->...", x[..., s, :], inst.Q[s], x[..., s, :])
+        cost = cost + np.einsum("...k,kl,...l->...", u, inst.R[s], u)
+    return cost + np.einsum("...d,de,...e->...", x[..., T, :], inst.Q[T], x[..., T, :])
 
 
 def simulated_rows(inst, key, policies: dict) -> dict:

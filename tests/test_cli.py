@@ -150,6 +150,24 @@ class TestCli:
         rc = main(["zo-ppg", "--config", cfg, "--seeds", "0", "--out", str(tmp_path / "o")])
         assert rc == 0
 
+    @pytest.mark.parametrize("kind,extra,rollouts", [
+        ("zo-pg", "", 3 * (5 + 1) * 5),  # 3 estimates of m = 5 paths and T * m = 25 branches
+        ("zo-pg", "target_error = 10.0\n", 1 * (5 + 1) * 5),  # the first iterate meets the target
+        ("zo-ppg", "", 3 * (10 + 1) * 20),
+        ("pg", "", None),
+    ])
+    def test_manifest_records_the_rollouts_of_each_seed(self, tmp_path, kind, extra, rollouts):
+        zo_ppg = "eta = 0.05\niters = 3\nradius = 0.6\nsamples = 20\npolicy0 = -0.2\nconstraint.gamma_bar = 5e-5\n"
+        cfg = AC_CFG + zo_ppg if kind == "zo-ppg" else SCALAR_CFG + KIND_EXTRAS[kind] + extra
+        argv = [kind, "--config", write(tmp_path, "c.cfg", cfg), "--seeds", "0", "4", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        if rollouts is None:
+            assert "rollout_layout" not in manifest and "scalars" not in manifest
+        else:
+            assert manifest["rollout_layout"] == "branched"
+            assert manifest["scalars"] == {"0": {"rollouts": rollouts}, "4": {"rollouts": rollouts}}
+
     def test_qlearn_smoke(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "sweeps = 3\nn_states = 11\nn_actions = 11\neval_rollouts = 100\n")
         rc = main(["qlearn", "--config", cfg, "--seeds", "0", "--out", str(tmp_path / "o")])

@@ -34,7 +34,7 @@ from lqrlab.core import make_rng, path_normals, pathwise_cost_terms
 from lqrlab.errors import HorizonTooShort, NonPositiveDefinite
 from lqrlab.zeroth import LqrSimulator
 
-from conftest import error_terms, mapped, path_width, random_instance, random_policy, simulated_rows
+from conftest import cost_to_go, error_terms, mapped, path_width, random_instance, random_policy, simulated_rows
 
 
 def one_step_unit_instance():
@@ -556,17 +556,19 @@ class TestValidation:
 
 class TestBatchRollouts:
     def test_batch_matches_single_trajectory_streams(self, rng):
+        # cost i of slot 1 is the cost to go from step 1 of simulate_trajectory
+        # on path row i of the stream, with gain 1 perturbed by U[i]
         inst = random_instance(rng, d=2, k=1, T=4)
         K = random_policy(rng, inst)
         sim = LqrSimulator(inst)
         U = rng.normal(size=(8, 1, 2)) * 0.1
         batch = sim.rollout_perturbed_batch(K, 1, U, [5, 0, 1])
-        perts = {i * inst.T + 1: K.copy() for i in range(8)}
+        perts = {i: K.copy() for i in range(8)}
         for i in range(8):
-            perts[i * inst.T + 1][1] += U[i]
+            perts[i][1] += U[i]
         singles = simulated_rows(inst, (5, 0, 0, 0, 1), perts)
         for i in range(8):
-            assert batch[i] == pytest.approx(singles[i * inst.T + 1].realized_cost, rel=1e-12)
+            assert batch[i] == pytest.approx(cost_to_go(inst, perts[i], singles[i].states, 1), rel=1e-12)
 
 
 # stream key words: negative ints wrap to two's complement, so both ends of

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -33,7 +34,7 @@ from lqrlab.errors import Diverged, NotInSet, ZeroDirection, ZeroOptimalCost
 from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
 from lqrlab.zeroth import _forms, sphere_directions
 
-from conftest import mapped, path_width, random_instance, random_policy, simulated_rows
+from conftest import cost_to_go, mapped, path_width, random_instance, random_policy, simulated_rows
 
 
 class TestSphere:
@@ -110,21 +111,21 @@ KIND_PAIRS = [("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gauss
 class TestEstimatorDraws:
     @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS)
     def test_draws_are_rows_of_the_two_streams(self, init_kind, noise_kind):
-        # rollout (t, i) reads row i * T + t of the sphere stream and of the
-        # path stream, the latter as the models draw on it advanced to the row
+        # rollout (t, i) reads row i * T + t of the sphere stream and, for
+        # every t, row i of the path stream, as the models draw on it advanced
+        # to the row
         inst = _instance_of_kinds(init_kind, noise_kind)
         T, k, d, m, r = inst.T, inst.k, inst.d, 7, 0.3
         seed, it = -5, 2**63 + 4
         U = sphere_directions(T, m, (k, d), r, seed, it)
         rows = sample_sphere_batch(T * m, (k, d), r, [seed, it, 0, 0, 0])
-        x0, w = mapped(inst, LqrSimulator(inst).paths(seed, it, T * m))
+        x0, w = mapped(inst, LqrSimulator(inst).paths(seed, it, m))
         rng = make_rng([seed, it, 0, 0, 1])
         for i in range(m):
+            assert x0[i].tobytes() == inst.init.draw(rng).tobytes()
+            assert w[i].tobytes() == inst.noise.draw(rng, T, d).tobytes()
             for t in range(T):
-                j = i * T + t
-                assert U[t, i].tobytes() == rows[j].tobytes()
-                assert x0[j].tobytes() == inst.init.draw(rng).tobytes()
-                assert w[j].tobytes() == inst.noise.draw(rng, T, d).tobytes()
+                assert U[t, i].tobytes() == rows[i * T + t].tobytes()
 
     @settings(deadline=None, max_examples=60)
     @given(kinds=st.sampled_from(KIND_PAIRS), d=st.integers(1, 3), k=st.integers(1, 2), T=st.integers(1, 6),
@@ -138,9 +139,9 @@ class TestEstimatorDraws:
                                  InitialStateModel(kinds[0], np.linspace(-1.0, 1.0, d), 0.6))
         U, U2 = (sphere_directions(T, n, (k, d), 0.3, seed, iteration) for n in (m, 2 * m))
         assert U.tobytes() == U2[:, :m].tobytes()
-        half, full = (mapped(inst, LqrSimulator(inst).paths(seed, iteration, T * n)) for n in (m, 2 * m))
+        half, full = (mapped(inst, LqrSimulator(inst).paths(seed, iteration, n)) for n in (m, 2 * m))
         for a, b in zip(half, full):
-            assert a.tobytes() == b[:T * m].tobytes()
+            assert a.tobytes() == b[:m].tobytes()
 
     def test_threads_interleaving_estimates_get_the_serial_arrays(self):
         # more threads than cores, switching often; thread j runs the
@@ -150,7 +151,7 @@ class TestEstimatorDraws:
         keys = [(seed, it) for seed in (3, -5) for it in range(20)]
 
         def draws(seed, it):
-            return (sphere_directions(inst.T, 20, (1, 2), 0.6, seed, it), *mapped(inst, sim.paths(seed, it, 200)),
+            return (sphere_directions(inst.T, 20, (1, 2), 0.6, seed, it), *mapped(inst, sim.paths(seed, it, 20)),
                     estimate_gradient(inst, K, cfg, seed, iteration=it).grads)
 
         serial = [draws(*key) for key in keys]
@@ -179,21 +180,21 @@ class TestEstimatorDraws:
 
     @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS)
     def test_slots_replay_simulated_rows(self, init_kind, noise_kind):
-        # cost (t, i) of the all-slots kernel is simulate_trajectory's, with
-        # gain t perturbed by U[t, i], on the path stream advanced to row
-        # i * T + t
+        # cost (t, i) of the branched kernel is the cost to go from step t of
+        # simulate_trajectory, with gain t perturbed by U[t, i], on the path
+        # stream advanced to row i
         inst = _instance_of_kinds(init_kind, noise_kind, d=2, k=2, T=4)
         K = np.random.default_rng(5).normal(size=(4, 2, 2)) * 0.2
         U = sphere_directions(inst.T, 3, (2, 2), 0.2, -5, 9)
         sim = LqrSimulator(inst)
-        costs = sim.costs(K, U, sim.paths(-5, 9, inst.T * 3))
-        perts = {}
-        for t, i in np.ndindex(inst.T, 3):
-            perts[i * inst.T + t] = K.copy()
-            perts[i * inst.T + t][t] += U[t, i]
-        refs = simulated_rows(inst, (-5, 9, 0, 0, 1), perts)
-        for t, i in np.ndindex(inst.T, 3):
-            assert costs[t, i] == pytest.approx(refs[i * inst.T + t].realized_cost, rel=1e-12)
+        costs = sim.costs(K, U, sim.paths(-5, 9, 3))
+        for t in range(inst.T):
+            perts = {i: K.copy() for i in range(3)}
+            for i in range(3):
+                perts[i][t] += U[t, i]
+            refs = simulated_rows(inst, (-5, 9, 0, 0, 1), perts)
+            for i in range(3):
+                assert costs[t, i] == pytest.approx(cost_to_go(inst, perts[i], refs[i].states, t), rel=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 9])
     @pytest.mark.parametrize("init_kind,noise_kind", KIND_PAIRS)
@@ -202,49 +203,57 @@ class TestEstimatorDraws:
         K = np.random.default_rng(4).normal(size=(4, 2, 2)) * 0.2
         sim = LqrSimulator(inst)
         U = sphere_directions(inst.T, m, (2, 2), 0.2, 8, 1)
-        slots = sim.costs(K, U, sim.paths(8, 1, inst.T * m))
+        slots = sim.costs(K, U, sim.paths(8, 1, m))
         for t in range(inst.T):
             np.testing.assert_array_equal(slots[t], sim.rollout_perturbed_batch(K, t, U[t], [8, 1, t]))
 
 
 class ReferenceKernel(LqrSimulator):
-    """Reference rollout kernel: the roll on the path rows, row-major, with
-    all their noise mapped at once, its quadratic costs as einsum calls on
-    the rows, and the states of every step kept."""
+    """Reference rollout kernel: each branch rolled on its own, row-major,
+    from step 0 on the path rows, with all their noise mapped at once, its
+    quadratic costs as einsum calls on the rows, and the states of every step
+    kept."""
 
-    def _reference(self, policy, U, paths):
-        """(costs (n,), states (n, T + 1, d), noise (n, T, d)) of the rows,
-        at step t rows t, t + T, ... with gain t perturbed by U[t] (m, k, d),
-        n = T * m, unless U is None."""
+    def _reference(self, policy, paths, t=None, Ut=None):
+        """(costs (m,), states (m, T + 1, d), noise (m, T, d)) of the path
+        rows rolled under the policy, with gain t perturbed by Ut (m, k, d)
+        if t is given: the costs from step t on, or from step 0."""
         inst = self._inst
         T = inst.T
         K = np.asarray(policy, dtype=float)
         x, w = mapped(inst, paths)
         states = [x]
         cost = np.zeros(len(x))
-        for t in range(T):
-            u = -(x @ K[t].T)
-            if U is not None:
-                u[t::T] = -np.einsum("ikd,id->ik", K[t][None] + U[t], np.ascontiguousarray(x[t::T]))
-            cost += np.einsum("id,de,ie->i", x, inst.Q[t], x)
-            cost += np.einsum("ik,kl,il->i", u, inst.R[t], u)
-            x = x @ inst.A.T + u @ inst.B.T + w[:, t]
+        for s in range(T):
+            u = -(x @ K[s].T) if s != t else -np.einsum("ikd,id->ik", K[s][None] + Ut, np.ascontiguousarray(x))
+            if s >= (t or 0):
+                cost += np.einsum("id,de,ie->i", x, inst.Q[s], x)
+                cost += np.einsum("ik,kl,il->i", u, inst.R[s], u)
+            x = x @ inst.A.T + u @ inst.B.T + w[:, s]
             states.append(x)
         cost += np.einsum("id,de,ie->i", x, inst.Q[T], x)
         return cost, np.stack(states, axis=1), w
 
     def costs(self, policy, U: np.ndarray, paths) -> np.ndarray:
-        T, m = U.shape[:2]
-        return np.ascontiguousarray(self._reference(policy, U, paths)[0].reshape(m, T).T)
+        return np.stack([self._reference(policy, paths, t, U[t])[0] for t in range(self.T)])
 
     def trajectories(self, policy, paths) -> Trajectory:
-        cost, states, w = self._reference(policy, None, paths)
+        cost, states, w = self._reference(policy, paths)
         return Trajectory(states, w, cost)
 
 
 def _slots(sim, K, U, seed, iteration):
-    """(T, m) costs of the handle on the first T * m path rows of (seed, iteration)."""
-    return sim.costs(K, U, sim.paths(seed, iteration, U.shape[0] * U.shape[1]))
+    """(T, m) costs of the handle on the first m path rows of (seed, iteration)."""
+    return sim.costs(K, U, sim.paths(seed, iteration, U.shape[1]))
+
+
+def _assert_branches_match(got, ref, d, k, scale=None):
+    """The branched costs within 1e-12 of the reference, relative to each
+    entry or to a given scale, and bit for bit at d = k = 1, where every
+    product has one term and the two rolls add in the same order."""
+    np.testing.assert_array_less(np.abs(got - ref), 1e-12 * (np.abs(ref) if scale is None else scale) + 1e-300)
+    if d == k == 1:
+        np.testing.assert_array_equal(_bits(got), _bits(ref))
 
 
 def _bits(a):
@@ -269,6 +278,8 @@ def _roll_case(d, k, T, kinds, data):
     return inst, rng.normal(size=(T, k, d)) * 0.3
 
 
+TRAJECTORY_FIELDS = ("states", "noises", "realized_cost")
+
 # shapes where gemv, whose rounding depends on its operands' layout, would
 # round the coordinate-major roll otherwise than the row-major one
 ROLL_LAYOUTS = {
@@ -290,26 +301,60 @@ class TestRolloutKernel:
            iteration=st.integers(0, 2**64 - 1))
     # two rows of width two, where numpy orders einsum's loops by strides alone
     @example(d=2, k=2, T=3, m=2, kinds=KIND_PAIRS[0], data=2, seed=0, iteration=0)
-    def test_rollouts_match_reference_kernel(self, d, k, T, m, kinds, data, seed, iteration):
+    def test_costs_are_each_branch_rolled_alone(self, d, k, T, m, kinds, data, seed, iteration):
+        # entry (t, i) is the cost from step t on of path i rolled from step 0
+        # with gain t alone perturbed by U[t, i]
         inst, K = _roll_case(d, k, T, kinds, data)
         U = sphere_directions(T, m, (k, d), 0.2, seed, iteration)
-        sim, ref = LqrSimulator(inst), ReferenceKernel(inst)
-        np.testing.assert_array_equal(_bits(_slots(sim, K, U, seed, iteration)), _bits(_slots(ref, K, U, seed, iteration)))
-        for t in range(T):
-            key = (seed, iteration, t)
-            np.testing.assert_array_equal(_bits(sim.rollout_perturbed_batch(K, t, U[t], key)),
-                                          _bits(ref.rollout_perturbed_batch(K, t, U[t], key)))
+        sim = LqrSimulator(inst)
+        paths = sim.paths(seed, iteration, m)
+        got = sim.costs(K, U, paths)
+        assert got.shape == (T, m)
+        _assert_branches_match(got, ReferenceKernel(inst).costs(K, U, paths), d, k)
+
+    @settings(deadline=None, max_examples=60)
+    @given(d=st.integers(1, 4), k=st.integers(1, 2), T=st.integers(2, 6), m=st.sampled_from([1, 3, 9]),
+           kinds=st.sampled_from(KIND_PAIRS), data=st.integers(0, 2**32 - 1), t=st.integers(0, 5),
+           seed=st.integers(-2**63, 2**64 - 1))
+    def test_a_slots_costs_do_not_depend_on_the_other_slots(self, d, k, T, m, kinds, data, t, seed):
+        # the estimator relies on it: slot t keeps its bits when the
+        # directions of every other slot change
+        inst, K = _roll_case(d, k, T, kinds, data)
+        t %= T
+        U, V = (sphere_directions(T, m, (k, d), 0.2, seed, it) for it in (0, 1))
+        V[t] = U[t]
+        sim = LqrSimulator(inst)
+        paths = sim.paths(seed, 0, m)
+        assert sim.costs(K, U, paths)[t].tobytes() == sim.costs(K, V, paths)[t].tobytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(d=st.integers(1, 5), k=st.integers(1, 3), T=st.integers(1, 6), m=st.sampled_from([1, 2, 3, 9, 200]),
+           kinds=st.sampled_from(KIND_PAIRS), data=st.integers(0, 2**32 - 1), seed=st.integers(-2**63, 2**64 - 1))
+    def test_zero_directions_give_the_base_paths_costs_to_go(self, d, k, T, m, kinds, data, seed):
+        # with U = 0 each branch is its path under the policy, so row t is the
+        # cost to go from step t of the unperturbed trajectories
+        inst, K = _roll_case(d, k, T, kinds, data)
+        sim = LqrSimulator(inst)
+        paths = sim.paths(seed, 0, m)
+        got = sim.costs(K, np.zeros((T, m, k, d)), paths)
+        states = sim.trajectories(K, paths).states
+        _assert_branches_match(got, np.stack([cost_to_go(inst, K, states, t) for t in range(T)]), d, k)
 
     @pytest.mark.parametrize("name", list(ROLL_LAYOUTS))
     def test_layouts_where_gemv_rounding_differs_match_reference_kernel(self, name):
+        # the base block keeps the row-major roll's bits; the branches, whose
+        # rows lie elsewhere in the gemv, are within 1e-12 of it
         inst, m = ROLL_LAYOUTS[name]
         T, k, d = inst.T, inst.k, inst.d
         K = np.random.default_rng(m).normal(size=(T, k, d)) * 0.3
         sim, ref = LqrSimulator(inst), ReferenceKernel(inst)
         for seed, iteration in ((0, 0), (-5, 2**63 + 4), (3, 17)):
             U = sphere_directions(T, m, (k, d), 0.2, seed, iteration)
-            np.testing.assert_array_equal(_bits(_slots(sim, K, U, seed, iteration)),
-                                          _bits(_slots(ref, K, U, seed, iteration)))
+            paths = sim.paths(seed, iteration, m)
+            _assert_branches_match(sim.costs(K, U, paths), ref.costs(K, U, paths), d, k)
+            got, want = sim.trajectories(K, paths), ref.trajectories(K, paths)
+            for field in TRAJECTORY_FIELDS:
+                np.testing.assert_array_equal(_bits(getattr(got, field)), _bits(getattr(want, field)), err_msg=field)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 250, 2000])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -323,6 +368,11 @@ class TestRolloutKernel:
             for x in (np.ascontiguousarray(wide[:, :d]), wide[:, :d], wide[:, 2:d + 2]):
                 np.testing.assert_array_equal(_bits(_forms(np.ascontiguousarray(x.T), M)),
                                               _bits(np.einsum("id,de,ie->i", x, M, x)))
+            # a block of columns of a wider coordinate-major array: the branches
+            blocks = np.ascontiguousarray(_wide(rng, (3 * n, d)).T)
+            x = blocks[:, n:]
+            rows = x.T.copy()
+            np.testing.assert_array_equal(_bits(_forms(x, M)), _bits(np.einsum("id,de,ie->i", rows, M, rows)))
 
 
 # the kernel's unperturbed rolls over the shapes of TestRolloutKernel
@@ -330,7 +380,6 @@ TRAJECTORY_CASES = dict(d=st.integers(1, 5), k=st.integers(1, 3), T=st.integers(
                         n=st.sampled_from([1, 2, 3, 9, 200]), kinds=st.sampled_from(KIND_PAIRS),
                         data=st.integers(0, 2**32 - 1), seed=st.integers(-2**63, 2**64 - 1),
                         iteration=st.integers(0, 2**64 - 1))
-TRAJECTORY_FIELDS = ("states", "noises", "realized_cost")
 
 
 class TestTrajectories:
@@ -343,6 +392,23 @@ class TestTrajectories:
         got, ref = sim.trajectories(K, paths), ReferenceKernel(inst).trajectories(K, paths)
         for field in TRAJECTORY_FIELDS:
             np.testing.assert_array_equal(_bits(getattr(got, field)), _bits(getattr(ref, field)), err_msg=field)
+
+    def test_unperturbed_rolls_keep_their_bits(self):
+        # digests taken before the branched layout, on the scalar benchmark,
+        # where every product has one term and so rounds alike on any BLAS
+        inst, K = scalar_benchmark(), np.linspace(-0.2, 0.4, 5).reshape(5, 1, 1)
+        sim = LqrSimulator(inst)
+        rows, single = hashlib.sha256(), hashlib.sha256()
+        for n in (1, 7, 200):
+            traj = sim.trajectories(K, sim.paths(3, 0, n))
+            for a in (traj.states, traj.noises, traj.realized_cost):
+                rows.update(np.ascontiguousarray(a).tobytes())
+        for seed in range(5):
+            traj = simulate_trajectory(inst, K, seed)
+            for a in (traj.states, traj.noises, np.float64(traj.realized_cost)):
+                single.update(np.ascontiguousarray(a).tobytes())
+        assert rows.hexdigest() == "1079c708fa21f9390c359fa3ac317412994d6bd080a743c2704ee90f0c238266"
+        assert single.hexdigest() == "3ccb45dbb7bd2a3e4d1c4f20be6514a9420a3d7fc5841964ac3668709253d8d8"
 
     @settings(deadline=None, max_examples=40)
     @given(**TRAJECTORY_CASES)
@@ -451,13 +517,14 @@ class TestShortForms:
             assert zeroth._one_term_rows(np.ones((d, d))) is None
 
     @settings(deadline=None, max_examples=120)
-    @given(d=st.integers(1, 4), n=st.sampled_from([1, 2, 3, 250]), T=st.integers(1, 3),
+    @given(d=st.integers(1, 4), n=st.sampled_from([1, 2, 3, 250]), T=st.integers(1, 3), blocks=st.integers(1, 3),
            kind=st.sampled_from(["gaussian", "uniform", "zero"]), sigma=st.sampled_from([0.4, -0.7]),
            mixing=st.booleans(), unit=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_live_row_noise_add_matches_vectors(self, d, n, T, kind, sigma, mixing, unit, seed):
+    def test_live_row_noise_add_matches_vectors(self, d, n, T, blocks, kind, sigma, mixing, unit, seed):
         # factors with zero rows and entries of either sign, each row reading
         # one column or rows mixing them; with unit, the one-column rows read
-        # theirs with a coefficient of 1, whose multiply is skipped
+        # theirs with a coefficient of 1, whose multiply is skipped; each
+        # block of the states gets the same noise
         rng = np.random.default_rng(seed)
         F = rng.normal(size=(d, d)) * (rng.random((d, 1)) < 0.7) if mixing else _one_entry_rows(rng, d, rng.random(d) < 0.7)
         if unit and not mixing:
@@ -468,11 +535,11 @@ class TestShortForms:
         sim = LqrSimulator(inst)
         z = sim.paths(seed, 0, n)[1]
         drawn = z.copy()
-        x = np.ascontiguousarray(_wide(rng, (d, n)))
+        x = np.ascontiguousarray(_wide(rng, (d, blocks, n)))
         ref = x.copy()
         for t in range(T):
             sim._add_noise(x, z, t)
-            ref += noise.vectors(np.array(z), d)[:, t].T
+            ref += noise.vectors(np.array(z), d)[:, t].T[:, None]
             np.testing.assert_array_equal(_unsigned_zeros(x), _unsigned_zeros(ref))
         assert z.tobytes() == drawn.tobytes()
 
@@ -494,7 +561,13 @@ class TestShortForms:
         K = rng.normal(size=(T, k, d)) * 0.3
         U = sphere_directions(T, m, (k, d), 0.2, seed, 1)
         sim, ref = LqrSimulator(inst), ReferenceKernel(inst)
-        np.testing.assert_array_equal(_bits(_slots(sim, K, U, seed, 1)), _bits(_slots(ref, K, U, seed, 1)))
+        paths = sim.paths(seed, 1, m)
+        want = ref.costs(K, U, paths)
+        # an indefinite Q can cancel a cost to near 0, so the tolerance is on the largest
+        _assert_branches_match(sim.costs(K, U, paths), want, d, k, scale=np.abs(want).max())
+        got, base = sim.trajectories(K, paths), ref.trajectories(K, paths)
+        for field in TRAJECTORY_FIELDS:
+            np.testing.assert_array_equal(_bits(getattr(got, field)), _bits(getattr(base, field)), err_msg=field)
 
     @pytest.mark.parametrize("T", [1, 4])
     @pytest.mark.parametrize("one_entry_rows", [False, True], ids=["rows-mixing", "one-entry-a-row"])
@@ -509,7 +582,7 @@ class TestShortForms:
         sim = LqrSimulator(inst)
         K = np.random.default_rng(6).normal(size=(T, 1, 2)) * 0.2
         U = sphere_directions(T, 5, (1, 2), 0.2, 4, 0)
-        paths = sim.paths(4, 0, T * 5)
+        paths = sim.paths(4, 0, 5)
         drawn = [a.copy() for a in paths]
         first = sim.costs(K, U, paths)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(paths, drawn))
@@ -568,9 +641,9 @@ class PathsAndCosts:
 
 class TestEstimator:
     def test_liquidation_estimate_peaks_below_half_a_megabyte(self):
-        # one zo-liquidation estimate at m = 200: 2000 path rows of 11
-        # normals (176 KB) mapped one step at a time, not a (2000, 10, 2)
-        # noise array (320 KB) on top of them
+        # one zo-liquidation estimate at m = 200 peaks at about 240 KB: 200
+        # path rows of 11 normals (17.6 KB) mapped one step at a time, and the
+        # (2, 2200) states of the base and its ten branches (35 KB)
         inst, K, cfg = ac_to_lqr(stock_liquidation()), np.full((10, 1, 2), -0.2), SmoothingConfig(0.6, 200)
         estimate_gradient(inst, K, cfg, 3, iteration=0)
         tracemalloc.start()
@@ -607,17 +680,18 @@ class TestEstimator:
         assert not np.array_equal(g1.grads, g3.grads)
 
     def test_batch_matches_single_rollouts(self, rng):
-        # the vectorized batch path must replay simulate_trajectory on the
-        # path stream advanced to each of the slot's rows
+        # the vectorized batch path must replay simulate_trajectory's cost to
+        # go from the slot on the path stream advanced to each row
         inst = random_instance(rng, d=2, k=2, T=4)
         K = random_policy(rng, inst)
         sim = LqrSimulator(inst)
         U = sample_sphere_batch(8, (2, 2), 0.2, seed=1)
         fast = sim.rollout_perturbed_batch(K, 2, U, [7, 0, 2])
-        perts = {i * inst.T + 2: K.copy() for i in range(8)}
+        perts = {i: K.copy() for i in range(8)}
         for i in range(8):
-            perts[i * inst.T + 2][2] += U[i]
-        slow = [traj.realized_cost for traj in simulated_rows(inst, (7, 0, 0, 0, 1), perts).values()]
+            perts[i][2] += U[i]
+        rows = simulated_rows(inst, (7, 0, 0, 0, 1), perts)
+        slow = [cost_to_go(inst, perts[i], rows[i].states, 2) for i in range(8)]
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
         for slot in (-1, 1, 4):  # the slot must lie in [0, T) and equal t
             with pytest.raises(ValueError, match="slot"):
@@ -634,6 +708,14 @@ class TestEstimator:
             for seed, it in ((3, 0), (-5, 2**63 + 4)):
                 a, b = (estimate_gradient(h, K, SmoothingConfig(0.3, m), seed, iteration=it) for h in (handle, inst))
                 assert a.grads.tobytes() == b.grads.tobytes() and a.mean_costs.tobytes() == b.mean_costs.tobytes()
+
+    def test_costs_take_one_path_row_a_sample(self):
+        # one path row a sample: T * m rows for U's m are refused, naming the shapes
+        sim = LqrSimulator(scalar_benchmark())
+        U = sphere_directions(5, 3, (1, 1), 0.1, 0, 0)
+        assert sim.costs(np.zeros((5, 1, 1)), U, sim.paths(0, 0, 3)).shape == (5, 3)
+        with pytest.raises(ValueError, match=r"U must have shape \(T, m, k, d\) = \(5, 15, k, d\)"):
+            sim.costs(np.zeros((5, 1, 1)), U, sim.paths(0, 0, 15))
 
     def test_handle_without_rollouts_is_rejected(self):
         class Bare:
@@ -727,7 +809,7 @@ class TestModelFreeLoops:
             "longer-than-a-chunk": (scalar, np.zeros((5, 1, 1)), DescentConfig(eta=0.05, iters=optimize._NORM_CHUNK + 7),
                                     SmoothingConfig(0.1, 3), 3, None),
             "stops-at-target": (scalar, np.zeros((5, 1, 1)), DescentConfig(eta=0.05, iters=300, target_error=0.16),
-                                SmoothingConfig(0.1, 3), 3, None),
+                                SmoothingConfig(0.1, 3), 0, None),
         }[case]
 
     @pytest.mark.parametrize("case", ["liquidation", "liquidation-projected", "no-iterations", "longer-than-a-chunk",
@@ -791,10 +873,10 @@ class TestModelFreeLoops:
         # every estimate is keyed by its iteration, so a run that reaches its
         # target gives the iterates and rows of a run told to stop there
         inst, K0, sm = scalar_benchmark(), np.zeros((5, 1, 1)), SmoothingConfig(0.1, 3)
-        K, trace = run_modelfree_pg(inst, K0, DescentConfig(eta=0.05, iters=300, target_error=0.16), sm, 3)
+        K, trace = run_modelfree_pg(inst, K0, DescentConfig(eta=0.05, iters=300, target_error=0.16), sm, 0)
         n = len(trace.rows) - 1
         assert 1 < n < 300 and trace.column("normalized_error")[-1] <= 0.16
-        K_ref, ref = run_modelfree_pg(inst, K0, DescentConfig(eta=0.05, iters=n), sm, 3)
+        K_ref, ref = run_modelfree_pg(inst, K0, DescentConfig(eta=0.05, iters=n), sm, 0)
         np.testing.assert_array_equal(K, K_ref)
         np.testing.assert_array_equal(np.array(trace.rows), np.array(ref.rows))
 

@@ -18,11 +18,14 @@ Each CSV the CLI writes gets two names: its bytes, and its cells parsed as
 float64 ("#values"), so a change in how numbers are written shows apart from
 a change in the numbers.  The path rows are core.path_normals' start states
 and noise normals, the noise mapped by the noise model's vectors, and the
-rollout kernel is LqrSimulator.costs on its paths, so the dumps need
-path_normals, paths and costs; the "trajectories" group needs
-LqrSimulator.trajectories and is left out where a checkout lacks it; the
-rest uses only names that older checkouts also have, so one script runs on
-both sides.  Path row j is the (j + 1)-th pair of init.draw and noise.draw on
+rollout kernel is LqrSimulator.costs on its paths: the branched layout, whose
+costs are the (T, m) costs to go of the branches off m path rows, so the
+"roll" and "est" groups dump m-row paths and branched costs.  A checkout from
+before that layout, whose costs took T * m path rows, is dumped with its own
+copy of this script; its "roll", "est", "loop", "handle" and zo CLI outputs
+then differ under the same names, and every other group must not.  The
+"trajectories" group needs LqrSimulator.trajectories and is left out where a
+checkout lacks it.  Path row j is the (j + 1)-th pair of init.draw and noise.draw on
 its stream, so the "stream" group dumps both: the rows path_normals draws,
 and those the models draw one at a time.  The rollout kernel runs twice on
 the same paths ("slots-again"), which differs where a kernel changes its
@@ -294,8 +297,8 @@ def exact_outputs(out: dict) -> None:
 
 
 def estimator_outputs(out: dict) -> None:
-    """U, x0, w, grads and mean costs, per instance, m, seed and iteration:
-    iterations 0-9 in order, then OUT_OF_ORDER."""
+    """U, the m path rows x0 and w, grads and mean costs, per instance, m,
+    seed and iteration: iterations 0-9 in order, then OUT_OF_ORDER."""
     for name, (inst, K, r) in _instances().items():
         shape = (inst.k, inst.d)
         for m in SAMPLES:
@@ -306,7 +309,7 @@ def estimator_outputs(out: dict) -> None:
                         key = f"est/{name}/m={m}/seed={seed}/{run}{pos}:it={it}"
                         est = estimate_gradient(inst, K, cfg, seed, iteration=it)
                         U = zeroth.sphere_directions(inst.T, m, shape, r, seed, it)
-                        x0, z = core.path_normals(inst, core.make_rng((seed, it, 0, 0, 1)), inst.T * m)
+                        x0, z = core.path_normals(inst, core.make_rng((seed, it, 0, 0, 1)), m)
                         out[f"{key}/U"] = _sha(U)
                         out[f"{key}/x0"] = _sha(x0)
                         out[f"{key}/w"] = _sha(inst.noise.vectors(z, inst.d))
@@ -319,14 +322,13 @@ ROLL_SEEDS = [5, 2**63 + 4]
 
 
 def roll_outputs(out: dict) -> None:
-    """LqrSimulator's rollout kernel (costs on its paths, then again on the
-    same paths, which the kernel must leave as drawn) and
+    """LqrSimulator's rollout kernel (the branched costs on its m paths, then
+    again on the same paths, which the kernel must leave as drawn) and
     rollout_perturbed_batch (every slot) on each suite instance of
     EXACT_SHAPES, whose Q and R are not diagonal, and on the wide instances,
     per m, seed and iterations 0 and 1.  rollout_perturbed_batch
-    is slot t of the kernel, so "batch" hashes a slice of "slots"; on older
-    checkouts, which rolled one slot alone, it shows whether those bits
-    matched."""
+    is slot t of the kernel, and slot t does not depend on the other slots'
+    directions, so "batch" hashes the rows of "slots"."""
     cases = [(f"d={d},k={k},T={T}", _exact_instance(n), np.random.default_rng([73, n]).normal(size=(T, k, d)) * 0.3)
              for n, (d, k, T) in enumerate(EXACT_SHAPES)]
     cases += [(name, inst, np.random.default_rng([97, inst.d, inst.k]).normal(size=(inst.T, inst.k, inst.d)) * 0.1)
@@ -339,7 +341,7 @@ def roll_outputs(out: dict) -> None:
                 for it in (0, 1):
                     name = f"roll/{tag}/m={m}/seed={seed}/it={it}"
                     U = zeroth.sphere_directions(T, m, (k, d), 0.2, seed, it)
-                    paths = sim.paths(seed, it, T * m)
+                    paths = sim.paths(seed, it, m)
                     out[f"{name}/slots"] = _sha(sim.costs(K, U, paths))
                     out[f"{name}/slots-again"] = _sha(sim.costs(K, U, paths))
                     out[f"{name}/batch"] = _sha(*(sim.rollout_perturbed_batch(K, t, U[t], (seed, it, t)) for t in range(T)))
@@ -453,7 +455,7 @@ def loop_outputs(out: dict) -> None:
     K, trace = run_modelfree_ppg(liq, np.full((10, 1, 2), -0.2), DescentConfig(eta=0.05, iters=0), SmoothingConfig(0.6, 200), 3,
                                  constraint, cost_oracle=lambda P: exact_cost(liq, P))
     out["loop/zo-liquidation-ppg-iters=0/seed=3"] = _sha(K, trace.rows)
-    for seed in (0, 4):  # they stop at iterations 106 and 34
+    for seed in (0, 4):  # they stop at iterations 30 and 157
         K, trace = run_modelfree_pg(scalar, np.zeros((5, 1, 1)), DescentConfig(eta=0.05, iters=300, target_error=0.15),
                                     SmoothingConfig(0.1, 3), seed)
         out[f"loop/c11-m3-target/seed={seed}"] = _sha(K, trace.rows)
