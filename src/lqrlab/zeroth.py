@@ -26,7 +26,8 @@ sample_sphere_batch(T * m, (k, d), r, (s, n, 0, 0, 0)), the j-th run of
 k * d normals normalised.  LqrSimulator rolls every branch of path i on path
 row i of make_rng((s, n, 0, 0, 1)), its i-th run of N normals
 (core.path_normals), the m paths and their T * m branches in one
-coordinate-major roll that maps step t's noise at step t.  Every stream is
+coordinate-major roll on the paths' noise, mapped once a call by the noise
+model's vectors and added at step t to the rows it moves.  Every stream is
 keyed by counters, so runs are reproducible and independent of execution
 order.  LqrSimulator alone also offers trajectories(policy, paths), the
 unperturbed rollouts on n path rows as a Trajectory whose fields lead with
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LqrInstance, Trajectory, _gains, _number, _standardize, exact_cost, make_rng, path_normals
+from .core import LqrInstance, Trajectory, _gains, _number, exact_cost, make_rng, path_normals
 from .errors import ZeroDirection
 from .optimize import DescentConfig, ProjectionSet, _descent
 
@@ -117,21 +118,15 @@ def _form_terms(M: np.ndarray):
     return terms if len(terms := [(d, e, M[d, e]) for d, e in zip(*np.nonzero(M))]) <= 2 else None
 
 
-def _one_term_rows(M: np.ndarray):
-    """(src, coef) with M @ y = coef * y[src] if each row of M has at most one nonzero entry, else None."""
-    nonzero = M != 0
-    src = nonzero.argmax(axis=1)
-    return None if (nonzero.sum(axis=1) > 1).any() else (src, M[np.arange(len(M)), src][:, None])
-
-
 class LqrSimulator:
     """Opaque rollout handle over an LqrInstance, in the branched layout.
 
     Optimization loops use only T, k, d, paths and costs, never the instance
     matrices.  paths draws path rows and _roll, under costs and trajectories,
     is the one rollout kernel: one coordinate-major roll of m paths under
-    the policy and of the branches that costs opens off them, each step's
-    noise mapped once for the m paths.  trajectories rolls the paths alone.
+    the policy and of the branches that costs opens off them, on the paths'
+    noise mapped once a call by noise.vectors.  It reads the instance's
+    public fields alone.  trajectories rolls the paths alone.
     rollout_perturbed_batch is one slot of costs, with the estimator's bits
     for every m; no estimator calls it or trajectories.
     """
@@ -141,14 +136,14 @@ class LqrSimulator:
         self.T = instance.T
         self.k = instance.k
         self.d = instance.d
-        # the roll's short exact forms (_roll), None where BLAS or einsum stays
-        self._identity, self._A = np.array_equal(instance.A, np.eye(self.d)), _one_term_rows(instance.A)
+        # the roll's short exact forms (_roll), None where einsum stays
+        self._identity = np.array_equal(instance.A, np.eye(self.d))
         self._Q, self._R = [_form_terms(M) for M in instance.Q], [_form_terms(M) for M in instance.R]
-        noise, self._noise = instance.noise, None
-        reads = (np.zeros(self.d, int), 0.0) if noise.kind == noise._DEGENERATE else noise._reads[1]
-        if isinstance(reads, tuple):  # [(row, column, coef)] of the live rows; the identity reads (slice(None), 1.0)
-            src, coef = np.broadcast_arrays(np.arange(self.d)[reads[0]], reads[1])
-            self._noise = [(r, src[r], coef[r]) for r in np.flatnonzero(coef)]
+        # the rows the noise can move, the factor's nonzero rows: one slice where it moves them all
+        noise = instance.noise
+        F = np.eye(self.d) if noise.factor is None else np.asarray(noise.factor)
+        moved = (F != 0).any(axis=1) & (noise.kind != "zero")
+        self._moved = [slice(None)] if moved.all() else np.flatnonzero(moved)
 
     def rollout_perturbed_batch(self, policy, t: int, U: np.ndarray, key) -> np.ndarray:
         """(m,) costs: slot t of costs on paths(seed, iteration, m) for the
@@ -174,33 +169,35 @@ class LqrSimulator:
         if np.shape(U)[:2] != (self.T, len(paths[0])):
             raise ValueError(f"U must have shape (T, m, k, d) = ({self.T}, {len(paths[0])}, k, d) for "
                              f"{len(paths[0])} path rows, got {np.shape(U)}")
-        return self._roll(policy, U, paths).reshape(self.T, -1)
+        x0, z = paths
+        return self._roll(policy, U, x0, self._inst.noise.vectors(np.array(z), self.d)).reshape(self.T, -1)
 
     def trajectories(self, policy, paths: tuple[np.ndarray, np.ndarray]) -> Trajectory:
         """The unperturbed rollouts of the policy (T, k, d) on n path rows, every Trajectory field leading with n."""
         x0, z = paths
+        w = self._inst.noise.vectors(np.array(z), self.d)
         states = np.empty((len(x0), self.T + 1, self.d))
         states[:, 0] = x0
-        cost = self._roll(_gains(policy, self), None, paths, states.transpose(1, 2, 0))
-        return Trajectory(states, self._inst.noise.vectors(np.array(z), self.d), cost)
+        cost = self._roll(_gains(policy, self), None, x0, w, states.transpose(1, 2, 0))
+        return Trajectory(states, w, cost)
 
-    def _roll(self, policy, U, paths: tuple[np.ndarray, np.ndarray], states=None) -> np.ndarray:
-        """Costs of the rollouts on m path rows paths = (x0, z), x0 (m, d) and noise normals z (m, T, c) left as
-        drawn: the (m,) costs of the base block, rolled under the policy, if U is None; else the (T * m,) costs
-        to go of the branches, block-major, where branch t of path i opens at step t from the base's x_t with
-        gain t perturbed by U[t, i] (U (T, m, k, d)) and rolls under the policy after it.  states[1:] of a
-        (T + 1, d, m) states, if given, receive the base's x_1 to x_T.  States are coordinate-major in blocks,
-        (d, (T + 1) * m): [base | branch 0 | ... | branch T - 1], of which step t rolls the (t + 2) * m columns
-        of the base and the branches open so far, and adds the step's noise of the m paths to each block.
-        gemv rounds by its operands' layout, so for a row-major roll's bits gains act on row-major states (x0
-        at t = 0, then, for d > 1, d row writes into one array) and B on row-major u if d = 1 < k.  Gains are
-        negated once a call, as rounding is symmetric in sign.  A = I is skipped, an A of one nonzero entry a
-        row scales rows, B u is B * u' if k = 1, and _add_noise and _forms skip zero terms: for finite states
-        the costs keep their bits, as a one-term product rounds once and a dropped zero term, like a negated
-        zero, only flips the sign of a zero.  gemv, gemm and dense forms stay on BLAS, which may fuse a
-        multiply-add, and einsum."""
+    def _roll(self, policy, U, x0: np.ndarray, w: np.ndarray, states=None) -> np.ndarray:
+        """Costs of the rollouts from m start states x0 (m, d) under noise w (m, T, d), the noise model's
+        vectors of the path rows' normals, mapped once a call on a copy (vectors maps a uniform in place, and
+        a step-major copy rounds otherwise): the (m,) costs of the base block, rolled under the policy, if U is
+        None; else the (T * m,) costs to go of the branches, block-major, where branch t of path i opens at
+        step t from the base's x_t with gain t perturbed by U[t, i] (U (T, m, k, d)) and rolls under the policy
+        after it.  states[1:] of a (T + 1, d, m) states, if given, receive the base's x_1 to x_T.  States are
+        coordinate-major in blocks, (d, (T + 1) * m): [base | branch 0 | ... | branch T - 1], of which step t
+        rolls the (t + 2) * m columns of the base and the branches open so far, and adds w[:, t] to each block
+        on the rows the noise can move, in one add where it moves every row.  gemv rounds by its operands'
+        layout, so for a row-major roll's bits gains act on row-major states (x0 at t = 0, then, for d > 1, d
+        row writes into one array) and B on row-major u if d = 1 < k.  Gains are negated once a call, as
+        rounding is symmetric in sign.  A = I is skipped, B u is B * u' if k = 1, and _forms and the noise add
+        skip zero terms: for finite states the costs keep their bits, as a one-term product rounds once and a
+        dropped zero term, like a negated zero, only flips the sign of a zero.  A @ x, gemv, gemm and dense
+        forms stay on BLAS, which may fuse a multiply-add, and einsum."""
         inst = self._inst
-        x0, z = paths
         T, d, m = self.T, self.d, len(x0)
         blocks, lo = (1, 0) if U is None else (T + 1, m)  # lo: the first costed column, the base's or branch 0's
         negK = -np.asarray(policy, dtype=float)
@@ -208,6 +205,7 @@ class LqrSimulator:
         x = np.empty((d, blocks * m))
         x[:, :m] = x0.T
         x3 = x.reshape(d, blocks, m)  # a view: the noise of the m paths is added to every live block
+        wt = w.transpose(2, 1, 0)  # (d, T, m), a view
         written = np.empty((blocks * m, d))  # unused at d = 1, where x.T is row-major
         acts = np.empty((blocks * m, self.k))  # each step's actions, row-major, written in place
         cost = np.zeros(blocks * m - lo)
@@ -228,31 +226,14 @@ class LqrSimulator:
             xs = x[:, :live]
             cost[:live - lo] += _forms(xs[:, lo:], inst.Q[t], self._Q[t])
             cost[:live - lo] += _forms(np.ascontiguousarray(u[lo:].T), inst.R[t], self._R[t])
-            if self._A is None:
+            if not self._identity:
                 xs[...] = inst.A @ xs
-            elif not self._identity:
-                xs[...] = self._A[1] * xs[self._A[0]]
             xs += inst.B * u.T if self.k == 1 else (u @ inst.B.T).T if d == 1 else inst.B @ u.T
-            self._add_noise(x3[:, :b], z, t)
+            for r in self._moved:
+                x3[r, :b] += wt[r, t, None]
             if states is not None:
                 states[t + 1] = x[:, :m]
         return cost + _forms(x[:, lo:], inst.Q[T], self._Q[T])
-
-    def _add_noise(self, x: np.ndarray, z: np.ndarray, t: int) -> None:
-        """x (d, b, m) += the noise of step t of normals z (m, T, c), the same in each of the b blocks, on the
-        live rows alone where the factor's rows each read one column; vectors and _standardize map a uniform in
-        place, so they map copies.  Rows that mix columns map z[:, t], or all of z at one row or step, where a
-        step's product alone is a gemv."""
-        noise = self._inst.noise
-        if self._noise is None:
-            w = noise.vectors(np.array(z), self.d)[:, t] if 1 in z.shape[:2] else noise.vectors(np.array(z[:, t]), self.d)
-            x += w.T[:, None]
-        for r, s, a in self._noise or ():  # vectors' (src, coef) product, up to the sign of a zero
-            v = _standardize(noise.kind, np.array(z[:, t, s]))
-            if a != 1:  # v * 1 = v
-                v *= a
-            v *= noise.sigma
-            x[r] += v
 
 
 def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 0) -> GradientEstimate:

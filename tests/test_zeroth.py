@@ -500,48 +500,39 @@ class TestShortForms:
         np.testing.assert_array_equal(_bits(cost), _bits(1.0 + _forms(x, M)))
 
     @settings(deadline=None, max_examples=100)
-    @given(d=st.integers(1, 5), n=st.sampled_from([1, 2, 3, 250, 2000]), zero_row=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_one_term_rows_match_matmul(self, d, n, zero_row, seed):
-        # A as a scaled permutation, a row of it zero or not; B with k = 1 as the kernel computes B u
+    @given(d=st.integers(1, 5), n=st.sampled_from([1, 2, 3, 250, 2000]), seed=st.integers(0, 2**32 - 1))
+    def test_one_column_b_times_actions_matches_matmul(self, d, n, seed):
+        # B with k = 1 as the kernel computes B u: one product a state
+        # coordinate, which the matmul rounds once as well
         rng = np.random.default_rng(seed)
-        A = STRUCTURED_A["scaled permutation"](rng, d)
-        A[rng.integers(d)] *= not zero_row
-        src, coef = zeroth._one_term_rows(A)
-        x = np.ascontiguousarray(_wide(rng, (d, n)))
-        np.testing.assert_array_equal(_unsigned_zeros(coef * x[src]), _unsigned_zeros(A @ x))
         B, rows, K = _wide(rng, (d, 1)), _wide(rng, (n, d)), rng.normal(size=(1, d))
         u = -(rows @ K.T)
         np.testing.assert_array_equal(_bits(B * u.T), _bits(B @ u.T))
-        if d > 1:
-            assert zeroth._one_term_rows(np.ones((d, d))) is None
 
     @settings(deadline=None, max_examples=120)
-    @given(d=st.integers(1, 4), n=st.sampled_from([1, 2, 3, 250]), T=st.integers(1, 3), blocks=st.integers(1, 3),
+    @given(d=st.integers(1, 4), n=st.sampled_from([1, 2, 3, 250]), T=st.integers(1, 3),
            kind=st.sampled_from(["gaussian", "uniform", "zero"]), sigma=st.sampled_from([0.4, -0.7]),
            mixing=st.booleans(), unit=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_live_row_noise_add_matches_vectors(self, d, n, T, blocks, kind, sigma, mixing, unit, seed):
+    def test_live_row_noise_add_matches_vectors(self, d, n, T, kind, sigma, mixing, unit, seed):
         # factors with zero rows and entries of either sign, each row reading
         # one column or rows mixing them; with unit, the one-column rows read
-        # theirs with a coefficient of 1, whose multiply is skipped; each
-        # block of the states gets the same noise
+        # theirs with a coefficient of 1; under A = I and K = 0 each step of
+        # the roll adds the step's noise to wide states and nothing else
         rng = np.random.default_rng(seed)
         F = rng.normal(size=(d, d)) * (rng.random((d, 1)) < 0.7) if mixing else _one_entry_rows(rng, d, rng.random(d) < 0.7)
         if unit and not mixing:
             F = (F != 0) * 1.0
         noise = NoiseModel(kind, sigma, F)
-        inst = constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise,
-                                 InitialStateModel("gaussian", np.zeros(d), 1.0))
+        init = InitialStateModel("gaussian", np.zeros(d), 1.0, np.diag(10.0 ** rng.uniform(-8, 8, d)))
+        inst = constant_instance(np.eye(d), np.ones((d, 1)), np.eye(d), np.eye(1), np.eye(d), T, noise, init)
         sim = LqrSimulator(inst)
-        z = sim.paths(seed, 0, n)[1]
-        drawn = z.copy()
-        x = np.ascontiguousarray(_wide(rng, (d, blocks, n)))
-        ref = x.copy()
+        paths = sim.paths(seed, 0, n)
+        drawn = [a.copy() for a in paths]
+        states = sim.trajectories(np.zeros((T, 1, d)), paths).states
+        w = noise.vectors(np.array(paths[1]), d)
         for t in range(T):
-            sim._add_noise(x, z, t)
-            ref += noise.vectors(np.array(z), d)[:, t].T[:, None]
-            np.testing.assert_array_equal(_unsigned_zeros(x), _unsigned_zeros(ref))
-        assert z.tobytes() == drawn.tobytes()
+            np.testing.assert_array_equal(_unsigned_zeros(states[:, t + 1]), _unsigned_zeros(states[:, t] + w[:, t]))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(paths, drawn))
 
     @settings(deadline=None, max_examples=120)
     @given(d=st.integers(1, 3), k=st.integers(1, 2), T=st.integers(1, 4), m=st.sampled_from([1, 2, 3, 9]),
@@ -641,9 +632,10 @@ class PathsAndCosts:
 
 class TestEstimator:
     def test_liquidation_estimate_peaks_below_half_a_megabyte(self):
-        # one zo-liquidation estimate at m = 200 peaks at about 240 KB: 200
-        # path rows of 11 normals (17.6 KB) mapped one step at a time, and the
-        # (2, 2200) states of the base and its ten branches (35 KB)
+        # one zo-liquidation estimate at m = 200 peaks at about 270 KB: 200
+        # path rows of 11 normals (17.6 KB), their noise mapped once to a
+        # (200, 10, 2) array (32 KB), and the (2, 2200) states of the base and
+        # its ten branches (35 KB)
         inst, K, cfg = ac_to_lqr(stock_liquidation()), np.full((10, 1, 2), -0.2), SmoothingConfig(0.6, 200)
         estimate_gradient(inst, K, cfg, 3, iteration=0)
         tracemalloc.start()
