@@ -291,9 +291,10 @@ class LqrInstance:
     """Problem data.  Q has T+1 slices (terminal last), R has T slices.
 
     Construction checks that A is a finite (d, d) array and B a finite
-    (d, k) array, every R_t (and every Q_t when validate) once, in one pass
-    per stack, and that the start and noise models fit d states (ValueError
-    naming the field otherwise), symmetrises Q and R, and
+    (d, k) array, every R_t and every Q_t once, in one pass per stack (with
+    validate=False, Q only for finiteness, ValueError naming it), and that
+    the start and noise models fit d states (ValueError naming the field
+    otherwise), symmetrises Q and R, and
     computes the noise covariance W and the start second moment S0 as
     read-only arrays.  Derive a changed instance with dataclasses.replace,
     which does all of that again; a field assigned afterwards is neither
@@ -330,6 +331,8 @@ class LqrInstance:
                 raise ValueError(f"{name} must have shape {shape}, got {M.shape}")
         if self.validate:
             _check_stack(self.Q, "Q")
+        else:  # the waiver skips the positive-definiteness test alone
+            _check_array(self.Q, "Q", self.Q.shape)
         _check_stack(self.R, "R")
         _check_model(self.noise, "noise", self.d)
         _check_model(self.init, "init", self.d)
@@ -420,14 +423,13 @@ def solve_riccati(instance: LqrInstance) -> RiccatiSolution:
     backward recursion broke (every step below an overflow is NaN too), and
     a cost that overflowed at t = 0 raises FloatingPointError, rather than
     return NaN gains or cost."""
-    A, B, Q, R, W = instance.A, instance.B, instance.Q, instance.R, instance.W
+    A, B, Q, R = instance.A, instance.B, instance.Q, instance.R
     At, Bt = A.T, B.T
     T, d, k = instance.T, instance.d, instance.k
     P = np.empty((T + 1, d, d))
     gains = np.empty((T, k, d))
     steps = np.empty((T, k, k))
     P[T] = Q[T]
-    trace_noise = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         for t in range(T - 1, -1, -1):
             BtP = Bt @ P[t + 1]
@@ -437,9 +439,8 @@ def solve_riccati(instance: LqrInstance) -> RiccatiSolution:
             except np.linalg.LinAlgError:
                 raise NonPositiveDefinite(f"Riccati step matrix R + B'PB[{t}] is singular") from None
             _sym(Q[t] + At @ P[t + 1] @ A - At @ BtP.T @ gains[t], out=P[t])
-            trace_noise += float((W @ P[t + 1]).trace())
+        cost = float(_value_backup(instance, P).cost)  # exact_cost's formula
     _check_stack(steps, "Riccati step matrix R + B'PB", last=True)
-    cost = float((instance.S0 @ P[0]).trace()) + trace_noise
     if not np.isfinite(cost):
         raise FloatingPointError(f"Riccati optimal cost is {cost}: the recursion overflowed")
     return RiccatiSolution(gains=gains, P=P, optimal_cost=cost)

@@ -192,11 +192,11 @@ class LqrSimulator:
         rolls the (t + 2) * m columns of the base and the branches open so far, and adds w[:, t] to each block
         on the rows the noise can move, in one add where it moves every row.  gemv rounds by its operands'
         layout, so for a row-major roll's bits gains act on row-major states (x0 at t = 0, then, for d > 1, d
-        row writes into one array) and B on row-major u if d = 1 < k.  Gains are negated once a call, as
-        rounding is symmetric in sign.  A = I is skipped, B u is B * u' if k = 1, and _forms and the noise add
-        skip zero terms: for finite states the costs keep their bits, as a one-term product rounds once and a
-        dropped zero term, like a negated zero, only flips the sign of a zero.  A @ x, gemv, gemm and dense
-        forms stay on BLAS, which may fuse a multiply-add, and einsum."""
+        row writes into one array).  Gains are negated once a call, as rounding is symmetric in sign.  A = I
+        is skipped, B u is B * u' if k = 1, and _forms and the noise add skip zero terms: for finite states
+        the costs keep their bits, as a one-term product rounds once and a dropped zero term, like a negated
+        zero, only flips the sign of a zero.  A @ x, gemv, gemm and dense forms stay on BLAS, which may fuse a
+        multiply-add, and einsum."""
         inst = self._inst
         T, d, m = self.T, self.d, len(x0)
         blocks, lo = (1, 0) if U is None else (T + 1, m)  # lo: the first costed column, the base's or branch 0's
@@ -228,7 +228,7 @@ class LqrSimulator:
             cost[:live - lo] += _forms(np.ascontiguousarray(u[lo:].T), inst.R[t], self._R[t])
             if not self._identity:
                 xs[...] = inst.A @ xs
-            xs += inst.B * u.T if self.k == 1 else (u @ inst.B.T).T if d == 1 else inst.B @ u.T
+            xs += inst.B * u.T if self.k == 1 else inst.B @ u.T
             for r in self._moved:
                 x3[r, :b] += wt[r, t, None]
             if states is not None:

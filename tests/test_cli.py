@@ -1,6 +1,6 @@
 import json
 import re
-import sys
+import threading
 
 import numpy as np
 import pytest
@@ -275,21 +275,17 @@ class TestCli:
         assert len(calls) == 1
         assert all((tmp_path / "o" / f"seed_{s}.csv").exists() for s in range(3))
 
-    def test_seed_threads_share_what_was_read(self, tmp_path, monkeypatch):
-        # every seed thread runs on the same instance and initial policy; more
-        # threads than cores, switching often, must write what one thread writes
-        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + KIND_EXTRAS["zo-pg"])
-        seeds = [str(s) for s in range(8)]
-        interval = sys.getswitchinterval()
-        try:
-            for threads in ("1", "8"):
-                monkeypatch.setenv("LQRLAB_THREADS", threads)
-                sys.setswitchinterval(1e-6)
-                assert main(["zo-pg", "--config", cfg, "--seeds", *seeds, "--out", str(tmp_path / threads)]) == 0
-        finally:
-            sys.setswitchinterval(interval)
-        for name in [f"seed_{s}.csv" for s in seeds] + ["aggregate.csv"]:
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "8" / name).read_bytes()
+    def test_seeds_run_in_order_on_the_calling_thread(self, tmp_path, monkeypatch):
+        # a seeded kind runs _run_seed once per seed, in the order given, in
+        # the thread that called run_experiment
+        calls = []
+        run_seed = cli._run_seed
+        monkeypatch.setattr(cli, "_run_seed", lambda run, seed: calls.append((seed, threading.get_ident())) or run_seed(run, seed))
+        cfg = parse_kv(SCALAR_CFG + KIND_EXTRAS["zo-pg"])
+        cfg["kind"] = "zo-pg"
+        seeds = [3, 0, 7, 1]
+        run_experiment(cfg, seeds, tmp_path / "o")
+        assert calls == [(s, threading.main_thread().ident) for s in seeds]
 
     @pytest.mark.parametrize("setting,field", [
         ("book.tick = 0", "book.tick"),
@@ -562,8 +558,7 @@ class TestCli:
         assert main(["zo-pg", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "sphere row 0 " in capsys.readouterr().err
 
-    def test_manifest_deterministic(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LQRLAB_THREADS", "2")
+    def test_manifest_deterministic(self, tmp_path):
         cfg = parse_kv(SCALAR_CFG + "eta = 0.5\niters = 5\n")
         cfg["kind"] = "pg"
         m1 = run_experiment(cfg, [0, 1], tmp_path / "a")

@@ -458,6 +458,15 @@ class TestValidation:
                 NoiseModel("zero"), InitialStateModel("point", np.ones(1)), validate=False,
             )
 
+    def test_validate_false_still_checks_q_is_finite(self):
+        # the waiver skips the positive-definiteness test alone: a nan Q
+        # fails at construction, not later as a nan exact_cost
+        Q = np.ones((3, 1, 1))
+        Q[1] = np.nan
+        with pytest.raises(ValueError, match=r"^Q must be finite$"):
+            LqrInstance(np.eye(1), np.eye(1), Q, np.ones((2, 1, 1)),
+                        NoiseModel("zero"), InitialStateModel("point", np.ones(1)), validate=False)
+
     def test_moments_are_read_only_and_follow_replace(self, rng):
         inst = random_instance(rng, d=2, k=1, T=3)
         W, S0 = inst.W, inst.S0
