@@ -2,17 +2,16 @@
 
     lqrlab <kind> --config <path> [--seeds 1 2 3] [--out dir]
 
-Kinds: riccati, pg, ppg, zo-pg, zo-ppg, lob, impact, qlearn, deadline.
-Each kind first reads its keys from the config, once and without the seed;
-any key it does not read is a config error, reported before any seed runs.
-Seeds then run one after another in the calling thread; the kinds whose
-runs never read the seed run once, and that run stands for every seed.
-Every run writes a manifest plus one CSV per seed and an aggregate CSV whose
-row i holds the median and min/max envelope of row i over the seeds that
-have one.  A zo kind's manifest also records its rollout layout,
-"branched", and each seed's rollouts: per estimate, the m paths and the
-T * m branches rolled off them.  Exit codes: 0 success, 2 invalid config or
-usage, 3 runtime failure.
+Kinds: riccati, pg, ppg, zo-pg, zo-ppg, lob, impact, qlearn, deadline.  Each
+kind first reads its keys from the config, once and without the seed; any
+key it does not read is a config error, reported before any seed runs.  Seeds
+then run one after another in the calling thread; the kinds whose runs never
+read the seed run once, and that run stands for every seed.  Every run writes
+a manifest plus one CSV per seed and an aggregate CSV whose row i holds the
+median and min/max envelope of row i over the seeds that have one.  A zo
+kind's manifest also records its rollout layout, "branched", and each seed's
+rollouts: per estimate, the m paths and the T * m branches rolled off them.
+Exit codes: 0 success, 2 invalid config or usage, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -63,9 +62,8 @@ _INT_COLUMNS = frozenset({"iter", "n_seeds", "row", "m", "t", "sweeps", "horizon
 
 
 def _max_workers() -> int:
-    """LQRLAB_THREADS, else min(8, cpu count): the removed seed pool's size.
-    Only perfbench/workloads.py (the CLI workload's seed groups) and
-    tests/test_bench_bindings.py read it; ROADMAP item 1 deletes it."""
+    """The removed seed pool's size, read only by perfbench/workloads.py and
+    tests/test_bench_bindings.py; ROADMAP item 1 deletes it."""
     env = os.environ.get("LQRLAB_THREADS")
     if env:
         return max(1, int(env))

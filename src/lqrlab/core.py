@@ -291,10 +291,9 @@ class LqrInstance:
     """Problem data.  Q has T+1 slices (terminal last), R has T slices.
 
     Construction checks that A is a finite (d, d) array and B a finite
-    (d, k) array, every R_t and every Q_t once, in one pass per stack (with
-    validate=False, Q only for finiteness, ValueError naming it), and that
-    the start and noise models fit d states (ValueError naming the field
-    otherwise), symmetrises Q and R, and
+    (d, k) array, every R_t and Q_t once, in one pass per stack (validate=False
+    only checks that Q is finite), and that the start and noise models fit d
+    states (ValueError naming the field otherwise), symmetrises Q and R, and
     computes the noise covariance W and the start second moment S0 as
     read-only arrays.  Derive a changed instance with dataclasses.replace,
     which does all of that again; a field assigned afterwards is neither
