@@ -31,7 +31,6 @@ from .optimize import (
     run_exact_ppg,
 )
 from .zeroth import (
-    GradientEstimate,
     LqrSimulator,
     SmoothingConfig,
     estimate_gradient,

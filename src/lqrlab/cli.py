@@ -173,6 +173,7 @@ def _read(keys: dict, kind: str):
     if kind.endswith("ppg"):
         constraint = liquidation_constraint(as_float(keys.pop("constraint.gamma_bar"), "constraint.gamma_bar"),
                                             as_float(keys.pop("constraint.zeta", 1e-12), "constraint.zeta"))
+        constraint.contains(K0)  # a set that does not fit the gains raises ValueError here, before any output
     if kind.startswith("zo"):
         sm = SmoothingConfig(radius=as_float(keys.pop("radius"), "radius"), samples=as_count(keys.pop("samples"), "samples"))
 
@@ -201,8 +202,6 @@ def _run_seed(run, seed: int):
 
 
 def _cell(v, integer: bool):
-    if not isinstance(v, (int, float, np.floating)):
-        return v
     v = float(v)
     return repr(int(v)) if integer and v.is_integer() else repr(v)
 

@@ -315,8 +315,6 @@ class LqrInstance:
         self.B = np.asarray(self.B, dtype=float)
         self.Q = np.asarray(self.Q, dtype=float)
         self.R = np.asarray(self.R, dtype=float)
-        if self.B.ndim == 1:
-            self.B = self.B[:, None]
         d = len(self.A) if self.A.ndim else 1
         _check_array(self.A, "A", (d, d))
         _check_array(self.B, "B", (d, self.B.shape[1] if self.B.ndim > 1 else 1))
@@ -355,7 +353,7 @@ class LqrInstance:
         return self.R.shape[0]
 
 
-def constant_instance(A, B, Q, R, Q_terminal, T, noise, init, **kw) -> LqrInstance:
+def constant_instance(A, B, Q, R, Q_terminal, T, noise, init) -> LqrInstance:
     """Build an instance with time-invariant running Q, R and a terminal Q."""
     Q, R, Q_terminal = (np.asarray(M, dtype=float) for M in (Q, R, Q_terminal))
     if Q.shape != Q_terminal.shape:  # name the one that does not fit A, not concatenate's message
@@ -363,7 +361,7 @@ def constant_instance(A, B, Q, R, Q_terminal, T, noise, init, **kw) -> LqrInstan
         raise ValueError(f"{name} must have shape {np.shape(A)[:1] * 2}, got {M.shape}")
     Qs = np.concatenate([np.repeat(Q[None], T, axis=0), Q_terminal[None]])
     Rs = np.repeat(R[None], T, axis=0)
-    return LqrInstance(A, B, Qs, Rs, noise, init, **kw)
+    return LqrInstance(A, B, Qs, Rs, noise, init)
 
 
 @dataclass
@@ -582,7 +580,7 @@ def path_normals(instance: LqrInstance, rng: np.random.Generator, n: int) -> tup
     return instance.init.vectors(z[:, :a], d), z[:, a:].reshape(n, T, c)
 
 
-def pathwise_cost_terms(instance: LqrInstance, policy, traj: Trajectory, backup: ValueBackup | None = None):
+def pathwise_cost_terms(instance: LqrInstance, policy, traj: Trajectory):
     """Exact per-trajectory cost decomposition under the closed-loop value matrices:
 
         realized_cost = x_0' P_0 x_0
@@ -595,7 +593,7 @@ def pathwise_cost_terms(instance: LqrInstance, policy, traj: Trajectory, backup:
     remainder that makes the identity hold path by path.
     """
     K = _gains(policy, instance)
-    P = (backup if backup is not None else backup_value(instance, K)).P
+    P = backup_value(instance, K).P
     x, w = traj.states, traj.noises
     head = np.einsum("...d,de,...e->...", x[..., 0, :], P[0], x[..., 0, :])
     quad = np.einsum("...td,tde,...te->...", w, P[1:], w)

@@ -93,25 +93,30 @@ class ProjectionSet:
             if self.gamma_bar <= 0.0:
                 raise EmptySet("liquidation set requires gamma_bar > 0")
 
-    def contains(self, policy, tol: float = _MEMBER_TOL) -> bool:
+    def contains(self, policy) -> bool:
+        """Membership up to _MEMBER_TOL; a liquidation set raises ValueError on gains that are not 1x2."""
         K = np.asarray(policy, dtype=float)
         if self.kind == "box":
-            return bool(np.all(K >= self.lo - tol) and np.all(K <= self.hi + tol))
-        k1, k2 = K[:, 0, 0], K[:, 0, 1]
+            return bool(np.all(K >= self.lo - _MEMBER_TOL) and np.all(K <= self.hi + _MEMBER_TOL))
+        k1, k2 = _liquidation_rows(K).T
         return bool(
-            np.all(self.gamma_bar * k1 + k2 >= -1.0 + self.zeta - tol)
-            and np.all(k1 <= tol)
-            and np.all(k2 <= tol)
+            np.all(self.gamma_bar * k1 + k2 >= -1.0 + self.zeta - _MEMBER_TOL)
+            and np.all(k1 <= _MEMBER_TOL)
+            and np.all(k2 <= _MEMBER_TOL)
         )
 
     def project(self, policy) -> np.ndarray:
         K = np.asarray(policy, dtype=float)
         if self.kind == "box":
             return np.clip(K, self.lo, self.hi)
-        if K.shape[1:] != (1, 2):
-            raise ValueError("liquidation set applies to 1x2 gains")
-        pts = K[:, 0, :]
-        return _project_halfplane_triangle(pts, self.gamma_bar, self.zeta)[:, None, :]
+        return _project_halfplane_triangle(_liquidation_rows(K), self.gamma_bar, self.zeta)[:, None, :]
+
+
+def _liquidation_rows(K: np.ndarray) -> np.ndarray:
+    """The (n, 2) rows (k1, k2) of n gains (n, 1, 2) of a liquidation set, else ValueError."""
+    if K.shape[1:] != (1, 2):
+        raise ValueError(f"liquidation set applies to 1x2 gains, got gains of shape {K.shape[1:]}")
+    return K[:, 0, :]
 
 
 def _project_halfplane_triangle(pts: np.ndarray, gamma_bar: float, zeta: float) -> np.ndarray:
@@ -174,17 +179,17 @@ def _enumerate_triangle(pts: np.ndarray, g: float, c: float, foot: np.ndarray) -
     return out
 
 
-def _nonzero_optimal_cost(instance: LqrInstance, optimal_cost: float | None = None) -> float:
+def _nonzero_optimal_cost(instance: LqrInstance) -> float:
     """C(K*), which normalizes errors; raises ZeroOptimalCost when it is ~ 0."""
-    cstar = solve_riccati(instance).optimal_cost if optimal_cost is None else optimal_cost
+    cstar = solve_riccati(instance).optimal_cost
     if abs(cstar) <= 1e-12:
         raise ZeroOptimalCost("optimal cost ~ 0; normalized error undefined")
     return cstar
 
 
-def normalized_error(instance: LqrInstance, policy, *, optimal_cost: float | None = None) -> float:
+def normalized_error(instance: LqrInstance, policy) -> float:
     """(C(K) - C(K*)) / C(K*) against the Riccati solution."""
-    cstar = _nonzero_optimal_cost(instance, optimal_cost)
+    cstar = _nonzero_optimal_cost(instance)
     return (exact_cost(instance, policy) - cstar) / cstar
 
 

@@ -17,7 +17,10 @@ protocol an opaque handle follows, so that it branches as LqrSimulator does:
 Each K_t is perturbed by m draws U_i from the Frobenius sphere of radius r,
 and
 
-    ghat_t = (D / r^2) * mean_i  cost_i * U_i,        D = k * d.
+    ghat_t = (D / r^2) * mean_i  cost_i * U_i,        D = k * d,
+
+the (T, k, d) array that estimate_gradient returns.  It takes a handle, never
+an LqrInstance, which LqrSimulator wraps once for many estimates.
 
 Iteration n of seed s reads two streams of standard normals.  Rollout
 (t, i) reads row j = i * T + t of the direction stream (i-major, so its
@@ -61,12 +64,6 @@ class SmoothingConfig:
     def __post_init__(self):
         _number(self.radius, "smoothing radius", 0, above=True)
         _number(self.samples, "smoothing samples", 1, whole=True)
-
-
-@dataclass
-class GradientEstimate:
-    grads: np.ndarray  # (T, k, d)
-    mean_costs: np.ndarray  # (T,) mean cost to go from slot t of its m branches
 
 
 def sample_sphere(shape: tuple[int, int], radius: float, seed) -> np.ndarray:
@@ -236,14 +233,14 @@ class LqrSimulator:
         return cost + _forms(x[:, lo:], inst.Q[T], self._Q[T])
 
 
-def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 0) -> GradientEstimate:
-    """Zeroth-order gradient estimate from m branched rollouts per slot: the
-    handle's costs to go on its first m paths of the iteration.  The policy
-    must have the handle's shape (T, k, d) (ValueError naming policy)."""
-    if isinstance(sim, LqrInstance):
-        sim = LqrSimulator(sim)
+def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 0) -> np.ndarray:
+    """The (T, k, d) zeroth-order gradient estimate from m branched rollouts
+    per slot: the handle's costs to go on its first m paths of the
+    iteration.  The policy must have the handle's shape (T, k, d)
+    (ValueError naming policy); an LqrInstance is no handle (TypeError)."""
     if not (hasattr(sim, "paths") and hasattr(sim, "costs")):
-        raise TypeError("a simulator handle needs paths(seed, iteration, n) and costs(policy, U, paths)")
+        raise TypeError("a simulator handle needs paths(seed, iteration, n) and costs(policy, U, paths); "
+                        "wrap an LqrInstance in LqrSimulator")
     K = _gains(policy, sim)
     T, k, d = K.shape
     D = k * d
@@ -253,8 +250,7 @@ def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 
     # one einsum per slot: a single einsum over all slots rounds differently
     grads = np.stack([np.einsum("i,ikd->kd", costs[t], U[t]) for t in range(T)])
     grads *= D / r**2
-    grads /= m
-    return GradientEstimate(grads=grads, mean_costs=costs.mean(axis=1))
+    return grads / m
 
 
 def smoothed_gradient_reference(instance: LqrInstance, policy, t: int, radius: float, n_samples: int, seed) -> np.ndarray:
@@ -300,7 +296,7 @@ def run_modelfree_pg(sim, policy0, cfg: DescentConfig, smoothing: SmoothingConfi
         sim = LqrSimulator(instance)
 
     def estimate(K, n):
-        return estimate_gradient(sim, K, smoothing, seed, iteration=n).grads
+        return estimate_gradient(sim, K, smoothing, seed, iteration=n)
 
     return _descent(instance, policy0, cfg, constraint, handle=sim, smoothing=smoothing, estimate=estimate,
                     cost_oracle=cost_oracle)

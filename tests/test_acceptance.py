@@ -165,7 +165,7 @@ def test_c3_identity_pathwise_two_term():
     ) + float(np.trace(inst.Q[inst.T] @ S[inst.T]))
     closed_dev = abs(bk.cost - ref) / max(abs(ref), 1e-12)
     traj = c3_trajectories(inst, K)
-    head, quad, cross = pathwise_cost_terms(inst, K, traj, bk)
+    head, quad, cross = pathwise_cost_terms(inst, K, traj)
     cost = traj.realized_cost
     worst = (np.abs(cost - (head + quad) - cross) / np.maximum(np.abs(cost), 1e-12)).max()
     two_term = head + quad
@@ -185,9 +185,8 @@ def test_c3_identity_pathwise_exact_and_expectation():
     t0 = time.time()
     inst = scalar_benchmark()
     K = np.full((5, 1, 1), 0.3)
-    bk = backup_value(inst, K)
     traj = c3_trajectories(inst, K)
-    head, quad, cross = pathwise_cost_terms(inst, K, traj, bk)
+    head, quad, cross = pathwise_cost_terms(inst, K, traj)
     cost = traj.realized_cost
     worst = (np.abs(cost - (head + quad + cross)) / np.maximum(np.abs(cost), 1e-12)).max()
     resid = cost - (head + quad)
@@ -379,9 +378,10 @@ def test_c7_estimator_consistency():
     inst = scalar_benchmark()
     K = np.full((5, 1, 1), 0.3)
     exact = exact_gradient(inst, K)
+    sim = LqrSimulator(inst)
 
-    est = estimate_gradient(inst, K, SmoothingConfig(0.05, 100_000), seed=11)
-    err_abs = float(np.linalg.norm((est.grads - exact).ravel()))
+    est = estimate_gradient(sim, K, SmoothingConfig(0.05, 100_000), seed=11)
+    err_abs = float(np.linalg.norm((est - exact).ravel()))
 
     # doubling ladder in the sampling-noise regime; each rung averages the
     # error over 4 independent estimates
@@ -389,7 +389,7 @@ def test_c7_estimator_consistency():
     means = []
     for j, m in enumerate(ms):
         errs = [
-            float(np.linalg.norm((estimate_gradient(inst, K, SmoothingConfig(0.05, m), seed=1000 + 10 * j + rep).grads - exact).ravel()))
+            float(np.linalg.norm((estimate_gradient(sim, K, SmoothingConfig(0.05, m), seed=1000 + 10 * j + rep) - exact).ravel()))
             for rep in range(4)
         ]
         means.append(float(np.mean(errs)))
@@ -414,7 +414,9 @@ def test_c8_projection():
 
     pts = rng.normal(scale=2.0, size=(10_000, 1, 2))
     proj = S.project(pts)
-    member = S.contains(proj, tol=0.0)
+    # the set's three inequalities, with no tolerance
+    k1, k2 = proj[:, 0, 0], proj[:, 0, 1]
+    member = bool(np.all(S.gamma_bar * k1 + k2 >= -1.0 + S.zeta) and np.all(k1 <= 0.0) and np.all(k2 <= 0.0))
 
     # first-order optimality against random feasible competitors
     comp = _project_halfplane_triangle(rng.normal(scale=2.0, size=(100, 2)), 5e-5, 1e-12)
@@ -523,7 +525,7 @@ def test_c11_pg_beats_qlearning_matched_budget():
         K0 = np.zeros((5, 1, 1))
         cfg = DescentConfig(eta=0.2, iters=300)
         K, _ = run_modelfree_pg(inst, K0, cfg, SmoothingConfig(radius=0.1, samples=50), seed)
-        pg_err = normalized_error(inst, K, optimal_cost=cstar)
+        pg_err = normalized_error(inst, K)
         results.append((pg_err, ql_err))
         wins += pg_err < ql_err
     ok = wins >= 7

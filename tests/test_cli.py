@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lqrlab import cli, zeroth
+from lqrlab import DescentConfig, cli, run_exact_ppg, zeroth
 from lqrlab.cli import main, run_experiment
-from lqrlab.config_io import book_from_config, dump_kv, instance_from_config, parse_kv
-from lqrlab.liquidation import SyntheticBookConfig, synthetic_lob, write_lob_csv
+from lqrlab.config_io import ac_from_config, book_from_config, dump_kv, instance_from_config, parse_kv
+from lqrlab.liquidation import SyntheticBookConfig, ac_to_lqr, liquidation_constraint, synthetic_lob, write_lob_csv
 
 SCALAR_CFG = """
 # scalar instance with a stiffer terminal weight
@@ -143,6 +143,42 @@ class TestCli:
                     assert all(re.fullmatch(r"-?[0-9]+", c) for c in cells), (path.name, col, cells)
                 else:
                     assert all(c == "nan" or re.search(r"[.e]", c) for c in cells), (path.name, col, cells)
+
+    def test_ppg_on_liquidation_writes_the_api_trace(self, tmp_path):
+        # the exact projected kind with line search: its seed CSV is
+        # run_exact_ppg's trace for the same settings, gradmap_sq included
+        cfg = write(tmp_path, "c.cfg", AC_CFG + PPG_EXTRAS + "line_search = true\n")
+        assert main(["ppg", "--config", cfg, "--seeds", "0", "--out", str(tmp_path / "o")]) == 0
+        header, *rows = (tmp_path / "o" / "seed_0.csv").read_text().splitlines()
+        inst = ac_to_lqr(ac_from_config(parse_kv(AC_CFG)))
+        _, trace = run_exact_ppg(inst, np.full((inst.T, 1, 2), -0.2), DescentConfig(eta=1e3, iters=3, line_search=True),
+                                 liquidation_constraint(5e-5, 1e-12))
+        assert "gradmap_sq" in header.split(",")
+        assert header.split(",") == trace.columns
+        np.testing.assert_array_equal(np.array([r.split(",") for r in rows], dtype=float), np.array(trace.rows))
+
+    @pytest.mark.parametrize("kind,extra", [("ppg", ""), ("zo-ppg", "radius = 0.1\nsamples = 5\n")])
+    def test_liquidation_set_on_scalar_gains_exit_two_before_any_output(self, tmp_path, capsys, kind, extra):
+        # ProjectionSet.contains read K[:, 0, 1] unchecked: an IndexError
+        # traceback, exit 1, after the output directory was made
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + PPG_EXTRAS + extra)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: liquidation set applies to 1x2 gains, got gains of shape (1, 1)")
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_kind_is_refused_before_any_output(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^kind must be one of .*, got 'ppo'$"):
+            run_experiment({"kind": "ppo"}, [0], tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    def test_config_without_an_instance_names_the_missing_keys(self, tmp_path, capsys):
+        with pytest.raises(KeyError, match=r"config has no instance\.\* keys"):
+            run_experiment({"kind": "pg", "eta": 0.5, "iters": 3}, [0], tmp_path / "o")
+        cfg = write(tmp_path, "c.cfg", KIND_EXTRAS["pg"])
+        assert main(["pg", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config has no instance.* keys" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_zo_ppg_on_liquidation(self, tmp_path):
         extra = 'eta = 0.05\niters = 3\nradius = 0.6\nsamples = 20\npolicy0 = -0.2\nconstraint.gamma_bar = 5e-5\n'
@@ -432,7 +468,7 @@ class TestCli:
         ("deadline", "ac.beta = [1.03e-5]", "ac.beta"), ("pg", 'instance.A = {"a": 1}', "instance.A"),
         ("pg", "policy0 = {}", "policy0"), ("pg", "policy0 = true", "policy0"), ("pg", "policy0 = null", "policy0"),
         ("pg", "instance.noise.factor = [[true]]", "instance.noise.factor"), ("pg", "instance.B = [[1, null]]", "instance.B"),
-        ("lob", "lob_csv = 5", "lob_csv"), ("deadline", "horizons = 5", "horizons"),
+        ("lob", "lob_csv = 5", "lob_csv"), ("deadline", "horizons = 5", "horizons"), ("pg", 'eta = "x"', "eta"),
     ])
     def test_wrong_json_types_exit_two(self, tmp_path, capsys, kind, setting, key):
         # eta = [0.5] used to exit 1 with a TypeError traceback from float(),

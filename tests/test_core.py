@@ -103,8 +103,8 @@ class TestRiccati:
     def test_bad_step_raises_rather_than_returning_nan(self, a, q_terminal, T, error, message):
         # an overflow used to return NaN gains and cost; an indefinite Q_T
         # (validate=False) makes the step matrix indefinite or singular
-        inst = constant_instance([[a]], [[1.0]], [[1.0]], [[1.0]], [[q_terminal]], T, NoiseModel("zero"),
-                                 InitialStateModel("point", np.ones(1)), validate=False)
+        inst = LqrInstance([[a]], [[1.0]], [[[1.0]]] * T + [[[q_terminal]]], [[[1.0]]] * T, NoiseModel("zero"),
+                           InitialStateModel("point", np.ones(1)), validate=False)
         with pytest.raises(error, match=message):
             solve_riccati(inst)
 
@@ -341,13 +341,12 @@ class TestSimulation:
         # BLAS rounds by row count)
         inst = random_instance(rng, d=2, k=1, T=4)
         K = random_policy(rng, inst)
-        bk = backup_value(inst, K)
         n = 20000
         batch = LqrSimulator(inst).trajectories(K, path_normals(inst, make_rng(99), n))
-        head, quad, _ = pathwise_cost_terms(inst, K, batch, bk)
+        head, quad, _ = pathwise_cost_terms(inst, K, batch)
         resid = batch.realized_cost - head - quad
         for j, traj in simulated_rows(inst, 99, {int(j): K for j in np.linspace(0, n - 1, 201)}).items():
-            h, q, _ = pathwise_cost_terms(inst, K, traj, bk)
+            h, q, _ = pathwise_cost_terms(inst, K, traj)
             assert abs(resid[j] - (traj.realized_cost - h - q)) <= 1e-12 * (abs(traj.realized_cost) + abs(h) + abs(q)), j
         se = resid.std() / np.sqrt(resid.size)
         assert abs(resid.mean()) < 4 * se
@@ -453,8 +452,8 @@ class TestValidation:
 
     def test_validate_false_still_checks_r(self):
         with pytest.raises(NonPositiveDefinite, match=r"^R\[0\] is not positive definite"):
-            constant_instance(
-                np.eye(1), np.eye(1), -np.eye(1), -np.eye(1), np.eye(1), 1,
+            LqrInstance(
+                np.eye(1), np.eye(1), [-np.eye(1), np.eye(1)], [-np.eye(1)],
                 NoiseModel("zero"), InitialStateModel("point", np.ones(1)), validate=False,
             )
 
@@ -526,6 +525,7 @@ class TestValidation:
         (np.full((1, 1), np.inf), np.ones((1, 1)), r"^A must be finite$"),
         (np.eye(1), np.full((1, 1), np.nan), r"^B must be finite$"),
         (np.eye(1), np.ones((2, 1)), r"^B must have shape \(1, 1\), got \(2, 1\)$"),
+        (np.eye(2), np.ones(2), r"^B must have shape \(2, 1\), got \(2,\)$"),  # a 1-D B is no column
     ])
     def test_rejects_dynamics_that_do_not_fit(self, A, B, message):
         # a non-finite A or B used to give NaN Riccati gains, a non-square A a broadcast error
@@ -556,8 +556,8 @@ class TestValidation:
             )
 
     def test_psd_waiver(self):
-        inst = constant_instance(
-            np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1), np.eye(1), 1,
+        inst = LqrInstance(
+            np.eye(1), np.eye(1), [np.zeros((1, 1)), np.eye(1)], [np.eye(1)],
             NoiseModel("zero"), InitialStateModel("point", np.ones(1)), validate=False,
         )
         assert solve_riccati(inst).optimal_cost >= 0
@@ -732,8 +732,8 @@ def test_gaussian_work_leaves_scipy_special_unimported():
         import sys
         import numpy as np
         import lqrlab.cli
-        from lqrlab import (DescentConfig, SmoothingConfig, estimate_gradient, run_exact_pg, run_modelfree_ppg,
-                            simulate_trajectory, solve_riccati)
+        from lqrlab import (DescentConfig, LqrSimulator, SmoothingConfig, estimate_gradient, run_exact_pg,
+                            run_modelfree_ppg, simulate_trajectory, solve_riccati)
         from lqrlab.benchmarks import scalar_benchmark, stock_liquidation
         from lqrlab.core import NoiseModel, make_rng
         from lqrlab.liquidation import ac_to_lqr, liquidation_constraint
@@ -744,7 +744,7 @@ def test_gaussian_work_leaves_scipy_special_unimported():
         run_exact_pg(scalar, np.zeros((5, 1, 1)), DescentConfig(eta=0.5, iters=2))
         run_modelfree_ppg(liq, K0, DescentConfig(eta=0.05, iters=2), SmoothingConfig(0.6, 20), 3,
                           liquidation_constraint(5e-5, 1e-12))
-        estimate_gradient(liq, K0, SmoothingConfig(0.6, 20), 3)
+        estimate_gradient(LqrSimulator(liq), K0, SmoothingConfig(0.6, 20), 3)
         simulate_trajectory(scalar, np.zeros((5, 1, 1)), 1)
         q_learning_step(make_qtable(scalar, 11, 11), scalar, 0.5, 2)
         print("scipy.linalg" in sys.modules, "scipy.special" in sys.modules)

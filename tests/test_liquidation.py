@@ -195,6 +195,12 @@ class TestBook:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             simulate_lob(series, strategy, phi_prime=1e-4, q0=q0)
 
+    @pytest.mark.parametrize("strategy", [np.zeros(3), np.zeros((4, 2)), np.zeros((4, 1, 1)), np.zeros((3, 1, 2))])
+    def test_strategy_of_another_shape_rejected(self, strategy):
+        series = synthetic_lob(SyntheticBookConfig(T=4, depth_mean=2000.0), seed=2)
+        with pytest.raises(ValueError, match=r"^strategy must be a length-4 schedule or \(4, 1, 2\) gains$"):
+            simulate_lob(series, strategy, phi_prime=1e-4, q0=400.0)
+
     def test_gain_strategy_clamps_buys(self):
         series = synthetic_lob(SyntheticBookConfig(T=4, depth_mean=2000.0), seed=2)
         gains = np.zeros((4, 1, 2))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -123,7 +124,9 @@ class TestProjection:
     def test_idempotent_and_feasible(self, rng):
         K = rng.normal(size=(50, 1, 2)) * 2.0
         P1 = self.S.project(K)
-        assert self.S.contains(P1, tol=0.0)
+        # the set's three inequalities, with no tolerance
+        k1, k2 = P1[:, 0, 0], P1[:, 0, 1]
+        assert np.all(self.S.gamma_bar * k1 + k2 >= -1.0 + self.S.zeta) and np.all(k1 <= 0.0) and np.all(k2 <= 0.0)
         P2 = self.S.project(P1)
         np.testing.assert_allclose(P2, P1, atol=2e-15)
 
@@ -155,6 +158,18 @@ class TestProjection:
         # project raised ZeroDivisionError and run_exact_ppg IndexError
         with pytest.raises(ValueError, match=repr(kind)):
             ProjectionSet(kind=kind, lo=-1.0, hi=1.0)
+
+    @pytest.mark.parametrize("gamma_bar", [0.0, -5e-5])
+    def test_liquidation_set_needs_a_positive_gamma_bar(self, gamma_bar):
+        with pytest.raises(EmptySet, match=r"gamma_bar > 0"):
+            ProjectionSet(kind="liquidation", gamma_bar=gamma_bar, zeta=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 1, 1), (3, 2, 2), (3, 2, 1)])
+    @pytest.mark.parametrize("method", ["contains", "project"])
+    def test_liquidation_set_refuses_gains_that_are_not_1x2(self, method, shape):
+        # contains read K[:, 0, 1] unchecked: an IndexError on 1x1 gains, an answer on 2x2 ones
+        with pytest.raises(ValueError, match=rf"^liquidation set applies to 1x2 gains, got gains of shape {re.escape(str(shape[1:]))}$"):
+            getattr(self.S, method)(np.full(shape, -0.2))
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySet):
@@ -218,6 +233,12 @@ class TestProjectionProperties:
 
 
 class TestExactPpg:
+    def test_liquidation_set_on_scalar_gains_is_a_value_error(self):
+        # the initial membership check used to raise IndexError
+        with pytest.raises(ValueError, match=r"^liquidation set applies to 1x2 gains, got gains of shape \(1, 1\)$"):
+            run_exact_ppg(scalar_benchmark(), np.full((5, 1, 1), -0.2), DescentConfig(eta=0.01, iters=1),
+                          liquidation_constraint(5e-5, 1e-12))
+
     def test_rejects_infeasible_start(self):
         inst = ac_to_lqr(stock_liquidation())
         S = liquidation_constraint(5e-5, 1e-12)
@@ -255,7 +276,8 @@ WRONG_SHAPE_ENTRIES = {
     "run_modelfree_pg/handle": lambda inst, K: lqrlab.run_modelfree_pg(lqrlab.LqrSimulator(inst), K,
                                                                        DescentConfig(eta=0.1, iters=3),
                                                                        lqrlab.SmoothingConfig(0.1, 5), 0),
-    "estimate_gradient": lambda inst, K: lqrlab.estimate_gradient(inst, K, lqrlab.SmoothingConfig(0.1, 5), 0),
+    "estimate_gradient": lambda inst, K: lqrlab.estimate_gradient(lqrlab.LqrSimulator(inst), K,
+                                                                  lqrlab.SmoothingConfig(0.1, 5), 0),
     "smoothed_gradient_reference": lambda inst, K: lqrlab.smoothed_gradient_reference(inst, K, 0, 0.1, 5, 0),
 }
 

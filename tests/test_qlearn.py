@@ -12,7 +12,7 @@ from lqrlab import (
     make_rng,
     solve_riccati,
 )
-from lqrlab.benchmarks import scalar_benchmark
+from lqrlab.benchmarks import four_state_benchmark, scalar_benchmark
 from lqrlab import qlearn
 from lqrlab.qlearn import QTable, greedy_policy_cost, make_qtable, q_learning_step
 
@@ -25,6 +25,10 @@ def noiseless_scalar(T=3):
 
 
 class TestTable:
+    def test_rejects_a_non_scalar_instance(self):
+        with pytest.raises(ValueError, match=r"^Q-learning baseline needs a scalar instance$"):
+            make_qtable(four_state_benchmark(), n_states=11, n_actions=5)
+
     def test_terminal_layer_fixed(self):
         inst = noiseless_scalar()
         tab = make_qtable(inst, n_states=11, n_actions=5)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lqrlab import (
     DescentConfig,
     InitialStateModel,
+    LqrInstance,
     LqrSimulator,
     NoiseModel,
     ProjectionSet,
@@ -152,7 +153,7 @@ class TestEstimatorDraws:
 
         def draws(seed, it):
             return (sphere_directions(inst.T, 20, (1, 2), 0.6, seed, it), *mapped(inst, sim.paths(seed, it, 20)),
-                    estimate_gradient(inst, K, cfg, seed, iteration=it).grads)
+                    estimate_gradient(sim, K, cfg, seed, iteration=it))
 
         serial = [draws(*key) for key in keys]
         got = {}
@@ -547,8 +548,8 @@ class TestShortForms:
         noise = NoiseModel(kinds[1], rng.choice([0.4, -0.4]), F)
         init = InitialStateModel(kinds[0], rng.normal(size=d), 0.6)
         B = rng.normal(size=(d, k)) * (rng.random((d, k)) < 0.7)
-        inst = constant_instance(STRUCTURED_A[A](rng, d), B, STRUCTURED_Q[Q](rng, d), STRUCTURED_Q[R](rng, k) + 0.3 * np.eye(k),
-                                 2.0 * STRUCTURED_Q[Q](rng, d), T, noise, init, validate=False)
+        A_, Q_, R_ = STRUCTURED_A[A](rng, d), STRUCTURED_Q[Q](rng, d), STRUCTURED_Q[R](rng, k) + 0.3 * np.eye(k)
+        inst = LqrInstance(A_, B, [Q_] * T + [2.0 * STRUCTURED_Q[Q](rng, d)], [R_] * T, noise, init, validate=False)
         K = rng.normal(size=(T, k, d)) * 0.3
         U = sphere_directions(T, m, (k, d), 0.2, seed, 1)
         sim, ref = LqrSimulator(inst), ReferenceKernel(inst)
@@ -636,11 +637,11 @@ class TestEstimator:
         # path rows of 11 normals (17.6 KB), their noise mapped once to a
         # (200, 10, 2) array (32 KB), and the (2, 2200) states of the base and
         # its ten branches (35 KB)
-        inst, K, cfg = ac_to_lqr(stock_liquidation()), np.full((10, 1, 2), -0.2), SmoothingConfig(0.6, 200)
-        estimate_gradient(inst, K, cfg, 3, iteration=0)
+        sim, K, cfg = LqrSimulator(ac_to_lqr(stock_liquidation())), np.full((10, 1, 2), -0.2), SmoothingConfig(0.6, 200)
+        estimate_gradient(sim, K, cfg, 3, iteration=0)
         tracemalloc.start()
         try:
-            estimate_gradient(inst, K, cfg, 3, iteration=1)
+            estimate_gradient(sim, K, cfg, 3, iteration=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -654,22 +655,22 @@ class TestEstimator:
         inst = ac_to_lqr(stock_liquidation()) if name == "zo-liquidation" else four_state_benchmark()
         T, k, d, r = inst.T, inst.k, inst.d, 0.3
         K = np.random.default_rng(m).normal(size=(T, k, d)) * 0.1
-        est = estimate_gradient(inst, K, SmoothingConfig(r, m), -5, iteration=7)
+        sim = LqrSimulator(inst)
+        est = estimate_gradient(sim, K, SmoothingConfig(r, m), -5, iteration=7)
         U = sphere_directions(T, m, (k, d), r, -5, 7)
-        costs = _slots(LqrSimulator(inst), K, U, -5, 7)
+        costs = _slots(sim, K, U, -5, 7)
         ref = np.stack([(k * d / r**2) * np.einsum("i,ikd->kd", costs[t], U[t]) / m for t in range(T)])
-        assert est.grads.tobytes() == ref.tobytes()
-        assert est.mean_costs.tobytes() == costs.mean(axis=1).tobytes()
+        assert est.tobytes() == ref.tobytes()
 
     def test_deterministic_in_seed(self, rng):
         inst = random_instance(rng, d=2, k=1, T=3)
         K = random_policy(rng, inst)
-        cfg = SmoothingConfig(radius=0.3, samples=40)
-        g1 = estimate_gradient(inst, K, cfg, seed=5, iteration=2)
-        g2 = estimate_gradient(inst, K, cfg, seed=5, iteration=2)
-        np.testing.assert_array_equal(g1.grads, g2.grads)
-        g3 = estimate_gradient(inst, K, cfg, seed=6, iteration=2)
-        assert not np.array_equal(g1.grads, g3.grads)
+        sim, cfg = LqrSimulator(inst), SmoothingConfig(radius=0.3, samples=40)
+        g1 = estimate_gradient(sim, K, cfg, seed=5, iteration=2)
+        g2 = estimate_gradient(sim, K, cfg, seed=5, iteration=2)
+        np.testing.assert_array_equal(g1, g2)
+        g3 = estimate_gradient(sim, K, cfg, seed=6, iteration=2)
+        assert not np.array_equal(g1, g3)
 
     def test_batch_matches_single_rollouts(self, rng):
         # the vectorized batch path must replay simulate_trajectory's cost to
@@ -695,11 +696,12 @@ class TestEstimator:
         # does for LqrSimulator, so the estimates are its bits
         inst = ac_to_lqr(stock_liquidation()) if name == "zo-liquidation" else _roll_case(4, 2, 3, KIND_PAIRS[0], 6)[0]
         K = np.random.default_rng(2).normal(size=(inst.T, inst.k, inst.d)) * 0.2
-        handle = PathsAndCosts(LqrSimulator(inst))
+        sim = LqrSimulator(inst)
+        handle = PathsAndCosts(sim)
         for m in (1, 7, 200):
             for seed, it in ((3, 0), (-5, 2**63 + 4)):
-                a, b = (estimate_gradient(h, K, SmoothingConfig(0.3, m), seed, iteration=it) for h in (handle, inst))
-                assert a.grads.tobytes() == b.grads.tobytes() and a.mean_costs.tobytes() == b.mean_costs.tobytes()
+                a, b = (estimate_gradient(h, K, SmoothingConfig(0.3, m), seed, iteration=it) for h in (handle, sim))
+                assert a.tobytes() == b.tobytes()
 
     def test_costs_take_one_path_row_a_sample(self):
         # one path row a sample: T * m rows for U's m are refused, naming the shapes
@@ -715,6 +717,11 @@ class TestEstimator:
 
         with pytest.raises(TypeError, match=r"paths\(.*costs\("):
             estimate_gradient(Bare(), np.zeros((5, 1, 1)), SmoothingConfig(radius=0.1, samples=3), seed=0)
+
+    def test_instance_is_no_handle(self):
+        # an instance would need a new LqrSimulator every estimate; the caller wraps it once
+        with pytest.raises(TypeError, match="wrap an LqrInstance in LqrSimulator"):
+            estimate_gradient(scalar_benchmark(), np.zeros((5, 1, 1)), SmoothingConfig(radius=0.1, samples=3), seed=0)
 
     @pytest.mark.parametrize("radius,samples", [
         (0.0, 5), (-0.1, 5), (np.nan, 5), (np.inf, 5), (True, 5), ("1.0", 5), (None, 5),
@@ -763,10 +770,10 @@ class TestEstimator:
         t = 2
         smoothed = smoothed_gradient_reference(inst, K, t, radius=0.02, n_samples=200_000, seed=12)
         assert np.abs(smoothed - exact[t]).max() < 0.02 * np.abs(exact).max() + 1e-3
-        est = estimate_gradient(inst, K, SmoothingConfig(radius=0.05, samples=40_000), seed=11)
+        est = estimate_gradient(LqrSimulator(inst), K, SmoothingConfig(radius=0.05, samples=40_000), seed=11)
         # estimator noise is set by the rollout-cost scale, not the gradient
         # scale, so an absolute yardstick is the meaningful one here
-        abs_err = np.linalg.norm((est.grads - exact).ravel())
+        abs_err = np.linalg.norm((est - exact).ravel())
         assert abs_err < 0.05
 
 

@@ -51,6 +51,7 @@ import numpy as np
 from lqrlab import (
     DescentConfig,
     InitialStateModel,
+    LqrInstance,
     LqrSimulator,
     NoiseModel,
     ProjectionSet,
@@ -142,7 +143,7 @@ def _structured_instances() -> dict:
         R = np.eye(k) if not dense else [[1.0, 0.3], [0.3, 0.8]]
         noise = noises[i % len(noises)]
         name = f"structured/{a},{q},k={k}{',B=dense' if dense else ''}/{noise.kind}"
-        out[name] = constant_instance(A, B, Q, R, 2.0 * Q, 3, noise, init, validate=False)
+        out[name] = LqrInstance(A, B, [Q] * 3 + [2.0 * Q], [R] * 3, noise, init, validate=False)
     return out
 
 
@@ -297,24 +298,25 @@ def exact_outputs(out: dict) -> None:
 
 
 def estimator_outputs(out: dict) -> None:
-    """U, the m path rows x0 and w, grads and mean costs, per instance, m,
-    seed and iteration: iterations 0-9 in order, then OUT_OF_ORDER."""
+    """U, the m path rows x0 and w and the gradient, per instance, m, seed
+    and iteration: iterations 0-9 in order, then OUT_OF_ORDER.
+    estimate_gradient returns the gradient array, and in older checkouts an
+    object holding it as .grads; getattr reads both."""
     for name, (inst, K, r) in _instances().items():
-        shape = (inst.k, inst.d)
+        sim, shape = LqrSimulator(inst), (inst.k, inst.d)
         for m in SAMPLES:
             cfg = SmoothingConfig(radius=r, samples=m)
             for seed in SEEDS:
                 for run, iterations in (("seq", range(10)), ("ooo", OUT_OF_ORDER)):
                     for pos, it in enumerate(iterations):
                         key = f"est/{name}/m={m}/seed={seed}/{run}{pos}:it={it}"
-                        est = estimate_gradient(inst, K, cfg, seed, iteration=it)
+                        grads = estimate_gradient(sim, K, cfg, seed, iteration=it)
                         U = zeroth.sphere_directions(inst.T, m, shape, r, seed, it)
                         x0, z = core.path_normals(inst, core.make_rng((seed, it, 0, 0, 1)), m)
                         out[f"{key}/U"] = _sha(U)
                         out[f"{key}/x0"] = _sha(x0)
                         out[f"{key}/w"] = _sha(inst.noise.vectors(z, inst.d))
-                        out[f"{key}/grads"] = _sha(est.grads)
-                        out[f"{key}/mean_costs"] = _sha(est.mean_costs)
+                        out[f"{key}/grads"] = _sha(getattr(grads, "grads", grads))
 
 
 ROLL_SAMPLES = [1, 2, 3, 200]
@@ -493,8 +495,8 @@ def handle_outputs(out: dict) -> None:
             for seed in HANDLE_SEEDS:
                 key = f"handle/KernelOnly/{name}/m={m}/seed={seed}"
                 for it in (0, 3):
-                    est = estimate_gradient(KernelOnly(inst), K, cfg, seed, iteration=it)
-                    out[f"{key}/est:it={it}"] = _sha(est.grads, est.mean_costs)
+                    grads = estimate_gradient(KernelOnly(inst), K, cfg, seed, iteration=it)
+                    out[f"{key}/est:it={it}"] = _sha(getattr(grads, "grads", grads))
                 Kf, trace = run_modelfree_pg(KernelOnly(inst), K, DescentConfig(eta=eta, iters=3), cfg, seed)
                 out[f"{key}/loop"] = _sha(Kf, trace.rows)
 
@@ -531,9 +533,8 @@ def _csv_values(path: Path) -> str:
 
 
 def cli_outputs(out: dict, workdir: Path) -> None:
-    """Every file of each CLI kind, on seeds 0-2, in the default thread pool
-    and on one thread.  The runs start in workdir, so a relative lob_csv is
-    the synthetic book written there."""
+    """Every file of each CLI kind, on seeds 0-2.  The runs start in
+    workdir, so a relative lob_csv is the synthetic book written there."""
     write_lob_csv(workdir / "book.csv", synthetic_lob(SyntheticBookConfig(T=10, depth_mean=2000.0), 11))
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -544,28 +545,23 @@ def cli_outputs(out: dict, workdir: Path) -> None:
 
 
 def _cli_runs(out: dict, workdir: Path) -> None:
-    for threads in ("default", "1"):
-        if threads == "1":
-            os.environ["LQRLAB_THREADS"] = "1"
-        else:
-            os.environ.pop("LQRLAB_THREADS", None)
-        for name, cfg in CLI_RUNS.items():
-            kind = name.split("/")[0]
-            path = workdir / f"{name.replace('/', '-')}.cfg"
-            path.write_text(dump_kv(cfg))
-            run = workdir / f"{name.replace('/', '-')}-{threads}"
-            with open(os.devnull, "w") as devnull:
-                stdout, sys.stdout = sys.stdout, devnull
-                try:
-                    code = cli.main([kind, "--config", str(path), "--seeds", "0", "1", "2", "--out", str(run)])
-                finally:
-                    sys.stdout = stdout
-            out[f"cli/{name}/threads={threads}/exit"] = str(code)
-            for f in sorted(run.iterdir()):
-                key = f"cli/{name}/threads={threads}/{f.name}"
-                out[key] = hashlib.sha256(f.read_bytes()).hexdigest()
-                if f.suffix == ".csv":
-                    out[f"{key}#values"] = _csv_values(f)
+    for name, cfg in CLI_RUNS.items():
+        kind = name.split("/")[0]
+        path = workdir / f"{name.replace('/', '-')}.cfg"
+        path.write_text(dump_kv(cfg))
+        run = workdir / name.replace("/", "-")
+        with open(os.devnull, "w") as devnull:
+            stdout, sys.stdout = sys.stdout, devnull
+            try:
+                code = cli.main([kind, "--config", str(path), "--seeds", "0", "1", "2", "--out", str(run)])
+            finally:
+                sys.stdout = stdout
+        out[f"cli/{name}/exit"] = str(code)
+        for f in sorted(run.iterdir()):
+            key = f"cli/{name}/{f.name}"
+            out[key] = hashlib.sha256(f.read_bytes()).hexdigest()
+            if f.suffix == ".csv":
+                out[f"{key}#values"] = _csv_values(f)
 
 
 def _group(name: str) -> str:
