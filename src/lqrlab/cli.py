@@ -153,9 +153,10 @@ def _read(keys: dict, kind: str):
         n_states, n_actions = (as_count(keys.pop(k, 100), k, low) for k, low in (("n_states", 2), ("n_actions", 1)))
         lr, sweeps = as_float(keys.pop("lr", 0.1), "lr", 0, 1), as_count(keys.pop("sweeps"), "sweeps")
         n_rollouts = as_count(keys.pop("eval_rollouts", 100000), "eval_rollouts", 1)
+        start = make_qtable(inst, n_states, n_actions)  # reads no seed, and checks the instance is scalar
 
         def run(seed):
-            table = make_qtable(inst, n_states, n_actions)
+            table = start
             for i in range(sweeps):
                 table = q_learning_step(table, inst, lr, [seed, i])
             cost = greedy_policy_cost(table, inst, n_rollouts, [seed, sweeps])
@@ -239,7 +240,8 @@ def _aggregate(results):
 def run_experiment(cfg: dict, seeds, outdir) -> dict:
     """Read the config, then run all seeds and write per-seed CSVs, the
     aggregate CSV and a manifest.  Returns the manifest.  ValueError names
-    the first key the kind does not read, before anything is written."""
+    the first key the kind does not read, or an empty seeds, before
+    anything is written."""
     keys = dict(cfg)
     kind = keys.pop("kind", None)
     if kind not in KINDS:
@@ -250,9 +252,11 @@ def run_experiment(cfg: dict, seeds, outdir) -> dict:
         raise ValueError(str(e)) from e
     if keys:
         raise ValueError(f"{next(iter(keys))} is not read by kind {kind!r}")
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("seeds must name at least one seed")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = [int(s) for s in seeds]
     if not seeded:
         results = [_run_seed(run, seeds[0])] * len(seeds)
     else:

@@ -129,8 +129,11 @@ def spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class _Factored:
     """The sampler of a start or noise model: sigma * factor @ v for standardized
     draws v (_standardize), the factor a (d, d) array or None for the identity.
-    A model names its degenerate kind (_DEGENERATE), which draws nothing, and
-    its own matrix form of factor @ v (_times)."""
+    A draw reads one number a vector per live (nonzero) column of the factor
+    (_reads), and every factor, whatever its zeros, takes one product path: the
+    model's own matrix form of factor @ v (_times) on those columns, so vectors
+    come back row-major.  A model names its degenerate kind (_DEGENERATE),
+    which draws nothing."""
 
     kind: str
     sigma: float
@@ -149,25 +152,18 @@ class _Factored:
 
     @cached_property
     def _reads(self) -> tuple:
-        """(c, product): a draw takes c numbers a vector, one per live
-        (nonzero) column of the factor F, c = None for all d of the identity,
-        and F @ v reads them as product: (src, coef) over the c numbers when
-        each row of F has at most one nonzero entry (vectors), else F's c
-        live columns, a (d, c) matrix (F itself when every column is live,
-        so its products keep their bits).  A factor without a live column
-        reads one number a vector, times zeros."""
+        """(c, F_live): a draw takes c numbers a vector, one per live (nonzero)
+        column of the factor F, and F_live is F restricted to those columns
+        (F itself when every column is live, so its products keep their bits);
+        (None, None) for the identity, which reads all d.  A factor without a
+        live column reads one number a vector, through its first column."""
         if self.factor is None:
-            return None, (slice(None), 1.0)
+            return None, None
         F = np.asarray(self.factor, dtype=float)
-        nonzero = F != 0
-        if (nonzero.sum(axis=1) > 1).any():
-            live = nonzero.any(axis=0)
-            return int(live.sum()), F if live.all() else F[:, live]
-        # row r reads column pick[r], a zero row the first live column (column 0
-        # when none is live) with its entry, a zero
-        pick = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), nonzero.any(axis=0).argmax())
-        cols, src = np.unique(pick, return_inverse=True)
-        return len(cols), (src, F[np.arange(len(F)), pick])
+        live = (F != 0).any(axis=0)
+        if not live.any():
+            live[0] = True
+        return int(live.sum()), F if live.all() else F[:, live]
 
     def _width(self, d: int) -> int:
         """The numbers a draw takes per vector of d states: none for the degenerate kind."""
@@ -175,19 +171,13 @@ class _Factored:
 
     def vectors(self, z: np.ndarray, d: int) -> np.ndarray:
         """Vectors (..., d) from standard normals z (..., _width(d)), standardized
-        in place: zeros for the degenerate kind, else sigma * factor @ v."""
+        in place: zeros for the degenerate kind, else sigma * F_live @ v in a new
+        array, v + 0.0 standing for the identity's product."""
         if self.kind == self._DEGENERATE:
             return np.zeros((*z.shape[:-1], d))
         v = _standardize(self.kind, z)
-        product = self._reads[1]
-        if not isinstance(product, tuple):
-            return self.sigma * self._times(product, v)
-        # each row of the factor reads one column, product = (src, coef): the
-        # model's matrix form bit for bit, as every coordinate of the matrix
-        # product is one exactly rounded product plus zero terms, on a sum that
-        # starts from +0.0, and the + 0.0 here turns a -0.0 product into that +0.0
-        out = v[..., product[0]] * product[1]
-        out += 0.0
+        F = self._reads[1]
+        out = v + 0.0 if F is None else self._times(F, v)
         out *= self.sigma
         return out
 

@@ -188,12 +188,12 @@ class LqrSimulator:
         coordinate-major in blocks, (d, (T + 1) * m): [base | branch 0 | ... | branch T - 1], of which step t
         rolls the (t + 2) * m columns of the base and the branches open so far, and adds w[:, t] to each block
         on the rows the noise can move, in one add where it moves every row.  gemv rounds by its operands'
-        layout, so for a row-major roll's bits gains act on row-major states (x0 at t = 0, then, for d > 1, d
-        row writes into one array).  Gains are negated once a call, as rounding is symmetric in sign.  A = I
-        is skipped, B u is B * u' if k = 1, and _forms and the noise add skip zero terms: for finite states
-        the costs keep their bits, as a one-term product rounds once and a dropped zero term, like a negated
-        zero, only flips the sign of a zero.  A @ x, gemv, gemm and dense forms stay on BLAS, which may fuse a
-        multiply-add, and einsum."""
+        layout, so gains act on row-major states at every step, step 0 too (for d > 1, d row writes into one
+        array): the bits depend on the path rows' values alone.  Gains are negated once a call, as rounding is
+        symmetric in sign.  A = I is skipped, B u is B * u' if k = 1, and _forms and the noise add skip zero
+        terms: for finite states the costs keep their bits, as a one-term product rounds once and a dropped
+        zero term, like a negated zero, only flips the sign of a zero.  A @ x, gemv, gemm and dense forms stay
+        on BLAS, which may fuse a multiply-add, and einsum."""
         inst = self._inst
         T, d, m = self.T, self.d, len(x0)
         blocks, lo = (1, 0) if U is None else (T + 1, m)  # lo: the first costed column, the base's or branch 0's
@@ -212,14 +212,14 @@ class LqrSimulator:
             n = live if U is None else live - m  # columns under the policy: all but branch t's
             if U is not None:
                 x[:, n:live] = x[:, :m]
-            if t and d > 1:
+            if d > 1:
                 for i in range(d):
                     written[:n, i] = x[i, :n]
-            rows = x0 if t == 0 else written[:n] if d > 1 else x[:, :n].T
+            rows = written[:n] if d > 1 else x[:, :n].T
             u = acts[:live]
             np.matmul(rows, negK[t].T, out=u[:n])
             if U is not None:
-                np.einsum("ikd,id->ik", negKU[t], np.ascontiguousarray(rows[:m]), out=u[n:])
+                np.einsum("ikd,id->ik", negKU[t], rows[:m], out=u[n:])
             xs = x[:, :live]
             cost[:live - lo] += _forms(xs[:, lo:], inst.Q[t], self._Q[t])
             cost[:live - lo] += _forms(np.ascontiguousarray(u[lo:].T), inst.R[t], self._R[t])

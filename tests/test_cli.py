@@ -167,6 +167,24 @@ class TestCli:
         assert err.startswith("error: invalid config: liquidation set applies to 1x2 gains, got gains of shape (1, 1)")
         assert not (tmp_path / "o").exists()
 
+    def test_qlearn_on_a_non_scalar_instance_exits_two_before_any_output(self, tmp_path, capsys):
+        # the scalar check ran inside the seed run, after the output directory was made
+        two_state = ("instance.A = [[1.0, 0.1], [0.0, 0.9]]\ninstance.B = [[0.0], [0.2]]\n"
+                     "instance.Q = [[0.2, 0.0], [0.0, 0.2]]\ninstance.R = [[0.1]]\ninstance.T = 5\n"
+                     "instance.init.mean = [1.0, 0.0]\n")
+        cfg = write(tmp_path, "c.cfg", two_state + "sweeps = 2\n")
+        assert main(["qlearn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "Q-learning baseline needs a scalar instance" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["riccati", "zo-pg"])
+    def test_no_seeds_are_refused_before_any_output(self, tmp_path, kind):
+        # a run that stands for every seed read seeds[0], and seeded runs
+        # aggregated nothing: IndexError, after the output directory was made
+        with pytest.raises(ValueError, match="^seeds must name at least one seed$"):
+            run_experiment({**parse_kv(SCALAR_CFG + KIND_EXTRAS[kind]), "kind": kind}, [], tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_kind_is_refused_before_any_output(self, tmp_path):
         with pytest.raises(ValueError, match=r"^kind must be one of .*, got 'ppo'$"):
             run_experiment({"kind": "ppo"}, [0], tmp_path / "o")

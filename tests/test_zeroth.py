@@ -284,7 +284,7 @@ TRAJECTORY_FIELDS = ("states", "noises", "realized_cost")
 # shapes where gemv, whose rounding depends on its operands' layout, would
 # round the coordinate-major roll otherwise than the row-major one
 ROLL_LAYOUTS = {
-    # start states drawn F-ordered, noise one factor entry a row, k = 1
+    # start and noise factors of one entry a row, k = 1
     **{f"zo-liquidation, m = {m}": (ac_to_lqr(stock_liquidation()), m) for m in (1, 3, 7)},
     "d = 1, k = 2": (_roll_case(1, 2, 5, KIND_PAIRS[0], 3)[0], 2),  # 10 rows: gemv's short tail rounds otherwise
     "T = 1, noise rows mixing columns": (_roll_case(3, 2, 1, KIND_PAIRS[0], 4)[0], 9),
@@ -436,6 +436,46 @@ class TestTrajectories:
             for field in TRAJECTORY_FIELDS:
                 a, b = getattr(one, field)[0], getattr(batch, field)[j]
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (field, j)
+
+
+def _strided(z):
+    """z as a view of every other number of a wider array."""
+    wide = np.full((*z.shape[:-1], 2 * z.shape[-1]), np.nan)
+    wide[..., ::2] = z
+    return wide[..., ::2]
+
+
+AAPL = ac_to_lqr(stock_liquidation())
+
+
+class TestPathLayouts:
+    @settings(deadline=None, max_examples=60)
+    @given(aapl=st.booleans(), d=st.integers(2, 4), k=st.integers(1, 2), T=st.integers(1, 5),
+           m=st.sampled_from([1, 2, 3, 9, 200]), kinds=st.sampled_from(KIND_PAIRS), data=st.integers(0, 2**32 - 1),
+           seed=st.integers(-2**63, 2**64 - 1))
+    # draws whose bits moved with the start states' layout while the roll's
+    # first step read them as given: AAPL's start factor has one entry a row
+    @example(aapl=True, d=2, k=1, T=1, m=3, kinds=KIND_PAIRS[0], data=1, seed=0)
+    @example(aapl=False, d=4, k=1, T=1, m=2, kinds=KIND_PAIRS[0], data=2, seed=2)
+    def test_bits_depend_on_path_values_alone(self, aapl, d, k, T, m, kinds, data, seed):
+        # x0 C- or F-ordered, z contiguous or a strided view: the same costs
+        # and trajectories, bit for bit
+        if aapl:
+            inst = AAPL
+            K = np.random.default_rng(data).normal(size=(inst.T, inst.k, inst.d)) * 0.3
+        else:
+            inst, K = _roll_case(d, k, T, kinds, data)
+        sim = LqrSimulator(inst)
+        x0, z = sim.paths(seed, 0, m)
+        U = sphere_directions(inst.T, m, (inst.k, inst.d), 0.2, seed, 0)
+        layouts = [(a(x0), b(z)) for a in (np.ascontiguousarray, np.asfortranarray)
+                   for b in (np.ascontiguousarray, _strided)]
+        want = sim.costs(K, U, layouts[0]), sim.trajectories(K, layouts[0])
+        for paths in layouts[1:]:
+            np.testing.assert_array_equal(_bits(sim.costs(K, U, paths)), _bits(want[0]))
+            got = sim.trajectories(K, paths)
+            for field in TRAJECTORY_FIELDS:
+                np.testing.assert_array_equal(_bits(getattr(got, field)), _bits(getattr(want[1], field)), err_msg=field)
 
 
 def _unsigned_zeros(a):
