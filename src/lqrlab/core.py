@@ -76,9 +76,9 @@ def _standardize(kind: str, z: np.ndarray) -> np.ndarray:
     sqrt(3) (2 Phi(z) - 1) for the normal CDF Phi, uniform on
     [-sqrt(3), sqrt(3)] as Phi(z) is on [0, 1]."""
     if kind == "uniform":
-        # imported at the first uniform draw, not with lqrlab, which imports no
-        # scipy module: on a 2-CPU x86-64 box, importing scipy.special then
-        # adds 280-360 ms and 19-25 MB of RSS, most of it scipy's package init
+        # imported at the first uniform draw: lqrlab imports no other scipy module,
+        # and the top-level package only when the CLI writes a manifest; on a 2-CPU
+        # x86-64 box, importing scipy.special adds 280-360 ms and 19-25 MB of RSS
         from scipy.special import erf
 
         z *= _SQRT_HALF

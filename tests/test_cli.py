@@ -1,6 +1,7 @@
 import json
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,15 @@ class TestCli:
             run_experiment({**parse_kv(SCALAR_CFG + KIND_EXTRAS[kind]), "kind": kind}, [], tmp_path / "o")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind", ["riccati", "zo-pg"])
+    def test_repeated_seeds_are_refused_before_any_output(self, tmp_path, capsys, kind):
+        # a repeated seed ran again, wrote its CSV twice and counted twice in
+        # the manifest and in the aggregate's n_seeds and median
+        cfg = write(tmp_path, "c.cfg", SCALAR_CFG + KIND_EXTRAS[kind])
+        assert main([kind, "--config", cfg, "--seeds", "0", "1", "0", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: invalid config: seeds must name each seed once, got [0, 1, 0]\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_kind_is_refused_before_any_output(self, tmp_path):
         with pytest.raises(ValueError, match=r"^kind must be one of .*, got 'ppo'$"):
             run_experiment({"kind": "ppo"}, [0], tmp_path / "o")
@@ -226,6 +236,23 @@ class TestCli:
         cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "sweeps = 3\nn_states = 11\nn_actions = 11\neval_rollouts = 100\n")
         rc = main(["qlearn", "--config", cfg, "--seeds", "0", "--out", str(tmp_path / "o")])
         assert rc == 0
+
+    def test_qlearn_keeps_no_table_past_its_seed(self, tmp_path):
+        # a seed's sweeps hold the table they read and the one they write,
+        # and its greedy pass the table and its reordered copies: 2.9 tables
+        # at the peak; a starting table kept for every seed added a fourth
+        # (3.9 tables) on this grid, where the tables dominate
+        cfg = {**parse_kv(SCALAR_CFG), "instance.T": 20, "kind": "qlearn", "sweeps": 3, "n_states": 300,
+               "n_actions": 300, "eval_rollouts": 10}
+        table = 21 * 300 * 300 * 8
+        run_experiment(cfg, [0, 1], tmp_path / "warm")
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, [0, 1], tmp_path / "o")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 * table < peak < 3 * table
 
     def test_lob_and_impact(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", AC_CFG + "book.T = 10\nbook.depth_mean = 2000\nphi_prime = 1e-6\n")
@@ -650,31 +677,39 @@ class TestCli:
 
     @pytest.mark.parametrize("kind", ["zo-pg", "qlearn"])
     def test_aggregate_equals_per_cell_statistics(self, tmp_path, monkeypatch, kind):
-        # seeds of unequal length, so every seed count from 1 to 4 occurs
-        # (traces) or the shortest seed truncates (other kinds); the
-        # aggregate must write what one median, min and max per cell writes
+        # seeds of unequal length, so every seed count from 1 to 4 (or 5)
+        # occurs (traces) or the shortest seed truncates (other kinds), with
+        # nan cells (a trace's last est_grad_fro_norm), ties of 0.0 and -0.0
+        # and an even and an odd number of seeds; the aggregate must write
+        # what one median, min and max per cell writes
         rng = np.random.default_rng(5)
         cols = ["iter", "cost", "grad_norm"] if kind == "zo-pg" else ["sweeps", "cost", "grad_norm"]
-        lengths = {3: 9, 4: 4, 5: 12, 6: 7}
-        traces = {s: [[i, *rng.normal(size=2)] for i in range(n)] for s, n in lengths.items()}
-        traces[5][2][1] = traces[4][2][1]  # a tie
-        monkeypatch.setattr(cli, "_read", lambda keys, kind: (lambda seed: (cols, traces[seed], {}), True))
-        run_experiment({"kind": kind}, list(lengths), tmp_path / "o")
-        if kind == "zo-pg":
-            rows = {}
-            for s in lengths:
-                for r in traces[s]:
-                    rows.setdefault(r[0], []).append(r)
-            keyed = [([i, len(rows[i])], rows[i]) for i in sorted(rows)]
-            assert {len(r) for _, r in keyed} == {1, 2, 3, 4}
-        else:
-            keyed = [([i], [traces[s][i] for s in lengths]) for i in range(min(lengths.values()))]
-        ref = tmp_path / "ref.csv"
-        head = ["iter", "n_seeds"] if kind == "zo-pg" else ["row"]
-        ref_rows = []
-        for lead, rows in keyed:
-            vals = np.array(rows, dtype=float)
-            ref_rows.append(lead + [v for j in range(len(cols)) for v in (np.median(vals[:, j]), vals[:, j].min(),
-                                                                          vals[:, j].max())])
-        cli._write_csv(ref, head + [f"{c}_{stat}" for c in cols for stat in ("median", "min", "max")], ref_rows)
-        assert (tmp_path / "o" / "aggregate.csv").read_bytes() == ref.read_bytes()
+        for lengths in ({3: 9, 4: 4, 5: 12, 6: 7}, {3: 9, 4: 4, 5: 12, 6: 7, 7: 10}):
+            traces = {s: [[i, *rng.normal(size=2)] for i in range(n)] for s, n in lengths.items()}
+            traces[5][2][1] = traces[4][2][1]  # a tie
+            for k, s in enumerate(lengths):
+                traces[s][0][2], traces[s][-1][2] = -0.0, np.nan
+                traces[s][1][1], traces[s][3][1] = (-0.0, 0.0)[k % 2], (0.0, -0.0, -0.0)[k % 3]
+            monkeypatch.setattr(cli, "_read", lambda keys, kind: (lambda seed: (cols, traces[seed], {}), True))
+            out = tmp_path / f"o{len(lengths)}"
+            run_experiment({"kind": kind}, list(lengths), out)
+            if kind == "zo-pg":
+                rows = {}
+                for s in lengths:
+                    for r in traces[s]:
+                        rows.setdefault(r[0], []).append(r)
+                keyed = [([i, len(rows[i])], rows[i]) for i in sorted(rows)]
+                assert {len(r) for _, r in keyed} == set(range(1, len(lengths) + 1))
+            else:
+                keyed = [([i], [traces[s][i] for s in lengths]) for i in range(min(lengths.values()))]
+            ref = tmp_path / "ref.csv"
+            head = ["iter", "n_seeds"] if kind == "zo-pg" else ["row"]
+            ref_rows = []
+            for lead, rows in keyed:
+                vals = np.array(rows, dtype=float)
+                ref_rows.append(lead + [v for j in range(len(cols))
+                                        for v in (np.median(vals[:, j]), vals[:, j].min(), vals[:, j].max())])
+            cli._write_csv(ref, head + [f"{c}_{stat}" for c in cols for stat in ("median", "min", "max")], ref_rows)
+            text = (out / "aggregate.csv").read_text()
+            assert "nan" in text and ",-0.0," in text and ",0.0," in text
+            assert text == ref.read_text()

@@ -723,13 +723,15 @@ class TestModelSample:
         assert ks < 2.7 / np.sqrt(n)
 
 
-def test_gaussian_work_leaves_scipy_special_unimported():
+def test_gaussian_work_leaves_scipy_special_unimported(tmp_path):
     # the CLI module, the Riccati solve, exact and zeroth-order descents, a
     # Gaussian-only estimate, simulate_trajectory and a Q-learning sweep never
-    # import scipy.linalg or scipy.special (their RSS and import time); the
-    # first uniform draw imports scipy.special
+    # import scipy (its RSS and import time); CLI runs import the top-level
+    # package for the manifest's scipy version, and their aggregate medians
+    # not numpy.ma; the first uniform draw imports scipy.special
     code = """if True:
-        import sys
+        import io, json, os, sys
+        from contextlib import redirect_stdout
         import numpy as np
         import lqrlab.cli
         from lqrlab import (DescentConfig, LqrSimulator, SmoothingConfig, estimate_gradient, run_exact_pg,
@@ -747,15 +749,31 @@ def test_gaussian_work_leaves_scipy_special_unimported():
         estimate_gradient(LqrSimulator(liq), K0, SmoothingConfig(0.6, 20), 3)
         simulate_trajectory(scalar, np.zeros((5, 1, 1)), 1)
         q_learning_step(make_qtable(scalar, 11, 11), scalar, 0.5, 2)
+        print("scipy" in sys.modules)
+        base = ("instance.A = [[1.0]]\\ninstance.B = [[0.2]]\\ninstance.Q = [[0.2]]\\ninstance.R = [[0.1]]\\n"
+                "instance.T = 5\\ninstance.noise.sigma = 0.1\\ninstance.init.mean = [1.0]\\n")
+        versions = []
+        for kind, extra in [("zo-pg", "eta = 0.2\\niters = 3\\nradius = 0.1\\nsamples = 5\\n"),
+                            ("qlearn", "sweeps = 2\\nn_states = 11\\nn_actions = 5\\neval_rollouts = 20\\n")]:
+            cfg = os.path.join(sys.argv[1], kind + ".cfg")
+            with open(cfg, "w") as f:
+                f.write(base + extra)
+            with redirect_stdout(io.StringIO()) as text:
+                argv = [kind, "--config", cfg, "--seeds", "0", "1", "--out", os.path.join(sys.argv[1], kind)]
+                assert lqrlab.cli.main(argv) == 0
+            versions.append(json.loads(text.getvalue())["versions"]["scipy"])
+        import scipy
+        print("numpy.ma" in sys.modules, versions == [scipy.__version__] * 2)
         print("scipy.linalg" in sys.modules, "scipy.special" in sys.modules)
         NoiseModel("uniform").sample(make_rng(0), (), 3)
         print("scipy.special" in sys.modules)
     """
     src = str(Path(core.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env,
+                         timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "False", "True"]
+    assert out.stdout.split() == ["False", "False", "True", "False", "False", "True"]
 
 
 class TestFactorProducts:
