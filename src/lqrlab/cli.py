@@ -196,6 +196,14 @@ def _read(keys: dict, kind: str):
     return run, kind.startswith("zo")
 
 
+def _seed(s) -> int:
+    """s as an int if it is an integer or a float of a whole number; ValueError
+    for a fraction, a non-finite float, a bool, a string or anything else."""
+    if isinstance(s, (int, np.integer)) and not isinstance(s, bool) or isinstance(s, float) and s.is_integer():
+        return int(s)
+    raise ValueError(f"seeds must be integers, got {s!r}")
+
+
 def _run_seed(run, seed: int):
     """One seed of one experiment; returns (columns, rows, scalars)."""
     return run(seed)
@@ -248,8 +256,8 @@ def _aggregate(results):
 def run_experiment(cfg: dict, seeds, outdir) -> dict:
     """Read the config, then run all seeds and write per-seed CSVs, the
     aggregate CSV and a manifest.  Returns the manifest.  ValueError names
-    the first key the kind does not read, or seeds that are empty or
-    repeat one, before anything is written."""
+    the first key the kind does not read, or seeds that are empty, repeat
+    one or are not whole numbers, before anything is written."""
     keys = dict(cfg)
     kind = keys.pop("kind", None)
     if kind not in KINDS:
@@ -260,7 +268,7 @@ def run_experiment(cfg: dict, seeds, outdir) -> dict:
         raise ValueError(str(e)) from e
     if keys:
         raise ValueError(f"{next(iter(keys))} is not read by kind {kind!r}")
-    seeds = [int(s) for s in seeds]
+    seeds = [_seed(s) for s in seeds]
     if not seeds:
         raise ValueError("seeds must name at least one seed")
     if len(set(seeds)) < len(seeds):

@@ -11,6 +11,8 @@ cost gradients, and seeded trajectory simulation.
 
 from __future__ import annotations
 
+import operator
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,14 +48,20 @@ _SQRT_HALF = np.sqrt(0.5)
 _WORD = 0xFFFFFFFFFFFFFFFF
 
 
-def _stream_words(seed) -> list[int]:
-    """The five 64-bit words of a stream key, zero-padded."""
-    if np.isscalar(seed):
-        seed = [seed]
-    words = [int(s) & _WORD for s in seed]
+def _stream_key(seed) -> tuple[list[int], list[int]]:
+    """(counter, key) of the Philox stream of a stream key, an int or a tuple
+    of up to five ints, as 64-bit words: the first two words key the stream
+    and the rest, zero-padded, are the counter's high words.  Python and
+    numpy integers alone are words (TypeError naming the seed otherwise), so
+    1.5, "3" or None name no stream; negative words wrap to two's complement."""
+    try:
+        words = [operator.index(seed)] if isinstance(seed, (int, np.integer)) else [operator.index(w) for w in seed]
+    except TypeError:
+        raise TypeError(f"a stream key is an integer or a tuple of integers, got {seed!r}") from None
     if len(words) > 5:
         raise ValueError("seed tuples may have at most five elements")
-    return words + [0] * (5 - len(words))
+    words = [w & _WORD for w in words] + [0] * (5 - len(words))
+    return [0, *words[2:]], words[:2]
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -62,12 +70,33 @@ def make_rng(seed) -> np.random.Generator:
 
     The first two words key a Philox stream and the rest offset its counter's
     high words, so distinct tuples give independent streams and equal tuples
-    reproduce draws bit for bit, independent of execution order.
+    reproduce draws bit for bit, independent of execution order.  Each call
+    builds a fresh generator of the caller's own, which pickles.  A key that
+    is not an integer or a tuple of integers is a TypeError.
     """
-    words = _stream_words(seed)
-    key = np.array(words[:2], dtype=np.uint64)
-    counter = np.array([0, *words[2:]], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    counter, key = _stream_key(seed)
+    return np.random.Generator(np.random.Philox(counter=np.array(counter, dtype=np.uint64),
+                                                key=np.array(key, dtype=np.uint64)))
+
+
+_local = threading.local()  # _stream_normals' generator, one a thread
+
+
+def _stream_normals(seed, shape) -> np.ndarray:
+    """make_rng(seed).standard_normal(shape), bit for bit, in a new array,
+    drawn on one generator a thread that is reset to the start of the stream,
+    the key and counter of _stream_key with an empty buffer, as make_rng
+    builds it: building a Philox seeds an entropy SeedSequence that the key
+    then replaces (11-18 us a call on a 2-vCPU x86-64 VM), a reset takes
+    about 1 us."""
+    counter, key = _stream_key(seed)
+    try:
+        rng = _local.rng
+    except AttributeError:
+        rng = _local.rng = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+                               "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng.standard_normal(shape)
 
 
 def _standardize(kind: str, z: np.ndarray) -> np.ndarray:
@@ -564,9 +593,16 @@ def path_normals(instance: LqrInstance, rng: np.random.Generator, n: int) -> tup
     zo-liquidation), so row j's start state and noise.vectors of its normals
     are the (j + 1)-th pair of init.draw and noise.draw on the stream, bit
     for bit, and the stream ends n * N numbers on."""
+    return _path_rows(instance, rng.standard_normal, n)
+
+
+def _path_rows(instance: LqrInstance, normals, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """path_normals' n path rows from normals((n, N)), the next n * N standard
+    normals of a stream: the one map of normals to rows, which
+    LqrSimulator.paths shares."""
     T, d = instance.T, instance.d
     a, c = instance.init._width(d), instance.noise._width(d)
-    z = rng.standard_normal((n, a + T * c))
+    z = normals((n, a + T * c))
     return instance.init.vectors(z[:, :a], d), z[:, a:].reshape(n, T, c)
 
 

@@ -63,9 +63,10 @@ class QTable:
         then smaller u."""
         T = self.q.shape[0] - 1
         order = np.lexsort((self.u_grid, np.abs(self.u_grid)))
-        ranked = self.q[:T][:, :, order]
-        best = np.argmin(ranked, axis=2)  # argmin takes the first minimum
-        return order[best]
+        best = np.empty((T, self.q.shape[1]), dtype=order.dtype)
+        for t in range(T):  # a reordered copy of one layer at a time, not of the table
+            best[t] = order[np.argmin(self.q[t][:, order], axis=1)]  # argmin takes the first minimum
+        return best
 
 
 def make_qtable(instance: LqrInstance, n_states: int, n_actions: int) -> QTable:

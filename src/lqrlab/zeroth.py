@@ -32,7 +32,12 @@ row i of make_rng((s, n, 0, 0, 1)), its i-th run of N normals
 coordinate-major roll on the paths' noise, mapped once a call by the noise
 model's vectors and added at step t to the rows it moves.  Every stream is
 keyed by counters, so runs are reproducible and independent of execution
-order.  LqrSimulator alone also offers trajectories(policy, paths), the
+order.  Both are make_rng's streams, bit for bit, drawn on one reused
+generator a thread (core._stream_normals), which each draw resets to the
+stream's start, since building a generator costs ten times a reset;
+make_rng is how a caller gets a generator of its own.  Seeds and iterations
+are words of the stream keys, so they must be integers (TypeError
+otherwise).  LqrSimulator alone also offers trajectories(policy, paths), the
 unperturbed rollouts on n path rows as a Trajectory whose fields lead with
 n, which no estimator calls.
 """
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LqrInstance, Trajectory, _gains, _number, exact_cost, make_rng, path_normals
+from .core import LqrInstance, Trajectory, _gains, _number, _path_rows, _stream_normals, exact_cost
 from .errors import ZeroDirection
 from .optimize import DescentConfig, ProjectionSet, _descent
 
@@ -74,17 +79,17 @@ def sample_sphere(shape: tuple[int, int], radius: float, seed) -> np.ndarray:
 
 def sample_sphere_batch(n: int, shape: tuple[int, int], radius: float, seed) -> np.ndarray:
     """(n, *shape) independent sphere draws from a single stream: row j is
-    the j-th run of k * d standard normals of make_rng(seed), scaled to the
-    radius.  A normal is +-0 with chance about 2**-52, so a row of k * d = 1
-    can have norm 0: ZeroDirection names the first such row instead of
-    returning its 0 / 0 = nan."""
-    g = make_rng(seed).standard_normal((n, *shape))
+    the j-th run of k * d standard normals of make_rng(seed), drawn on the
+    thread's reused generator (core._stream_normals), scaled to the radius.
+    A normal is +-0 with chance about 2**-52, so a row of k * d = 1 can have
+    norm 0: ZeroDirection names the first such row instead of returning its
+    0 / 0 = nan."""
+    g = _stream_normals(seed, (n, *shape))
     sq = g**2
     cols = sq.reshape(n, shape[0] * shape[1]).T  # below _IN_ORDER numbers, a pass a column has the sum's bits
     norms = np.sqrt(sum(cols[1:], cols[0]) if len(cols) < _IN_ORDER else sq.sum(axis=(1, 2))).reshape(n, 1, 1)
-    zero = np.flatnonzero(norms == 0)
-    if zero.size:
-        raise ZeroDirection(f"sphere row {zero[0]} of stream {seed!r} has norm 0")
+    if not norms.all():
+        raise ZeroDirection(f"sphere row {np.flatnonzero(norms == 0)[0]} of stream {seed!r} has norm 0")
     return radius * g / norms
 
 
@@ -155,10 +160,12 @@ class LqrSimulator:
 
     def paths(self, seed, iteration: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The first n path rows of the stream make_rng((seed, iteration, 0, 0,
-        1)) (core.path_normals): start states x0 (n, d) and noise normals z
+        1)) (core.path_normals), drawn on the thread's reused generator
+        (core._stream_normals): start states x0 (n, d) and noise normals z
         (n, T, c); x0[j] and noise.vectors(z[j], d) are the (j + 1)-th pair of
         init.draw and noise.draw on that stream."""
-        return path_normals(self._inst, make_rng((seed, iteration, 0, 0, 1)), n)
+        key = (seed, iteration, 0, 0, 1)
+        return _path_rows(self._inst, lambda shape: _stream_normals(key, shape), n)
 
     def costs(self, policy, U: np.ndarray, paths: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """(T, m) costs to go of _roll's branches on m path rows: entry (t, i) from step t of path i, gain t
@@ -248,7 +255,9 @@ def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 
     U = sphere_directions(T, m, (k, d), r, seed, iteration)
     costs = sim.costs(K, U, sim.paths(seed, iteration, m))
     # one einsum per slot: a single einsum over all slots rounds differently
-    grads = np.stack([np.einsum("i,ikd->kd", costs[t], U[t]) for t in range(T)])
+    grads = np.empty((T, k, d))
+    for t in range(T):
+        np.einsum("i,ikd->kd", costs[t], U[t], out=grads[t])
     grads *= D / r**2
     return grads / m
 

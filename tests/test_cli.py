@@ -195,6 +195,20 @@ class TestCli:
         assert capsys.readouterr().err == "error: invalid config: seeds must name each seed once, got [0, 1, 0]\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seed", [1.5, "3", None, True, float("nan")])
+    def test_seeds_that_are_not_integers_are_refused_before_any_output(self, tmp_path, seed):
+        # int() truncated 1.5 to seed 1 and read "3" as seed 3
+        cfg = {**parse_kv(SCALAR_CFG + KIND_EXTRAS["zo-pg"]), "kind": "zo-pg"}
+        with pytest.raises(ValueError, match=re.escape(f"seeds must be integers, got {seed!r}")):
+            run_experiment(cfg, [0, seed], tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    def test_whole_float_and_numpy_seeds_name_the_integer_seeds(self, tmp_path):
+        cfg = {**parse_kv(SCALAR_CFG + KIND_EXTRAS["zo-pg"]), "kind": "zo-pg"}
+        assert run_experiment(cfg, [2.0, np.int64(3)], tmp_path / "a") == run_experiment(cfg, [2, 3], tmp_path / "b")
+        for name in ("seed_2.csv", "seed_3.csv", "aggregate.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_unknown_kind_is_refused_before_any_output(self, tmp_path):
         with pytest.raises(ValueError, match=r"^kind must be one of .*, got 'ppo'$"):
             run_experiment({"kind": "ppo"}, [0], tmp_path / "o")
@@ -628,13 +642,9 @@ class TestCli:
     def test_zero_sphere_direction_exit_three(self, tmp_path, monkeypatch, capsys):
         # a sphere row whose normals are all 0 (chance about 2**-52 a number
         # at k * d = 1) fails the run, rather than a nan trace with exit 0
-        real = zeroth.make_rng
-
-        class Zeros:
-            def standard_normal(self, size):
-                return np.zeros(size)
-
-        monkeypatch.setattr(zeroth, "make_rng", lambda key: Zeros() if key[-1] == 0 else real(key))
+        real = zeroth._stream_normals
+        monkeypatch.setattr(zeroth, "_stream_normals",
+                            lambda key, size: np.zeros(size) if key[-1] == 0 else real(key, size))
         cfg = write(tmp_path, "c.cfg", SCALAR_CFG + "eta = 0.1\niters = 5\nradius = 0.1\nsamples = 5\n")
         assert main(["zo-pg", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "sphere row 0 " in capsys.readouterr().err

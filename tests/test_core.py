@@ -665,6 +665,34 @@ class TestModelSample:
         with pytest.raises(ValueError):
             make_rng([1, 2, 3, 4, 5, 6])
 
+    @pytest.mark.parametrize("key", [1.5, "3", None, [1, 2.0], (4, np.float64(1.0)), np.array([1.0, 2.0])])
+    def test_rejects_keys_that_are_not_integers(self, key):
+        # a fraction used to draw the stream of its integer part and a string that of its number
+        for draw in (make_rng, lambda key: core._stream_normals(key, 3)):
+            with pytest.raises(TypeError, match="got " + re.escape(repr(key))):
+                draw(key)
+
+    def test_numpy_integer_words_name_the_streams_of_python_ints(self):
+        for key, same in [(np.uint64(2**64 - 1), -1), (np.array([3, -2]), (3, 2**64 - 2)), ((np.int8(-1), 5), (-1, 5))]:
+            _assert_same_bits(make_rng(key).standard_normal(9), make_rng(same).standard_normal(9))
+            _assert_same_bits(core._stream_normals(key, 9), make_rng(same).standard_normal(9))
+
+    @settings(deadline=None, max_examples=100)
+    @given(draws=st.lists(st.tuples(KEYS, st.lists(st.integers(0, 6), max_size=3).map(tuple), st.integers(0, 9)),
+                          min_size=1, max_size=6), live_key=KEYS)
+    def test_stream_normals_are_make_rngs_normals(self, draws, live_key):
+        # each draw on the thread's reused generator is make_rng(key)'s first
+        # numbers, whatever keys came before it; a live make_rng generator
+        # drawing between them goes on with its own stream
+        live, taken = make_rng(live_key), []
+        for key, shape, between in draws:
+            got = core._stream_normals(key, shape)
+            ref = make_rng(key).standard_normal(shape)
+            assert type(got) is np.ndarray and got.shape == ref.shape
+            _assert_same_bits(got, ref)
+            taken.append(live.standard_normal(between))
+        _assert_same_bits(np.concatenate(taken), make_rng(live_key).standard_normal(sum(map(len, taken))))
+
     def test_rejects_unknown_kinds(self):
         for model in (NoiseModel, lambda kind: InitialStateModel(kind, np.zeros(1))):
             with pytest.raises(ValueError, match="unknown .* kind 'point-mass'"):

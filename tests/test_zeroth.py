@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import sys
 import threading
 import tracemalloc
@@ -80,19 +81,18 @@ class TestSphere:
     def test_a_row_of_zeros_is_a_typed_error(self, monkeypatch):
         # a normal is +-0 with chance about 2**-52, so a row of k * d = 1 can
         # be 0: the first such row is named instead of a 0 / 0 = nan direction
-        class Stub:
-            def __init__(self, zero_rows):
-                self.zero_rows = zero_rows
-
-            def standard_normal(self, size):
+        def stub(zero_rows):
+            def normals(seed, size):
                 g = np.ones(size)
-                g[self.zero_rows] = -0.0
+                g[zero_rows] = -0.0
                 return g
 
-        monkeypatch.setattr(zeroth, "make_rng", lambda seed: Stub([2, 4]))
+            return normals
+
+        monkeypatch.setattr(zeroth, "_stream_normals", stub([2, 4]))
         with pytest.raises(ZeroDirection, match="row 2 "):
             sample_sphere_batch(5, (1, 1), 0.1, 7)
-        monkeypatch.setattr(zeroth, "make_rng", lambda seed: Stub(slice(None)))
+        monkeypatch.setattr(zeroth, "_stream_normals", stub(slice(None)))
         with pytest.raises(ZeroDirection, match="row 0 "):
             sample_sphere((1, 1), 0.1, 7)
 
@@ -672,6 +672,36 @@ class PathsAndCosts:
 
 
 class TestEstimator:
+    def test_a_threads_later_estimates_build_no_generator(self, monkeypatch):
+        # an estimate draws its two streams on its thread's one generator:
+        # a fresh thread builds it at its first estimate and never again
+        built, philox = [], np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        sim, K, cfg = LqrSimulator(scalar_benchmark()), np.full((5, 1, 1), 0.3), SmoothingConfig(0.1, 50)
+        counts = []
+
+        def run():
+            for it in range(3):
+                estimate_gradient(sim, K, cfg, 7, iteration=it)
+                counts.append(len(built))
+
+        th = threading.Thread(target=run)
+        th.start()
+        th.join(timeout=60)
+        assert counts == [1, 1, 1]
+
+    @pytest.mark.parametrize("seed", [0.5, "0", None])
+    def test_rejects_seeds_that_are_not_integers(self, seed):
+        # seed 0.5 used to give seed 0's estimate
+        sim, K, cfg = LqrSimulator(scalar_benchmark()), np.full((5, 1, 1), 0.3), SmoothingConfig(0.1, 5)
+        with pytest.raises(TypeError, match=re.escape(f"got ({seed!r}, 0, 0, 0, 0)")):
+            estimate_gradient(sim, K, cfg, seed)
+
     def test_liquidation_estimate_peaks_below_half_a_megabyte(self):
         # one zo-liquidation estimate at m = 200 peaks at about 270 KB: 200
         # path rows of 11 normals (17.6 KB), their noise mapped once to a
