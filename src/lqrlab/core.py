@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from numbers import Integral, Real
 
@@ -551,24 +551,14 @@ def operator_decomposition(instance: LqrInstance, policy) -> tuple[np.ndarray, n
         T_K   = Sigma_0 + sum_{t=0}^{T-1} Phi_t Sigma_0 Phi_t'
         Delta = sum_{t=1}^{T-1} sum_{s=1}^{t} D_{t,s} W D_{t,s}' + T W
 
-    where Phi_t = prod_{i=0}^{t} (A - B K_i) and D_{t,s} = prod_{u=s}^{t} (A - B K_u).
+    where Phi_t = prod_{i=0}^{t} (A - B K_i) and D_{t,s} = prod_{u=s}^{t} (A - B K_u):
+    each the moment chain of _closed_loop summed over t, T_K's with zero
+    noise and Delta's from x_0 = 0.
     """
-    A, B = instance.A, instance.B
-    T, d = instance.T, instance.d
     K = _gains(policy, instance)
-    W, S0 = instance.W, instance.S0
-    M = [A - B @ K[t] for t in range(T)]
-    tk = S0.copy()
-    Phi = np.eye(d)
-    for t in range(T):
-        Phi = M[t] @ Phi
-        tk = tk + Phi @ S0 @ Phi.T
-    delta = T * W
-    for t in range(1, T):
-        D = np.eye(d)
-        for u in range(t, 0, -1):  # build prod_{u=s}^{t} M_u by extending leftward in s
-            D = D @ M[u]
-            delta = delta + D @ W @ D.T
+    parts = (replace(instance, noise=NoiseModel("zero")),
+             replace(instance, init=InitialStateModel("point", np.zeros(instance.d))))
+    tk, delta = (_closed_loop(part, K, values=False)[1].sum(axis=-3) for part in parts)
     return tk, delta
 
 

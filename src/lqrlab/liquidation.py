@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import _MAX, _check_array, _number
+from .core import _MAX, _check_array, _gains, _number
 from .core import (
     InitialStateModel,
     LqrInstance,
@@ -117,9 +117,10 @@ def almgren_chriss_reference(p: AcParams):
 
 
 def expected_inventory_path(p: AcParams, gains) -> np.ndarray:
-    """E[q_t] for t = 0..T under the closed loop (noise is mean zero)."""
+    """E[q_t] for t = 0..T under the closed loop (noise is mean zero); gains
+    not of shape (T, 1, 2) raise ValueError naming the policy."""
     inst = ac_to_lqr(p)
-    K = np.asarray(gains, dtype=float)
+    K = _gains(gains, inst)
     x = np.array([p.S0, p.q0_mean])
     path = np.empty(p.T + 1)
     path[0] = x[1]

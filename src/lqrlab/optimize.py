@@ -106,6 +106,9 @@ class ProjectionSet:
         )
 
     def project(self, policy) -> np.ndarray:
+        """The Euclidean projection of n gains (n, k, d), one per gain, in a new
+        array: a box clips each entry; a liquidation set keeps a row in the set
+        as it is and moves any other onto its nearest edge, exactly into the set."""
         K = np.asarray(policy, dtype=float)
         if self.kind == "box":
             return np.clip(K, self.lo, self.hi)
@@ -121,52 +124,30 @@ def _liquidation_rows(K: np.ndarray) -> np.ndarray:
 
 def _project_halfplane_triangle(pts: np.ndarray, gamma_bar: float, zeta: float) -> np.ndarray:
     """Euclidean projection of (n, 2) points onto the triangle
-    {g*x + y >= c, x <= 0, y <= 0} with c = zeta - 1 <= 0, g = gamma_bar > 0:
-    a copy of points all strictly inside, whose other candidates all lie
-    beyond _enumerate_triangle's 1e-30 tie band, else that enumeration."""
+    {g*x + y >= c, x <= 0, y <= 0} with c = zeta - 1 <= 0, g = gamma_bar > 0,
+    in a new array.  A point inside (by the three inequalities, with no
+    tolerance) is its own projection; any other point's is its projection
+    onto the nearest edge, the foot of the perpendicular clipped to the edge.
+    The results lie in the set with no tolerance."""
     g, c = gamma_bar, zeta - 1.0
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    # foot of perpendicular on the line g*x + y = c
-    foot = pts - ((g * pts[:, 0] + pts[:, 1] - c) / (g * g + 1.0))[:, None] * np.array([g, 1.0])
-    # the edge feet lie x^2 and y^2 away, which bounds the vertices' squared distances from below
-    if ((pts < 0.0).all() and (g * pts[:, 0] + pts[:, 1] >= c).all() and (pts**2 > 1e-30).all()
-            and (((foot - pts) ** 2).sum(axis=-1) > 1e-30).all()):
+    x, y = pts.T
+    inside = (x <= 0.0) & (y <= 0.0) & (g * x + y >= c)
+    if inside.all():
         return pts.copy()
-    return _enumerate_triangle(pts, g, c, foot)
-
-
-def _enumerate_triangle(pts: np.ndarray, g: float, c: float, foot: np.ndarray) -> np.ndarray:
-    """Active-set enumeration over candidate points (input, three edge feet,
-    foot on g*x + y = c the first, three vertices); ties broken
-    lexicographically (smaller x, then smaller y)."""
-    n = pts.shape[0]
-    cands = np.empty((7, n, 2))
-    cands[0] = pts
-    cands[1] = foot
-    cands[2] = np.stack([np.zeros(n), pts[:, 1]], axis=1)  # edge x = 0
-    cands[3] = np.stack([pts[:, 0], np.zeros(n)], axis=1)  # edge y = 0
-    cands[4] = np.array([0.0, 0.0])
-    cands[5] = np.array([0.0, c])
-    cands[6] = np.array([c / g, 0.0])
-    tol = 1e-12 * (1.0 + np.abs(c))
-    feas = (
-        (g * cands[..., 0] + cands[..., 1] >= c - tol)
-        & (cands[..., 0] <= tol)
-        & (cands[..., 1] <= tol)
-    )
-    d2 = ((cands - pts[None]) ** 2).sum(axis=-1)
-    d2 = np.where(feas, d2, np.inf)
-    # lexicographic tie-break among near-minimal candidates
-    best = d2.min(axis=0)
-    close = d2 <= best[None] + 1e-30
-    x_key = np.where(close, cands[..., 0], np.inf)
-    y_key = np.where(close, cands[..., 1], np.inf)
-    order = np.lexsort((y_key, x_key), axis=0)[0]
-    out = cands[order, np.arange(n)]
-    # clip exact zeros so membership holds without tolerance games
-    out[:, 0] = np.minimum(out[:, 0], 0.0)
-    out[:, 1] = np.minimum(out[:, 1], 0.0)
-    # rounding in the foot/vertex formulas can leave g*x + y an ulp below c;
+    zero = np.zeros_like(x)
+    # x of the perpendicular foot on g*x + y = c, clipped to the edge; the edge's y is
+    # worked out from it, as the foot's own y loses its digits to cancellation far away
+    lx = np.clip(x - (g * x + y - c) / (g * g + 1.0) * g, c / g, 0.0)
+    edges = np.stack([np.stack([zero, np.clip(y, c, 0.0)], axis=-1),  # x = 0
+                      np.stack([np.clip(x, c / g, 0.0), zero], axis=-1),  # y = 0
+                      np.stack([lx, np.minimum(c - g * lx, 0.0)], axis=-1)])  # g*x + y = c
+    # no angle of the triangle is obtuse, so the nearest edge is one whose constraint the
+    # point breaks, and where it breaks two, the first's clipped foot is their vertex;
+    # comparing rounded distances instead can take a vertex sqrt(eps) * |p| off the projection
+    nearest = edges[np.where(x > 0.0, 0, np.where(y > 0.0, 1, 2)), np.arange(len(pts))]
+    out = np.where(inside[:, None], pts, nearest)
+    # rounding in c / g and c - g * lx can leave g*x + y an ulp below c;
     # nudge the violated rows up (y first, then x) until membership is exact
     for _ in range(64):
         bad = g * out[:, 0] + out[:, 1] < c

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,12 @@ class TestEmbedding:
         assert path[0] == p.q0_mean
         assert np.all(np.diff(path) < 0)
         assert abs(path[-1]) < 0.2 * p.q0_mean
+
+    @pytest.mark.parametrize("shape", [(11, 1, 2), (10, 1, 1), (9, 1, 2)])
+    def test_inventory_path_refuses_gains_of_another_shape(self, shape):
+        # these were cut to T steps, broadcast to a wrong path and an IndexError
+        with pytest.raises(ValueError, match=re.escape(f"policy must have shape (10, 1, 2), got {shape}")):
+            expected_inventory_path(stock_liquidation(), np.full(shape, -0.1))
 
     def test_liquidation_cost_policy_independent_shift(self):
         # the conversion to objective units adds the same constant for every

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -483,26 +485,53 @@ class TestLadderArmijo:
         np.testing.assert_array_equal(K_run, K)
 
 
-def _enumerated(pts, gamma_bar, zeta):
-    """The projection by optimize._enumerate_triangle alone, without the interior shortcut."""
-    g, c = gamma_bar, zeta - 1.0
-    foot = pts - ((g * pts[:, 0] + pts[:, 1] - c) / (g * g + 1.0))[:, None] * np.array([g, 1.0])
-    return optimize._enumerate_triangle(pts, g, c, foot)
-
-
 TRIANGLES = [(5e-5, 1e-12), (1.0, 0.0), (3.0, 0.5), (1e-6, 0.999)]
 
 
-class TestInteriorShortcut:
-    """Points inside the liquidation triangle are their own projection: the
-    shortcut returns a copy of them where the enumeration would return them,
-    and the enumeration otherwise."""
+def _in_set(pts, gamma_bar, zeta):
+    """The rows of (n, 2) points that meet the liquidation set's three inequalities, with no tolerance."""
+    return (pts[:, 0] <= 0.0) & (pts[:, 1] <= 0.0) & (gamma_bar * pts[:, 0] + pts[:, 1] >= -1.0 + zeta)
+
+
+def _exact_projection(point, gamma_bar, zeta):
+    """The nearest point of the set {g*x + y >= c, x <= 0, y <= 0}, c = zeta - 1.0
+    as a float, to point, in exact rational arithmetic: the point itself if it is
+    in the set, else the nearest of its projections onto the three edges."""
+    g, c = Fraction(gamma_bar), Fraction(zeta - 1.0)
+    p = [Fraction(v) for v in point]
+    if p[0] <= 0 and p[1] <= 0 and g * p[0] + p[1] >= c:
+        return p
+    feet = []
+    for a, b in itertools.combinations([(0, 0), (0, c), (c / g, 0)], 2):
+        e = [b[0] - a[0], b[1] - a[1]]
+        sq_len = e[0] ** 2 + e[1] ** 2  # 0 where zeta = 1 shrinks the set to a point
+        t = min(max(((p[0] - a[0]) * e[0] + (p[1] - a[1]) * e[1]) / sq_len, 0), 1) if sq_len else 0
+        feet.append([a[0] + t * e[0], a[1] + t * e[1]])
+    return min(feet, key=lambda q: (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2)
+
+
+class TestTriangleProjection:
+    """A point inside the liquidation triangle is its own projection, bit for
+    bit; any other lands on the set with no tolerance, within 1e-14 * (1 + |p|)
+    of the exact projection; a batch projects as its rows one at a time."""
+
+    @staticmethod
+    def _check(pts, gamma_bar, zeta):
+        got = optimize._project_halfplane_triangle(pts, gamma_bar, zeta)
+        assert got is not pts and not np.shares_memory(got, pts)
+        inside = _in_set(pts, gamma_bar, zeta)
+        assert got[inside].tobytes() == pts[inside].tobytes() and _in_set(got, gamma_bar, zeta).all()
+        rows = [optimize._project_halfplane_triangle(row[None], gamma_bar, zeta) for row in pts]
+        assert got.tobytes() == np.concatenate(rows).tobytes()
+        for p, q in zip(pts, got):
+            ref = _exact_projection(p, gamma_bar, zeta)
+            assert (Fraction(q[0]) - ref[0]) ** 2 + (Fraction(q[1]) - ref[1]) ** 2 <= Fraction(1e-14 * (1.0 + np.hypot(*p))) ** 2
 
     @pytest.mark.parametrize("gamma_bar,zeta", TRIANGLES)
     @pytest.mark.parametrize("offset", [1e-16, 3e-16, 1e-15, 3e-15, 1e-14, -1e-16, -1e-15, -1e-14])
-    def test_points_next_to_edges_and_vertices_match_enumeration(self, gamma_bar, zeta, offset):
-        # offset > 0 moves a point inside, < 0 outside; 1e-15 is the tie
-        # band's distance (squared distances within 1e-30 tie)
+    def test_points_next_to_edges_and_vertices(self, gamma_bar, zeta, offset):
+        # offset > 0 moves a point inside, < 0 outside; 1e-15 is the width of
+        # the tie band within which an earlier projection compared distances
         g, c = gamma_bar, zeta - 1.0
         normal = np.array([g, 1.0]) / np.hypot(g, 1.0)
         s = np.linspace(0.05, 0.95, 7)[:, None]
@@ -512,22 +541,39 @@ class TestInteriorShortcut:
         corners = [np.array([[-offset, -offset]]), np.array([[-offset, c + offset * (1 + g)]]),
                    np.array([[c / g + offset * (1 + 1 / g), -offset]])]
         for pts in edges + corners + [np.concatenate(edges + corners)]:
-            for p in [pts] + [row[None] for row in pts]:
-                got = optimize._project_halfplane_triangle(p, g, zeta)
-                assert got.tobytes() == _enumerated(p, g, zeta).tobytes()
-                assert got is not p and not np.shares_memory(got, p)
+            self._check(pts, g, zeta)
 
     @settings(deadline=None, max_examples=300)
     @given(case=st.sampled_from(TRIANGLES), weights=st.lists(st.tuples(st.floats(1e-9, 1.0), st.floats(1e-9, 1.0),
                                                                       st.floats(1e-9, 1.0)), min_size=1, max_size=12))
-    def test_random_interior_points_are_returned_as_they_are(self, case, weights):
+    def test_random_interior_points(self, case, weights):
         # convex combinations of the vertices with every weight positive
         g, zeta = case
         c = zeta - 1.0
         w = np.array(weights)
-        pts = (w / w.sum(axis=1, keepdims=True)) @ np.array([[0.0, 0.0], [0.0, c], [c / g, 0.0]])
-        got = optimize._project_halfplane_triangle(pts, g, zeta)
-        assert got.tobytes() == _enumerated(pts, g, zeta).tobytes()
-        inside = (pts < 0).all(axis=1) & (g * pts[:, 0] + pts[:, 1] >= c) & (pts**2 > 1e-28).all(axis=1)
-        if inside.all() and (np.abs(g * pts[:, 0] + pts[:, 1] - c) > 1e-13).all():
-            assert got.tobytes() == pts.tobytes()
+        self._check((w / w.sum(axis=1, keepdims=True)) @ np.array([[0.0, 0.0], [0.0, c], [c / g, 0.0]]), g, zeta)
+
+    @settings(deadline=None, max_examples=300)
+    @given(gamma_bar=st.floats(1e-6, 10.0), zeta=st.floats(0.0, 1.0) | st.just(1.0),
+           points=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=8))
+    def test_exact_reference(self, gamma_bar, zeta, points):
+        self._check(np.array(points), gamma_bar, zeta)
+
+    def test_far_point_lands_on_the_line(self):
+        # an earlier projection's foot on the line cancelled, failed a
+        # feasibility test, and the point went to the vertex (-0.07, 0)
+        self._check(np.array([[-1795.82571139, -179.73109418]]), 10.0, 0.3)
+
+    def test_far_point_next_to_a_vertex_lands_on_its_edge(self):
+        # (-1e-3, 0) and the vertex (0, 0) lie at squared distances whose
+        # difference, 1e-6, is below the rounding of 1e12: the nearest edge is
+        # the one whose constraint the point breaks, not the nearest rounded distance
+        self._check(np.array([[-1e-3, 1e6]]), 1.0, 0.0)
+
+    @pytest.mark.parametrize("scale", [0.3, 1e3])
+    def test_projections_of_a_thin_set_land_on_it(self, scale):
+        # at gamma_bar = 1e-6 an earlier projection left 11.6% and 12.6% of
+        # these below g*x + y = c, by up to 1.2e-16 and 6.7e-13
+        S = liquidation_constraint(1e-6, 0.999)
+        P = S.project(np.random.default_rng(5).normal(size=(1000, 1, 2)) * scale)
+        assert _in_set(P[:, 0], S.gamma_bar, S.zeta).all()

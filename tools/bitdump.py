@@ -1,8 +1,9 @@
 """Bit-identity dump: one sha256 per named output of the exact layer and the
-exact descent, the stream sampler, Q-learning on every start and noise kind,
-the rollout kernel and its unperturbed trajectories, the sampled estimator,
-the zeroth-order loops (also through an opaque simulator handle) and the
-CLI, to compare two versions of lqrlab.
+exact descent, the projections onto liquidation sets and a box, the stream
+sampler, Q-learning on every start and noise kind, the rollout kernel and
+its unperturbed trajectories, the sampled estimator, the zeroth-order loops
+(also through an opaque simulator handle) and the CLI, to compare two
+versions of lqrlab.
 
     PYTHONPATH=src python tools/bitdump.py change.json
     PYTHONPATH=<other checkout>/src python tools/bitdump.py parent.json
@@ -75,6 +76,10 @@ KIND_PAIRS = [("gaussian", "gaussian"), ("uniform", "uniform"), ("point", "gauss
 SAMPLES = [1, 2, 3, 7, 200]
 SEEDS = [0, 7, -5, 2**63 + 4]
 OUT_OF_ORDER = [7, 2, 7, 0, 11, 3, 2**64 - 1, 2]
+TRIANGLES = [(5e-5, 1e-12), (1.0, 0.0), (3.0, 0.5), (1e-6, 0.999)]  # (gamma_bar, zeta), as in the projection tests
+BAND = [1e-16, 3e-16, 1e-15, 3e-15, 1e-14, -1e-16, -1e-15, -1e-14]  # > 0 inside, < 0 outside
+FAR = [[1e6, 0.0], [-1e6, 0.0], [0.0, 1e6], [0.0, -1e6], [1e6, 1e6], [-1e6, -1e6], [1e6, -1e6], [-1e6, 1e6],
+       [-1e-3, 1e6], [-1795.82571139, -179.73109418]]
 
 
 def _sha(*arrays) -> str:
@@ -289,6 +294,41 @@ def exact_outputs(out: dict) -> None:
         for n, (d, k, T) in enumerate(EXACT_SHAPES):
             K0 = np.random.default_rng([79, n]).normal(size=(T, k, d)) * 0.2
             out[f"exact/loop/d={d},k={k},T={T}/exact-pg"] = _run_sha(run_exact_pg, _exact_instance(n), K0, cfg)
+
+
+def _triangle_points(gamma_bar: float, zeta: float) -> dict:
+    """Fixed (n, 2) points about the liquidation triangle of gamma_bar and zeta,
+    by kind: inside; within BAND of each edge and vertex; outside each edge
+    and vertex by 0.1; and far away (FAR)."""
+    g, c = gamma_bar, zeta - 1.0
+    vertices = np.array([[0.0, 0.0], [0.0, c], [c / g, 0.0]])
+    h = np.hypot(g, 1.0)
+    normals = np.array([[1.0, 0.0], [0.0, 1.0], [-g / h, -1.0 / h]])  # outward, of x = 0, y = 0 and the line
+    w = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [5.0, 1.0, 1.0], [1.0, 5.0, 1.0], [1.0, 1.0, 5.0]])
+    points = {"inside": (w / w.sum(axis=1, keepdims=True)) @ vertices}
+    s = np.linspace(0.05, 0.95, 7)[:, None]
+    for offset in BAND:
+        points[f"band={offset:g}"] = np.concatenate([
+            vertices[2] * s + vertices[1] * (1 - s) - offset * normals[2], np.c_[np.zeros(7) - offset, c * s[:, 0]],
+            np.c_[c / g * s[:, 0], np.zeros(7) - offset], [[-offset, -offset]], [[-offset, c + offset * (1 + g)]],
+            [[c / g + offset * (1 + 1 / g), -offset]]])
+    points["edges"] = (vertices + np.roll(vertices, -1, axis=0)) / 2 + 0.1 * normals[[0, 2, 1]]
+    points["vertices"] = vertices + 0.1 * (normals[[0, 0, 1]] + normals[[1, 2, 2]])
+    points["far"] = np.array(FAR)
+    return points
+
+
+def proj_outputs(out: dict) -> None:
+    """ProjectionSet.project of _triangle_points' points as 1x2 gains, per
+    liquidation set of TRIANGLES, and of the (1.0, 0.0) triangle's points on
+    the box [-0.4, 0.4]."""
+    for g, zeta in TRIANGLES:
+        S = liquidation_constraint(g, zeta)
+        for kind, pts in _triangle_points(g, zeta).items():
+            out[f"proj/liquidation/g={g:g},zeta={zeta:g}/{kind}"] = _sha(S.project(pts[:, None, :]))
+    box = ProjectionSet(kind="box", lo=-0.4, hi=0.4)
+    for kind, pts in _triangle_points(1.0, 0.0).items():
+        out[f"proj/box/{kind}"] = _sha(box.project(pts[:, None, :]))
 
 
 def estimator_outputs(out: dict) -> None:
@@ -588,6 +628,7 @@ def main(argv=None) -> int:
         ap.error("give an output file or --compare A B")
     out: dict = {}
     exact_outputs(out)
+    proj_outputs(out)
     stream_outputs(out)
     qlearn_outputs(out)
     roll_outputs(out)
