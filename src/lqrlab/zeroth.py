@@ -106,13 +106,18 @@ def _forms(x: np.ndarray, M: np.ndarray, terms=None) -> np.ndarray:
     are contiguous, as in a block of columns of a C-contiguous array, bit for
     bit einsum("id,de,ie->i") on its row-major copy: on one or two
     columns, where numpy orders the loops by strides, in the labels' order.
-    So is the sum of (x_d M_de) x_e over terms = _form_terms(M): einsum fuses
-    no multiply-add, M's zero terms only flip the sign of a zero, and two
-    terms, unlike three, add alike in either order."""
+    So is the in-place sum of (x_d M_de) x_e over terms = _form_terms(M):
+    einsum fuses no multiply-add, M's zero terms only flip the sign of a
+    zero, and two terms, unlike three, add alike in either order."""
     if terms is None:
         return np.einsum("di,de,ei->i", x, M, x, order="C" if x.shape[1] <= 2 else "K")
-    p = [x[d] * v * x[e] for d, e, v in terms]
-    return p[0] + p[1] if len(p) == 2 else p[0] if p else 0.0
+    if not terms:
+        return 0.0
+    (d, e, v), *more = terms
+    p = x[d] * v * x[e]
+    for d, e, v in more:
+        p += x[d] * v * x[e]
+    return p
 
 
 def _form_terms(M: np.ndarray):
@@ -146,6 +151,7 @@ class LqrSimulator:
         F = np.eye(self.d) if noise.factor is None else np.asarray(noise.factor)
         moved = (F != 0).any(axis=1) & (noise.kind != "zero")
         self._moved = [slice(None)] if moved.all() else np.flatnonzero(moved)
+        self._copied = noise.kind == "uniform"  # vectors standardizes a uniform's normals in place
 
     def rollout_perturbed_batch(self, policy, t: int, U: np.ndarray, key) -> np.ndarray:
         """(m,) costs: slot t of costs on paths(seed, iteration, m) for the
@@ -169,17 +175,19 @@ class LqrSimulator:
 
     def costs(self, policy, U: np.ndarray, paths: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """(T, m) costs to go of _roll's branches on m path rows: entry (t, i) from step t of path i, gain t
-        perturbed by U[t, i] and every other gain the policy's."""
+        perturbed by U[t, i] and every other gain the policy's.  The paths stay as drawn: their noise normals are
+        mapped on a copy for the uniform kind alone, as every other kind's vectors returns a new array."""
         if np.shape(U)[:2] != (self.T, len(paths[0])):
             raise ValueError(f"U must have shape (T, m, k, d) = ({self.T}, {len(paths[0])}, k, d) for "
                              f"{len(paths[0])} path rows, got {np.shape(U)}")
         x0, z = paths
-        return self._roll(policy, U, x0, self._inst.noise.vectors(np.array(z), self.d)).reshape(self.T, -1)
+        w = self._inst.noise.vectors(np.array(z) if self._copied else z, self.d)
+        return self._roll(policy, U, x0, w).reshape(self.T, -1)
 
     def trajectories(self, policy, paths: tuple[np.ndarray, np.ndarray]) -> Trajectory:
         """The unperturbed rollouts of the policy (T, k, d) on n path rows, every Trajectory field leading with n."""
         x0, z = paths
-        w = self._inst.noise.vectors(np.array(z), self.d)
+        w = self._inst.noise.vectors(np.array(z) if self._copied else z, self.d)
         states = np.empty((len(x0), self.T + 1, self.d))
         states[:, 0] = x0
         cost = self._roll(_gains(policy, self), None, x0, w, states.transpose(1, 2, 0))
@@ -187,8 +195,8 @@ class LqrSimulator:
 
     def _roll(self, policy, U, x0: np.ndarray, w: np.ndarray, states=None) -> np.ndarray:
         """Costs of the rollouts from m start states x0 (m, d) under noise w (m, T, d), the noise model's
-        vectors of the path rows' normals, mapped once a call on a copy (vectors maps a uniform in place, and
-        a step-major copy rounds otherwise): the (m,) costs of the base block, rolled under the policy, if U is
+        vectors of the path rows' normals, mapped once a call by the caller (a step-major copy would round
+        otherwise): the (m,) costs of the base block, rolled under the policy, if U is
         None; else the (T * m,) costs to go of the branches, block-major, where branch t of path i opens at
         step t from the base's x_t with gain t perturbed by U[t, i] (U (T, m, k, d)) and rolls under the policy
         after it.  states[1:] of a (T + 1, d, m) states, if given, receive the base's x_1 to x_T.  States are
@@ -197,10 +205,11 @@ class LqrSimulator:
         on the rows the noise can move, in one add where it moves every row.  gemv rounds by its operands'
         layout, so gains act on row-major states at every step, step 0 too (for d > 1, d row writes into one
         array): the bits depend on the path rows' values alone.  Gains are negated once a call, as rounding is
-        symmetric in sign.  A = I is skipped, B u is B * u' if k = 1, and _forms and the noise add skip zero
-        terms: for finite states the costs keep their bits, as a one-term product rounds once and a dropped
-        zero term, like a negated zero, only flips the sign of a zero.  A @ x, gemv, gemm and dense forms stay
-        on BLAS, which may fuse a multiply-add, and einsum."""
+        symmetric in sign.  A = I is skipped, B u is B * u' if k = 1, branch t's actions are einsum's sum
+        written out, a product a term, if d <= 2, and _forms and the noise add skip zero terms: for finite states
+        the costs keep their bits, as a one-term product rounds once, einsum fuses no multiply-add, and a dropped
+        zero term, like a negated zero or einsum's zero start, only flips the sign of a zero.  A @ x, gemv, gemm
+        and dense forms stay on BLAS, which may fuse a multiply-add, and einsum."""
         inst = self._inst
         T, d, m = self.T, self.d, len(x0)
         blocks, lo = (1, 0) if U is None else (T + 1, m)  # lo: the first costed column, the base's or branch 0's
@@ -225,8 +234,12 @@ class LqrSimulator:
             rows = written[:n] if d > 1 else x[:, :n].T
             u = acts[:live]
             np.matmul(rows, negK[t].T, out=u[:n])
-            if U is not None:
+            if U is not None and d > 2:
                 np.einsum("ikd,id->ik", negKU[t], rows[:m], out=u[n:])
+            elif U is not None:  # einsum's sum over d <= 2 terms written out
+                np.multiply(negKU[t, ..., 0], rows[:m, :1], out=u[n:])
+                if d == 2:
+                    u[n:] += negKU[t, ..., 1] * rows[:m, 1:]
             xs = x[:, :live]
             cost[:live - lo] += _forms(xs[:, lo:], inst.Q[t], self._Q[t])
             cost[:live - lo] += _forms(np.ascontiguousarray(u[lo:].T), inst.R[t], self._R[t])
@@ -243,8 +256,10 @@ class LqrSimulator:
 def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 0) -> np.ndarray:
     """The (T, k, d) zeroth-order gradient estimate from m branched rollouts
     per slot: the handle's costs to go on its first m paths of the
-    iteration.  The policy must have the handle's shape (T, k, d)
-    (ValueError naming policy); an LqrInstance is no handle (TypeError)."""
+    iteration, contracted with the directions of every slot in one einsum,
+    which has the bits of one einsum a slot.  The policy must have the
+    handle's shape (T, k, d) and costs must return (T, m) (ValueError naming
+    either); an LqrInstance is no handle (TypeError)."""
     if not (hasattr(sim, "paths") and hasattr(sim, "costs")):
         raise TypeError("a simulator handle needs paths(seed, iteration, n) and costs(policy, U, paths); "
                         "wrap an LqrInstance in LqrSimulator")
@@ -254,10 +269,9 @@ def estimate_gradient(sim, policy, cfg: SmoothingConfig, seed, iteration: int = 
     r, m = cfg.radius, cfg.samples
     U = sphere_directions(T, m, (k, d), r, seed, iteration)
     costs = sim.costs(K, U, sim.paths(seed, iteration, m))
-    # one einsum per slot: a single einsum over all slots rounds differently
-    grads = np.empty((T, k, d))
-    for t in range(T):
-        np.einsum("i,ikd->kd", costs[t], U[t], out=grads[t])
+    if np.shape(costs) != (T, m):
+        raise ValueError(f"the handle's costs must return shape (T, m) = ({T}, {m}), got {np.shape(costs)}")
+    grads = np.einsum("ti,tikd->tkd", costs, U)
     grads *= D / r**2
     return grads / m
 

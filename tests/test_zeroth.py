@@ -550,6 +550,30 @@ class TestShortForms:
         u = -(rows @ K.T)
         np.testing.assert_array_equal(_bits(B * u.T), _bits(B @ u.T))
 
+    @settings(deadline=None, max_examples=150)
+    @given(d=st.integers(1, 2), k=st.integers(1, 3), m=st.sampled_from([1, 2, 3, 50, 2000]),
+           zeros=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_branch_actions_of_one_or_two_terms_match_einsum(self, d, k, m, zeros, seed):
+        # the kernel's -(K_t + U_t) x_t for d <= 2: a product a term, the
+        # second added in place, on the row-major states it reads (a view of
+        # the coordinate-major ones at d = 1); exact +-0.0 entries in the
+        # gains, directions and states may flip the sign of a zero alone
+        rng = np.random.default_rng(seed)
+
+        def signed_zeros(a):
+            return np.where(rng.random(a.shape) < zeros, np.where(rng.random(a.shape) < 0.5, 0.0, -0.0), a)
+
+        negKU = -signed_zeros(_wide(rng, (k, d)))[None] - signed_zeros(_wide(rng, (m, k, d)))
+        x = signed_zeros(_wide(rng, (d, m)))
+        rows = x.T if d == 1 else np.ascontiguousarray(x.T)
+        got = np.empty((m, k))
+        np.multiply(negKU[..., 0], rows[:, :1], out=got)
+        if d == 2:
+            got += negKU[..., 1] * rows[:, 1:]
+        want = np.einsum("ikd,id->ik", negKU, rows)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(_bits(got + 0.0), _bits(want + 0.0))
+
     @settings(deadline=None, max_examples=120)
     @given(d=st.integers(1, 4), n=st.sampled_from([1, 2, 3, 250]), T=st.integers(1, 3),
            kind=st.sampled_from(["gaussian", "uniform", "zero"]), sigma=st.sampled_from([0.4, -0.7]),
@@ -780,6 +804,34 @@ class TestEstimator:
         assert sim.costs(np.zeros((5, 1, 1)), U, sim.paths(0, 0, 3)).shape == (5, 3)
         with pytest.raises(ValueError, match=r"U must have shape \(T, m, k, d\) = \(5, 15, k, d\)"):
             sim.costs(np.zeros((5, 1, 1)), U, sim.paths(0, 0, 15))
+
+    @pytest.mark.parametrize("reshape,shape", [(np.ravel, (15,)), (np.transpose, (3, 5)),
+                                               (lambda c: c[:, :-1], (5, 2)), (lambda c: c[:-1], (4, 3))],
+                             ids=["flat", "transposed", "short rows", "short slots"])
+    def test_costs_of_another_shape_are_named(self, reshape, shape):
+        # flat costs failed inside einsum on its subscripts, transposed or
+        # short ones on broadcasting, and too few slots on an index
+        sim = LqrSimulator(scalar_benchmark())
+        handle = PathsAndCosts(sim)
+        handle.costs = lambda K, U, paths: reshape(sim.costs(K, U, paths))
+        with pytest.raises(ValueError, match=re.escape(f"costs must return shape (T, m) = (5, 3), got {shape}")):
+            estimate_gradient(handle, np.zeros((5, 1, 1)), SmoothingConfig(radius=0.1, samples=3), seed=0)
+
+    @settings(deadline=None, max_examples=80)
+    @given(kinds=st.sampled_from(KIND_PAIRS), T=st.integers(1, 10), m=st.integers(1, 300), k=st.integers(1, 3),
+           d=st.integers(1, 8), seed=st.integers(-2**63, 2**64 - 1), iteration=st.integers(0, 2**64 - 1))
+    def test_one_contraction_has_the_bits_of_one_einsum_a_slot(self, kinds, T, m, k, d, seed, iteration):
+        inst = _instance_of_kinds(*kinds, d=d, k=k, T=T)
+        K = np.random.default_rng([T, k, d]).normal(size=(T, k, d)) * 0.2
+        sim, r = LqrSimulator(inst), 0.3
+        est = estimate_gradient(sim, K, SmoothingConfig(r, m), seed, iteration=iteration)
+        U = sphere_directions(T, m, (k, d), r, seed, iteration)
+        costs = _slots(sim, K, U, seed, iteration)
+        ref = np.empty((T, k, d))
+        for t in range(T):
+            np.einsum("i,ikd->kd", costs[t], U[t], out=ref[t])
+        ref *= k * d / r**2
+        assert est.tobytes() == (ref / m).tobytes()
 
     def test_handle_without_rollouts_is_rejected(self):
         class Bare:

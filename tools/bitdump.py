@@ -26,6 +26,8 @@ the (j + 1)-th pair of init.draw and noise.draw on its stream, so the
 "stream" group dumps both: the rows path_normals draws, and those the
 models draw one at a time.  The rollout kernel runs twice on the same paths
 ("slots-again"), which differs where a kernel changes its paths in place.
+The "roll-zeros" group rolls inputs with exact +0.0 and -0.0 entries, where
+a short form of the kernel could flip the sign of a zero.
 It takes about 20 s on a 2-CPU VM.
 """
 
@@ -381,6 +383,47 @@ def roll_outputs(out: dict) -> None:
                     out[f"{name}/batch"] = _sha(*(sim.rollout_perturbed_batch(K, t, U[t], (seed, it, t)) for t in range(T)))
 
 
+ZERO_SAMPLES = [1, 3, 50]
+
+
+def _signed_zeros(a: np.ndarray, rng) -> np.ndarray:
+    """a with about a third of its entries set to +0.0 or -0.0, either alike."""
+    zeros = np.where(rng.random(np.shape(a)) < 0.5, 0.0, -0.0)
+    return np.where(rng.random(np.shape(a)) < 1 / 3, zeros, a)
+
+
+def roll_zero_outputs(out: dict) -> None:
+    """LqrSimulator's branched costs and trajectories where start states,
+    gains, directions and B hold exact +0.0 and -0.0 entries, for d = 1-3,
+    k = 1-2 and m of ZERO_SAMPLES, under Gaussian noise on state row 0 alone
+    and under zero noise.  A is diagonal, so a zero start coordinate whose
+    row of B is zero stays a zero of its sign at every step: the inputs on
+    which the kernel's short forms can change at most the sign of a zero,
+    which no cost sees."""
+    T = 3
+    for d in (1, 2, 3):
+        for k in (1, 2):
+            for kind in ("gaussian", "zero"):
+                rng = np.random.default_rng([101, d, k])
+                noise = NoiseModel(kind, 0.4, np.diag(np.arange(d) == 0) * 1.0)
+                init = InitialStateModel("gaussian", rng.normal(size=d), 0.6)
+                B = _signed_zeros(rng.normal(size=(d, k)), rng)
+                inst = constant_instance(np.diag(rng.uniform(0.5, 1.2, d)), B, np.eye(d), np.eye(k), np.eye(d), T,
+                                         noise, init)
+                sim = LqrSimulator(inst)
+                K = _signed_zeros(rng.normal(size=(T, k, d)) * 0.3, rng)
+                for m in ZERO_SAMPLES:
+                    x0, z = sim.paths(11, 0, m)
+                    paths = (_signed_zeros(x0, rng), z)
+                    U = _signed_zeros(zeroth.sphere_directions(T, m, (k, d), 0.2, 11, 0), rng)
+                    name = f"roll-zeros/d={d},k={k},{kind}/m={m}"
+                    out[f"{name}/costs"] = _sha(sim.costs(K, U, paths))
+                    traj = sim.trajectories(K, paths)
+                    out[f"{name}/states"] = _sha(traj.states)
+                    out[f"{name}/noises"] = _sha(traj.noises)
+                    out[f"{name}/realized_cost"] = _sha(traj.realized_cost)
+
+
 TRAJECTORY_ROWS = [1, 7, 2000]
 
 
@@ -632,6 +675,7 @@ def main(argv=None) -> int:
     stream_outputs(out)
     qlearn_outputs(out)
     roll_outputs(out)
+    roll_zero_outputs(out)
     trajectory_outputs(out)
     estimator_outputs(out)
     loop_outputs(out)
