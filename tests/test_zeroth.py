@@ -814,7 +814,8 @@ class TestEstimator:
         sim = LqrSimulator(scalar_benchmark())
         handle = PathsAndCosts(sim)
         handle.costs = lambda K, U, paths: reshape(sim.costs(K, U, paths))
-        with pytest.raises(ValueError, match=re.escape(f"costs must return shape (T, m) = (5, 3), got {shape}")):
+        message = f"the handle's costs must return shape (T, m) = (5, 3), got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             estimate_gradient(handle, np.zeros((5, 1, 1)), SmoothingConfig(radius=0.1, samples=3), seed=0)
 
     @settings(deadline=None, max_examples=80)
